@@ -209,6 +209,19 @@ def paper_lower_bound_log2(
     return x.add_int(-(n - 1)) - g
 
 
+def _counting_parts(
+    n: int, p: int, max_precision: int, work_ceiling: int
+) -> tuple[DyadicInterval, DyadicInterval, DyadicInterval, DyadicInterval]:
+    """(log2 n!, G(n), log2 counting bound, e2(n)), from log2 n!, n log2 n and
+    G(n) each enclosed at a third of the 2^-p budget."""
+    q = _part_precision(p, 3)
+    fact = log2_factorial_enclosure(n, q, max_precision, work_ceiling)
+    x = log2_int_enclosure(n, _part_precision(p, 3, n), max_precision).scale_int(n)
+    g = G_enclosure(n, q, max_precision, work_ceiling)
+    paper_lb = x.add_int(-(n - 1)) - g
+    return fact, g, paper_lb, fact - paper_lb
+
+
 def error_term_e2(
     n: int,
     p: int,
@@ -224,13 +237,7 @@ def error_term_e2(
     """
     if n < 1:
         raise DomainError(f"n must be a positive integer, got {n}")
-    q_f = _part_precision(p, 3)
-    q_x = _part_precision(p, 3, n)
-    q_g = _part_precision(p, 3)
-    fact = log2_factorial_enclosure(n, q_f, max_precision, work_ceiling)
-    x = log2_int_enclosure(n, q_x, max_precision).scale_int(n)
-    g = G_enclosure(n, q_g, max_precision, work_ceiling)
-    return fact - (x.add_int(-(n - 1)) - g)
+    return _counting_parts(n, p, max_precision, work_ceiling)[3]
 
 
 def c_of_n(
@@ -242,17 +249,11 @@ def c_of_n(
     """Enclosure of log2 C(n) = log2 n! - n log2 n + (n - 1 + G(n)).
 
     Reports the measured gap above the counting bound; asserts nothing about
-    its boundedness (and indeed it grows with the binary digit sum).
+    its boundedness (and indeed it grows with the binary digit sum).  It is
+    e2(n) rearranged, and dyadic addition is exact, so the enclosure is
+    bit-identical to :func:`error_term_e2`.
     """
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
-    q_f = _part_precision(p, 3)
-    q_x = _part_precision(p, 3, n)
-    q_g = _part_precision(p, 3)
-    fact = log2_factorial_enclosure(n, q_f, max_precision, work_ceiling)
-    x = log2_int_enclosure(n, q_x, max_precision).scale_int(n)
-    g = G_enclosure(n, q_g, max_precision, work_ceiling)
-    return (fact - x).add_int(n - 1) + g
+    return error_term_e2(n, p, max_precision, work_ceiling)
 
 
 def paper_equality_certificate(n: int) -> bool:
@@ -399,17 +400,7 @@ def _compute_row(
     work_ceiling: int,
     escalations: int,
 ) -> BoundRow:
-    q_f = _part_precision(p, 3)
-    q_x = _part_precision(p, 3, n)
-    q_g = _part_precision(p, 3)
-    fact = log2_factorial_enclosure(n, q_f, max_precision, work_ceiling)
-    x = log2_int_enclosure(n, q_x, max_precision).scale_int(n)
-    g = G_enclosure(n, q_g, max_precision, work_ceiling)
-
-    paper_lb = x.add_int(-(n - 1)) - g
-    e2 = fact - paper_lb
-    c = (fact - x).add_int(n - 1) + g
-
+    fact, g, paper_lb, e2 = _counting_parts(n, p, max_precision, work_ceiling)
     robbins_lo, robbins_hi = robbins_bounds_log2(n, p, max_precision)
     ram_lo, ram_hi = ramanujan_bounds_log2(n, p, params, max_precision)
 
@@ -444,7 +435,7 @@ def _compute_row(
         robbins_hi=robbins_hi,
         ramanujan_lo=ram_lo,
         ramanujan_hi=ram_hi,
-        c_log2=c,
+        c_log2=e2,
         e2=e2,
         s2=s2,
         equality=equality,

@@ -42,6 +42,21 @@ def integer_nth_root(n: int, k: int) -> int:
     return x
 
 
+# str() of a smaller int stays under any int-to-str digit limit the
+# interpreter accepts (the lowest settable limit is 640 digits)
+_STR_CHUNK = 10 ** 500
+
+
+def _digits(v: int) -> str:
+    """str(v) for v >= 0 of any size, split divide-and-conquer into pieces that
+    str() converts without touching the process-wide int-to-str digit limit."""
+    if v < _STR_CHUNK:
+        return str(v)
+    half = v.bit_length() * 3 // 20  # about half of the v.bit_length() * log10(2) digits
+    hi, lo = divmod(v, 10 ** half)
+    return _digits(hi) + _digits(lo).zfill(half)
+
+
 @dataclass(frozen=True)
 class DyadicRational:
     """Exact number mantissa * 2^exponent, canonical (mantissa odd or zero)."""
@@ -149,15 +164,15 @@ class DyadicRational:
     def decimal_str(self) -> str:
         """Exact decimal rendering (dyadics always terminate in base 10)."""
         m, e = self.mantissa, self.exponent
-        if e >= 0:
-            return str(m << e)
-        f = -e
         sign = "-" if m < 0 else ""
         am = -m if m < 0 else m
+        if e >= 0:
+            return sign + _digits(am << e)
+        f = -e
         int_part = am >> f
         rem = am - (int_part << f)
-        digits = str(rem * 5 ** f).zfill(f).rstrip("0")
-        return f"{sign}{int_part}.{digits}"
+        digits = _digits(rem * 5 ** f).zfill(f).rstrip("0")
+        return f"{sign}{_digits(int_part)}.{digits}"
 
     def __repr__(self) -> str:
         return f"DyadicRational({self.decimal_str()})"

@@ -333,23 +333,11 @@ def log2_factorial_by_sum(
     max_precision: int = DEFAULT_MAX_PRECISION_BITS,
     work_ceiling: int = DEFAULT_WORK_CEILING,
 ) -> DyadicInterval:
-    """Enclosure of log2(n!) as the certified sum of log2(m) over m <= n."""
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
-    q = p + ceil_log2(n) + 1
-    _check_precision(q, max_precision)
-    _check_sum_work(n, q, work_ceiling)
-    s = q + _CORE_EXTRA + _EXTRA_STEPS
-    acc_lo = 0
-    acc_hi = 0
-    for m in range(2, n + 1):
-        lm_lo, lm_hi, lm_s = _log2_int_raw(m, q)
-        if lm_s != s:  # power of two: exact integer log
-            lm_lo <<= s - lm_s
-            lm_hi = lm_lo
-        acc_lo += lm_lo
-        acc_hi += lm_hi
-    return _raw_to_interval(acc_lo, acc_hi, s)
+    """Enclosure of log2(n!) as the certified sum of log2(m) over m <= n: the
+    last prefix of :func:`log2_factorial_running`."""
+    for _, prefix in log2_factorial_running(n, p, max_precision, work_ceiling):
+        pass
+    return prefix
 
 
 def log2_factorial_enclosure(

@@ -6,10 +6,11 @@ j*2^k <= a", so no transcendental function and no floating-point rounding can
 ever mis-assign a floor.  The two enumeration oracles deliberately count by
 brute force; they exist to cross-check the floor-sum identity, not to be fast.
 
-Large range sweeps go through numpy int64 fast paths.  Those paths are guarded:
-any input that could overflow 63-bit intermediates falls back to the
-arbitrary-precision scalar loop, and the fast paths are property-tested against
-the scalar definitions.
+The floor sums count their terms in blocks: floor(log2(a/j)) = k exactly when
+a >> (k+1) < j <= a >> k, so a sum over j <= a takes O(log a) integer steps
+for every size of a.  numpy appears only in the brute-force oracles, whose
+int64 paths fall back to arbitrary-precision loops wherever 63-bit
+intermediates could overflow.
 """
 
 from __future__ import annotations
@@ -79,9 +80,6 @@ class FloorLogCount:
 # int64 fast paths stay clear of the top bit; above this we use scalar loops.
 _INT64_SAFE_BOUND = 1 << 62
 
-# 2^0 .. 2^62 for vectorized floor-log2 via binary search.
-_POW2_TABLE = (2 ** np.arange(0, 63, dtype=np.uint64)).astype(np.int64)
-
 # Cap on per-call numpy scratch arrays (elements), to bound peak memory.
 _CHUNK = 1 << 21
 
@@ -132,19 +130,17 @@ def power_of_two_ratio(a: int, j: int) -> int | None:
     return q.bit_length() - 1
 
 
-def _odd_floor_sum_scalar(a: int) -> int:
-    return sum(floor_log2_ratio(a, j) for j in range(1, a + 1, 2))
+def _floor_sum(a: int, odd_only: bool) -> int:
+    """Sum of floor(log2(a/j)) over j <= a (odd j only, if odd_only).
 
-
-def _floor_sum_vectorized(a: int, step: int) -> int:
-    """Sum of floor(log2(a/j)) over j in 1..a with the given stride."""
+    The j with floor(log2(a/j)) = k are exactly a >> (k+1) < j <= a >> k, so
+    each k contributes k times the size of that block.
+    """
     total = 0
-    for start in range(1, a + 1, _CHUNK * step):
-        stop = min(a, start + _CHUNK * step - 1)
-        j = np.arange(start, stop + 1, step, dtype=np.int64)
-        q = a // j
-        k = np.searchsorted(_POW2_TABLE, q, side="right") - 1
-        total += int(k.sum())
+    for k in range(1, a.bit_length()):
+        hi, lo = a >> k, a >> (k + 1)
+        # (x + 1) // 2 odd j lie in 1..x
+        total += k * ((hi + 1) // 2 - (lo + 1) // 2 if odd_only else hi - lo)
     return total
 
 
@@ -158,10 +154,7 @@ def odd_floor_sum(a: int) -> FloorLogCount:
         raise DomainError(f"a must be a positive integer, got {a}")
     if a % 2 == 0:
         raise DomainError(f"a must be odd, got {a}; use all_floor_sum for general a")
-    if a <= _INT64_SAFE_BOUND:
-        value = _floor_sum_vectorized(a, step=2)
-    else:
-        value = _odd_floor_sum_scalar(a)
+    value = _floor_sum(a, odd_only=True)
     expected = (a - 1) // 2
     if value != expected:
         raise IdentityViolationError(
@@ -219,14 +212,12 @@ def all_floor_sum(a: int) -> FloorLogCount:
     Equals a - binary_digit_sum(a); that closed form was brute-force confirmed
     against the direct sum for every a <= 10^4 before being relied on, and the
     test suite re-runs that confirmation.  The value returned here is still the
-    direct sum, with the closed form enforced as a hard cross-check.
+    floor sum (counted in blocks), with the closed form enforced as a hard
+    cross-check.
     """
     if a < 1:
         raise DomainError(f"a must be a positive integer, got {a}")
-    if a <= _INT64_SAFE_BOUND:
-        value = _floor_sum_vectorized(a, step=1)
-    else:
-        value = sum(floor_log2_ratio(a, j) for j in range(1, a + 1))
+    value = _floor_sum(a, odd_only=False)
     expected = a - binary_digit_sum(a)
     if value != expected:
         raise IdentityViolationError(

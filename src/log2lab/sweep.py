@@ -3,7 +3,9 @@
 Rows are pure functions of (n, configuration), so a sweep can fan out across
 worker processes and still emit byte-identical files: results are collected in
 ascending n through a single ordered writer, and every emitted number is an
-exact decimal rendering of a dyadic endpoint (never a rounded double).
+exact decimal rendering of a dyadic endpoint (never a rounded double).  The
+three range commands share one run loop: a per-item payload function, which
+runs in the workers, and a fold that consumes the payloads in order.
 
 CSV files carry rows only, with a frozen header; JSON files carry the same row
 objects in an array whose final element wraps the run summary.  Rows are
@@ -18,9 +20,10 @@ import sys
 from dataclasses import dataclass, replace
 from functools import partial
 from multiprocessing import Pool
-from typing import IO, Iterable
+from typing import IO, Callable, Iterator
 
 from .bounds import (
+    BOUND_NAMES,
     VerdictStatus,
     compare_bounds,
     error_term_e2,
@@ -86,6 +89,11 @@ class SweepConfig:
             raise UsageError(f"empty range [{self.n_lo}, {self.n_hi}]")
         if self.precision_bits < 4:
             raise UsageError(f"precision must be >= 4 bits, got {self.precision_bits}")
+        if self.precision_bits > self.max_precision_bits:
+            raise UsageError(
+                f"precision {self.precision_bits} exceeds the ceiling of "
+                f"{self.max_precision_bits} bits"
+            )
         if self.max_escalations < 0:
             raise UsageError("max escalations must be >= 0")
         if self.output_format not in ("csv", "json"):
@@ -141,6 +149,12 @@ ERROR_TERM_CSV_COLUMNS = [
     "contains",
 ]
 
+# the BoundRow intervals behind the *_lo/*_hi column pairs, in column order
+_ROW_INTERVALS = (
+    "log2_fact", "g", "paper_lb", "robbins_lo", "robbins_hi",
+    "ramanujan_lo", "ramanujan_hi", "c_log2", "e2",
+)
+
 VERIFY_CSV_COLUMNS = [
     "a",
     "expected",
@@ -150,9 +164,8 @@ VERIFY_CSV_COLUMNS = [
 ]
 
 
-def _emit_pair(iv: DyadicInterval, frac_bits: int) -> tuple[str, str]:
-    out = iv.round_outward(frac_bits)
-    return out.lo.decimal_str(), out.hi.decimal_str()
+def _decimals(iv: DyadicInterval) -> list[str]:
+    return [iv.lo.decimal_str(), iv.hi.decimal_str()]
 
 
 def _combine(v1: VerdictStatus, v2: VerdictStatus) -> str:
@@ -164,7 +177,11 @@ def _combine(v1: VerdictStatus, v2: VerdictStatus) -> str:
 
 
 def _bounds_payload(config: SweepConfig, n: int) -> dict:
-    """One row, fully serialized; pure in (config, n) so workers agree."""
+    """One row, fully serialized; pure in (config, n) so workers agree.
+
+    Verdict certificates travel as intervals: the fold renders only the
+    Violated ones.
+    """
     row = compare_bounds(
         n,
         config.precision_bits,
@@ -175,20 +192,10 @@ def _bounds_payload(config: SweepConfig, n: int) -> dict:
     )
     f_emit = row.precision_bits + 3
     fields: dict[str, str] = {"n": str(n), "precision_bits": str(row.precision_bits)}
-    for name, iv in (
-        ("log2_fact", row.log2_fact),
-        ("g", row.g),
-        ("paper_lb", row.paper_lb),
-        ("robbins_lo", row.robbins_lo),
-        ("robbins_hi", row.robbins_hi),
-        ("ramanujan_lo", row.ramanujan_lo),
-        ("ramanujan_hi", row.ramanujan_hi),
-        ("c_log2", row.c_log2),
-        ("e2", row.e2),
-    ):
-        lo, hi = _emit_pair(iv, f_emit)
-        fields[f"{name}_lo"] = lo
-        fields[f"{name}_hi"] = hi
+    for name in _ROW_INTERVALS:
+        fields[f"{name}_lo"], fields[f"{name}_hi"] = _decimals(
+            getattr(row, name).round_outward(f_emit)
+        )
     fields["s2"] = str(row.s2)
     fields["verdict_paper"] = row.verdicts["paper"].status.value
     fields["verdict_robbins"] = _combine(
@@ -198,24 +205,11 @@ def _bounds_payload(config: SweepConfig, n: int) -> dict:
         row.verdicts["ramanujan_lower"].status, row.verdicts["ramanujan_upper"].status
     )
     fields["equality_flag"] = "true" if row.equality else "false"
-
-    def raw(iv: DyadicInterval) -> tuple[int, int, int, int]:
-        return (iv.lo.mantissa, iv.lo.exponent, iv.hi.mantissa, iv.hi.exponent)
-
     meta = {
         "statuses": {name: v.status.value for name, v in row.verdicts.items()},
         "escalations": row.escalations,
-        "e2_raw": raw(row.e2),
-        "c_raw": raw(row.c_log2),
-        "certificates": {
-            name: [
-                v.certificate[0].round_outward(f_emit).lo.decimal_str(),
-                v.certificate[0].round_outward(f_emit).hi.decimal_str(),
-                v.certificate[1].round_outward(f_emit).lo.decimal_str(),
-                v.certificate[1].round_outward(f_emit).hi.decimal_str(),
-            ]
-            for name, v in row.verdicts.items()
-        },
+        "e2": row.e2,
+        "certificates": {name: v.certificate for name, v in row.verdicts.items()},
     }
     return {"fields": fields, "meta": meta}
 
@@ -231,7 +225,7 @@ def _error_term_payload(config: SweepConfig, n: int) -> dict:
         and not e2.contains_int(s2m1 - 1)
         and not e2.contains_int(s2m1 + 1)
     )
-    lo, hi = _emit_pair(e2, p + 3)
+    lo, hi = _decimals(e2.round_outward(p + 3))
     fields = {
         "n": str(n),
         "precision_bits": str(p),
@@ -243,47 +237,36 @@ def _error_term_payload(config: SweepConfig, n: int) -> dict:
     return {"fields": fields, "meta": {"contains": contains}}
 
 
-def _verify_chunk(chunk: list[int]) -> tuple[int, list[dict]]:
-    checked = 0
-    failures: list[dict] = []
-    for a in chunk:
-        expected = (a - 1) // 2
-        try:
-            formula = odd_floor_sum(a).value
-        except IdentityViolationError as exc:
-            failures.append({"a": a, "error": str(exc)})
-            checked += 1
-            continue
+def _verify_payload(config: SweepConfig, a: int) -> dict:
+    """Three-way check of one odd a; a row (and its failure record) only on
+    disagreement."""
+    expected = (a - 1) // 2
+    try:
+        formula = odd_floor_sum(a).value
+    except IdentityViolationError as exc:
+        failure = {"a": a, "error": str(exc)}
+    else:
         even = even_count_oracle(a)
         pair = pair_enumeration_oracle(a)
-        checked += 1
-        if not (formula == expected == even == pair):
-            failures.append(
-                {
-                    "a": a,
-                    "expected": expected,
-                    "floor_formula": formula,
-                    "even_count": even,
-                    "pair_count": pair,
-                }
-            )
-    return checked, failures
+        if formula == expected == even == pair:
+            return {"fields": None, "meta": None}
+        failure = {
+            "a": a,
+            "expected": expected,
+            "floor_formula": formula,
+            "even_count": even,
+            "pair_count": pair,
+        }
+    fields = {c: str(failure.get(c, "")) for c in VERIFY_CSV_COLUMNS}
+    return {"fields": fields, "meta": failure}
 
 
-def _pool_map(config: SweepConfig, fn, items: list, chunksize: int) -> Iterable:
+def _pool_map(config: SweepConfig, fn, items: list, chunksize: int) -> Iterator:
     if config.workers == 1:
-        return map(fn, items)
-    pool = Pool(processes=config.workers)
-
-    def run():
-        try:
-            for payload in pool.imap(fn, items, chunksize=chunksize):
-                yield payload
-        finally:
-            pool.terminate()
-            pool.join()
-
-    return run()
+        yield from map(fn, items)
+        return
+    with Pool(processes=config.workers) as pool:  # leaving terminates and joins the workers
+        yield from pool.imap(fn, items, chunksize=chunksize)
 
 
 class _Writer:
@@ -322,101 +305,114 @@ class _Writer:
 def _open_output(config: SweepConfig, default_stream: IO[str]):
     if config.output_path is None:
         return default_stream, False
-    return open(config.output_path, "w", newline=""), True
+    try:
+        return open(config.output_path, "w", newline=""), True
+    except OSError as exc:
+        raise UsageError(f"cannot open --out {config.output_path!r}: {exc.strerror}") from exc
 
 
-def _report(lines: list[str], stream: IO[str]) -> None:
-    for line in lines:
-        stream.write(line + "\n")
-    stream.flush()
-
-
-@dataclass
-class _MaxTracker:
-    # deterministic argmax: strictly larger lower endpoint wins; ties keep
-    # the smallest n (rows arrive in ascending order)
-    n: int | None = None
-    iv: DyadicInterval | None = None
-
-    def consider(self, n: int, iv: DyadicInterval) -> None:
-        if self.iv is None or iv.lo > self.iv.lo:
-            self.n = n
-            self.iv = iv
-
-
-def run_bounds_sweep(
+def _run(
     config: SweepConfig,
-    out_stream: IO[str] | None = None,
-    report_stream: IO[str] | None = None,
+    columns: list[str],
+    payload_fn: Callable[[SweepConfig, int], dict],
+    chunksize: int,
+    fold: Callable[[SweepConfig, list[int], Iterator[dict]], tuple[dict, list[str], int]],
+    out_stream: IO[str] | None,
+    report_stream: IO[str] | None,
 ) -> int:
-    """Emit one BoundRow per n in ascending order; returns the exit code."""
-    out_stream = out_stream if out_stream is not None else sys.stdout
-    report_stream = report_stream if report_stream is not None else sys.stderr
+    """The run loop shared by the range commands; returns the exit code.
+
+    ``payload_fn(config, n)`` returns ``{"fields": row or None, "meta": ...}``
+    and runs in the workers.  ``fold(config, ns, payloads)`` consumes the
+    payloads in ascending n, after their rows are written, and returns the
+    summary, the report lines and the exit code.  An interrupt while payloads
+    are computed or rows written ends the payloads early; the output is then
+    finalized as truncated and the run exits 2.
+    """
     config.validate()
     ns = config.ns()
-    stream, close_me = _open_output(config, out_stream)
-    writer = _Writer(stream, config.output_format, BOUNDS_CSV_COLUMNS)
+    stream, close_me = _open_output(config, out_stream if out_stream is not None else sys.stdout)
+    writer = _Writer(stream, config.output_format, columns)
+    truncated = False
 
-    counts = {
-        name: {s.value: 0 for s in VerdictStatus}
-        for name in ("paper", "robbins_lower", "robbins_upper", "ramanujan_lower", "ramanujan_upper")
-    }
+    def payloads() -> Iterator[dict]:
+        nonlocal truncated
+        try:
+            for payload in _pool_map(config, partial(payload_fn, config), ns, chunksize):
+                if payload["fields"] is not None:
+                    writer.write_row(payload["fields"])
+                yield payload
+        except KeyboardInterrupt:
+            truncated = True
+
+    summary, lines, code = fold(config, ns, payloads())
+    summary["truncated"] = truncated
+    writer.finish(summary)
+    if close_me:
+        stream.close()
+    if truncated:
+        lines.append("interrupted: output file is truncated but valid")
+    report_stream = report_stream if report_stream is not None else sys.stderr
+    for line in lines:
+        report_stream.write(line + "\n")
+    report_stream.flush()
+    return EXIT_INCONCLUSIVE if truncated else code
+
+
+def _bounds_fold(config: SweepConfig, ns: list[int], payloads: Iterator[dict]):
+    """Verdict counts, equality rows, the e2 argmax and the findings."""
+    counts = {name: {s.value: 0 for s in VerdictStatus} for name in BOUND_NAMES}
     equality_ns: list[int] = []
-    escalated_rows = 0
-    max_e2 = _MaxTracker()
-    max_c = _MaxTracker()
     findings: list[dict] = []
     linear_lines: list[str] = []
-    truncated = False
-    checked = 0
+    checked = escalated_rows = 0
+    # argmax of e2: a strictly larger lower endpoint wins, ties keep the
+    # smallest n; log2 C(n) is e2(n) bit for bit, so it shares the argmax
+    max_n: int | None = None
+    max_e2: DyadicInterval | None = None
 
     agreement = ramanujan_b_agreement(config.precision_bits)
     if not agreement.agree:
         findings.append(
             {
                 "type": "ramanujan_b_disagreement",
-                "printed": [
-                    agreement.printed.lo.decimal_str(),
-                    agreement.printed.hi.decimal_str(),
-                ],
-                "closed_form": [
-                    agreement.closed_form.lo.decimal_str(),
-                    agreement.closed_form.hi.decimal_str(),
-                ],
+                "printed": _decimals(agreement.printed),
+                "closed_form": _decimals(agreement.closed_form),
             }
         )
 
-    fn = partial(_bounds_payload, config)
-    try:
-        for payload in _pool_map(config, fn, ns, chunksize=16):
-            fields = payload["fields"]
-            meta = payload["meta"]
-            writer.write_row(fields)
-            checked += 1
-            n = int(fields["n"])
-            for name, status in meta["statuses"].items():
-                counts[name][status] += 1
-                if status == VerdictStatus.VIOLATED.value:
-                    findings.append(
-                        {
-                            "type": "verdict_violated",
-                            "bound": name,
-                            "n": n,
-                            "precision_bits": int(fields["precision_bits"]),
-                            "certificate": meta["certificates"][name],
-                        }
-                    )
-            if meta["escalations"]:
-                escalated_rows += 1
-            if fields["equality_flag"] == "true":
-                equality_ns.append(n)
-            max_e2.consider(n, _interval_from_raw(meta["e2_raw"]))
-            max_c.consider(n, _interval_from_raw(meta["c_raw"]))
-            if config.linear_display and n <= 20:
-                linear_lines.append(_linear_line(n, fields))
-    except KeyboardInterrupt:
-        truncated = True
+    for checked, payload in enumerate(payloads, 1):
+        fields = payload["fields"]
+        meta = payload["meta"]
+        n = int(fields["n"])
+        row_bits = int(fields["precision_bits"])
+        for name, status in meta["statuses"].items():
+            counts[name][status] += 1
+            if status == VerdictStatus.VIOLATED.value:
+                lhs, rhs = meta["certificates"][name]
+                findings.append(
+                    {
+                        "type": "verdict_violated",
+                        "bound": name,
+                        "n": n,
+                        "precision_bits": row_bits,
+                        "certificate": _decimals(lhs.round_outward(row_bits + 3))
+                        + _decimals(rhs.round_outward(row_bits + 3)),
+                    }
+                )
+        if meta["escalations"]:
+            escalated_rows += 1
+        if fields["equality_flag"] == "true":
+            equality_ns.append(n)
+        if max_e2 is None or meta["e2"].lo > max_e2.lo:
+            max_n, max_e2 = n, meta["e2"]
+        if config.linear_display and n <= 20:
+            linear_lines.append(_linear_line(n, fields))
 
+    max_row = None
+    if max_e2 is not None:
+        lo, hi = _decimals(max_e2)
+        max_row = {"n": max_n, "lo": lo, "hi": hi}
     summary = {
         "checked": checked,
         "requested": len(ns),
@@ -425,52 +421,25 @@ def run_bounds_sweep(
         "verdict_counts": counts,
         "equality_ns": equality_ns,
         "escalated_rows": escalated_rows,
-        "max_e2": _tracker_dict(max_e2),
-        "max_c_log2": _tracker_dict(max_c),
+        "max_e2": max_row,
+        "max_c_log2": max_row,
         "findings": findings,
-        "truncated": truncated,
     }
-    writer.finish(summary)
-    if close_me:
-        stream.close()
-
     lines = [
         f"checked={checked} of {len(ns)} rows at p={config.precision_bits} "
         f"(escalated: {escalated_rows})",
         f"equality rows (s2=1): {equality_ns}",
-        f"max e2 at n={max_e2.n}" if max_e2.n is not None else "max e2: none",
-        f"max c_log2 at n={max_c.n}" if max_c.n is not None else "max c_log2: none",
+        f"max e2 at n={max_n}" if max_row else "max e2: none",
+        f"max c_log2 at n={max_n}" if max_row else "max c_log2: none",
     ]
     lines.extend(linear_lines)
     for finding in findings:
         lines.append("FINDING: " + json.dumps(finding, separators=(",", ":")))
-    if truncated:
-        lines.append("interrupted: output file is truncated but valid")
-    _report(lines, report_stream)
-
-    if truncated:
-        return EXIT_INCONCLUSIVE
     if counts["paper"][VerdictStatus.VIOLATED.value]:
-        return EXIT_VIOLATION
+        return summary, lines, EXIT_VIOLATION
     if any(c[VerdictStatus.INCONCLUSIVE.value] for c in counts.values()):
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
-
-
-def _tracker_dict(tracker: _MaxTracker) -> dict | None:
-    if tracker.n is None:
-        return None
-    return {
-        "n": tracker.n,
-        "lo": tracker.iv.lo.decimal_str(),
-        "hi": tracker.iv.hi.decimal_str(),
-    }
-
-
-def _interval_from_raw(raw: tuple[int, int, int, int]) -> DyadicInterval:
-    from .dyadic import DyadicRational
-
-    return DyadicInterval(DyadicRational(raw[0], raw[1]), DyadicRational(raw[2], raw[3]))
+        return summary, lines, EXIT_INCONCLUSIVE
+    return summary, lines, EXIT_OK
 
 
 def _linear_line(n: int, fields: dict[str, str]) -> str:
@@ -489,68 +458,76 @@ def _linear_line(n: int, fields: dict[str, str]) -> str:
     )
 
 
-def run_error_term(
-    config: SweepConfig,
-    out_stream: IO[str] | None = None,
-    report_stream: IO[str] | None = None,
-) -> int:
-    """Emit the e2 table and check the digit-sum characterization per row."""
-    out_stream = out_stream if out_stream is not None else sys.stdout
-    report_stream = report_stream if report_stream is not None else sys.stderr
-    config.validate()
-    ns = config.ns()
-    stream, close_me = _open_output(config, out_stream)
-    writer = _Writer(stream, config.output_format, ERROR_TERM_CSV_COLUMNS)
+def _error_term_fold(config: SweepConfig, ns: list[int], payloads: Iterator[dict]):
+    """Whether every e2 enclosure isolated s2(n) - 1, and the largest s2(n) - 1."""
     all_contained = True
     checked = 0
-    truncated = False
     max_row: dict | None = None
-    fn = partial(_error_term_payload, config)
-    try:
-        for payload in _pool_map(config, fn, ns, chunksize=32):
-            writer.write_row(payload["fields"])
-            checked += 1
-            if not payload["meta"]["contains"]:
-                all_contained = False
-            s2m1 = int(payload["fields"]["s2_minus_1"])
-            if max_row is None or s2m1 > max_row["s2_minus_1"]:
-                max_row = {
-                    "n": int(payload["fields"]["n"]),
-                    "s2_minus_1": s2m1,
-                    "e2_lo": payload["fields"]["e2_lo"],
-                    "e2_hi": payload["fields"]["e2_hi"],
-                }
-    except KeyboardInterrupt:
-        truncated = True
+    for checked, payload in enumerate(payloads, 1):
+        fields = payload["fields"]
+        if not payload["meta"]["contains"]:
+            all_contained = False
+        s2m1 = int(fields["s2_minus_1"])
+        if max_row is None or s2m1 > max_row["s2_minus_1"]:
+            max_row = {
+                "n": int(fields["n"]),
+                "s2_minus_1": s2m1,
+                "e2_lo": fields["e2_lo"],
+                "e2_hi": fields["e2_hi"],
+            }
     summary = {
         "checked": checked,
         "requested": len(ns),
         "precision_bits": config.precision_bits,
         "all_contained": all_contained,
         "max_e2": max_row,
-        "truncated": truncated,
     }
-    writer.finish(summary)
-    if close_me:
-        stream.close()
-    max_line = (
+    lines = [
+        f"checked={checked} of {len(ns)} rows at p={config.precision_bits}",
         f"max e2 at n={max_row['n']} (s2-1 = {max_row['s2_minus_1']})"
         if max_row
-        else "max e2: none"
+        else "max e2: none",
+        f"every e2 interval contained s2(n)-1 and excluded neighbors: "
+        f"{'true' if all_contained else 'false'}",
+    ]
+    return summary, lines, EXIT_OK if all_contained else EXIT_VIOLATION
+
+
+def _verify_fold(config: SweepConfig, ns: list[int], payloads: Iterator[dict]):
+    """Count of odd a checked, and every failure record."""
+    checked = 0
+    failures: list[dict] = []
+    for checked, payload in enumerate(payloads, 1):
+        if payload["meta"] is not None:
+            failures.append(payload["meta"])
+    summary = {"checked": checked, "failures": len(failures), "failure_rows": failures}
+    lines = [f"checked={checked} failures={len(failures)}"] + [
+        f"FAILURE: {json.dumps(f, separators=(',', ':'))}" for f in failures
+    ]
+    return summary, lines, EXIT_VIOLATION if failures else EXIT_OK
+
+
+def run_bounds_sweep(
+    config: SweepConfig,
+    out_stream: IO[str] | None = None,
+    report_stream: IO[str] | None = None,
+) -> int:
+    """Emit one BoundRow per n in ascending order; returns the exit code."""
+    return _run(
+        config, BOUNDS_CSV_COLUMNS, _bounds_payload, 16, _bounds_fold, out_stream, report_stream
     )
-    _report(
-        [
-            f"checked={checked} of {len(ns)} rows at p={config.precision_bits}",
-            max_line,
-            f"every e2 interval contained s2(n)-1 and excluded neighbors: "
-            f"{'true' if all_contained else 'false'}",
-        ]
-        + (["interrupted: output file is truncated but valid"] if truncated else []),
-        report_stream,
+
+
+def run_error_term(
+    config: SweepConfig,
+    out_stream: IO[str] | None = None,
+    report_stream: IO[str] | None = None,
+) -> int:
+    """Emit the e2 table and check the digit-sum characterization per row."""
+    return _run(
+        config, ERROR_TERM_CSV_COLUMNS, _error_term_payload, 32, _error_term_fold,
+        out_stream, report_stream,
     )
-    if truncated:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK if all_contained else EXIT_VIOLATION
 
 
 def run_verify_theorem(
@@ -559,50 +536,7 @@ def run_verify_theorem(
     report_stream: IO[str] | None = None,
 ) -> int:
     """Three-way agreement check of the counting identity over odd a."""
-    out_stream = out_stream if out_stream is not None else sys.stdout
-    report_stream = report_stream if report_stream is not None else sys.stderr
-    config = replace(config, parity="odd")
-    config.validate()
-    ns = config.ns()
-    chunks = [ns[i : i + 64] for i in range(0, len(ns), 64)]
-    stream, close_me = _open_output(config, out_stream)
-    writer = _Writer(stream, config.output_format, VERIFY_CSV_COLUMNS)
-    checked = 0
-    failures: list[dict] = []
-    truncated = False
-    try:
-        for chunk_checked, chunk_failures in _pool_map(
-            config, _verify_chunk, chunks, chunksize=1
-        ):
-            checked += chunk_checked
-            for failure in chunk_failures:
-                failures.append(failure)
-                writer.write_row(
-                    {
-                        "a": str(failure["a"]),
-                        "expected": str(failure.get("expected", "")),
-                        "floor_formula": str(failure.get("floor_formula", "")),
-                        "even_count": str(failure.get("even_count", "")),
-                        "pair_count": str(failure.get("pair_count", "")),
-                    }
-                )
-    except KeyboardInterrupt:
-        truncated = True
-    summary = {
-        "checked": checked,
-        "failures": len(failures),
-        "failure_rows": failures,
-        "truncated": truncated,
-    }
-    writer.finish(summary)
-    if close_me:
-        stream.close()
-    _report(
-        [f"checked={checked} failures={len(failures)}"]
-        + [f"FAILURE: {json.dumps(f, separators=(',', ':'))}" for f in failures]
-        + (["interrupted: output file is truncated but valid"] if truncated else []),
-        report_stream,
+    return _run(
+        replace(config, parity="odd"), VERIFY_CSV_COLUMNS, _verify_payload, 64, _verify_fold,
+        out_stream, report_stream,
     )
-    if truncated:
-        return EXIT_INCONCLUSIVE
-    return EXIT_VIOLATION if failures else EXIT_OK

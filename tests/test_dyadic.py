@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,17 @@ class TestDyadicRational:
         for _ in range(300):
             d = rand_dyadic(rng)
             assert Fraction(d.decimal_str()) == d.to_fraction()
+
+    @pytest.mark.parametrize(
+        "m,e",
+        [(1, -20000), (-((3 << 20000) + 1), -20000), (7, 20000)],
+        ids=["fraction", "integer-and-fraction", "integer"],
+    )
+    def test_decimal_str_past_int_str_digit_limit(self, m, e):
+        # Decimal parses strings of any length; int() and Fraction() stop at
+        # the interpreter's 4300-digit limit
+        d = DyadicRational(m, e)
+        assert Fraction(Decimal(d.decimal_str())) == d.to_fraction()
 
 
 class TestIntegerNthRoot:

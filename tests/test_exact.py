@@ -156,6 +156,11 @@ class TestAllFloorSum:
         for a in (10**6 + 3, 2**30, 2**31 - 1):
             assert all_floor_sum(a).value == a - binary_digit_sum(a)
 
+    def test_beyond_int64(self):
+        a = 2**70 + 1
+        assert all_floor_sum(a).value == a - 2
+        assert odd_floor_sum(a).value == (a - 1) // 2
+
 
 def test_module_source_has_no_floating_point():
     """Audit: the exact kernels never touch floats, even through numpy."""

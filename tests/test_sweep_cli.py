@@ -7,6 +7,7 @@ import io
 import json
 import re
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,7 @@ class TestConfigValidation:
             {"n_lo": 1, "n_hi": 5, "ramanujan_b": "guess"},
             {"n_lo": 1, "n_hi": 5, "workers": 0},
             {"n_lo": 1, "n_hi": 5, "max_escalations": -1},
+            {"n_lo": 1, "n_hi": 5, "precision_bits": 20000},
         ],
     )
     def test_rejects(self, kwargs):
@@ -272,6 +274,7 @@ class TestCliContract:
             ["sweep-bounds", "--range", "9..5"],
             ["sweep-bounds", "--range", "abc"],
             ["error-term", "--range", "1..4", "--bits", "1"],
+            ["sweep-bounds", "--range", "1..3", "--bits", "20000"],
         ],
     )
     def test_usage_errors_exit_3(self, argv, capsys):
@@ -293,6 +296,12 @@ class TestCliContract:
         assert not out.exists()
         capsys.readouterr()
 
+    def test_unopenable_output_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "rows.csv"
+        assert main(["sweep-bounds", "--range", "1..3", "--out", str(out)]) == EXIT_USAGE
+        assert "log2lab: error: cannot open --out" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_bounds_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
         code = main(
@@ -307,6 +316,17 @@ class TestCliContract:
         assert main(["verify-theorem", "--range", "1..99"]) == EXIT_OK
         assert main(["error-term", "--range", "1..12", "--bits", "64"]) == EXIT_OK
         capsys.readouterr()
+
+    def test_decimals_past_int_str_digit_limit(self, tmp_path, capsys):
+        out = tmp_path / "e2.csv"
+        code = main(["error-term", "--range", "1..3", "--bits", "4300", "--out", str(out)])
+        assert code == EXIT_OK
+        capsys.readouterr()
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["contains"] for r in rows] == ["true"] * 3
+        lo, hi = (Fraction(Decimal(rows[2][f"e2_{side}"])) for side in ("lo", "hi"))
+        assert len(rows[2]["e2_lo"]) > 4300 and lo <= 1 <= hi
 
     def test_linear_display_capped_at_20(self, tmp_path, capsys):
         out = tmp_path / "lin.csv"
