@@ -37,7 +37,9 @@ from .enclosures import (
     log2_pi_interval,
     pi_interval,
 )
-from .exact import DomainError, IdentityViolationError, binary_digit_sum, ceil_log2
+from .exact import (
+    DomainError, IdentityViolationError, binary_digit_sum, ceil_log2, require_positive
+)
 
 __all__ = [
     "VerdictStatus",
@@ -165,13 +167,10 @@ def ramanujan_b_agreement(p: int = 64) -> BAgreementReport:
 
 
 def ramanujan_params(b_source: str, p: int) -> RamanujanParams:
-    if b_source == "printed":
-        return RamanujanParams(a_const=A_CONST, b_const=ramanujan_b_printed(p), b_source=b_source)
-    if b_source == "closed-form":
-        return RamanujanParams(
-            a_const=A_CONST, b_const=ramanujan_b_closed_form(p), b_source=b_source
-        )
-    raise DomainError(f"unknown b source {b_source!r}; use 'printed' or 'closed-form'")
+    b_of = {"printed": ramanujan_b_printed, "closed-form": ramanujan_b_closed_form}
+    if b_source not in b_of:
+        raise DomainError(f"unknown b source {b_source!r}; use 'printed' or 'closed-form'")
+    return RamanujanParams(a_const=A_CONST, b_const=b_of[b_source](p), b_source=b_source)
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +199,7 @@ def paper_lower_bound_log2(
     work_ceiling: int = DEFAULT_WORK_CEILING,
 ) -> DyadicInterval:
     """Enclosure of log2 of the counting bound: n log2 n - (n - 1 + G(n))."""
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
+    require_positive("n", n)
     q_x = _part_precision(p, 2, n)
     q_g = _part_precision(p, 2)
     x = log2_int_enclosure(n, q_x, max_precision).scale_int(n)
@@ -235,8 +233,7 @@ def error_term_e2(
     the hypothesis was allowed anywhere else; the sweep re-checks it on every
     row it emits.
     """
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
+    require_positive("n", n)
     return _counting_parts(n, p, max_precision, work_ceiling)[3]
 
 
@@ -264,8 +261,7 @@ def paper_equality_certificate(n: int) -> bool:
     by direct enumeration.  Returns True iff n is a power of two and the
     integer vanishes (exact equality n! = n^n / 2^(n-1+G(n))).
     """
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
+    require_positive("n", n)
     if binary_digit_sum(n) != 1:
         return False
     t = n.bit_length() - 1
@@ -285,8 +281,7 @@ def robbins_bounds_log2(
 
     lower = log2(sqrt(2 pi) n^(n+1/2) e^-n); upper = lower + log2(e)/(12 n).
     """
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
+    require_positive("n", n)
     q_pi = _part_precision(p, 4)
     q_n = _part_precision(p, 4, n + 1)
     q_e = _part_precision(p, 4, n)
@@ -343,8 +338,7 @@ def ramanujan_bounds_log2(
     b enclosure itself (irreducible for the 11-digit printed decimal at small
     n, vanishing with the closed form, and decaying like n^-5 either way).
     """
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
+    require_positive("n", n)
     if params is None:
         params = ramanujan_params("printed", p)
     q_pi = _part_precision(p, 5)
@@ -458,20 +452,14 @@ def compare_bounds(
     A row is never partially emitted: every field is filled at the precision
     the row finally settled on.
     """
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
+    require_positive("n", n)
     if p < 4:
         raise DomainError(f"precision must be >= 4 bits, got {p}")
-    attempt = 0
-    p_try = p
-    while True:
+    for attempt in range(max(max_escalations, 0) + 1):
+        p_try = p << attempt
         row = _compute_row(
             n, p_try, ramanujan_params(b_source, p_try), max_precision, work_ceiling, attempt
         )
-        inconclusive = any(
-            v.status is VerdictStatus.INCONCLUSIVE for v in row.verdicts.values()
-        )
-        if not inconclusive or attempt >= max_escalations:
-            return row
-        attempt += 1
-        p_try *= 2
+        if all(v.status is not VerdictStatus.INCONCLUSIVE for v in row.verdicts.values()):
+            break
+    return row

@@ -190,6 +190,13 @@ def dyadic_from_fraction(fr: Fraction, frac_bits: int, up: bool) -> DyadicRation
     return DyadicRational(q, -frac_bits)
 
 
+def _outward(lo: Fraction, hi: Fraction, frac_bits: int) -> "DyadicInterval":
+    """[lo rounded down, hi rounded up] on the 2^-frac_bits grid."""
+    return DyadicInterval(
+        dyadic_from_fraction(lo, frac_bits, up=False), dyadic_from_fraction(hi, frac_bits, up=True)
+    )
+
+
 @dataclass(frozen=True)
 class DyadicInterval:
     """Certified enclosure [lo, hi]; the true value is always inside."""
@@ -214,10 +221,7 @@ class DyadicInterval:
 
     @staticmethod
     def from_fraction(fr: Fraction, frac_bits: int) -> "DyadicInterval":
-        return DyadicInterval(
-            dyadic_from_fraction(fr, frac_bits, up=False),
-            dyadic_from_fraction(fr, frac_bits, up=True),
-        )
+        return _outward(fr, fr, frac_bits)
 
     @staticmethod
     def zero() -> "DyadicInterval":
@@ -268,53 +272,35 @@ class DyadicInterval:
     def div_by_posint(self, k: int, frac_bits: int) -> "DyadicInterval":
         if k <= 0:
             raise ValueError(f"divisor must be positive, got {k}")
-        return DyadicInterval(
-            dyadic_from_fraction(self.lo.to_fraction() / k, frac_bits, up=False),
-            dyadic_from_fraction(self.hi.to_fraction() / k, frac_bits, up=True),
-        )
+        return _outward(self.lo.to_fraction() / k, self.hi.to_fraction() / k, frac_bits)
 
     def mul_fraction(self, fr: Fraction, frac_bits: int) -> "DyadicInterval":
         """Outward product with an exact positive rational scalar."""
         if fr <= 0:
             raise ValueError("mul_fraction requires a positive scalar")
-        return DyadicInterval(
-            dyadic_from_fraction(self.lo.to_fraction() * fr, frac_bits, up=False),
-            dyadic_from_fraction(self.hi.to_fraction() * fr, frac_bits, up=True),
-        )
+        return _outward(self.lo.to_fraction() * fr, self.hi.to_fraction() * fr, frac_bits)
 
     def reciprocal(self, frac_bits: int) -> "DyadicInterval":
         if self.lo.sign <= 0:
             raise ValueError("reciprocal requires a strictly positive interval")
-        return DyadicInterval(
-            dyadic_from_fraction(1 / self.hi.to_fraction(), frac_bits, up=False),
-            dyadic_from_fraction(1 / self.lo.to_fraction(), frac_bits, up=True),
-        )
+        return _outward(1 / self.hi.to_fraction(), 1 / self.lo.to_fraction(), frac_bits)
 
     def nth_root(self, k: int, frac_bits: int) -> "DyadicInterval":
         """Outward k-th root of a non-negative interval on the 2^-frac_bits grid."""
         if self.lo.sign < 0:
             raise ValueError("nth_root requires a non-negative interval")
 
-        def pow_ge(r: int, m: int, s: int) -> bool:
-            # r^k >= m * 2^s, compared exactly
-            if s >= 0:
-                return r ** k >= (m << s)
-            return (r ** k) << (-s) >= m
-
-        def root_down(d: DyadicRational) -> DyadicRational:
-            s = d.exponent + k * frac_bits
-            n = d.mantissa << s if s >= 0 else d.mantissa >> (-s)
-            return DyadicRational(integer_nth_root(n, k), -frac_bits)
-
-        def root_up(d: DyadicRational) -> DyadicRational:
-            s = d.exponent + k * frac_bits
-            n = d.mantissa << s if s >= 0 else d.mantissa >> (-s)
-            r = integer_nth_root(n, k)
-            while not pow_ge(r, d.mantissa, s):
-                r += 1
+        def root(d: DyadicRational, up: bool) -> DyadicRational:
+            # k-th root of d * 2^(k * frac_bits) = m * 2^s, rounded down or up
+            m, s = d.mantissa, d.exponent + k * frac_bits
+            r = integer_nth_root(m << s if s >= 0 else m >> (-s), k)
+            if up:
+                # step up until r^k >= m * 2^s, compared exactly
+                while r ** k < (m << s) if s >= 0 else (r ** k) << (-s) < m:
+                    r += 1
             return DyadicRational(r, -frac_bits)
 
-        return DyadicInterval(root_down(self.lo), root_up(self.hi))
+        return DyadicInterval(root(self.lo, False), root(self.hi, True))
 
     def round_outward(self, frac_bits: int) -> "DyadicInterval":
         return DyadicInterval(

@@ -32,9 +32,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from .dyadic import DyadicInterval, DyadicRational
-from .exact import DomainError, ceil_log2, floor_log2_ratio, power_of_two_ratio
+from .exact import DomainError, ceil_log2, floor_log2_ratio, power_of_two_ratio, require_positive
 
 __all__ = [
     "ResourceLimitError",
@@ -169,11 +170,17 @@ _LOG2_INT_RAW: dict[tuple[int, int], tuple[int, int, int]] = {}
 
 
 def _log2_int_raw(m: int, p: int) -> tuple[int, int, int]:
+    """_log2_raw(m, 1, p), with exact powers of two moved to the common scale
+    s = p + _CORE_EXTRA + _EXTRA_STEPS so that summed terms share one grid."""
     key = (m, p)
     hit = _LOG2_INT_RAW.get(key)
     if hit is None:
-        hit = _log2_raw(m, 1, p)
-        _LOG2_INT_RAW[key] = hit
+        lo, hi, s = _log2_raw(m, 1, p)
+        if s == 0:
+            s = p + _CORE_EXTRA + _EXTRA_STEPS
+            lo <<= s
+            hi <<= s
+        hit = _LOG2_INT_RAW[key] = (lo, hi, s)
     return hit
 
 
@@ -181,8 +188,7 @@ def log2_int_enclosure(
     m: int, p: int, max_precision: int = DEFAULT_MAX_PRECISION_BITS
 ) -> DyadicInterval:
     """Enclosure of log2(m) for integer m >= 1, width <= 2^-p."""
-    if m < 1:
-        raise DomainError(f"m must be a positive integer, got {m}")
+    require_positive("m", m)
     _check_precision(p, max_precision)
     return _raw_to_interval(*_log2_int_raw(m, p))
 
@@ -241,11 +247,9 @@ def frac_log2_enclosure(
 ) -> FracTerm:
     """Certified {log2(a/j)} in [0, 1); the floor comes from exact arithmetic."""
     k = floor_log2_ratio(a, j)
-    pk = power_of_two_ratio(a, j)
-    if pk is not None:
+    encl = log2_ratio_enclosure(a, j, p, max_precision)
+    if encl.is_point():
         return FracTerm(n=a, m=j, k=k, frac=DyadicInterval.zero(), exact_zero=True)
-    _check_precision(p, max_precision)
-    encl = _raw_to_interval(*_log2_raw(a, j, p))
     frac = encl.add_int(-k).intersect(
         DyadicInterval(DyadicRational(0), _frac_upper_clamp(a))
     )
@@ -277,17 +281,14 @@ def G_enclosure(
     enclosures (one guard bit finer), with integer parts from the exact
     kernels and dyadic-power terms contributing exactly zero.
     """
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
+    require_positive("n", n)
     q_term = p + ceil_log2(n) + 1
     _check_precision(q_term, max_precision)
     _check_sum_work(n, q_term, work_ceiling)
 
     q_log = q_term + 1
     s = q_log + _CORE_EXTRA + _EXTRA_STEPS
-    ln_lo, ln_hi, ln_s = _log2_int_raw(n, q_log)
-    ln_lo <<= s - ln_s
-    ln_hi <<= s - ln_s
+    ln_lo, ln_hi, _ = _log2_int_raw(n, q_log)
 
     t_clamp = n.bit_length() + 2
     clamp_hi = ((1 << t_clamp) - 1) << (s - t_clamp)
@@ -299,10 +300,7 @@ def G_enclosure(
         if r == 0 and q & (q - 1) == 0:
             continue  # exact dyadic-power ratio: the term is exactly zero
         k_shift = (q.bit_length() - 1) << s
-        lm_lo, lm_hi, lm_s = _log2_int_raw(m, q_log)
-        if lm_s != s:  # power of two: exact integer log at scale 0
-            lm_lo <<= s - lm_s
-            lm_hi = lm_lo
+        lm_lo, lm_hi, _ = _log2_int_raw(m, q_log)
         t_lo = ln_lo - lm_hi - k_shift
         t_hi = ln_hi - lm_lo - k_shift
         if t_lo < 0:
@@ -321,8 +319,7 @@ def log2_factorial_by_factorial(
     n: int, p: int, max_precision: int = DEFAULT_MAX_PRECISION_BITS
 ) -> DyadicInterval:
     """Enclosure of log2(n!) from the exact big-integer factorial."""
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
+    require_positive("n", n)
     _check_precision(p, max_precision)
     return _raw_to_interval(*_log2_raw(math.factorial(n), 1, p))
 
@@ -335,9 +332,10 @@ def log2_factorial_by_sum(
 ) -> DyadicInterval:
     """Enclosure of log2(n!) as the certified sum of log2(m) over m <= n: the
     last prefix of :func:`log2_factorial_running`."""
-    for _, prefix in log2_factorial_running(n, p, max_precision, work_ceiling):
+    require_positive("n", n)
+    for _, lo, hi, s in _log2_factorial_prefixes(n, p, max_precision, work_ceiling):
         pass
-    return prefix
+    return _raw_to_interval(lo, hi, s)
 
 
 def log2_factorial_enclosure(
@@ -358,34 +356,37 @@ def log2_factorial_enclosure(
     return log2_factorial_by_sum(n, p, max_precision, work_ceiling)
 
 
-def log2_factorial_running(
-    n_max: int,
-    p: int,
-    max_precision: int = DEFAULT_MAX_PRECISION_BITS,
-    work_ceiling: int = DEFAULT_WORK_CEILING,
-):
-    """Yield (n, enclosure of log2 n!) for n = 1..n_max by prefix sums.
-
-    Every term is computed at the n_max budget, so each prefix keeps
-    width <= 2^-p.
-    """
-    if n_max < 1:
-        raise DomainError(f"n_max must be a positive integer, got {n_max}")
+def _log2_factorial_prefixes(
+    n_max: int, p: int, max_precision: int, work_ceiling: int
+) -> Iterator[tuple[int, int, int, int]]:
+    """Yield (m, lo, hi, s): log2 m! lies in [lo * 2^-s, hi * 2^-s], for
+    m = 1..n_max.  Every term is computed at the n_max budget, so each prefix
+    keeps width <= 2^-p."""
     q = p + ceil_log2(n_max) + 1
     _check_precision(q, max_precision)
     _check_sum_work(n_max, q, work_ceiling)
     s = q + _CORE_EXTRA + _EXTRA_STEPS
     acc_lo = 0
     acc_hi = 0
-    yield 1, DyadicInterval.zero()
+    yield 1, 0, 0, s
     for m in range(2, n_max + 1):
-        lm_lo, lm_hi, lm_s = _log2_int_raw(m, q)
-        if lm_s != s:
-            lm_lo <<= s - lm_s
-            lm_hi = lm_lo
+        lm_lo, lm_hi, _ = _log2_int_raw(m, q)
         acc_lo += lm_lo
         acc_hi += lm_hi
-        yield m, _raw_to_interval(acc_lo, acc_hi, s)
+        yield m, acc_lo, acc_hi, s
+
+
+def log2_factorial_running(
+    n_max: int,
+    p: int,
+    max_precision: int = DEFAULT_MAX_PRECISION_BITS,
+    work_ceiling: int = DEFAULT_WORK_CEILING,
+):
+    """Yield (n, enclosure of log2 n!) for n = 1..n_max by prefix sums, each
+    of width <= 2^-p."""
+    require_positive("n_max", n_max)
+    for m, lo, hi, s in _log2_factorial_prefixes(n_max, p, max_precision, work_ceiling):
+        yield m, _raw_to_interval(lo, hi, s)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +394,7 @@ def log2_factorial_running(
 # ---------------------------------------------------------------------------
 
 _CONST_GUARD = 16
+_CONST_PAD = 1 << (_CONST_GUARD - 3)
 
 
 @lru_cache(maxsize=None)
@@ -403,7 +405,6 @@ def ln2_interval(p: int) -> DyadicInterval:
     is below (9/8) * 2 / ((2K+3) 3^(2K+3)).
     """
     w = p + _CONST_GUARD
-    pad = 1 << (_CONST_GUARD - 3)
     lo = 0
     hi = 0
     i = 0
@@ -419,7 +420,7 @@ def ln2_interval(p: int) -> DyadicInterval:
             break
         pow3 *= 9
         i += 1
-    return _raw_to_interval(lo - pad, hi + pad, w)
+    return _raw_to_interval(lo - _CONST_PAD, hi + _CONST_PAD, w)
 
 
 def _atan_inv_scaled(x: int, w: int) -> tuple[int, int]:
@@ -456,11 +457,10 @@ def _atan_inv_scaled(x: int, w: int) -> tuple[int, int]:
 def pi_interval(p: int) -> DyadicInterval:
     """Enclosure of pi by Machin's formula 16 atan(1/5) - 4 atan(1/239)."""
     w = p + _CONST_GUARD
-    pad = 1 << (_CONST_GUARD - 3)
     a_lo, a_hi = _atan_inv_scaled(5, w)
     b_lo, b_hi = _atan_inv_scaled(239, w)
     return _raw_to_interval(
-        16 * a_lo - 4 * b_hi - pad, 16 * a_hi - 4 * b_lo + pad, w
+        16 * a_lo - 4 * b_hi - _CONST_PAD, 16 * a_hi - 4 * b_lo + _CONST_PAD, w
     )
 
 
@@ -468,7 +468,6 @@ def pi_interval(p: int) -> DyadicInterval:
 def e_interval(p: int) -> DyadicInterval:
     """Enclosure of e = sum 1/i!; the tail after K is below 2/(K+1)!."""
     w = p + _CONST_GUARD
-    pad = 1 << (_CONST_GUARD - 3)
     lo = 0
     hi = 0
     fact = 1
@@ -483,7 +482,7 @@ def e_interval(p: int) -> DyadicInterval:
             break
         fact = nxt
         i += 1
-    return _raw_to_interval(lo - pad, hi + pad, w)
+    return _raw_to_interval(lo - _CONST_PAD, hi + _CONST_PAD, w)
 
 
 @lru_cache(maxsize=None)

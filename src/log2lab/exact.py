@@ -48,6 +48,12 @@ class IdentityViolationError(ArithmeticError):
     """
 
 
+def require_positive(name: str, v: int) -> None:
+    """Raise DomainError unless the integer argument ``name`` is >= 1."""
+    if v < 1:
+        raise DomainError(f"{name} must be a positive integer, got {v}")
+
+
 class CountMethod(Enum):
     FLOOR_FORMULA = "FloorFormula"
     EVEN_ENUMERATION = "EvenEnumeration"
@@ -69,8 +75,7 @@ class FloorLogCount:
     method: CountMethod
 
     def __post_init__(self) -> None:
-        if self.a < 1:
-            raise DomainError(f"bound must be a positive integer, got {self.a}")
+        require_positive("bound", self.a)
         if self.value < 0:
             raise IdentityViolationError(
                 f"negative count {self.value} for a={self.a} ({self.method.value})"
@@ -85,10 +90,8 @@ _CHUNK = 1 << 21
 
 
 def _check_ratio_domain(a: int, j: int) -> None:
-    if a < 1:
-        raise DomainError(f"a must be a positive integer, got {a}")
-    if j < 1:
-        raise DomainError(f"j must be a positive integer, got {j}")
+    require_positive("a", a)
+    require_positive("j", j)
     if j > a:
         raise DomainError(f"j={j} exceeds a={a}; only ratios >= 1 are in domain")
 
@@ -109,8 +112,7 @@ def floor_log2_ratio(a: int, j: int) -> int:
 
 def ceil_log2(m: int) -> int:
     """Smallest t >= 0 with 2^t >= m, for m >= 1."""
-    if m < 1:
-        raise DomainError(f"m must be a positive integer, got {m}")
+    require_positive("m", m)
     return (m - 1).bit_length()
 
 
@@ -130,18 +132,24 @@ def power_of_two_ratio(a: int, j: int) -> int | None:
     return q.bit_length() - 1
 
 
-def _floor_sum(a: int, odd_only: bool) -> int:
-    """Sum of floor(log2(a/j)) over j <= a (odd j only, if odd_only).
+def _floor_sum(a: int, odd_only: bool, expected: int, rule: str) -> FloorLogCount:
+    """Sum of floor(log2(a/j)) over j <= a (odd j only, if odd_only), checked
+    against the value ``rule`` gives.
 
     The j with floor(log2(a/j)) = k are exactly a >> (k+1) < j <= a >> k, so
     each k contributes k times the size of that block.
     """
-    total = 0
+    value = 0
     for k in range(1, a.bit_length()):
         hi, lo = a >> k, a >> (k + 1)
         # (x + 1) // 2 odd j lie in 1..x
-        total += k * ((hi + 1) // 2 - (lo + 1) // 2 if odd_only else hi - lo)
-    return total
+        value += k * ((hi + 1) // 2 - (lo + 1) // 2 if odd_only else hi - lo)
+    if value != expected:
+        raise IdentityViolationError(
+            f"{'odd' if odd_only else 'all-index'} floor sum for a={a} is {value}, "
+            f"{rule} {expected}"
+        )
+    return FloorLogCount(a=a, value=value, method=CountMethod.FLOOR_FORMULA)
 
 
 def odd_floor_sum(a: int) -> FloorLogCount:
@@ -150,17 +158,21 @@ def odd_floor_sum(a: int) -> FloorLogCount:
     The counting identity pins this to (a - 1) / 2; a mismatch raises
     IdentityViolationError rather than returning a bad count.
     """
-    if a < 1:
-        raise DomainError(f"a must be a positive integer, got {a}")
+    require_positive("a", a)
     if a % 2 == 0:
         raise DomainError(f"a must be odd, got {a}; use all_floor_sum for general a")
-    value = _floor_sum(a, odd_only=True)
-    expected = (a - 1) // 2
-    if value != expected:
-        raise IdentityViolationError(
-            f"odd floor sum for a={a} is {value}, counting identity demands {expected}"
-        )
-    return FloorLogCount(a=a, value=value, method=CountMethod.FLOOR_FORMULA)
+    return _floor_sum(a, True, (a - 1) // 2, "counting identity demands")
+
+
+def _count_parity(stop: int, parity: int) -> int:
+    """Count of m in 1..stop with m % 2 == parity, by enumeration."""
+    if stop > _INT64_SAFE_BOUND:
+        return sum(1 for m in range(1, stop + 1) if m % 2 == parity)
+    count = 0
+    for start in range(1, stop + 1, _CHUNK):
+        m = np.arange(start, min(stop, start + _CHUNK - 1) + 1, dtype=np.int64)
+        count += int(((m & 1) == parity).sum())
+    return count
 
 
 def even_count_oracle(a: int) -> int:
@@ -169,18 +181,10 @@ def even_count_oracle(a: int) -> int:
     No closed formula on purpose: this is the independent side of the
     three-way agreement check.
     """
-    if a < 1:
-        raise DomainError(f"a must be a positive integer, got {a}")
+    require_positive("a", a)
     if a % 2 == 0:
         raise DomainError(f"a must be odd, got {a}")
-    if a > _INT64_SAFE_BOUND:
-        return sum(1 for m in range(2, a, 2))
-    count = 0
-    for start in range(1, a, _CHUNK):
-        stop = min(a - 1, start + _CHUNK - 1)
-        m = np.arange(start, stop + 1, dtype=np.int64)
-        count += int(((m & 1) == 0).sum())
-    return count
+    return _count_parity(a - 1, 0)
 
 
 def pair_enumeration_oracle(a: int) -> int:
@@ -189,21 +193,8 @@ def pair_enumeration_oracle(a: int) -> int:
     The outer loop runs over alpha; the inner enumeration walks every
     candidate m <= a / 2^alpha and keeps the odd ones.
     """
-    if a < 1:
-        raise DomainError(f"a must be a positive integer, got {a}")
-    total = 0
-    alpha = 1
-    while (a >> alpha) >= 1:
-        m_max = a >> alpha
-        if m_max > _INT64_SAFE_BOUND:
-            total += sum(1 for m in range(1, m_max + 1) if m % 2 == 1)
-        else:
-            for start in range(1, m_max + 1, _CHUNK):
-                stop = min(m_max, start + _CHUNK - 1)
-                m = np.arange(start, stop + 1, dtype=np.int64)
-                total += int((m & 1).sum())
-        alpha += 1
-    return total
+    require_positive("a", a)
+    return sum(_count_parity(a >> alpha, 1) for alpha in range(1, a.bit_length()))
 
 
 def all_floor_sum(a: int) -> FloorLogCount:
@@ -215,12 +206,5 @@ def all_floor_sum(a: int) -> FloorLogCount:
     floor sum (counted in blocks), with the closed form enforced as a hard
     cross-check.
     """
-    if a < 1:
-        raise DomainError(f"a must be a positive integer, got {a}")
-    value = _floor_sum(a, odd_only=False)
-    expected = a - binary_digit_sum(a)
-    if value != expected:
-        raise IdentityViolationError(
-            f"all-index floor sum for a={a} is {value}, closed form gives {expected}"
-        )
-    return FloorLogCount(a=a, value=value, method=CountMethod.FLOOR_FORMULA)
+    require_positive("a", a)
+    return _floor_sum(a, False, a - binary_digit_sum(a), "closed form gives")

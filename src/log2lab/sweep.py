@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, replace
 from functools import partial
 from multiprocessing import Pool
-from typing import IO, Callable, Iterator
+from typing import IO, Any, Callable, Iterator
 
 from .bounds import (
     BOUND_NAMES,
@@ -112,27 +112,16 @@ class SweepConfig:
         return list(ns)
 
 
+# the BoundRow intervals behind the *_lo/*_hi column pairs, in column order
+_ROW_INTERVALS = (
+    "log2_fact", "g", "paper_lb", "robbins_lo", "robbins_hi",
+    "ramanujan_lo", "ramanujan_hi", "c_log2", "e2",
+)
+
 BOUNDS_CSV_COLUMNS = [
     "n",
     "precision_bits",
-    "log2_fact_lo",
-    "log2_fact_hi",
-    "g_lo",
-    "g_hi",
-    "paper_lb_lo",
-    "paper_lb_hi",
-    "robbins_lo_lo",
-    "robbins_lo_hi",
-    "robbins_hi_lo",
-    "robbins_hi_hi",
-    "ramanujan_lo_lo",
-    "ramanujan_lo_hi",
-    "ramanujan_hi_lo",
-    "ramanujan_hi_hi",
-    "c_log2_lo",
-    "c_log2_hi",
-    "e2_lo",
-    "e2_hi",
+    *(f"{name}_{end}" for name in _ROW_INTERVALS for end in ("lo", "hi")),
     "s2",
     "verdict_paper",
     "verdict_robbins",
@@ -148,12 +137,6 @@ ERROR_TERM_CSV_COLUMNS = [
     "s2_minus_1",
     "contains",
 ]
-
-# the BoundRow intervals behind the *_lo/*_hi column pairs, in column order
-_ROW_INTERVALS = (
-    "log2_fact", "g", "paper_lb", "robbins_lo", "robbins_hi",
-    "ramanujan_lo", "ramanujan_hi", "c_log2", "e2",
-)
 
 VERIFY_CSV_COLUMNS = [
     "a",
@@ -316,36 +299,36 @@ def _run(
     columns: list[str],
     payload_fn: Callable[[SweepConfig, int], dict],
     chunksize: int,
-    fold: Callable[[SweepConfig, list[int], Iterator[dict]], tuple[dict, list[str], int]],
+    fold: Callable[[SweepConfig, list[int]], Any],
     out_stream: IO[str] | None,
     report_stream: IO[str] | None,
 ) -> int:
     """The run loop shared by the range commands; returns the exit code.
 
     ``payload_fn(config, n)`` returns ``{"fields": row or None, "meta": ...}``
-    and runs in the workers.  ``fold(config, ns, payloads)`` consumes the
-    payloads in ascending n, after their rows are written, and returns the
-    summary, the report lines and the exit code.  An interrupt while payloads
-    are computed or rows written ends the payloads early; the output is then
-    finalized as truncated and the run exits 2.
+    and runs in the workers.  ``fold(config, ns)`` builds the command's fold:
+    its ``add`` takes the payloads in ascending n, each after its row is
+    written, and ``finish(checked)`` returns the summary, the report lines
+    and the exit code.  An interrupt anywhere in that loop ends it early; the
+    output is then finalized as truncated and the run exits 2.
     """
     config.validate()
     ns = config.ns()
     stream, close_me = _open_output(config, out_stream if out_stream is not None else sys.stdout)
     writer = _Writer(stream, config.output_format, columns)
+    acc = fold(config, ns)
+    checked = 0
     truncated = False
+    try:
+        for payload in _pool_map(config, partial(payload_fn, config), ns, chunksize):
+            if payload["fields"] is not None:
+                writer.write_row(payload["fields"])
+            checked += 1
+            acc.add(payload)
+    except KeyboardInterrupt:
+        truncated = True
 
-    def payloads() -> Iterator[dict]:
-        nonlocal truncated
-        try:
-            for payload in _pool_map(config, partial(payload_fn, config), ns, chunksize):
-                if payload["fields"] is not None:
-                    writer.write_row(payload["fields"])
-                yield payload
-        except KeyboardInterrupt:
-            truncated = True
-
-    summary, lines, code = fold(config, ns, payloads())
+    summary, lines, code = acc.finish(checked)
     summary["truncated"] = truncated
     writer.finish(summary)
     if close_me:
@@ -359,38 +342,41 @@ def _run(
     return EXIT_INCONCLUSIVE if truncated else code
 
 
-def _bounds_fold(config: SweepConfig, ns: list[int], payloads: Iterator[dict]):
+class _BoundsFold:
     """Verdict counts, equality rows, the e2 argmax and the findings."""
-    counts = {name: {s.value: 0 for s in VerdictStatus} for name in BOUND_NAMES}
-    equality_ns: list[int] = []
-    findings: list[dict] = []
-    linear_lines: list[str] = []
-    checked = escalated_rows = 0
-    # argmax of e2: a strictly larger lower endpoint wins, ties keep the
-    # smallest n; log2 C(n) is e2(n) bit for bit, so it shares the argmax
-    max_n: int | None = None
-    max_e2: DyadicInterval | None = None
 
-    agreement = ramanujan_b_agreement(config.precision_bits)
-    if not agreement.agree:
-        findings.append(
-            {
-                "type": "ramanujan_b_disagreement",
-                "printed": _decimals(agreement.printed),
-                "closed_form": _decimals(agreement.closed_form),
-            }
-        )
+    def __init__(self, config: SweepConfig, ns: list[int]):
+        self.config = config
+        self.ns = ns
+        self.counts = {name: {s.value: 0 for s in VerdictStatus} for name in BOUND_NAMES}
+        self.equality_ns: list[int] = []
+        self.findings: list[dict] = []
+        self.linear_lines: list[str] = []
+        self.escalated_rows = 0
+        # argmax of e2: a strictly larger lower endpoint wins, ties keep the
+        # smallest n; log2 C(n) is e2(n) bit for bit, so it shares the argmax
+        self.max_n: int | None = None
+        self.max_e2: DyadicInterval | None = None
+        agreement = ramanujan_b_agreement(config.precision_bits)
+        if not agreement.agree:
+            self.findings.append(
+                {
+                    "type": "ramanujan_b_disagreement",
+                    "printed": _decimals(agreement.printed),
+                    "closed_form": _decimals(agreement.closed_form),
+                }
+            )
 
-    for checked, payload in enumerate(payloads, 1):
+    def add(self, payload: dict) -> None:
         fields = payload["fields"]
         meta = payload["meta"]
         n = int(fields["n"])
         row_bits = int(fields["precision_bits"])
         for name, status in meta["statuses"].items():
-            counts[name][status] += 1
+            self.counts[name][status] += 1
             if status == VerdictStatus.VIOLATED.value:
                 lhs, rhs = meta["certificates"][name]
-                findings.append(
+                self.findings.append(
                     {
                         "type": "verdict_violated",
                         "bound": name,
@@ -401,45 +387,47 @@ def _bounds_fold(config: SweepConfig, ns: list[int], payloads: Iterator[dict]):
                     }
                 )
         if meta["escalations"]:
-            escalated_rows += 1
+            self.escalated_rows += 1
         if fields["equality_flag"] == "true":
-            equality_ns.append(n)
-        if max_e2 is None or meta["e2"].lo > max_e2.lo:
-            max_n, max_e2 = n, meta["e2"]
-        if config.linear_display and n <= 20:
-            linear_lines.append(_linear_line(n, fields))
+            self.equality_ns.append(n)
+        if self.max_e2 is None or meta["e2"].lo > self.max_e2.lo:
+            self.max_n, self.max_e2 = n, meta["e2"]
+        if self.config.linear_display and n <= 20:
+            self.linear_lines.append(_linear_line(n, fields))
 
-    max_row = None
-    if max_e2 is not None:
-        lo, hi = _decimals(max_e2)
-        max_row = {"n": max_n, "lo": lo, "hi": hi}
-    summary = {
-        "checked": checked,
-        "requested": len(ns),
-        "precision_bits": config.precision_bits,
-        "ramanujan_b": config.ramanujan_b,
-        "verdict_counts": counts,
-        "equality_ns": equality_ns,
-        "escalated_rows": escalated_rows,
-        "max_e2": max_row,
-        "max_c_log2": max_row,
-        "findings": findings,
-    }
-    lines = [
-        f"checked={checked} of {len(ns)} rows at p={config.precision_bits} "
-        f"(escalated: {escalated_rows})",
-        f"equality rows (s2=1): {equality_ns}",
-        f"max e2 at n={max_n}" if max_row else "max e2: none",
-        f"max c_log2 at n={max_n}" if max_row else "max c_log2: none",
-    ]
-    lines.extend(linear_lines)
-    for finding in findings:
-        lines.append("FINDING: " + json.dumps(finding, separators=(",", ":")))
-    if counts["paper"][VerdictStatus.VIOLATED.value]:
-        return summary, lines, EXIT_VIOLATION
-    if any(c[VerdictStatus.INCONCLUSIVE.value] for c in counts.values()):
-        return summary, lines, EXIT_INCONCLUSIVE
-    return summary, lines, EXIT_OK
+    def finish(self, checked: int) -> tuple[dict, list[str], int]:
+        config, ns, counts, max_n = self.config, self.ns, self.counts, self.max_n
+        max_row = None
+        if self.max_e2 is not None:
+            lo, hi = _decimals(self.max_e2)
+            max_row = {"n": max_n, "lo": lo, "hi": hi}
+        summary = {
+            "checked": checked,
+            "requested": len(ns),
+            "precision_bits": config.precision_bits,
+            "ramanujan_b": config.ramanujan_b,
+            "verdict_counts": counts,
+            "equality_ns": self.equality_ns,
+            "escalated_rows": self.escalated_rows,
+            "max_e2": max_row,
+            "max_c_log2": max_row,
+            "findings": self.findings,
+        }
+        lines = [
+            f"checked={checked} of {len(ns)} rows at p={config.precision_bits} "
+            f"(escalated: {self.escalated_rows})",
+            f"equality rows (s2=1): {self.equality_ns}",
+            f"max e2 at n={max_n}" if max_row else "max e2: none",
+            f"max c_log2 at n={max_n}" if max_row else "max c_log2: none",
+        ]
+        lines.extend(self.linear_lines)
+        for finding in self.findings:
+            lines.append("FINDING: " + json.dumps(finding, separators=(",", ":")))
+        if counts["paper"][VerdictStatus.VIOLATED.value]:
+            return summary, lines, EXIT_VIOLATION
+        if any(c[VerdictStatus.INCONCLUSIVE.value] for c in counts.values()):
+            return summary, lines, EXIT_INCONCLUSIVE
+        return summary, lines, EXIT_OK
 
 
 def _linear_line(n: int, fields: dict[str, str]) -> str:
@@ -458,53 +446,65 @@ def _linear_line(n: int, fields: dict[str, str]) -> str:
     )
 
 
-def _error_term_fold(config: SweepConfig, ns: list[int], payloads: Iterator[dict]):
+class _ErrorTermFold:
     """Whether every e2 enclosure isolated s2(n) - 1, and the largest s2(n) - 1."""
-    all_contained = True
-    checked = 0
-    max_row: dict | None = None
-    for checked, payload in enumerate(payloads, 1):
+
+    def __init__(self, config: SweepConfig, ns: list[int]):
+        self.p = config.precision_bits
+        self.requested = len(ns)
+        self.all_contained = True
+        self.max_row: dict | None = None
+
+    def add(self, payload: dict) -> None:
         fields = payload["fields"]
         if not payload["meta"]["contains"]:
-            all_contained = False
+            self.all_contained = False
         s2m1 = int(fields["s2_minus_1"])
-        if max_row is None or s2m1 > max_row["s2_minus_1"]:
-            max_row = {
+        if self.max_row is None or s2m1 > self.max_row["s2_minus_1"]:
+            self.max_row = {
                 "n": int(fields["n"]),
                 "s2_minus_1": s2m1,
                 "e2_lo": fields["e2_lo"],
                 "e2_hi": fields["e2_hi"],
             }
-    summary = {
-        "checked": checked,
-        "requested": len(ns),
-        "precision_bits": config.precision_bits,
-        "all_contained": all_contained,
-        "max_e2": max_row,
-    }
-    lines = [
-        f"checked={checked} of {len(ns)} rows at p={config.precision_bits}",
-        f"max e2 at n={max_row['n']} (s2-1 = {max_row['s2_minus_1']})"
-        if max_row
-        else "max e2: none",
-        f"every e2 interval contained s2(n)-1 and excluded neighbors: "
-        f"{'true' if all_contained else 'false'}",
-    ]
-    return summary, lines, EXIT_OK if all_contained else EXIT_VIOLATION
+
+    def finish(self, checked: int) -> tuple[dict, list[str], int]:
+        p, max_row, all_contained = self.p, self.max_row, self.all_contained
+        summary = {
+            "checked": checked,
+            "requested": self.requested,
+            "precision_bits": p,
+            "all_contained": all_contained,
+            "max_e2": max_row,
+        }
+        lines = [
+            f"checked={checked} of {self.requested} rows at p={p}",
+            f"max e2 at n={max_row['n']} (s2-1 = {max_row['s2_minus_1']})"
+            if max_row
+            else "max e2: none",
+            f"every e2 interval contained s2(n)-1 and excluded neighbors: "
+            f"{'true' if all_contained else 'false'}",
+        ]
+        return summary, lines, EXIT_OK if all_contained else EXIT_VIOLATION
 
 
-def _verify_fold(config: SweepConfig, ns: list[int], payloads: Iterator[dict]):
+class _VerifyFold:
     """Count of odd a checked, and every failure record."""
-    checked = 0
-    failures: list[dict] = []
-    for checked, payload in enumerate(payloads, 1):
+
+    def __init__(self, config: SweepConfig, ns: list[int]):
+        self.failures: list[dict] = []
+
+    def add(self, payload: dict) -> None:
         if payload["meta"] is not None:
-            failures.append(payload["meta"])
-    summary = {"checked": checked, "failures": len(failures), "failure_rows": failures}
-    lines = [f"checked={checked} failures={len(failures)}"] + [
-        f"FAILURE: {json.dumps(f, separators=(',', ':'))}" for f in failures
-    ]
-    return summary, lines, EXIT_VIOLATION if failures else EXIT_OK
+            self.failures.append(payload["meta"])
+
+    def finish(self, checked: int) -> tuple[dict, list[str], int]:
+        failures = self.failures
+        summary = {"checked": checked, "failures": len(failures), "failure_rows": failures}
+        lines = [f"checked={checked} failures={len(failures)}"] + [
+            f"FAILURE: {json.dumps(f, separators=(',', ':'))}" for f in failures
+        ]
+        return summary, lines, EXIT_VIOLATION if failures else EXIT_OK
 
 
 def run_bounds_sweep(
@@ -514,7 +514,7 @@ def run_bounds_sweep(
 ) -> int:
     """Emit one BoundRow per n in ascending order; returns the exit code."""
     return _run(
-        config, BOUNDS_CSV_COLUMNS, _bounds_payload, 16, _bounds_fold, out_stream, report_stream
+        config, BOUNDS_CSV_COLUMNS, _bounds_payload, 16, _BoundsFold, out_stream, report_stream
     )
 
 
@@ -525,7 +525,7 @@ def run_error_term(
 ) -> int:
     """Emit the e2 table and check the digit-sum characterization per row."""
     return _run(
-        config, ERROR_TERM_CSV_COLUMNS, _error_term_payload, 32, _error_term_fold,
+        config, ERROR_TERM_CSV_COLUMNS, _error_term_payload, 32, _ErrorTermFold,
         out_stream, report_stream,
     )
 
@@ -537,6 +537,6 @@ def run_verify_theorem(
 ) -> int:
     """Three-way agreement check of the counting identity over odd a."""
     return _run(
-        replace(config, parity="odd"), VERIFY_CSV_COLUMNS, _verify_payload, 64, _verify_fold,
+        replace(config, parity="odd"), VERIFY_CSV_COLUMNS, _verify_payload, 64, _VerifyFold,
         out_stream, report_stream,
     )

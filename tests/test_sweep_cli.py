@@ -167,6 +167,28 @@ class TestBoundsSweep:
         assert payload[-1]["summary"]["truncated"] is True
         assert len(payload) == 4  # three complete rows plus the summary
 
+    def test_interrupt_in_fold_leaves_valid_truncated_json(self, tmp_path, monkeypatch):
+        real = sweep_mod._linear_line
+
+        def interrupting(n, fields):
+            if n >= 3:
+                raise KeyboardInterrupt
+            return real(n, fields)
+
+        monkeypatch.setattr(sweep_mod, "_linear_line", interrupting)
+        cfg = SweepConfig(
+            n_lo=1, n_hi=10, precision_bits=53, output_format="json", linear_display=True
+        )
+        code, out, report = run_to_files(run_bounds_sweep, cfg, tmp_path, "trunc.json")
+        assert code == EXIT_INCONCLUSIVE
+        payload = json.loads(out.read_text())
+        summary = payload[-1]["summary"]
+        assert summary["truncated"] is True
+        # row 3 was written before its fold step was interrupted
+        assert [row["n"] for row in payload[:-1]] == ["1", "2", "3"]
+        assert summary["checked"] == 3
+        assert "interrupted: output file is truncated but valid" in report
+
     def test_interrupt_leaves_parseable_csv(self, tmp_path, monkeypatch):
         real = sweep_mod._bounds_payload
 
