@@ -25,9 +25,9 @@ from functools import lru_cache
 
 from .dyadic import DyadicInterval, DyadicRational, dyadic_from_fraction
 from .enclosures import (
-    DEFAULT_MAX_PRECISION_BITS,
-    DEFAULT_WORK_CEILING,
+    MIN_PRECISION,
     G_enclosure,
+    _part_precision,
     e_interval,
     log2_e_interval,
     log2_factorial_enclosure,
@@ -78,17 +78,16 @@ class Verdict:
 
     status: VerdictStatus
     certificate: tuple[DyadicInterval, DyadicInterval]
-    precision_used: int
 
 
-def _verdict(lhs: DyadicInterval, rhs: DyadicInterval, p: int) -> Verdict:
+def _verdict(lhs: DyadicInterval, rhs: DyadicInterval) -> Verdict:
     if lhs.hi < rhs.lo:
         status = VerdictStatus.HOLDS
     elif rhs.hi < lhs.lo:
         status = VerdictStatus.VIOLATED
     else:
         status = VerdictStatus.INCONCLUSIVE
-    return Verdict(status=status, certificate=(lhs, rhs), precision_used=p)
+    return Verdict(status=status, certificate=(lhs, rhs))
 
 
 BOUND_NAMES = (
@@ -174,58 +173,34 @@ def ramanujan_params(b_source: str, p: int) -> RamanujanParams:
 
 
 # ---------------------------------------------------------------------------
-# budget helper
-# ---------------------------------------------------------------------------
-
-
-def _part_precision(p: int, parts: int, scale: int = 1) -> int:
-    """Per-part precision so that `parts` terms, each scaled by at most
-    `scale`, sum to well under 2^-p."""
-    q = p + 1 + ceil_log2(parts)
-    if scale > 1:
-        q += ceil_log2(scale)
-    return q
-
-
-# ---------------------------------------------------------------------------
 # the counting bound and its error term
 # ---------------------------------------------------------------------------
 
 
-def paper_lower_bound_log2(
-    n: int,
-    p: int,
-    max_precision: int = DEFAULT_MAX_PRECISION_BITS,
-    work_ceiling: int = DEFAULT_WORK_CEILING,
-) -> DyadicInterval:
+def paper_lower_bound_log2(n: int, p: int) -> DyadicInterval:
     """Enclosure of log2 of the counting bound: n log2 n - (n - 1 + G(n))."""
     require_positive("n", n)
     q_x = _part_precision(p, 2, n)
     q_g = _part_precision(p, 2)
-    x = log2_int_enclosure(n, q_x, max_precision).scale_int(n)
-    g = G_enclosure(n, q_g, max_precision, work_ceiling)
+    x = log2_int_enclosure(n, q_x).scale_int(n)
+    g = G_enclosure(n, q_g)
     return x.add_int(-(n - 1)) - g
 
 
 def _counting_parts(
-    n: int, p: int, max_precision: int, work_ceiling: int
+    n: int, p: int
 ) -> tuple[DyadicInterval, DyadicInterval, DyadicInterval, DyadicInterval]:
     """(log2 n!, G(n), log2 counting bound, e2(n)), from log2 n!, n log2 n and
     G(n) each enclosed at a third of the 2^-p budget."""
     q = _part_precision(p, 3)
-    fact = log2_factorial_enclosure(n, q, max_precision, work_ceiling)
-    x = log2_int_enclosure(n, _part_precision(p, 3, n), max_precision).scale_int(n)
-    g = G_enclosure(n, q, max_precision, work_ceiling)
+    fact = log2_factorial_enclosure(n, q)
+    x = log2_int_enclosure(n, _part_precision(p, 3, n)).scale_int(n)
+    g = G_enclosure(n, q)
     paper_lb = x.add_int(-(n - 1)) - g
     return fact, g, paper_lb, fact - paper_lb
 
 
-def error_term_e2(
-    n: int,
-    p: int,
-    max_precision: int = DEFAULT_MAX_PRECISION_BITS,
-    work_ceiling: int = DEFAULT_WORK_CEILING,
-) -> DyadicInterval:
+def error_term_e2(n: int, p: int) -> DyadicInterval:
     """Enclosure of e2(n) = log2 n! - (n log2 n - n + 1 - G(n)).
 
     This is the base-2 error term of the partial-log-sum formula.  Brute-force
@@ -234,15 +209,10 @@ def error_term_e2(
     row it emits.
     """
     require_positive("n", n)
-    return _counting_parts(n, p, max_precision, work_ceiling)[3]
+    return _counting_parts(n, p)[3]
 
 
-def c_of_n(
-    n: int,
-    p: int,
-    max_precision: int = DEFAULT_MAX_PRECISION_BITS,
-    work_ceiling: int = DEFAULT_WORK_CEILING,
-) -> DyadicInterval:
+def c_of_n(n: int, p: int) -> DyadicInterval:
     """Enclosure of log2 C(n) = log2 n! - n log2 n + (n - 1 + G(n)).
 
     Reports the measured gap above the counting bound; asserts nothing about
@@ -250,7 +220,7 @@ def c_of_n(
     e2(n) rearranged, and dyadic addition is exact, so the enclosure is
     bit-identical to :func:`error_term_e2`.
     """
-    return error_term_e2(n, p, max_precision, work_ceiling)
+    return error_term_e2(n, p)
 
 
 def paper_equality_certificate(n: int) -> bool:
@@ -274,9 +244,7 @@ def paper_equality_certificate(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def robbins_bounds_log2(
-    n: int, p: int, max_precision: int = DEFAULT_MAX_PRECISION_BITS
-) -> tuple[DyadicInterval, DyadicInterval]:
+def robbins_bounds_log2(n: int, p: int) -> tuple[DyadicInterval, DyadicInterval]:
     """Enclosures of log2 of both Robbins sides.
 
     lower = log2(sqrt(2 pi) n^(n+1/2) e^-n); upper = lower + log2(e)/(12 n).
@@ -289,7 +257,7 @@ def robbins_bounds_log2(
 
     half = DyadicRational(1, -1)
     pi_part = log2_pi_interval(q_pi).add_int(1).scale_dyadic(half)
-    n_part = log2_int_enclosure(n, q_n, max_precision).scale_dyadic(
+    n_part = log2_int_enclosure(n, q_n).scale_dyadic(
         DyadicRational(2 * n + 1, -1)
     )
     e_part = log2_e_interval(q_e).scale_int(n)
@@ -325,10 +293,7 @@ def _ramanujan_correction_interval(n: int, shift: DyadicInterval, q: int) -> Dya
 
 
 def ramanujan_bounds_log2(
-    n: int,
-    p: int,
-    params: RamanujanParams | None = None,
-    max_precision: int = DEFAULT_MAX_PRECISION_BITS,
+    n: int, p: int, params: RamanujanParams | None = None
 ) -> tuple[DyadicInterval, DyadicInterval]:
     """Enclosures of log2 of both Ramanujan sides, constants taken verbatim.
 
@@ -349,10 +314,10 @@ def ramanujan_bounds_log2(
 
     half = DyadicRational(1, -1)
     pi_part = log2_pi_interval(q_pi).scale_dyadic(half)
-    n_part = log2_int_enclosure(n, q_n, max_precision).scale_int(n)
+    n_part = log2_int_enclosure(n, q_n).scale_int(n)
     e_part = log2_e_interval(q_e).scale_int(n)
     poly = Fraction(240 * n**3 + 120 * n**2 + 30 * n + 1, 30)
-    poly_part = log2_fraction(poly, q_poly, max_precision).div_by_posint(6, q_poly)
+    poly_part = log2_fraction(poly, q_poly).div_by_posint(6, q_poly)
     base = pi_part + n_part - e_part + poly_part
 
     lower = base + _ramanujan_correction_rational(n, params.a_const, q_corr)
@@ -386,17 +351,10 @@ class BoundRow:
     escalations: int
 
 
-def _compute_row(
-    n: int,
-    p: int,
-    params: RamanujanParams,
-    max_precision: int,
-    work_ceiling: int,
-    escalations: int,
-) -> BoundRow:
-    fact, g, paper_lb, e2 = _counting_parts(n, p, max_precision, work_ceiling)
-    robbins_lo, robbins_hi = robbins_bounds_log2(n, p, max_precision)
-    ram_lo, ram_hi = ramanujan_bounds_log2(n, p, params, max_precision)
+def _compute_row(n: int, p: int, params: RamanujanParams, escalations: int) -> BoundRow:
+    fact, g, paper_lb, e2 = _counting_parts(n, p)
+    robbins_lo, robbins_hi = robbins_bounds_log2(n, p)
+    ram_lo, ram_hi = ramanujan_bounds_log2(n, p, params)
 
     s2 = binary_digit_sum(n)
     equality = s2 == 1
@@ -409,15 +367,13 @@ def _compute_row(
     if equality:
         # no finite precision separates equal quantities; the integer
         # certificate above is the evidence for Holds-with-equality
-        verdicts["paper"] = Verdict(
-            status=VerdictStatus.HOLDS, certificate=(paper_lb, fact), precision_used=p
-        )
+        verdicts["paper"] = Verdict(status=VerdictStatus.HOLDS, certificate=(paper_lb, fact))
     else:
-        verdicts["paper"] = _verdict(paper_lb, fact, p)
-    verdicts["robbins_lower"] = _verdict(robbins_lo, fact, p)
-    verdicts["robbins_upper"] = _verdict(fact, robbins_hi, p)
-    verdicts["ramanujan_lower"] = _verdict(ram_lo, fact, p)
-    verdicts["ramanujan_upper"] = _verdict(fact, ram_hi, p)
+        verdicts["paper"] = _verdict(paper_lb, fact)
+    verdicts["robbins_lower"] = _verdict(robbins_lo, fact)
+    verdicts["robbins_upper"] = _verdict(fact, robbins_hi)
+    verdicts["ramanujan_lower"] = _verdict(ram_lo, fact)
+    verdicts["ramanujan_upper"] = _verdict(fact, ram_hi)
 
     return BoundRow(
         n=n,
@@ -443,8 +399,6 @@ def compare_bounds(
     p: int,
     b_source: str = "printed",
     max_escalations: int = 4,
-    max_precision: int = DEFAULT_MAX_PRECISION_BITS,
-    work_ceiling: int = DEFAULT_WORK_CEILING,
 ) -> BoundRow:
     """Assemble the full BoundRow for n, doubling precision while any verdict
     stays inconclusive (up to max_escalations), then finalizing.
@@ -453,13 +407,11 @@ def compare_bounds(
     the row finally settled on.
     """
     require_positive("n", n)
-    if p < 4:
-        raise DomainError(f"precision must be >= 4 bits, got {p}")
+    if p < MIN_PRECISION:
+        raise DomainError(f"precision must be >= {MIN_PRECISION} bits, got {p}")
     for attempt in range(max(max_escalations, 0) + 1):
         p_try = p << attempt
-        row = _compute_row(
-            n, p_try, ramanujan_params(b_source, p_try), max_precision, work_ceiling, attempt
-        )
+        row = _compute_row(n, p_try, ramanujan_params(b_source, p_try), attempt)
         if all(v.status is not VerdictStatus.INCONCLUSIVE for v in row.verdicts.values()):
             break
     return row

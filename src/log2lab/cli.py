@@ -7,7 +7,9 @@ Exit codes are a contract shared by every subcommand:
       failure, or a Violated verdict on the counting bound);
 * 2 — some verdict stayed inconclusive after escalation (also used when a
       run is interrupted and the output file was finalized as truncated);
-* 3 — usage or configuration error (no output file is created).
+* 3 — usage or configuration error (no output file is created), or a
+      precision or work ceiling hit mid-run (the output file is finalized as
+      truncated but valid).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import argparse
 import re
 import sys
 
-from .enclosures import G_enclosure, ResourceLimitError
+from .enclosures import MIN_PRECISION, G_enclosure, ResourceLimitError
 from .exact import DomainError
 from .sweep import (
     EXIT_OK,
@@ -108,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_g_value(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise UsageError(f"n must be a positive integer, got {args.n}")
-    if args.bits < 4:
-        raise UsageError(f"--bits must be >= 4, got {args.bits}")
+    if args.bits < MIN_PRECISION:
+        raise UsageError(f"--bits must be >= {MIN_PRECISION}, got {args.bits}")
     g = G_enclosure(args.n, args.bits)
     if g.is_point():
         print(f"G({args.n}) = {g.lo.decimal_str()} (exact)")

@@ -135,9 +135,6 @@ class DyadicRational:
     def sign(self) -> int:
         return (self.mantissa > 0) - (self.mantissa < 0)
 
-    def is_zero(self) -> bool:
-        return self.mantissa == 0
-
     # -- directed rounding to a fixed grid ------------------------------------
 
     def round_down_bits(self, frac_bits: int) -> "DyadicRational":
@@ -179,7 +176,6 @@ class DyadicRational:
 
 
 ZERO = DyadicRational(0)
-ONE = DyadicRational(1)
 
 
 def dyadic_from_fraction(fr: Fraction, frac_bits: int, up: bool) -> DyadicRational:
@@ -218,10 +214,6 @@ class DyadicInterval:
     def from_int(v: int) -> "DyadicInterval":
         d = DyadicRational.from_int(v)
         return DyadicInterval(d, d)
-
-    @staticmethod
-    def from_fraction(fr: Fraction, frac_bits: int) -> "DyadicInterval":
-        return _outward(fr, fr, frac_bits)
 
     @staticmethod
     def zero() -> "DyadicInterval":

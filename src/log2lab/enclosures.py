@@ -40,8 +40,8 @@ from .exact import DomainError, ceil_log2, floor_log2_ratio, power_of_two_ratio,
 __all__ = [
     "ResourceLimitError",
     "MIN_PRECISION",
-    "DEFAULT_MAX_PRECISION_BITS",
-    "DEFAULT_WORK_CEILING",
+    "MAX_PRECISION_BITS",
+    "WORK_CEILING",
     "FracTerm",
     "floor_log2_fraction",
     "log2_fraction",
@@ -63,12 +63,14 @@ __all__ = [
 
 
 class ResourceLimitError(RuntimeError):
-    """The requested computation exceeds a configured precision or work ceiling."""
+    """The requested computation exceeds the precision or work ceiling."""
 
 
 MIN_PRECISION = 4
-DEFAULT_MAX_PRECISION_BITS = 1 << 14
-DEFAULT_WORK_CEILING = 1 << 32
+MAX_PRECISION_BITS = 1 << 14
+WORK_CEILING = 1 << 32
+# log2 n! from the exact factorial up to here, from summed logs beyond
+_FACTORIAL_METHOD_THRESHOLD = 100_000
 
 # Extraction head-room: working precision w = p_core + _GUARD_BITS absorbs the
 # doubling of relative bracket width across the p_core + 2 squaring steps.
@@ -79,13 +81,22 @@ _CORE_EXTRA = 2
 _PAD_ULPS = 2
 
 
-def _check_precision(p: int, max_precision: int) -> None:
+def _check_precision(p: int) -> None:
     if p < MIN_PRECISION:
         raise DomainError(f"precision must be >= {MIN_PRECISION} bits, got {p}")
-    if p > max_precision:
+    if p > MAX_PRECISION_BITS:
         raise ResourceLimitError(
-            f"precision {p} exceeds the configured ceiling {max_precision}"
+            f"precision {p} exceeds the configured ceiling {MAX_PRECISION_BITS}"
         )
+
+
+def _part_precision(p: int, parts: int, scale: int = 1) -> int:
+    """Per-part precision so that `parts` terms, each scaled by at most
+    `scale`, sum to well under 2^-p."""
+    q = p + 1 + ceil_log2(parts)
+    if scale > 1:
+        q += ceil_log2(scale)
+    return q
 
 
 def floor_log2_fraction(num: int, den: int) -> int:
@@ -154,13 +165,11 @@ def _raw_to_interval(lo: int, hi: int, s: int) -> DyadicInterval:
     return DyadicInterval(DyadicRational(lo, -s), DyadicRational(hi, -s))
 
 
-def log2_fraction(
-    fr: Fraction, p: int, max_precision: int = DEFAULT_MAX_PRECISION_BITS
-) -> DyadicInterval:
+def log2_fraction(fr: Fraction, p: int) -> DyadicInterval:
     """Enclosure of log2 of a positive rational, width <= 2^-p."""
     if fr <= 0:
         raise DomainError(f"log2 argument must be positive, got {fr}")
-    _check_precision(p, max_precision)
+    _check_precision(p)
     return _raw_to_interval(*_log2_raw(fr.numerator, fr.denominator, p))
 
 
@@ -184,12 +193,10 @@ def _log2_int_raw(m: int, p: int) -> tuple[int, int, int]:
     return hit
 
 
-def log2_int_enclosure(
-    m: int, p: int, max_precision: int = DEFAULT_MAX_PRECISION_BITS
-) -> DyadicInterval:
+def log2_int_enclosure(m: int, p: int) -> DyadicInterval:
     """Enclosure of log2(m) for integer m >= 1, width <= 2^-p."""
     require_positive("m", m)
-    _check_precision(p, max_precision)
+    _check_precision(p)
     return _raw_to_interval(*_log2_int_raw(m, p))
 
 
@@ -228,9 +235,7 @@ def _frac_upper_clamp(a: int) -> DyadicRational:
     return DyadicRational((1 << t) - 1, -t)
 
 
-def log2_ratio_enclosure(
-    a: int, j: int, p: int, max_precision: int = DEFAULT_MAX_PRECISION_BITS
-) -> DyadicInterval:
+def log2_ratio_enclosure(a: int, j: int, p: int) -> DyadicInterval:
     """Enclosure of log2(a/j) for 1 <= j <= a, width <= 2^-p.
 
     Exact dyadic-power ratios come back as the point [k, k].
@@ -238,16 +243,14 @@ def log2_ratio_enclosure(
     k = power_of_two_ratio(a, j)  # also validates 1 <= j <= a
     if k is not None:
         return DyadicInterval.from_int(k)
-    _check_precision(p, max_precision)
+    _check_precision(p)
     return _raw_to_interval(*_log2_raw(a, j, p))
 
 
-def frac_log2_enclosure(
-    a: int, j: int, p: int, max_precision: int = DEFAULT_MAX_PRECISION_BITS
-) -> FracTerm:
+def frac_log2_enclosure(a: int, j: int, p: int) -> FracTerm:
     """Certified {log2(a/j)} in [0, 1); the floor comes from exact arithmetic."""
     k = floor_log2_ratio(a, j)
-    encl = log2_ratio_enclosure(a, j, p, max_precision)
+    encl = log2_ratio_enclosure(a, j, p)
     if encl.is_point():
         return FracTerm(n=a, m=j, k=k, frac=DyadicInterval.zero(), exact_zero=True)
     frac = encl.add_int(-k).intersect(
@@ -261,19 +264,14 @@ def frac_log2_enclosure(
 # ---------------------------------------------------------------------------
 
 
-def _check_sum_work(n: int, p: int, work_ceiling: int) -> None:
-    if n * (p + ceil_log2(n)) > work_ceiling:
+def _check_sum_work(n: int, p: int) -> None:
+    if n * (p + ceil_log2(n)) > WORK_CEILING:
         raise ResourceLimitError(
-            f"term sum of size n={n} at p={p} exceeds work ceiling {work_ceiling}"
+            f"term sum of size n={n} at p={p} exceeds work ceiling {WORK_CEILING}"
         )
 
 
-def G_enclosure(
-    n: int,
-    p: int,
-    max_precision: int = DEFAULT_MAX_PRECISION_BITS,
-    work_ceiling: int = DEFAULT_WORK_CEILING,
-) -> DyadicInterval:
+def G_enclosure(n: int, p: int) -> DyadicInterval:
     """Enclosure of G(n) = sum over m <= n of {log2(n/m)}, width <= 2^-p.
 
     Each term is held to width below 2^-(p + ceil(log2 n) + 1), which caps the
@@ -282,9 +280,9 @@ def G_enclosure(
     kernels and dyadic-power terms contributing exactly zero.
     """
     require_positive("n", n)
-    q_term = p + ceil_log2(n) + 1
-    _check_precision(q_term, max_precision)
-    _check_sum_work(n, q_term, work_ceiling)
+    q_term = _part_precision(p, n)
+    _check_precision(q_term)
+    _check_sum_work(n, q_term)
 
     q_log = q_term + 1
     s = q_log + _CORE_EXTRA + _EXTRA_STEPS
@@ -312,59 +310,42 @@ def G_enclosure(
     return _raw_to_interval(acc_lo, acc_hi, s)
 
 
-_FACTORIAL_METHOD_THRESHOLD = 100_000
-
-
-def log2_factorial_by_factorial(
-    n: int, p: int, max_precision: int = DEFAULT_MAX_PRECISION_BITS
-) -> DyadicInterval:
+def log2_factorial_by_factorial(n: int, p: int) -> DyadicInterval:
     """Enclosure of log2(n!) from the exact big-integer factorial."""
     require_positive("n", n)
-    _check_precision(p, max_precision)
+    _check_precision(p)
     return _raw_to_interval(*_log2_raw(math.factorial(n), 1, p))
 
 
-def log2_factorial_by_sum(
-    n: int,
-    p: int,
-    max_precision: int = DEFAULT_MAX_PRECISION_BITS,
-    work_ceiling: int = DEFAULT_WORK_CEILING,
-) -> DyadicInterval:
+def log2_factorial_by_sum(n: int, p: int) -> DyadicInterval:
     """Enclosure of log2(n!) as the certified sum of log2(m) over m <= n: the
     last prefix of :func:`log2_factorial_running`."""
     require_positive("n", n)
-    for _, lo, hi, s in _log2_factorial_prefixes(n, p, max_precision, work_ceiling):
+    for _, lo, hi, s in _log2_factorial_prefixes(n, p):
         pass
     return _raw_to_interval(lo, hi, s)
 
 
-def log2_factorial_enclosure(
-    n: int,
-    p: int,
-    max_precision: int = DEFAULT_MAX_PRECISION_BITS,
-    work_ceiling: int = DEFAULT_WORK_CEILING,
-    factorial_threshold: int = _FACTORIAL_METHOD_THRESHOLD,
-) -> DyadicInterval:
+def log2_factorial_enclosure(n: int, p: int) -> DyadicInterval:
     """Enclosure of log2(n!), width <= 2^-p.
 
-    Routes through the exact factorial for n up to ``factorial_threshold`` and
-    through the summed-logs method beyond it.  The two methods are exposed
-    separately so their agreement can be (and is) tested directly.
+    Routes through the exact factorial for n up to
+    ``_FACTORIAL_METHOD_THRESHOLD`` and through the summed-logs method beyond
+    it.  The two methods are exposed separately so their agreement can be (and
+    is) tested directly.
     """
-    if n <= factorial_threshold:
-        return log2_factorial_by_factorial(n, p, max_precision)
-    return log2_factorial_by_sum(n, p, max_precision, work_ceiling)
+    if n <= _FACTORIAL_METHOD_THRESHOLD:
+        return log2_factorial_by_factorial(n, p)
+    return log2_factorial_by_sum(n, p)
 
 
-def _log2_factorial_prefixes(
-    n_max: int, p: int, max_precision: int, work_ceiling: int
-) -> Iterator[tuple[int, int, int, int]]:
+def _log2_factorial_prefixes(n_max: int, p: int) -> Iterator[tuple[int, int, int, int]]:
     """Yield (m, lo, hi, s): log2 m! lies in [lo * 2^-s, hi * 2^-s], for
     m = 1..n_max.  Every term is computed at the n_max budget, so each prefix
     keeps width <= 2^-p."""
-    q = p + ceil_log2(n_max) + 1
-    _check_precision(q, max_precision)
-    _check_sum_work(n_max, q, work_ceiling)
+    q = _part_precision(p, n_max)
+    _check_precision(q)
+    _check_sum_work(n_max, q)
     s = q + _CORE_EXTRA + _EXTRA_STEPS
     acc_lo = 0
     acc_hi = 0
@@ -376,16 +357,11 @@ def _log2_factorial_prefixes(
         yield m, acc_lo, acc_hi, s
 
 
-def log2_factorial_running(
-    n_max: int,
-    p: int,
-    max_precision: int = DEFAULT_MAX_PRECISION_BITS,
-    work_ceiling: int = DEFAULT_WORK_CEILING,
-):
+def log2_factorial_running(n_max: int, p: int):
     """Yield (n, enclosure of log2 n!) for n = 1..n_max by prefix sums, each
     of width <= 2^-p."""
     require_positive("n_max", n_max)
-    for m, lo, hi, s in _log2_factorial_prefixes(n_max, p, max_precision, work_ceiling):
+    for m, lo, hi, s in _log2_factorial_prefixes(n_max, p):
         yield m, _raw_to_interval(lo, hi, s)
 
 

@@ -8,17 +8,15 @@ brute force; they exist to cross-check the floor-sum identity, not to be fast.
 
 The floor sums count their terms in blocks: floor(log2(a/j)) = k exactly when
 a >> (k+1) < j <= a >> k, so a sum over j <= a takes O(log a) integer steps
-for every size of a.  numpy appears only in the brute-force oracles, whose
-int64 paths fall back to arbitrary-precision loops wherever 63-bit
-intermediates could overflow.
+for every size of a.  numpy appears only in the brute-force oracles, and is
+imported only when they run; their int64 paths fall back to
+arbitrary-precision loops wherever 63-bit intermediates could overflow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 __all__ = [
     "DomainError",
@@ -168,6 +166,8 @@ def _count_parity(stop: int, parity: int) -> int:
     """Count of m in 1..stop with m % 2 == parity, by enumeration."""
     if stop > _INT64_SAFE_BOUND:
         return sum(1 for m in range(1, stop + 1) if m % 2 == parity)
+    import numpy as np  # only the oracles need it; the other commands skip the import
+
     count = 0
     for start in range(1, stop + 1, _CHUNK):
         m = np.arange(start, min(stop, start + _CHUNK - 1) + 1, dtype=np.int64)

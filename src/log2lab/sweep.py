@@ -30,10 +30,7 @@ from .bounds import (
     ramanujan_b_agreement,
 )
 from .dyadic import DyadicInterval
-from .enclosures import (
-    DEFAULT_MAX_PRECISION_BITS,
-    DEFAULT_WORK_CEILING,
-)
+from .enclosures import MAX_PRECISION_BITS, MIN_PRECISION, ResourceLimitError
 from .exact import (
     IdentityViolationError,
     binary_digit_sum,
@@ -79,20 +76,20 @@ class SweepConfig:
     ramanujan_b: str = "printed"  # "printed" | "closed-form"
     workers: int = 1
     linear_display: bool = False  # report-only 2^x rendering, n <= 20
-    max_precision_bits: int = DEFAULT_MAX_PRECISION_BITS
-    work_ceiling: int = DEFAULT_WORK_CEILING
 
     def validate(self) -> None:
         if self.n_lo < 1:
             raise UsageError(f"range start must be >= 1, got {self.n_lo}")
         if self.n_lo > self.n_hi:
             raise UsageError(f"empty range [{self.n_lo}, {self.n_hi}]")
-        if self.precision_bits < 4:
-            raise UsageError(f"precision must be >= 4 bits, got {self.precision_bits}")
-        if self.precision_bits > self.max_precision_bits:
+        if self.precision_bits < MIN_PRECISION:
+            raise UsageError(
+                f"precision must be >= {MIN_PRECISION} bits, got {self.precision_bits}"
+            )
+        if self.precision_bits > MAX_PRECISION_BITS:
             raise UsageError(
                 f"precision {self.precision_bits} exceeds the ceiling of "
-                f"{self.max_precision_bits} bits"
+                f"{MAX_PRECISION_BITS} bits"
             )
         if self.max_escalations < 0:
             raise UsageError("max escalations must be >= 0")
@@ -170,8 +167,6 @@ def _bounds_payload(config: SweepConfig, n: int) -> dict:
         config.precision_bits,
         b_source=config.ramanujan_b,
         max_escalations=config.max_escalations,
-        max_precision=config.max_precision_bits,
-        work_ceiling=config.work_ceiling,
     )
     f_emit = row.precision_bits + 3
     fields: dict[str, str] = {"n": str(n), "precision_bits": str(row.precision_bits)}
@@ -199,9 +194,7 @@ def _bounds_payload(config: SweepConfig, n: int) -> dict:
 
 def _error_term_payload(config: SweepConfig, n: int) -> dict:
     p = config.precision_bits
-    e2 = error_term_e2(
-        n, p, max_precision=config.max_precision_bits, work_ceiling=config.work_ceiling
-    )
+    e2 = error_term_e2(n, p)
     s2m1 = binary_digit_sum(n) - 1
     contains = (
         e2.contains_int(s2m1)
@@ -310,7 +303,9 @@ def _run(
     its ``add`` takes the payloads in ascending n, each after its row is
     written, and ``finish(checked)`` returns the summary, the report lines
     and the exit code.  An interrupt anywhere in that loop ends it early; the
-    output is then finalized as truncated and the run exits 2.
+    output is then finalized as truncated and the run exits 2.  A resource
+    limit hit in that loop also finalizes the output as truncated, and is then
+    re-raised.
     """
     config.validate()
     ns = config.ns()
@@ -319,6 +314,7 @@ def _run(
     acc = fold(config, ns)
     checked = 0
     truncated = False
+    limit_hit = None
     try:
         for payload in _pool_map(config, partial(payload_fn, config), ns, chunksize):
             if payload["fields"] is not None:
@@ -327,12 +323,16 @@ def _run(
             acc.add(payload)
     except KeyboardInterrupt:
         truncated = True
+    except ResourceLimitError as exc:
+        truncated, limit_hit = True, exc
 
     summary, lines, code = acc.finish(checked)
     summary["truncated"] = truncated
     writer.finish(summary)
     if close_me:
         stream.close()
+    if limit_hit is not None:
+        raise limit_hit
     if truncated:
         lines.append("interrupted: output file is truncated but valid")
     report_stream = report_stream if report_stream is not None else sys.stderr

@@ -8,8 +8,10 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+import log2lab.enclosures as enclosures_mod
 from log2lab.dyadic import DyadicInterval, DyadicRational
 from log2lab.enclosures import (
+    MAX_PRECISION_BITS,
     G_enclosure,
     ResourceLimitError,
     e_interval,
@@ -66,7 +68,7 @@ class TestLog2Ratio:
 
     def test_precision_ceiling(self):
         with pytest.raises(ResourceLimitError):
-            log2_ratio_enclosure(3, 1, 60, max_precision=50)
+            log2_ratio_enclosure(3, 1, MAX_PRECISION_BITS + 1)
 
     def test_general_fraction_negative_logs(self):
         iv = log2_fraction(Fraction(1, 3), 60)
@@ -135,7 +137,7 @@ class TestGEnclosure:
 
     def test_work_ceiling(self):
         with pytest.raises(ResourceLimitError):
-            G_enclosure(10**6, 64, work_ceiling=10**6)
+            G_enclosure(10**8, 64)  # rejected before any term is computed
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -167,10 +169,12 @@ class TestLog2Factorial:
             assert iv.width_within(60)
             assert iv.intersects(ref[n])
 
-    def test_method_selector_threshold(self):
-        small = log2_factorial_enclosure(30, 50, factorial_threshold=100)
+    def test_method_selector_threshold(self, monkeypatch):
+        monkeypatch.setattr(enclosures_mod, "_FACTORIAL_METHOD_THRESHOLD", 100)
+        small = log2_factorial_enclosure(30, 50)
         assert small == log2_factorial_by_factorial(30, 50)
-        summed = log2_factorial_enclosure(30, 50, factorial_threshold=10)
+        monkeypatch.setattr(enclosures_mod, "_FACTORIAL_METHOD_THRESHOLD", 10)
+        summed = log2_factorial_enclosure(30, 50)
         assert summed == log2_factorial_by_sum(30, 50)
 
 

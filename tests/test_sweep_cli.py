@@ -5,13 +5,18 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import log2lab
 import log2lab.sweep as sweep_mod
 from log2lab.cli import main
 from log2lab.sweep import (
@@ -338,6 +343,37 @@ class TestCliContract:
         assert main(["verify-theorem", "--range", "1..99"]) == EXIT_OK
         assert main(["error-term", "--range", "1..12", "--bits", "64"]) == EXIT_OK
         capsys.readouterr()
+
+    def test_resource_limit_mid_run_leaves_valid_truncated_json(self, tmp_path, capsys):
+        # --bits passes validation, but the enclosures of row 2 need a few
+        # bits more than the 16384-bit ceiling
+        out = tmp_path / "e2.json"
+        argv = ["error-term", "--range", "1..3", "--bits", "16380", "--format", "json"]
+        assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+        assert "log2lab: resource limit: " in capsys.readouterr().err
+        payload = json.loads(out.read_text())
+        summary = payload[-1]["summary"]
+        assert summary["truncated"] is True
+        assert [row["n"] for row in payload[:-1]] == ["1"]
+        assert summary["checked"] == 1
+
+    def test_range_commands_skip_numpy(self):
+        code = (
+            "import io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "from log2lab.cli import main\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    assert main(['sweep-bounds', '--range', '3..5']) == 0\n"
+            "    assert main(['error-term', '--range', '3..5']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        src = str(Path(log2lab.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_decimals_past_int_str_digit_limit(self, tmp_path, capsys):
         out = tmp_path / "e2.csv"
