@@ -8,9 +8,9 @@ brute force; they exist to cross-check the floor-sum identity, not to be fast.
 
 The floor sums count their terms in blocks: floor(log2(a/j)) = k exactly when
 a >> (k+1) < j <= a >> k, so a sum over j <= a takes O(log a) integer steps
-for every size of a.  numpy appears only in the brute-force oracles, and is
-imported only when they run; their int64 paths fall back to
-arbitrary-precision loops wherever 63-bit intermediates could overflow.
+for every size of a.  The enumeration oracles still visit every m, but each
+resumes where its last count in the process stopped, so checking N values of
+a up to A in ascending order visits each m once: O(A + N), not O(N * A).
 """
 
 from __future__ import annotations
@@ -78,13 +78,6 @@ class FloorLogCount:
             raise IdentityViolationError(
                 f"negative count {self.value} for a={self.a} ({self.method.value})"
             )
-
-
-# int64 fast paths stay clear of the top bit; above this we use scalar loops.
-_INT64_SAFE_BOUND = 1 << 62
-
-# Cap on per-call numpy scratch arrays (elements), to bound peak memory.
-_CHUNK = 1 << 21
 
 
 def _check_ratio_domain(a: int, j: int) -> None:
@@ -162,39 +155,62 @@ def odd_floor_sum(a: int) -> FloorLogCount:
     return _floor_sum(a, True, (a - 1) // 2, "counting identity demands")
 
 
-def _count_parity(stop: int, parity: int) -> int:
-    """Count of m in 1..stop with m % 2 == parity, by enumeration."""
-    if stop > _INT64_SAFE_BOUND:
-        return sum(1 for m in range(1, stop + 1) if m % 2 == parity)
-    import numpy as np  # only the oracles need it; the other commands skip the import
-
+def _count_parity(lo: int, hi: int, parity: int) -> int:
+    """Count of m with lo < m <= hi and m % 2 == parity, by enumeration."""
     count = 0
-    for start in range(1, stop + 1, _CHUNK):
-        m = np.arange(start, min(stop, start + _CHUNK - 1) + 1, dtype=np.int64)
-        count += int(((m & 1) == parity).sum())
+    for m in range(lo + 1, hi + 1):
+        if m % 2 == parity:
+            count += 1
     return count
+
+
+# Resume points (a, count) of the last completed oracle count in this process.
+# Each is replaced by one tuple assignment after its count completes, so an
+# exception or interrupt mid-count leaves a consistent point behind.
+_EVEN_FROM_ZERO = (1, 0)
+_PAIR_FROM_ZERO = (0, 0)
+_even_resume = _EVEN_FROM_ZERO
+_pair_resume = _PAIR_FROM_ZERO
 
 
 def even_count_oracle(a: int) -> int:
     """Count of even m with 1 <= m < a, for odd a, by direct enumeration.
 
     No closed formula on purpose: this is the independent side of the
-    three-way agreement check.
+    three-way agreement check.  The count resumes from the last a this process
+    counted: a larger a enumerates only the m in a_prev..a-1, a smaller one
+    enumerates again from m = 1.
     """
+    global _even_resume
     require_positive("a", a)
     if a % 2 == 0:
         raise DomainError(f"a must be odd, got {a}")
-    return _count_parity(a - 1, 0)
+    a_prev, count = _even_resume
+    if a < a_prev:
+        a_prev, count = _EVEN_FROM_ZERO
+    count += _count_parity(a_prev - 1, a - 1, 0)
+    _even_resume = (a, count)
+    return count
 
 
 def pair_enumeration_oracle(a: int) -> int:
     """Count pairs (m odd, alpha >= 1) with m * 2^alpha <= a, by double loop.
 
     The outer loop runs over alpha; the inner enumeration walks every
-    candidate m <= a / 2^alpha and keeps the odd ones.
+    candidate m <= a / 2^alpha and keeps the odd ones.  Like
+    :func:`even_count_oracle` it resumes from the last a this process
+    counted: a larger a walks only the m in (a_prev >> alpha, a >> alpha] for
+    each alpha, a smaller one walks again from m = 1.
     """
+    global _pair_resume
     require_positive("a", a)
-    return sum(_count_parity(a >> alpha, 1) for alpha in range(1, a.bit_length()))
+    a_prev, count = _pair_resume
+    if a < a_prev:
+        a_prev, count = _PAIR_FROM_ZERO
+    for alpha in range(1, a.bit_length()):
+        count += _count_parity(a_prev >> alpha, a >> alpha, 1)
+    _pair_resume = (a, count)
+    return count
 
 
 def all_floor_sum(a: int) -> FloorLogCount:

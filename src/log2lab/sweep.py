@@ -237,12 +237,37 @@ def _verify_payload(config: SweepConfig, a: int) -> dict:
     return {"fields": fields, "meta": failure}
 
 
+class _StopAtLimit:
+    """Worker-side payload function: a resource limit becomes the item's value.
+
+    ``Pool.imap`` fails a whole chunk when one item raises, losing the rows
+    before it.  Returning the error keeps them; the instance is unpickled once
+    per chunk, so the chunk's later items return the same error uncomputed.
+    """
+
+    def __init__(self, fn: Callable[[int], dict]):
+        self.fn = fn
+        self.limit: ResourceLimitError | None = None
+
+    def __call__(self, n: int) -> dict | ResourceLimitError:
+        if self.limit is None:
+            try:
+                return self.fn(n)
+            except ResourceLimitError as exc:
+                self.limit = exc
+        return self.limit
+
+
 def _pool_map(config: SweepConfig, fn, items: list, chunksize: int) -> Iterator:
+    """Payloads in item order; a resource limit is raised at the item that hit it."""
     if config.workers == 1:
         yield from map(fn, items)
         return
     with Pool(processes=config.workers) as pool:  # leaving terminates and joins the workers
-        yield from pool.imap(fn, items, chunksize=chunksize)
+        for payload in pool.imap(_StopAtLimit(fn), items, chunksize=chunksize):
+            if isinstance(payload, ResourceLimitError):
+                raise payload
+            yield payload
 
 
 class _Writer:

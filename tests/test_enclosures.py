@@ -23,7 +23,6 @@ from log2lab.enclosures import (
     log2_factorial_enclosure,
     log2_factorial_running,
     log2_fraction,
-    log2_int_enclosure,
     log2_pi_interval,
     log2_ratio_enclosure,
     pi_interval,

@@ -5,7 +5,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import log2lab.exact as exact_mod
 from log2lab.exact import (
     CountMethod,
     DomainError,
@@ -137,6 +140,83 @@ class TestEnumerationOracles:
             assert odd_floor_sum(a).value == expected
             assert even_count_oracle(a) == expected
             assert pair_enumeration_oracle(a) == expected
+
+
+def _even_from_zero(a: int) -> int:
+    return sum(1 for m in range(1, a) if m % 2 == 0)
+
+
+def _pairs_from_zero(a: int) -> int:
+    return sum(
+        1 for alpha in range(1, a.bit_length()) for m in range(1, (a >> alpha) + 1) if m % 2 == 1
+    )
+
+
+_RESUMABLE = [
+    (even_count_oracle, _even_from_zero, st.integers(0, 1000).map(lambda k: 2 * k + 1)),
+    (pair_enumeration_oracle, _pairs_from_zero, st.integers(1, 2001)),
+]
+
+
+@st.composite
+def _oracle_run(draw):
+    """An oracle, its from-zero reference, and a sequence of a that contains
+    a = 1, in drawn, ascending, descending or repeated order."""
+    oracle, from_zero, values = draw(st.sampled_from(_RESUMABLE))
+    seq = draw(st.lists(values, min_size=1, max_size=20))
+    seq.insert(draw(st.integers(0, len(seq))), 1)
+    order = draw(st.sampled_from(["drawn", "ascending", "descending", "repeated"]))
+    if order == "ascending":
+        seq.sort()
+    elif order == "descending":
+        seq.sort(reverse=True)
+    elif order == "repeated":
+        seq = [a for a in seq for _ in range(2)]
+    return oracle, from_zero, seq
+
+
+class _Interrupted(Exception):
+    pass
+
+
+class TestResumableOracles:
+    """The oracles resume from the last a they counted; any order of a must
+    still give the from-zero enumeration."""
+
+    @settings(deadline=None)
+    @given(_oracle_run())
+    def test_any_order_equals_from_zero(self, run):
+        oracle, from_zero, seq = run
+        for a in seq:
+            assert oracle(a) == from_zero(a), (seq, a)
+
+    @settings(deadline=None)
+    @given(_oracle_run(), st.integers(0, 40), st.integers(0, 12))
+    def test_count_interrupted_midway_leaves_later_counts_correct(self, run, split, calls_ok):
+        oracle, from_zero, seq = run
+        split %= len(seq)
+        for a in seq[:split]:
+            oracle(a)
+        real = exact_mod._count_parity
+        calls = []
+
+        def failing(lo: int, hi: int, parity: int) -> int:
+            # enumerate half of this piece, then fail: a count cut off mid-walk
+            calls.append(lo)
+            real(lo, (lo + hi) // 2, parity)
+            if len(calls) > calls_ok:
+                raise _Interrupted
+            return real(lo, hi, parity)
+
+        exact_mod._count_parity = failing
+        try:
+            oracle(seq[split])
+        except _Interrupted:
+            pass
+        finally:
+            exact_mod._count_parity = real
+        for a in seq[split:]:
+            assert oracle(a) == from_zero(a), (seq, split, calls_ok, a)
 
 
 class TestAllFloorSum:

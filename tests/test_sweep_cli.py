@@ -344,12 +344,14 @@ class TestCliContract:
         assert main(["error-term", "--range", "1..12", "--bits", "64"]) == EXIT_OK
         capsys.readouterr()
 
-    def test_resource_limit_mid_run_leaves_valid_truncated_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resource_limit_mid_run_leaves_valid_truncated_json(self, tmp_path, capsys, workers):
         # --bits passes validation, but the enclosures of row 2 need a few
-        # bits more than the 16384-bit ceiling
+        # bits more than the 16384-bit ceiling; with 2 workers row 1 shares
+        # a Pool.imap chunk with row 2 and must still be written
         out = tmp_path / "e2.json"
         argv = ["error-term", "--range", "1..3", "--bits", "16380", "--format", "json"]
-        assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+        assert main(argv + ["--workers", str(workers), "--out", str(out)]) == EXIT_USAGE
         assert "log2lab: resource limit: " in capsys.readouterr().err
         payload = json.loads(out.read_text())
         summary = payload[-1]["summary"]
@@ -365,6 +367,7 @@ class TestCliContract:
             "with redirect_stdout(io.StringIO()):\n"
             "    assert main(['sweep-bounds', '--range', '3..5']) == 0\n"
             "    assert main(['error-term', '--range', '3..5']) == 0\n"
+            "    assert main(['verify-theorem', '--range', '3..99']) == 0\n"
             "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
         )
         src = str(Path(log2lab.__file__).resolve().parents[1])
