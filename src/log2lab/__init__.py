@@ -3,10 +3,8 @@ of G(n) and log2 n!, and interval-verdict comparisons of factorial bounds."""
 
 from .bounds import (
     BoundRow,
-    RamanujanParams,
     Verdict,
     VerdictStatus,
-    c_of_n,
     compare_bounds,
     error_term_e2,
     paper_equality_certificate,
@@ -27,12 +25,9 @@ from .enclosures import (
     log2_factorial_running,
     log2_fraction,
     log2_int_enclosure,
-    log2_ratio_enclosure,
 )
 from .exact import (
-    CountMethod,
     DomainError,
-    FloorLogCount,
     IdentityViolationError,
     all_floor_sum,
     binary_digit_sum,
@@ -55,15 +50,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundRow",
-    "CountMethod",
     "DomainError",
     "DyadicInterval",
     "DyadicRational",
-    "FloorLogCount",
     "FracTerm",
     "G_enclosure",
     "IdentityViolationError",
-    "RamanujanParams",
     "ResourceLimitError",
     "SweepConfig",
     "UsageError",
@@ -71,7 +63,6 @@ __all__ = [
     "VerdictStatus",
     "all_floor_sum",
     "binary_digit_sum",
-    "c_of_n",
     "ceil_log2",
     "compare_bounds",
     "error_term_e2",
@@ -84,7 +75,6 @@ __all__ = [
     "log2_factorial_running",
     "log2_fraction",
     "log2_int_enclosure",
-    "log2_ratio_enclosure",
     "odd_floor_sum",
     "paper_equality_certificate",
     "paper_lower_bound_log2",

@@ -44,12 +44,10 @@ from .exact import (
 __all__ = [
     "VerdictStatus",
     "Verdict",
-    "RamanujanParams",
     "BAgreementReport",
     "BoundRow",
     "BOUND_NAMES",
     "paper_lower_bound_log2",
-    "c_of_n",
     "error_term_e2",
     "robbins_bounds_log2",
     "ramanujan_bounds_log2",
@@ -58,7 +56,6 @@ __all__ = [
     "ramanujan_b_printed",
     "ramanujan_b_closed_form",
     "ramanujan_b_agreement",
-    "ramanujan_params",
 ]
 
 
@@ -110,15 +107,6 @@ _B_PRINTED_LO = Fraction(35499112666, 10**11)
 _B_PRINTED_HI = Fraction(35499112667, 10**11)
 
 
-@dataclass(frozen=True)
-class RamanujanParams:
-    """Constants of the Ramanujan estimate: exact rational a, enclosed b."""
-
-    a_const: Fraction
-    b_const: DyadicInterval
-    b_source: str  # "printed" | "closed-form"
-
-
 @lru_cache(maxsize=None)
 def ramanujan_b_printed(p: int) -> DyadicInterval:
     """Enclosure of the printed decimal for b."""
@@ -165,11 +153,15 @@ def ramanujan_b_agreement(p: int = 64) -> BAgreementReport:
     return BAgreementReport(printed=printed, closed_form=closed, agree=printed.intersects(closed))
 
 
-def ramanujan_params(b_source: str, p: int) -> RamanujanParams:
-    b_of = {"printed": ramanujan_b_printed, "closed-form": ramanujan_b_closed_form}
-    if b_source not in b_of:
-        raise DomainError(f"unknown b source {b_source!r}; use 'printed' or 'closed-form'")
-    return RamanujanParams(a_const=A_CONST, b_const=b_of[b_source](p), b_source=b_source)
+# b source name -> enclosure of b at a given precision
+_B_SOURCES = {"printed": ramanujan_b_printed, "closed-form": ramanujan_b_closed_form}
+
+
+def _b_routine(name: str):
+    """The b routine for a source name; DomainError for an unknown name."""
+    if name not in _B_SOURCES:
+        raise DomainError(f"unknown b source {name!r}; use 'printed' or 'closed-form'")
+    return _B_SOURCES[name]
 
 
 # ---------------------------------------------------------------------------
@@ -207,20 +199,13 @@ def error_term_e2(n: int, p: int) -> DyadicInterval:
     interval evaluation confirmed e2(n) = s2(n) - 1 for every n <= 512 before
     the hypothesis was allowed anywhere else; the sweep re-checks it on every
     row it emits.
+
+    It is also log2 C(n) = log2 n! - n log2 n + (n - 1 + G(n)), the measured
+    gap above the counting bound, rearranged; dyadic addition is exact, so the
+    sweep's ``c_log2`` columns are this enclosure bit for bit.
     """
     require_positive("n", n)
     return _counting_parts(n, p)[3]
-
-
-def c_of_n(n: int, p: int) -> DyadicInterval:
-    """Enclosure of log2 C(n) = log2 n! - n log2 n + (n - 1 + G(n)).
-
-    Reports the measured gap above the counting bound; asserts nothing about
-    its boundedness (and indeed it grows with the binary digit sum).  It is
-    e2(n) rearranged, and dyadic addition is exact, so the enclosure is
-    bit-identical to :func:`error_term_e2`.
-    """
-    return error_term_e2(n, p)
 
 
 def paper_equality_certificate(n: int) -> bool:
@@ -293,9 +278,10 @@ def _ramanujan_correction_interval(n: int, shift: DyadicInterval, q: int) -> Dya
 
 
 def ramanujan_bounds_log2(
-    n: int, p: int, params: RamanujanParams | None = None
+    n: int, p: int, b_source: str = "printed"
 ) -> tuple[DyadicInterval, DyadicInterval]:
-    """Enclosures of log2 of both Ramanujan sides, constants taken verbatim.
+    """Enclosures of log2 of both Ramanujan sides, constants taken verbatim:
+    a = 39/54 and b from ``b_source``, "printed" or "closed-form".
 
     The sixth-root argument 8n^3 + 4n^2 + n + 1/30 is assembled as one exact
     rational before any rounding.  The lower side meets the 2^-p width
@@ -304,8 +290,7 @@ def ramanujan_bounds_log2(
     n, vanishing with the closed form, and decaying like n^-5 either way).
     """
     require_positive("n", n)
-    if params is None:
-        params = ramanujan_params("printed", p)
+    b_of = _b_routine(b_source)
     q_pi = _part_precision(p, 5)
     q_n = _part_precision(p, 5, n)
     q_e = _part_precision(p, 5, n)
@@ -320,8 +305,8 @@ def ramanujan_bounds_log2(
     poly_part = log2_fraction(poly, q_poly).div_by_posint(6, q_poly)
     base = pi_part + n_part - e_part + poly_part
 
-    lower = base + _ramanujan_correction_rational(n, params.a_const, q_corr)
-    upper = base + _ramanujan_correction_interval(n, params.b_const, q_corr)
+    lower = base + _ramanujan_correction_rational(n, A_CONST, q_corr)
+    upper = base + _ramanujan_correction_interval(n, b_of(p), q_corr)
     return lower, upper
 
 
@@ -351,10 +336,10 @@ class BoundRow:
     escalations: int
 
 
-def _compute_row(n: int, p: int, params: RamanujanParams, escalations: int) -> BoundRow:
+def _compute_row(n: int, p: int, b_source: str, escalations: int) -> BoundRow:
     fact, g, paper_lb, e2 = _counting_parts(n, p)
     robbins_lo, robbins_hi = robbins_bounds_log2(n, p)
-    ram_lo, ram_hi = ramanujan_bounds_log2(n, p, params)
+    ram_lo, ram_hi = ramanujan_bounds_log2(n, p, b_source)
 
     s2 = binary_digit_sum(n)
     equality = s2 == 1
@@ -409,9 +394,10 @@ def compare_bounds(
     require_positive("n", n)
     if p < MIN_PRECISION:
         raise DomainError(f"precision must be >= {MIN_PRECISION} bits, got {p}")
+    _b_routine(b_source)  # reject an unknown name before any work
     for attempt in range(max(max_escalations, 0) + 1):
         p_try = p << attempt
-        row = _compute_row(n, p_try, ramanujan_params(b_source, p_try), attempt)
+        row = _compute_row(n, p_try, b_source, attempt)
         if all(v.status is not VerdictStatus.INCONCLUSIVE for v in row.verdicts.values()):
             break
     return row

@@ -18,7 +18,7 @@ import argparse
 import re
 import sys
 
-from .enclosures import MIN_PRECISION, G_enclosure, ResourceLimitError
+from .enclosures import G_enclosure, ResourceLimitError
 from .exact import DomainError
 from .sweep import (
     EXIT_OK,
@@ -108,10 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_g_value(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise UsageError(f"n must be a positive integer, got {args.n}")
-    if args.bits < MIN_PRECISION:
-        raise UsageError(f"--bits must be >= {MIN_PRECISION}, got {args.bits}")
     g = G_enclosure(args.n, args.bits)
     if g.is_point():
         print(f"G({args.n}) = {g.lo.decimal_str()} (exact)")

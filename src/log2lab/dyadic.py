@@ -207,10 +207,6 @@ class DyadicInterval:
     # -- constructors -----------------------------------------------------------
 
     @staticmethod
-    def point(x: DyadicRational) -> "DyadicInterval":
-        return DyadicInterval(x, x)
-
-    @staticmethod
     def from_int(v: int) -> "DyadicInterval":
         d = DyadicRational.from_int(v)
         return DyadicInterval(d, d)

@@ -35,7 +35,9 @@ from functools import lru_cache
 from typing import Iterator
 
 from .dyadic import DyadicInterval, DyadicRational
-from .exact import DomainError, ceil_log2, floor_log2_ratio, power_of_two_ratio, require_positive
+from .exact import (
+    DomainError, ceil_log2, floor_log2_fraction, floor_log2_ratio, require_positive
+)
 
 __all__ = [
     "ResourceLimitError",
@@ -43,11 +45,9 @@ __all__ = [
     "MAX_PRECISION_BITS",
     "WORK_CEILING",
     "FracTerm",
-    "floor_log2_fraction",
     "log2_fraction",
     "log2_int_enclosure",
     "log2_interval",
-    "log2_ratio_enclosure",
     "frac_log2_enclosure",
     "G_enclosure",
     "log2_factorial_enclosure",
@@ -97,16 +97,6 @@ def _part_precision(p: int, parts: int, scale: int = 1) -> int:
     if scale > 1:
         q += ceil_log2(scale)
     return q
-
-
-def floor_log2_fraction(num: int, den: int) -> int:
-    """Exact floor(log2(num/den)) for positive integers, by shift-compare."""
-    if num < 1 or den < 1:
-        raise DomainError("floor_log2_fraction needs positive num and den")
-    e = num.bit_length() - den.bit_length()
-    if e >= 0:
-        return e if (den << e) <= num else e - 1
-    return e if den <= (num << -e) else e - 1
 
 
 def _log2_core(num: int, den: int, p_core: int) -> tuple[int, int, int]:
@@ -235,22 +225,10 @@ def _frac_upper_clamp(a: int) -> DyadicRational:
     return DyadicRational((1 << t) - 1, -t)
 
 
-def log2_ratio_enclosure(a: int, j: int, p: int) -> DyadicInterval:
-    """Enclosure of log2(a/j) for 1 <= j <= a, width <= 2^-p.
-
-    Exact dyadic-power ratios come back as the point [k, k].
-    """
-    k = power_of_two_ratio(a, j)  # also validates 1 <= j <= a
-    if k is not None:
-        return DyadicInterval.from_int(k)
-    _check_precision(p)
-    return _raw_to_interval(*_log2_raw(a, j, p))
-
-
 def frac_log2_enclosure(a: int, j: int, p: int) -> FracTerm:
     """Certified {log2(a/j)} in [0, 1); the floor comes from exact arithmetic."""
     k = floor_log2_ratio(a, j)
-    encl = log2_ratio_enclosure(a, j, p)
+    encl = log2_fraction(Fraction(a, j), p)
     if encl.is_point():
         return FracTerm(n=a, m=j, k=k, frac=DyadicInterval.zero(), exact_zero=True)
     frac = encl.add_int(-k).intersect(
@@ -280,6 +258,7 @@ def G_enclosure(n: int, p: int) -> DyadicInterval:
     kernels and dyadic-power terms contributing exactly zero.
     """
     require_positive("n", n)
+    _check_precision(p)
     q_term = _part_precision(p, n)
     _check_precision(q_term)
     _check_sum_work(n, q_term)
@@ -288,8 +267,8 @@ def G_enclosure(n: int, p: int) -> DyadicInterval:
     s = q_log + _CORE_EXTRA + _EXTRA_STEPS
     ln_lo, ln_hi, _ = _log2_int_raw(n, q_log)
 
-    t_clamp = n.bit_length() + 2
-    clamp_hi = ((1 << t_clamp) - 1) << (s - t_clamp)
+    clamp = _frac_upper_clamp(n)
+    clamp_hi = clamp.mantissa << (s + clamp.exponent)
 
     acc_lo = 0
     acc_hi = 0
@@ -343,6 +322,7 @@ def _log2_factorial_prefixes(n_max: int, p: int) -> Iterator[tuple[int, int, int
     """Yield (m, lo, hi, s): log2 m! lies in [lo * 2^-s, hi * 2^-s], for
     m = 1..n_max.  Every term is computed at the n_max budget, so each prefix
     keeps width <= 2^-p."""
+    _check_precision(p)
     q = _part_precision(p, n_max)
     _check_precision(q)
     _check_sum_work(n_max, q)

@@ -15,14 +15,10 @@ a up to A in ascending order visits each m once: O(A + N), not O(N * A).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
 __all__ = [
     "DomainError",
     "IdentityViolationError",
-    "CountMethod",
-    "FloorLogCount",
+    "floor_log2_fraction",
     "floor_log2_ratio",
     "ceil_log2",
     "binary_digit_sum",
@@ -52,34 +48,6 @@ def require_positive(name: str, v: int) -> None:
         raise DomainError(f"{name} must be a positive integer, got {v}")
 
 
-class CountMethod(Enum):
-    FLOOR_FORMULA = "FloorFormula"
-    EVEN_ENUMERATION = "EvenEnumeration"
-    PAIR_ENUMERATION = "PairEnumeration"
-
-
-@dataclass(frozen=True)
-class FloorLogCount:
-    """Result of a floor-log2 counting sum, tagged with how it was obtained.
-
-    ``value`` is the exact integer result for bound ``a``.  For the odd-index
-    floor sum over odd ``a`` (method FLOOR_FORMULA as produced by
-    :func:`odd_floor_sum`) the counting identity forces value == (a - 1) // 2;
-    that check is enforced at construction time by the producing operation.
-    """
-
-    a: int
-    value: int
-    method: CountMethod
-
-    def __post_init__(self) -> None:
-        require_positive("bound", self.a)
-        if self.value < 0:
-            raise IdentityViolationError(
-                f"negative count {self.value} for a={self.a} ({self.method.value})"
-            )
-
-
 def _check_ratio_domain(a: int, j: int) -> None:
     require_positive("a", a)
     require_positive("j", j)
@@ -87,14 +55,20 @@ def _check_ratio_domain(a: int, j: int) -> None:
         raise DomainError(f"j={j} exceeds a={a}; only ratios >= 1 are in domain")
 
 
-def floor_log2_ratio(a: int, j: int) -> int:
-    """Largest k >= 0 with j * 2^k <= a, for 1 <= j <= a.
+def floor_log2_fraction(num: int, den: int) -> int:
+    """Exact floor(log2(num/den)) for positive integers, by shift-compare."""
+    if num < 1 or den < 1:
+        raise DomainError("floor_log2_fraction needs positive num and den")
+    e = num.bit_length() - den.bit_length()
+    if e >= 0:
+        return e if (den << e) <= num else e - 1
+    return e if den <= (num << -e) else e - 1
 
-    Equals floor(log2(a/j)).  Uses the fact that 2^k <= a/j iff 2^k <= a//j,
-    so the answer is one less than the bit length of a//j.
-    """
+
+def floor_log2_ratio(a: int, j: int) -> int:
+    """Largest k >= 0 with j * 2^k <= a, for 1 <= j <= a: floor(log2(a/j))."""
     _check_ratio_domain(a, j)
-    k = (a // j).bit_length() - 1
+    k = floor_log2_fraction(a, j)
     # defining property, cheap enough to keep as a hard guarantee
     if (j << k) > a or (j << (k + 1)) <= a:
         raise IdentityViolationError(f"floor_log2_ratio bracket failed for a={a}, j={j}")
@@ -123,7 +97,7 @@ def power_of_two_ratio(a: int, j: int) -> int | None:
     return q.bit_length() - 1
 
 
-def _floor_sum(a: int, odd_only: bool, expected: int, rule: str) -> FloorLogCount:
+def _floor_sum(a: int, odd_only: bool, expected: int, rule: str) -> int:
     """Sum of floor(log2(a/j)) over j <= a (odd j only, if odd_only), checked
     against the value ``rule`` gives.
 
@@ -140,10 +114,10 @@ def _floor_sum(a: int, odd_only: bool, expected: int, rule: str) -> FloorLogCoun
             f"{'odd' if odd_only else 'all-index'} floor sum for a={a} is {value}, "
             f"{rule} {expected}"
         )
-    return FloorLogCount(a=a, value=value, method=CountMethod.FLOOR_FORMULA)
+    return value
 
 
-def odd_floor_sum(a: int) -> FloorLogCount:
+def odd_floor_sum(a: int) -> int:
     """Sum of floor(log2(a/j)) over odd j <= a, for odd a.
 
     The counting identity pins this to (a - 1) / 2; a mismatch raises
@@ -213,7 +187,7 @@ def pair_enumeration_oracle(a: int) -> int:
     return count
 
 
-def all_floor_sum(a: int) -> FloorLogCount:
+def all_floor_sum(a: int) -> int:
     """Sum of floor(log2(a/j)) over ALL j <= a, for any a >= 1.
 
     Equals a - binary_digit_sum(a); that closed form was brute-force confirmed

@@ -30,7 +30,7 @@ from .bounds import (
     ramanujan_b_agreement,
 )
 from .dyadic import DyadicInterval
-from .enclosures import MAX_PRECISION_BITS, MIN_PRECISION, ResourceLimitError
+from .enclosures import MAX_PRECISION_BITS, MIN_PRECISION
 from .exact import (
     IdentityViolationError,
     binary_digit_sum,
@@ -218,7 +218,7 @@ def _verify_payload(config: SweepConfig, a: int) -> dict:
     disagreement."""
     expected = (a - 1) // 2
     try:
-        formula = odd_floor_sum(a).value
+        formula = odd_floor_sum(a)
     except IdentityViolationError as exc:
         failure = {"a": a, "error": str(exc)}
     else:
@@ -237,35 +237,40 @@ def _verify_payload(config: SweepConfig, a: int) -> dict:
     return {"fields": fields, "meta": failure}
 
 
-class _StopAtLimit:
-    """Worker-side payload function: a resource limit becomes the item's value.
+class _StopAtError:
+    """Worker-side payload function: an error becomes the item's value.
 
     ``Pool.imap`` fails a whole chunk when one item raises, losing the rows
     before it.  Returning the error keeps them; the instance is unpickled once
     per chunk, so the chunk's later items return the same error uncomputed.
+    The error is wrapped as ``Pool`` wraps a raised one, so it arrives with
+    the worker's traceback as its ``__cause__``.
     """
 
     def __init__(self, fn: Callable[[int], dict]):
         self.fn = fn
-        self.limit: ResourceLimitError | None = None
+        self.error = None
 
-    def __call__(self, n: int) -> dict | ResourceLimitError:
-        if self.limit is None:
+    def __call__(self, n: int):
+        if self.error is None:
             try:
                 return self.fn(n)
-            except ResourceLimitError as exc:
-                self.limit = exc
-        return self.limit
+            except Exception as exc:
+                # loaded in every pool worker; a top-level import would slow start-up
+                from multiprocessing.pool import ExceptionWithTraceback
+
+                self.error = ExceptionWithTraceback(exc, exc.__traceback__)
+        return self.error
 
 
 def _pool_map(config: SweepConfig, fn, items: list, chunksize: int) -> Iterator:
-    """Payloads in item order; a resource limit is raised at the item that hit it."""
+    """Payloads in item order; an error is raised at the item that hit it."""
     if config.workers == 1:
         yield from map(fn, items)
         return
     with Pool(processes=config.workers) as pool:  # leaving terminates and joins the workers
-        for payload in pool.imap(_StopAtLimit(fn), items, chunksize=chunksize):
-            if isinstance(payload, ResourceLimitError):
+        for payload in pool.imap(_StopAtError(fn), items, chunksize=chunksize):
+            if isinstance(payload, Exception):
                 raise payload
             yield payload
 
@@ -327,10 +332,9 @@ def _run(
     and runs in the workers.  ``fold(config, ns)`` builds the command's fold:
     its ``add`` takes the payloads in ascending n, each after its row is
     written, and ``finish(checked)`` returns the summary, the report lines
-    and the exit code.  An interrupt anywhere in that loop ends it early; the
-    output is then finalized as truncated and the run exits 2.  A resource
-    limit hit in that loop also finalizes the output as truncated, and is then
-    re-raised.
+    and the exit code.  Any exception in that loop ends it early and the
+    output is finalized as truncated; an interrupt then exits 2, and anything
+    else is re-raised.
     """
     config.validate()
     ns = config.ns()
@@ -338,33 +342,31 @@ def _run(
     writer = _Writer(stream, config.output_format, columns)
     acc = fold(config, ns)
     checked = 0
-    truncated = False
-    limit_hit = None
+    stopped: BaseException | None = None
     try:
         for payload in _pool_map(config, partial(payload_fn, config), ns, chunksize):
             if payload["fields"] is not None:
                 writer.write_row(payload["fields"])
             checked += 1
             acc.add(payload)
-    except KeyboardInterrupt:
-        truncated = True
-    except ResourceLimitError as exc:
-        truncated, limit_hit = True, exc
+    except BaseException as exc:  # the output is finalized as truncated below
+        stopped = exc
 
     summary, lines, code = acc.finish(checked)
-    summary["truncated"] = truncated
+    summary["truncated"] = stopped is not None
     writer.finish(summary)
     if close_me:
         stream.close()
-    if limit_hit is not None:
-        raise limit_hit
-    if truncated:
+    if isinstance(stopped, KeyboardInterrupt):
         lines.append("interrupted: output file is truncated but valid")
+        code = EXIT_INCONCLUSIVE
+    elif stopped is not None:
+        raise stopped
     report_stream = report_stream if report_stream is not None else sys.stderr
     for line in lines:
         report_stream.write(line + "\n")
     report_stream.flush()
-    return EXIT_INCONCLUSIVE if truncated else code
+    return code
 
 
 class _BoundsFold:

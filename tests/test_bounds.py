@@ -10,7 +10,6 @@ import pytest
 
 from log2lab.bounds import (
     VerdictStatus,
-    c_of_n,
     compare_bounds,
     error_term_e2,
     paper_equality_certificate,
@@ -19,7 +18,6 @@ from log2lab.bounds import (
     ramanujan_b_closed_form,
     ramanujan_b_printed,
     ramanujan_bounds_log2,
-    ramanujan_params,
     robbins_bounds_log2,
 )
 from log2lab.dyadic import DyadicInterval, DyadicRational
@@ -56,18 +54,13 @@ class TestPaperLowerBound:
 
 
 class TestErrorTermAndC:
-    @pytest.mark.parametrize("n,expected", [(1, 0), (3, 1), (7, 2)])
+    @pytest.mark.parametrize("n,expected", [(1, 0), (2, 0), (3, 1), (4, 0), (7, 2)])
     def test_examples(self, n, expected):
         iv = error_term_e2(n, 64)
         assert iv.width_within(64)
         assert iv.contains_int(expected)
         assert not iv.contains_int(expected - 1)
         assert not iv.contains_int(expected + 1)
-
-    @pytest.mark.parametrize("n,expected", [(2, 0), (3, 1), (4, 0)])
-    def test_c_examples(self, n, expected):
-        iv = c_of_n(n, 50)
-        assert iv.contains_int(expected)
 
     def test_digit_sum_hypothesis_brute_force(self):
         # direct interval evaluation for every n <= 512, no hypothesis assumed
@@ -77,10 +70,6 @@ class TestErrorTermAndC:
             assert iv.contains_int(target), n
             assert not iv.contains_int(target - 1), n
             assert not iv.contains_int(target + 1), n
-
-    def test_c_equals_e2_pointwise(self):
-        for n in (1, 2, 3, 17, 100):
-            assert c_of_n(n, 60) == error_term_e2(n, 60)
 
 
 class TestEqualityCertificate:
@@ -132,9 +121,8 @@ class TestRamanujan:
     def test_width_contract_with_closed_form_b(self):
         # the printed decimal's own 1e-11 width is irreducible at small n,
         # so the plain 2^-p contract is checked on the closed-form path
-        params = ramanujan_params("closed-form", 64)
         for n in (1, 10, 100, 2000):
-            lower, upper = ramanujan_bounds_log2(n, 64, params)
+            lower, upper = ramanujan_bounds_log2(n, 64, "closed-form")
             assert lower.width_within(64)
             assert upper.width_within(64)
 
@@ -145,7 +133,7 @@ class TestRamanujan:
         assert fact.hi < lower.lo
 
     def test_n1_upper_below_factorial_printed_b(self):
-        _, upper = ramanujan_bounds_log2(1, 64, ramanujan_params("printed", 64))
+        _, upper = ramanujan_bounds_log2(1, 64, "printed")
         assert upper.hi < DyadicRational(0)  # log2(1!) = 0 sits above it
 
     def test_polynomial_argument_is_exact(self):
@@ -153,12 +141,14 @@ class TestRamanujan:
         assert Fraction(240 * 1000 + 120 * 100 + 300 + 1, 30) == Fraction(252301, 30)
 
     def test_b_sources(self):
-        printed = ramanujan_params("printed", 64)
-        closed = ramanujan_params("closed-form", 64)
-        assert printed.a_const == closed.a_const == Fraction(39, 54)
-        assert printed.b_const != closed.b_const
+        printed = ramanujan_bounds_log2(10, 64, "printed")
+        closed = ramanujan_bounds_log2(10, 64, "closed-form")
+        assert printed[0] == closed[0]  # the lower side uses a only
+        assert printed[1] != closed[1]
         with pytest.raises(DomainError):
-            ramanujan_params("guess", 64)
+            ramanujan_bounds_log2(10, 64, "guess")
+        with pytest.raises(DomainError):
+            compare_bounds(10, 64, b_source="guess")
 
     def test_b_agreement_reports_the_disagreement(self):
         report = ramanujan_b_agreement(64)

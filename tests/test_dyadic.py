@@ -7,6 +7,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from log2lab.dyadic import (
     DyadicInterval,
@@ -175,3 +177,76 @@ class TestDyadicInterval:
         outer = iv.round_outward(0)
         assert outer.lo == DyadicRational(0) and outer.hi == DyadicRational(2)
         assert outer.contains_interval(iv)
+
+
+# endpoints with zero, negative and +-2000-exponent values
+_EXPONENTS = st.sampled_from([-2000, 2000]) | st.integers(-2000, 2000)
+
+
+def _dyadics(min_mantissa: int = -(1 << 64)):
+    return st.just(DyadicRational(0)) | st.builds(
+        DyadicRational, st.integers(min_mantissa, 1 << 64), _EXPONENTS
+    )
+
+
+@st.composite
+def _intervals(draw, min_mantissa: int = -(1 << 64)):
+    a, b = draw(_dyadics(min_mantissa)), draw(_dyadics(min_mantissa))
+    return DyadicInterval(min(a, b), max(a, b))
+
+
+def _points(iv: DyadicInterval, t: Fraction) -> list[Fraction]:
+    """Both endpoints and the interior point lo + t (hi - lo) of iv."""
+    lo, hi = iv.lo.to_fraction(), iv.hi.to_fraction()
+    return [lo, hi, lo + t * (hi - lo)]
+
+
+_FRACTIONS = st.fractions(0, 1, max_denominator=1 << 20)
+
+
+class TestIntervalProperties:
+    """Containment of the exact and outward-rounded operations, checked at
+    both endpoints and an interior point of the input."""
+
+    @settings(deadline=None)
+    @given(_intervals(), _FRACTIONS, _dyadics())
+    def test_scale_dyadic(self, iv, t, d):
+        out = iv.scale_dyadic(d)
+        for x in _points(iv, t):
+            assert out.contains_fraction(x * d.to_fraction())
+
+    @settings(deadline=None)
+    @given(_intervals(min_mantissa=0), _FRACTIONS, st.integers(0, 5))
+    def test_pow_int(self, iv, t, k):
+        out = iv.pow_int(k)
+        for x in _points(iv, t):
+            assert out.contains_fraction(x**k)
+
+    @settings(deadline=None)
+    @given(_intervals(), _FRACTIONS, st.integers(-(1 << 70), 1 << 70))
+    def test_add_int(self, iv, t, v):
+        out = iv.add_int(v)
+        for x in _points(iv, t):
+            assert out.contains_fraction(x + v)
+
+    @settings(deadline=None)
+    @given(_intervals(), _FRACTIONS, st.integers(-64, 2100))
+    def test_round_outward(self, iv, t, frac_bits):
+        out = iv.round_outward(frac_bits)
+        assert out.contains_interval(iv)
+        for x in _points(iv, t):
+            assert out.contains_fraction(x)
+        grid = Fraction(2) ** -frac_bits
+        assert out.width().to_fraction() < iv.width().to_fraction() + 2 * grid
+
+    @settings(deadline=None)
+    @given(_intervals(), _dyadics(), _dyadics())
+    def test_intersect(self, iv, w1, w2):
+        # other holds the midpoint of iv, so the two always overlap
+        mid = (iv.lo + iv.hi).half()
+        other = DyadicInterval(min(mid, w1), max(mid, w2))
+        out = iv.intersect(other)
+        assert iv.contains_interval(out) and other.contains_interval(out)
+        for x in (d.to_fraction() for d in (iv.lo, iv.hi, mid, other.lo, other.hi)):
+            if iv.contains_fraction(x) and other.contains_fraction(x):
+                assert out.contains_fraction(x)

@@ -24,7 +24,6 @@ from log2lab.enclosures import (
     log2_factorial_running,
     log2_fraction,
     log2_pi_interval,
-    log2_ratio_enclosure,
     pi_interval,
 )
 from log2lab.exact import DomainError, power_of_two_ratio
@@ -49,25 +48,21 @@ LOG2_PI = "1.651496129472318798043279295108007335018"
 class TestLog2Ratio:
     def test_power_of_two_is_exact_point(self):
         for a, j, k in [(8, 1, 3), (1024, 1, 10), (6, 3, 1), (5, 5, 0)]:
-            iv = log2_ratio_enclosure(a, j, 60)
+            iv = log2_fraction(Fraction(a, j), 60)
             assert iv.is_point() and iv.lo == DyadicRational(k)
 
     def test_log2_3_enclosure(self):
-        iv = log2_ratio_enclosure(3, 1, 60)
+        iv = log2_fraction(Fraction(3), 60)
         assert iv.width_within(60)
         assert interval_contains(iv, LOG2_3)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            log2_ratio_enclosure(3, 4, 60)
-        with pytest.raises(DomainError):
-            log2_ratio_enclosure(3, 0, 60)
-        with pytest.raises(DomainError):
-            log2_ratio_enclosure(3, 2, 3)  # p below the floor
+            log2_fraction(Fraction(3, 2), 3)  # p below the floor
 
     def test_precision_ceiling(self):
         with pytest.raises(ResourceLimitError):
-            log2_ratio_enclosure(3, 1, MAX_PRECISION_BITS + 1)
+            log2_fraction(Fraction(3), MAX_PRECISION_BITS + 1)
 
     def test_general_fraction_negative_logs(self):
         iv = log2_fraction(Fraction(1, 3), 60)
@@ -141,6 +136,26 @@ class TestGEnclosure:
     def test_domain(self):
         with pytest.raises(DomainError):
             G_enclosure(0, 50)
+
+
+class TestPrecisionFloor:
+    """Every enclosure rejects a caller's p below the 4-bit floor, exact
+    results and sums whose terms get a finer precision included."""
+
+    @pytest.mark.parametrize(
+        "fn,args",
+        [
+            (G_enclosure, (5, 1)),
+            (G_enclosure, (2, 0)),
+            (log2_factorial_by_sum, (5, 2)),
+            (lambda n, p: list(log2_factorial_running(n, p)), (3, 1)),
+            (frac_log2_enclosure, (8, 1, 3)),
+        ],
+        ids=["G", "G-exact", "factorial-by-sum", "factorial-running", "frac-exact"],
+    )
+    def test_rejects_p_below_floor(self, fn, args):
+        with pytest.raises(DomainError, match=f"precision must be >= 4 bits, got {args[-1]}$"):
+            fn(*args)
 
 
 class TestLog2Factorial:
@@ -217,8 +232,8 @@ class TestIntervalContracts:
             cases.append((a, rng.randrange(1, a + 1)))
         for a, j in cases:
             p = rng.choice([16, 53, 128])
-            iv = log2_ratio_enclosure(a, j, p)
-            finer = log2_ratio_enclosure(a, j, p + 32)
+            iv = log2_fraction(Fraction(a, j), p)
+            finer = log2_fraction(Fraction(a, j), p + 32)
             assert iv.width_within(p)
             assert finer.width_within(p + 32)
             assert iv.contains_interval(finer), (a, j, p)
@@ -246,6 +261,6 @@ class TestIntervalContracts:
         a = G_enclosure(123, 64)
         b = G_enclosure(123, 64)
         assert a == b and a.lo.mantissa == b.lo.mantissa
-        x = log2_ratio_enclosure(987654321, 12345, 128)
-        y = log2_ratio_enclosure(987654321, 12345, 128)
+        x = log2_fraction(Fraction(987654321, 12345), 128)
+        y = log2_fraction(Fraction(987654321, 12345), 128)
         assert x == y

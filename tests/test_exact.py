@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +11,12 @@ from hypothesis import strategies as st
 
 import log2lab.exact as exact_mod
 from log2lab.exact import (
-    CountMethod,
     DomainError,
     all_floor_sum,
     binary_digit_sum,
     ceil_log2,
     even_count_oracle,
+    floor_log2_fraction,
     floor_log2_ratio,
     odd_floor_sum,
     pair_enumeration_oracle,
@@ -65,6 +66,12 @@ class TestFloorLog2Ratio:
         with pytest.raises(DomainError):
             floor_log2_ratio(a, j)
 
+    @given(st.integers(1, 1 << 80), st.integers(1, 1 << 80))
+    def test_fraction_kernel_brackets_any_ratio(self, num, den):
+        # the kernel behind floor_log2_ratio, also for ratios below 1
+        k = floor_log2_fraction(num, den)
+        assert Fraction(2) ** k <= Fraction(num, den) < Fraction(2) ** (k + 1)
+
 
 class TestSmallHelpers:
     @pytest.mark.parametrize("a,expected", [(0, 0), (8, 1), (7, 3), (255, 8), (256, 1)])
@@ -100,10 +107,7 @@ class TestSmallHelpers:
 class TestOddFloorSum:
     @pytest.mark.parametrize("a,expected", [(1, 0), (7, 3), (9, 4)])
     def test_examples(self, a, expected):
-        result = odd_floor_sum(a)
-        assert result.value == expected
-        assert result.method is CountMethod.FLOOR_FORMULA
-        assert result.a == a
+        assert odd_floor_sum(a) == expected
 
     def test_rejects_even(self):
         with pytest.raises(DomainError):
@@ -114,7 +118,7 @@ class TestOddFloorSum:
         for _ in range(50):
             a = rng.randrange(1, 4000) | 1
             direct = sum(floor_log2_doubling(a, j) for j in range(1, a + 1, 2))
-            assert odd_floor_sum(a).value == direct == (a - 1) // 2
+            assert odd_floor_sum(a) == direct == (a - 1) // 2
 
 
 class TestEnumerationOracles:
@@ -137,7 +141,7 @@ class TestEnumerationOracles:
     def test_three_way_agreement_small_range(self):
         for a in range(1, 1000, 2):
             expected = (a - 1) // 2
-            assert odd_floor_sum(a).value == expected
+            assert odd_floor_sum(a) == expected
             assert even_count_oracle(a) == expected
             assert pair_enumeration_oracle(a) == expected
 
@@ -222,24 +226,24 @@ class TestResumableOracles:
 class TestAllFloorSum:
     @pytest.mark.parametrize("a,expected", [(1, 0), (7, 4), (8, 7)])
     def test_examples(self, a, expected):
-        assert all_floor_sum(a).value == expected
+        assert all_floor_sum(a) == expected
 
     def test_closed_form_small_range(self):
         for a in range(1, 2000):
             direct = sum(floor_log2_doubling(a, j) for j in range(1, a + 1)) if a <= 300 else None
-            got = all_floor_sum(a).value
+            got = all_floor_sum(a)
             assert got == a - binary_digit_sum(a)
             if direct is not None:
                 assert got == direct
 
     def test_large_values(self):
         for a in (10**6 + 3, 2**30, 2**31 - 1):
-            assert all_floor_sum(a).value == a - binary_digit_sum(a)
+            assert all_floor_sum(a) == a - binary_digit_sum(a)
 
     def test_beyond_int64(self):
         a = 2**70 + 1
-        assert all_floor_sum(a).value == a - 2
-        assert odd_floor_sum(a).value == (a - 1) // 2
+        assert all_floor_sum(a) == a - 2
+        assert odd_floor_sum(a) == (a - 1) // 2
 
 
 def test_module_source_has_no_floating_point():

@@ -35,6 +35,15 @@ from log2lab.sweep import (
 
 DECIMAL_RE = re.compile(r"^-?\d+(\.\d+)?$")
 
+_ERROR_TERM_PAYLOAD = sweep_mod._error_term_payload
+
+
+def _error_term_payload_failing_at_2(config, n):
+    # module level, so that worker processes can unpickle it
+    if n == 2:
+        raise RuntimeError("payload failed at n=2")
+    return _ERROR_TERM_PAYLOAD(config, n)
+
 
 def run_to_files(runner, config, tmp_path, name):
     out = tmp_path / name
@@ -358,6 +367,27 @@ class TestCliContract:
         assert summary["truncated"] is True
         assert [row["n"] for row in payload[:-1]] == ["1"]
         assert summary["checked"] == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_any_error_mid_run_leaves_valid_truncated_json(
+        self, tmp_path, capsys, monkeypatch, workers
+    ):
+        monkeypatch.setattr(sweep_mod, "_error_term_payload", _error_term_payload_failing_at_2)
+        argv = ["error-term", "--range", "1..3", "--format", "json"]
+        outs = {}
+        for w in sorted({1, workers}):
+            outs[w] = tmp_path / f"e2_w{w}.json"
+            with pytest.raises(RuntimeError, match="payload failed at n=2") as raised:
+                main(argv + ["--workers", str(w), "--out", str(outs[w])])
+        capsys.readouterr()
+        if workers > 1:  # the worker's traceback travels with the error
+            assert "_error_term_payload_failing_at_2" in str(raised.value.__cause__)
+        payload = json.loads(outs[workers].read_text())
+        summary = payload[-1]["summary"]
+        assert summary["truncated"] is True
+        assert summary["checked"] == 1
+        assert [row["n"] for row in payload[:-1]] == ["1"]
+        assert outs[workers].read_bytes() == outs[1].read_bytes()
 
     def test_range_commands_skip_numpy(self):
         code = (
