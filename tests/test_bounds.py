@@ -54,10 +54,18 @@ class TestPaperLowerBound:
 
 
 class TestErrorTermAndC:
-    @pytest.mark.parametrize("n,expected", [(1, 0), (2, 0), (3, 1), (4, 0), (7, 2)])
+    @pytest.mark.parametrize("n,expected", [(1, 0), (3, 1), (7, 2)])
     def test_examples(self, n, expected):
         iv = error_term_e2(n, 64)
         assert iv.width_within(64)
+        assert iv.contains_int(expected)
+        assert not iv.contains_int(expected - 1)
+        assert not iv.contains_int(expected + 1)
+
+    @pytest.mark.parametrize("n,expected", [(2, 0), (3, 1), (4, 0)])
+    def test_c_examples(self, n, expected):
+        # log2 C(n), as a compared row carries it, pins the integer exactly
+        iv = compare_bounds(n, 50).c_log2
         assert iv.contains_int(expected)
         assert not iv.contains_int(expected - 1)
         assert not iv.contains_int(expected + 1)
