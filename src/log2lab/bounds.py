@@ -26,6 +26,7 @@ from functools import lru_cache
 from .dyadic import DyadicInterval, DyadicRational, dyadic_from_fraction
 from .enclosures import (
     MIN_PRECISION,
+    _ROW_PARTS,
     G_enclosure,
     _part_precision,
     e_interval,
@@ -184,9 +185,9 @@ def _counting_parts(
 ) -> tuple[DyadicInterval, DyadicInterval, DyadicInterval, DyadicInterval]:
     """(log2 n!, G(n), log2 counting bound, e2(n)), from log2 n!, n log2 n and
     G(n) each enclosed at a third of the 2^-p budget."""
-    q = _part_precision(p, 3)
+    q = _part_precision(p, _ROW_PARTS)
     fact = log2_factorial_enclosure(n, q)
-    x = log2_int_enclosure(n, _part_precision(p, 3, n)).scale_int(n)
+    x = log2_int_enclosure(n, _part_precision(p, _ROW_PARTS, n)).scale_int(n)
     g = G_enclosure(n, q)
     paper_lb = x.add_int(-(n - 1)) - g
     return fact, g, paper_lb, fact - paper_lb

@@ -9,7 +9,10 @@ Exit codes are a contract shared by every subcommand:
       run is interrupted and the output file was finalized as truncated);
 * 3 — usage or configuration error (no output file is created), or a
       precision or work ceiling hit mid-run (the output file is finalized as
-      truncated but valid).
+      truncated but valid);
+* 4 — internal error: any other exception.  ``log2lab: internal error: ...``
+      and the traceback (a pool worker's included) go to stderr, and the
+      output file is finalized as truncated but valid.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import sys
 from .enclosures import G_enclosure, ResourceLimitError
 from .exact import DomainError
 from .sweep import (
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     SweepConfig,
@@ -152,6 +156,12 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         sys.stderr.write(f"log2lab: resource limit: {exc}\n")
         return EXIT_USAGE
+    except Exception as exc:
+        import traceback  # only on this path; a top-level import would slow start-up
+
+        sys.stderr.write(f"log2lab: internal error: {exc}\n")
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

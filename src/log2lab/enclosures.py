@@ -10,6 +10,18 @@ Integer parts of logarithms are never taken from intervals; they come from the
 exact kernels in :mod:`log2lab.exact`, which is what keeps fractional parts
 from being mis-assigned near powers of two.
 
+The two term sums, G(n) and the log2 m! prefixes, read log2 m from one table
+for m <= n.  Only primes call the log core.  A power of two is a point, and a
+composite m is the exact integer sum of the brackets of its least prime
+factor (from a sieve) and of its cofactor, on one common scale, since
+log2 m = sum of e_i log2 p_i holds exactly.  An n-term sum therefore costs
+pi(n) core calls instead of n.  A composite's width adds up Omega(m) <
+bit_length(n) prime widths, so the table runs ceil(log2 bit_length(n)) + 1
+guard bits finer than the term precision, and every entry stays within the
+width of one direct core bracket at that precision.  Single-integer
+enclosures (``log2_int_enclosure``, log2 n! from the exact factorial) keep the
+direct core.
+
 Every non-exact primitive enclosure is computed two bits finer than requested
 and then padded outward by two ulps.  The pad costs a fraction of the width
 budget and buys a structural guarantee: the true value sits at least
@@ -44,6 +56,7 @@ __all__ = [
     "MIN_PRECISION",
     "MAX_PRECISION_BITS",
     "WORK_CEILING",
+    "attempt_precision",
     "FracTerm",
     "log2_fraction",
     "log2_int_enclosure",
@@ -97,6 +110,22 @@ def _part_precision(p: int, parts: int, scale: int = 1) -> int:
     if scale > 1:
         q += ceil_log2(scale)
     return q
+
+
+# a BoundRow encloses log2 n!, n log2 n and G(n) at a third of its budget each
+_ROW_PARTS = 3
+
+
+def attempt_precision(n_hi: int, p: int) -> int:
+    """Largest precision that computing a row at precision p asks for, over
+    every n <= n_hi: the log2 m table under G(n), the finest part of a row.
+
+    It grows with n and is taken at n >= 2, which also covers log2 pi (p + 7
+    bits), the finest part of the row at n = 1.
+    """
+    n = max(n_hi, 2)
+    q_g = _part_precision(p, _ROW_PARTS)
+    return _table_precision(n, _part_precision(q_g, n) + 1)
 
 
 def _log2_core(num: int, den: int, p_core: int) -> tuple[int, int, int]:
@@ -249,13 +278,59 @@ def _check_sum_work(n: int, p: int) -> None:
         )
 
 
+def _least_prime_factors(n: int) -> list[int]:
+    """spf with spf[m] the least prime factor of m for 2 <= m <= n (and
+    spf[m] = m for m < 2), by a sieve over the primes up to sqrt(n)."""
+    spf = list(range(n + 1))
+    r = math.isqrt(n)
+    if r >= 2:
+        small = _least_prime_factors(r)
+        # descending, so that the least prime factor is written last
+        for f in range(r, 1, -1):
+            if small[f] == f:
+                spf[f * f :: f] = [f] * ((n - f * f) // f + 1)
+    return spf
+
+
+def _table_precision(n: int, q: int) -> int:
+    """Precision of the log2 table for m <= n whose entries are each held to q
+    bits: a composite's bracket adds up Omega(m) < bit_length(n) prime widths."""
+    return q + ceil_log2(n.bit_length()) + 1
+
+
+def _log2_table(n: int, q: int) -> tuple[list[int], list[int], int]:
+    """Scaled brackets of log2 m for m = 1..n on one scale s, each no wider
+    than one _log2_raw bracket at precision q: log2 m lies in
+    [lo[m] * 2^-s, hi[m] * 2^-s].
+
+    Only primes call the log core (through the per-integer cache); powers of
+    two are points, and a composite is the exact sum of the brackets of its
+    least prime factor and its cofactor.
+    """
+    q_tab = _table_precision(n, q)
+    _check_precision(q_tab)
+    s = q_tab + _CORE_EXTRA + _EXTRA_STEPS
+    spf = _least_prime_factors(n)
+    lo = [0] * (n + 1)
+    hi = [0] * (n + 1)
+    for m in range(2, n + 1):
+        f = spf[m]
+        if f < m:
+            c = m // f
+            lo[m] = lo[f] + lo[c]
+            hi[m] = hi[f] + hi[c]
+        else:
+            lo[m], hi[m], _ = _log2_int_raw(m, q_tab)
+    return lo, hi, s
+
+
 def G_enclosure(n: int, p: int) -> DyadicInterval:
     """Enclosure of G(n) = sum over m <= n of {log2(n/m)}, width <= 2^-p.
 
     Each term is held to width below 2^-(p + ceil(log2 n) + 1), which caps the
-    summed width at 2^-p.  Terms are differences of shared per-integer log
-    enclosures (one guard bit finer), with integer parts from the exact
-    kernels and dyadic-power terms contributing exactly zero.
+    summed width at 2^-p.  Terms are differences of entries of the log2 m
+    table (one guard bit finer), with integer parts from the exact kernels
+    and dyadic-power terms contributing exactly zero.
     """
     require_positive("n", n)
     _check_precision(p)
@@ -263,9 +338,8 @@ def G_enclosure(n: int, p: int) -> DyadicInterval:
     _check_precision(q_term)
     _check_sum_work(n, q_term)
 
-    q_log = q_term + 1
-    s = q_log + _CORE_EXTRA + _EXTRA_STEPS
-    ln_lo, ln_hi, _ = _log2_int_raw(n, q_log)
+    lo, hi, s = _log2_table(n, q_term + 1)
+    ln_lo, ln_hi = lo[n], hi[n]
 
     clamp = _frac_upper_clamp(n)
     clamp_hi = clamp.mantissa << (s + clamp.exponent)
@@ -277,9 +351,8 @@ def G_enclosure(n: int, p: int) -> DyadicInterval:
         if r == 0 and q & (q - 1) == 0:
             continue  # exact dyadic-power ratio: the term is exactly zero
         k_shift = (q.bit_length() - 1) << s
-        lm_lo, lm_hi, _ = _log2_int_raw(m, q_log)
-        t_lo = ln_lo - lm_hi - k_shift
-        t_hi = ln_hi - lm_lo - k_shift
+        t_lo = ln_lo - hi[m] - k_shift
+        t_hi = ln_hi - lo[m] - k_shift
         if t_lo < 0:
             t_lo = 0
         if t_hi > clamp_hi:
@@ -326,14 +399,12 @@ def _log2_factorial_prefixes(n_max: int, p: int) -> Iterator[tuple[int, int, int
     q = _part_precision(p, n_max)
     _check_precision(q)
     _check_sum_work(n_max, q)
-    s = q + _CORE_EXTRA + _EXTRA_STEPS
+    lo, hi, s = _log2_table(n_max, q)
     acc_lo = 0
     acc_hi = 0
-    yield 1, 0, 0, s
-    for m in range(2, n_max + 1):
-        lm_lo, lm_hi, _ = _log2_int_raw(m, q)
-        acc_lo += lm_lo
-        acc_hi += lm_hi
+    for m in range(1, n_max + 1):
+        acc_lo += lo[m]
+        acc_hi += hi[m]
         yield m, acc_lo, acc_hi, s
 
 

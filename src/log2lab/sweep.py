@@ -30,7 +30,7 @@ from .bounds import (
     ramanujan_b_agreement,
 )
 from .dyadic import DyadicInterval
-from .enclosures import MAX_PRECISION_BITS, MIN_PRECISION
+from .enclosures import MAX_PRECISION_BITS, MIN_PRECISION, attempt_precision
 from .exact import (
     IdentityViolationError,
     binary_digit_sum,
@@ -49,6 +49,7 @@ __all__ = [
     "EXIT_VIOLATION",
     "EXIT_INCONCLUSIVE",
     "EXIT_USAGE",
+    "EXIT_INTERNAL",
     "run_bounds_sweep",
     "run_error_term",
     "run_verify_theorem",
@@ -58,6 +59,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(ValueError):
@@ -86,10 +88,11 @@ class SweepConfig:
             raise UsageError(
                 f"precision must be >= {MIN_PRECISION} bits, got {self.precision_bits}"
             )
-        if self.precision_bits > MAX_PRECISION_BITS:
+        need = attempt_precision(self.n_hi, self.precision_bits)
+        if need > MAX_PRECISION_BITS:
             raise UsageError(
-                f"precision {self.precision_bits} exceeds the ceiling of "
-                f"{MAX_PRECISION_BITS} bits"
+                f"precision {self.precision_bits} needs {need} bits for n <= {self.n_hi}, "
+                f"above the ceiling of {MAX_PRECISION_BITS} bits"
             )
         if self.max_escalations < 0:
             raise UsageError("max escalations must be >= 0")
@@ -334,7 +337,7 @@ def _run(
     written, and ``finish(checked)`` returns the summary, the report lines
     and the exit code.  Any exception in that loop ends it early and the
     output is finalized as truncated; an interrupt then exits 2, and anything
-    else is re-raised.
+    else is re-raised for ``cli.main`` to map to exit code 3 or 4.
     """
     config.validate()
     ns = config.ns()

@@ -8,6 +8,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+import log2lab.enclosures as enclosures_mod
 from log2lab.bounds import (
     VerdictStatus,
     compare_bounds,
@@ -21,7 +22,7 @@ from log2lab.bounds import (
     robbins_bounds_log2,
 )
 from log2lab.dyadic import DyadicInterval, DyadicRational
-from log2lab.enclosures import log2_factorial_enclosure
+from log2lab.enclosures import attempt_precision, log2_factorial_enclosure
 from log2lab.exact import DomainError, binary_digit_sum
 
 from conftest import g_oracle, interval_contains
@@ -250,3 +251,28 @@ class TestCompareBounds:
             row = compare_bounds(n, 53)
             assert row.verdicts["paper"].status is VerdictStatus.HOLDS
             assert row.equality == (binary_digit_sum(n) == 1)
+
+
+class TestAttemptPrecision:
+    """attempt_precision is the finest precision a row asks the enclosures
+    for, which is what lets validation reject a --bits before any output."""
+
+    def test_is_the_largest_precision_a_row_asks_for(self, monkeypatch):
+        asked = []
+        real = enclosures_mod._check_precision
+
+        def recorded(p):
+            asked.append(p)
+            real(p)
+
+        monkeypatch.setattr(enclosures_mod, "_check_precision", recorded)
+        for n in (1, 2, 3, 4, 5, 8, 17, 100, 255, 256, 257, 1000):
+            for p in (4, 16, 64, 100):
+                enclosures_mod.log2_pi_interval.cache_clear()  # its check runs on a miss
+                asked.clear()
+                compare_bounds(n, p, max_escalations=0, b_source="closed-form")
+                error_term_e2(n, p)
+                if n == 1:  # taken at n = 2: one bit above log2 pi at p + 7
+                    assert max(asked) == p + 7 == attempt_precision(n, p) - 1
+                else:
+                    assert max(asked) == attempt_precision(n, p), (n, p)

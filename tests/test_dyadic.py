@@ -195,6 +195,11 @@ def _intervals(draw, min_mantissa: int = -(1 << 64)):
     return DyadicInterval(min(a, b), max(a, b))
 
 
+def _positive_intervals():
+    positive = st.builds(DyadicRational, st.integers(1, 1 << 64), _EXPONENTS)
+    return st.tuples(positive, positive).map(lambda ab: DyadicInterval(min(ab), max(ab)))
+
+
 def _points(iv: DyadicInterval, t: Fraction) -> list[Fraction]:
     """Both endpoints and the interior point lo + t (hi - lo) of iv."""
     lo, hi = iv.lo.to_fraction(), iv.hi.to_fraction()
@@ -202,6 +207,8 @@ def _points(iv: DyadicInterval, t: Fraction) -> list[Fraction]:
 
 
 _FRACTIONS = st.fractions(0, 1, max_denominator=1 << 20)
+# result grids of the rounded operations, which callers only ask at >= 0 bits
+_FRAC_BITS = st.integers(0, 2100)
 
 
 class TestIntervalProperties:
@@ -250,3 +257,59 @@ class TestIntervalProperties:
         for x in (d.to_fraction() for d in (iv.lo, iv.hi, mid, other.lo, other.hi)):
             if iv.contains_fraction(x) and other.contains_fraction(x):
                 assert out.contains_fraction(x)
+
+    @settings(deadline=None)
+    @given(_positive_intervals(), _FRACTIONS, _FRAC_BITS)
+    def test_reciprocal(self, iv, t, frac_bits):
+        out = iv.reciprocal(frac_bits)
+        for x in _points(iv, t):
+            assert out.contains_fraction(1 / x)
+        grid = Fraction(2) ** -frac_bits
+        exact = 1 / iv.lo.to_fraction() - 1 / iv.hi.to_fraction()
+        assert out.width().to_fraction() < exact + 2 * grid
+
+    @settings(deadline=None)
+    @given(_intervals(), _FRACTIONS, st.integers(1, 1 << 70), _FRAC_BITS)
+    def test_div_by_posint(self, iv, t, k, frac_bits):
+        out = iv.div_by_posint(k, frac_bits)
+        for x in _points(iv, t):
+            assert out.contains_fraction(x / k)
+        grid = Fraction(2) ** -frac_bits
+        assert out.width().to_fraction() < iv.width().to_fraction() / k + 2 * grid
+
+    @settings(deadline=None)
+    @given(
+        _intervals(),
+        _FRACTIONS,
+        st.fractions(Fraction(1, 1 << 40), 1 << 40, max_denominator=1 << 40),
+        _FRAC_BITS,
+    )
+    def test_mul_fraction(self, iv, t, fr, frac_bits):
+        out = iv.mul_fraction(fr, frac_bits)
+        for x in _points(iv, t):
+            assert out.contains_fraction(x * fr)
+        grid = Fraction(2) ** -frac_bits
+        assert out.width().to_fraction() < iv.width().to_fraction() * fr + 2 * grid
+
+    @settings(deadline=None)
+    @given(_intervals(min_mantissa=0), _FRACTIONS, st.integers(2, 6), st.integers(0, 200))
+    def test_nth_root(self, iv, t, k, frac_bits):
+        # each endpoint is the nearest grid point outward of the exact root
+        out = iv.nth_root(k, frac_bits)
+        grid = Fraction(2) ** -frac_bits
+        lo, hi = out.lo.to_fraction(), out.hi.to_fraction()
+        for x in _points(iv, t):
+            assert lo**k <= x <= hi**k
+        assert (lo + grid) ** k > iv.lo.to_fraction()
+        assert hi == 0 or (hi - grid) ** k < iv.hi.to_fraction()
+
+
+class TestDecimalStrProperty:
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(-(1 << 64), 1 << 64), st.integers(-20000, 20000))
+    def test_round_trip(self, m, e):
+        d = DyadicRational(m, e)
+        text = d.decimal_str()
+        assert Fraction(Decimal(text)) == d.to_fraction()
+        # canonical: no trailing fractional zeros, no bare point
+        assert not text.endswith(".") and ("." not in text or not text.endswith("0"))

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import log2lab.enclosures as enclosures_mod
 from log2lab.dyadic import DyadicInterval, DyadicRational
@@ -136,6 +139,123 @@ class TestGEnclosure:
     def test_domain(self):
         with pytest.raises(DomainError):
             G_enclosure(0, 50)
+
+
+def direct_G_enclosure(n: int, p: int) -> DyadicInterval:
+    """G(n) as the term sum computed before the log table: one certified core
+    call per m, each at the term precision plus one guard bit."""
+    q_log = enclosures_mod._part_precision(p, n) + 1
+    lo_n, hi_n, s = enclosures_mod._log2_int_raw(n, q_log)
+    clamp = enclosures_mod._frac_upper_clamp(n)
+    clamp_hi = clamp.mantissa << (s + clamp.exponent)
+    acc_lo = acc_hi = 0
+    for m in range(1, n + 1):
+        q, r = divmod(n, m)
+        if r == 0 and q & (q - 1) == 0:
+            continue
+        k_shift = (q.bit_length() - 1) << s
+        lo_m, hi_m, _ = enclosures_mod._log2_int_raw(m, q_log)
+        acc_lo += max(lo_n - hi_m - k_shift, 0)
+        acc_hi += min(hi_n - lo_m - k_shift, clamp_hi)
+    return DyadicInterval(DyadicRational(acc_lo, -s), DyadicRational(acc_hi, -s))
+
+
+def _is_prime(m: int) -> bool:
+    return m > 1 and all(m % d for d in range(2, math.isqrt(m) + 1))
+
+
+_TABLE_LIMIT = 1 << 13
+_PRIMES = [m for m in range(2, _TABLE_LIMIT + 1) if _is_prime(m)]
+
+
+def _product_within_limit(factors: list[int]) -> int:
+    m = 1
+    for f in factors:
+        if m * f > _TABLE_LIMIT:
+            break
+        m *= f
+    return m
+
+
+# primes, powers of two, and products of many small primes (large Omega)
+_TABLE_ARGS = (
+    st.sampled_from(_PRIMES)
+    | st.integers(0, 13).map(lambda k: 1 << k)
+    | st.lists(st.sampled_from((2, 3, 5, 7)), min_size=4, max_size=13).map(
+        _product_within_limit
+    )
+)
+_TERM_PRECISIONS = st.sampled_from([16, 53, 128])
+
+
+class TestLog2Table:
+    """The per-integer table behind the term sums: log core calls for primes
+    only, exact sums of brackets for every other m."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(_TABLE_ARGS, _TERM_PRECISIONS)
+    def test_contains_log2_m_within_one_prime_width(self, m, q):
+        lo, hi, s = enclosures_mod._log2_table(m, q)
+        if m & (m - 1) == 0:
+            assert lo[m] == hi[m] == (m.bit_length() - 1) << s
+            return
+        # no wider than one _log2_raw bracket at q: 6 ulps of scale 2^-(q+4)
+        assert hi[m] - lo[m] <= 6 << (s - (q + 4))
+        iv = DyadicInterval(DyadicRational(lo[m], -s), DyadicRational(hi[m], -s))
+        with mp.workprec(500):
+            assert interval_contains(iv, mp.log(m) / mp.log(2))
+
+    def test_core_calls_only_for_primes(self, monkeypatch):
+        monkeypatch.setattr(enclosures_mod, "_LOG2_INT_RAW", {})
+        calls = []
+        real = enclosures_mod._log2_core
+
+        def counted(num, den, p_core):
+            calls.append(num)
+            return real(num, den, p_core)
+
+        monkeypatch.setattr(enclosures_mod, "_log2_core", counted)
+        G_enclosure(3500, 128)  # from a cold cache
+        pi_3500 = sum(map(_is_prime, range(3501)))
+        assert pi_3500 == 489
+        assert len(calls) <= pi_3500
+        assert all(_is_prime(m) for m in calls)
+        calls.clear()
+        monkeypatch.setattr(enclosures_mod, "_LOG2_INT_RAW", {})
+        log2_factorial_by_sum(3000, 64)
+        assert len(calls) <= sum(map(_is_prime, range(3001)))
+
+    def test_least_prime_factors(self):
+        spf = enclosures_mod._least_prime_factors(5000)
+        for m in range(2, 5001):
+            f = next(d for d in range(2, m + 1) if m % d == 0)
+            assert spf[m] == f, m
+
+
+class TestGAgainstDirectTermSum:
+    """G from the log table against the per-m term sum it replaced."""
+
+    @staticmethod
+    def _check(n, p):
+        iv = G_enclosure(n, p)
+        assert iv.width_within(p)
+        assert iv.intersects(direct_G_enclosure(n, p))
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 600), _TERM_PRECISIONS)
+    def test_intersects_direct_sum(self, n, p):
+        self._check(n, p)
+
+    @pytest.mark.parametrize("n", [720, 2520, 3600, 4095])
+    def test_intersects_direct_sum_at_highly_composite_n(self, n):
+        for p in (16, 53, 128):
+            self._check(n, p)
+        assert interval_contains(G_enclosure(n, 53), g_oracle(n))
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 600), _TERM_PRECISIONS)
+    def test_nesting_under_doubled_precision(self, n, p):
+        assert G_enclosure(n, p).contains_interval(G_enclosure(n, 2 * p))
 
 
 class TestPrecisionFloor:

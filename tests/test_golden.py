@@ -1,8 +1,11 @@
 """Golden bytes: the CLI's stdout, --out file and stderr, pinned by SHA-256.
 
 The hashes were captured from the range commands before they shared one run
-loop.  Any byte change in a row, a summary, a finding or a report line fails
-here, with one worker and with two.  The sweep window spans the first rows
+loop; the three sweep-bounds stdout hashes were re-taken when G's term sum
+moved to the prime-only log table, which changed only the G-derived interval
+bits (``g_*``, ``paper_lb_*`` and the summary's unrounded ``max_e2`` /
+``max_c_log2``).  Any byte change in a row, a summary, a finding or a report
+line fails here, with one worker and with two.  The sweep window spans the first rows
 that escalate from p=64 to p=128.
 """
 
@@ -24,17 +27,17 @@ SRC = Path(log2lab.__file__).resolve().parents[1]
 GOLDEN = {
     "sweep-csv": (
         ["sweep-bounds", "--range", "2990..3010", "--bits", "64"],
-        "05b66712002409c4275bf56def918477aefc043c0a04555bc87d277ae2d0e467",
+        "3609d0340bbf5daa62f3148c2806ee419d5a3ed14fbaed953decc3098be2270c",
         "789e65e116d08dbd6d54d07f8734819e8adc47406fa1678ff05001f3c479156e",
     ),
     "sweep-json": (
         ["sweep-bounds", "--range", "2990..3010", "--bits", "64", "--format", "json"],
-        "d234ae7e8a5148638e0bca652db5769df51ca602aaffb7119107f643fa71c703",
+        "06802eb2d647874ade8cb549e2130510cc149398bbe0e0abfe1ed25e88cf8a26",
         "789e65e116d08dbd6d54d07f8734819e8adc47406fa1678ff05001f3c479156e",
     ),
     "sweep-linear-json": (
         ["sweep-bounds", "--range", "1..24", "--linear", "--format", "json"],
-        "5c12f3e34d5f4ac94a03dc7493991543a929769f151505da7690a6404ab71df1",
+        "fc2348a557da5754f83b3d613ea28f917b92588302e269ab0a97b6ee6334b97d",
         "7f48c6ec3b1b56cc0f4ae7e9b83395c08b3017e1d32bbd8bedfc22ca292fb67b",
     ),
     "error-term": (

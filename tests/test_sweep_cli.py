@@ -19,10 +19,12 @@ import pytest
 import log2lab
 import log2lab.sweep as sweep_mod
 from log2lab.cli import main
+from log2lab.enclosures import MAX_PRECISION_BITS, attempt_precision
 from log2lab.sweep import (
     BOUNDS_CSV_COLUMNS,
     ERROR_TERM_CSV_COLUMNS,
     EXIT_INCONCLUSIVE,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
@@ -42,6 +44,14 @@ def _error_term_payload_failing_at_2(config, n):
     # module level, so that worker processes can unpickle it
     if n == 2:
         raise RuntimeError("payload failed at n=2")
+    return _ERROR_TERM_PAYLOAD(config, n)
+
+
+def _error_term_payload_over_ceiling_at_2(config, n):
+    # row 2 asks the enclosures for a precision above the ceiling, as a row
+    # escalated past it would: validation bounds only the requested --bits
+    if n == 2:
+        config = replace(config, precision_bits=MAX_PRECISION_BITS + 1)
     return _ERROR_TERM_PAYLOAD(config, n)
 
 
@@ -354,12 +364,14 @@ class TestCliContract:
         capsys.readouterr()
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_resource_limit_mid_run_leaves_valid_truncated_json(self, tmp_path, capsys, workers):
-        # --bits passes validation, but the enclosures of row 2 need a few
-        # bits more than the 16384-bit ceiling; with 2 workers row 1 shares
-        # a Pool.imap chunk with row 2 and must still be written
+    def test_resource_limit_mid_run_leaves_valid_truncated_json(
+        self, tmp_path, capsys, monkeypatch, workers
+    ):
+        # with 2 workers row 1 shares a Pool.imap chunk with row 2 and must
+        # still be written
+        monkeypatch.setattr(sweep_mod, "_error_term_payload", _error_term_payload_over_ceiling_at_2)
         out = tmp_path / "e2.json"
-        argv = ["error-term", "--range", "1..3", "--bits", "16380", "--format", "json"]
+        argv = ["error-term", "--range", "1..3", "--format", "json"]
         assert main(argv + ["--workers", str(workers), "--out", str(out)]) == EXIT_USAGE
         assert "log2lab: resource limit: " in capsys.readouterr().err
         payload = json.loads(out.read_text())
@@ -377,17 +389,43 @@ class TestCliContract:
         outs = {}
         for w in sorted({1, workers}):
             outs[w] = tmp_path / f"e2_w{w}.json"
-            with pytest.raises(RuntimeError, match="payload failed at n=2") as raised:
-                main(argv + ["--workers", str(w), "--out", str(outs[w])])
-        capsys.readouterr()
-        if workers > 1:  # the worker's traceback travels with the error
-            assert "_error_term_payload_failing_at_2" in str(raised.value.__cause__)
+            code = main(argv + ["--workers", str(w), "--out", str(outs[w])])
+            assert code == EXIT_INTERNAL
+            err = capsys.readouterr().err
+            assert err.startswith("log2lab: internal error: payload failed at n=2\n")
+            assert "Traceback (most recent call last)" in err
+            # the frame that raised, which with 2 workers is the worker's own
+            assert "in _error_term_payload_failing_at_2" in err
         payload = json.loads(outs[workers].read_text())
         summary = payload[-1]["summary"]
         assert summary["truncated"] is True
         assert summary["checked"] == 1
         assert [row["n"] for row in payload[:-1]] == ["1"]
         assert outs[workers].read_bytes() == outs[1].read_bytes()
+
+    def test_precision_over_ceiling_rejected_before_output(self, tmp_path, capsys):
+        # the row's finest part, the log table under G, needs 9 bits over --bits at n = 3
+        p_max = MAX_PRECISION_BITS - 9
+        assert attempt_precision(3, p_max) == MAX_PRECISION_BITS
+        out = tmp_path / "e2.json"
+        argv = ["error-term", "--range", "1..3", "--format", "json", "--out", str(out)]
+        assert main(argv + ["--bits", str(p_max + 1)]) == EXIT_USAGE
+        assert "above the ceiling of 16384 bits" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_accepted_precision_runs(self, tmp_path, capsys):
+        # every part of rows 1 and 2 is exact, so the run is quick, but each
+        # still passes its precision through the ceiling check
+        p_max = MAX_PRECISION_BITS - 8
+        assert attempt_precision(2, p_max) == MAX_PRECISION_BITS
+        out = tmp_path / "e2.json"
+        argv = ["error-term", "--range", "1..2", "--format", "json", "--out", str(out)]
+        assert main(argv + ["--bits", str(p_max + 1)]) == EXIT_USAGE
+        assert not out.exists()
+        assert main(argv + ["--bits", str(p_max)]) == EXIT_OK
+        capsys.readouterr()
+        summary = json.loads(out.read_text())[-1]["summary"]
+        assert summary["checked"] == 2 and summary["all_contained"] is True
 
     def test_range_commands_skip_numpy(self):
         code = (
