@@ -181,12 +181,14 @@ def paper_lower_bound_log2(n: int, p: int) -> DyadicInterval:
 
 
 def _counting_parts(
-    n: int, p: int
+    n: int, p: int, fact: DyadicInterval | None = None
 ) -> tuple[DyadicInterval, DyadicInterval, DyadicInterval, DyadicInterval]:
     """(log2 n!, G(n), log2 counting bound, e2(n)), from log2 n!, n log2 n and
-    G(n) each enclosed at a third of the 2^-p budget."""
+    G(n) each enclosed at a third of the 2^-p budget.  ``fact``, when given,
+    is log2 n! already enclosed at that third."""
     q = _part_precision(p, _ROW_PARTS)
-    fact = log2_factorial_enclosure(n, q)
+    if fact is None:
+        fact = log2_factorial_enclosure(n, q)
     x = log2_int_enclosure(n, _part_precision(p, _ROW_PARTS, n)).scale_int(n)
     g = G_enclosure(n, q)
     paper_lb = x.add_int(-(n - 1)) - g
@@ -337,10 +339,32 @@ class BoundRow:
     escalations: int
 
 
-def _compute_row(n: int, p: int, b_source: str, escalations: int) -> BoundRow:
-    fact, g, paper_lb, e2 = _counting_parts(n, p)
-    robbins_lo, robbins_hi = robbins_bounds_log2(n, p)
+def _settled(verdicts: dict[str, Verdict]) -> bool:
+    return all(v.status is not VerdictStatus.INCONCLUSIVE for v in verdicts.values())
+
+
+def _compute_row(
+    n: int, p: int, b_source: str, escalations: int, final: bool
+) -> BoundRow | None:
+    """The row at precision p, its sides compared from cheapest to dearest.
+
+    Unless ``final``, the attempt returns None at its first Inconclusive
+    verdict, before the dearer sides (G above all) are computed.
+    """
+    fact = log2_factorial_enclosure(n, _part_precision(p, _ROW_PARTS))
     ram_lo, ram_hi = ramanujan_bounds_log2(n, p, b_source)
+    verdicts = {
+        "ramanujan_lower": _verdict(ram_lo, fact),
+        "ramanujan_upper": _verdict(fact, ram_hi),
+    }
+    if not (final or _settled(verdicts)):
+        return None
+    robbins_lo, robbins_hi = robbins_bounds_log2(n, p)
+    verdicts["robbins_lower"] = _verdict(robbins_lo, fact)
+    verdicts["robbins_upper"] = _verdict(fact, robbins_hi)
+    if not (final or _settled(verdicts)):
+        return None
+    _, g, paper_lb, e2 = _counting_parts(n, p, fact)
 
     s2 = binary_digit_sum(n)
     equality = s2 == 1
@@ -348,18 +372,12 @@ def _compute_row(n: int, p: int, b_source: str, escalations: int) -> BoundRow:
         raise IdentityViolationError(
             f"exact equality certificate failed at n={n}; the ceil-log2 identity broke"
         )
-
-    verdicts: dict[str, Verdict] = {}
     if equality:
         # no finite precision separates equal quantities; the integer
         # certificate above is the evidence for Holds-with-equality
         verdicts["paper"] = Verdict(status=VerdictStatus.HOLDS, certificate=(paper_lb, fact))
     else:
         verdicts["paper"] = _verdict(paper_lb, fact)
-    verdicts["robbins_lower"] = _verdict(robbins_lo, fact)
-    verdicts["robbins_upper"] = _verdict(fact, robbins_hi)
-    verdicts["ramanujan_lower"] = _verdict(ram_lo, fact)
-    verdicts["ramanujan_upper"] = _verdict(fact, ram_hi)
 
     return BoundRow(
         n=n,
@@ -375,7 +393,7 @@ def _compute_row(n: int, p: int, b_source: str, escalations: int) -> BoundRow:
         e2=e2,
         s2=s2,
         equality=equality,
-        verdicts=verdicts,
+        verdicts={name: verdicts[name] for name in BOUND_NAMES},
         escalations=escalations,
     )
 
@@ -389,16 +407,19 @@ def compare_bounds(
     """Assemble the full BoundRow for n, doubling precision while any verdict
     stays inconclusive (up to max_escalations), then finalizing.
 
-    A row is never partially emitted: every field is filled at the precision
-    the row finally settled on.
+    An attempt that will escalate stops at its first Inconclusive verdict: it
+    compares log2 n! with the Ramanujan sides first, then Robbins, and only
+    then encloses n log2 n and G(n) for the counting bound.  The last allowed
+    attempt computes every side.  A row is never partially emitted: every
+    field is filled at the precision the row finally settled on.
     """
     require_positive("n", n)
     if p < MIN_PRECISION:
         raise DomainError(f"precision must be >= {MIN_PRECISION} bits, got {p}")
     _b_routine(b_source)  # reject an unknown name before any work
-    for attempt in range(max(max_escalations, 0) + 1):
-        p_try = p << attempt
-        row = _compute_row(n, p_try, b_source, attempt)
-        if all(v.status is not VerdictStatus.INCONCLUSIVE for v in row.verdicts.values()):
+    last = max(max_escalations, 0)
+    for attempt in range(last + 1):
+        row = _compute_row(n, p << attempt, b_source, attempt, attempt == last)
+        if row is not None and _settled(row.verdicts):
             break
     return row

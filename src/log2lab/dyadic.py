@@ -179,9 +179,13 @@ ZERO = DyadicRational(0)
 
 
 def dyadic_from_fraction(fr: Fraction, frac_bits: int, up: bool) -> DyadicRational:
-    """Round an exact rational onto the 2^-frac_bits grid in one direction."""
-    num = fr.numerator << frac_bits
-    den = fr.denominator
+    """Round an exact rational onto the 2^-frac_bits grid in one direction;
+    a negative frac_bits is a grid coarser than the integers."""
+    num, den = fr.numerator, fr.denominator
+    if frac_bits >= 0:
+        num <<= frac_bits
+    else:
+        den <<= -frac_bits
     q = -((-num) // den) if up else num // den
     return DyadicRational(q, -frac_bits)
 

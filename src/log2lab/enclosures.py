@@ -57,6 +57,7 @@ __all__ = [
     "MAX_PRECISION_BITS",
     "WORK_CEILING",
     "attempt_precision",
+    "attempt_work",
     "FracTerm",
     "log2_fraction",
     "log2_int_enclosure",
@@ -124,8 +125,19 @@ def attempt_precision(n_hi: int, p: int) -> int:
     bits), the finest part of the row at n = 1.
     """
     n = max(n_hi, 2)
-    q_g = _part_precision(p, _ROW_PARTS)
-    return _table_precision(n, _part_precision(q_g, n) + 1)
+    return _table_precision(n, _term_precision(n, p) + 1)
+
+
+def attempt_work(n_hi: int, p: int) -> int:
+    """Work of the largest term sum that computing a row at precision p runs
+    over every n <= n_hi (G(n_hi), or a summed log2 n_hi! of the same size),
+    by the rule that ``_check_sum_work`` holds to ``WORK_CEILING``."""
+    return _sum_work(n_hi, _term_precision(n_hi, p))
+
+
+def _term_precision(n: int, p: int) -> int:
+    """Per-term precision of an n-term sum held to one row part at p."""
+    return _part_precision(_part_precision(p, _ROW_PARTS), n)
 
 
 def _log2_core(num: int, den: int, p_core: int) -> tuple[int, int, int]:
@@ -271,8 +283,12 @@ def frac_log2_enclosure(a: int, j: int, p: int) -> FracTerm:
 # ---------------------------------------------------------------------------
 
 
+def _sum_work(n: int, p: int) -> int:
+    return n * (p + ceil_log2(n))
+
+
 def _check_sum_work(n: int, p: int) -> None:
-    if n * (p + ceil_log2(n)) > WORK_CEILING:
+    if _sum_work(n, p) > WORK_CEILING:
         raise ResourceLimitError(
             f"term sum of size n={n} at p={p} exceeds work ceiling {WORK_CEILING}"
         )

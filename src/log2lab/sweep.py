@@ -30,7 +30,9 @@ from .bounds import (
     ramanujan_b_agreement,
 )
 from .dyadic import DyadicInterval
-from .enclosures import MAX_PRECISION_BITS, MIN_PRECISION, attempt_precision
+from .enclosures import (
+    MAX_PRECISION_BITS, MIN_PRECISION, WORK_CEILING, attempt_precision, attempt_work
+)
 from .exact import (
     IdentityViolationError,
     binary_digit_sum,
@@ -79,7 +81,12 @@ class SweepConfig:
     workers: int = 1
     linear_display: bool = False  # report-only 2^x rendering, n <= 20
 
-    def validate(self) -> None:
+    def validate(self, term_sums: bool = True) -> None:
+        """Raise UsageError for a configuration the run would fail on.
+
+        ``term_sums`` is False for a command that computes no G(n) or summed
+        log2 n!, which then takes any range.
+        """
         if self.n_lo < 1:
             raise UsageError(f"range start must be >= 1, got {self.n_lo}")
         if self.n_lo > self.n_hi:
@@ -93,6 +100,11 @@ class SweepConfig:
             raise UsageError(
                 f"precision {self.precision_bits} needs {need} bits for n <= {self.n_hi}, "
                 f"above the ceiling of {MAX_PRECISION_BITS} bits"
+            )
+        if term_sums and attempt_work(self.n_hi, self.precision_bits) > WORK_CEILING:
+            raise UsageError(
+                f"range up to n = {self.n_hi} at precision {self.precision_bits} needs term sums "
+                f"above the work ceiling of {WORK_CEILING}"
             )
         if self.max_escalations < 0:
             raise UsageError("max escalations must be >= 0")
@@ -328,6 +340,7 @@ def _run(
     fold: Callable[[SweepConfig, list[int]], Any],
     out_stream: IO[str] | None,
     report_stream: IO[str] | None,
+    term_sums: bool = True,
 ) -> int:
     """The run loop shared by the range commands; returns the exit code.
 
@@ -339,7 +352,7 @@ def _run(
     output is finalized as truncated; an interrupt then exits 2, and anything
     else is re-raised for ``cli.main`` to map to exit code 3 or 4.
     """
-    config.validate()
+    config.validate(term_sums)
     ns = config.ns()
     stream, close_me = _open_output(config, out_stream if out_stream is not None else sys.stdout)
     writer = _Writer(stream, config.output_format, columns)
@@ -568,5 +581,5 @@ def run_verify_theorem(
     """Three-way agreement check of the counting identity over odd a."""
     return _run(
         replace(config, parity="odd"), VERIFY_CSV_COLUMNS, _verify_payload, 64, _VerifyFold,
-        out_stream, report_stream,
+        out_stream, report_stream, term_sums=False,
     )

@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import log2lab.bounds as bounds_mod
 import log2lab.enclosures as enclosures_mod
 from log2lab.bounds import (
+    BOUND_NAMES,
+    BoundRow,
+    Verdict,
     VerdictStatus,
     compare_bounds,
     error_term_e2,
@@ -22,7 +29,7 @@ from log2lab.bounds import (
     robbins_bounds_log2,
 )
 from log2lab.dyadic import DyadicInterval, DyadicRational
-from log2lab.enclosures import attempt_precision, log2_factorial_enclosure
+from log2lab.enclosures import attempt_precision, attempt_work, log2_factorial_enclosure
 from log2lab.exact import DomainError, binary_digit_sum
 
 from conftest import g_oracle, interval_contains
@@ -253,6 +260,90 @@ class TestCompareBounds:
             assert row.equality == (binary_digit_sum(n) == 1)
 
 
+def full_attempt_row(
+    n: int, p: int, b_source: str = "printed", max_escalations: int = 4
+) -> BoundRow:
+    """compare_bounds with every attempt computing all five sides before its
+    verdicts are checked: the oracle for the attempts that stop early."""
+    for attempt in range(max(max_escalations, 0) + 1):
+        q = p << attempt
+        fact, g, paper_lb, e2 = bounds_mod._counting_parts(n, q)
+        robbins_lo, robbins_hi = robbins_bounds_log2(n, q)
+        ram_lo, ram_hi = ramanujan_bounds_log2(n, q, b_source)
+        equality = paper_equality_certificate(n)
+        if equality:
+            paper = Verdict(status=VerdictStatus.HOLDS, certificate=(paper_lb, fact))
+        else:
+            paper = bounds_mod._verdict(paper_lb, fact)
+        row = BoundRow(
+            n=n,
+            precision_bits=q,
+            log2_fact=fact,
+            g=g,
+            paper_lb=paper_lb,
+            robbins_lo=robbins_lo,
+            robbins_hi=robbins_hi,
+            ramanujan_lo=ram_lo,
+            ramanujan_hi=ram_hi,
+            c_log2=e2,
+            e2=e2,
+            s2=binary_digit_sum(n),
+            equality=equality,
+            verdicts={
+                "paper": paper,
+                "robbins_lower": bounds_mod._verdict(robbins_lo, fact),
+                "robbins_upper": bounds_mod._verdict(fact, robbins_hi),
+                "ramanujan_lower": bounds_mod._verdict(ram_lo, fact),
+                "ramanujan_upper": bounds_mod._verdict(fact, ram_hi),
+            },
+            escalations=attempt,
+        )
+        if all(v.status is not VerdictStatus.INCONCLUSIVE for v in row.verdicts.values()):
+            break
+    return row
+
+
+def assert_rows_equal(got: BoundRow, want: BoundRow) -> None:
+    for f in fields(BoundRow):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert list(got.verdicts) == list(BOUND_NAMES)
+
+
+class TestEarlyStop:
+    """An attempt that will escalate stops at its first Inconclusive verdict;
+    the row it settles on is the one every-side attempts would give."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(1, 600),
+        st.sampled_from([4, 16, 53, 64]),
+        st.integers(0, 4),
+        st.sampled_from(["printed", "closed-form"]),
+    )
+    def test_matches_full_attempts(self, n, p, max_escalations, b_source):
+        got = compare_bounds(n, p, b_source, max_escalations)
+        assert_rows_equal(got, full_attempt_row(n, p, b_source, max_escalations))
+
+    @pytest.mark.parametrize("n", [2048, 3004, 4096, 4097])
+    def test_matches_full_attempts_in_the_sweep_band(self, n):
+        assert_rows_equal(compare_bounds(n, 64), full_attempt_row(n, 64))
+
+    def test_escalating_row_encloses_g_once(self, monkeypatch):
+        # n = 3004 is Inconclusive on the Ramanujan lower side at p = 64, so
+        # only the p = 128 attempt reaches G
+        calls = []
+        real = bounds_mod.G_enclosure
+
+        def recorded(n, q):
+            calls.append((n, q))
+            return real(n, q)
+
+        monkeypatch.setattr(bounds_mod, "G_enclosure", recorded)
+        row = compare_bounds(3004, 64)
+        assert row.precision_bits == 128 and row.escalations == 1
+        assert calls == [(3004, enclosures_mod._part_precision(128, enclosures_mod._ROW_PARTS))]
+
+
 class TestAttemptPrecision:
     """attempt_precision is the finest precision a row asks the enclosures
     for, which is what lets validation reject a --bits before any output."""
@@ -276,3 +367,19 @@ class TestAttemptPrecision:
                     assert max(asked) == p + 7 == attempt_precision(n, p) - 1
                 else:
                     assert max(asked) == attempt_precision(n, p), (n, p)
+
+    def test_work_is_the_largest_term_sum_a_row_runs(self, monkeypatch):
+        asked = []
+        real = enclosures_mod._check_sum_work
+
+        def recorded(n, q):
+            asked.append(enclosures_mod._sum_work(n, q))
+            real(n, q)
+
+        monkeypatch.setattr(enclosures_mod, "_check_sum_work", recorded)
+        for n in (1, 2, 3, 17, 256, 1000):
+            for p in (4, 64, 100):
+                asked.clear()
+                compare_bounds(n, p, max_escalations=0)
+                error_term_e2(n, p)
+                assert max(asked) == attempt_work(n, p), (n, p)

@@ -112,6 +112,23 @@ class TestDyadicFromFraction:
             assert lo.to_fraction() <= fr <= hi.to_fraction()
             assert hi.to_fraction() - lo.to_fraction() <= Fraction(1, 1 << f)
 
+    def test_coarse_grid(self):
+        # frac_bits < 0 rounds onto multiples of 2^-frac_bits
+        assert dyadic_from_fraction(Fraction(5, 3), -1, up=False) == DyadicRational(0)
+        assert dyadic_from_fraction(Fraction(5, 3), -1, up=True) == DyadicRational(2)
+        assert dyadic_from_fraction(Fraction(-5, 3), -2, up=False) == DyadicRational(-4)
+        assert dyadic_from_fraction(Fraction(12), -2, up=True) == DyadicRational(12)
+        assert DyadicInterval.zero().div_by_posint(1, -1) == DyadicInterval.zero()
+        rng = random.Random(29)
+        for _ in range(500):
+            fr = Fraction(rng.randrange(-(10**9), 10**9), rng.randrange(1, 10**6))
+            f = rng.randrange(-40, 0)
+            lo = dyadic_from_fraction(fr, f, up=False)
+            hi = dyadic_from_fraction(fr, f, up=True)
+            assert lo.to_fraction() <= fr <= hi.to_fraction()
+            assert hi.to_fraction() - lo.to_fraction() <= 1 << -f
+            assert lo.to_fraction() % (1 << -f) == 0 == hi.to_fraction() % (1 << -f)
+
 
 class TestDyadicInterval:
     def test_rejects_inverted(self):
@@ -207,8 +224,8 @@ def _points(iv: DyadicInterval, t: Fraction) -> list[Fraction]:
 
 
 _FRACTIONS = st.fractions(0, 1, max_denominator=1 << 20)
-# result grids of the rounded operations, which callers only ask at >= 0 bits
-_FRAC_BITS = st.integers(0, 2100)
+# result grids of the rounded operations, coarser than the integers included
+_FRAC_BITS = st.integers(-64, -1) | st.integers(0, 2100)
 
 
 class TestIntervalProperties:

@@ -19,7 +19,7 @@ import pytest
 import log2lab
 import log2lab.sweep as sweep_mod
 from log2lab.cli import main
-from log2lab.enclosures import MAX_PRECISION_BITS, attempt_precision
+from log2lab.enclosures import MAX_PRECISION_BITS, WORK_CEILING, attempt_precision, attempt_work
 from log2lab.sweep import (
     BOUNDS_CSV_COLUMNS,
     ERROR_TERM_CSV_COLUMNS,
@@ -76,11 +76,25 @@ class TestConfigValidation:
             {"n_lo": 1, "n_hi": 5, "workers": 0},
             {"n_lo": 1, "n_hi": 5, "max_escalations": -1},
             {"n_lo": 1, "n_hi": 5, "precision_bits": 20000},
+            {"n_lo": 1, "n_hi": 40_000_000},
         ],
     )
     def test_rejects(self, kwargs):
         with pytest.raises(UsageError):
             SweepConfig(**kwargs).validate()
+
+    @pytest.mark.parametrize("p", [4, 64, 1000])
+    def test_work_ceiling_boundary(self, p):
+        # the largest n_hi whose term sums stay within the work ceiling
+        lo, hi = 1, 1 << 32
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if attempt_work(mid, p) <= WORK_CEILING else (lo, mid)
+        SweepConfig(n_lo=lo, n_hi=lo, precision_bits=p).validate()
+        with pytest.raises(UsageError, match="work ceiling"):
+            SweepConfig(n_lo=hi, n_hi=hi, precision_bits=p).validate()
+        # a command without term sums takes the range
+        SweepConfig(n_lo=hi, n_hi=hi, precision_bits=p).validate(term_sums=False)
 
     def test_parity_filter(self):
         cfg = SweepConfig(n_lo=1, n_hi=10, parity="odd")
@@ -412,6 +426,26 @@ class TestCliContract:
         assert main(argv + ["--bits", str(p_max + 1)]) == EXIT_USAGE
         assert "above the ceiling of 16384 bits" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep-bounds", "error-term"])
+    def test_range_over_work_ceiling_rejected_before_output(self, tmp_path, capsys, command):
+        # G(40000000) at a row's term precision is past the work ceiling
+        assert attempt_work(40_000_000, 64) > WORK_CEILING
+        out = tmp_path / "rows.json"
+        argv = [command, "--range", "40000000..40000001", "--format", "json", "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert "above the work ceiling" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_verify_theorem_has_no_work_ceiling(self, tmp_path):
+        # verify-theorem computes no term sums, so a range that the other
+        # commands reject at this precision still runs
+        cfg = SweepConfig(n_lo=300_001, n_hi=300_001, precision_bits=16_000, output_format="json")
+        assert attempt_work(cfg.n_hi, cfg.precision_bits) > WORK_CEILING
+        code, out, _ = run_to_files(run_verify_theorem, cfg, tmp_path, "verify.json")
+        assert code == EXIT_OK
+        summary = json.loads(out.read_text())[-1]["summary"]
+        assert summary["checked"] == 1 and summary["truncated"] is False
 
     def test_largest_accepted_precision_runs(self, tmp_path, capsys):
         # every part of rows 1 and 2 is exact, so the run is quick, but each
