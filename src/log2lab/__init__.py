@@ -1,89 +1,76 @@
 """log2lab: exact floor-log2 counting identities, certified dyadic enclosures
-of G(n) and log2 n!, and interval-verdict comparisons of factorial bounds."""
+of G(n) and log2 n!, and interval-verdict comparisons of factorial bounds.
 
-from .bounds import (
-    BoundRow,
-    Verdict,
-    VerdictStatus,
-    compare_bounds,
-    error_term_e2,
-    paper_equality_certificate,
-    paper_lower_bound_log2,
-    ramanujan_b_agreement,
-    ramanujan_bounds_log2,
-    robbins_bounds_log2,
-)
-from .dyadic import DyadicInterval, DyadicRational
-from .enclosures import (
-    FracTerm,
-    G_enclosure,
-    ResourceLimitError,
-    frac_log2_enclosure,
-    log2_factorial_by_factorial,
-    log2_factorial_by_sum,
-    log2_factorial_enclosure,
-    log2_factorial_running,
-    log2_fraction,
-    log2_int_enclosure,
-)
-from .exact import (
-    DomainError,
-    IdentityViolationError,
-    all_floor_sum,
-    binary_digit_sum,
-    ceil_log2,
-    even_count_oracle,
-    floor_log2_ratio,
-    odd_floor_sum,
-    pair_enumeration_oracle,
-    power_of_two_ratio,
-)
-from .sweep import (
-    SweepConfig,
-    UsageError,
-    run_bounds_sweep,
-    run_error_term,
-    run_verify_theorem,
-)
+The public names are loaded on first use (PEP 562), so a command that needs
+only the exact kernels never imports the enclosure code.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundRow",
-    "DomainError",
-    "DyadicInterval",
-    "DyadicRational",
-    "FracTerm",
-    "G_enclosure",
-    "IdentityViolationError",
-    "ResourceLimitError",
-    "SweepConfig",
-    "UsageError",
-    "Verdict",
-    "VerdictStatus",
-    "all_floor_sum",
-    "binary_digit_sum",
-    "ceil_log2",
-    "compare_bounds",
-    "error_term_e2",
-    "even_count_oracle",
-    "floor_log2_ratio",
-    "frac_log2_enclosure",
-    "log2_factorial_by_factorial",
-    "log2_factorial_by_sum",
-    "log2_factorial_enclosure",
-    "log2_factorial_running",
-    "log2_fraction",
-    "log2_int_enclosure",
-    "odd_floor_sum",
-    "paper_equality_certificate",
-    "paper_lower_bound_log2",
-    "pair_enumeration_oracle",
-    "power_of_two_ratio",
-    "ramanujan_b_agreement",
-    "ramanujan_bounds_log2",
-    "robbins_bounds_log2",
-    "run_bounds_sweep",
-    "run_error_term",
-    "run_verify_theorem",
-]
+_EXPORTS = {
+    "bounds": (
+        "BoundRow",
+        "Verdict",
+        "VerdictStatus",
+        "compare_bounds",
+        "error_term_e2",
+        "paper_equality_certificate",
+        "paper_lower_bound_log2",
+        "ramanujan_b_agreement",
+        "ramanujan_bounds_log2",
+        "robbins_bounds_log2",
+    ),
+    "dyadic": ("DyadicInterval", "DyadicRational"),
+    "enclosures": (
+        "FracTerm",
+        "G_enclosure",
+        "frac_log2_enclosure",
+        "log2_factorial_by_factorial",
+        "log2_factorial_by_sum",
+        "log2_factorial_enclosure",
+        "log2_factorial_running",
+        "log2_fraction",
+        "log2_int_enclosure",
+    ),
+    "exact": (
+        "DomainError",
+        "IdentityViolationError",
+        "ResourceLimitError",
+        "all_floor_sum",
+        "binary_digit_sum",
+        "ceil_log2",
+        "even_count_oracle",
+        "floor_log2_ratio",
+        "odd_floor_sum",
+        "pair_enumeration_oracle",
+        "power_of_two_ratio",
+    ),
+    "sweep": (
+        "SweepConfig",
+        "UsageError",
+        "run_bounds_sweep",
+        "run_error_term",
+        "run_verify_theorem",
+    ),
+}
+_SUBMODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = (*_EXPORTS, "cli")
+
+__all__ = sorted(_SUBMODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    module = _SUBMODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -25,10 +25,7 @@ from functools import lru_cache
 
 from .dyadic import DyadicInterval, DyadicRational, dyadic_from_fraction
 from .enclosures import (
-    MIN_PRECISION,
-    _ROW_PARTS,
     G_enclosure,
-    _part_precision,
     e_interval,
     log2_e_interval,
     log2_factorial_enclosure,
@@ -39,7 +36,14 @@ from .enclosures import (
     pi_interval,
 )
 from .exact import (
-    DomainError, IdentityViolationError, binary_digit_sum, ceil_log2, require_positive
+    _ROW_PARTS,
+    MIN_PRECISION,
+    DomainError,
+    IdentityViolationError,
+    _part_precision,
+    binary_digit_sum,
+    ceil_log2,
+    require_positive,
 )
 
 __all__ = [

@@ -21,8 +21,7 @@ import argparse
 import re
 import sys
 
-from .enclosures import G_enclosure, ResourceLimitError
-from .exact import DomainError
+from .exact import DomainError, ResourceLimitError
 from .sweep import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -112,6 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_g_value(args: argparse.Namespace) -> int:
+    from .enclosures import G_enclosure  # here, so that verify-theorem never loads it
+
     g = G_enclosure(args.n, args.bits)
     if g.is_point():
         print(f"G({args.n}) = {g.lo.decimal_str()} (exact)")

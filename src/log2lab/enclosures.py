@@ -48,16 +48,20 @@ from typing import Iterator
 
 from .dyadic import DyadicInterval, DyadicRational
 from .exact import (
-    DomainError, ceil_log2, floor_log2_fraction, floor_log2_ratio, require_positive
+    MAX_PRECISION_BITS,
+    MIN_PRECISION,
+    WORK_CEILING,
+    DomainError,
+    ResourceLimitError,
+    _part_precision,
+    _sum_work,
+    _table_precision,
+    floor_log2_fraction,
+    floor_log2_ratio,
+    require_positive,
 )
 
 __all__ = [
-    "ResourceLimitError",
-    "MIN_PRECISION",
-    "MAX_PRECISION_BITS",
-    "WORK_CEILING",
-    "attempt_precision",
-    "attempt_work",
     "FracTerm",
     "log2_fraction",
     "log2_int_enclosure",
@@ -76,13 +80,6 @@ __all__ = [
 ]
 
 
-class ResourceLimitError(RuntimeError):
-    """The requested computation exceeds the precision or work ceiling."""
-
-
-MIN_PRECISION = 4
-MAX_PRECISION_BITS = 1 << 14
-WORK_CEILING = 1 << 32
 # log2 n! from the exact factorial up to here, from summed logs beyond
 _FACTORIAL_METHOD_THRESHOLD = 100_000
 
@@ -102,42 +99,6 @@ def _check_precision(p: int) -> None:
         raise ResourceLimitError(
             f"precision {p} exceeds the configured ceiling {MAX_PRECISION_BITS}"
         )
-
-
-def _part_precision(p: int, parts: int, scale: int = 1) -> int:
-    """Per-part precision so that `parts` terms, each scaled by at most
-    `scale`, sum to well under 2^-p."""
-    q = p + 1 + ceil_log2(parts)
-    if scale > 1:
-        q += ceil_log2(scale)
-    return q
-
-
-# a BoundRow encloses log2 n!, n log2 n and G(n) at a third of its budget each
-_ROW_PARTS = 3
-
-
-def attempt_precision(n_hi: int, p: int) -> int:
-    """Largest precision that computing a row at precision p asks for, over
-    every n <= n_hi: the log2 m table under G(n), the finest part of a row.
-
-    It grows with n and is taken at n >= 2, which also covers log2 pi (p + 7
-    bits), the finest part of the row at n = 1.
-    """
-    n = max(n_hi, 2)
-    return _table_precision(n, _term_precision(n, p) + 1)
-
-
-def attempt_work(n_hi: int, p: int) -> int:
-    """Work of the largest term sum that computing a row at precision p runs
-    over every n <= n_hi (G(n_hi), or a summed log2 n_hi! of the same size),
-    by the rule that ``_check_sum_work`` holds to ``WORK_CEILING``."""
-    return _sum_work(n_hi, _term_precision(n_hi, p))
-
-
-def _term_precision(n: int, p: int) -> int:
-    """Per-term precision of an n-term sum held to one row part at p."""
-    return _part_precision(_part_precision(p, _ROW_PARTS), n)
 
 
 def _log2_core(num: int, den: int, p_core: int) -> tuple[int, int, int]:
@@ -283,10 +244,6 @@ def frac_log2_enclosure(a: int, j: int, p: int) -> FracTerm:
 # ---------------------------------------------------------------------------
 
 
-def _sum_work(n: int, p: int) -> int:
-    return n * (p + ceil_log2(n))
-
-
 def _check_sum_work(n: int, p: int) -> None:
     if _sum_work(n, p) > WORK_CEILING:
         raise ResourceLimitError(
@@ -306,12 +263,6 @@ def _least_prime_factors(n: int) -> list[int]:
             if small[f] == f:
                 spf[f * f :: f] = [f] * ((n - f * f) // f + 1)
     return spf
-
-
-def _table_precision(n: int, q: int) -> int:
-    """Precision of the log2 table for m <= n whose entries are each held to q
-    bits: a composite's bracket adds up Omega(m) < bit_length(n) prime widths."""
-    return q + ceil_log2(n.bit_length()) + 1
 
 
 def _log2_table(n: int, q: int) -> tuple[list[int], list[int], int]:

@@ -11,6 +11,11 @@ a >> (k+1) < j <= a >> k, so a sum over j <= a takes O(log a) integer steps
 for every size of a.  The enumeration oracles still visit every m, but each
 resumes where its last count in the process stopped, so checking N values of
 a up to A in ascending order visits each m once: O(A + N), not O(N * A).
+
+The precision and work limits of the enclosures live here too, as the same
+kind of integer rule: what precision and how much term-sum work a row at
+precision p asks for.  A configuration is checked against them before a run
+starts, without loading the enclosure code.
 """
 
 from __future__ import annotations
@@ -18,6 +23,12 @@ from __future__ import annotations
 __all__ = [
     "DomainError",
     "IdentityViolationError",
+    "ResourceLimitError",
+    "MIN_PRECISION",
+    "MAX_PRECISION_BITS",
+    "WORK_CEILING",
+    "attempt_precision",
+    "attempt_work",
     "floor_log2_fraction",
     "floor_log2_ratio",
     "ceil_log2",
@@ -40,6 +51,10 @@ class IdentityViolationError(ArithmeticError):
     This is never caught and converted into a soft result inside the library:
     it means either a bug or a genuine counterexample, and both must be loud.
     """
+
+
+class ResourceLimitError(RuntimeError):
+    """The requested computation exceeds the precision or work ceiling."""
 
 
 def require_positive(name: str, v: int) -> None:
@@ -198,3 +213,57 @@ def all_floor_sum(a: int) -> int:
     """
     require_positive("a", a)
     return _floor_sum(a, False, a - binary_digit_sum(a), "closed form gives")
+
+
+# ---------------------------------------------------------------------------
+# precision and work limits of the enclosures
+# ---------------------------------------------------------------------------
+
+MIN_PRECISION = 4
+MAX_PRECISION_BITS = 1 << 14
+WORK_CEILING = 1 << 32
+# a BoundRow encloses log2 n!, n log2 n and G(n) at a third of its budget each
+_ROW_PARTS = 3
+
+
+def _part_precision(p: int, parts: int, scale: int = 1) -> int:
+    """Per-part precision so that `parts` terms, each scaled by at most
+    `scale`, sum to well under 2^-p."""
+    q = p + 1 + ceil_log2(parts)
+    if scale > 1:
+        q += ceil_log2(scale)
+    return q
+
+
+def _term_precision(n: int, p: int) -> int:
+    """Per-term precision of an n-term sum held to one row part at p."""
+    return _part_precision(_part_precision(p, _ROW_PARTS), n)
+
+
+def _table_precision(n: int, q: int) -> int:
+    """Precision of the log2 table for m <= n whose entries are each held to q
+    bits: a composite's bracket adds up Omega(m) < bit_length(n) prime widths."""
+    return q + ceil_log2(n.bit_length()) + 1
+
+
+def _sum_work(n: int, p: int) -> int:
+    """Work of an n-term sum at per-term precision p."""
+    return n * (p + ceil_log2(n))
+
+
+def attempt_precision(n_hi: int, p: int) -> int:
+    """Largest precision that computing a row at precision p asks for, over
+    every n <= n_hi: the log2 m table under G(n), the finest part of a row.
+
+    It grows with n and is taken at n >= 2, which also covers log2 pi (p + 7
+    bits), the finest part of the row at n = 1.
+    """
+    n = max(n_hi, 2)
+    return _table_precision(n, _term_precision(n, p) + 1)
+
+
+def attempt_work(n_hi: int, p: int) -> int:
+    """Work of the largest term sum that computing a row at precision p runs
+    over every n <= n_hi (G(n_hi), or a summed log2 n_hi! of the same size),
+    by the rule that ``enclosures._check_sum_work`` holds to ``WORK_CEILING``."""
+    return _sum_work(n_hi, _term_precision(n_hi, p))

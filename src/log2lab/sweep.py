@@ -19,27 +19,24 @@ import json
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
-from multiprocessing import Pool
-from typing import IO, Any, Callable, Iterator
+from typing import IO, TYPE_CHECKING, Any, Callable, Iterator
 
-from .bounds import (
-    BOUND_NAMES,
-    VerdictStatus,
-    compare_bounds,
-    error_term_e2,
-    ramanujan_b_agreement,
-)
-from .dyadic import DyadicInterval
-from .enclosures import (
-    MAX_PRECISION_BITS, MIN_PRECISION, WORK_CEILING, attempt_precision, attempt_work
-)
 from .exact import (
+    MAX_PRECISION_BITS,
+    MIN_PRECISION,
+    WORK_CEILING,
     IdentityViolationError,
+    attempt_precision,
+    attempt_work,
     binary_digit_sum,
     even_count_oracle,
     odd_floor_sum,
     pair_enumeration_oracle,
 )
+
+if TYPE_CHECKING:
+    from .bounds import VerdictStatus
+    from .dyadic import DyadicInterval
 
 __all__ = [
     "UsageError",
@@ -62,6 +59,32 @@ EXIT_VIOLATION = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 EXIT_INTERNAL = 4
+
+# Bound on first use by _load_bounds, so that verify-theorem never loads the
+# enclosure code; the first three are where callers may install wrappers.  The
+# payloads call it as well as the fold: a pool worker that was not forked from
+# the running parent starts without them.
+_WRAPPABLE = ("compare_bounds", "error_term_e2", "ramanujan_b_agreement")
+_BOUNDS_NAMES = (*_WRAPPABLE, "BOUND_NAMES", "VerdictStatus")
+
+
+def _load_bounds() -> None:
+    """Bind the bounds names this module uses; a name already bound (say, a
+    wrapper set on this module) is kept."""
+    from . import bounds
+
+    g = globals()
+    for name in _BOUNDS_NAMES:
+        if name not in g:
+            g[name] = getattr(bounds, name)
+
+
+def __getattr__(name: str):
+    """Resolve a wrappable bounds function on first access (PEP 562)."""
+    if name not in _WRAPPABLE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_bounds()
+    return globals()[name]
 
 
 class UsageError(ValueError):
@@ -177,6 +200,7 @@ def _bounds_payload(config: SweepConfig, n: int) -> dict:
     Verdict certificates travel as intervals: the fold renders only the
     Violated ones.
     """
+    _load_bounds()
     row = compare_bounds(
         n,
         config.precision_bits,
@@ -208,6 +232,7 @@ def _bounds_payload(config: SweepConfig, n: int) -> dict:
 
 
 def _error_term_payload(config: SweepConfig, n: int) -> dict:
+    _load_bounds()
     p = config.precision_bits
     e2 = error_term_e2(n, p)
     s2m1 = binary_digit_sum(n) - 1
@@ -279,11 +304,17 @@ class _StopAtError:
 
 
 def _pool_map(config: SweepConfig, fn, items: list, chunksize: int) -> Iterator:
-    """Payloads in item order; an error is raised at the item that hit it."""
-    if config.workers == 1:
+    """Payloads in item order; an error is raised at the item that hit it.
+
+    At most one worker per item is started, and none for a single worker.
+    """
+    workers = min(config.workers, len(items))
+    if workers <= 1:
         yield from map(fn, items)
         return
-    with Pool(processes=config.workers) as pool:  # leaving terminates and joins the workers
+    from multiprocessing import Pool  # only here; a top-level import would slow start-up
+
+    with Pool(processes=workers) as pool:  # leaving terminates and joins the workers
         for payload in pool.imap(_StopAtError(fn), items, chunksize=chunksize):
             if isinstance(payload, Exception):
                 raise payload
@@ -389,6 +420,7 @@ class _BoundsFold:
     """Verdict counts, equality rows, the e2 argmax and the findings."""
 
     def __init__(self, config: SweepConfig, ns: list[int]):
+        _load_bounds()
         self.config = config
         self.ns = ns
         self.counts = {name: {s.value: 0 for s in VerdictStatus} for name in BOUND_NAMES}

@@ -29,8 +29,8 @@ from log2lab.bounds import (
     robbins_bounds_log2,
 )
 from log2lab.dyadic import DyadicInterval, DyadicRational
-from log2lab.enclosures import attempt_precision, attempt_work, log2_factorial_enclosure
-from log2lab.exact import DomainError, binary_digit_sum
+from log2lab.enclosures import log2_factorial_enclosure
+from log2lab.exact import DomainError, attempt_precision, attempt_work, binary_digit_sum
 
 from conftest import g_oracle, interval_contains
 
@@ -341,7 +341,7 @@ class TestEarlyStop:
         monkeypatch.setattr(bounds_mod, "G_enclosure", recorded)
         row = compare_bounds(3004, 64)
         assert row.precision_bits == 128 and row.escalations == 1
-        assert calls == [(3004, enclosures_mod._part_precision(128, enclosures_mod._ROW_PARTS))]
+        assert calls == [(3004, enclosures_mod._part_precision(128, bounds_mod._ROW_PARTS))]
 
 
 class TestAttemptPrecision:

@@ -19,7 +19,7 @@ import pytest
 import log2lab
 import log2lab.sweep as sweep_mod
 from log2lab.cli import main
-from log2lab.enclosures import MAX_PRECISION_BITS, WORK_CEILING, attempt_precision, attempt_work
+from log2lab.exact import MAX_PRECISION_BITS, WORK_CEILING, attempt_precision, attempt_work
 from log2lab.sweep import (
     BOUNDS_CSV_COLUMNS,
     ERROR_TERM_CSV_COLUMNS,
@@ -502,3 +502,43 @@ class TestCliContract:
         assert "linear n=18:" in err and "linear n=20:" in err
         assert "linear n=21:" not in err
         assert "n! = 2432902008176640000" in err  # 20! rendered exactly
+
+
+class TestPoolSize:
+    """A pool starts at most one worker per row, and none for a single one."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        import multiprocessing.pool
+
+        started: list[int] = []
+
+        class RecordingPool:
+            # runs the items in this process, so no worker is ever started
+            def __init__(self, processes, *args, **kwargs):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, items, chunksize):
+                return map(fn, items)
+
+        # multiprocessing.Pool(...) builds its pool from this class
+        monkeypatch.setattr(multiprocessing.pool, "Pool", RecordingPool)
+        return started
+
+    def test_one_row_starts_no_pool(self, started, capsys):
+        assert main(["sweep-bounds", "--range", "1..1", "--workers", "64"]) == EXIT_OK
+        capsys.readouterr()
+        assert started == []
+
+    @pytest.mark.parametrize(("hi", "workers", "expected"), [(5, 64, [3]), (99, 2, [2]), (2, 2, [])])
+    def test_pool_size_is_capped_by_rows(self, started, tmp_path, hi, workers, expected):
+        cfg = SweepConfig(n_lo=1, n_hi=hi, workers=workers)
+        code, _, report = run_to_files(run_verify_theorem, cfg, tmp_path, "v.csv")
+        assert code == EXIT_OK and "failures=0" in report
+        assert started == expected
