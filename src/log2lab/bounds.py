@@ -37,9 +37,9 @@ from .enclosures import (
 )
 from .exact import (
     _ROW_PARTS,
-    MIN_PRECISION,
     DomainError,
     IdentityViolationError,
+    _check_precision,
     _part_precision,
     binary_digit_sum,
     ceil_log2,
@@ -177,11 +177,15 @@ def _b_routine(name: str):
 def paper_lower_bound_log2(n: int, p: int) -> DyadicInterval:
     """Enclosure of log2 of the counting bound: n log2 n - (n - 1 + G(n))."""
     require_positive("n", n)
-    q_x = _part_precision(p, 2, n)
-    q_g = _part_precision(p, 2)
-    x = log2_int_enclosure(n, q_x).scale_int(n)
-    g = G_enclosure(n, q_g)
-    return x.add_int(-(n - 1)) - g
+    return _counting_bound(n, p)[1]
+
+
+def _counting_bound(n: int, p: int) -> tuple[DyadicInterval, DyadicInterval]:
+    """(G(n), log2 counting bound), from n log2 n and G(n) each enclosed at a
+    third of the 2^-p budget, as in a row."""
+    x = log2_int_enclosure(n, _part_precision(p, _ROW_PARTS, n)).scale_int(n)
+    g = G_enclosure(n, _part_precision(p, _ROW_PARTS))
+    return g, x.add_int(-(n - 1)) - g
 
 
 def _counting_parts(
@@ -190,12 +194,9 @@ def _counting_parts(
     """(log2 n!, G(n), log2 counting bound, e2(n)), from log2 n!, n log2 n and
     G(n) each enclosed at a third of the 2^-p budget.  ``fact``, when given,
     is log2 n! already enclosed at that third."""
-    q = _part_precision(p, _ROW_PARTS)
     if fact is None:
-        fact = log2_factorial_enclosure(n, q)
-    x = log2_int_enclosure(n, _part_precision(p, _ROW_PARTS, n)).scale_int(n)
-    g = G_enclosure(n, q)
-    paper_lb = x.add_int(-(n - 1)) - g
+        fact = log2_factorial_enclosure(n, _part_precision(p, _ROW_PARTS))
+    g, paper_lb = _counting_bound(n, p)
     return fact, g, paper_lb, fact - paper_lb
 
 
@@ -418,8 +419,7 @@ def compare_bounds(
     field is filled at the precision the row finally settled on.
     """
     require_positive("n", n)
-    if p < MIN_PRECISION:
-        raise DomainError(f"precision must be >= {MIN_PRECISION} bits, got {p}")
+    _check_precision(p)
     _b_routine(b_source)  # reject an unknown name before any work
     last = max(max_escalations, 0)
     for attempt in range(last + 1):

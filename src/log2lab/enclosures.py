@@ -10,17 +10,19 @@ Integer parts of logarithms are never taken from intervals; they come from the
 exact kernels in :mod:`log2lab.exact`, which is what keeps fractional parts
 from being mis-assigned near powers of two.
 
-The two term sums, G(n) and the log2 m! prefixes, read log2 m from one table
-for m <= n.  Only primes call the log core.  A power of two is a point, and a
-composite m is the exact integer sum of the brackets of its least prime
+The two term sums, G(n) and the summed log2 n!, read log2 m from one table
+per table precision, kept for the process and extended in place when a
+larger n is asked for; both sums ask for the same precision, so a row's G(n)
+and log2 n! share one table.  Only primes call the log core.  2 is a point,
+and a composite m is the exact integer sum of the brackets of its least prime
 factor (from a sieve) and of its cofactor, on one common scale, since
 log2 m = sum of e_i log2 p_i holds exactly.  An n-term sum therefore costs
-pi(n) core calls instead of n.  A composite's width adds up Omega(m) <
-bit_length(n) prime widths, so the table runs ceil(log2 bit_length(n)) + 1
-guard bits finer than the term precision, and every entry stays within the
-width of one direct core bracket at that precision.  Single-integer
-enclosures (``log2_int_enclosure``, log2 n! from the exact factorial) keep the
-direct core.
+pi(n) core calls instead of n, once per process.  A composite's width adds up
+Omega(m) < bit_length(n) prime widths, so the table runs
+ceil(log2 bit_length(n)) + 1 guard bits finer than the term precision, and
+every entry stays within the width of one direct core bracket at that
+precision.  Single-integer enclosures (``log2_int_enclosure``, log2 n! from
+the exact factorial) call the core directly.
 
 Every non-exact primitive enclosure is computed two bits finer than requested
 and then padded outward by two ulps.  The pad costs a fraction of the width
@@ -44,15 +46,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 from .dyadic import DyadicInterval, DyadicRational
 from .exact import (
-    MAX_PRECISION_BITS,
-    MIN_PRECISION,
     WORK_CEILING,
     DomainError,
     ResourceLimitError,
+    _check_precision,
     _part_precision,
     _sum_work,
     _table_precision,
@@ -90,15 +90,6 @@ _EXTRA_STEPS = 2
 # Finer core + outward pad (in ulps of the core grid) for structural nesting.
 _CORE_EXTRA = 2
 _PAD_ULPS = 2
-
-
-def _check_precision(p: int) -> None:
-    if p < MIN_PRECISION:
-        raise DomainError(f"precision must be >= {MIN_PRECISION} bits, got {p}")
-    if p > MAX_PRECISION_BITS:
-        raise ResourceLimitError(
-            f"precision {p} exceeds the configured ceiling {MAX_PRECISION_BITS}"
-        )
 
 
 def _log2_core(num: int, den: int, p_core: int) -> tuple[int, int, int]:
@@ -165,31 +156,11 @@ def log2_fraction(fr: Fraction, p: int) -> DyadicInterval:
     return _raw_to_interval(*_log2_raw(fr.numerator, fr.denominator, p))
 
 
-# Per-integer raw enclosures, keyed by (m, p); hits are bit-identical to
-# recomputation, so sharing the cache never affects results.
-_LOG2_INT_RAW: dict[tuple[int, int], tuple[int, int, int]] = {}
-
-
-def _log2_int_raw(m: int, p: int) -> tuple[int, int, int]:
-    """_log2_raw(m, 1, p), with exact powers of two moved to the common scale
-    s = p + _CORE_EXTRA + _EXTRA_STEPS so that summed terms share one grid."""
-    key = (m, p)
-    hit = _LOG2_INT_RAW.get(key)
-    if hit is None:
-        lo, hi, s = _log2_raw(m, 1, p)
-        if s == 0:
-            s = p + _CORE_EXTRA + _EXTRA_STEPS
-            lo <<= s
-            hi <<= s
-        hit = _LOG2_INT_RAW[key] = (lo, hi, s)
-    return hit
-
-
 def log2_int_enclosure(m: int, p: int) -> DyadicInterval:
     """Enclosure of log2(m) for integer m >= 1, width <= 2^-p."""
     require_positive("m", m)
     _check_precision(p)
-    return _raw_to_interval(*_log2_int_raw(m, p))
+    return _raw_to_interval(*_log2_raw(m, 1, p))
 
 
 def log2_interval(iv: DyadicInterval, p: int) -> DyadicInterval:
@@ -265,30 +236,52 @@ def _least_prime_factors(n: int) -> list[int]:
     return spf
 
 
-def _log2_table(n: int, q: int) -> tuple[list[int], list[int], int]:
-    """Scaled brackets of log2 m for m = 1..n on one scale s, each no wider
-    than one _log2_raw bracket at precision q: log2 m lies in
-    [lo[m] * 2^-s, hi[m] * 2^-s].
+# log2 m tables, one per table precision q_tab: log2 m lies in
+# [lo[m] * 2^-s, hi[m] * 2^-s] with s = q_tab + _CORE_EXTRA + _EXTRA_STEPS.
+# An extension builds longer lists and stores the pair in one assignment, so
+# an interrupted extension leaves the previous pair whole.
+_LOG2_TABLES: dict[int, tuple[list[int], list[int]]] = {}
 
-    Only primes call the log core (through the per-integer cache); powers of
-    two are points, and a composite is the exact sum of the brackets of its
-    least prime factor and its cofactor.
+
+def _log2_table(n: int, q: int) -> tuple[list[int], list[int], int]:
+    """Scaled brackets (lo, hi, s) of log2 m for m = 1..n (the lists may run
+    past n) on one scale s, each no wider than one _log2_raw bracket at
+    precision q.
+
+    Only primes call the log core; 2 is a point, and a composite is the exact
+    sum of the brackets of its least prime factor and its cofactor.
     """
     q_tab = _table_precision(n, q)
     _check_precision(q_tab)
     s = q_tab + _CORE_EXTRA + _EXTRA_STEPS
-    spf = _least_prime_factors(n)
-    lo = [0] * (n + 1)
-    hi = [0] * (n + 1)
-    for m in range(2, n + 1):
-        f = spf[m]
-        if f < m:
-            c = m // f
-            lo[m] = lo[f] + lo[c]
-            hi[m] = hi[f] + hi[c]
-        else:
-            lo[m], hi[m], _ = _log2_int_raw(m, q_tab)
+    lo, hi = _LOG2_TABLES.get(q_tab, ([0, 0], [0, 0]))
+    start = len(lo)
+    if start <= n:
+        spf = _least_prime_factors(n)
+        lo = lo + [0] * (n + 1 - start)
+        hi = hi + [0] * (n + 1 - start)
+        for m in range(start, n + 1):
+            f = spf[m]
+            if f < m:
+                c = m // f
+                lo[m] = lo[f] + lo[c]
+                hi[m] = hi[f] + hi[c]
+            elif m == 2:
+                lo[m] = hi[m] = 1 << s
+            else:
+                lo[m], hi[m], _ = _log2_raw(m, 1, q_tab)
+        _LOG2_TABLES[q_tab] = lo, hi
     return lo, hi, s
+
+
+def _sum_table(n: int, p: int) -> tuple[list[int], list[int], int]:
+    """The log2 m table under an n-term sum held to 2^-p: terms below
+    2^-(p + ceil(log2 n) + 1) each, read one guard bit finer."""
+    _check_precision(p)
+    q_term = _part_precision(p, n)
+    _check_precision(q_term)
+    _check_sum_work(n, q_term)
+    return _log2_table(n, q_term + 1)
 
 
 def G_enclosure(n: int, p: int) -> DyadicInterval:
@@ -300,12 +293,7 @@ def G_enclosure(n: int, p: int) -> DyadicInterval:
     and dyadic-power terms contributing exactly zero.
     """
     require_positive("n", n)
-    _check_precision(p)
-    q_term = _part_precision(p, n)
-    _check_precision(q_term)
-    _check_sum_work(n, q_term)
-
-    lo, hi, s = _log2_table(n, q_term + 1)
+    lo, hi, s = _sum_table(n, p)
     ln_lo, ln_hi = lo[n], hi[n]
 
     clamp = _frac_upper_clamp(n)
@@ -337,12 +325,11 @@ def log2_factorial_by_factorial(n: int, p: int) -> DyadicInterval:
 
 
 def log2_factorial_by_sum(n: int, p: int) -> DyadicInterval:
-    """Enclosure of log2(n!) as the certified sum of log2(m) over m <= n: the
-    last prefix of :func:`log2_factorial_running`."""
+    """Enclosure of log2(n!) as the certified sum of log2(m) over m <= n,
+    from the table G(n) reads at precision p."""
     require_positive("n", n)
-    for _, lo, hi, s in _log2_factorial_prefixes(n, p):
-        pass
-    return _raw_to_interval(lo, hi, s)
+    lo, hi, s = _sum_table(n, p)
+    return _raw_to_interval(sum(lo[: n + 1]), sum(hi[: n + 1]), s)
 
 
 def log2_factorial_enclosure(n: int, p: int) -> DyadicInterval:
@@ -358,29 +345,16 @@ def log2_factorial_enclosure(n: int, p: int) -> DyadicInterval:
     return log2_factorial_by_sum(n, p)
 
 
-def _log2_factorial_prefixes(n_max: int, p: int) -> Iterator[tuple[int, int, int, int]]:
-    """Yield (m, lo, hi, s): log2 m! lies in [lo * 2^-s, hi * 2^-s], for
-    m = 1..n_max.  Every term is computed at the n_max budget, so each prefix
-    keeps width <= 2^-p."""
-    _check_precision(p)
-    q = _part_precision(p, n_max)
-    _check_precision(q)
-    _check_sum_work(n_max, q)
-    lo, hi, s = _log2_table(n_max, q)
-    acc_lo = 0
-    acc_hi = 0
+def log2_factorial_running(n_max: int, p: int):
+    """Yield (n, enclosure of log2 n!) for n = 1..n_max by prefix sums over
+    the table of an n_max-term sum, each of width <= 2^-p."""
+    require_positive("n_max", n_max)
+    lo, hi, s = _sum_table(n_max, p)
+    acc_lo = acc_hi = 0
     for m in range(1, n_max + 1):
         acc_lo += lo[m]
         acc_hi += hi[m]
-        yield m, acc_lo, acc_hi, s
-
-
-def log2_factorial_running(n_max: int, p: int):
-    """Yield (n, enclosure of log2 n!) for n = 1..n_max by prefix sums, each
-    of width <= 2^-p."""
-    require_positive("n_max", n_max)
-    for m, lo, hi, s in _log2_factorial_prefixes(n_max, p):
-        yield m, _raw_to_interval(lo, hi, s)
+        yield m, _raw_to_interval(acc_lo, acc_hi, s)
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,17 @@ WORK_CEILING = 1 << 32
 _ROW_PARTS = 3
 
 
+def _check_precision(p: int) -> None:
+    """Reject a precision below the floor (DomainError) or above the ceiling
+    (ResourceLimitError)."""
+    if p < MIN_PRECISION:
+        raise DomainError(f"precision must be >= {MIN_PRECISION} bits, got {p}")
+    if p > MAX_PRECISION_BITS:
+        raise ResourceLimitError(
+            f"precision {p} exceeds the configured ceiling {MAX_PRECISION_BITS}"
+        )
+
+
 def _part_precision(p: int, parts: int, scale: int = 1) -> int:
     """Per-part precision so that `parts` terms, each scaled by at most
     `scale`, sum to well under 2^-p."""

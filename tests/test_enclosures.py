@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import math
 import random
 from fractions import Fraction
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 import log2lab.enclosures as enclosures_mod
 from log2lab.dyadic import DyadicInterval, DyadicRational
 from log2lab.enclosures import (
-    MAX_PRECISION_BITS,
     G_enclosure,
     ResourceLimitError,
     e_interval,
@@ -29,7 +29,13 @@ from log2lab.enclosures import (
     log2_pi_interval,
     pi_interval,
 )
-from log2lab.exact import DomainError, power_of_two_ratio
+from log2lab.exact import (
+    MAX_PRECISION_BITS,
+    DomainError,
+    attempt_precision,
+    power_of_two_ratio,
+)
+from log2lab.sweep import SweepConfig, run_bounds_sweep
 
 from conftest import g_oracle, interval_contains
 
@@ -141,11 +147,22 @@ class TestGEnclosure:
             G_enclosure(0, 50)
 
 
+def direct_log2_int(m: int, q: int) -> tuple[int, int, int]:
+    """_log2_raw(m, 1, q), with an exact power of two (a point at scale 0)
+    moved onto the common scale of the other brackets at q."""
+    lo, hi, s = enclosures_mod._log2_raw(m, 1, q)
+    if s == 0:
+        s = q + enclosures_mod._CORE_EXTRA + enclosures_mod._EXTRA_STEPS
+        lo <<= s
+        hi <<= s
+    return lo, hi, s
+
+
 def direct_G_enclosure(n: int, p: int) -> DyadicInterval:
     """G(n) as the term sum computed before the log table: one certified core
     call per m, each at the term precision plus one guard bit."""
     q_log = enclosures_mod._part_precision(p, n) + 1
-    lo_n, hi_n, s = enclosures_mod._log2_int_raw(n, q_log)
+    lo_n, hi_n, s = direct_log2_int(n, q_log)
     clamp = enclosures_mod._frac_upper_clamp(n)
     clamp_hi = clamp.mantissa << (s + clamp.exponent)
     acc_lo = acc_hi = 0
@@ -154,7 +171,7 @@ def direct_G_enclosure(n: int, p: int) -> DyadicInterval:
         if r == 0 and q & (q - 1) == 0:
             continue
         k_shift = (q.bit_length() - 1) << s
-        lo_m, hi_m, _ = enclosures_mod._log2_int_raw(m, q_log)
+        lo_m, hi_m, _ = direct_log2_int(m, q_log)
         acc_lo += max(lo_n - hi_m - k_shift, 0)
         acc_hi += min(hi_n - lo_m - k_shift, clamp_hi)
     return DyadicInterval(DyadicRational(acc_lo, -s), DyadicRational(acc_hi, -s))
@@ -189,8 +206,8 @@ _TERM_PRECISIONS = st.sampled_from([16, 53, 128])
 
 
 class TestLog2Table:
-    """The per-integer table behind the term sums: log core calls for primes
-    only, exact sums of brackets for every other m."""
+    """The log2 m table behind the term sums: log core calls for primes only,
+    exact sums of brackets for every other m, one table per precision."""
 
     @settings(deadline=None, max_examples=80)
     @given(_TABLE_ARGS, _TERM_PRECISIONS)
@@ -206,7 +223,7 @@ class TestLog2Table:
             assert interval_contains(iv, mp.log(m) / mp.log(2))
 
     def test_core_calls_only_for_primes(self, monkeypatch):
-        monkeypatch.setattr(enclosures_mod, "_LOG2_INT_RAW", {})
+        monkeypatch.setattr(enclosures_mod, "_LOG2_TABLES", {})
         calls = []
         real = enclosures_mod._log2_core
 
@@ -221,7 +238,7 @@ class TestLog2Table:
         assert len(calls) <= pi_3500
         assert all(_is_prime(m) for m in calls)
         calls.clear()
-        monkeypatch.setattr(enclosures_mod, "_LOG2_INT_RAW", {})
+        monkeypatch.setattr(enclosures_mod, "_LOG2_TABLES", {})
         log2_factorial_by_sum(3000, 64)
         assert len(calls) <= sum(map(_is_prime, range(3001)))
 
@@ -230,6 +247,51 @@ class TestLog2Table:
         for m in range(2, 5001):
             f = next(d for d in range(2, m + 1) if m % d == 0)
             assert spf[m] == f, m
+
+    def test_one_bounded_table_per_precision_after_sweeps(self, monkeypatch):
+        monkeypatch.setattr(enclosures_mod, "_LOG2_TABLES", {})
+        for n_lo, n_hi in ((3004, 3043), (3044, 3123)):
+            config = SweepConfig(n_lo=n_lo, n_hi=n_hi)
+            assert run_bounds_sweep(config, io.StringIO(), io.StringIO()) == 0
+        # every row settles at p = 128, whose G(n) reads the table at
+        # attempt_precision; the p = 64 attempts stop before G
+        tables = enclosures_mod._LOG2_TABLES
+        assert set(tables) == {attempt_precision(n, 128) for n in range(3004, 3124)}
+        for lo, hi in tables.values():
+            assert len(lo) == len(hi) <= 3123 + 1
+        caches = [
+            name
+            for name, value in vars(enclosures_mod).items()
+            if not name.startswith("__") and isinstance(value, (dict, list, set))
+        ]
+        assert caches == ["_LOG2_TABLES"]
+
+    def test_interrupted_extension_leaves_a_whole_table(self, monkeypatch):
+        monkeypatch.setattr(enclosures_mod, "_LOG2_TABLES", {})
+        table = enclosures_mod._log2_table
+        q_tab = enclosures_mod._table_precision(2000, 53)
+        assert enclosures_mod._table_precision(500, 53) == q_tab
+        table(500, 53)
+        real = enclosures_mod._log2_raw
+        primes = []
+
+        def interrupted(num, den, p):
+            primes.append(num)
+            if len(primes) == 20:  # a prime in the middle of 501..2000
+                raise KeyboardInterrupt
+            return real(num, den, p)
+
+        monkeypatch.setattr(enclosures_mod, "_log2_raw", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            table(2000, 53)
+        assert 500 < primes[-1] < 2000
+        lo, hi = enclosures_mod._LOG2_TABLES[q_tab]
+        assert len(lo) == len(hi) == 501
+        monkeypatch.setattr(enclosures_mod, "_log2_raw", real)
+        extended = table(2000, 53)
+        assert len(extended[0]) == len(extended[1])
+        monkeypatch.setattr(enclosures_mod, "_LOG2_TABLES", {})
+        assert extended == table(2000, 53)  # a cold build
 
 
 class TestGAgainstDirectTermSum:
