@@ -16,7 +16,6 @@ _EXPORTS = {
         "VerdictStatus",
         "compare_bounds",
         "error_term_e2",
-        "paper_equality_certificate",
         "paper_lower_bound_log2",
         "ramanujan_b_agreement",
         "ramanujan_bounds_log2",

@@ -10,10 +10,13 @@ the log2 domain so that n^n never has to be formed:
   decimal and its closed form disagree past the sixth decimal; this module
   computes both and reports, never silently picks).
 
-A verdict is issued only from non-overlapping intervals.  The single known
-equality family (n a power of two, where the counting bound is attained
-exactly) is certified by an exact integer identity instead of asking finite
-precision to separate equal numbers.
+The Robbins and Ramanujan verdicts are issued only from non-overlapping
+intervals.  The counting-bound verdict comes from an exact identity instead:
+by Legendre's formula, sum_{m <= n} floor(log2(n/m)) = n - s2(n), so the
+error term e2(n) = log2 n! - log2(counting bound) is the integer s2(n) - 1.
+The bound therefore holds for every n, with equality exactly when n is a power
+of two, and no finite precision is asked to separate equal numbers.  Each row
+still checks that its e2 enclosure contains s2(n) - 1.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ from .exact import (
     IdentityViolationError,
     _check_precision,
     _part_precision,
+    all_floor_sum,
     binary_digit_sum,
-    ceil_log2,
     require_positive,
 )
 
@@ -57,7 +60,6 @@ __all__ = [
     "robbins_bounds_log2",
     "ramanujan_bounds_log2",
     "compare_bounds",
-    "paper_equality_certificate",
     "ramanujan_b_printed",
     "ramanujan_b_closed_form",
     "ramanujan_b_agreement",
@@ -188,48 +190,21 @@ def _counting_bound(n: int, p: int) -> tuple[DyadicInterval, DyadicInterval]:
     return g, x.add_int(-(n - 1)) - g
 
 
-def _counting_parts(
-    n: int, p: int, fact: DyadicInterval | None = None
-) -> tuple[DyadicInterval, DyadicInterval, DyadicInterval, DyadicInterval]:
-    """(log2 n!, G(n), log2 counting bound, e2(n)), from log2 n!, n log2 n and
-    G(n) each enclosed at a third of the 2^-p budget.  ``fact``, when given,
-    is log2 n! already enclosed at that third."""
-    if fact is None:
-        fact = log2_factorial_enclosure(n, _part_precision(p, _ROW_PARTS))
-    g, paper_lb = _counting_bound(n, p)
-    return fact, g, paper_lb, fact - paper_lb
-
-
 def error_term_e2(n: int, p: int) -> DyadicInterval:
     """Enclosure of e2(n) = log2 n! - (n log2 n - n + 1 - G(n)).
 
-    This is the base-2 error term of the partial-log-sum formula.  Brute-force
-    interval evaluation confirmed e2(n) = s2(n) - 1 for every n <= 512 before
-    the hypothesis was allowed anywhere else; the sweep re-checks it on every
-    row it emits.
+    This is the base-2 error term of the partial-log-sum formula.  By
+    Legendre's formula, sum_{m <= n} floor(log2(n/m)) = n - s2(n), so e2(n) is
+    exactly the integer s2(n) - 1; this enclosure is the empirical side of
+    that identity, and the sweeps check it on every row they emit.
 
     It is also log2 C(n) = log2 n! - n log2 n + (n - 1 + G(n)), the measured
     gap above the counting bound, rearranged; dyadic addition is exact, so the
     sweep's ``c_log2`` columns are this enclosure bit for bit.
     """
     require_positive("n", n)
-    return _counting_parts(n, p)[3]
-
-
-def paper_equality_certificate(n: int) -> bool:
-    """Exact integer proof that the counting bound is attained at n = 2^t.
-
-    For n = 2^t the error term reduces to the integer
-    (n - 1) - t n + sum_{m <= n} ceil(log2 m), which this function evaluates
-    by direct enumeration.  Returns True iff n is a power of two and the
-    integer vanishes (exact equality n! = n^n / 2^(n-1+G(n))).
-    """
-    require_positive("n", n)
-    if binary_digit_sum(n) != 1:
-        return False
-    t = n.bit_length() - 1
-    ceil_sum = sum(ceil_log2(m) for m in range(1, n + 1))
-    return (n - 1) - t * n + ceil_sum == 0
+    fact = log2_factorial_enclosure(n, _part_precision(p, _ROW_PARTS))
+    return fact - _counting_bound(n, p)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -348,45 +323,58 @@ def _settled(verdicts: dict[str, Verdict]) -> bool:
     return all(v.status is not VerdictStatus.INCONCLUSIVE for v in verdicts.values())
 
 
-def _compute_row(
-    n: int, p: int, b_source: str, escalations: int, final: bool
-) -> BoundRow | None:
-    """The row at precision p, its sides compared from cheapest to dearest.
+def compare_bounds(
+    n: int,
+    p: int,
+    b_source: str = "printed",
+    max_escalations: int = 4,
+) -> BoundRow:
+    """Assemble the full BoundRow for n, doubling precision while a Robbins or
+    Ramanujan verdict stays inconclusive (up to max_escalations).
 
-    Unless ``final``, the attempt returns None at its first Inconclusive
-    verdict, before the dearer sides (G above all) are computed.
+    An attempt that will escalate stops at its first Inconclusive verdict: it
+    compares log2 n! with the Ramanujan sides first, then Robbins.  Only the
+    settled precision encloses n log2 n and G(n) for the counting bound, whose
+    verdict is Holds from the identity e2(n) = s2(n) - 1 (checked against the
+    row's e2 enclosure).  A row is never partially emitted: every field is
+    filled at the precision the row finally settled on.
     """
-    fact = log2_factorial_enclosure(n, _part_precision(p, _ROW_PARTS))
-    ram_lo, ram_hi = ramanujan_bounds_log2(n, p, b_source)
-    verdicts = {
-        "ramanujan_lower": _verdict(ram_lo, fact),
-        "ramanujan_upper": _verdict(fact, ram_hi),
-    }
-    if not (final or _settled(verdicts)):
-        return None
-    robbins_lo, robbins_hi = robbins_bounds_log2(n, p)
-    verdicts["robbins_lower"] = _verdict(robbins_lo, fact)
-    verdicts["robbins_upper"] = _verdict(fact, robbins_hi)
-    if not (final or _settled(verdicts)):
-        return None
-    _, g, paper_lb, e2 = _counting_parts(n, p, fact)
+    require_positive("n", n)
+    _check_precision(p)
+    _b_routine(b_source)  # reject an unknown name before any work
+    last = max(max_escalations, 0)
+    for attempt in range(last + 1):
+        q = p << attempt
+        fact = log2_factorial_enclosure(n, _part_precision(q, _ROW_PARTS))
+        ram_lo, ram_hi = ramanujan_bounds_log2(n, q, b_source)
+        verdicts = {
+            "ramanujan_lower": _verdict(ram_lo, fact),
+            "ramanujan_upper": _verdict(fact, ram_hi),
+        }
+        if attempt < last and not _settled(verdicts):
+            continue
+        robbins_lo, robbins_hi = robbins_bounds_log2(n, q)
+        verdicts["robbins_lower"] = _verdict(robbins_lo, fact)
+        verdicts["robbins_upper"] = _verdict(fact, robbins_hi)
+        if _settled(verdicts):
+            break
 
+    g, paper_lb = _counting_bound(n, q)
+    e2 = fact - paper_lb
     s2 = binary_digit_sum(n)
-    equality = s2 == 1
-    if equality and not paper_equality_certificate(n):
+    all_floor_sum(n)  # Legendre's n - s2(n), counted in blocks; raises on a mismatch
+    if not e2.contains_int(s2 - 1):
         raise IdentityViolationError(
-            f"exact equality certificate failed at n={n}; the ceil-log2 identity broke"
+            f"e2({n}) enclosure at p={q} misses s2(n) - 1 = {s2 - 1}, "
+            "which Legendre's formula fixes"
         )
-    if equality:
-        # no finite precision separates equal quantities; the integer
-        # certificate above is the evidence for Holds-with-equality
-        verdicts["paper"] = Verdict(status=VerdictStatus.HOLDS, certificate=(paper_lb, fact))
-    else:
-        verdicts["paper"] = _verdict(paper_lb, fact)
+    # no finite precision separates equal quantities at n = 2^t; the identity
+    # is the evidence for Holds, strict exactly when s2(n) > 1
+    verdicts["paper"] = Verdict(status=VerdictStatus.HOLDS, certificate=(paper_lb, fact))
 
     return BoundRow(
         n=n,
-        precision_bits=p,
+        precision_bits=q,
         log2_fact=fact,
         g=g,
         paper_lb=paper_lb,
@@ -397,33 +385,7 @@ def _compute_row(
         c_log2=e2,
         e2=e2,
         s2=s2,
-        equality=equality,
+        equality=s2 == 1,
         verdicts={name: verdicts[name] for name in BOUND_NAMES},
-        escalations=escalations,
+        escalations=attempt,
     )
-
-
-def compare_bounds(
-    n: int,
-    p: int,
-    b_source: str = "printed",
-    max_escalations: int = 4,
-) -> BoundRow:
-    """Assemble the full BoundRow for n, doubling precision while any verdict
-    stays inconclusive (up to max_escalations), then finalizing.
-
-    An attempt that will escalate stops at its first Inconclusive verdict: it
-    compares log2 n! with the Ramanujan sides first, then Robbins, and only
-    then encloses n log2 n and G(n) for the counting bound.  The last allowed
-    attempt computes every side.  A row is never partially emitted: every
-    field is filled at the precision the row finally settled on.
-    """
-    require_positive("n", n)
-    _check_precision(p)
-    _b_routine(b_source)  # reject an unknown name before any work
-    last = max(max_escalations, 0)
-    for attempt in range(last + 1):
-        row = _compute_row(n, p << attempt, b_source, attempt, attempt == last)
-        if row is not None and _settled(row.verdicts):
-            break
-    return row

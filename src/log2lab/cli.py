@@ -10,9 +10,12 @@ Exit codes are a contract shared by every subcommand:
 * 3 — usage or configuration error (no output file is created), or a
       precision or work ceiling hit mid-run (the output file is finalized as
       truncated but valid);
-* 4 — internal error: any other exception.  ``log2lab: internal error: ...``
-      and the traceback (a pool worker's included) go to stderr, and the
-      output file is finalized as truncated but valid.
+* 4 — internal error: any other exception, including a ``sweep-bounds`` row
+      whose e2 enclosure contradicts the identity e2(n) = s2(n) - 1 (the
+      identity is a theorem, so the enclosure code is at fault).
+      ``log2lab: internal error: ...`` and the traceback (a pool worker's
+      included) go to stderr, and the output file is finalized as truncated
+      but valid.
 """
 
 from __future__ import annotations

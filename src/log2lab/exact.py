@@ -6,6 +6,11 @@ j*2^k <= a", so no transcendental function and no floating-point rounding can
 ever mis-assign a floor.  The two enumeration oracles deliberately count by
 brute force; they exist to cross-check the floor-sum identity, not to be fast.
 
+The floor sum over all j <= a has a closed form, Legendre's formula: the
+exponent of 2 in a! is sum_{alpha >= 1} floor(a / 2^alpha) = a - s2(a), and
+counting the pairs (j, alpha) with j * 2^alpha <= a the other way round gives
+sum_{j <= a} floor(log2(a/j)) = a - s2(a), where s2 is the binary digit sum.
+
 The floor sums count their terms in blocks: floor(log2(a/j)) = k exactly when
 a >> (k+1) < j <= a >> k, so a sum over j <= a takes O(log a) integer steps
 for every size of a.  The enumeration oracles still visit every m, but each
@@ -205,9 +210,9 @@ def pair_enumeration_oracle(a: int) -> int:
 def all_floor_sum(a: int) -> int:
     """Sum of floor(log2(a/j)) over ALL j <= a, for any a >= 1.
 
-    Equals a - binary_digit_sum(a); that closed form was brute-force confirmed
-    against the direct sum for every a <= 10^4 before being relied on, and the
-    test suite re-runs that confirmation.  The value returned here is still the
+    Equals a - binary_digit_sum(a) by Legendre's formula (the module
+    docstring has the derivation); the test suite also checks it against the
+    direct sum for every a <= 300.  The value returned here is still the
     floor sum (counted in blocks), with the closed form enforced as a hard
     cross-check.
     """

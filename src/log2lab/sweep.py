@@ -140,11 +140,11 @@ class SweepConfig:
         if self.workers < 1:
             raise UsageError("worker count must be >= 1")
 
-    def ns(self) -> list[int]:
-        ns = range(self.n_lo, self.n_hi + 1)
+    def ns(self) -> range:
+        """The n of the run, ascending; a range, so no run holds them all."""
         if self.parity == "odd":
-            return [n for n in ns if n % 2 == 1]
-        return list(ns)
+            return range(self.n_lo | 1, self.n_hi + 1, 2)
+        return range(self.n_lo, self.n_hi + 1)
 
 
 # the BoundRow intervals behind the *_lo/*_hi column pairs, in column order
@@ -303,7 +303,7 @@ class _StopAtError:
         return self.error
 
 
-def _pool_map(config: SweepConfig, fn, items: list, chunksize: int) -> Iterator:
+def _pool_map(config: SweepConfig, fn, items: range, chunksize: int) -> Iterator:
     """Payloads in item order; an error is raised at the item that hit it.
 
     At most one worker per item is started, and none for a single worker.
@@ -368,7 +368,7 @@ def _run(
     columns: list[str],
     payload_fn: Callable[[SweepConfig, int], dict],
     chunksize: int,
-    fold: Callable[[SweepConfig, list[int]], Any],
+    fold: Callable[[SweepConfig, range], Any],
     out_stream: IO[str] | None,
     report_stream: IO[str] | None,
     term_sums: bool = True,
@@ -419,7 +419,7 @@ def _run(
 class _BoundsFold:
     """Verdict counts, equality rows, the e2 argmax and the findings."""
 
-    def __init__(self, config: SweepConfig, ns: list[int]):
+    def __init__(self, config: SweepConfig, ns: range):
         _load_bounds()
         self.config = config
         self.ns = ns
@@ -524,7 +524,7 @@ def _linear_line(n: int, fields: dict[str, str]) -> str:
 class _ErrorTermFold:
     """Whether every e2 enclosure isolated s2(n) - 1, and the largest s2(n) - 1."""
 
-    def __init__(self, config: SweepConfig, ns: list[int]):
+    def __init__(self, config: SweepConfig, ns: range):
         self.p = config.precision_bits
         self.requested = len(ns)
         self.all_contained = True
@@ -566,7 +566,7 @@ class _ErrorTermFold:
 class _VerifyFold:
     """Count of odd a checked, and every failure record."""
 
-    def __init__(self, config: SweepConfig, ns: list[int]):
+    def __init__(self, config: SweepConfig, ns: range):
         self.failures: list[dict] = []
 
     def add(self, payload: dict) -> None:

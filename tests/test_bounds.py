@@ -1,7 +1,8 @@
-"""Bounds lab: frozen example values, verdict semantics, equality certificates."""
+"""Bounds lab: frozen example values, verdict semantics, the counting-bound identity."""
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import fields
 from fractions import Fraction
@@ -20,7 +21,6 @@ from log2lab.bounds import (
     VerdictStatus,
     compare_bounds,
     error_term_e2,
-    paper_equality_certificate,
     paper_lower_bound_log2,
     ramanujan_b_agreement,
     ramanujan_b_closed_form,
@@ -28,9 +28,18 @@ from log2lab.bounds import (
     ramanujan_bounds_log2,
     robbins_bounds_log2,
 )
+from log2lab.cli import main
 from log2lab.dyadic import DyadicInterval, DyadicRational
-from log2lab.enclosures import log2_factorial_enclosure
-from log2lab.exact import DomainError, attempt_precision, attempt_work, binary_digit_sum
+from log2lab.enclosures import G_enclosure, log2_factorial_enclosure
+from log2lab.exact import (
+    DomainError,
+    IdentityViolationError,
+    attempt_precision,
+    attempt_work,
+    binary_digit_sum,
+    ceil_log2,
+)
+from log2lab.sweep import EXIT_INTERNAL
 
 from conftest import g_oracle, interval_contains
 
@@ -86,6 +95,21 @@ class TestErrorTermAndC:
             assert iv.contains_int(target), n
             assert not iv.contains_int(target - 1), n
             assert not iv.contains_int(target + 1), n
+
+
+def paper_equality_certificate(n: int) -> bool:
+    """Exact integer oracle: the counting bound is attained at n = 2^t.
+
+    For n = 2^t the error term reduces to the integer
+    (n - 1) - t n + sum_{m <= n} ceil(log2 m), evaluated here by direct
+    enumeration.  True iff n is a power of two and the integer vanishes
+    (exact equality n! = n^n / 2^(n-1+G(n))).
+    """
+    if binary_digit_sum(n) != 1:
+        return False
+    t = n.bit_length() - 1
+    ceil_sum = sum(ceil_log2(m) for m in range(1, n + 1))
+    return (n - 1) - t * n + ceil_sum == 0
 
 
 class TestEqualityCertificate:
@@ -263,18 +287,20 @@ class TestCompareBounds:
 def full_attempt_row(
     n: int, p: int, b_source: str = "printed", max_escalations: int = 4
 ) -> BoundRow:
-    """compare_bounds with every attempt computing all five sides before its
-    verdicts are checked: the oracle for the attempts that stop early."""
+    """compare_bounds with every attempt computing all five sides from the
+    public functions before its verdicts are checked: the oracle for the
+    attempts that stop early.  The paper verdict is Holds with the exact
+    equality flag of the ceil-log2 enumeration."""
     for attempt in range(max(max_escalations, 0) + 1):
         q = p << attempt
-        fact, g, paper_lb, e2 = bounds_mod._counting_parts(n, q)
+        part = enclosures_mod._part_precision(q, bounds_mod._ROW_PARTS)
+        fact = log2_factorial_enclosure(n, part)
+        g = G_enclosure(n, part)
+        paper_lb = paper_lower_bound_log2(n, q)
+        e2 = error_term_e2(n, q)
+        assert e2 == fact - paper_lb
         robbins_lo, robbins_hi = robbins_bounds_log2(n, q)
         ram_lo, ram_hi = ramanujan_bounds_log2(n, q, b_source)
-        equality = paper_equality_certificate(n)
-        if equality:
-            paper = Verdict(status=VerdictStatus.HOLDS, certificate=(paper_lb, fact))
-        else:
-            paper = bounds_mod._verdict(paper_lb, fact)
         row = BoundRow(
             n=n,
             precision_bits=q,
@@ -288,9 +314,9 @@ def full_attempt_row(
             c_log2=e2,
             e2=e2,
             s2=binary_digit_sum(n),
-            equality=equality,
+            equality=paper_equality_certificate(n),
             verdicts={
-                "paper": paper,
+                "paper": Verdict(status=VerdictStatus.HOLDS, certificate=(paper_lb, fact)),
                 "robbins_lower": bounds_mod._verdict(robbins_lo, fact),
                 "robbins_upper": bounds_mod._verdict(fact, robbins_hi),
                 "ramanujan_lower": bounds_mod._verdict(ram_lo, fact),
@@ -342,6 +368,56 @@ class TestEarlyStop:
         row = compare_bounds(3004, 64)
         assert row.precision_bits == 128 and row.escalations == 1
         assert calls == [(3004, enclosures_mod._part_precision(128, bounds_mod._ROW_PARTS))]
+
+
+class TestCountingIdentity:
+    """The counting-bound verdict comes from Legendre's formula: e2(n) is the
+    integer s2(n) - 1, so the bound holds for every n, with equality exactly
+    at the powers of two."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 4096), st.sampled_from([4, 16, 53, 64]))
+    def test_paper_holds_with_exact_equality(self, n, p):
+        row = compare_bounds(n, p)
+        s2 = binary_digit_sum(n)
+        assert row.verdicts["paper"].status is VerdictStatus.HOLDS
+        assert row.verdicts["paper"].certificate == (row.paper_lb, row.log2_fact)
+        assert row.equality == (s2 == 1) == paper_equality_certificate(n)
+        assert row.s2 == s2
+        assert row.e2.contains_int(s2 - 1)
+
+    @pytest.mark.parametrize("shift", [1, -1])
+    def test_shifted_g_raises(self, monkeypatch, shift):
+        # a G off by one integer moves e2 off s2(n) - 1; with G too large,
+        # an interval comparison of paper_lb with log2 n! would still read Holds
+        real = bounds_mod.G_enclosure
+        monkeypatch.setattr(bounds_mod, "G_enclosure", lambda n, q: real(n, q).add_int(shift))
+        for n in (1, 3, 6, 8):
+            with pytest.raises(IdentityViolationError, match=f"e2\\({n}\\)"):
+                compare_bounds(n, 64)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("shift", [1, -1])
+    def test_shifted_g_sweep_exits_internal(self, tmp_path, capsys, monkeypatch, shift, workers):
+        # G is shifted at n = 3 only, so rows 1 and 2 are written first; pool
+        # workers are forked with the patch in place
+        real = bounds_mod.G_enclosure
+
+        def shifted(n, q):
+            g = real(n, q)
+            return g.add_int(shift) if n == 3 else g
+
+        monkeypatch.setattr(bounds_mod, "G_enclosure", shifted)
+        out = tmp_path / "rows.json"
+        argv = ["sweep-bounds", "--range", "1..4", "--format", "json", "--workers", str(workers)]
+        assert main(argv + ["--out", str(out)]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err.startswith("log2lab: internal error: e2(3) enclosure at p=64 misses")
+        payload = json.loads(out.read_text())
+        summary = payload[-1]["summary"]
+        assert summary["truncated"] is True
+        assert summary["checked"] == 2
+        assert [row["n"] for row in payload[:-1]] == ["1", "2"]
 
 
 class TestAttemptPrecision:

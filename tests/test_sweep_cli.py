@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -98,8 +99,9 @@ class TestConfigValidation:
 
     def test_parity_filter(self):
         cfg = SweepConfig(n_lo=1, n_hi=10, parity="odd")
-        assert cfg.ns() == [1, 3, 5, 7, 9]
-        assert SweepConfig(n_lo=2, n_hi=2, parity="odd").ns() == []
+        assert list(cfg.ns()) == [1, 3, 5, 7, 9]
+        assert list(SweepConfig(n_lo=2, n_hi=2, parity="odd").ns()) == []
+        assert list(SweepConfig(n_lo=2, n_hi=9, parity="odd").ns()) == [3, 5, 7, 9]
 
 
 class TestBoundsSweep:
@@ -306,6 +308,20 @@ class TestVerifyTheorem:
             "failure_rows": [],
             "truncated": False,
         }
+
+    def test_memory_does_not_grow_with_the_range(self):
+        # the n of a run are never held all at once: 10001 odd a would take
+        # about 400 KB as a list
+        cfg = SweepConfig(n_lo=1, n_hi=20001)
+        run_verify_theorem(cfg, out_stream=io.StringIO(), report_stream=io.StringIO())
+        tracemalloc.start()
+        try:
+            code = run_verify_theorem(cfg, out_stream=io.StringIO(), report_stream=io.StringIO())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < 64 * 1024
 
     def test_workers_agree(self, tmp_path):
         cfg1 = SweepConfig(n_lo=1, n_hi=401, workers=1, output_format="json")
