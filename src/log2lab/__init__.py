@@ -16,16 +16,13 @@ _EXPORTS = {
         "VerdictStatus",
         "compare_bounds",
         "error_term_e2",
-        "paper_lower_bound_log2",
         "ramanujan_b_agreement",
         "ramanujan_bounds_log2",
         "robbins_bounds_log2",
     ),
     "dyadic": ("DyadicInterval", "DyadicRational"),
     "enclosures": (
-        "FracTerm",
         "G_enclosure",
-        "frac_log2_enclosure",
         "log2_factorial_by_factorial",
         "log2_factorial_by_sum",
         "log2_factorial_enclosure",
@@ -41,10 +38,8 @@ _EXPORTS = {
         "binary_digit_sum",
         "ceil_log2",
         "even_count_oracle",
-        "floor_log2_ratio",
         "odd_floor_sum",
         "pair_enumeration_oracle",
-        "power_of_two_ratio",
     ),
     "sweep": (
         "SweepConfig",

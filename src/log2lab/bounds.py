@@ -55,7 +55,6 @@ __all__ = [
     "BAgreementReport",
     "BoundRow",
     "BOUND_NAMES",
-    "paper_lower_bound_log2",
     "error_term_e2",
     "robbins_bounds_log2",
     "ramanujan_bounds_log2",
@@ -174,12 +173,6 @@ def _b_routine(name: str):
 # ---------------------------------------------------------------------------
 # the counting bound and its error term
 # ---------------------------------------------------------------------------
-
-
-def paper_lower_bound_log2(n: int, p: int) -> DyadicInterval:
-    """Enclosure of log2 of the counting bound: n log2 n - (n - 1 + G(n))."""
-    require_positive("n", n)
-    return _counting_bound(n, p)[1]
 
 
 def _counting_bound(n: int, p: int) -> tuple[DyadicInterval, DyadicInterval]:

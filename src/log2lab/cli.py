@@ -53,7 +53,10 @@ def _parse_range(text: str) -> tuple[int, int]:
     m = _RANGE_RE.match(text)
     if not m:
         raise UsageError(f"range must look like LO..HI, got {text!r}")
-    return int(m.group(1)), int(m.group(2))
+    try:
+        return int(m.group(1)), int(m.group(2))
+    except ValueError as exc:  # a bound past the int-to-string digit limit
+        raise UsageError(f"range bound too long: {exc}") from None
 
 
 def _add_output_flags(sp: argparse.ArgumentParser) -> None:

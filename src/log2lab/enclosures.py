@@ -43,7 +43,6 @@ series with explicit tail bounds:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -57,16 +56,13 @@ from .exact import (
     _sum_work,
     _table_precision,
     floor_log2_fraction,
-    floor_log2_ratio,
     require_positive,
 )
 
 __all__ = [
-    "FracTerm",
     "log2_fraction",
     "log2_int_enclosure",
     "log2_interval",
-    "frac_log2_enclosure",
     "G_enclosure",
     "log2_factorial_enclosure",
     "log2_factorial_by_factorial",
@@ -177,42 +173,14 @@ def log2_interval(iv: DyadicInterval, p: int) -> DyadicInterval:
 
 
 # ---------------------------------------------------------------------------
-# fractional parts
+# the fractional-part sum G and log2 of factorials
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FracTerm:
-    """One fractional-part term {log2(n/m)} with its exact integer context."""
-
-    n: int
-    m: int
-    k: int
-    frac: DyadicInterval
-    exact_zero: bool
 
 
 def _frac_upper_clamp(a: int) -> DyadicRational:
     # {log2(a/j)} <= 1 - 1/(2a ln 2) < 1 - 2^-(bitlen(a)+2) whenever nonzero
     t = a.bit_length() + 2
     return DyadicRational((1 << t) - 1, -t)
-
-
-def frac_log2_enclosure(a: int, j: int, p: int) -> FracTerm:
-    """Certified {log2(a/j)} in [0, 1); the floor comes from exact arithmetic."""
-    k = floor_log2_ratio(a, j)
-    encl = log2_fraction(Fraction(a, j), p)
-    if encl.is_point():
-        return FracTerm(n=a, m=j, k=k, frac=DyadicInterval.zero(), exact_zero=True)
-    frac = encl.add_int(-k).intersect(
-        DyadicInterval(DyadicRational(0), _frac_upper_clamp(a))
-    )
-    return FracTerm(n=a, m=j, k=k, frac=frac, exact_zero=False)
-
-
-# ---------------------------------------------------------------------------
-# the fractional-part sum G and log2 of factorials
-# ---------------------------------------------------------------------------
 
 
 def _check_sum_work(n: int, p: int) -> None:

@@ -13,9 +13,12 @@ sum_{j <= a} floor(log2(a/j)) = a - s2(a), where s2 is the binary digit sum.
 
 The floor sums count their terms in blocks: floor(log2(a/j)) = k exactly when
 a >> (k+1) < j <= a >> k, so a sum over j <= a takes O(log a) integer steps
-for every size of a.  The enumeration oracles still visit every m, but each
-resumes where its last count in the process stopped, so checking N values of
-a up to A in ascending order visits each m once: O(A + N), not O(N * A).
+for every size of a.  The enumeration oracles visit every m, but they count
+over an interval: given the previous odd a_prev too, they count only the m
+that a adds over a_prev.  A caller that checks N odd a up to A adds up those
+interval counts, so it visits each m once: the whole check costs O(A) visits
+plus O(log A) block and alpha steps per a, O(A + N log A) in all, instead of
+the O(N * A) of counting every a from m = 1.
 
 The precision and work limits of the enclosures live here too, as the same
 kind of integer rule: what precision and how much term-sum work a row at
@@ -35,10 +38,8 @@ __all__ = [
     "attempt_precision",
     "attempt_work",
     "floor_log2_fraction",
-    "floor_log2_ratio",
     "ceil_log2",
     "binary_digit_sum",
-    "power_of_two_ratio",
     "odd_floor_sum",
     "even_count_oracle",
     "pair_enumeration_oracle",
@@ -68,13 +69,6 @@ def require_positive(name: str, v: int) -> None:
         raise DomainError(f"{name} must be a positive integer, got {v}")
 
 
-def _check_ratio_domain(a: int, j: int) -> None:
-    require_positive("a", a)
-    require_positive("j", j)
-    if j > a:
-        raise DomainError(f"j={j} exceeds a={a}; only ratios >= 1 are in domain")
-
-
 def floor_log2_fraction(num: int, den: int) -> int:
     """Exact floor(log2(num/den)) for positive integers, by shift-compare."""
     if num < 1 or den < 1:
@@ -83,16 +77,6 @@ def floor_log2_fraction(num: int, den: int) -> int:
     if e >= 0:
         return e if (den << e) <= num else e - 1
     return e if den <= (num << -e) else e - 1
-
-
-def floor_log2_ratio(a: int, j: int) -> int:
-    """Largest k >= 0 with j * 2^k <= a, for 1 <= j <= a: floor(log2(a/j))."""
-    _check_ratio_domain(a, j)
-    k = floor_log2_fraction(a, j)
-    # defining property, cheap enough to keep as a hard guarantee
-    if (j << k) > a or (j << (k + 1)) <= a:
-        raise IdentityViolationError(f"floor_log2_ratio bracket failed for a={a}, j={j}")
-    return k
 
 
 def ceil_log2(m: int) -> int:
@@ -106,15 +90,6 @@ def binary_digit_sum(a: int) -> int:
     if a < 0:
         raise DomainError(f"a must be non-negative, got {a}")
     return bin(a).count("1")
-
-
-def power_of_two_ratio(a: int, j: int) -> int | None:
-    """k if a == j * 2^k exactly, else None; integer arithmetic only."""
-    _check_ratio_domain(a, j)
-    q, r = divmod(a, j)
-    if r != 0 or q & (q - 1):
-        return None
-    return q.bit_length() - 1
 
 
 def _floor_sum(a: int, odd_only: bool, expected: int, rule: str) -> int:
@@ -158,52 +133,40 @@ def _count_parity(lo: int, hi: int, parity: int) -> int:
     return count
 
 
-# Resume points (a, count) of the last completed oracle count in this process.
-# Each is replaced by one tuple assignment after its count completes, so an
-# exception or interrupt mid-count leaves a consistent point behind.
-_EVEN_FROM_ZERO = (1, 0)
-_PAIR_FROM_ZERO = (0, 0)
-_even_resume = _EVEN_FROM_ZERO
-_pair_resume = _PAIR_FROM_ZERO
+def _check_interval(a_prev: int, a: int, least: int) -> None:
+    if not least <= a_prev <= a:
+        raise DomainError(f"a_prev must lie in [{least}, a={a}], got {a_prev}")
 
 
-def even_count_oracle(a: int) -> int:
-    """Count of even m with 1 <= m < a, for odd a, by direct enumeration.
+def even_count_oracle(a: int, a_prev: int = 1) -> int:
+    """Count of even m with a_prev <= m < a, for odd a, by direct enumeration.
 
     No closed formula on purpose: this is the independent side of the
-    three-way agreement check.  The count resumes from the last a this process
-    counted: a larger a enumerates only the m in a_prev..a-1, a smaller one
-    enumerates again from m = 1.
+    three-way agreement check.  Called with a alone it counts from m = 1, which
+    is (a - 1) / 2; the counts over [a0, a1) and [a1, a2) add up to the count
+    over [a0, a2).
     """
-    global _even_resume
     require_positive("a", a)
     if a % 2 == 0:
         raise DomainError(f"a must be odd, got {a}")
-    a_prev, count = _even_resume
-    if a < a_prev:
-        a_prev, count = _EVEN_FROM_ZERO
-    count += _count_parity(a_prev - 1, a - 1, 0)
-    _even_resume = (a, count)
-    return count
+    _check_interval(a_prev, a, 1)
+    return _count_parity(a_prev - 1, a - 1, 0)
 
 
-def pair_enumeration_oracle(a: int) -> int:
-    """Count pairs (m odd, alpha >= 1) with m * 2^alpha <= a, by double loop.
+def pair_enumeration_oracle(a: int, a_prev: int = 0) -> int:
+    """Count pairs (m odd, alpha >= 1) with a_prev < m * 2^alpha <= a, by double
+    loop.
 
     The outer loop runs over alpha; the inner enumeration walks every
-    candidate m <= a / 2^alpha and keeps the odd ones.  Like
-    :func:`even_count_oracle` it resumes from the last a this process
-    counted: a larger a walks only the m in (a_prev >> alpha, a >> alpha] for
-    each alpha, a smaller one walks again from m = 1.
+    candidate m in (a_prev / 2^alpha, a / 2^alpha] and keeps the odd ones.
+    Called with a alone it counts every pair up to a, which is a // 2; the
+    counts over (a0, a1] and (a1, a2] add up to the count over (a0, a2].
     """
-    global _pair_resume
     require_positive("a", a)
-    a_prev, count = _pair_resume
-    if a < a_prev:
-        a_prev, count = _PAIR_FROM_ZERO
+    _check_interval(a_prev, a, 0)
+    count = 0
     for alpha in range(1, a.bit_length()):
         count += _count_parity(a_prev >> alpha, a >> alpha, 1)
-    _pair_resume = (a, count)
     return count
 
 

@@ -5,7 +5,8 @@ worker processes and still emit byte-identical files: results are collected in
 ascending n through a single ordered writer, and every emitted number is an
 exact decimal rendering of a dyadic endpoint (never a rounded double).  The
 three range commands share one run loop: a per-item payload function, which
-runs in the workers, and a fold that consumes the payloads in order.
+runs in the workers, and a fold that consumes the payloads in order and
+decides which rows are written.
 
 CSV files carry rows only, with a frozen header; JSON files carry the same row
 objects in an array whose final element wraps the run summary.  Rows are
@@ -16,6 +17,7 @@ file behind.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
@@ -135,6 +137,12 @@ class SweepConfig:
             raise UsageError(f"unknown output format {self.output_format!r}")
         if self.parity not in ("all", "odd"):
             raise UsageError(f"unknown parity filter {self.parity!r}")
+        try:
+            len(self.ns())
+        except OverflowError:  # len() of a range fails past sys.maxsize items
+            raise UsageError(
+                f"range [{self.n_lo}, {self.n_hi}] holds more than {sys.maxsize} numbers"
+            ) from None
         if self.ramanujan_b not in ("printed", "closed-form"):
             raise UsageError(f"unknown ramanujan-b source {self.ramanujan_b!r}")
         if self.workers < 1:
@@ -253,28 +261,23 @@ def _error_term_payload(config: SweepConfig, n: int) -> dict:
     return {"fields": fields, "meta": {"contains": contains}}
 
 
-def _verify_payload(config: SweepConfig, a: int) -> dict:
-    """Three-way check of one odd a; a row (and its failure record) only on
-    disagreement."""
-    expected = (a - 1) // 2
+def _verify_payload(config: SweepConfig, a: int) -> tuple[int, int | str, int, int]:
+    """(a, floor sum, even count, pair count) of one odd a; the floor sum is
+    the error message instead when the counting identity fails.
+
+    The two oracle counts cover only the m that a adds over the previous odd
+    a of the range, or every m up to a for the range's first odd a (the only
+    one with a - 2 below the range start).  The fold adds them up, so every m
+    is enumerated once per run; the counts are returned also when the floor
+    sum fails, so that the totals stay right for every later a.
+    """
     try:
-        formula = odd_floor_sum(a)
+        formula: int | str = odd_floor_sum(a)
     except IdentityViolationError as exc:
-        failure = {"a": a, "error": str(exc)}
-    else:
-        even = even_count_oracle(a)
-        pair = pair_enumeration_oracle(a)
-        if formula == expected == even == pair:
-            return {"fields": None, "meta": None}
-        failure = {
-            "a": a,
-            "expected": expected,
-            "floor_formula": formula,
-            "even_count": even,
-            "pair_count": pair,
-        }
-    fields = {c: str(failure.get(c, "")) for c in VERIFY_CSV_COLUMNS}
-    return {"fields": fields, "meta": failure}
+        formula = str(exc)
+    if a - 2 < config.n_lo:
+        return a, formula, even_count_oracle(a), pair_enumeration_oracle(a)
+    return a, formula, even_count_oracle(a, a - 2), pair_enumeration_oracle(a, a - 2)
 
 
 class _StopAtError:
@@ -306,9 +309,10 @@ class _StopAtError:
 def _pool_map(config: SweepConfig, fn, items: range, chunksize: int) -> Iterator:
     """Payloads in item order; an error is raised at the item that hit it.
 
-    At most one worker per item is started, and none for a single worker.
+    At most one worker per item and per CPU is started, and none for a single
+    worker.
     """
-    workers = min(config.workers, len(items))
+    workers = min(config.workers, len(items), os.cpu_count() or 1)
     if workers <= 1:
         yield from map(fn, items)
         return
@@ -375,10 +379,10 @@ def _run(
 ) -> int:
     """The run loop shared by the range commands; returns the exit code.
 
-    ``payload_fn(config, n)`` returns ``{"fields": row or None, "meta": ...}``
-    and runs in the workers.  ``fold(config, ns)`` builds the command's fold:
-    its ``add`` takes the payloads in ascending n, each after its row is
-    written, and ``finish(checked)`` returns the summary, the report lines
+    ``payload_fn(config, n)`` runs in the workers.  ``fold(config, ns)``
+    builds the command's fold: ``add(payload, write)`` takes the payloads in
+    ascending n, each counted as checked first, and passes the rows to write
+    to ``write``; ``finish(checked)`` returns the summary, the report lines
     and the exit code.  Any exception in that loop ends it early and the
     output is finalized as truncated; an interrupt then exits 2, and anything
     else is re-raised for ``cli.main`` to map to exit code 3 or 4.
@@ -392,10 +396,8 @@ def _run(
     stopped: BaseException | None = None
     try:
         for payload in _pool_map(config, partial(payload_fn, config), ns, chunksize):
-            if payload["fields"] is not None:
-                writer.write_row(payload["fields"])
             checked += 1
-            acc.add(payload)
+            acc.add(payload, writer.write_row)
     except BaseException as exc:  # the output is finalized as truncated below
         stopped = exc
 
@@ -442,8 +444,9 @@ class _BoundsFold:
                 }
             )
 
-    def add(self, payload: dict) -> None:
+    def add(self, payload: dict, write: Callable[[dict], None]) -> None:
         fields = payload["fields"]
+        write(fields)
         meta = payload["meta"]
         n = int(fields["n"])
         row_bits = int(fields["precision_bits"])
@@ -530,8 +533,9 @@ class _ErrorTermFold:
         self.all_contained = True
         self.max_row: dict | None = None
 
-    def add(self, payload: dict) -> None:
+    def add(self, payload: dict, write: Callable[[dict], None]) -> None:
         fields = payload["fields"]
+        write(fields)
         if not payload["meta"]["contains"]:
             self.all_contained = False
         s2m1 = int(fields["s2_minus_1"])
@@ -564,14 +568,32 @@ class _ErrorTermFold:
 
 
 class _VerifyFold:
-    """Count of odd a checked, and every failure record."""
+    """Running oracle counts, the three-way check of each odd a, and every
+    failure record, written as a row too."""
 
     def __init__(self, config: SweepConfig, ns: range):
+        self.even = self.pair = 0
         self.failures: list[dict] = []
 
-    def add(self, payload: dict) -> None:
-        if payload["meta"] is not None:
-            self.failures.append(payload["meta"])
+    def add(self, payload: tuple, write: Callable[[dict], None]) -> None:
+        a, formula, even, pair = payload
+        self.even += even
+        self.pair += pair
+        expected = (a - 1) // 2
+        if isinstance(formula, str):
+            failure = {"a": a, "error": formula}
+        elif formula == expected == self.even == self.pair:
+            return
+        else:
+            failure = {
+                "a": a,
+                "expected": expected,
+                "floor_formula": formula,
+                "even_count": self.even,
+                "pair_count": self.pair,
+            }
+        self.failures.append(failure)
+        write({c: str(failure.get(c, "")) for c in VERIFY_CSV_COLUMNS})
 
     def finish(self, checked: int) -> tuple[dict, list[str], int]:
         failures = self.failures

@@ -10,6 +10,9 @@ from __future__ import annotations
 import mpmath as mp
 import pytest
 
+from log2lab.enclosures import G_enclosure, log2_int_enclosure
+from log2lab.exact import _ROW_PARTS, _part_precision
+
 ORACLE_PREC_BITS = 400
 
 
@@ -26,6 +29,21 @@ def floor_log2_doubling(a: int, j: int) -> int:
 def is_pow_ratio(a: int, j: int) -> bool:
     q, r = divmod(a, j)
     return r == 0 and q & (q - 1) == 0
+
+
+def power_of_two_ratio(a: int, j: int) -> int | None:
+    """k if a == j * 2^k exactly, else None; integer arithmetic only."""
+    q, r = divmod(a, j)
+    if r != 0 or q & (q - 1):
+        return None
+    return q.bit_length() - 1
+
+
+def paper_lower_bound_log2(n: int, p: int):
+    """Enclosure of log2 of the counting bound, n log2 n - (n - 1 + G(n)), from
+    n log2 n and G(n) each enclosed at a third of the 2^-p budget, as in a row."""
+    x = log2_int_enclosure(n, _part_precision(p, _ROW_PARTS, n)).scale_int(n)
+    return x.add_int(-(n - 1)) - G_enclosure(n, _part_precision(p, _ROW_PARTS))
 
 
 def dyadic_to_mpf(d) -> mp.mpf:

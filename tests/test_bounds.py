@@ -21,7 +21,6 @@ from log2lab.bounds import (
     VerdictStatus,
     compare_bounds,
     error_term_e2,
-    paper_lower_bound_log2,
     ramanujan_b_agreement,
     ramanujan_b_closed_form,
     ramanujan_b_printed,
@@ -41,7 +40,7 @@ from log2lab.exact import (
 )
 from log2lab.sweep import EXIT_INTERNAL
 
-from conftest import g_oracle, interval_contains
+from conftest import g_oracle, interval_contains, paper_lower_bound_log2
 
 LOG2_3 = "1.58496250072115618145373894394781650876"
 B_CLOSED = "0.3549912666820893250086468803607338730667"

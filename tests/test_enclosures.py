@@ -18,7 +18,6 @@ from log2lab.enclosures import (
     G_enclosure,
     ResourceLimitError,
     e_interval,
-    frac_log2_enclosure,
     ln2_interval,
     log2_e_interval,
     log2_factorial_by_factorial,
@@ -29,19 +28,13 @@ from log2lab.enclosures import (
     log2_pi_interval,
     pi_interval,
 )
-from log2lab.exact import (
-    MAX_PRECISION_BITS,
-    DomainError,
-    attempt_precision,
-    power_of_two_ratio,
-)
+from log2lab.exact import MAX_PRECISION_BITS, DomainError, attempt_precision
 from log2lab.sweep import SweepConfig, run_bounds_sweep
 
-from conftest import g_oracle, interval_contains
+from conftest import g_oracle, interval_contains, power_of_two_ratio
 
 # independent-oracle values, frozen from high-precision reference runs
 LOG2_3 = "1.58496250072115618145373894394781650876"
-FRAC_LOG2_3 = "0.5849625007211561814537389439478165087598"
 G3 = "1.16992500144231236290747788789563301752"
 G4 = "0.4150374992788438185462610560521834912402"
 G5 = "1.7027498788282932100275387740097441947"
@@ -77,40 +70,6 @@ class TestLog2Ratio:
         iv = log2_fraction(Fraction(1, 3), 60)
         assert interval_contains(iv, "-" + LOG2_3)
         assert iv.width_within(60)
-
-
-class TestFracTerm:
-    def test_exact_zero_cases(self):
-        for a, j in [(1, 1), (8, 1), (6, 3), (4096, 2)]:
-            term = frac_log2_enclosure(a, j, 60)
-            assert term.exact_zero
-            assert term.frac.is_point() and term.frac.lo == DyadicRational(0)
-
-    def test_frac_log2_3(self):
-        term = frac_log2_enclosure(3, 1, 60)
-        assert not term.exact_zero
-        assert term.k == 1
-        assert interval_contains(term.frac, FRAC_LOG2_3)
-
-    def test_frac_bounds_invariant(self):
-        rng = random.Random(41)
-        one = DyadicRational(1)
-        for _ in range(400):
-            a = rng.randrange(1, 10**5)
-            j = rng.randrange(1, a + 1)
-            term = frac_log2_enclosure(a, j, 53)
-            assert term.frac.lo >= DyadicRational(0)
-            assert term.frac.hi < one
-            assert term.exact_zero == (power_of_two_ratio(a, j) is not None)
-
-    def test_integer_part_is_exact_near_powers(self):
-        # a/j barely below a power of two: the floor must not be pulled up
-        a, j = (1 << 40) - 1, 1
-        term = frac_log2_enclosure(a, j, 16)
-        assert term.k == 39
-        # and barely above: the floor must not lag behind
-        term = frac_log2_enclosure((1 << 40) + 1, 1, 16)
-        assert term.k == 40
 
 
 class TestGEnclosure:
@@ -331,7 +290,7 @@ class TestPrecisionFloor:
             (G_enclosure, (2, 0)),
             (log2_factorial_by_sum, (5, 2)),
             (lambda n, p: list(log2_factorial_running(n, p)), (3, 1)),
-            (frac_log2_enclosure, (8, 1, 3)),
+            (log2_fraction, (Fraction(8), 3)),
         ],
         ids=["G", "G-exact", "factorial-by-sum", "factorial-running", "frac-exact"],
     )

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import log2lab.exact as exact_mod
 from log2lab.exact import (
     DomainError,
     all_floor_sum,
@@ -17,58 +16,58 @@ from log2lab.exact import (
     ceil_log2,
     even_count_oracle,
     floor_log2_fraction,
-    floor_log2_ratio,
     odd_floor_sum,
     pair_enumeration_oracle,
-    power_of_two_ratio,
 )
 
-from conftest import floor_log2_doubling
+from conftest import floor_log2_doubling, power_of_two_ratio
 
 
 class TestFloorLog2Ratio:
+    """floor(log2(a/j)) for 1 <= j <= a, the ratios the floor sums take."""
+
     @pytest.mark.parametrize(
         "a,j,expected",
         [(7, 1, 2), (7, 3, 1), (1024, 1, 10), (1, 1, 0), (9, 9, 0), (6, 3, 1)],
     )
     def test_examples(self, a, j, expected):
-        assert floor_log2_ratio(a, j) == expected
+        assert floor_log2_fraction(a, j) == expected
 
     def test_equal_arguments_always_zero(self):
         for a in (1, 2, 3, 17, 2**40, 10**12 + 7):
-            assert floor_log2_ratio(a, a) == 0
+            assert floor_log2_fraction(a, a) == 0
 
     def test_matches_doubling_oracle(self):
         rng = random.Random(20240811)
         for _ in range(2000):
             a = rng.randrange(1, 1 << 48)
             j = rng.randrange(1, a + 1)
-            assert floor_log2_ratio(a, j) == floor_log2_doubling(a, j)
+            assert floor_log2_fraction(a, j) == floor_log2_doubling(a, j)
 
     def test_bracket_property(self):
         rng = random.Random(7)
         for _ in range(2000):
             a = rng.randrange(1, 10**7)
             j = rng.randrange(1, a + 1)
-            k = floor_log2_ratio(a, j)
+            k = floor_log2_fraction(a, j)
             assert j << k <= a < j << (k + 1)
 
     def test_monotone_in_j_and_a(self):
         a = 1000
-        ks = [floor_log2_ratio(a, j) for j in range(1, a + 1)]
+        ks = [floor_log2_fraction(a, j) for j in range(1, a + 1)]
         assert ks == sorted(ks, reverse=True)
         j = 37
-        ks = [floor_log2_ratio(a, j) for a in range(j, j + 4000)]
+        ks = [floor_log2_fraction(a, j) for a in range(j, j + 4000)]
         assert ks == sorted(ks)
 
-    @pytest.mark.parametrize("a,j", [(0, 1), (5, 0), (3, 4), (1, 2)])
+    @pytest.mark.parametrize("a,j", [(0, 1), (5, 0)])
     def test_domain_errors(self, a, j):
         with pytest.raises(DomainError):
-            floor_log2_ratio(a, j)
+            floor_log2_fraction(a, j)
 
     @given(st.integers(1, 1 << 80), st.integers(1, 1 << 80))
     def test_fraction_kernel_brackets_any_ratio(self, num, den):
-        # the kernel behind floor_log2_ratio, also for ratios below 1
+        # also for ratios below 1
         k = floor_log2_fraction(num, den)
         assert Fraction(2) ** k <= Fraction(num, den) < Fraction(2) ** (k + 1)
 
@@ -90,6 +89,7 @@ class TestSmallHelpers:
         "a,j,expected", [(8, 1, 3), (6, 3, 1), (7, 3, None), (5, 5, 0), (48, 3, 4)]
     )
     def test_power_of_two_ratio(self, a, j, expected):
+        # the test suite's exact-point oracle, from conftest
         assert power_of_two_ratio(a, j) == expected
 
     def test_power_of_two_ratio_agrees_with_exact_reconstruction(self):
@@ -156,71 +156,35 @@ def _pairs_from_zero(a: int) -> int:
     )
 
 
-_RESUMABLE = [
-    (even_count_oracle, _even_from_zero, st.integers(0, 1000).map(lambda k: 2 * k + 1)),
-    (pair_enumeration_oracle, _pairs_from_zero, st.integers(1, 2001)),
+_ORACLES = [
+    (even_count_oracle, _even_from_zero, 1),
+    (pair_enumeration_oracle, _pairs_from_zero, 0),
 ]
+_ODD = st.integers(0, 1500).map(lambda k: 2 * k + 1)
 
 
-@st.composite
-def _oracle_run(draw):
-    """An oracle, its from-zero reference, and a sequence of a that contains
-    a = 1, in drawn, ascending, descending or repeated order."""
-    oracle, from_zero, values = draw(st.sampled_from(_RESUMABLE))
-    seq = draw(st.lists(values, min_size=1, max_size=20))
-    seq.insert(draw(st.integers(0, len(seq))), 1)
-    order = draw(st.sampled_from(["drawn", "ascending", "descending", "repeated"]))
-    if order == "ascending":
-        seq.sort()
-    elif order == "descending":
-        seq.sort(reverse=True)
-    elif order == "repeated":
-        seq = [a for a in seq for _ in range(2)]
-    return oracle, from_zero, seq
-
-
-class _Interrupted(Exception):
-    pass
-
-
-class TestResumableOracles:
-    """The oracles resume from the last a they counted; any order of a must
-    still give the from-zero enumeration."""
+class TestIntervalOracles:
+    """Each oracle counts over an interval of a; counts over adjacent
+    intervals add up, and a alone counts from zero."""
 
     @settings(deadline=None)
-    @given(_oracle_run())
-    def test_any_order_equals_from_zero(self, run):
-        oracle, from_zero, seq = run
-        for a in seq:
-            assert oracle(a) == from_zero(a), (seq, a)
+    @given(st.lists(_ODD, min_size=3, max_size=3))
+    def test_interval_counts_add_up(self, odd):
+        a0, a1, a2 = sorted(odd)
+        for oracle, _, _ in _ORACLES:
+            assert oracle(a2, a0) == oracle(a1, a0) + oracle(a2, a1), (oracle, a0, a1, a2)
 
     @settings(deadline=None)
-    @given(_oracle_run(), st.integers(0, 40), st.integers(0, 12))
-    def test_count_interrupted_midway_leaves_later_counts_correct(self, run, split, calls_ok):
-        oracle, from_zero, seq = run
-        split %= len(seq)
-        for a in seq[:split]:
-            oracle(a)
-        real = exact_mod._count_parity
-        calls = []
+    @given(_ODD)
+    def test_from_zero_equals_enumeration(self, a):
+        for oracle, from_zero, start in _ORACLES:
+            assert oracle(a) == oracle(a, start) == from_zero(a), (oracle, a)
 
-        def failing(lo: int, hi: int, parity: int) -> int:
-            # enumerate half of this piece, then fail: a count cut off mid-walk
-            calls.append(lo)
-            real(lo, (lo + hi) // 2, parity)
-            if len(calls) > calls_ok:
-                raise _Interrupted
-            return real(lo, hi, parity)
-
-        exact_mod._count_parity = failing
-        try:
-            oracle(seq[split])
-        except _Interrupted:
-            pass
-        finally:
-            exact_mod._count_parity = real
-        for a in seq[split:]:
-            assert oracle(a) == from_zero(a), (seq, split, calls_ok, a)
+    @pytest.mark.parametrize("oracle", [o for o, _, _ in _ORACLES])
+    @pytest.mark.parametrize("a_prev", [-1, 9])
+    def test_rejects_interval_outside_zero_to_a(self, oracle, a_prev):
+        with pytest.raises(DomainError):
+            oracle(7, a_prev)
 
 
 class TestAllFloorSum:

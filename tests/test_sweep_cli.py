@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -54,6 +55,14 @@ def _error_term_payload_over_ceiling_at_2(config, n):
     if n == 2:
         config = replace(config, precision_bits=MAX_PRECISION_BITS + 1)
     return _ERROR_TERM_PAYLOAD(config, n)
+
+
+_PAIR_ORACLE = sweep_mod.pair_enumeration_oracle
+
+
+def _pair_oracle_miscounting_at_201(a, *interval):
+    # one pair too many in the count that a = 201 adds
+    return _PAIR_ORACLE(a, *interval) + (a == 201)
 
 
 def run_to_files(runner, config, tmp_path, name):
@@ -323,6 +332,44 @@ class TestVerifyTheorem:
         assert code == EXIT_OK
         assert peak < 64 * 1024
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_miscount_fails_every_later_a(self, tmp_path, monkeypatch, fmt):
+        # the oracles' totals are added up in the fold, so one miscounted a
+        # fails itself and every later a; the range starts at 41, and with 2
+        # workers the chunk holding a = 201 starts mid-range at a = 169
+        monkeypatch.setattr(sweep_mod, "pair_enumeration_oracle", _pair_oracle_miscounting_at_201)
+        workers = [1, 2] if multiprocessing.get_start_method() == "fork" else [1]
+        runs = [
+            run_to_files(
+                run_verify_theorem,
+                SweepConfig(n_lo=41, n_hi=401, workers=w, output_format=fmt),
+                tmp_path,
+                f"w{w}.{fmt}",
+            )
+            for w in workers
+        ]
+        code, out, report = runs[0]
+        assert code == EXIT_VIOLATION
+        assert report.startswith("checked=181 failures=101\n")
+        expected = [
+            {
+                "a": str(a),
+                "expected": str((a - 1) // 2),
+                "floor_formula": str((a - 1) // 2),
+                "even_count": str((a - 1) // 2),
+                "pair_count": str((a - 1) // 2 + 1),
+            }
+            for a in range(201, 402, 2)
+        ]
+        if fmt == "csv":
+            with open(out, newline="") as fh:
+                assert list(csv.DictReader(fh)) == expected
+        else:
+            assert json.loads(out.read_text())[:-1] == expected
+        for other_code, other_out, other_report in runs[1:]:
+            assert other_code == code and other_report == report
+            assert other_out.read_bytes() == out.read_bytes()
+
     def test_workers_agree(self, tmp_path):
         cfg1 = SweepConfig(n_lo=1, n_hi=401, workers=1, output_format="json")
         cfg2 = SweepConfig(n_lo=1, n_hi=401, workers=2, output_format="json")
@@ -365,6 +412,17 @@ class TestCliContract:
             main(["no-such-command"])
         assert exc.value.code == EXIT_USAGE
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "bounds",
+        ["1.." + "9" * 5000, "1..99999999999999999999"],
+        ids=["past-int-digit-limit", "past-sys-maxsize-numbers"],
+    )
+    def test_range_rejected_before_output(self, tmp_path, capsys, bounds):
+        out = tmp_path / "v.csv"
+        assert main(["verify-theorem", "--range", bounds, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("log2lab: error: range ")
+        assert not out.exists()
 
     def test_usage_error_creates_no_output_file(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
@@ -521,7 +579,8 @@ class TestCliContract:
 
 
 class TestPoolSize:
-    """A pool starts at most one worker per row, and none for a single one."""
+    """A pool starts at most one worker per row and per CPU, and none for a
+    single one."""
 
     @pytest.fixture
     def started(self, monkeypatch):
@@ -545,6 +604,7 @@ class TestPoolSize:
 
         # multiprocessing.Pool(...) builds its pool from this class
         monkeypatch.setattr(multiprocessing.pool, "Pool", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         return started
 
     def test_one_row_starts_no_pool(self, started, capsys):
@@ -555,6 +615,14 @@ class TestPoolSize:
     @pytest.mark.parametrize(("hi", "workers", "expected"), [(5, 64, [3]), (99, 2, [2]), (2, 2, [])])
     def test_pool_size_is_capped_by_rows(self, started, tmp_path, hi, workers, expected):
         cfg = SweepConfig(n_lo=1, n_hi=hi, workers=workers)
+        code, _, report = run_to_files(run_verify_theorem, cfg, tmp_path, "v.csv")
+        assert code == EXIT_OK and "failures=0" in report
+        assert started == expected
+
+    @pytest.mark.parametrize(("cpus", "expected"), [(2, [2]), (1, []), (None, [])])
+    def test_pool_size_is_capped_by_cpus(self, started, tmp_path, monkeypatch, cpus, expected):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cfg = SweepConfig(n_lo=1, n_hi=99, workers=64)
         code, _, report = run_to_files(run_verify_theorem, cfg, tmp_path, "v.csv")
         assert code == EXIT_OK and "failures=0" in report
         assert started == expected
