@@ -15,8 +15,14 @@ intervals.  The counting-bound verdict comes from an exact identity instead:
 by Legendre's formula, sum_{m <= n} floor(log2(n/m)) = n - s2(n), so the
 error term e2(n) = log2 n! - log2(counting bound) is the integer s2(n) - 1.
 The bound therefore holds for every n, with equality exactly when n is a power
-of two, and no finite precision is asked to separate equal numbers.  Each row
-still checks that its e2 enclosure contains s2(n) - 1.
+of two, and no finite precision is asked to separate equal numbers.
+
+A compared row takes G(n) from its definition, G(n) = n log2 n - log2 n! -
+sum_{m <= n} floor(log2(n/m)): the row's own enclosures of n log2 n and
+log2 n!, minus the floor sum counted exactly in O(log n) blocks.  Each row
+still checks that its e2 enclosure contains s2(n) - 1, which ties that floor
+count to the binary digit sum.  ``error_term_e2`` keeps the O(n) term sum of
+the fractional parts, so its e2 is the empirical side of the identity.
 """
 
 from __future__ import annotations
@@ -175,29 +181,21 @@ def _b_routine(name: str):
 # ---------------------------------------------------------------------------
 
 
-def _counting_bound(n: int, p: int) -> tuple[DyadicInterval, DyadicInterval]:
-    """(G(n), log2 counting bound), from n log2 n and G(n) each enclosed at a
-    third of the 2^-p budget, as in a row."""
-    x = log2_int_enclosure(n, _part_precision(p, _ROW_PARTS, n)).scale_int(n)
-    g = G_enclosure(n, _part_precision(p, _ROW_PARTS))
-    return g, x.add_int(-(n - 1)) - g
-
-
 def error_term_e2(n: int, p: int) -> DyadicInterval:
     """Enclosure of e2(n) = log2 n! - (n log2 n - n + 1 - G(n)).
 
     This is the base-2 error term of the partial-log-sum formula.  By
     Legendre's formula, sum_{m <= n} floor(log2(n/m)) = n - s2(n), so e2(n) is
-    exactly the integer s2(n) - 1; this enclosure is the empirical side of
-    that identity, and the sweeps check it on every row they emit.
-
-    It is also log2 C(n) = log2 n! - n log2 n + (n - 1 + G(n)), the measured
-    gap above the counting bound, rearranged; dyadic addition is exact, so the
-    sweep's ``c_log2`` columns are this enclosure bit for bit.
+    exactly the integer s2(n) - 1.  Here G(n) is the term-by-term sum of the
+    fractional parts, not the identity, so this enclosure is the empirical
+    side of that identity: log2 n!, n log2 n and G(n) are each enclosed at a
+    third of the 2^-p budget.
     """
     require_positive("n", n)
-    fact = log2_factorial_enclosure(n, _part_precision(p, _ROW_PARTS))
-    return fact - _counting_bound(n, p)[1]
+    part = _part_precision(p, _ROW_PARTS)
+    fact = log2_factorial_enclosure(n, part)
+    x = log2_int_enclosure(n, _part_precision(p, _ROW_PARTS, n)).scale_int(n)
+    return fact - (x.add_int(-(n - 1)) - G_enclosure(n, part))
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +325,13 @@ def compare_bounds(
 
     An attempt that will escalate stops at its first Inconclusive verdict: it
     compares log2 n! with the Ramanujan sides first, then Robbins.  Only the
-    settled precision encloses n log2 n and G(n) for the counting bound, whose
-    verdict is Holds from the identity e2(n) = s2(n) - 1 (checked against the
-    row's e2 enclosure).  A row is never partially emitted: every field is
-    filled at the precision the row finally settled on.
+    settled precision encloses n log2 n for the counting bound.  G(n) is
+    n log2 n - log2 n! minus the exact floor count n - s2(n), from the row's
+    own log2 n!, so a row runs no term sum of G(n).  The counting-bound verdict
+    is Holds from the identity e2(n) = s2(n) - 1, checked against the row's e2
+    enclosure; c_log2 is that enclosure too, since log2 C(n) = e2(n).  A row is
+    never partially emitted: every field is filled at the precision the row
+    finally settled on.
     """
     require_positive("n", n)
     _check_precision(p)
@@ -352,10 +353,13 @@ def compare_bounds(
         if _settled(verdicts):
             break
 
-    g, paper_lb = _counting_bound(n, q)
+    x = log2_int_enclosure(n, _part_precision(q, _ROW_PARTS, n)).scale_int(n)
+    # the floor sum, counted in blocks; all_floor_sum raises unless it is
+    # Legendre's n - s2(n)
+    g = (x - fact).add_int(-all_floor_sum(n))
+    paper_lb = x.add_int(-(n - 1)) - g
     e2 = fact - paper_lb
     s2 = binary_digit_sum(n)
-    all_floor_sum(n)  # Legendre's n - s2(n), counted in blocks; raises on a mismatch
     if not e2.contains_int(s2 - 1):
         raise IdentityViolationError(
             f"e2({n}) enclosure at p={q} misses s2(n) - 1 = {s2 - 1}, "

@@ -12,8 +12,11 @@ from being mis-assigned near powers of two.
 
 The two term sums, G(n) and the summed log2 n!, read log2 m from one table
 per table precision, kept for the process and extended in place when a
-larger n is asked for; both sums ask for the same precision, so a row's G(n)
-and log2 n! share one table.  Only primes call the log core.  2 is a point,
+larger n is asked for; both sums ask for the same precision, so past the
+factorial threshold an error-term row's G(n) and log2 n! share one table.  A sweep row runs no term
+sum of G(n) (it takes G(n) from log2 n! and the exact floor count), so it
+builds a table only for a summed log2 n!, past the factorial threshold.
+Only primes call the log core.  2 is a point,
 and a composite m is the exact integer sum of the brackets of its least prime
 factor (from a sieve) and of its cofactor, on one common scale, since
 log2 m = sum of e_i log2 p_i holds exactly.  An n-term sum therefore costs

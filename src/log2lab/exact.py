@@ -190,7 +190,8 @@ def all_floor_sum(a: int) -> int:
 MIN_PRECISION = 4
 MAX_PRECISION_BITS = 1 << 14
 WORK_CEILING = 1 << 32
-# a BoundRow encloses log2 n!, n log2 n and G(n) at a third of its budget each
+# a row encloses log2 n! and n log2 n (and, for error-term, G(n) by its term
+# sum) at a third of its budget each
 _ROW_PARTS = 3
 
 
@@ -232,7 +233,9 @@ def _sum_work(n: int, p: int) -> int:
 
 def attempt_precision(n_hi: int, p: int) -> int:
     """Largest precision that computing a row at precision p asks for, over
-    every n <= n_hi: the log2 m table under G(n), the finest part of a row.
+    every n <= n_hi: the log2 m table under an n-term sum, the finest part of
+    a row.  That is G(n) in an error-term row, and log2 n! past the factorial
+    threshold in a sweep row; a sweep row below it asks for less.
 
     It grows with n and is taken at n >= 2, which also covers log2 pi (p + 7
     bits), the finest part of the row at n = 1.
@@ -243,6 +246,9 @@ def attempt_precision(n_hi: int, p: int) -> int:
 
 def attempt_work(n_hi: int, p: int) -> int:
     """Work of the largest term sum that computing a row at precision p runs
-    over every n <= n_hi (G(n_hi), or a summed log2 n_hi! of the same size),
-    by the rule that ``enclosures._check_sum_work`` holds to ``WORK_CEILING``."""
+    over every n <= n_hi, by the rule that ``enclosures._check_sum_work`` holds
+    to ``WORK_CEILING``: G(n_hi) in an error-term row, or a summed log2 n_hi!
+    of the same size in a sweep row past the factorial threshold.  A sweep row
+    runs no term sum of G(n), and none at all up to that threshold, so for
+    sweep-bounds this bound is conservative there."""
     return _sum_work(n_hi, _term_precision(n_hi, p))

@@ -41,7 +41,9 @@ def power_of_two_ratio(a: int, j: int) -> int | None:
 
 def paper_lower_bound_log2(n: int, p: int):
     """Enclosure of log2 of the counting bound, n log2 n - (n - 1 + G(n)), from
-    n log2 n and G(n) each enclosed at a third of the 2^-p budget, as in a row."""
+    n log2 n and the term sum G(n) each enclosed at a third of the 2^-p
+    budget, as error-term encloses them: the oracle for a compared row's
+    paper_lb, which takes G(n) from the exact floor count instead."""
     x = log2_int_enclosure(n, _part_precision(p, _ROW_PARTS, n)).scale_int(n)
     return x.add_int(-(n - 1)) - G_enclosure(n, _part_precision(p, _ROW_PARTS))
 

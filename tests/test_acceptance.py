@@ -8,6 +8,7 @@ determinism criterion re-runs it with a different worker count.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import random
 from contextlib import contextmanager
@@ -123,6 +124,23 @@ def test_criterion_5_paper_bound_sweep(full_sweep):
             assert row["equality_flag"] == (
                 "true" if binary_digit_sum(n) == 1 else "false"
             ), n
+
+
+# SHA-256 of the n, s2, verdict and equality columns of criterion 5's sweep,
+# one comma-joined line per row: a change to the emitted interval bits must
+# leave every one of these columns as it is
+VERDICT_COLUMNS = (
+    "n", "s2", "verdict_paper", "verdict_robbins", "verdict_ramanujan", "equality_flag"
+)
+VERDICT_COLUMNS_SHA256 = "50fcf108ac5e00b14e2f39167364b1663c5fc83d024318306fdc544574a79f5f"
+
+
+def test_criterion_5_verdict_columns_pinned(full_sweep):
+    with criterion(5, "sweep [1, 5000] at p=64: verdict and equality columns match the pinned digest"):
+        lines = "".join(
+            ",".join(row[c] for c in VERDICT_COLUMNS) + "\n" for row in full_sweep["rows"]
+        )
+        assert hashlib.sha256(lines.encode()).hexdigest() == VERDICT_COLUMNS_SHA256
 
 
 def test_criterion_6_error_term_characterization(tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import random
 from dataclasses import fields
@@ -29,7 +30,7 @@ from log2lab.bounds import (
 )
 from log2lab.cli import main
 from log2lab.dyadic import DyadicInterval, DyadicRational
-from log2lab.enclosures import G_enclosure, log2_factorial_enclosure
+from log2lab.enclosures import G_enclosure, log2_factorial_enclosure, log2_int_enclosure
 from log2lab.exact import (
     DomainError,
     IdentityViolationError,
@@ -38,7 +39,13 @@ from log2lab.exact import (
     binary_digit_sum,
     ceil_log2,
 )
-from log2lab.sweep import EXIT_INTERNAL
+from log2lab.sweep import (
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_VIOLATION,
+    SweepConfig,
+    run_bounds_sweep,
+)
 
 from conftest import g_oracle, interval_contains, paper_lower_bound_log2
 
@@ -288,16 +295,19 @@ def full_attempt_row(
 ) -> BoundRow:
     """compare_bounds with every attempt computing all five sides from the
     public functions before its verdicts are checked: the oracle for the
-    attempts that stop early.  The paper verdict is Holds with the exact
-    equality flag of the ceil-log2 enumeration."""
+    attempts that stop early.  G(n) is n log2 n - log2 n! - (n - s2(n)), the
+    floor count taken from Legendre's formula.  The paper verdict is Holds
+    with the exact equality flag of the ceil-log2 enumeration."""
     for attempt in range(max(max_escalations, 0) + 1):
         q = p << attempt
         part = enclosures_mod._part_precision(q, bounds_mod._ROW_PARTS)
         fact = log2_factorial_enclosure(n, part)
-        g = G_enclosure(n, part)
-        paper_lb = paper_lower_bound_log2(n, q)
-        e2 = error_term_e2(n, q)
-        assert e2 == fact - paper_lb
+        x = log2_int_enclosure(
+            n, enclosures_mod._part_precision(q, bounds_mod._ROW_PARTS, n)
+        ).scale_int(n)
+        g = (x - fact).add_int(-(n - binary_digit_sum(n)))
+        paper_lb = x.add_int(-(n - 1)) - g
+        e2 = fact - paper_lb
         robbins_lo, robbins_hi = robbins_bounds_log2(n, q)
         ram_lo, ram_hi = ramanujan_bounds_log2(n, q, b_source)
         row = BoundRow(
@@ -353,26 +363,39 @@ class TestEarlyStop:
     def test_matches_full_attempts_in_the_sweep_band(self, n):
         assert_rows_equal(compare_bounds(n, 64), full_attempt_row(n, 64))
 
-    def test_escalating_row_encloses_g_once(self, monkeypatch):
-        # n = 3004 is Inconclusive on the Ramanujan lower side at p = 64, so
-        # only the p = 128 attempt reaches G
-        calls = []
-        real = bounds_mod.G_enclosure
+    def test_sweep_row_never_encloses_g(self, monkeypatch):
+        # G(n) comes from the row's own log2 n! and the exact floor count;
+        # n = 3004 escalates from p = 64 to p = 128
+        def refused(n, q):
+            raise AssertionError(f"G_enclosure({n}, {q}) called by a sweep row")
 
-        def recorded(n, q):
-            calls.append((n, q))
-            return real(n, q)
-
-        monkeypatch.setattr(bounds_mod, "G_enclosure", recorded)
+        monkeypatch.setattr(bounds_mod, "G_enclosure", refused)
+        monkeypatch.setattr(enclosures_mod, "G_enclosure", refused)
         row = compare_bounds(3004, 64)
         assert row.precision_bits == 128 and row.escalations == 1
-        assert calls == [(3004, enclosures_mod._part_precision(128, bounds_mod._ROW_PARTS))]
+        for n in (1, 2, 3, 4096):
+            compare_bounds(n, 64)
+        config = SweepConfig(n_lo=1, n_hi=40)
+        assert run_bounds_sweep(config, io.StringIO(), io.StringIO()) == EXIT_OK
 
 
 class TestCountingIdentity:
     """The counting-bound verdict comes from Legendre's formula: e2(n) is the
     integer s2(n) - 1, so the bound holds for every n, with equality exactly
     at the powers of two."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 4096), st.sampled_from([4, 16, 53, 64]))
+    def test_closed_form_g_meets_the_term_sum(self, n, p):
+        # the row's G(n) and counting bound against the term-sum oracles at
+        # the precision the row settled on
+        row = compare_bounds(n, p)
+        q = row.precision_bits
+        part = enclosures_mod._part_precision(q, bounds_mod._ROW_PARTS)
+        assert row.g.intersects(G_enclosure(n, part))
+        assert row.paper_lb.intersects(paper_lower_bound_log2(n, q))
+        for iv in (row.g, row.paper_lb, row.e2):
+            assert iv.width_within(q)
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(1, 4096), st.sampled_from([4, 16, 53, 64]))
@@ -387,10 +410,11 @@ class TestCountingIdentity:
 
     @pytest.mark.parametrize("shift", [1, -1])
     def test_shifted_g_raises(self, monkeypatch, shift):
-        # a G off by one integer moves e2 off s2(n) - 1; with G too large,
-        # an interval comparison of paper_lb with log2 n! would still read Holds
-        real = bounds_mod.G_enclosure
-        monkeypatch.setattr(bounds_mod, "G_enclosure", lambda n, q: real(n, q).add_int(shift))
+        # a floor count off by one moves G by one integer and e2 off
+        # s2(n) - 1; with G too large, an interval comparison of paper_lb with
+        # log2 n! would still read Holds
+        real = bounds_mod.all_floor_sum
+        monkeypatch.setattr(bounds_mod, "all_floor_sum", lambda a: real(a) + shift)
         for n in (1, 3, 6, 8):
             with pytest.raises(IdentityViolationError, match=f"e2\\({n}\\)"):
                 compare_bounds(n, 64)
@@ -398,15 +422,12 @@ class TestCountingIdentity:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("shift", [1, -1])
     def test_shifted_g_sweep_exits_internal(self, tmp_path, capsys, monkeypatch, shift, workers):
-        # G is shifted at n = 3 only, so rows 1 and 2 are written first; pool
-        # workers are forked with the patch in place
-        real = bounds_mod.G_enclosure
-
-        def shifted(n, q):
-            g = real(n, q)
-            return g.add_int(shift) if n == 3 else g
-
-        monkeypatch.setattr(bounds_mod, "G_enclosure", shifted)
+        # the floor count, and so G, is shifted at n = 3 only, so rows 1 and 2
+        # are written first; pool workers are forked with the patch in place
+        real = bounds_mod.all_floor_sum
+        monkeypatch.setattr(
+            bounds_mod, "all_floor_sum", lambda a: real(a) + (shift if a == 3 else 0)
+        )
         out = tmp_path / "rows.json"
         argv = ["sweep-bounds", "--range", "1..4", "--format", "json", "--workers", str(workers)]
         assert main(argv + ["--out", str(out)]) == EXIT_INTERNAL
@@ -417,6 +438,30 @@ class TestCountingIdentity:
         assert summary["truncated"] is True
         assert summary["checked"] == 2
         assert [row["n"] for row in payload[:-1]] == ["1", "2"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("shift", [1, -1])
+    def test_shifted_term_sum_fails_error_term(self, tmp_path, capsys, monkeypatch, shift, workers):
+        # error-term keeps the term sum of G(n): a G off by one integer at
+        # n = 3 is a containment failure (exit 1) in a complete file
+        real = bounds_mod.G_enclosure
+
+        def shifted(n, q):
+            g = real(n, q)
+            return g.add_int(shift) if n == 3 else g
+
+        monkeypatch.setattr(bounds_mod, "G_enclosure", shifted)
+        out = tmp_path / "e2.json"
+        argv = ["error-term", "--range", "1..4", "--format", "json", "--workers", str(workers)]
+        assert main(argv + ["--out", str(out)]) == EXIT_VIOLATION
+        assert "contained s2(n)-1 and excluded neighbors: false" in capsys.readouterr().err
+        payload = json.loads(out.read_text())
+        summary = payload[-1]["summary"]
+        assert summary["truncated"] is False
+        assert summary["checked"] == 4 and summary["all_contained"] is False
+        assert [(row["n"], row["contains"]) for row in payload[:-1]] == [
+            ("1", "true"), ("2", "true"), ("3", "false"), ("4", "true")
+        ]
 
 
 class TestAttemptPrecision:

@@ -212,12 +212,19 @@ class TestLog2Table:
         for n_lo, n_hi in ((3004, 3043), (3044, 3123)):
             config = SweepConfig(n_lo=n_lo, n_hi=n_hi)
             assert run_bounds_sweep(config, io.StringIO(), io.StringIO()) == 0
-        # every row settles at p = 128, whose G(n) reads the table at
-        # attempt_precision; the p = 64 attempts stop before G
+        # up to the factorial threshold a row takes log2 n! from the exact
+        # factorial and G(n) from it, so it builds no table
+        assert enclosures_mod._LOG2_TABLES == {}
+        # past it, each attempt's summed log2 n! reads the table at
+        # attempt_precision; both rows escalate from p = 64 to p = 128
+        config = SweepConfig(n_lo=100_001, n_hi=100_002)
+        assert run_bounds_sweep(config, io.StringIO(), io.StringIO()) == 0
         tables = enclosures_mod._LOG2_TABLES
-        assert set(tables) == {attempt_precision(n, 128) for n in range(3004, 3124)}
+        assert set(tables) == {
+            attempt_precision(n, q) for n in (100_001, 100_002) for q in (64, 128)
+        }
         for lo, hi in tables.values():
-            assert len(lo) == len(hi) <= 3123 + 1
+            assert len(lo) == len(hi) <= 100_002 + 1
         caches = [
             name
             for name, value in vars(enclosures_mod).items()

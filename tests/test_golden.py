@@ -1,12 +1,15 @@
 """Golden bytes: the CLI's stdout, --out file and stderr, pinned by SHA-256.
 
 The hashes were captured from the range commands before they shared one run
-loop; the three sweep-bounds stdout hashes were re-taken when G's term sum
-moved to the prime-only log table, which changed only the G-derived interval
-bits (``g_*``, ``paper_lb_*`` and the summary's unrounded ``max_e2`` /
-``max_c_log2``).  Any byte change in a row, a summary, a finding or a report
-line fails here, with one worker and with two.  The sweep window spans the first rows
-that escalate from p=64 to p=128.
+loop.  The three sweep-bounds stdout hashes were re-taken twice, each time
+for a change to the G-derived interval bits only (``g_*``, ``paper_lb_*`` and
+the summary's unrounded ``max_e2`` / ``max_c_log2``): when G's term sum moved
+to the prime-only log table, and when a sweep row stopped running that term
+sum and took G(n) from its own n log2 n and log2 n! and the exact floor count
+n - s2(n).  Their stderr hashes, and every error-term and verify-theorem
+hash, were left as they were.  Any byte change in a row, a summary, a
+finding or a report line fails here, with one worker and with two.  The sweep
+window spans the first rows that escalate from p=64 to p=128.
 """
 
 from __future__ import annotations
@@ -27,17 +30,17 @@ SRC = Path(log2lab.__file__).resolve().parents[1]
 GOLDEN = {
     "sweep-csv": (
         ["sweep-bounds", "--range", "2990..3010", "--bits", "64"],
-        "3609d0340bbf5daa62f3148c2806ee419d5a3ed14fbaed953decc3098be2270c",
+        "db74021f21414b41736ec428c04dacea1da4c98d5dc2a88cdad5abd8b65624cf",
         "789e65e116d08dbd6d54d07f8734819e8adc47406fa1678ff05001f3c479156e",
     ),
     "sweep-json": (
         ["sweep-bounds", "--range", "2990..3010", "--bits", "64", "--format", "json"],
-        "06802eb2d647874ade8cb549e2130510cc149398bbe0e0abfe1ed25e88cf8a26",
+        "1353131064f4c3e0fb134feddb4a8f71ecac3ff44fb66d782593c87b092d3d0c",
         "789e65e116d08dbd6d54d07f8734819e8adc47406fa1678ff05001f3c479156e",
     ),
     "sweep-linear-json": (
         ["sweep-bounds", "--range", "1..24", "--linear", "--format", "json"],
-        "fc2348a557da5754f83b3d613ea28f917b92588302e269ab0a97b6ee6334b97d",
+        "fe8c36fa01c1e5b591c8cdbfaa9dd0c53ac08e339e8c73de2a3b4a326ed44a97",
         "7f48c6ec3b1b56cc0f4ae7e9b83395c08b3017e1d32bbd8bedfc22ca292fb67b",
     ),
     "error-term": (
