@@ -23,10 +23,9 @@ _EXPORTS = {
     "dyadic": ("DyadicInterval", "DyadicRational"),
     "enclosures": (
         "G_enclosure",
+        "log2_1p",
         "log2_factorial_by_factorial",
-        "log2_factorial_by_sum",
         "log2_factorial_enclosure",
-        "log2_factorial_running",
         "log2_fraction",
         "log2_int_enclosure",
     ),

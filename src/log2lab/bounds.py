@@ -23,6 +23,16 @@ log2 n!, minus the floor sum counted exactly in O(log n) blocks.  Each row
 still checks that its e2 enclosure contains s2(n) - 1, which ties that floor
 count to the binary digit sum.  ``error_term_e2`` keeps the O(n) term sum of
 the fractional parts, so its e2 is the empirical side of the identity.
+
+A compared row costs O(log n) work for every n, with one log2 n per attempt.
+log2 n! comes from the Stirling series (see :mod:`log2lab.enclosures`) once n
+passes a switch near 2p.  Every n-scaled part of the row, (n + 1/2) log2 n in
+log2 n!, Robbins and Ramanujan, and n log2 n, takes log2 n at one precision,
+``log2_n_precision(n, q)``, so that one log core call, kept by
+``log2_int_enclosure``, serves the attempt.  The other logs are near 1 and
+come from ``log2_1p``'s series instead of bit extraction:
+log2(8n^3 + 4n^2 + n + 1/30) = 3 + 3 log2 n + log2(1 + y) with y about
+1/(2n), and each Ramanujan correction log2(1 - 11 / (11520 (n + s)^4)).
 """
 
 from __future__ import annotations
@@ -35,23 +45,26 @@ from functools import lru_cache
 from .dyadic import DyadicInterval, DyadicRational, dyadic_from_fraction
 from .enclosures import (
     G_enclosure,
+    _half_log2_2pi,
     e_interval,
+    log2_1p,
     log2_e_interval,
     log2_factorial_enclosure,
-    log2_fraction,
+    log2_fraction,  # unused here; kept as the place a traced run wraps it
     log2_int_enclosure,
-    log2_interval,
-    log2_pi_interval,
     pi_interval,
 )
 from .exact import (
     _ROW_PARTS,
+    _VERDICT_BITS,
     DomainError,
     IdentityViolationError,
     _check_precision,
     _part_precision,
     all_floor_sum,
     binary_digit_sum,
+    last_attempt,
+    log2_n_precision,
     require_positive,
 )
 
@@ -203,52 +216,32 @@ def error_term_e2(n: int, p: int) -> DyadicInterval:
 # ---------------------------------------------------------------------------
 
 
+def _n_plus_half_log2_n(n: int, p: int) -> DyadicInterval:
+    """(n + 1/2) log2 n from the row's one log2 n enclosure."""
+    log_n = log2_int_enclosure(n, log2_n_precision(n, p))
+    return log_n.scale_dyadic(DyadicRational(2 * n + 1, -1))
+
+
 def robbins_bounds_log2(n: int, p: int) -> tuple[DyadicInterval, DyadicInterval]:
     """Enclosures of log2 of both Robbins sides.
 
     lower = log2(sqrt(2 pi) n^(n+1/2) e^-n); upper = lower + log2(e)/(12 n).
+    log2 n is the row's one enclosure at ``log2_n_precision(n, p)``.
     """
     require_positive("n", n)
     q_pi = _part_precision(p, 4)
-    q_n = _part_precision(p, 4, n + 1)
     q_e = _part_precision(p, 4, n)
     q_d = _part_precision(p, 4) + 2
 
-    half = DyadicRational(1, -1)
-    pi_part = log2_pi_interval(q_pi).add_int(1).scale_dyadic(half)
-    n_part = log2_int_enclosure(n, q_n).scale_dyadic(
-        DyadicRational(2 * n + 1, -1)
-    )
     e_part = log2_e_interval(q_e).scale_int(n)
-    lower = pi_part + n_part - e_part
+    lower = _half_log2_2pi(q_pi) + _n_plus_half_log2_n(n, p) - e_part
     upper = lower + log2_e_interval(q_d).div_by_posint(12 * n, q_d)
     return lower, upper
 
 
-def _ramanujan_correction_rational(n: int, shift: Fraction, q: int) -> DyadicInterval:
-    """log2(1 - 11 / (11520 (n + shift)^4)) for an exact rational shift."""
-    arg = 1 - Fraction(11, 11520) / (n + shift) ** 4
-    if not 0 < arg < 1:
-        raise DomainError(f"Ramanujan correction argument {arg} left (0, 1)")
-    return log2_fraction(arg, q)
-
-
-def _ramanujan_correction_interval(n: int, shift: DyadicInterval, q: int) -> DyadicInterval:
-    """Same correction for an enclosed shift (the b constant)."""
-    f = q + 4
-    den = shift.add_int(n).pow_int(4)
-    x = den.reciprocal(f).mul_fraction(Fraction(11, 11520), f)
-    arg = (-x).add_int(1)
-    if arg.lo.sign <= 0:
-        raise DomainError("Ramanujan correction argument left (0, 1)")
-    one = DyadicRational(1)
-    if arg.hi > one:
-        # outward rounding can push the enclosure onto 1 at coarse precision;
-        # the true argument stays below it, so log2 <= 0 remains certified
-        arg = DyadicInterval(arg.lo, one)
-    if arg.hi == one:
-        return DyadicInterval(log2_fraction(arg.lo.to_fraction(), q + 1).lo, DyadicRational(0))
-    return log2_interval(arg, q + 1)
+def _ramanujan_correction(n: int, shift: Fraction, q: int) -> DyadicInterval:
+    """log2(1 - 11 / (11520 (n + shift)^4)) for an exact rational shift > -n."""
+    return log2_1p(-Fraction(11, 11520) / (n + shift) ** 4, q)
 
 
 def ramanujan_bounds_log2(
@@ -257,31 +250,37 @@ def ramanujan_bounds_log2(
     """Enclosures of log2 of both Ramanujan sides, constants taken verbatim:
     a = 39/54 and b from ``b_source``, "printed" or "closed-form".
 
-    The sixth-root argument 8n^3 + 4n^2 + n + 1/30 is assembled as one exact
-    rational before any rounding.  The lower side meets the 2^-p width
-    contract outright; the upper side additionally inherits the width of the
-    b enclosure itself (irreducible for the 11-digit printed decimal at small
-    n, vanishing with the closed form, and decaying like n^-5 either way).
+    The sixth-root argument 8n^3 + 4n^2 + n + 1/30 is 8n^3 (1 + y) with the
+    exact rational y = (120n^2 + 30n + 1) / (240n^3), so its log2 is
+    3 + 3 log2 n + log2(1 + y); log2 n is the row's one enclosure at
+    ``log2_n_precision(n, p)``.  A correction rises with its shift, so the
+    upper side takes the lower end of its correction at b's lower endpoint
+    and the upper end at b's upper one.  The lower side meets the
+    2^-p width contract outright; the upper side additionally inherits the
+    width of the b enclosure itself (irreducible for the 11-digit printed
+    decimal at small n, vanishing with the closed form, and decaying like
+    n^-5 either way).
     """
     require_positive("n", n)
     b_of = _b_routine(b_source)
     q_pi = _part_precision(p, 5)
-    q_n = _part_precision(p, 5, n)
     q_e = _part_precision(p, 5, n)
     q_poly = _part_precision(p, 5) + 2
     q_corr = _part_precision(p, 5)
 
-    half = DyadicRational(1, -1)
-    pi_part = log2_pi_interval(q_pi).scale_dyadic(half)
-    n_part = log2_int_enclosure(n, q_n).scale_int(n)
     e_part = log2_e_interval(q_e).scale_int(n)
-    poly = Fraction(240 * n**3 + 120 * n**2 + 30 * n + 1, 30)
-    poly_part = log2_fraction(poly, q_poly).div_by_posint(6, q_poly)
-    base = pi_part + n_part - e_part + poly_part
+    y = Fraction(120 * n * n + 30 * n + 1, 240 * n**3)
+    poly_part = log2_1p(y, q_poly).div_by_posint(6, q_poly)
+    # log2 sqrt(pi) + 3/6 and n log2 n + (3/6) log2 n: the 3 + 3 log2 n of the
+    # sixth root, folded into the Robbins-shaped parts
+    base = _half_log2_2pi(q_pi) + _n_plus_half_log2_n(n, p) - e_part + poly_part
 
-    lower = base + _ramanujan_correction_rational(n, A_CONST, q_corr)
-    upper = base + _ramanujan_correction_interval(n, b_of(p), q_corr)
-    return lower, upper
+    b = b_of(p)
+    upper_corr = DyadicInterval(
+        _ramanujan_correction(n, b.lo.to_fraction(), q_corr).lo,
+        _ramanujan_correction(n, b.hi.to_fraction(), q_corr).hi,
+    )
+    return base + _ramanujan_correction(n, A_CONST, q_corr), base + upper_corr
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +320,16 @@ def compare_bounds(
     max_escalations: int = 4,
 ) -> BoundRow:
     """Assemble the full BoundRow for n, doubling precision while a Robbins or
-    Ramanujan verdict stays inconclusive (up to max_escalations).
+    Ramanujan verdict stays inconclusive, up to max_escalations times and
+    never past an attempt whose log2 n would pass the precision ceiling
+    (``last_attempt``); a row unsettled at its last attempt reads Inconclusive.
 
+    An attempt at precision q encloses every part at q + 4 (``_VERDICT_BITS``),
+    so a verdict separates margins down to about 2^-(q+4), and takes log2 n
+    once, at ``log2_n_precision(n, q + 4)``, for all its n-scaled parts.
     An attempt that will escalate stops at its first Inconclusive verdict: it
     compares log2 n! with the Ramanujan sides first, then Robbins.  Only the
-    settled precision encloses n log2 n for the counting bound.  G(n) is
+    settled precision takes n log2 n for the counting bound.  G(n) is
     n log2 n - log2 n! minus the exact floor count n - s2(n), from the row's
     own log2 n!, so a row runs no term sum of G(n).  The counting-bound verdict
     is Holds from the identity e2(n) = s2(n) - 1, checked against the row's e2
@@ -336,24 +340,25 @@ def compare_bounds(
     require_positive("n", n)
     _check_precision(p)
     _b_routine(b_source)  # reject an unknown name before any work
-    last = max(max_escalations, 0)
+    last = last_attempt(n, p, max_escalations)
     for attempt in range(last + 1):
         q = p << attempt
-        fact = log2_factorial_enclosure(n, _part_precision(q, _ROW_PARTS))
-        ram_lo, ram_hi = ramanujan_bounds_log2(n, q, b_source)
+        r = q + _VERDICT_BITS
+        fact = log2_factorial_enclosure(n, _part_precision(r, _ROW_PARTS))
+        ram_lo, ram_hi = ramanujan_bounds_log2(n, r, b_source)
         verdicts = {
             "ramanujan_lower": _verdict(ram_lo, fact),
             "ramanujan_upper": _verdict(fact, ram_hi),
         }
         if attempt < last and not _settled(verdicts):
             continue
-        robbins_lo, robbins_hi = robbins_bounds_log2(n, q)
+        robbins_lo, robbins_hi = robbins_bounds_log2(n, r)
         verdicts["robbins_lower"] = _verdict(robbins_lo, fact)
         verdicts["robbins_upper"] = _verdict(fact, robbins_hi)
         if _settled(verdicts):
             break
 
-    x = log2_int_enclosure(n, _part_precision(q, _ROW_PARTS, n)).scale_int(n)
+    x = log2_int_enclosure(n, log2_n_precision(n, r)).scale_int(n)
     # the floor sum, counted in blocks; all_floor_sum raises unless it is
     # Legendre's n - s2(n)
     g = (x - fact).add_int(-all_floor_sum(n))

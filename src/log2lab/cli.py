@@ -5,8 +5,10 @@ Exit codes are a contract shared by every subcommand:
 * 0 — clean run;
 * 1 — a mathematical violation was found (identity failure, containment
       failure, or a Violated verdict on the counting bound);
-* 2 — some verdict stayed inconclusive after escalation (also used when a
-      run is interrupted and the output file was finalized as truncated);
+* 2 — some verdict stayed inconclusive after escalation, which stops at
+      ``--max-escalations`` or at the last attempt under the precision
+      ceiling (also used when a run is interrupted and the output file was
+      finalized as truncated);
 * 3 — usage or configuration error (no output file is created), or a
       precision or work ceiling hit mid-run (the output file is finalized as
       truncated but valid);

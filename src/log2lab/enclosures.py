@@ -1,38 +1,58 @@
 """Certified dyadic-interval enclosures of log2 quantities.
 
-The one genuinely transcendental primitive here is log2 of a positive rational.
+The general transcendental primitive here is log2 of a positive rational.
 It is computed by interval bit extraction: reduce the argument exactly to
 r in [1, 2), then repeatedly square a scaled-integer bracket of r, shifting a
 binary digit out whenever the bracket clears 2.  All rounding is outward and
 all state is integer, so results are bit-identical across runs and platforms.
 
+An argument near 1 has a cheaper route, ``log2_1p``: log2(1 + y) is log2 e
+times ln(1 + y) = 2 atanh(y / (2 + y)), a series in a small rational summed in
+scaled integers with every product and quotient rounded in its own direction
+and the tail after the last term bounded by a geometric series.  For
+|y| ~ 2^-k it takes about p / (2k) terms, where bit extraction takes p
+squarings of p-bit numbers whatever y is.
+
 Integer parts of logarithms are never taken from intervals; they come from the
 exact kernels in :mod:`log2lab.exact`, which is what keeps fractional parts
 from being mis-assigned near powers of two.
 
-The two term sums, G(n) and the summed log2 n!, read log2 m from one table
-per table precision, kept for the process and extended in place when a
-larger n is asked for; both sums ask for the same precision, so past the
-factorial threshold an error-term row's G(n) and log2 n! share one table.  A sweep row runs no term
-sum of G(n) (it takes G(n) from log2 n! and the exact floor count), so it
-builds a table only for a summed log2 n!, past the factorial threshold.
-Only primes call the log core.  2 is a point,
-and a composite m is the exact integer sum of the brackets of its least prime
-factor (from a sieve) and of its cofactor, on one common scale, since
+log2 n! comes from the exact factorial for n below a switch n0 = 2p, and from
+the Stirling series above it (DLMF 5.11.1, with z = n, plus ln n):
+
+    ln n! = (n + 1/2) ln n - n + ln(2 pi) / 2
+            + sum_{k <= K} B_2k / (2k (2k - 1) n^(2k - 1)) + R_K(n).
+
+For real n > 0 the remainder R_K(n) has the sign of the first omitted term and
+is smaller in magnitude (DLMF 5.11(ii); Whittaker & Watson, section 12.33), so
+the series stops at the first term below one ulp of its scale and covers the
+remainder with one ulp on that term's side.  The Bernoulli numbers are exact,
+from the tangent numbers (Brent & Harvey, "Fast computation of Bernoulli,
+Tangent and Secant numbers", 2011), and are computed on first use.  In log2
+the only logs are log2 n, log2 e and log2 pi, so an enclosure costs one log core
+call (none when log2 n is cached) for every n.  ``log2_int_enclosure`` keeps a
+few recent results, so the n-scaled parts of a compared row, which all take
+log2 n at one precision, share one call per attempt.
+
+The term sum G(n) reads log2 m from one table per table precision, kept for
+the process and extended in place when a larger n is asked for; only
+``error-term`` and ``g-value`` run it.  Only primes call the log core.  2 is a
+point, and a composite m is the exact integer sum of the brackets of its least
+prime factor (from a sieve) and of its cofactor, on one common scale, since
 log2 m = sum of e_i log2 p_i holds exactly.  An n-term sum therefore costs
 pi(n) core calls instead of n, once per process.  A composite's width adds up
 Omega(m) < bit_length(n) prime widths, so the table runs
 ceil(log2 bit_length(n)) + 1 guard bits finer than the term precision, and
 every entry stays within the width of one direct core bracket at that
-precision.  Single-integer enclosures (``log2_int_enclosure``, log2 n! from
-the exact factorial) call the core directly.
+precision.
 
 Every non-exact primitive enclosure is computed two bits finer than requested
 and then padded outward by two ulps.  The pad costs a fraction of the width
 budget and buys a structural guarantee: the true value sits at least
 2^-(p+3) away from both endpoints, so a recomputation at any materially higher
 precision lands strictly inside the original interval (the nesting property
-the test suite quantifies over a randomized corpus).
+the test suite quantifies over a randomized corpus).  The Stirling log2 n! is
+rounded onto the 2^-(p+4) grid and padded the same way.
 
 Named constants (ln 2, pi, e) are evaluated once per precision from classical
 series with explicit tail bounds:
@@ -54,8 +74,10 @@ from .exact import (
     WORK_CEILING,
     DomainError,
     ResourceLimitError,
+    _STIRLING_PARTS,
     _check_precision,
     _part_precision,
+    _stirling_log2_n_precision,
     _sum_work,
     _table_precision,
     floor_log2_fraction,
@@ -66,11 +88,10 @@ __all__ = [
     "log2_fraction",
     "log2_int_enclosure",
     "log2_interval",
+    "log2_1p",
     "G_enclosure",
     "log2_factorial_enclosure",
     "log2_factorial_by_factorial",
-    "log2_factorial_by_sum",
-    "log2_factorial_running",
     "ln2_interval",
     "pi_interval",
     "e_interval",
@@ -78,9 +99,6 @@ __all__ = [
     "log2_pi_interval",
 ]
 
-
-# log2 n! from the exact factorial up to here, from summed logs beyond
-_FACTORIAL_METHOD_THRESHOLD = 100_000
 
 # Extraction head-room: working precision w = p_core + _GUARD_BITS absorbs the
 # doubling of relative bracket width across the p_core + 2 squaring steps.
@@ -155,8 +173,11 @@ def log2_fraction(fr: Fraction, p: int) -> DyadicInterval:
     return _raw_to_interval(*_log2_raw(fr.numerator, fr.denominator, p))
 
 
+# a compared row's n-scaled parts take log2 n at one precision per attempt
+@lru_cache(maxsize=8)
 def log2_int_enclosure(m: int, p: int) -> DyadicInterval:
-    """Enclosure of log2(m) for integer m >= 1, width <= 2^-p."""
+    """Enclosure of log2(m) for integer m >= 1, width <= 2^-p; the last few
+    results are kept."""
     require_positive("m", m)
     _check_precision(p)
     return _raw_to_interval(*_log2_raw(m, 1, p))
@@ -173,6 +194,74 @@ def log2_interval(iv: DyadicInterval, p: int) -> DyadicInterval:
     lo_encl = log2_fraction(iv.lo.to_fraction(), p + 1)
     hi_encl = log2_fraction(iv.hi.to_fraction(), p + 1)
     return DyadicInterval(lo_encl.lo, hi_encl.hi)
+
+
+def _ln1p_core(num: int, den: int, p_core: int) -> tuple[int, int, int]:
+    """Scaled bracket of ln(1 + y), y = num/den with -1/2 <= y <= 1, y != 0.
+
+    Returns (lo, hi, s) meaning ln(1 + y) is inside [lo * 2^-s, hi * 2^-s],
+    with hi - lo <= 2 and s = p_core + 2, as ``_log2_core`` does.  The series
+    is 2 atanh(t) = 2 sum_i t^(2i+1) / (2i+1) with t = y / (2 + y), so
+    |t| <= 1/3.  It is summed for |t| on a 2^-w grid, with every product and
+    quotient rounded down in lo and up in hi.  The tail after a term is below
+    (9/8) |t|^(2i+3) / (2i+3); once that is one ulp, one ulp covers it.
+    """
+    s = p_core + 2
+    # at most w/3 + 2 terms (each gains log2 9 bits), each adding under 6
+    # ulps, stay within 2^(g-1) ulps of the 2^-w grid
+    g = s.bit_length() + 5
+    w = s + g
+    tn, td = abs(num), 2 * den + num
+    pow_lo = (tn << w) // td
+    pow_hi = -((-tn << w) // td)
+    sq_lo = (pow_lo * pow_lo) >> w
+    sq_hi = -((-pow_hi * pow_hi) >> w)
+    lo = hi = 0
+    k = 1  # 2i + 1
+    while True:
+        lo += pow_lo // k
+        hi += -((-pow_hi) // k)
+        pow_lo = (pow_lo * sq_lo) >> w
+        pow_hi = -((-pow_hi * sq_hi) >> w)
+        k += 2
+        if 9 * pow_hi <= 8 * k:
+            hi += 1
+            break
+    # twice atanh, rounded outward onto the 2^-s grid
+    lo, hi = (2 * lo) >> g, -((-2 * hi) >> g)
+    if num < 0:  # atanh is odd
+        lo, hi = -hi, -lo
+    return lo, hi, s
+
+
+def log2_1p(y: Fraction, p: int) -> DyadicInterval:
+    """Enclosure of log2(1 + y) for rational -1/2 <= y <= 1, width <= 2^-p.
+
+    log2 e times ln(1 + y) from the atanh series, padded like every core
+    bracket, multiplied and rounded outward in scaled integers: no bit
+    extraction, so an argument near 1 costs a few series terms.
+    """
+    num, den = y.numerator, y.denominator
+    if not -den <= 2 * num <= 2 * den:
+        raise DomainError(f"log2_1p argument must lie in [-1/2, 1], got {y}")
+    _check_precision(p)
+    if num == 0:
+        return DyadicInterval.zero()
+    lo, hi, s = _ln1p_core(num, den, p + 4 + _CORE_EXTRA)
+    lo, hi = lo - _PAD_ULPS, hi + _PAD_ULPS
+    e_lo, e_hi, t = _log2_e_scaled(p + 4)
+    products = (e_lo * lo, e_lo * hi, e_hi * lo, e_hi * hi)
+    # onto the 2^-(p+6) grid: floor the least product, ceil the greatest
+    shift = s + t - (p + 6)
+    return _raw_to_interval(min(products) >> shift, -(-max(products) >> shift), p + 6)
+
+
+@lru_cache(maxsize=None)
+def _log2_e_scaled(p: int) -> tuple[int, int, int]:
+    """log2_e_interval(p) as integers (lo, hi) on a 2^-t grid, and t."""
+    e = log2_e_interval(p)
+    t = max(-e.lo.exponent, -e.hi.exponent)
+    return e.lo.mantissa << (e.lo.exponent + t), e.hi.mantissa << (e.hi.exponent + t), t
 
 
 # ---------------------------------------------------------------------------
@@ -295,37 +384,122 @@ def log2_factorial_by_factorial(n: int, p: int) -> DyadicInterval:
     return _raw_to_interval(*_log2_raw(math.factorial(n), 1, p))
 
 
-def log2_factorial_by_sum(n: int, p: int) -> DyadicInterval:
-    """Enclosure of log2(n!) as the certified sum of log2(m) over m <= n,
-    from the table G(n) reads at precision p."""
-    require_positive("n", n)
-    lo, hi, s = _sum_table(n, p)
-    return _raw_to_interval(sum(lo[: n + 1]), sum(hi[: n + 1]), s)
+def _stirling_switch(p: int) -> int:
+    """n0: log2 n! at precision p comes from the Stirling series for n >= n0.
+
+    The smallest term of the series is about e^(-2 pi n), far below 2^-p
+    there, and the terms fall by a factor 4 or more up to it."""
+    return 2 * p
+
+
+def _tangent_numbers(m: int) -> list[int]:
+    """T_1..T_m (t[0] unused), by Brent and Harvey's in-place integer
+    recurrence."""
+    t = [0, 1] + [0] * (m - 1)
+    for k in range(2, m + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, m + 1):
+        for j in range(k, m + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
+
+
+# the Stirling coefficients B_2k / (2k (2k - 1)), k = 1, 2, ..., as exact
+# (numerator, denominator) pairs; grown on demand, published in one assignment
+_STIRLING_COEFFS: tuple[tuple[int, int], ...] = ()
+
+
+def _stirling_coefficients(count: int) -> tuple[tuple[int, int], ...]:
+    """At least the first ``count`` Stirling coefficients."""
+    global _STIRLING_COEFFS
+    if len(_STIRLING_COEFFS) < count:
+        m = max(count, 2 * len(_STIRLING_COEFFS), 8)
+        t = _tangent_numbers(m)
+        coeffs = []
+        for k in range(1, m + 1):
+            # B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))
+            four_k = 1 << (2 * k)
+            c = Fraction((-1) ** (k - 1) * t[k], four_k * (four_k - 1) * (2 * k - 1))
+            coeffs.append((c.numerator, c.denominator))
+        _STIRLING_COEFFS = tuple(coeffs)
+    return _STIRLING_COEFFS
+
+
+def _stirling_series(n: int, w: int) -> tuple[int, int]:
+    """(lo, hi) with ln n! - ((n + 1/2) ln n - n + ln(2 pi) / 2), the sum of
+    B_2k / (2k (2k - 1) n^(2k - 1)) over every k >= 1, in [lo, hi] * 2^-w.
+
+    Each term is rounded down into lo and up into hi.  The first term below
+    one ulp is the first omitted one: the remainder has its sign and is
+    smaller, so one ulp on that side covers it.  The width is at most one ulp
+    per kept term, plus one.
+
+    The terms shrink only up to k near pi n, where they are about e^(-2 pi n),
+    so the series needs w < 9n.  For the w that log2 n! at n >= 2p asks
+    (about n / 2), each of the first (w + 1) / 2 terms is at least 4 times
+    smaller than the one before, so at most that many are kept; a series
+    past w terms is refused.
+    """
+    coeffs = _STIRLING_COEFFS
+    lo = hi = 0
+    n_sq = n * n
+    n_pow = n  # n^(2k - 1)
+    k = 0
+    while True:
+        if k > w:
+            raise DomainError(f"the Stirling series at n={n} does not reach 2^-{w}")
+        if k == len(coeffs):
+            coeffs = _stirling_coefficients(k + 1)
+        num, den = coeffs[k]
+        d = den * n_pow
+        if abs(num) << w < d:
+            if num > 0:
+                hi += 1
+            else:
+                lo -= 1
+            return lo, hi
+        lo += (num << w) // d
+        hi += -((-num << w) // d)
+        n_pow *= n_sq
+        k += 1
+
+
+_HALF = DyadicRational(1, -1)
+
+
+def _half_log2_2pi(p: int) -> DyadicInterval:
+    """log2(2 pi) / 2, width <= 2^-(p+1)."""
+    return log2_pi_interval(p).add_int(1).scale_dyadic(_HALF)
 
 
 def log2_factorial_enclosure(n: int, p: int) -> DyadicInterval:
     """Enclosure of log2(n!), width <= 2^-p.
 
-    Routes through the exact factorial for n up to
-    ``_FACTORIAL_METHOD_THRESHOLD`` and through the summed-logs method beyond
-    it.  The two methods are exposed separately so their agreement can be (and
-    is) tested directly.
+    From the exact factorial for n below ``_stirling_switch(p)``, and from the
+    Stirling series above it:
+
+        (n + 1/2) log2 n - n log2 e + log2(2 pi) / 2 + log2 e * (series),
+
+    four parts held to 2^-(p+3) each.  The sum is rounded outward onto the
+    2^-(p+4) grid and padded by two ulps there, so it nests like a core
+    bracket.  The series keeps one ulp per term of 2^-(p + 5 + bit_length(p)
+    + 2): it keeps at most about w/2 terms, which stay within 2^-(p+5).
     """
-    if n <= _FACTORIAL_METHOD_THRESHOLD:
+    require_positive("n", n)
+    _check_precision(p)
+    if n < _stirling_switch(p):
         return log2_factorial_by_factorial(n, p)
-    return log2_factorial_by_sum(n, p)
-
-
-def log2_factorial_running(n_max: int, p: int):
-    """Yield (n, enclosure of log2 n!) for n = 1..n_max by prefix sums over
-    the table of an n_max-term sum, each of width <= 2^-p."""
-    require_positive("n_max", n_max)
-    lo, hi, s = _sum_table(n_max, p)
-    acc_lo = acc_hi = 0
-    for m in range(1, n_max + 1):
-        acc_lo += lo[m]
-        acc_hi += hi[m]
-        yield m, _raw_to_interval(acc_lo, acc_hi, s)
+    log_n = log2_int_enclosure(n, _stirling_log2_n_precision(n, p))
+    log_e = log2_e_interval(_part_precision(p, _STIRLING_PARTS, n))
+    w = p + 5 + p.bit_length() + 2
+    series = _raw_to_interval(*_stirling_series(n, w), w)
+    raw = (
+        log_n.scale_dyadic(DyadicRational(2 * n + 1, -1))
+        + _half_log2_2pi(_part_precision(p, _STIRLING_PARTS))
+        + log_e * series.add_int(-n)
+    ).round_outward(p + 4)
+    pad = DyadicRational(_PAD_ULPS, -(p + 4))
+    return DyadicInterval(raw.lo - pad, raw.hi + pad)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,9 @@ the O(N * A) of counting every a from m = 1.
 
 The precision and work limits of the enclosures live here too, as the same
 kind of integer rule: what precision and how much term-sum work a row at
-precision p asks for.  A configuration is checked against them before a run
-starts, without loading the enclosure code.
+precision p asks for, and how far a compared row may escalate.  A
+configuration is checked against them before a run starts, without loading
+the enclosure code.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ __all__ = [
     "WORK_CEILING",
     "attempt_precision",
     "attempt_work",
+    "log2_n_precision",
+    "sweep_row_precision",
+    "last_attempt",
     "floor_log2_fraction",
     "ceil_log2",
     "binary_digit_sum",
@@ -193,6 +197,13 @@ WORK_CEILING = 1 << 32
 # a row encloses log2 n! and n log2 n (and, for error-term, G(n) by its term
 # sum) at a third of its budget each
 _ROW_PARTS = 3
+# the Stirling-series log2 n! adds four parts: (n + 1/2) log2 n, n log2 e,
+# log2(2 pi) / 2 and log2 e times the series
+_STIRLING_PARTS = 4
+# a compared row at precision q encloses its parts at q + _VERDICT_BITS, so
+# its verdicts separate margins down to about 2^-(q + _VERDICT_BITS); what it
+# emits is rounded onto the 2^-(q + 3) grid and stays within 2^-q
+_VERDICT_BITS = 4
 
 
 def _check_precision(p: int) -> None:
@@ -232,23 +243,58 @@ def _sum_work(n: int, p: int) -> int:
 
 
 def attempt_precision(n_hi: int, p: int) -> int:
-    """Largest precision that computing a row at precision p asks for, over
-    every n <= n_hi: the log2 m table under an n-term sum, the finest part of
-    a row.  That is G(n) in an error-term row, and log2 n! past the factorial
-    threshold in a sweep row; a sweep row below it asks for less.
+    """Largest precision that computing an error-term row at precision p asks
+    for, over every n <= n_hi: the log2 m table under the term sum of G(n),
+    the finest part of that row.
 
-    It grows with n and is taken at n >= 2, which also covers log2 pi (p + 7
-    bits), the finest part of the row at n = 1.
+    It grows with n and is taken at n >= 2, which also covers the row at
+    n = 1.  A compared row (``sweep-bounds``) runs no term sum;
+    ``sweep_row_precision`` is its rule.
     """
     n = max(n_hi, 2)
     return _table_precision(n, _term_precision(n, p) + 1)
 
 
 def attempt_work(n_hi: int, p: int) -> int:
-    """Work of the largest term sum that computing a row at precision p runs
-    over every n <= n_hi, by the rule that ``enclosures._check_sum_work`` holds
-    to ``WORK_CEILING``: G(n_hi) in an error-term row, or a summed log2 n_hi!
-    of the same size in a sweep row past the factorial threshold.  A sweep row
-    runs no term sum of G(n), and none at all up to that threshold, so for
-    sweep-bounds this bound is conservative there."""
+    """Work of the largest term sum that an error-term row (or ``g-value``) at
+    precision p runs over every n <= n_hi: G(n_hi), by the rule that
+    ``enclosures._check_sum_work`` holds to ``WORK_CEILING``.  A compared row
+    runs no term sum, so this bound does not apply to it."""
     return _sum_work(n_hi, _term_precision(n_hi, p))
+
+
+def _stirling_log2_n_precision(n: int, p: int) -> int:
+    """Precision of log2 n in a Stirling-series log2 n! held to 2^-p, where
+    it is scaled by n + 1/2."""
+    return _part_precision(p, _STIRLING_PARTS, n + 1)
+
+
+def log2_n_precision(n: int, p: int) -> int:
+    """Precision of the log2 n enclosure that the parts of a compared row
+    enclosed at precision p take: the Robbins and Ramanujan sides, log2 n! at
+    the row's part precision, and n log2 n.
+
+    It is what the Stirling-series log2 n! needs for its (n + 1/2) log2 n;
+    the other n-scaled parts need less and take the same enclosure, so an
+    attempt makes one log core call for it.
+    """
+    return _stirling_log2_n_precision(n, _part_precision(p, _ROW_PARTS))
+
+
+def sweep_row_precision(n: int, q: int) -> int:
+    """Largest precision a compared (``sweep-bounds``) row asks for at
+    precision q: its one log2 n, at ``log2_n_precision(n, q + _VERDICT_BITS)``.
+    It runs no term sum, so this is its only limit."""
+    return log2_n_precision(n, q + _VERDICT_BITS)
+
+
+def last_attempt(n: int, p: int, max_escalations: int) -> int:
+    """Index of the last attempt of a compared row that starts at precision p
+    and doubles it: at most ``max_escalations`` doublings, and none whose
+    finest part would pass ``MAX_PRECISION_BITS``.  A row still unsettled
+    there reads Inconclusive, as it does after ``max_escalations``."""
+    # p << k passes the ceiling for every k >= its bit length
+    last = min(max(max_escalations, 0), MAX_PRECISION_BITS.bit_length())
+    while last and sweep_row_precision(n, p << last) > MAX_PRECISION_BITS:
+        last -= 1
+    return last

@@ -34,6 +34,7 @@ from .exact import (
     even_count_oracle,
     odd_floor_sum,
     pair_enumeration_oracle,
+    sweep_row_precision,
 )
 
 if TYPE_CHECKING:
@@ -109,8 +110,10 @@ class SweepConfig:
     def validate(self, term_sums: bool = True) -> None:
         """Raise UsageError for a configuration the run would fail on.
 
-        ``term_sums`` is False for a command that computes no G(n) or summed
-        log2 n!, which then takes any range.
+        ``term_sums`` is False for a command that runs no term sum of G(n):
+        ``sweep-bounds``, whose finest part is a row's log2 n
+        (``sweep_row_precision``), and ``verify-theorem``.  Such a command
+        takes any range; the work ceiling applies to ``error-term`` only.
         """
         if self.n_lo < 1:
             raise UsageError(f"range start must be >= 1, got {self.n_lo}")
@@ -120,7 +123,8 @@ class SweepConfig:
             raise UsageError(
                 f"precision must be >= {MIN_PRECISION} bits, got {self.precision_bits}"
             )
-        need = attempt_precision(self.n_hi, self.precision_bits)
+        rule = attempt_precision if term_sums else sweep_row_precision
+        need = rule(self.n_hi, self.precision_bits)
         if need > MAX_PRECISION_BITS:
             raise UsageError(
                 f"precision {self.precision_bits} needs {need} bits for n <= {self.n_hi}, "
@@ -611,7 +615,8 @@ def run_bounds_sweep(
 ) -> int:
     """Emit one BoundRow per n in ascending order; returns the exit code."""
     return _run(
-        config, BOUNDS_CSV_COLUMNS, _bounds_payload, 16, _BoundsFold, out_stream, report_stream
+        config, BOUNDS_CSV_COLUMNS, _bounds_payload, 16, _BoundsFold, out_stream, report_stream,
+        term_sums=False,
     )
 
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 import mpmath as mp
 import pytest
 
-from log2lab.enclosures import G_enclosure, log2_int_enclosure
-from log2lab.exact import _ROW_PARTS, _part_precision
+from log2lab.dyadic import DyadicInterval, DyadicRational
+from log2lab.enclosures import G_enclosure, _sum_table, log2_int_enclosure
+from log2lab.exact import _ROW_PARTS, _part_precision, require_positive
 
 ORACLE_PREC_BITS = 400
 
@@ -46,6 +47,31 @@ def paper_lower_bound_log2(n: int, p: int):
     paper_lb, which takes G(n) from the exact floor count instead."""
     x = log2_int_enclosure(n, _part_precision(p, _ROW_PARTS, n)).scale_int(n)
     return x.add_int(-(n - 1)) - G_enclosure(n, _part_precision(p, _ROW_PARTS))
+
+
+def log2_factorial_by_sum(n: int, p: int) -> DyadicInterval:
+    """Enclosure of log2(n!) as the certified sum of log2(m) over m <= n,
+    from the log2 m table G(n) reads at precision p: the O(n) oracle for the
+    exact-factorial and Stirling-series enclosures."""
+    require_positive("n", n)
+    lo, hi, s = _sum_table(n, p)
+    return _scaled(sum(lo[: n + 1]), sum(hi[: n + 1]), s)
+
+
+def log2_factorial_running(n_max: int, p: int):
+    """Yield (n, enclosure of log2 n!) for n = 1..n_max by prefix sums over
+    the table of an n_max-term sum, each of width <= 2^-p."""
+    require_positive("n_max", n_max)
+    lo, hi, s = _sum_table(n_max, p)
+    acc_lo = acc_hi = 0
+    for m in range(1, n_max + 1):
+        acc_lo += lo[m]
+        acc_hi += hi[m]
+        yield m, _scaled(acc_lo, acc_hi, s)
+
+
+def _scaled(lo: int, hi: int, s: int) -> DyadicInterval:
+    return DyadicInterval(DyadicRational(lo, -s), DyadicRational(hi, -s))
 
 
 def dyadic_to_mpf(d) -> mp.mpf:

@@ -20,7 +20,7 @@ from log2lab.bounds import ramanujan_b_agreement
 from log2lab.dyadic import DyadicRational
 from log2lab.enclosures import (
     log2_factorial_by_factorial,
-    log2_factorial_running,
+    log2_factorial_enclosure,
     log2_fraction,
 )
 from log2lab.exact import (
@@ -32,7 +32,7 @@ from log2lab.exact import (
 )
 from log2lab.sweep import EXIT_OK, SweepConfig, run_bounds_sweep, run_error_term
 
-from conftest import power_of_two_ratio
+from conftest import log2_factorial_running, power_of_two_ratio
 
 
 @contextmanager
@@ -104,13 +104,16 @@ def test_criterion_3_interval_contracts():
 
 
 def test_criterion_4_factorial_oracle_equivalence():
-    with criterion(4, "factorial-method and summed-logs enclosures intersect, n <= 2000"):
+    with criterion(4, "factorial, Stirling-series and summed-logs enclosures intersect, n <= 2000"):
+        # log2_factorial_enclosure takes the Stirling series from n = 128 on
         running = dict(log2_factorial_running(2000, 64))
         for n in range(1, 2001):
             direct = log2_factorial_by_factorial(n, 64)
-            assert direct.width_within(64), n
-            assert running[n].width_within(64), n
+            routed = log2_factorial_enclosure(n, 64)
+            for iv in (direct, routed, running[n]):
+                assert iv.width_within(64), n
             assert direct.intersects(running[n]), n
+            assert routed.intersects(direct) and routed.intersects(running[n]), n
 
 
 def test_criterion_5_paper_bound_sweep(full_sweep):

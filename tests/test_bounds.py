@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import random
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 
 import log2lab.bounds as bounds_mod
 import log2lab.enclosures as enclosures_mod
+import log2lab.exact as exact_mod
+import log2lab.sweep as sweep_mod
 from log2lab.bounds import (
     BOUND_NAMES,
     BoundRow,
@@ -32,14 +35,19 @@ from log2lab.cli import main
 from log2lab.dyadic import DyadicInterval, DyadicRational
 from log2lab.enclosures import G_enclosure, log2_factorial_enclosure, log2_int_enclosure
 from log2lab.exact import (
+    _VERDICT_BITS,
     DomainError,
     IdentityViolationError,
     attempt_precision,
     attempt_work,
     binary_digit_sum,
     ceil_log2,
+    last_attempt,
+    log2_n_precision,
+    sweep_row_precision,
 )
 from log2lab.sweep import (
+    EXIT_INCONCLUSIVE,
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_VIOLATION,
@@ -232,14 +240,12 @@ class TestCompareBounds:
         assert r4.equality and r4.c_log2.contains_int(0)
 
     def test_definitional_consistency(self):
-        # c and e2 must be exactly reproducible from the row's own intervals
-        from log2lab.bounds import _part_precision
-        from log2lab.enclosures import log2_int_enclosure
-
-        for n in (3, 7, 100, 255):
+        # c and e2 must be exactly reproducible from the row's own intervals,
+        # with the row's one log2 n
+        for n in (3, 7, 100, 255, 3004):
             row = compare_bounds(n, 64)
             p = row.precision_bits
-            x = log2_int_enclosure(n, _part_precision(p, 3, n)).scale_int(n)
+            x = log2_int_enclosure(n, log2_n_precision(n, p + _VERDICT_BITS)).scale_int(n)
             c = (row.log2_fact - x).add_int(n - 1) + row.g
             e2 = row.log2_fact - (x.add_int(-(n - 1)) - row.g)
             assert c == row.c_log2
@@ -295,21 +301,21 @@ def full_attempt_row(
 ) -> BoundRow:
     """compare_bounds with every attempt computing all five sides from the
     public functions before its verdicts are checked: the oracle for the
-    attempts that stop early.  G(n) is n log2 n - log2 n! - (n - s2(n)), the
-    floor count taken from Legendre's formula.  The paper verdict is Holds
-    with the exact equality flag of the ceil-log2 enumeration."""
-    for attempt in range(max(max_escalations, 0) + 1):
+    attempts that stop early.  Each attempt at q encloses its parts at
+    q + _VERDICT_BITS.  G(n) is n log2 n - log2 n! - (n - s2(n)), the floor
+    count taken from Legendre's formula.  The paper verdict is Holds with the
+    exact equality flag of the ceil-log2 enumeration."""
+    for attempt in range(last_attempt(n, p, max_escalations) + 1):
         q = p << attempt
-        part = enclosures_mod._part_precision(q, bounds_mod._ROW_PARTS)
+        r = q + _VERDICT_BITS
+        part = enclosures_mod._part_precision(r, bounds_mod._ROW_PARTS)
         fact = log2_factorial_enclosure(n, part)
-        x = log2_int_enclosure(
-            n, enclosures_mod._part_precision(q, bounds_mod._ROW_PARTS, n)
-        ).scale_int(n)
+        x = log2_int_enclosure(n, log2_n_precision(n, r)).scale_int(n)
         g = (x - fact).add_int(-(n - binary_digit_sum(n)))
         paper_lb = x.add_int(-(n - 1)) - g
         e2 = fact - paper_lb
-        robbins_lo, robbins_hi = robbins_bounds_log2(n, q)
-        ram_lo, ram_hi = ramanujan_bounds_log2(n, q, b_source)
+        robbins_lo, robbins_hi = robbins_bounds_log2(n, r)
+        ram_lo, ram_hi = ramanujan_bounds_log2(n, r, b_source)
         row = BoundRow(
             n=n,
             precision_bits=q,
@@ -365,14 +371,14 @@ class TestEarlyStop:
 
     def test_sweep_row_never_encloses_g(self, monkeypatch):
         # G(n) comes from the row's own log2 n! and the exact floor count;
-        # n = 3004 escalates from p = 64 to p = 128
+        # n = 3004 escalates from p = 32 to p = 64
         def refused(n, q):
             raise AssertionError(f"G_enclosure({n}, {q}) called by a sweep row")
 
         monkeypatch.setattr(bounds_mod, "G_enclosure", refused)
         monkeypatch.setattr(enclosures_mod, "G_enclosure", refused)
-        row = compare_bounds(3004, 64)
-        assert row.precision_bits == 128 and row.escalations == 1
+        row = compare_bounds(3004, 32)
+        assert row.precision_bits == 64 and row.escalations == 1
         for n in (1, 2, 3, 4096):
             compare_bounds(n, 64)
         config = SweepConfig(n_lo=1, n_hi=40)
@@ -464,9 +470,104 @@ class TestCountingIdentity:
         ]
 
 
+class TestOneLogPerAttempt:
+    """Every n-scaled part of an attempt takes the one log2 n enclosure; the
+    other logs are cached constants or log2_1p's series."""
+
+    @pytest.mark.parametrize(
+        "n,p,max_escalations",
+        [(3004, 64, 0), (4095, 64, 0), (10**6 + 3, 64, 0), (10**12 + 1, 128, 0), (3001, 4, 6)],
+    )
+    def test_log_core_calls(self, monkeypatch, n, p, max_escalations):
+        compare_bounds(n, p, max_escalations=max_escalations)  # the constants, on first use
+        enclosures_mod.log2_int_enclosure.cache_clear()
+        calls = []
+        real = enclosures_mod._log2_core
+
+        def counted(num, den, p_core):
+            calls.append((num, den))
+            return real(num, den, p_core)
+
+        monkeypatch.setattr(enclosures_mod, "_log2_core", counted)
+        row = compare_bounds(n, p, max_escalations=max_escalations)
+        assert calls == [(n, 1)] * (row.escalations + 1)
+        if max_escalations:
+            assert row.escalations > 0
+
+    def test_sides_share_the_rows_log2_n(self, monkeypatch):
+        asked = []
+        real = bounds_mod.log2_int_enclosure
+
+        def recorded(m, q):
+            asked.append((m, q))
+            return real(m, q)
+
+        monkeypatch.setattr(bounds_mod, "log2_int_enclosure", recorded)
+        row = compare_bounds(3004, 64, max_escalations=0)
+        q = log2_n_precision(3004, row.precision_bits + _VERDICT_BITS)
+        assert asked and set(asked) == {(3004, q)}
+
+
+class TestEscalationCeiling:
+    """A row never escalates past the precision ceiling: its last attempt is
+    the last one whose log2 n fits, and an unsettled row there reads
+    Inconclusive."""
+
+    def test_last_attempt(self, monkeypatch):
+        assert last_attempt(3000, 64, 4) == 4
+        assert last_attempt(3000, 64, -1) == 0
+        # 64 << 7 = 8192 fits under 16384 bits, 64 << 8 does not
+        assert sweep_row_precision(3000, 64 << 7) <= exact_mod.MAX_PRECISION_BITS
+        assert sweep_row_precision(3000, 64 << 8) > exact_mod.MAX_PRECISION_BITS
+        assert last_attempt(3000, 64, 10**9) == 7
+        monkeypatch.setattr(exact_mod, "MAX_PRECISION_BITS", sweep_row_precision(3000, 32))
+        assert last_attempt(3000, 16, 4) == 1
+        assert last_attempt(3001, 16, 4) == 1
+        assert last_attempt(4097, 16, 4) == 0
+
+    def test_unsettled_row_at_the_ceiling_is_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(exact_mod, "MAX_PRECISION_BITS", sweep_row_precision(3000, 16))
+        row = compare_bounds(3000, 16)
+        assert row.precision_bits == 16 and row.escalations == 0
+        assert row.verdicts["robbins_upper"].status is VerdictStatus.INCONCLUSIVE
+        assert row.e2.contains_int(binary_digit_sum(3000) - 1)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_at_the_ceiling_completes(self, tmp_path, capsys, monkeypatch, fmt):
+        # without the ceiling these rows escalate from p = 16; with it they
+        # stop there, every one is written and the run exits 2
+        ceiling = sweep_row_precision(3007, 16)
+        monkeypatch.setattr(exact_mod, "MAX_PRECISION_BITS", ceiling)
+        monkeypatch.setattr(sweep_mod, "MAX_PRECISION_BITS", ceiling)
+        assert compare_bounds(3000, 16, max_escalations=0).verdicts[
+            "robbins_upper"
+        ].status is VerdictStatus.INCONCLUSIVE
+        argv = ["sweep-bounds", "--range", "3000..3007", "--bits", "16", "--format", fmt]
+        outs, errs = {}, {}
+        for workers in (1, 2):
+            outs[workers] = tmp_path / f"rows_w{workers}.{fmt}"
+            code = main(argv + ["--workers", str(workers), "--out", str(outs[workers])])
+            assert code == EXIT_INCONCLUSIVE
+            errs[workers] = capsys.readouterr().err
+        assert outs[1].read_bytes() == outs[2].read_bytes()
+        assert errs[1] == errs[2]
+        assert "checked=8 of 8 rows at p=16 (escalated: 0)" in errs[1]
+        if fmt == "json":
+            payload = json.loads(outs[1].read_text())
+            summary = payload[-1]["summary"]
+            assert summary["truncated"] is False and summary["checked"] == 8
+            rows = payload[:-1]
+        else:
+            with open(outs[1], newline="") as fh:
+                rows = list(csv.DictReader(fh))
+        assert [row["precision_bits"] for row in rows] == ["16"] * 8
+        assert "Inconclusive" in {row["verdict_robbins"] for row in rows}
+
+
 class TestAttemptPrecision:
-    """attempt_precision is the finest precision a row asks the enclosures
-    for, which is what lets validation reject a --bits before any output."""
+    """attempt_precision and sweep_row_precision are the finest precisions an
+    error-term row and a compared row ask the enclosures for, which is what
+    lets validation reject a --bits before any output."""
 
     def test_is_the_largest_precision_a_row_asks_for(self, monkeypatch):
         asked = []
@@ -477,14 +578,20 @@ class TestAttemptPrecision:
             real(p)
 
         monkeypatch.setattr(enclosures_mod, "_check_precision", recorded)
-        for n in (1, 2, 3, 4, 5, 8, 17, 100, 255, 256, 257, 1000):
+        for n in (1, 2, 3, 4, 5, 8, 17, 100, 255, 256, 257, 1000, 3004, 10**6 + 1):
             for p in (4, 16, 64, 100):
-                enclosures_mod.log2_pi_interval.cache_clear()  # its check runs on a miss
+                # their checks run on a miss
+                enclosures_mod.log2_pi_interval.cache_clear()
+                enclosures_mod.log2_int_enclosure.cache_clear()
                 asked.clear()
                 compare_bounds(n, p, max_escalations=0, b_source="closed-form")
+                assert max(asked) == sweep_row_precision(n, p), (n, p)
+                if n > 1000:
+                    continue  # a term sum of G(n) that size is error-term's alone
+                asked.clear()
                 error_term_e2(n, p)
-                if n == 1:  # taken at n = 2: one bit above log2 pi at p + 7
-                    assert max(asked) == p + 7 == attempt_precision(n, p) - 1
+                if n == 1:  # taken at n = 2: the whole row at n = 1 is below it
+                    assert max(asked) < attempt_precision(n, p)
                 else:
                     assert max(asked) == attempt_precision(n, p), (n, p)
 

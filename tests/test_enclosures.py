@@ -19,19 +19,24 @@ from log2lab.enclosures import (
     ResourceLimitError,
     e_interval,
     ln2_interval,
+    log2_1p,
     log2_e_interval,
     log2_factorial_by_factorial,
-    log2_factorial_by_sum,
     log2_factorial_enclosure,
-    log2_factorial_running,
     log2_fraction,
     log2_pi_interval,
     pi_interval,
 )
 from log2lab.exact import MAX_PRECISION_BITS, DomainError, attempt_precision
-from log2lab.sweep import SweepConfig, run_bounds_sweep
+from log2lab.sweep import SweepConfig, run_bounds_sweep, run_error_term
 
-from conftest import g_oracle, interval_contains, power_of_two_ratio
+from conftest import (
+    g_oracle,
+    interval_contains,
+    log2_factorial_by_sum,
+    log2_factorial_running,
+    power_of_two_ratio,
+)
 
 # independent-oracle values, frozen from high-precision reference runs
 LOG2_3 = "1.58496250072115618145373894394781650876"
@@ -209,22 +214,22 @@ class TestLog2Table:
 
     def test_one_bounded_table_per_precision_after_sweeps(self, monkeypatch):
         monkeypatch.setattr(enclosures_mod, "_LOG2_TABLES", {})
-        for n_lo, n_hi in ((3004, 3043), (3044, 3123)):
+        monkeypatch.setattr(enclosures_mod, "_STIRLING_COEFFS", ())
+        for n_lo, n_hi in ((3004, 3043), (3044, 3123), (100_001, 100_002)):
             config = SweepConfig(n_lo=n_lo, n_hi=n_hi)
             assert run_bounds_sweep(config, io.StringIO(), io.StringIO()) == 0
-        # up to the factorial threshold a row takes log2 n! from the exact
-        # factorial and G(n) from it, so it builds no table
+        # a compared row runs no term sum: log2 n! comes from the exact
+        # factorial or the Stirling series, and G(n) from it
         assert enclosures_mod._LOG2_TABLES == {}
-        # past it, each attempt's summed log2 n! reads the table at
-        # attempt_precision; both rows escalate from p = 64 to p = 128
-        config = SweepConfig(n_lo=100_001, n_hi=100_002)
-        assert run_bounds_sweep(config, io.StringIO(), io.StringIO()) == 0
+        # error-term's term sum of G(n) reads the table at attempt_precision
+        config = SweepConfig(n_lo=1500, n_hi=1501)
+        assert run_error_term(config, io.StringIO(), io.StringIO()) == 0
         tables = enclosures_mod._LOG2_TABLES
-        assert set(tables) == {
-            attempt_precision(n, q) for n in (100_001, 100_002) for q in (64, 128)
-        }
+        assert set(tables) == {attempt_precision(n, 64) for n in (1500, 1501)}
         for lo, hi in tables.values():
-            assert len(lo) == len(hi) <= 100_002 + 1
+            assert len(lo) == len(hi) <= 1501 + 1
+        # the Stirling coefficients that p = 64 rows use: a few
+        assert 0 < len(enclosures_mod._STIRLING_COEFFS) <= 16
         caches = [
             name
             for name, value in vars(enclosures_mod).items()
@@ -298,8 +303,13 @@ class TestPrecisionFloor:
             (log2_factorial_by_sum, (5, 2)),
             (lambda n, p: list(log2_factorial_running(n, p)), (3, 1)),
             (log2_fraction, (Fraction(8), 3)),
+            (log2_factorial_enclosure, (10**6, 2)),
+            (log2_1p, (Fraction(1, 10**9), 3)),
         ],
-        ids=["G", "G-exact", "factorial-by-sum", "factorial-running", "frac-exact"],
+        ids=[
+            "G", "G-exact", "factorial-by-sum", "factorial-running", "frac-exact",
+            "factorial-stirling", "log2-1p",
+        ],
     )
     def test_rejects_p_below_floor(self, fn, args):
         with pytest.raises(DomainError, match=f"precision must be >= 4 bits, got {args[-1]}$"):
@@ -332,12 +342,168 @@ class TestLog2Factorial:
             assert iv.intersects(ref[n])
 
     def test_method_selector_threshold(self, monkeypatch):
-        monkeypatch.setattr(enclosures_mod, "_FACTORIAL_METHOD_THRESHOLD", 100)
-        small = log2_factorial_enclosure(30, 50)
-        assert small == log2_factorial_by_factorial(30, 50)
-        monkeypatch.setattr(enclosures_mod, "_FACTORIAL_METHOD_THRESHOLD", 10)
-        summed = log2_factorial_enclosure(30, 50)
-        assert summed == log2_factorial_by_sum(30, 50)
+        # the exact factorial below n0 = 2p, the Stirling series from n0 on
+        real = enclosures_mod.log2_factorial_by_factorial
+        factorial_ns = []
+
+        def recorded(n, q):
+            factorial_ns.append(n)
+            return real(n, q)
+
+        monkeypatch.setattr(enclosures_mod, "log2_factorial_by_factorial", recorded)
+        for p in (4, 16, 53, 64, 128, 1024):
+            n0 = enclosures_mod._stirling_switch(p)
+            assert n0 == 2 * p
+            factorial_ns.clear()
+            below = log2_factorial_enclosure(n0 - 1, p)
+            at = log2_factorial_enclosure(n0, p)
+            assert factorial_ns == [n0 - 1]
+            assert below == real(n0 - 1, p)
+            assert at.width_within(p) and at.intersects(real(n0, p))
+
+
+def akiyama_tanigawa_bernoulli(m: int) -> list[Fraction]:
+    """B_0..B_m (with B_1 = +1/2) by the Akiyama-Tanigawa recurrence: an
+    oracle independent of the tangent numbers the module uses."""
+    out, a = [], [Fraction(0)] * (m + 1)
+    for i in range(m + 1):
+        a[i] = Fraction(1, i + 1)
+        for j in range(i, 0, -1):
+            a[j - 1] = j * (a[j - 1] - a[j])
+        out.append(a[0])
+    return out
+
+
+_STIRLING_PRECISIONS = st.sampled_from([4, 16, 53, 64, 128, 1024])
+
+
+class TestStirlingSeries:
+    """log2 n! from the Stirling series with its remainder bounded by, and of
+    the sign of, the first omitted term."""
+
+    def test_coefficients_are_bernoulli_quotients(self):
+        bernoulli = akiyama_tanigawa_bernoulli(80)
+        coeffs = enclosures_mod._stirling_coefficients(40)
+        assert coeffs[:4] == ((1, 12), (-1, 360), (1, 1260), (-1, 1680))
+        for k in range(1, 41):
+            c = bernoulli[2 * k] / (2 * k * (2 * k - 1))
+            assert coeffs[k - 1] == (c.numerator, c.denominator), k
+
+    @pytest.mark.parametrize("n", [1, 3, 10, 37, 200])
+    def test_remainder_has_the_sign_of_the_first_omitted_term(self, n):
+        # R_K(n) = ln n! - (leading part) - (first K terms), for K = 0..11
+        coeffs = enclosures_mod._stirling_coefficients(12)
+        with mp.workprec(800):
+            remainder = mp.loggamma(n + 1) - (
+                (n + mp.mpf(1) / 2) * mp.log(n) - n + mp.log(2 * mp.pi) / 2
+            )
+            for k, (num, den) in enumerate(coeffs[:12]):
+                term = mp.mpf(num) / (den * mp.mpf(n) ** (2 * k + 1))
+                assert remainder * term > 0, (n, k)
+                assert abs(remainder) < abs(term), (n, k)
+                remainder -= term
+
+    def test_series_covers_the_remainder_on_either_side(self):
+        # the series stops at its first term below one ulp; which sign that
+        # term has depends on (n, w), and both are covered
+        stop_signs = set()
+        for n in (8, 9, 40, 41, 300, 5000, 10**6):
+            for w in range(8, min(200, 4 * n), 7):
+                lo, hi = enclosures_mod._stirling_series(n, w)
+                num, den = next(
+                    (num, den)
+                    for k, (num, den) in enumerate(enclosures_mod._stirling_coefficients(60))
+                    if abs(num) << w < den * n ** (2 * k + 1)
+                )
+                stop_signs.add(num > 0)
+                with mp.workprec(w + 200):
+                    exact = mp.loggamma(n + 1) - (
+                        (n + mp.mpf(1) / 2) * mp.log(n) - n + mp.log(2 * mp.pi) / 2
+                    )
+                    assert lo <= exact * mp.mpf(2) ** w <= hi, (n, w)
+        assert stop_signs == {True, False}
+        with pytest.raises(DomainError, match="does not reach"):
+            enclosures_mod._stirling_series(8, 200)  # its terms stop shrinking near 2^-72
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data(), _STIRLING_PRECISIONS)
+    def test_meets_the_factorial_and_nests(self, data, p):
+        n = data.draw(st.integers(enclosures_mod._stirling_switch(p), 20_000))
+        iv = log2_factorial_enclosure(n, p)
+        assert iv.width_within(p)
+        assert iv.intersects(log2_factorial_by_factorial(n, p))
+        finer = log2_factorial_enclosure(n, 2 * p)
+        assert iv.lo < finer.lo and finer.hi < iv.hi
+
+    def test_meets_the_summed_logs_past_the_old_threshold(self):
+        for n in (100_001, 123_457):
+            iv = log2_factorial_enclosure(n, 64)
+            assert iv.width_within(64)
+            assert iv.intersects(log2_factorial_by_sum(n, 64))
+
+    def test_one_core_call_at_any_size(self, monkeypatch):
+        calls = []
+        real = enclosures_mod._log2_core
+
+        def counted(num, den, p_core):
+            calls.append(num)
+            return real(num, den, p_core)
+
+        for n in (10**6 + 1, 10**12 + 1, 10**40 + 1):
+            log2_factorial_enclosure(n, 64)  # the constants, on first use
+            enclosures_mod.log2_int_enclosure.cache_clear()
+            monkeypatch.setattr(enclosures_mod, "_log2_core", counted)
+            calls.clear()
+            iv = log2_factorial_enclosure(n, 64)
+            monkeypatch.setattr(enclosures_mod, "_log2_core", real)
+            assert calls == [n]
+            with mp.workprec(400):
+                assert interval_contains(iv, mp.loggamma(n + 1) / mp.log(2))
+
+
+def _small_rationals():
+    # -1/2 <= y <= 1, mostly close to 0, of both signs
+    return st.builds(
+        lambda num, den, neg: Fraction(-num if neg else num, max(den, 2 * num)),
+        st.integers(1, 10**6),
+        st.integers(1, 10**40),
+        st.booleans(),
+    )
+
+
+class TestLog2OnePlus:
+    """log2(1 + y) from the atanh series, against bit extraction."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(_small_rationals(), _STIRLING_PRECISIONS)
+    def test_meets_bit_extraction(self, y, p):
+        iv = log2_1p(y, p)
+        assert iv.width_within(p)
+        assert iv.intersects(log2_fraction(1 + y, p))
+
+    @pytest.mark.parametrize("y", [Fraction(-1, 2), Fraction(1), Fraction(1, 3), Fraction(-1, 7)])
+    def test_domain_ends_against_mpmath(self, y):
+        for p in (4, 64, 256):
+            iv = log2_1p(y, p)
+            assert iv.width_within(p)
+            with mp.workprec(600):
+                assert interval_contains(iv, mp.log(1 + mp.mpf(y.numerator) / y.denominator) / mp.log(2))
+
+    def test_zero_and_domain(self):
+        assert log2_1p(Fraction(0), 64) == DyadicInterval.zero()
+        for y in (Fraction(-2, 3), Fraction(-1), Fraction(3, 2)):
+            with pytest.raises(DomainError):
+                log2_1p(y, 64)
+
+    def test_no_log_core_call(self, monkeypatch):
+        log2_1p(Fraction(1, 12345), 64)  # log2 e, on first use
+
+        def refused(num, den, p_core):
+            raise AssertionError("log2_1p called the log core")
+
+        monkeypatch.setattr(enclosures_mod, "_log2_core", refused)
+        log2_1p(Fraction(1, 12345), 64)
+        log2_1p(-Fraction(11, 11520) / 3000**4, 64)
 
 
 class TestConstants:

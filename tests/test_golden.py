@@ -6,10 +6,15 @@ for a change to the G-derived interval bits only (``g_*``, ``paper_lb_*`` and
 the summary's unrounded ``max_e2`` / ``max_c_log2``): when G's term sum moved
 to the prime-only log table, and when a sweep row stopped running that term
 sum and took G(n) from its own n log2 n and log2 n! and the exact floor count
-n - s2(n).  Their stderr hashes, and every error-term and verify-theorem
-hash, were left as they were.  Any byte change in a row, a summary, a
-finding or a report line fails here, with one worker and with two.  The sweep
-window spans the first rows that escalate from p=64 to p=128.
+n - s2(n).  They were re-taken a third time, with the three sweep-bounds
+stderr hashes, when a row started to enclose every part 4 bits finer than its
+precision, with log2 n! from the Stirling series and one log2 n per attempt:
+every interval column changed, and the window's rows, which had escalated
+from p=64 to p=128, settle at p=64, so ``precision_bits``, the escalation
+count and the Violated certificates on stderr changed too; no verdict did.
+Every error-term and verify-theorem hash was left as it was.  Any byte change
+in a row, a summary, a finding or a report line fails here, with one worker
+and with two.
 """
 
 from __future__ import annotations
@@ -30,18 +35,18 @@ SRC = Path(log2lab.__file__).resolve().parents[1]
 GOLDEN = {
     "sweep-csv": (
         ["sweep-bounds", "--range", "2990..3010", "--bits", "64"],
-        "db74021f21414b41736ec428c04dacea1da4c98d5dc2a88cdad5abd8b65624cf",
-        "789e65e116d08dbd6d54d07f8734819e8adc47406fa1678ff05001f3c479156e",
+        "3b3a938010ae054cf2caf36af5e0273d71041114aa75aa154f6af85bda0a294e",
+        "80de4b8236271a2f7ce64dcbae510b56b26e4ebc28a1fb1f28732b2be2c034b9",
     ),
     "sweep-json": (
         ["sweep-bounds", "--range", "2990..3010", "--bits", "64", "--format", "json"],
-        "1353131064f4c3e0fb134feddb4a8f71ecac3ff44fb66d782593c87b092d3d0c",
-        "789e65e116d08dbd6d54d07f8734819e8adc47406fa1678ff05001f3c479156e",
+        "8a78d694fe57b62e8f086735ae6e7ec0a2bb1f1e4d171066f06744019ba0686b",
+        "80de4b8236271a2f7ce64dcbae510b56b26e4ebc28a1fb1f28732b2be2c034b9",
     ),
     "sweep-linear-json": (
         ["sweep-bounds", "--range", "1..24", "--linear", "--format", "json"],
-        "fe8c36fa01c1e5b591c8cdbfaa9dd0c53ac08e339e8c73de2a3b4a326ed44a97",
-        "7f48c6ec3b1b56cc0f4ae7e9b83395c08b3017e1d32bbd8bedfc22ca292fb67b",
+        "852b1025103efeff6f89f2952c51f6c21359181459be6276b37c687814bf3f7d",
+        "e211ff79d46e4e68aa4378c84dd6b87e719fc6fe204025e9262b12e3f1cf6bf9",
     ),
     "error-term": (
         ["error-term", "--range", "1..200", "--bits", "128"],

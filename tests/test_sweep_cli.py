@@ -501,7 +501,7 @@ class TestCliContract:
         assert "above the ceiling of 16384 bits" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["sweep-bounds", "error-term"])
+    @pytest.mark.parametrize("command", ["error-term"])
     def test_range_over_work_ceiling_rejected_before_output(self, tmp_path, capsys, command):
         # G(40000000) at a row's term precision is past the work ceiling
         assert attempt_work(40_000_000, 64) > WORK_CEILING
@@ -510,6 +510,24 @@ class TestCliContract:
         assert main(argv) == EXIT_USAGE
         assert "above the work ceiling" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_sweep_bounds_has_no_work_ceiling(self, tmp_path, capsys):
+        # a compared row runs no term sum, so sweep-bounds takes a range that
+        # error-term rejects before it opens --out
+        argv = ["--range", "1000000000000..1000000000000", "--format", "json"]
+        out = tmp_path / "rows.json"
+        assert main(["error-term", *argv, "--out", str(out)]) == EXIT_USAGE
+        assert "above the work ceiling" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["sweep-bounds", *argv, "--out", str(out)]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert "checked=1 of 1 rows at p=64" in err
+        payload = json.loads(out.read_text())
+        row, summary = payload[0], payload[-1]["summary"]
+        assert summary["checked"] == 1 and summary["truncated"] is False
+        assert row["n"] == "1000000000000" and row["verdict_robbins"] == "Holds"
+        lo, hi = Fraction(row["log2_fact_lo"]), Fraction(row["log2_fact_hi"])
+        assert 0 < hi - lo <= Fraction(1, 1 << int(row["precision_bits"]))
 
     def test_verify_theorem_has_no_work_ceiling(self, tmp_path):
         # verify-theorem computes no term sums, so a range that the other
