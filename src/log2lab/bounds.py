@@ -30,7 +30,7 @@ passes a switch near 2p.  Every n-scaled part of the row, (n + 1/2) log2 n in
 log2 n!, Robbins and Ramanujan, and n log2 n, takes log2 n at one precision,
 ``log2_n_precision(n, q)``, so that one log core call, kept by
 ``log2_int_enclosure``, serves the attempt.  The other logs are near 1 and
-come from ``log2_1p``'s series instead of bit extraction:
+come from ``log2_1p``, the log series without the reduction to [1, 2):
 log2(8n^3 + 4n^2 + n + 1/30) = 3 + 3 log2 n + log2(1 + y) with y about
 1/(2n), and each Ramanujan correction log2(1 - 11 / (11520 (n + s)^4)).
 """
@@ -202,12 +202,14 @@ def error_term_e2(n: int, p: int) -> DyadicInterval:
     exactly the integer s2(n) - 1.  Here G(n) is the term-by-term sum of the
     fractional parts, not the identity, so this enclosure is the empirical
     side of that identity: log2 n!, n log2 n and G(n) are each enclosed at a
-    third of the 2^-p budget.
+    third of the 2^-p budget.  n log2 n takes log2 n at
+    ``log2_n_precision(n, p)``, the enclosure the Stirling log2 n! takes, so
+    a row makes one log2 n.
     """
     require_positive("n", n)
     part = _part_precision(p, _ROW_PARTS)
     fact = log2_factorial_enclosure(n, part)
-    x = log2_int_enclosure(n, _part_precision(p, _ROW_PARTS, n)).scale_int(n)
+    x = log2_int_enclosure(n, log2_n_precision(n, p)).scale_int(n)
     return fact - (x.add_int(-(n - 1)) - G_enclosure(n, part))
 
 

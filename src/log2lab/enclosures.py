@@ -1,17 +1,18 @@
 """Certified dyadic-interval enclosures of log2 quantities.
 
-The general transcendental primitive here is log2 of a positive rational.
-It is computed by interval bit extraction: reduce the argument exactly to
-r in [1, 2), then repeatedly square a scaled-integer bracket of r, shifting a
-binary digit out whenever the bracket clears 2.  All rounding is outward and
-all state is integer, so results are bit-identical across runs and platforms.
+Every logarithm here comes from one series: ln(1 + y) = 2 atanh(y / (2 + y))
+for a rational y in [-1/2, 1], summed in scaled integers with every product
+and quotient rounded in its own direction and the tail after the last term
+bounded by a geometric series (Brent & Zimmermann, *Modern Computer
+Arithmetic*, section 4.4).  On that range |y / (2 + y)| <= 1/3, so each term
+gains at least log2 9 bits, and for |y| ~ 2^-k about p / (2k) terms reach
+2^-p.  All state is integer, so results are bit-identical across runs and
+platforms.
 
-An argument near 1 has a cheaper route, ``log2_1p``: log2(1 + y) is log2 e
-times ln(1 + y) = 2 atanh(y / (2 + y)), a series in a small rational summed in
-scaled integers with every product and quotient rounded in its own direction
-and the tail after the last term bounded by a geometric series.  For
-|y| ~ 2^-k it takes about p / (2k) terms, where bit extraction takes p
-squarings of p-bit numbers whatever y is.
+* log2 of a positive rational is reduced exactly to 2^k r with r in [1, 2),
+  and log2 r is log2 e times the series at y = r - 1;
+* ``log2_1p``, log2(1 + y) for y near 0, is the same without the reduction;
+* ln 2 is the series at y = 1, that is 2 atanh(1/3).
 
 Integer parts of logarithms are never taken from intervals; they come from the
 exact kernels in :mod:`log2lab.exact`, which is what keeps fractional parts
@@ -46,18 +47,17 @@ ceil(log2 bit_length(n)) + 1 guard bits finer than the term precision, and
 every entry stays within the width of one direct core bracket at that
 precision.
 
-Every non-exact primitive enclosure is computed two bits finer than requested
-and then padded outward by two ulps.  The pad costs a fraction of the width
-budget and buys a structural guarantee: the true value sits at least
-2^-(p+3) away from both endpoints, so a recomputation at any materially higher
-precision lands strictly inside the original interval (the nesting property
-the test suite quantifies over a randomized corpus).  The Stirling log2 n! is
-rounded onto the 2^-(p+4) grid and padded the same way.
+Every non-exact primitive enclosure at precision p is a bracket at most two
+ulps wide on the 2^-(p+4) grid, padded outward by two ulps.  The pad costs a
+fraction of the width budget and buys a structural guarantee: the true value
+sits at least 2^-(p+3) away from both endpoints, so a recomputation at any
+materially higher precision lands strictly inside the original interval (the
+nesting property the test suite quantifies over a randomized corpus).  The
+Stirling log2 n! is rounded onto the same grid and padded the same way.
 
-Named constants (ln 2, pi, e) are evaluated once per precision from classical
-series with explicit tail bounds:
+Named constants are evaluated once per precision: ln 2 from the log series,
+and two classical series with explicit tail bounds:
 
-* ln 2  = 2 atanh(1/3), positive terms, geometric tail ratio 1/9;
 * pi    = 16 atan(1/5) - 4 atan(1/239) (Machin), alternating series whose
   truncation error is bounded by the first omitted term;
 * e     = sum 1/i!, positive terms, tail after K bounded by 2/(K+1)!.
@@ -87,7 +87,6 @@ from .exact import (
 __all__ = [
     "log2_fraction",
     "log2_int_enclosure",
-    "log2_interval",
     "log2_1p",
     "G_enclosure",
     "log2_factorial_enclosure",
@@ -100,21 +99,18 @@ __all__ = [
 ]
 
 
-# Extraction head-room: working precision w = p_core + _GUARD_BITS absorbs the
-# doubling of relative bracket width across the p_core + 2 squaring steps.
-_GUARD_BITS = 8
-_EXTRA_STEPS = 2
-# Finer core + outward pad (in ulps of the core grid) for structural nesting.
-_CORE_EXTRA = 2
+# A padded bracket at precision p: a bracket at most 2 ulps wide on the
+# 2^-(p + _BRACKET_BITS) grid, widened by _PAD_ULPS on each side.  It is at most
+# 6/16 * 2^-p wide, and the true value lies 2^-(p+3) or more inside it.
+_BRACKET_BITS = 4
 _PAD_ULPS = 2
 
 
-def _log2_core(num: int, den: int, p_core: int) -> tuple[int, int, int]:
-    """Scaled bracket of log2(num/den) for num, den >= 1.
-
-    Returns (lo, hi, s) meaning log2(num/den) is inside
-    [lo * 2^-s, hi * 2^-s], with hi - lo <= 2 and s = p_core + 2.
-    Exact powers of two return a point with s = 0.
+def _log2_raw(num: int, den: int, p: int) -> tuple[int, int, int]:
+    """Padded bracket (lo, hi, s) of log2(num/den) for num, den >= 1, on the
+    2^-s grid with s = p + _BRACKET_BITS: width <= 6 ulps and the true value
+    at least 2 ulps from each endpoint.  Exact powers of two return a point
+    with s = 0.
     """
     g = math.gcd(num, den)
     if g > 1:
@@ -125,40 +121,13 @@ def _log2_core(num: int, den: int, p_core: int) -> tuple[int, int, int]:
         return k, k, 0
 
     k = floor_log2_fraction(num, den)
-    # residual r = (num/den) / 2^k lies in [1, 2)
+    # num/den = 2^k r with r = rn/rd in [1, 2), and log2 r = log2(1 + (rn - rd)/rd)
     if k >= 0:
         rn, rd = num, den << k
     else:
         rn, rd = num << (-k), den
-
-    w = p_core + _GUARD_BITS
-    steps = p_core + _EXTRA_STEPS
-    scale_two = 2 << w
-
-    u = (rn << w) // rd
-    v = u if (rn << w) % rd == 0 else u + 1
-    t = 0
-    ceil_mask = (1 << w) - 1
-    for _ in range(steps):
-        u = (u * u) >> w
-        v = (v * v + ceil_mask) >> w
-        t <<= 1
-        while u >= scale_two:
-            u >>= 1
-            v = (v + 1) >> 1
-            t += 1
-    # residual bracket sits in [1, 4), so its log2 is in [0, 2]
-    lo = (k << steps) + t
-    return lo, lo + 2, steps
-
-
-def _log2_raw(num: int, den: int, p: int) -> tuple[int, int, int]:
-    """Padded scaled enclosure of log2(num/den): width <= 6 * 2^-(p+4) and the
-    true value at least 2 * 2^-(p+4) from each endpoint (exact powers exempt)."""
-    lo, hi, s = _log2_core(num, den, p + _CORE_EXTRA)
-    if s == 0:
-        return lo, hi, s
-    return lo - _PAD_ULPS, hi + _PAD_ULPS, s
+    lo, hi, s = _log2_1p_raw(rn - rd, rd, p)
+    return lo + (k << s), hi + (k << s), s
 
 
 def _raw_to_interval(lo: int, hi: int, s: int) -> DyadicInterval:
@@ -183,30 +152,16 @@ def log2_int_enclosure(m: int, p: int) -> DyadicInterval:
     return _raw_to_interval(*_log2_raw(m, 1, p))
 
 
-def log2_interval(iv: DyadicInterval, p: int) -> DyadicInterval:
-    """Hull of log2 over a strictly positive interval.
-
-    Output width is the log-width of the input plus at most 2^-p; the caller
-    owns making the input tight enough for its own budget.
-    """
-    if iv.lo.sign <= 0:
-        raise DomainError("log2_interval requires a strictly positive interval")
-    lo_encl = log2_fraction(iv.lo.to_fraction(), p + 1)
-    hi_encl = log2_fraction(iv.hi.to_fraction(), p + 1)
-    return DyadicInterval(lo_encl.lo, hi_encl.hi)
-
-
-def _ln1p_core(num: int, den: int, p_core: int) -> tuple[int, int, int]:
+def _ln1p_core(num: int, den: int, s: int) -> tuple[int, int]:
     """Scaled bracket of ln(1 + y), y = num/den with -1/2 <= y <= 1, y != 0.
 
-    Returns (lo, hi, s) meaning ln(1 + y) is inside [lo * 2^-s, hi * 2^-s],
-    with hi - lo <= 2 and s = p_core + 2, as ``_log2_core`` does.  The series
-    is 2 atanh(t) = 2 sum_i t^(2i+1) / (2i+1) with t = y / (2 + y), so
-    |t| <= 1/3.  It is summed for |t| on a 2^-w grid, with every product and
-    quotient rounded down in lo and up in hi.  The tail after a term is below
-    (9/8) |t|^(2i+3) / (2i+3); once that is one ulp, one ulp covers it.
+    Returns (lo, hi) meaning ln(1 + y) is inside [lo * 2^-s, hi * 2^-s], with
+    hi - lo <= 2.  The series is 2 atanh(t) = 2 sum_i t^(2i+1) / (2i+1) with
+    t = y / (2 + y), so |t| <= 1/3.  It is summed for |t| on a 2^-w grid, with
+    every product and quotient rounded down in lo and up in hi.  The tail
+    after a term is below (9/8) |t|^(2i+3) / (2i+3); once that is one ulp, one
+    ulp covers it.
     """
-    s = p_core + 2
     # at most w/3 + 2 terms (each gains log2 9 bits), each adding under 6
     # ulps, stay within 2^(g-1) ulps of the 2^-w grid
     g = s.bit_length() + 5
@@ -230,16 +185,33 @@ def _ln1p_core(num: int, den: int, p_core: int) -> tuple[int, int, int]:
     # twice atanh, rounded outward onto the 2^-s grid
     lo, hi = (2 * lo) >> g, -((-2 * hi) >> g)
     if num < 0:  # atanh is odd
-        lo, hi = -hi, -lo
-    return lo, hi, s
+        return -hi, -lo
+    return lo, hi
+
+
+def _log2_1p_raw(num: int, den: int, p: int) -> tuple[int, int, int]:
+    """Padded bracket (lo, hi, s) of log2(1 + num/den) at precision p, for
+    -1/2 <= num/den <= 1 and num != 0, with s = p + _BRACKET_BITS.
+
+    log2 e times the series bracket of ln(1 + y), which is at most 2 ulps of
+    2^-(s+4) wide and at most ln 2 in size, with log2 e < 1.45 held to
+    2^-(s+2): the product is under 0.36 ulps of 2^-s wide, so rounded outward
+    it is at most 2 ulps wide before the pad.
+    """
+    s = p + _BRACKET_BITS
+    lo, hi = _ln1p_core(num, den, s + 4)
+    e_lo, e_hi, t = _log2_e_scaled(s + 2)
+    products = (e_lo * lo, e_lo * hi, e_hi * lo, e_hi * hi)
+    # from the 2^-(s+4+t) grid onto 2^-s: floor the least, ceil the greatest
+    shift = t + 4
+    return (min(products) >> shift) - _PAD_ULPS, -(-max(products) >> shift) + _PAD_ULPS, s
 
 
 def log2_1p(y: Fraction, p: int) -> DyadicInterval:
     """Enclosure of log2(1 + y) for rational -1/2 <= y <= 1, width <= 2^-p.
 
-    log2 e times ln(1 + y) from the atanh series, padded like every core
-    bracket, multiplied and rounded outward in scaled integers: no bit
-    extraction, so an argument near 1 costs a few series terms.
+    The padded bracket of ``log2_fraction(1 + y)`` without its reduction to
+    [1, 2), so an argument near 1 costs a few series terms.
     """
     num, den = y.numerator, y.denominator
     if not -den <= 2 * num <= 2 * den:
@@ -247,13 +219,7 @@ def log2_1p(y: Fraction, p: int) -> DyadicInterval:
     _check_precision(p)
     if num == 0:
         return DyadicInterval.zero()
-    lo, hi, s = _ln1p_core(num, den, p + 4 + _CORE_EXTRA)
-    lo, hi = lo - _PAD_ULPS, hi + _PAD_ULPS
-    e_lo, e_hi, t = _log2_e_scaled(p + 4)
-    products = (e_lo * lo, e_lo * hi, e_hi * lo, e_hi * hi)
-    # onto the 2^-(p+6) grid: floor the least product, ceil the greatest
-    shift = s + t - (p + 6)
-    return _raw_to_interval(min(products) >> shift, -(-max(products) >> shift), p + 6)
+    return _raw_to_interval(*_log2_1p_raw(num, den, p))
 
 
 @lru_cache(maxsize=None)
@@ -297,7 +263,7 @@ def _least_prime_factors(n: int) -> list[int]:
 
 
 # log2 m tables, one per table precision q_tab: log2 m lies in
-# [lo[m] * 2^-s, hi[m] * 2^-s] with s = q_tab + _CORE_EXTRA + _EXTRA_STEPS.
+# [lo[m] * 2^-s, hi[m] * 2^-s] with s = q_tab + _BRACKET_BITS.
 # An extension builds longer lists and stores the pair in one assignment, so
 # an interrupted extension leaves the previous pair whole.
 _LOG2_TABLES: dict[int, tuple[list[int], list[int]]] = {}
@@ -313,7 +279,7 @@ def _log2_table(n: int, q: int) -> tuple[list[int], list[int], int]:
     """
     q_tab = _table_precision(n, q)
     _check_precision(q_tab)
-    s = q_tab + _CORE_EXTRA + _EXTRA_STEPS
+    s = q_tab + _BRACKET_BITS
     lo, hi = _LOG2_TABLES.get(q_tab, ([0, 0], [0, 0]))
     start = len(lo)
     if start <= n:
@@ -497,8 +463,8 @@ def log2_factorial_enclosure(n: int, p: int) -> DyadicInterval:
         log_n.scale_dyadic(DyadicRational(2 * n + 1, -1))
         + _half_log2_2pi(_part_precision(p, _STIRLING_PARTS))
         + log_e * series.add_int(-n)
-    ).round_outward(p + 4)
-    pad = DyadicRational(_PAD_ULPS, -(p + 4))
+    ).round_outward(p + _BRACKET_BITS)
+    pad = DyadicRational(_PAD_ULPS, -(p + _BRACKET_BITS))
     return DyadicInterval(raw.lo - pad, raw.hi + pad)
 
 
@@ -512,28 +478,11 @@ _CONST_PAD = 1 << (_CONST_GUARD - 3)
 
 @lru_cache(maxsize=None)
 def ln2_interval(p: int) -> DyadicInterval:
-    """Enclosure of ln 2 = 2 atanh(1/3), width <= 2^-p.
-
-    Positive series sum_{i>=0} 2 / ((2i+1) 3^(2i+1)); the tail after index K
-    is below (9/8) * 2 / ((2K+3) 3^(2K+3)).
-    """
-    w = p + _CONST_GUARD
-    lo = 0
-    hi = 0
-    i = 0
-    pow3 = 3  # 3^(2i+1)
-    while True:
-        den = (2 * i + 1) * pow3
-        num = 2 << w
-        lo += num // den
-        hi += -((-num) // den)
-        # tail <= (9/8) * 2 / ((2i+3) 3^(2i+3)) < 1 ulp once 2^w < (2i+3) 3^(2i+1)
-        if (1 << w) < (2 * i + 3) * pow3:
-            hi += 1  # outward cover for the tail
-            break
-        pow3 *= 9
-        i += 1
-    return _raw_to_interval(lo - _CONST_PAD, hi + _CONST_PAD, w)
+    """Enclosure of ln 2 = ln(1 + 1), width <= 2^-p: the log series at y = 1,
+    padded like every bracket."""
+    s = p + _BRACKET_BITS
+    lo, hi = _ln1p_core(1, 1, s)
+    return _raw_to_interval(lo - _PAD_ULPS, hi + _PAD_ULPS, s)
 
 
 def _atan_inv_scaled(x: int, w: int) -> tuple[int, int]:
@@ -606,5 +555,9 @@ def log2_e_interval(p: int) -> DyadicInterval:
 
 @lru_cache(maxsize=None)
 def log2_pi_interval(p: int) -> DyadicInterval:
-    """Enclosure of log2 pi, width <= 2^-p."""
-    return log2_interval(pi_interval(p + 3), p + 2)
+    """Enclosure of log2 pi, width <= 2^-p: log2 of pi's enclosure at p + 3,
+    each end at p + 3."""
+    pi = pi_interval(p + 3)
+    lo = log2_fraction(pi.lo.to_fraction(), p + 3)
+    hi = log2_fraction(pi.hi.to_fraction(), p + 3)
+    return DyadicInterval(lo.lo, hi.hi)

@@ -7,12 +7,14 @@ floor is exactly the failure mode these tests exist to catch.
 
 from __future__ import annotations
 
+import math
+
 import mpmath as mp
 import pytest
 
 from log2lab.dyadic import DyadicInterval, DyadicRational
 from log2lab.enclosures import G_enclosure, _sum_table, log2_int_enclosure
-from log2lab.exact import _ROW_PARTS, _part_precision, require_positive
+from log2lab.exact import _ROW_PARTS, _part_precision, log2_n_precision, require_positive
 
 ORACLE_PREC_BITS = 400
 
@@ -45,8 +47,47 @@ def paper_lower_bound_log2(n: int, p: int):
     n log2 n and the term sum G(n) each enclosed at a third of the 2^-p
     budget, as error-term encloses them: the oracle for a compared row's
     paper_lb, which takes G(n) from the exact floor count instead."""
-    x = log2_int_enclosure(n, _part_precision(p, _ROW_PARTS, n)).scale_int(n)
+    x = log2_int_enclosure(n, log2_n_precision(n, p)).scale_int(n)
     return x.add_int(-(n - 1)) - G_enclosure(n, _part_precision(p, _ROW_PARTS))
+
+
+def log2_by_bit_extraction(num: int, den: int, p: int) -> DyadicInterval:
+    """Enclosure of log2(num/den) for num, den >= 1, of width 2^-(p+1), by
+    interval bit extraction: the independent oracle for the log series.
+
+    Reduce num/den exactly to r in [1, 2), then square a scaled-integer
+    bracket of r p + 2 times, shifting a binary digit out whenever the
+    bracket clears 2: O(p) squarings of p-bit numbers.  Exact powers of two
+    are points.
+    """
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    k = num.bit_length() - den.bit_length()
+    if num & (num - 1) == 0 and den & (den - 1) == 0:
+        return _scaled(k, k, 0)
+    if num << max(-k, 0) < den << max(k, 0):
+        k -= 1
+    # the residual r = (num/den) / 2^k = rn/rd lies in [1, 2)
+    rn, rd = num << max(-k, 0), den << max(k, 0)
+
+    w = p + 8  # absorbs the doubling of relative width at every squaring
+    steps = p + 2
+    scale_two = 2 << w
+    u = (rn << w) // rd
+    v = u if (rn << w) % rd == 0 else u + 1
+    t = 0
+    ceil_mask = (1 << w) - 1
+    for _ in range(steps):
+        u = (u * u) >> w
+        v = (v * v + ceil_mask) >> w
+        t <<= 1
+        while u >= scale_two:
+            u >>= 1
+            v = (v + 1) >> 1
+            t += 1
+    # the residual bracket sits in [1, 4), so its log2 is in [0, 2]
+    lo = (k << steps) + t
+    return _scaled(lo, lo + 2, steps)
 
 
 def log2_factorial_by_sum(n: int, p: int) -> DyadicInterval:

@@ -482,17 +482,34 @@ class TestOneLogPerAttempt:
         compare_bounds(n, p, max_escalations=max_escalations)  # the constants, on first use
         enclosures_mod.log2_int_enclosure.cache_clear()
         calls = []
-        real = enclosures_mod._log2_core
+        real = enclosures_mod._log2_raw
 
-        def counted(num, den, p_core):
+        def counted(num, den, q):
             calls.append((num, den))
-            return real(num, den, p_core)
+            return real(num, den, q)
 
-        monkeypatch.setattr(enclosures_mod, "_log2_core", counted)
+        monkeypatch.setattr(enclosures_mod, "_log2_raw", counted)
         row = compare_bounds(n, p, max_escalations=max_escalations)
         assert calls == [(n, 1)] * (row.escalations + 1)
         if max_escalations:
             assert row.escalations > 0
+
+    @pytest.mark.parametrize("n,p", [(1003, 128), (2000, 64), (5, 4)])
+    def test_error_term_row_takes_one_log2_n(self, monkeypatch, n, p):
+        # n log2 n takes the enclosure the Stirling (or factorial) log2 n!
+        # takes; the table and the constants are built on the first call
+        error_term_e2(n, p)
+        enclosures_mod.log2_int_enclosure.cache_clear()
+        calls = []
+        real = enclosures_mod._log2_raw
+
+        def counted(num, den, q):
+            calls.append(num)
+            return real(num, den, q)
+
+        monkeypatch.setattr(enclosures_mod, "_log2_raw", counted)
+        error_term_e2(n, p)
+        assert calls.count(n) == 1
 
     def test_sides_share_the_rows_log2_n(self, monkeypatch):
         asked = []

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import log2lab.enclosures as enclosures_mod
@@ -33,6 +33,7 @@ from log2lab.sweep import SweepConfig, run_bounds_sweep, run_error_term
 from conftest import (
     g_oracle,
     interval_contains,
+    log2_by_bit_extraction,
     log2_factorial_by_sum,
     log2_factorial_running,
     power_of_two_ratio,
@@ -50,6 +51,9 @@ PI = "3.141592653589793238462643383279502884197"
 E = "2.718281828459045235360287471352662497757"
 LOG2_E = "1.442695040888963407359924681001892137427"
 LOG2_PI = "1.651496129472318798043279295108007335018"
+
+# from the coarsest precision to the medium range, where the series pays off
+_PRECISIONS = st.sampled_from([4, 16, 53, 64, 128, 1024])
 
 
 class TestLog2Ratio:
@@ -75,6 +79,33 @@ class TestLog2Ratio:
         iv = log2_fraction(Fraction(1, 3), 60)
         assert interval_contains(iv, "-" + LOG2_3)
         assert iv.width_within(60)
+
+
+class TestLogSeriesAgainstBitExtraction:
+    """The padded series bracket of log2(num/den) against the bit-extraction
+    oracle, with width and margin on its own 2^-(p+4) grid."""
+
+    @settings(deadline=None, max_examples=120)
+    @given(st.integers(1, 10**40), st.integers(1, 10**40), _PRECISIONS)
+    # both signs, r just above 1 and just below 2, an exact power of two
+    @example(1, 3, 4)
+    @example(2**40 + 1, 2**40, 1024)
+    @example(2**41 - 1, 2**40, 1024)
+    @example(2**40 - 1, 2**40, 64)
+    @example(3 << 17, 3, 64)
+    def test_meets_the_oracle_with_width_and_margin(self, num, den, p):
+        lo, hi, s = enclosures_mod._log2_raw(num, den, p)
+        oracle = log2_by_bit_extraction(num, den, p)
+        if s == 0:  # an exact power of two
+            assert oracle.is_point() and lo == hi and oracle.lo == DyadicRational(lo)
+            return
+        assert s == p + enclosures_mod._BRACKET_BITS
+        iv = DyadicInterval(DyadicRational(lo, -s), DyadicRational(hi, -s))
+        assert iv.intersects(oracle)
+        assert hi - lo <= 6
+        with mp.workprec(s + 200):
+            v = mp.log(mp.mpf(num) / den, 2) * mp.mpf(2) ** s
+            assert v - lo >= 2 and hi - v >= 2
 
 
 class TestGEnclosure:
@@ -116,7 +147,7 @@ def direct_log2_int(m: int, q: int) -> tuple[int, int, int]:
     moved onto the common scale of the other brackets at q."""
     lo, hi, s = enclosures_mod._log2_raw(m, 1, q)
     if s == 0:
-        s = q + enclosures_mod._CORE_EXTRA + enclosures_mod._EXTRA_STEPS
+        s = q + enclosures_mod._BRACKET_BITS
         lo <<= s
         hi <<= s
     return lo, hi, s
@@ -189,13 +220,13 @@ class TestLog2Table:
     def test_core_calls_only_for_primes(self, monkeypatch):
         monkeypatch.setattr(enclosures_mod, "_LOG2_TABLES", {})
         calls = []
-        real = enclosures_mod._log2_core
+        real = enclosures_mod._log2_raw
 
-        def counted(num, den, p_core):
+        def counted(num, den, p):
             calls.append(num)
-            return real(num, den, p_core)
+            return real(num, den, p)
 
-        monkeypatch.setattr(enclosures_mod, "_log2_core", counted)
+        monkeypatch.setattr(enclosures_mod, "_log2_raw", counted)
         G_enclosure(3500, 128)  # from a cold cache
         pi_3500 = sum(map(_is_prime, range(3501)))
         assert pi_3500 == 489
@@ -374,9 +405,6 @@ def akiyama_tanigawa_bernoulli(m: int) -> list[Fraction]:
     return out
 
 
-_STIRLING_PRECISIONS = st.sampled_from([4, 16, 53, 64, 128, 1024])
-
-
 class TestStirlingSeries:
     """log2 n! from the Stirling series with its remainder bounded by, and of
     the sign of, the first omitted term."""
@@ -426,7 +454,7 @@ class TestStirlingSeries:
             enclosures_mod._stirling_series(8, 200)  # its terms stop shrinking near 2^-72
 
     @settings(deadline=None, max_examples=60)
-    @given(st.data(), _STIRLING_PRECISIONS)
+    @given(st.data(), _PRECISIONS)
     def test_meets_the_factorial_and_nests(self, data, p):
         n = data.draw(st.integers(enclosures_mod._stirling_switch(p), 20_000))
         iv = log2_factorial_enclosure(n, p)
@@ -443,19 +471,19 @@ class TestStirlingSeries:
 
     def test_one_core_call_at_any_size(self, monkeypatch):
         calls = []
-        real = enclosures_mod._log2_core
+        real = enclosures_mod._log2_raw
 
-        def counted(num, den, p_core):
+        def counted(num, den, p):
             calls.append(num)
-            return real(num, den, p_core)
+            return real(num, den, p)
 
         for n in (10**6 + 1, 10**12 + 1, 10**40 + 1):
             log2_factorial_enclosure(n, 64)  # the constants, on first use
             enclosures_mod.log2_int_enclosure.cache_clear()
-            monkeypatch.setattr(enclosures_mod, "_log2_core", counted)
+            monkeypatch.setattr(enclosures_mod, "_log2_raw", counted)
             calls.clear()
             iv = log2_factorial_enclosure(n, 64)
-            monkeypatch.setattr(enclosures_mod, "_log2_core", real)
+            monkeypatch.setattr(enclosures_mod, "_log2_raw", real)
             assert calls == [n]
             with mp.workprec(400):
                 assert interval_contains(iv, mp.loggamma(n + 1) / mp.log(2))
@@ -475,11 +503,19 @@ class TestLog2OnePlus:
     """log2(1 + y) from the atanh series, against bit extraction."""
 
     @settings(deadline=None, max_examples=150)
-    @given(_small_rationals(), _STIRLING_PRECISIONS)
+    @given(_small_rationals(), _PRECISIONS)
     def test_meets_bit_extraction(self, y, p):
         iv = log2_1p(y, p)
         assert iv.width_within(p)
-        assert iv.intersects(log2_fraction(1 + y, p))
+        x = 1 + y
+        assert iv.intersects(log2_by_bit_extraction(x.numerator, x.denominator, p))
+
+    @settings(deadline=None, max_examples=100)
+    @given(_small_rationals(), _PRECISIONS)
+    def test_nesting_under_doubled_precision(self, y, p):
+        iv = log2_1p(y, p)
+        finer = log2_1p(y, 2 * p)
+        assert iv.lo < finer.lo and finer.hi < iv.hi
 
     @pytest.mark.parametrize("y", [Fraction(-1, 2), Fraction(1), Fraction(1, 3), Fraction(-1, 7)])
     def test_domain_ends_against_mpmath(self, y):
@@ -498,10 +534,10 @@ class TestLog2OnePlus:
     def test_no_log_core_call(self, monkeypatch):
         log2_1p(Fraction(1, 12345), 64)  # log2 e, on first use
 
-        def refused(num, den, p_core):
+        def refused(num, den, p):
             raise AssertionError("log2_1p called the log core")
 
-        monkeypatch.setattr(enclosures_mod, "_log2_core", refused)
+        monkeypatch.setattr(enclosures_mod, "_log2_raw", refused)
         log2_1p(Fraction(1, 12345), 64)
         log2_1p(-Fraction(11, 11520) / 3000**4, 64)
 

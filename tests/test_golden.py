@@ -12,6 +12,9 @@ precision, with log2 n! from the Stirling series and one log2 n per attempt:
 every interval column changed, and the window's rows, which had escalated
 from p=64 to p=128, settle at p=64, so ``precision_bits``, the escalation
 count and the Violated certificates on stderr changed too; no verdict did.
+The two sweep-bounds JSON stdout hashes were re-taken a fourth time when
+every log2 came from the atanh series instead of bit extraction: only the
+summary's unrounded ``max_e2`` / ``max_c_log2`` changed there.
 Every error-term and verify-theorem hash was left as it was.  Any byte change
 in a row, a summary, a finding or a report line fails here, with one worker
 and with two.
@@ -40,12 +43,12 @@ GOLDEN = {
     ),
     "sweep-json": (
         ["sweep-bounds", "--range", "2990..3010", "--bits", "64", "--format", "json"],
-        "8a78d694fe57b62e8f086735ae6e7ec0a2bb1f1e4d171066f06744019ba0686b",
+        "35e747751936afa78fd80e8d30755833017b433110f519b3d8ffaca94449aed9",
         "80de4b8236271a2f7ce64dcbae510b56b26e4ebc28a1fb1f28732b2be2c034b9",
     ),
     "sweep-linear-json": (
         ["sweep-bounds", "--range", "1..24", "--linear", "--format", "json"],
-        "852b1025103efeff6f89f2952c51f6c21359181459be6276b37c687814bf3f7d",
+        "ddcd1a99db2be703797eaa7408b418b9e70775b40c28b2647e1f0662afef598a",
         "e211ff79d46e4e68aa4378c84dd6b87e719fc6fe204025e9262b12e3f1cf6bf9",
     ),
     "error-term": (
