@@ -30,9 +30,12 @@ passes a switch near 2p.  Every n-scaled part of the row, (n + 1/2) log2 n in
 log2 n!, Robbins and Ramanujan, and n log2 n, takes log2 n at one precision,
 ``log2_n_precision(n, q)``, so that one log core call, kept by
 ``log2_int_enclosure``, serves the attempt.  The other logs are near 1 and
-come from ``log2_1p``, the log series without the reduction to [1, 2):
-log2(8n^3 + 4n^2 + n + 1/30) = 3 + 3 log2 n + log2(1 + y) with y about
-1/(2n), and each Ramanujan correction log2(1 - 11 / (11520 (n + s)^4)).
+come from the bracket behind ``log2_1p``, the log series without the
+reduction to [1, 2): log2(8n^3 + 4n^2 + n + 1/30) = 3 + 3 log2 n +
+log2(1 + y) with y about 1/(2n), and each Ramanujan correction
+log2(1 - 11 / (11520 (n + s)^4)).  Each y goes to the series as an unreduced
+integer ratio (the series floors quotients of it, which reduction does not
+change), so a row builds no Fraction.
 """
 
 from __future__ import annotations
@@ -46,8 +49,9 @@ from .dyadic import DyadicInterval, DyadicRational, dyadic_from_fraction
 from .enclosures import (
     G_enclosure,
     _half_log2_2pi,
+    _log2_1p_raw,
+    _raw_to_interval,
     e_interval,
-    log2_1p,
     log2_e_interval,
     log2_factorial_enclosure,
     log2_fraction,  # unused here; kept as the place a traced run wraps it
@@ -103,9 +107,9 @@ class Verdict:
 
 
 def _verdict(lhs: DyadicInterval, rhs: DyadicInterval) -> Verdict:
-    if lhs.hi < rhs.lo:
+    if lhs.strictly_below(rhs):
         status = VerdictStatus.HOLDS
-    elif rhs.hi < lhs.lo:
+    elif rhs.strictly_below(lhs):
         status = VerdictStatus.VIOLATED
     else:
         status = VerdictStatus.INCONCLUSIVE
@@ -241,9 +245,18 @@ def robbins_bounds_log2(n: int, p: int) -> tuple[DyadicInterval, DyadicInterval]
     return lower, upper
 
 
-def _ramanujan_correction(n: int, shift: Fraction, q: int) -> DyadicInterval:
-    """log2(1 - 11 / (11520 (n + shift)^4)) for an exact rational shift > -n."""
-    return log2_1p(-Fraction(11, 11520) / (n + shift) ** 4, q)
+def _ramanujan_correction(n: int, a: int, c: int, q: int) -> tuple[int, int, int]:
+    """Padded bracket (lo, hi, s) of log2(1 - 11 / (11520 (n + a/c)^4)) for
+    integers a >= 0 and c >= 1, from log2(1 + y) with y taken as the integer
+    ratio -11 c^4 / (11520 (n c + a)^4)."""
+    return _log2_1p_raw(-11 * c**4, 11520 * (n * c + a) ** 4, q)
+
+
+def _num_den(d: DyadicRational) -> tuple[int, int]:
+    """A dyadic d as an integer ratio (a, c), c a power of two."""
+    if d.exponent >= 0:
+        return d.mantissa << d.exponent, 1
+    return d.mantissa, 1 << -d.exponent
 
 
 def ramanujan_bounds_log2(
@@ -271,18 +284,17 @@ def ramanujan_bounds_log2(
     q_corr = _part_precision(p, 5)
 
     e_part = log2_e_interval(q_e).scale_int(n)
-    y = Fraction(120 * n * n + 30 * n + 1, 240 * n**3)
-    poly_part = log2_1p(y, q_poly).div_by_posint(6, q_poly)
+    poly = _raw_to_interval(*_log2_1p_raw(120 * n * n + 30 * n + 1, 240 * n**3, q_poly))
+    poly_part = poly.div_by_posint(6, q_poly)
     # log2 sqrt(pi) + 3/6 and n log2 n + (3/6) log2 n: the 3 + 3 log2 n of the
     # sixth root, folded into the Robbins-shaped parts
     base = _half_log2_2pi(q_pi) + _n_plus_half_log2_n(n, p) - e_part + poly_part
 
     b = b_of(p)
-    upper_corr = DyadicInterval(
-        _ramanujan_correction(n, b.lo.to_fraction(), q_corr).lo,
-        _ramanujan_correction(n, b.hi.to_fraction(), q_corr).hi,
-    )
-    return base + _ramanujan_correction(n, A_CONST, q_corr), base + upper_corr
+    lower_corr = _ramanujan_correction(n, A_CONST.numerator, A_CONST.denominator, q_corr)
+    upper_lo, _, s = _ramanujan_correction(n, *_num_den(b.lo), q_corr)
+    _, upper_hi, _ = _ramanujan_correction(n, *_num_den(b.hi), q_corr)
+    return base + _raw_to_interval(*lower_corr), base + _raw_to_interval(upper_lo, upper_hi, s)
 
 
 # ---------------------------------------------------------------------------

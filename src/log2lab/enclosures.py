@@ -131,7 +131,7 @@ def _log2_raw(num: int, den: int, p: int) -> tuple[int, int, int]:
 
 
 def _raw_to_interval(lo: int, hi: int, s: int) -> DyadicInterval:
-    return DyadicInterval(DyadicRational(lo, -s), DyadicRational(hi, -s))
+    return DyadicInterval.from_mantissas(lo, hi, -s)
 
 
 def log2_fraction(fr: Fraction, p: int) -> DyadicInterval:
@@ -459,13 +459,13 @@ def log2_factorial_enclosure(n: int, p: int) -> DyadicInterval:
     log_e = log2_e_interval(_part_precision(p, _STIRLING_PARTS, n))
     w = p + 5 + p.bit_length() + 2
     series = _raw_to_interval(*_stirling_series(n, w), w)
-    raw = (
+    s = p + _BRACKET_BITS
+    lo, hi = (
         log_n.scale_dyadic(DyadicRational(2 * n + 1, -1))
         + _half_log2_2pi(_part_precision(p, _STIRLING_PARTS))
         + log_e * series.add_int(-n)
-    ).round_outward(p + _BRACKET_BITS)
-    pad = DyadicRational(_PAD_ULPS, -(p + _BRACKET_BITS))
-    return DyadicInterval(raw.lo - pad, raw.hi + pad)
+    ).outward_mantissas(s)
+    return _raw_to_interval(lo - _PAD_ULPS, hi + _PAD_ULPS, s)
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,21 @@ def test_criterion_5_verdict_columns_pinned(full_sweep):
         assert hashlib.sha256(lines.encode()).hexdigest() == VERDICT_COLUMNS_SHA256
 
 
+# SHA-256 of the whole CSV of criterion 5's sweep (the same bytes as the stdout
+# of `log2lab sweep-bounds --range 1..5000 --bits 64`) and of its report (the
+# command's stderr, whose findings render the Violated certificates that
+# cross the 2-worker pool as pickled intervals): every emitted byte is pinned
+FULL_SWEEP_SHA256 = "596b2d67565ce33300e484e2ff62aa8b85f15a6ddc07ec4678365465917d8259"
+FULL_SWEEP_REPORT_SHA256 = "8f998b635cbe302afea99df6706039428c689ed402cd45706ab0e0be2b4b1791"
+
+
+def test_criterion_5_every_byte_pinned(full_sweep):
+    with criterion(5, "sweep [1, 5000] at p=64: output and report bytes match the pinned digests"):
+        assert hashlib.sha256(full_sweep["path"].read_bytes()).hexdigest() == FULL_SWEEP_SHA256
+        report = full_sweep["report"].encode()
+        assert hashlib.sha256(report).hexdigest() == FULL_SWEEP_REPORT_SHA256
+
+
 def test_criterion_6_error_term_characterization(tmp_path):
     with criterion(6, "e2(n) pins s2(n)-1 for n <= 2000 at p=128; max e2 = max digit sum - 1"):
         out = tmp_path / "e2.csv"

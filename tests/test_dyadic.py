@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -330,3 +331,155 @@ class TestDecimalStrProperty:
         assert Fraction(Decimal(text)) == d.to_fraction()
         # canonical: no trailing fractional zeros, no bare point
         assert not text.endswith(".") and ("." not in text or not text.endswith("0"))
+
+
+# -- the one-grid representation -------------------------------------------------
+
+_MANTISSAS = st.integers(-(1 << 70), 1 << 70)
+
+
+@st.composite
+def _grid_intervals(draw):
+    """[l, h] * 2^e with mixed exponents, some stored with spare trailing zero
+    bits in both mantissas (a finer grid than the value needs)."""
+    a, b = draw(_MANTISSAS), draw(_MANTISSAS)
+    e = draw(st.integers(-300, 300))
+    z = draw(st.integers(0, 8))
+    return DyadicInterval.from_mantissas(min(a, b) << z, max(a, b) << z, e - z)
+
+
+def _ends(iv: DyadicInterval) -> tuple[Fraction, Fraction]:
+    return iv.lo.to_fraction(), iv.hi.to_fraction()
+
+
+def _floor_on_grid(x: Fraction, frac_bits: int) -> Fraction:
+    g = Fraction(2) ** -frac_bits
+    return (x / g).__floor__() * g
+
+
+def _ceil_on_grid(x: Fraction, frac_bits: int) -> Fraction:
+    g = Fraction(2) ** -frac_bits
+    return (x / g).__ceil__() * g
+
+
+class TestOneGridIntervals:
+    """Every interval operation against exact Fraction arithmetic: equal to the
+    exact interval where the operation is exact, the outward grid rounding of
+    it where the operation rounds."""
+
+    @settings(deadline=None)
+    @given(_grid_intervals(), _grid_intervals())
+    def test_exact_binary_operations(self, a, b):
+        (al, ah), (bl, bh) = _ends(a), _ends(b)
+        assert _ends(a + b) == (al + bl, ah + bh)
+        assert _ends(a - b) == (al - bh, ah - bl)
+        products = [al * bl, al * bh, ah * bl, ah * bh]
+        assert _ends(a * b) == (min(products), max(products))
+        assert _ends(-a) == (-ah, -al)
+
+    @settings(deadline=None)
+    @given(_grid_intervals(), st.integers(-(1 << 80), 1 << 80), st.integers(0, 4))
+    def test_exact_scalar_operations(self, iv, v, k):
+        lo, hi = _ends(iv)
+        assert _ends(iv.add_int(v)) == (lo + v, hi + v)
+        assert _ends(iv.scale_int(v)) == (min(lo * v, hi * v), max(lo * v, hi * v))
+        d = DyadicRational(v, k - 2)
+        dv = d.to_fraction()
+        assert _ends(iv.scale_dyadic(d)) == (min(lo * dv, hi * dv), max(lo * dv, hi * dv))
+        if lo >= 0:
+            assert _ends(iv.pow_int(k)) == (lo**k, hi**k)
+
+    @settings(deadline=None)
+    @given(_grid_intervals(), _FRAC_BITS)
+    def test_round_outward_and_outward_mantissas(self, iv, frac_bits):
+        lo, hi = _ends(iv)
+        want = (_floor_on_grid(lo, frac_bits), _ceil_on_grid(hi, frac_bits))
+        assert _ends(iv.round_outward(frac_bits)) == want
+        m_lo, m_hi = iv.outward_mantissas(frac_bits)
+        grid = Fraction(2) ** -frac_bits
+        assert (m_lo * grid, m_hi * grid) == want
+
+    @settings(deadline=None)
+    @given(_grid_intervals(), st.integers(1, 1 << 70), _FRAC_BITS)
+    def test_div_by_posint(self, iv, k, frac_bits):
+        lo, hi = _ends(iv)
+        assert _ends(iv.div_by_posint(k, frac_bits)) == (
+            _floor_on_grid(lo / k, frac_bits), _ceil_on_grid(hi / k, frac_bits)
+        )
+
+    @settings(deadline=None)
+    @given(
+        _grid_intervals(),
+        st.fractions(Fraction(1, 1 << 40), 1 << 40, max_denominator=1 << 40),
+        _FRAC_BITS,
+    )
+    def test_mul_fraction_and_reciprocal(self, iv, fr, frac_bits):
+        lo, hi = _ends(iv)
+        assert _ends(iv.mul_fraction(fr, frac_bits)) == (
+            _floor_on_grid(lo * fr, frac_bits), _ceil_on_grid(hi * fr, frac_bits)
+        )
+        if lo > 0:
+            assert _ends(iv.reciprocal(frac_bits)) == (
+                _floor_on_grid(1 / hi, frac_bits), _ceil_on_grid(1 / lo, frac_bits)
+            )
+
+    @settings(deadline=None)
+    @given(_grid_intervals(), _grid_intervals())
+    def test_comparisons(self, a, b):
+        (al, ah), (bl, bh) = _ends(a), _ends(b)
+        assert a.strictly_below(b) == (ah < bl)
+        assert a.contains_interval(b) == (al <= bl and bh <= ah)
+        assert a.intersects(b) == (al <= bh and bl <= ah)
+        if max(al, bl) <= min(ah, bh):
+            assert _ends(a.intersect(b)) == (max(al, bl), min(ah, bh))
+        else:
+            with pytest.raises(ValueError, match="inverted"):
+                a.intersect(b)
+        for x in (bl, bh, (bl + bh) / 2):
+            assert a.contains_fraction(x) == (al <= x <= ah)
+        for v in (bl.__floor__(), bh.__ceil__(), al.__ceil__()):
+            assert a.contains_int(v) == (al <= v <= ah)
+        assert a.is_point() == (al == ah)
+        assert a.width().to_fraction() == ah - al
+
+    @settings(deadline=None)
+    @given(_grid_intervals(), st.integers(-400, 400))
+    def test_width_within(self, iv, p):
+        lo, hi = _ends(iv)
+        assert iv.width_within(p) == (hi - lo <= Fraction(2) ** -p)
+
+    @settings(deadline=None)
+    @given(_grid_intervals(), st.integers(0, 40))
+    def test_equal_values_on_different_grids(self, iv, k):
+        lo, hi = iv.lo, iv.hi
+        e = min(lo.exponent, hi.exponent) - k
+        finer = DyadicInterval.from_mantissas(
+            lo.mantissa << (lo.exponent - e), hi.mantissa << (hi.exponent - e), e
+        )
+        for other in (finer, DyadicInterval(lo, hi)):
+            assert other == iv and hash(other) == hash(iv)
+            assert other.lo == lo and other.hi == hi
+        wider = iv + DyadicInterval(DyadicRational(0), DyadicRational(1, -k))
+        assert wider != iv
+
+    @settings(deadline=None)
+    @given(_grid_intervals())
+    def test_pickle_round_trip(self, iv):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(iv, protocol))
+            assert type(back) is DyadicInterval and back == iv
+            assert (back.lo, back.hi) == (iv.lo, iv.hi)
+            assert hash(back) == hash(iv)
+            lo = pickle.loads(pickle.dumps(iv.lo, protocol))
+            assert type(lo) is DyadicRational and lo == iv.lo and hash(lo) == hash(iv.lo)
+
+    def test_inverted_intervals_raise(self):
+        with pytest.raises(ValueError, match="inverted"):
+            DyadicInterval(DyadicRational(1, -3), DyadicRational(1, -4))
+        with pytest.raises(ValueError, match="inverted"):
+            DyadicInterval.from_mantissas(2, 1, -5)
+        with pytest.raises(ValueError, match="inverted"):
+            DyadicInterval.from_int(1).intersect(DyadicInterval.from_int(2))
+        # endpoints touching at one point intersect in that point
+        touching = DyadicInterval(DyadicRational(0), DyadicRational(1))
+        assert touching.intersect(DyadicInterval.from_int(1)) == DyadicInterval.from_int(1)

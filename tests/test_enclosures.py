@@ -542,6 +542,44 @@ class TestLog2OnePlus:
         log2_1p(-Fraction(11, 11520) / 3000**4, 64)
 
 
+class TestLn1pCoreBracket:
+    """The unpadded series bracket of ln(1 + y) on its own 2^-s grid, before
+    the guard bits and the pad can absorb a missed ulp of the working grid."""
+
+    # (num, den, s) where the series stops with its tail exactly one working
+    # ulp short: without the one-ulp tail cover, the bracket ends below
+    # ln(1 + y) (for y < 0, above it).  Found by a search against mpmath over
+    # den < 40 and s < 25; t = y / (2 + y) is 1/2, 1/8, 1/16, 1/32 or 8/47.
+    TAIL_COVERED = [
+        (2, 3, 1), (-2, 5, 1), (13, 20, 1), (2, 7, 3), (-2, 9, 3),
+        (2, 15, 5), (-2, 17, 5), (16, 39, 6), (2, 31, 7), (-2, 33, 7),
+    ]
+
+    @staticmethod
+    def _assert_contains(num, den, s):
+        lo, hi = enclosures_mod._ln1p_core(num, den, s)
+        assert hi - lo <= 2
+        with mp.workprec(s + 200):
+            v = mp.log1p(mp.mpf(num) / den) * mp.mpf(2) ** s
+            assert lo <= v <= hi, (num, den, s, lo, hi)
+
+    @pytest.mark.parametrize("num,den,s", TAIL_COVERED)
+    def test_tail_cover_keeps_the_value_inside(self, num, den, s):
+        self._assert_contains(num, den, s)
+
+    @pytest.mark.parametrize("num,den,s", TAIL_COVERED)
+    def test_unreduced_ratio_gives_the_same_bracket(self, num, den, s):
+        # callers pass y as an integer ratio without reducing it
+        assert enclosures_mod._ln1p_core(6 * num, 6 * den, s) == enclosures_mod._ln1p_core(num, den, s)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 64), st.integers(-32, 64), st.integers(1, 40))
+    def test_contains_small_arguments(self, den, num, s):
+        if num == 0 or not -den <= 2 * num <= 2 * den:
+            return
+        self._assert_contains(num, den, s)
+
+
 class TestConstants:
     def test_frozen_digit_strings(self):
         # 40-digit freezes resolve anything up to ~128 bits
