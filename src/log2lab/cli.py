@@ -8,7 +8,8 @@ Exit codes are a contract shared by every subcommand:
 * 2 — some verdict stayed inconclusive after escalation, which stops at
       ``--max-escalations`` or at the last attempt under the precision
       ceiling (also used when a run is interrupted and the output file was
-      finalized as truncated);
+      finalized as truncated, and when the reader of stdout closes it before
+      the run ends, say ``| head``: one stderr line, no traceback);
 * 3 — usage or configuration error (no output file is created), or a
       precision or work ceiling hit mid-run (the output file is finalized as
       truncated but valid);
@@ -23,11 +24,13 @@ Exit codes are a contract shared by every subcommand:
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
 from .exact import DomainError, ResourceLimitError
 from .sweep import (
+    EXIT_INCONCLUSIVE,
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
@@ -165,6 +168,12 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         sys.stderr.write(f"log2lab: resource limit: {exc}\n")
         return EXIT_USAGE
+    except BrokenPipeError:
+        # stdout's reader went away: stop as on an interrupt, and let the
+        # flush at exit write to the null device instead of failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.write("log2lab: output closed by its reader; the run stopped early\n")
+        return EXIT_INCONCLUSIVE
     except Exception as exc:
         import traceback  # only on this path; a top-level import would slow start-up
 

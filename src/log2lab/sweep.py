@@ -4,14 +4,16 @@ Rows are pure functions of (n, configuration), so a sweep can fan out across
 worker processes and still emit byte-identical files: results are collected in
 ascending n through a single ordered writer, and every emitted number is an
 exact decimal rendering of a dyadic endpoint (never a rounded double).  The
-three range commands share one run loop: a per-item payload function, which
-runs in the workers, and a fold that consumes the payloads in order and
-decides which rows are written.
+three range commands share one run loop: the range is split into contiguous
+blocks, a per-item payload function runs over each block (in process for one
+worker, in a pool otherwise), and a fold consumes the payloads in order and
+decides which rows are written.  A block stops at its first error and returns
+it with the payloads before it, so every worker count keeps the same rows.
 
 CSV files carry rows only, with a frozen header; JSON files carry the same row
 objects in an array whose final element wraps the run summary.  Rows are
-flushed as they are produced, so an interrupted sweep leaves a valid truncated
-file behind.
+flushed block by block, so an interrupted sweep leaves a valid truncated file
+behind.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import IO, TYPE_CHECKING, Any, Callable, Iterator
+from typing import IO, TYPE_CHECKING, Any, Callable
 
 from .exact import (
     MAX_PRECISION_BITS,
@@ -207,11 +209,8 @@ def _combine(v1: VerdictStatus, v2: VerdictStatus) -> str:
 
 
 def _bounds_payload(config: SweepConfig, n: int) -> dict:
-    """One row, fully serialized; pure in (config, n) so workers agree.
-
-    Verdict certificates travel as intervals: the fold renders only the
-    Violated ones.
-    """
+    """One row, fully serialized, with its Violated findings rendered; pure
+    in (config, n) so workers agree."""
     _load_bounds()
     row = compare_bounds(
         n,
@@ -220,11 +219,15 @@ def _bounds_payload(config: SweepConfig, n: int) -> dict:
         max_escalations=config.max_escalations,
     )
     f_emit = row.precision_bits + 3
+
+    def render(iv: DyadicInterval) -> list[str]:
+        return _decimals(iv.round_outward(f_emit))
+
     fields: dict[str, str] = {"n": str(n), "precision_bits": str(row.precision_bits)}
+    e2 = render(row.e2)  # also c_log2's: compare_bounds sets c_log2 = e2
     for name in _ROW_INTERVALS:
-        fields[f"{name}_lo"], fields[f"{name}_hi"] = _decimals(
-            getattr(row, name).round_outward(f_emit)
-        )
+        iv_decimals = e2 if name in ("c_log2", "e2") else render(getattr(row, name))
+        fields[f"{name}_lo"], fields[f"{name}_hi"] = iv_decimals
     fields["s2"] = str(row.s2)
     fields["verdict_paper"] = row.verdicts["paper"].status.value
     fields["verdict_robbins"] = _combine(
@@ -234,11 +237,22 @@ def _bounds_payload(config: SweepConfig, n: int) -> dict:
         row.verdicts["ramanujan_lower"].status, row.verdicts["ramanujan_upper"].status
     )
     fields["equality_flag"] = "true" if row.equality else "false"
+    findings = [
+        {
+            "type": "verdict_violated",
+            "bound": name,
+            "n": n,
+            "precision_bits": row.precision_bits,
+            "certificate": render(v.certificate[0]) + render(v.certificate[1]),
+        }
+        for name, v in row.verdicts.items()
+        if v.status is VerdictStatus.VIOLATED
+    ]
     meta = {
         "statuses": {name: v.status.value for name, v in row.verdicts.items()},
         "escalations": row.escalations,
         "e2": row.e2,
-        "certificates": {name: v.certificate for name, v in row.verdicts.items()},
+        "findings": findings,
     }
     return {"fields": fields, "meta": meta}
 
@@ -284,49 +298,27 @@ def _verify_payload(config: SweepConfig, a: int) -> tuple[int, int | str, int, i
     return a, formula, even_count_oracle(a, a - 2), pair_enumeration_oracle(a, a - 2)
 
 
-class _StopAtError:
-    """Worker-side payload function: an error becomes the item's value.
+def _block(fn: Callable[[int], Any], items: range) -> tuple[list, BaseException | None]:
+    """The payloads of consecutive items up to the first that raises, and
+    that error (None when every item ran), so the payloads before it are kept.
 
-    ``Pool.imap`` fails a whole chunk when one item raises, losing the rows
-    before it.  Returning the error keeps them; the instance is unpickled once
-    per chunk, so the chunk's later items return the same error uncomputed.
-    The error is wrapped as ``Pool`` wraps a raised one, so it arrives with
-    the worker's traceback as its ``__cause__``.
+    In a pool worker the error is wrapped as ``Pool`` wraps a raised one, so
+    it arrives with the worker's traceback as its ``__cause__``.
     """
+    payloads = []
+    try:
+        for n in items:
+            payloads.append(fn(n))
+    except BaseException as exc:  # an interrupt too: the payloads before it are kept
+        # only a pool worker, a child process, pickles the error, which drops
+        # its traceback; a run in this process never loads multiprocessing
+        mp = sys.modules.get("multiprocessing")
+        if mp is not None and mp.parent_process() is not None:
+            from multiprocessing.pool import ExceptionWithTraceback
 
-    def __init__(self, fn: Callable[[int], dict]):
-        self.fn = fn
-        self.error = None
-
-    def __call__(self, n: int):
-        if self.error is None:
-            try:
-                return self.fn(n)
-            except Exception as exc:
-                # loaded in every pool worker; a top-level import would slow start-up
-                from multiprocessing.pool import ExceptionWithTraceback
-
-                self.error = ExceptionWithTraceback(exc, exc.__traceback__)
-        return self.error
-
-
-def _pool_map(config: SweepConfig, fn, items: range, chunksize: int) -> Iterator:
-    """Payloads in item order; an error is raised at the item that hit it.
-
-    At most one worker per item and per CPU is started, and none for a single
-    worker.
-    """
-    workers = min(config.workers, len(items), os.cpu_count() or 1)
-    if workers <= 1:
-        yield from map(fn, items)
-        return
-    from multiprocessing import Pool  # only here; a top-level import would slow start-up
-
-    with Pool(processes=workers) as pool:  # leaving terminates and joins the workers
-        for payload in pool.imap(_StopAtError(fn), items, chunksize=chunksize):
-            if isinstance(payload, Exception):
-                raise payload
-            yield payload
+            exc = ExceptionWithTraceback(exc, exc.__traceback__)
+        return payloads, exc
+    return payloads, None
 
 
 class _Writer:
@@ -374,8 +366,7 @@ def _open_output(config: SweepConfig, default_stream: IO[str]):
 def _run(
     config: SweepConfig,
     columns: list[str],
-    payload_fn: Callable[[SweepConfig, int], dict],
-    chunksize: int,
+    payload_fn: Callable[[SweepConfig, int], Any],
     fold: Callable[[SweepConfig, range], Any],
     out_stream: IO[str] | None,
     report_stream: IO[str] | None,
@@ -383,27 +374,45 @@ def _run(
 ) -> int:
     """The run loop shared by the range commands; returns the exit code.
 
-    ``payload_fn(config, n)`` runs in the workers.  ``fold(config, ns)``
-    builds the command's fold: ``add(payload, write)`` takes the payloads in
-    ascending n, each counted as checked first, and passes the rows to write
-    to ``write``; ``finish(checked)`` returns the summary, the report lines
-    and the exit code.  Any exception in that loop ends it early and the
-    output is finalized as truncated; an interrupt then exits 2, and anything
-    else is re-raised for ``cli.main`` to map to exit code 3 or 4.
+    ``_block`` runs ``payload_fn(config, n)`` over contiguous blocks of the
+    range, about four per worker and at most 64 items each: in this process
+    for one worker, else in a pool of at most one worker per item and per
+    CPU.  ``fold(config, ns)`` builds the command's fold: ``add(payload,
+    write)`` takes the payloads in ascending n, each counted as checked
+    first, and passes the rows to write to ``write``; ``finish(checked)``
+    returns the summary, the report lines and the exit code.  A block's rows
+    are written before its error is raised, so any error (an interrupt, or
+    one ``cli.main`` maps to exit code 2, 3 or 4) leaves the same truncated
+    output with every worker count; an interrupt exits 2 here.
     """
     config.validate(term_sums)
     ns = config.ns()
     stream, close_me = _open_output(config, out_stream if out_stream is not None else sys.stdout)
     writer = _Writer(stream, config.output_format, columns)
     acc = fold(config, ns)
+    workers = max(1, min(config.workers, len(ns), os.cpu_count() or 1))
+    size = min(64, -(-len(ns) // (4 * workers))) or 1  # or 1: an empty range
+    blocks = (ns[i : i + size] for i in range(0, len(ns), size))
+    block = partial(_block, partial(payload_fn, config))
+    pool = None
     checked = 0
     stopped: BaseException | None = None
     try:
-        for payload in _pool_map(config, partial(payload_fn, config), ns, chunksize):
-            checked += 1
-            acc.add(payload, writer.write_row)
+        if workers > 1:
+            from multiprocessing import Pool  # only here; a top-level import would slow start-up
+
+            pool = Pool(processes=workers)
+        for payloads, error in (map if pool is None else pool.imap)(block, blocks):
+            for payload in payloads:
+                checked += 1
+                acc.add(payload, writer.write_row)
+            if error is not None:
+                raise error
     except BaseException as exc:  # the output is finalized as truncated below
         stopped = exc
+    finally:
+        if pool is not None:
+            pool.terminate()  # stops and joins the workers
 
     summary, lines, code = acc.finish(checked)
     summary["truncated"] = stopped is not None
@@ -453,21 +462,9 @@ class _BoundsFold:
         write(fields)
         meta = payload["meta"]
         n = int(fields["n"])
-        row_bits = int(fields["precision_bits"])
         for name, status in meta["statuses"].items():
             self.counts[name][status] += 1
-            if status == VerdictStatus.VIOLATED.value:
-                lhs, rhs = meta["certificates"][name]
-                self.findings.append(
-                    {
-                        "type": "verdict_violated",
-                        "bound": name,
-                        "n": n,
-                        "precision_bits": row_bits,
-                        "certificate": _decimals(lhs.round_outward(row_bits + 3))
-                        + _decimals(rhs.round_outward(row_bits + 3)),
-                    }
-                )
+        self.findings.extend(meta["findings"])
         if meta["escalations"]:
             self.escalated_rows += 1
         if fields["equality_flag"] == "true":
@@ -615,7 +612,7 @@ def run_bounds_sweep(
 ) -> int:
     """Emit one BoundRow per n in ascending order; returns the exit code."""
     return _run(
-        config, BOUNDS_CSV_COLUMNS, _bounds_payload, 16, _BoundsFold, out_stream, report_stream,
+        config, BOUNDS_CSV_COLUMNS, _bounds_payload, _BoundsFold, out_stream, report_stream,
         term_sums=False,
     )
 
@@ -627,7 +624,7 @@ def run_error_term(
 ) -> int:
     """Emit the e2 table and check the digit-sum characterization per row."""
     return _run(
-        config, ERROR_TERM_CSV_COLUMNS, _error_term_payload, 32, _ErrorTermFold,
+        config, ERROR_TERM_CSV_COLUMNS, _error_term_payload, _ErrorTermFold,
         out_stream, report_stream,
     )
 
@@ -639,6 +636,6 @@ def run_verify_theorem(
 ) -> int:
     """Three-way agreement check of the counting identity over odd a."""
     return _run(
-        replace(config, parity="odd"), VERIFY_CSV_COLUMNS, _verify_payload, 64, _VerifyFold,
+        replace(config, parity="odd"), VERIFY_CSV_COLUMNS, _verify_payload, _VerifyFold,
         out_stream, report_stream, term_sums=False,
     )

@@ -57,6 +57,16 @@ def _error_term_payload_over_ceiling_at_2(config, n):
     return _ERROR_TERM_PAYLOAD(config, n)
 
 
+def _compare_bounds_failing_at_13(n, *args, **kwargs):
+    # over 1..40, n = 13 lies inside a block with either worker count: the
+    # blocks hold 10 rows with one worker and 5 with two (on two or more CPUs)
+    if n == 13:
+        raise RuntimeError("row failed at n=13")
+    from log2lab.bounds import compare_bounds
+
+    return compare_bounds(n, *args, **kwargs)
+
+
 _PAIR_ORACLE = sweep_mod.pair_enumeration_oracle
 
 
@@ -186,15 +196,14 @@ class TestBoundsSweep:
         assert "Inconclusive" in (row["verdict_robbins"], row["verdict_ramanujan"])
 
     def test_exit_violation_on_paper_verdict(self, tmp_path, monkeypatch):
-        real = sweep_mod._bounds_payload
+        from log2lab.bounds import VerdictStatus, compare_bounds
 
-        def sabotaged(config, n):
-            payload = real(config, n)
-            payload["fields"]["verdict_paper"] = "Violated"
-            payload["meta"]["statuses"]["paper"] = "Violated"
-            return payload
+        def sabotaged(n, p, **kwargs):
+            row = compare_bounds(n, p, **kwargs)
+            paper = replace(row.verdicts["paper"], status=VerdictStatus.VIOLATED)
+            return replace(row, verdicts={**row.verdicts, "paper": paper})
 
-        monkeypatch.setattr(sweep_mod, "_bounds_payload", sabotaged)
+        monkeypatch.setattr(sweep_mod, "compare_bounds", sabotaged)
         cfg = SweepConfig(n_lo=3, n_hi=3, precision_bits=53)
         code, _, report = run_to_files(run_bounds_sweep, cfg, tmp_path, "bad.csv")
         assert code == EXIT_VIOLATION
@@ -455,8 +464,8 @@ class TestCliContract:
     def test_resource_limit_mid_run_leaves_valid_truncated_json(
         self, tmp_path, capsys, monkeypatch, workers
     ):
-        # with 2 workers row 1 shares a Pool.imap chunk with row 2 and must
-        # still be written
+        # with 2 workers row 2 fails in a pool worker, and row 1 must still
+        # be written
         monkeypatch.setattr(sweep_mod, "_error_term_payload", _error_term_payload_over_ceiling_at_2)
         out = tmp_path / "e2.json"
         argv = ["error-term", "--range", "1..3", "--format", "json"]
@@ -490,6 +499,43 @@ class TestCliContract:
         assert summary["checked"] == 1
         assert [row["n"] for row in payload[:-1]] == ["1"]
         assert outs[workers].read_bytes() == outs[1].read_bytes()
+
+    def test_error_inside_a_block_keeps_the_rows_before_it(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sweep_mod, "compare_bounds", _compare_bounds_failing_at_13)
+        argv = ["sweep-bounds", "--range", "1..40", "--format", "json"]
+        outs = []
+        for workers in (1, 2):
+            out = tmp_path / f"rows_w{workers}.json"
+            assert main(argv + ["--workers", str(workers), "--out", str(out)]) == EXIT_INTERNAL
+            err = capsys.readouterr().err
+            assert err.startswith("log2lab: internal error: row failed at n=13\n")
+            assert "in _compare_bounds_failing_at_13" in err
+            outs.append(out.read_bytes())
+        payload = json.loads(outs[0])
+        summary = payload[-1]["summary"]
+        assert [row["n"] for row in payload[:-1]] == [str(n) for n in range(1, 13)]
+        assert summary["checked"] == 12 and summary["truncated"] is True
+        assert outs[1] == outs[0]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_closed_stdout_stops_quietly(self, workers):
+        # as `log2lab sweep-bounds ... | head -2`: the rows fill the pipe, so
+        # the command is still writing when its reader goes away
+        argv = ["sweep-bounds", "--range", "1..3000", "--bits", "64", "--workers", str(workers)]
+        src = str(Path(log2lab.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "log2lab.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline().startswith(b"n,precision_bits,")
+        assert proc.stdout.readline().startswith(b"1,")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == EXIT_INCONCLUSIVE
+        assert err == "log2lab: output closed by its reader; the run stopped early\n"
 
     def test_precision_over_ceiling_rejected_before_output(self, tmp_path, capsys):
         # the row's finest part, the log table under G, needs 9 bits over --bits at n = 3
@@ -611,14 +657,11 @@ class TestPoolSize:
             def __init__(self, processes, *args, **kwargs):
                 started.append(processes)
 
-            def __enter__(self):
-                return self
+            def imap(self, fn, blocks):
+                return map(fn, blocks)
 
-            def __exit__(self, *exc):
-                return False
-
-            def imap(self, fn, items, chunksize):
-                return map(fn, items)
+            def terminate(self):
+                pass
 
         # multiprocessing.Pool(...) builds its pool from this class
         monkeypatch.setattr(multiprocessing.pool, "Pool", RecordingPool)
