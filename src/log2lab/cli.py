@@ -15,10 +15,12 @@ Exit codes are a contract shared by every subcommand:
       truncated but valid);
 * 4 — internal error: any other exception, including a ``sweep-bounds`` row
       whose e2 enclosure contradicts the identity e2(n) = s2(n) - 1 (the
-      identity is a theorem, so the enclosure code is at fault).
-      ``log2lab: internal error: ...`` and the traceback (a pool worker's
-      included) go to stderr, and the output file is finalized as truncated
-      but valid.
+      identity is a theorem, so the enclosure code is at fault), and a
+      forked worker that died before sending its rows (killed from outside,
+      say; the message names its pid and how it ended).
+      ``log2lab: internal error: ...`` and the traceback (with a forked
+      worker's own traceback as its cause) go to stderr, and the output file
+      is finalized as truncated but valid.
 """
 
 from __future__ import annotations

@@ -5,10 +5,12 @@ worker processes and still emit byte-identical files: results are collected in
 ascending n through a single ordered writer, and every emitted number is an
 exact decimal rendering of a dyadic endpoint (never a rounded double).  The
 three range commands share one run loop: the range is split into contiguous
-blocks, a per-item payload function runs over each block (in process for one
-worker, in a pool otherwise), and a fold consumes the payloads in order and
-decides which rows are written.  A block stops at its first error and returns
-it with the payloads before it, so every worker count keeps the same rows.
+blocks, a per-item payload function runs over each block, and a fold consumes
+the payloads in order and decides which rows are written.  With k workers the
+blocks are dealt round-robin to this process and k - 1 children forked from it
+after the first block (no ``multiprocessing``); without ``os.fork`` they all
+run here.  A block stops at its first error and returns it with the payloads
+before it, so every worker count keeps the same rows.
 
 CSV files carry rows only, with a frozen header; JSON files carry the same row
 objects in an array whose final element wraps the run summary.  Rows are
@@ -67,8 +69,8 @@ EXIT_INTERNAL = 4
 
 # Bound on first use by _load_bounds, so that verify-theorem never loads the
 # enclosure code; the first three are where callers may install wrappers.  The
-# payloads call it as well as the fold: a pool worker that was not forked from
-# the running parent starts without them.
+# folds of the commands that use them call it once per run, before the first
+# block, so every forked worker starts with them bound.
 _WRAPPABLE = ("compare_bounds", "error_term_e2", "ramanujan_b_agreement")
 _BOUNDS_NAMES = (*_WRAPPABLE, "BOUND_NAMES", "VerdictStatus")
 
@@ -211,7 +213,6 @@ def _combine(v1: VerdictStatus, v2: VerdictStatus) -> str:
 def _bounds_payload(config: SweepConfig, n: int) -> dict:
     """One row, fully serialized, with its Violated findings rendered; pure
     in (config, n) so workers agree."""
-    _load_bounds()
     row = compare_bounds(
         n,
         config.precision_bits,
@@ -258,7 +259,6 @@ def _bounds_payload(config: SweepConfig, n: int) -> dict:
 
 
 def _error_term_payload(config: SweepConfig, n: int) -> dict:
-    _load_bounds()
     p = config.precision_bits
     e2 = error_term_e2(n, p)
     s2m1 = binary_digit_sum(n) - 1
@@ -300,23 +300,12 @@ def _verify_payload(config: SweepConfig, a: int) -> tuple[int, int | str, int, i
 
 def _block(fn: Callable[[int], Any], items: range) -> tuple[list, BaseException | None]:
     """The payloads of consecutive items up to the first that raises, and
-    that error (None when every item ran), so the payloads before it are kept.
-
-    In a pool worker the error is wrapped as ``Pool`` wraps a raised one, so
-    it arrives with the worker's traceback as its ``__cause__``.
-    """
+    that error (None when every item ran), so the payloads before it are kept."""
     payloads = []
     try:
         for n in items:
             payloads.append(fn(n))
     except BaseException as exc:  # an interrupt too: the payloads before it are kept
-        # only a pool worker, a child process, pickles the error, which drops
-        # its traceback; a run in this process never loads multiprocessing
-        mp = sys.modules.get("multiprocessing")
-        if mp is not None and mp.parent_process() is not None:
-            from multiprocessing.pool import ExceptionWithTraceback
-
-            exc = ExceptionWithTraceback(exc, exc.__traceback__)
         return payloads, exc
     return payloads, None
 
@@ -375,15 +364,18 @@ def _run(
     """The run loop shared by the range commands; returns the exit code.
 
     ``_block`` runs ``payload_fn(config, n)`` over contiguous blocks of the
-    range, about four per worker and at most 64 items each: in this process
-    for one worker, else in a pool of at most one worker per item and per
-    CPU.  ``fold(config, ns)`` builds the command's fold: ``add(payload,
+    range, about four per worker and at most 64 items each.  With one worker
+    they all run in this process.  With k = min(--workers, items, CPUs) > 1,
+    ``workers.forked_map`` runs every k-th block here and deals the others to
+    k - 1 children forked after the first block; without ``os.fork`` they all
+    run here too.  ``fold(config, ns)`` builds the command's fold: ``add(payload,
     write)`` takes the payloads in ascending n, each counted as checked
     first, and passes the rows to write to ``write``; ``finish(checked)``
     returns the summary, the report lines and the exit code.  A block's rows
     are written before its error is raised, so any error (an interrupt, or
     one ``cli.main`` maps to exit code 2, 3 or 4) leaves the same truncated
-    output with every worker count; an interrupt exits 2 here.
+    output with every worker count; an interrupt exits 2 here.  A worker that
+    dies is an internal error, and no child outlives the loop.
     """
     config.validate(term_sums)
     ns = config.ns()
@@ -394,15 +386,17 @@ def _run(
     size = min(64, -(-len(ns) // (4 * workers))) or 1  # or 1: an empty range
     blocks = (ns[i : i + size] for i in range(0, len(ns), size))
     block = partial(_block, partial(payload_fn, config))
-    pool = None
+    forked = workers > 1 and hasattr(os, "fork")
+    if forked:
+        from .workers import forked_map  # only here, so a 1-worker run never compiles it
+
+        results = forked_map(block, blocks, workers)
+    else:
+        results = map(block, blocks)
     checked = 0
     stopped: BaseException | None = None
     try:
-        if workers > 1:
-            from multiprocessing import Pool  # only here; a top-level import would slow start-up
-
-            pool = Pool(processes=workers)
-        for payloads, error in (map if pool is None else pool.imap)(block, blocks):
+        for payloads, error in results:
             for payload in payloads:
                 checked += 1
                 acc.add(payload, writer.write_row)
@@ -411,8 +405,8 @@ def _run(
     except BaseException as exc:  # the output is finalized as truncated below
         stopped = exc
     finally:
-        if pool is not None:
-            pool.terminate()  # stops and joins the workers
+        if forked:
+            results.close()  # kills and reaps the children
 
     summary, lines, code = acc.finish(checked)
     summary["truncated"] = stopped is not None
@@ -529,6 +523,7 @@ class _ErrorTermFold:
     """Whether every e2 enclosure isolated s2(n) - 1, and the largest s2(n) - 1."""
 
     def __init__(self, config: SweepConfig, ns: range):
+        _load_bounds()
         self.p = config.precision_bits
         self.requested = len(ns)
         self.all_contained = True

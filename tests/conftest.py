@@ -1,4 +1,5 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles for the test suite, and a check after every test
+that it left no child process behind.
 
 mpmath is the high-precision reference; integer floors are always taken by the
 doubling loop (never from floating point), because near powers of two a float
@@ -8,6 +9,7 @@ floor is exactly the failure mode these tests exist to catch.
 from __future__ import annotations
 
 import math
+import os
 
 import mpmath as mp
 import pytest
@@ -147,3 +149,13 @@ def g_oracle(n: int) -> mp.mpf:
 def _oracle_precision():
     with mp.workprec(ORACLE_PREC_BITS):
         yield
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """No run leaves a forked worker behind, on any path: after every test
+    this process has no child, running or unreaped."""
+    yield
+    if hasattr(os, "fork"):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

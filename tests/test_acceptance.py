@@ -148,8 +148,8 @@ def test_criterion_5_verdict_columns_pinned(full_sweep):
 
 # SHA-256 of the whole CSV of criterion 5's sweep (the same bytes as the stdout
 # of `log2lab sweep-bounds --range 1..5000 --bits 64`) and of its report (the
-# command's stderr, whose findings render the Violated certificates that
-# cross the 2-worker pool as pickled intervals): every emitted byte is pinned
+# command's stderr, whose findings render the Violated certificates in the
+# worker that computed the row): every emitted byte is pinned
 FULL_SWEEP_SHA256 = "596b2d67565ce33300e484e2ff62aa8b85f15a6ddc07ec4678365465917d8259"
 FULL_SWEEP_REPORT_SHA256 = "8f998b635cbe302afea99df6706039428c689ed402cd45706ab0e0be2b4b1791"
 

@@ -429,7 +429,7 @@ class TestCountingIdentity:
     @pytest.mark.parametrize("shift", [1, -1])
     def test_shifted_g_sweep_exits_internal(self, tmp_path, capsys, monkeypatch, shift, workers):
         # the floor count, and so G, is shifted at n = 3 only, so rows 1 and 2
-        # are written first; pool workers are forked with the patch in place
+        # are written first; workers are forked with the patch in place
         real = bounds_mod.all_floor_sum
         monkeypatch.setattr(
             bounds_mod, "all_floor_sum", lambda a: real(a) + (shift if a == 3 else 0)

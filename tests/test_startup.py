@@ -1,5 +1,6 @@
 """Start-up: each command loads only the modules its rows use, and the names
-callers wrap on ``log2lab.sweep`` are the ones the runs call."""
+callers wrap on ``log2lab.sweep`` are the ones the runs call, in this process
+and in forked workers alike."""
 
 from __future__ import annotations
 
@@ -31,11 +32,13 @@ def run_fresh(code: str) -> str:
 
 
 def modules_after(argv: list[str], tmp_path) -> set[str]:
-    """sys.modules after ``log2lab.cli.main(argv)`` in a fresh interpreter."""
+    """sys.modules after ``log2lab.cli.main(argv)`` in a fresh interpreter
+    that reports 2 CPUs, so that ``--workers 2`` forks a child."""
     out = tmp_path / "rows.csv"
     stdout = run_fresh(
         f"""
-        import sys
+        import os, sys
+        os.cpu_count = lambda: 2
         from log2lab.cli import main
         assert main({argv + ["--out", str(out)]!r}) == 0
         print("\\n".join(sorted(sys.modules)))
@@ -56,6 +59,19 @@ def test_enclosure_commands_skip_multiprocessing(command, tmp_path):
     loaded = modules_after([command, "--range", "1..3", "--workers", "1"], tmp_path)
     assert "log2lab.enclosures" in loaded
     assert "multiprocessing" not in loaded
+
+
+@pytest.mark.parametrize("command", ["sweep-bounds", "verify-theorem"])
+def test_forked_workers_skip_multiprocessing(command, tmp_path):
+    loaded = modules_after([command, "--range", "1..99", "--workers", "2"], tmp_path)
+    assert "pickle" in loaded  # blocks came back from a forked child
+    assert "multiprocessing" not in loaded
+
+
+@pytest.mark.parametrize("command", ["sweep-bounds", "verify-theorem"])
+def test_one_worker_skips_pickle(command, tmp_path):
+    loaded = modules_after([command, "--range", "1..99", "--workers", "1"], tmp_path)
+    assert "pickle" not in loaded and "log2lab.workers" not in loaded
 
 
 def test_wrappers_set_on_sweep_before_a_run_are_called():
@@ -96,6 +112,44 @@ def test_wrappers_set_on_sweep_before_a_run_are_called():
             assert getattr(sweep, name) is wrapper, name
         """
     )
+
+
+def test_wrappers_set_on_sweep_are_called_in_forked_workers(tmp_path):
+    """A forked worker calls the wrapper the parent set, once per row it
+    computes: each call appends its n and process id to a file."""
+    calls = tmp_path / "calls.txt"
+    stdout = run_fresh(
+        f"""
+        import io, os
+        import log2lab.sweep as sweep
+        from log2lab import SweepConfig, run_bounds_sweep, run_verify_theorem
+
+        os.cpu_count = lambda: 2
+
+        def recording(name):
+            real = getattr(sweep, name)
+
+            def wrapper(*args, **kwargs):
+                with open({str(calls)!r}, "a") as fh:
+                    fh.write(f"{{name}} {{args[0]}} {{os.getpid()}}\\n")
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("compare_bounds", "odd_floor_sum"):
+            setattr(sweep, name, recording(name))
+        out, report = io.StringIO(), io.StringIO()
+        assert run_bounds_sweep(SweepConfig(n_lo=3, n_hi=12, workers=2), out, report) == 0
+        assert run_verify_theorem(SweepConfig(n_lo=1, n_hi=39, workers=2), out, report) == 0
+        print(os.getpid())
+        """
+    )
+    parent = stdout.split()[0]
+    rows = [line.split() for line in calls.read_text().splitlines()]
+    for name, ns in (("compare_bounds", range(3, 13)), ("odd_floor_sum", range(1, 40, 2))):
+        assert sorted(int(n) for f, n, _ in rows if f == name) == list(ns), name
+        pids = {pid for f, _, pid in rows if f == name}
+        assert parent in pids and len(pids) == 2, (name, pids)
 
 
 def test_package_exports_load_on_first_use():

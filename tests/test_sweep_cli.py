@@ -5,11 +5,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from dataclasses import replace
 from decimal import Decimal
@@ -20,6 +21,7 @@ import pytest
 
 import log2lab
 import log2lab.sweep as sweep_mod
+import log2lab.workers as workers_mod
 from log2lab.cli import main
 from log2lab.exact import MAX_PRECISION_BITS, WORK_CEILING, attempt_precision, attempt_work
 from log2lab.sweep import (
@@ -43,7 +45,6 @@ _ERROR_TERM_PAYLOAD = sweep_mod._error_term_payload
 
 
 def _error_term_payload_failing_at_2(config, n):
-    # module level, so that worker processes can unpickle it
     if n == 2:
         raise RuntimeError("payload failed at n=2")
     return _ERROR_TERM_PAYLOAD(config, n)
@@ -73,6 +74,21 @@ _PAIR_ORACLE = sweep_mod.pair_enumeration_oracle
 def _pair_oracle_miscounting_at_201(a, *interval):
     # one pair too many in the count that a = 201 adds
     return _PAIR_ORACLE(a, *interval) + (a == 201)
+
+
+def cli_env() -> dict[str, str]:
+    """The environment for a ``python`` subprocess that imports this checkout's src."""
+    src = str(Path(log2lab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def assert_group_gone(pgid: int) -> None:
+    """No process is left in the process group of a finished subprocess,
+    which leads its own session: it reaped every worker it forked."""
+    with pytest.raises(ProcessLookupError):
+        os.killpg(pgid, 0)
 
 
 def run_to_files(runner, config, tmp_path, name):
@@ -209,7 +225,10 @@ class TestBoundsSweep:
         assert code == EXIT_VIOLATION
         assert "verdict_violated" in report and '"bound":"paper"' in report
 
-    def test_interrupt_leaves_valid_truncated_json(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_interrupt_leaves_valid_truncated_json(self, tmp_path, monkeypatch, workers):
+        # with 2 workers the blocks hold 2 rows, so n = 4 is in the second
+        # block, [3, 4], which the forked child computes
         real = sweep_mod._bounds_payload
 
         def interrupting(config, n):
@@ -218,12 +237,17 @@ class TestBoundsSweep:
             return real(config, n)
 
         monkeypatch.setattr(sweep_mod, "_bounds_payload", interrupting)
-        cfg = SweepConfig(n_lo=1, n_hi=10, precision_bits=53, output_format="json")
-        code, out, _ = run_to_files(run_bounds_sweep, cfg, tmp_path, "trunc.json")
-        assert code == EXIT_INCONCLUSIVE
-        payload = json.loads(out.read_text())
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        outs = {}
+        for w in sorted({1, workers}):
+            cfg = SweepConfig(n_lo=1, n_hi=10, precision_bits=53, output_format="json", workers=w)
+            code, outs[w], report = run_to_files(run_bounds_sweep, cfg, tmp_path, f"trunc_w{w}.json")
+            assert code == EXIT_INCONCLUSIVE
+            assert "interrupted: output file is truncated but valid" in report
+        payload = json.loads(outs[workers].read_text())
         assert payload[-1]["summary"]["truncated"] is True
         assert len(payload) == 4  # three complete rows plus the summary
+        assert outs[workers].read_bytes() == outs[1].read_bytes()
 
     def test_interrupt_in_fold_leaves_valid_truncated_json(self, tmp_path, monkeypatch):
         real = sweep_mod._linear_line
@@ -345,9 +369,9 @@ class TestVerifyTheorem:
     def test_miscount_fails_every_later_a(self, tmp_path, monkeypatch, fmt):
         # the oracles' totals are added up in the fold, so one miscounted a
         # fails itself and every later a; the range starts at 41, and with 2
-        # workers the chunk holding a = 201 starts mid-range at a = 169
+        # workers the block holding a = 201 starts mid-range at a = 179
         monkeypatch.setattr(sweep_mod, "pair_enumeration_oracle", _pair_oracle_miscounting_at_201)
-        workers = [1, 2] if multiprocessing.get_start_method() == "fork" else [1]
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         runs = [
             run_to_files(
                 run_verify_theorem,
@@ -355,7 +379,7 @@ class TestVerifyTheorem:
                 tmp_path,
                 f"w{w}.{fmt}",
             )
-            for w in workers
+            for w in (1, 2)
         ]
         code, out, report = runs[0]
         assert code == EXIT_VIOLATION
@@ -464,8 +488,8 @@ class TestCliContract:
     def test_resource_limit_mid_run_leaves_valid_truncated_json(
         self, tmp_path, capsys, monkeypatch, workers
     ):
-        # with 2 workers row 2 fails in a pool worker, and row 1 must still
-        # be written
+        # with 2 workers row 2 fails in the forked child, and row 1 must
+        # still be written
         monkeypatch.setattr(sweep_mod, "_error_term_payload", _error_term_payload_over_ceiling_at_2)
         out = tmp_path / "e2.json"
         argv = ["error-term", "--range", "1..3", "--format", "json"]
@@ -491,7 +515,7 @@ class TestCliContract:
             err = capsys.readouterr().err
             assert err.startswith("log2lab: internal error: payload failed at n=2\n")
             assert "Traceback (most recent call last)" in err
-            # the frame that raised, which with 2 workers is the worker's own
+            # the frame that raised, which with 2 workers is the child's own
             assert "in _error_term_payload_failing_at_2" in err
         payload = json.loads(outs[workers].read_text())
         summary = payload[-1]["summary"]
@@ -522,12 +546,10 @@ class TestCliContract:
         # as `log2lab sweep-bounds ... | head -2`: the rows fill the pipe, so
         # the command is still writing when its reader goes away
         argv = ["sweep-bounds", "--range", "1..3000", "--bits", "64", "--workers", str(workers)]
-        src = str(Path(log2lab.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.Popen(
             [sys.executable, "-m", "log2lab.cli", *argv],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(),
+            start_new_session=True,
         )
         assert proc.stdout.readline().startswith(b"n,precision_bits,")
         assert proc.stdout.readline().startswith(b"1,")
@@ -536,6 +558,53 @@ class TestCliContract:
         proc.stderr.close()
         assert proc.wait(timeout=120) == EXIT_INCONCLUSIVE
         assert err == "log2lab: output closed by its reader; the run stopped early\n"
+        assert_group_gone(proc.pid)
+
+    def test_killed_worker_ends_the_run(self, tmp_path):
+        # over 1..40 the 2-worker blocks hold 5 rows: [1, 5] and [11, 15] run
+        # in the parent, [6, 10] and [16, 20] in the child, which is killed
+        # from outside at n = 18
+        out = tmp_path / "rows.json"
+        argv = ["sweep-bounds", "--range", "1..40", "--format", "json", "--workers", "2"]
+        code = f"""
+            import os, signal, sys
+            import log2lab.sweep as sweep
+            from log2lab.bounds import compare_bounds
+            from log2lab.cli import main
+
+            parent = os.getpid()
+
+            def dying_in_a_child(n, *args, **kwargs):
+                if n == 18 and os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return compare_bounds(n, *args, **kwargs)
+
+            sweep.compare_bounds = dying_in_a_child
+            os.cpu_count = lambda: 2
+            sys.exit(main({argv + ["--out", str(out)]!r}))
+            """
+        proc = subprocess.Popen(
+            [sys.executable, "-c", textwrap.dedent(code)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=cli_env(),
+            start_new_session=True,
+        )
+        try:
+            _, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:  # the run hung: stop it and its workers
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            raise
+        assert proc.returncode == EXIT_INTERNAL, err
+        assert re.match(
+            r"log2lab: internal error: worker process \d+ died before sending its rows "
+            rf"\(killed by signal {int(signal.SIGKILL)}\)\n",
+            err,
+        ), err
+        assert_group_gone(proc.pid)
+        payload = json.loads(out.read_text())
+        summary = payload[-1]["summary"]
+        assert [row["n"] for row in payload[:-1]] == [str(n) for n in range(1, 16)]
+        assert summary["checked"] == 15 and summary["truncated"] is True
 
     def test_precision_over_ceiling_rejected_before_output(self, tmp_path, capsys):
         # the row's finest part, the log table under G, needs 9 bits over --bits at n = 3
@@ -610,11 +679,8 @@ class TestCliContract:
             "    assert main(['verify-theorem', '--range', '3..99']) == 0\n"
             "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
         )
-        src = str(Path(log2lab.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+            [sys.executable, "-c", code], capture_output=True, text=True, env=cli_env(), timeout=120
         )
         assert done.returncode == 0, done.stderr
 
@@ -643,28 +709,19 @@ class TestCliContract:
 
 
 class TestPoolSize:
-    """A pool starts at most one worker per row and per CPU, and none for a
-    single one."""
+    """A run uses at most one worker per row and per CPU, and forks none for
+    a single one."""
 
     @pytest.fixture
     def started(self, monkeypatch):
-        import multiprocessing.pool
-
         started: list[int] = []
 
-        class RecordingPool:
-            # runs the items in this process, so no worker is ever started
-            def __init__(self, processes, *args, **kwargs):
-                started.append(processes)
+        def recording(block, blocks, workers):
+            # runs the blocks in this process, so no child is ever forked
+            started.append(workers)
+            return (block(items) for items in blocks)
 
-            def imap(self, fn, blocks):
-                return map(fn, blocks)
-
-            def terminate(self):
-                pass
-
-        # multiprocessing.Pool(...) builds its pool from this class
-        monkeypatch.setattr(multiprocessing.pool, "Pool", RecordingPool)
+        monkeypatch.setattr(workers_mod, "forked_map", recording)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         return started
 
@@ -687,3 +744,32 @@ class TestPoolSize:
         code, _, report = run_to_files(run_verify_theorem, cfg, tmp_path, "v.csv")
         assert code == EXIT_OK and "failures=0" in report
         assert started == expected
+
+
+class TestForkedWorkers:
+    """k workers are this process and k - 1 forked children, dealt blocks in
+    turn; the bytes never depend on k."""
+
+    def test_outputs_agree_over_worker_counts(self, capsys, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        commands = [
+            ["sweep-bounds", "--range", "1..300", "--format", "json"],
+            ["verify-theorem", "--range", "1..2001"],
+        ]
+        for argv in commands:
+            runs = []
+            for workers in (1, 2, 3, 4):
+                code = main(argv + ["--workers", str(workers)])
+                runs.append((code, *capsys.readouterr()))
+            assert runs[0][0] == EXIT_OK and runs[0][2].startswith("checked=")
+            assert runs[1:] == [runs[0]] * 3, argv
+
+    def test_without_fork_blocks_run_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = SweepConfig(n_lo=1, n_hi=60, precision_bits=64, output_format="json")
+        _, out1, rep1 = run_to_files(run_bounds_sweep, cfg, tmp_path, "w1.json")
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(workers_mod, "forked_map", None)  # a fan-out would fail
+        _, out2, rep2 = run_to_files(run_bounds_sweep, replace(cfg, workers=2), tmp_path, "w2.json")
+        assert out2.read_bytes() == out1.read_bytes()
+        assert rep2 == rep1
