@@ -40,12 +40,10 @@ change), so a row builds no Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 
-from .dyadic import DyadicInterval, DyadicRational, dyadic_from_fraction
+from .dyadic import DyadicInterval, DyadicRational
 from .enclosures import (
     G_enclosure,
     _half_log2_2pi,
@@ -94,16 +92,46 @@ class VerdictStatus(Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class _Record:
+    """A record of named fields, compared, hashed and shown field by field.
+
+    The records are immutable by convention; they use ``__slots__`` rather
+    than a frozen dataclass, so that a row builds in a few attribute stores
+    and importing this module builds no dataclass.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class Verdict(_Record):
     """Outcome of one interval comparison, with the certifying intervals.
 
     ``certificate`` is (lhs, rhs) for the claim lhs <= rhs; HOLDS and VIOLATED
     are only ever issued from strictly separated endpoints.
     """
 
-    status: VerdictStatus
-    certificate: tuple[DyadicInterval, DyadicInterval]
+    __slots__ = ("status", "certificate")
+
+    def __init__(
+        self, status: VerdictStatus, certificate: tuple[DyadicInterval, DyadicInterval]
+    ) -> None:
+        self.status = status
+        self.certificate = certificate
 
 
 def _verdict(lhs: DyadicInterval, rhs: DyadicInterval) -> Verdict:
@@ -129,20 +157,22 @@ BOUND_NAMES = (
 # Ramanujan constants
 # ---------------------------------------------------------------------------
 
-A_CONST = Fraction(39, 54)
+# a = 39/54, as the integer ratio (numerator, denominator) in lowest terms
+A_CONST = (13, 18)
 
-# the printed decimal 0.35499112666..., read as a truncation
-_B_PRINTED_LO = Fraction(35499112666, 10**11)
-_B_PRINTED_HI = Fraction(35499112667, 10**11)
+# the printed decimal 0.35499112666..., read as a truncation: b lies in
+# [_B_PRINTED, _B_PRINTED + 1] / _B_PRINTED_SCALE
+_B_PRINTED = 35499112666
+_B_PRINTED_SCALE = 10**11
 
 
 @lru_cache(maxsize=None)
 def ramanujan_b_printed(p: int) -> DyadicInterval:
-    """Enclosure of the printed decimal for b."""
-    return DyadicInterval(
-        dyadic_from_fraction(_B_PRINTED_LO, p + 16, up=False),
-        dyadic_from_fraction(_B_PRINTED_HI, p + 16, up=True),
-    )
+    """Enclosure of the printed decimal for b, on the 2^-(p+16) grid."""
+    f = p + 16
+    lo = (_B_PRINTED << f) // _B_PRINTED_SCALE
+    hi = -((-(_B_PRINTED + 1) << f) // _B_PRINTED_SCALE)
+    return DyadicInterval.from_mantissas(lo, hi, -f)
 
 
 @lru_cache(maxsize=None)
@@ -160,20 +190,22 @@ def ramanujan_b_closed_form(p: int) -> DyadicInterval:
     one_minus = (-root6).add_int(1)
     if one_minus.lo.sign <= 0:
         raise IdentityViolationError("closed-form b: 1 - (30e^6/391pi^3)^(1/6) must be positive")
-    inner = one_minus.reciprocal(f).mul_fraction(Fraction(11, 11520), f)
+    inner = one_minus.reciprocal(f).scale_int(11).div_by_posint(11520, f)
     b = inner.nth_root(4, f).add_int(-1)
     if not b.width_within(p):
         raise IdentityViolationError("closed-form b enclosure missed its width budget")
     return b
 
 
-@dataclass(frozen=True)
-class BAgreementReport:
+class BAgreementReport(_Record):
     """Printed-decimal b versus closed-form b at a given precision."""
 
-    printed: DyadicInterval
-    closed_form: DyadicInterval
-    agree: bool
+    __slots__ = ("printed", "closed_form", "agree")
+
+    def __init__(self, printed: DyadicInterval, closed_form: DyadicInterval, agree: bool) -> None:
+        self.printed = printed
+        self.closed_form = closed_form
+        self.agree = agree
 
 
 def ramanujan_b_agreement(p: int = 64) -> BAgreementReport:
@@ -252,13 +284,6 @@ def _ramanujan_correction(n: int, a: int, c: int, q: int) -> tuple[int, int, int
     return _log2_1p_raw(-11 * c**4, 11520 * (n * c + a) ** 4, q)
 
 
-def _num_den(d: DyadicRational) -> tuple[int, int]:
-    """A dyadic d as an integer ratio (a, c), c a power of two."""
-    if d.exponent >= 0:
-        return d.mantissa << d.exponent, 1
-    return d.mantissa, 1 << -d.exponent
-
-
 def ramanujan_bounds_log2(
     n: int, p: int, b_source: str = "printed"
 ) -> tuple[DyadicInterval, DyadicInterval]:
@@ -291,9 +316,9 @@ def ramanujan_bounds_log2(
     base = _half_log2_2pi(q_pi) + _n_plus_half_log2_n(n, p) - e_part + poly_part
 
     b = b_of(p)
-    lower_corr = _ramanujan_correction(n, A_CONST.numerator, A_CONST.denominator, q_corr)
-    upper_lo, _, s = _ramanujan_correction(n, *_num_den(b.lo), q_corr)
-    _, upper_hi, _ = _ramanujan_correction(n, *_num_den(b.hi), q_corr)
+    lower_corr = _ramanujan_correction(n, *A_CONST, q_corr)
+    upper_lo, _, s = _ramanujan_correction(n, b.lo.numerator, b.lo.denominator, q_corr)
+    _, upper_hi, _ = _ramanujan_correction(n, b.hi.numerator, b.hi.denominator, q_corr)
     return base + _raw_to_interval(*lower_corr), base + _raw_to_interval(upper_lo, upper_hi, s)
 
 
@@ -302,25 +327,48 @@ def ramanujan_bounds_log2(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundRow:
+class BoundRow(_Record):
     """Everything measured for one n, all in the log2 domain."""
 
-    n: int
-    precision_bits: int
-    log2_fact: DyadicInterval
-    g: DyadicInterval
-    paper_lb: DyadicInterval
-    robbins_lo: DyadicInterval
-    robbins_hi: DyadicInterval
-    ramanujan_lo: DyadicInterval
-    ramanujan_hi: DyadicInterval
-    c_log2: DyadicInterval
-    e2: DyadicInterval
-    s2: int
-    equality: bool
-    verdicts: dict[str, Verdict]
-    escalations: int
+    __slots__ = (
+        "n", "precision_bits", "log2_fact", "g", "paper_lb", "robbins_lo", "robbins_hi",
+        "ramanujan_lo", "ramanujan_hi", "c_log2", "e2", "s2", "equality", "verdicts",
+        "escalations",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        precision_bits: int,
+        log2_fact: DyadicInterval,
+        g: DyadicInterval,
+        paper_lb: DyadicInterval,
+        robbins_lo: DyadicInterval,
+        robbins_hi: DyadicInterval,
+        ramanujan_lo: DyadicInterval,
+        ramanujan_hi: DyadicInterval,
+        c_log2: DyadicInterval,
+        e2: DyadicInterval,
+        s2: int,
+        equality: bool,
+        verdicts: dict[str, Verdict],
+        escalations: int,
+    ) -> None:
+        self.n = n
+        self.precision_bits = precision_bits
+        self.log2_fact = log2_fact
+        self.g = g
+        self.paper_lb = paper_lb
+        self.robbins_lo = robbins_lo
+        self.robbins_hi = robbins_hi
+        self.ramanujan_lo = ramanujan_lo
+        self.ramanujan_hi = ramanujan_hi
+        self.c_log2 = c_log2
+        self.e2 = e2
+        self.s2 = s2
+        self.equality = equality
+        self.verdicts = verdicts
+        self.escalations = escalations
 
 
 def _settled(verdicts: dict[str, Verdict]) -> bool:

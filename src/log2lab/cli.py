@@ -21,6 +21,16 @@ Exit codes are a contract shared by every subcommand:
       ``log2lab: internal error: ...`` and the traceback (with a forked
       worker's own traceback as its cause) go to stderr, and the output file
       is finalized as truncated but valid.
+
+``python -m log2lab.cli`` and the ``log2lab`` script enter through ``run``:
+it calls ``main``, flushes stdout and stderr, and leaves through ``os._exit``
+with main's code, so the process skips interpreter teardown.  Every output
+is complete by then: the range commands close ``--out`` before they return,
+no ``atexit`` handler is registered, and a final flush that fails because
+stdout's reader has gone takes the closed-reader path (one stderr line, exit
+2).  An exception that escapes ``main`` (argparse's ``SystemExit`` for
+``--help``, say) ends the process the normal way.  ``main`` itself never
+exits, so it can be called in process.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ import argparse
 import os
 import re
 import sys
+from typing import NoReturn
 
 from .exact import DomainError, ResourceLimitError
 from .sweep import (
@@ -43,7 +54,7 @@ from .sweep import (
     run_verify_theorem,
 )
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "run", "build_parser"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,6 +148,14 @@ def _cmd_g_value(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _closed_by_reader() -> int:
+    """stdout's reader went away: stop as on an interrupt, and send what is
+    still buffered for stdout to the null device instead of failing again."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.stderr.write("log2lab: output closed by its reader; the run stopped early\n")
+    return EXIT_INCONCLUSIVE
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -171,11 +190,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"log2lab: resource limit: {exc}\n")
         return EXIT_USAGE
     except BrokenPipeError:
-        # stdout's reader went away: stop as on an interrupt, and let the
-        # flush at exit write to the null device instead of failing again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.stderr.write("log2lab: output closed by its reader; the run stopped early\n")
-        return EXIT_INCONCLUSIVE
+        return _closed_by_reader()
     except Exception as exc:
         import traceback  # only on this path; a top-level import would slow start-up
 
@@ -184,5 +199,16 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
 
 
+def run() -> NoReturn:
+    """The command-line entry point: ``main()``, then flush and ``os._exit``."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = _closed_by_reader()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

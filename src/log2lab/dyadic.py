@@ -25,7 +25,10 @@ frozen dataclass so that building one costs a few attribute stores.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "DyadicRational",
@@ -157,6 +160,16 @@ class DyadicRational:
     def sign(self) -> int:
         return (self.mantissa > 0) - (self.mantissa < 0)
 
+    # -- as a ratio of integers, in lowest terms, like a Fraction --------------
+
+    @property
+    def numerator(self) -> int:
+        return self.mantissa << self.exponent if self.exponent > 0 else self.mantissa
+
+    @property
+    def denominator(self) -> int:
+        return 1 << -self.exponent if self.exponent < 0 else 1
+
     # -- directed rounding to a fixed grid ------------------------------------
 
     def round_down_bits(self, frac_bits: int) -> "DyadicRational":
@@ -176,6 +189,8 @@ class DyadicRational:
     # -- conversions -----------------------------------------------------------
 
     def to_fraction(self) -> Fraction:
+        from fractions import Fraction  # here, so that only a caller loads it
+
         if self.exponent >= 0:
             return Fraction(self.mantissa << self.exponent, 1)
         return Fraction(self.mantissa, 1 << (-self.exponent))

@@ -66,8 +66,8 @@ and two classical series with explicit tail bounds:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .dyadic import DyadicInterval, DyadicRational
 from .exact import (
@@ -83,6 +83,9 @@ from .exact import (
     floor_log2_fraction,
     require_positive,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "log2_fraction",
@@ -134,9 +137,10 @@ def _raw_to_interval(lo: int, hi: int, s: int) -> DyadicInterval:
     return DyadicInterval.from_mantissas(lo, hi, -s)
 
 
-def log2_fraction(fr: Fraction, p: int) -> DyadicInterval:
-    """Enclosure of log2 of a positive rational, width <= 2^-p."""
-    if fr <= 0:
+def log2_fraction(fr: Fraction | DyadicRational, p: int) -> DyadicInterval:
+    """Enclosure of log2 of a positive rational, width <= 2^-p: a Fraction,
+    an int or a DyadicRational, read through its numerator and denominator."""
+    if fr.numerator <= 0:
         raise DomainError(f"log2 argument must be positive, got {fr}")
     _check_precision(p)
     return _raw_to_interval(*_log2_raw(fr.numerator, fr.denominator, p))
@@ -385,8 +389,9 @@ def _stirling_coefficients(count: int) -> tuple[tuple[int, int], ...]:
         for k in range(1, m + 1):
             # B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))
             four_k = 1 << (2 * k)
-            c = Fraction((-1) ** (k - 1) * t[k], four_k * (four_k - 1) * (2 * k - 1))
-            coeffs.append((c.numerator, c.denominator))
+            num, den = (-1) ** (k - 1) * t[k], four_k * (four_k - 1) * (2 * k - 1)
+            g = math.gcd(num, den)
+            coeffs.append((num // g, den // g))
         _STIRLING_COEFFS = tuple(coeffs)
     return _STIRLING_COEFFS
 
@@ -558,6 +563,6 @@ def log2_pi_interval(p: int) -> DyadicInterval:
     """Enclosure of log2 pi, width <= 2^-p: log2 of pi's enclosure at p + 3,
     each end at p + 3."""
     pi = pi_interval(p + 3)
-    lo = log2_fraction(pi.lo.to_fraction(), p + 3)
-    hi = log2_fraction(pi.hi.to_fraction(), p + 3)
+    lo = log2_fraction(pi.lo, p + 3)
+    hi = log2_fraction(pi.hi, p + 3)
     return DyadicInterval(lo.lo, hi.hi)

@@ -20,7 +20,6 @@ behind.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -310,8 +309,19 @@ def _block(fn: Callable[[int], Any], items: range) -> tuple[list, BaseException 
     return payloads, None
 
 
+def _compact_json(obj: Any) -> str:
+    import json  # here, so that a CSV run with nothing to report never loads it
+
+    return json.dumps(obj, separators=(",", ":"))
+
+
 class _Writer:
-    """Single ordered writer: CSV lines or a JSON array with trailing summary."""
+    """Single ordered writer: CSV lines or a JSON array with trailing summary.
+
+    A row, with the separator before it, is one write and is counted before
+    its flush, so an interrupt in either leaves ``finish`` a well-formed array
+    to close.
+    """
 
     def __init__(self, stream: IO[str], fmt: str, columns: list[str]):
         self.stream = stream
@@ -328,18 +338,14 @@ class _Writer:
         if self.fmt == "csv":
             self.stream.write(",".join(fields[c] for c in self.columns) + "\n")
         else:
-            if self.count:
-                self.stream.write(",\n")
-            self.stream.write(json.dumps(fields, separators=(",", ":")))
-        self.stream.flush()
+            self.stream.write((",\n" if self.count else "") + _compact_json(fields))
         self.count += 1
+        self.stream.flush()
 
     def finish(self, summary: dict) -> None:
         if self.fmt == "json":
-            if self.count:
-                self.stream.write(",\n")
-            self.stream.write(json.dumps({"summary": summary}, separators=(",", ":")))
-            self.stream.write("\n]\n")
+            sep = ",\n" if self.count else ""
+            self.stream.write(sep + _compact_json({"summary": summary}) + "\n]\n")
             self.stream.flush()
 
 
@@ -380,39 +386,41 @@ def _run(
     config.validate(term_sums)
     ns = config.ns()
     stream, close_me = _open_output(config, out_stream if out_stream is not None else sys.stdout)
-    writer = _Writer(stream, config.output_format, columns)
-    acc = fold(config, ns)
-    workers = max(1, min(config.workers, len(ns), os.cpu_count() or 1))
-    size = min(64, -(-len(ns) // (4 * workers))) or 1  # or 1: an empty range
-    blocks = (ns[i : i + size] for i in range(0, len(ns), size))
-    block = partial(_block, partial(payload_fn, config))
-    forked = workers > 1 and hasattr(os, "fork")
-    if forked:
-        from .workers import forked_map  # only here, so a 1-worker run never compiles it
-
-        results = forked_map(block, blocks, workers)
-    else:
-        results = map(block, blocks)
-    checked = 0
-    stopped: BaseException | None = None
     try:
-        for payloads, error in results:
-            for payload in payloads:
-                checked += 1
-                acc.add(payload, writer.write_row)
-            if error is not None:
-                raise error
-    except BaseException as exc:  # the output is finalized as truncated below
-        stopped = exc
-    finally:
+        writer = _Writer(stream, config.output_format, columns)
+        acc = fold(config, ns)
+        workers = max(1, min(config.workers, len(ns), os.cpu_count() or 1))
+        size = min(64, -(-len(ns) // (4 * workers))) or 1  # or 1: an empty range
+        blocks = (ns[i : i + size] for i in range(0, len(ns), size))
+        block = partial(_block, partial(payload_fn, config))
+        forked = workers > 1 and hasattr(os, "fork")
         if forked:
-            results.close()  # kills and reaps the children
+            from .workers import forked_map  # only here, so a 1-worker run never compiles it
 
-    summary, lines, code = acc.finish(checked)
-    summary["truncated"] = stopped is not None
-    writer.finish(summary)
-    if close_me:
-        stream.close()
+            results = forked_map(block, blocks, workers)
+        else:
+            results = map(block, blocks)
+        checked = 0
+        stopped: BaseException | None = None
+        try:
+            for payloads, error in results:
+                for payload in payloads:
+                    checked += 1
+                    acc.add(payload, writer.write_row)
+                if error is not None:
+                    raise error
+        except BaseException as exc:  # the output is finalized as truncated below
+            stopped = exc
+        finally:
+            if forked:
+                results.close()  # kills and reaps the children
+
+        summary, lines, code = acc.finish(checked)
+        summary["truncated"] = stopped is not None
+        writer.finish(summary)
+    finally:  # so that no byte of --out is left to interpreter teardown
+        if close_me:
+            stream.close()
     if isinstance(stopped, KeyboardInterrupt):
         lines.append("interrupted: output file is truncated but valid")
         code = EXIT_INCONCLUSIVE
@@ -495,7 +503,7 @@ class _BoundsFold:
         ]
         lines.extend(self.linear_lines)
         for finding in self.findings:
-            lines.append("FINDING: " + json.dumps(finding, separators=(",", ":")))
+            lines.append("FINDING: " + _compact_json(finding))
         if counts["paper"][VerdictStatus.VIOLATED.value]:
             return summary, lines, EXIT_VIOLATION
         if any(c[VerdictStatus.INCONCLUSIVE.value] for c in counts.values()):
@@ -506,10 +514,10 @@ class _BoundsFold:
 def _linear_line(n: int, fields: dict[str, str]) -> str:
     """Report-only linear rendering for small n; approximate by construction."""
     import math
-    from fractions import Fraction
 
     def mid_pow2(name: str) -> float:
-        mid = (float(Fraction(fields[f"{name}_lo"])) + float(Fraction(fields[f"{name}_hi"]))) / 2
+        # float() of an exact decimal is its correctly rounded double
+        mid = (float(fields[f"{name}_lo"]) + float(fields[f"{name}_hi"])) / 2
         return 2.0**mid
 
     return (
@@ -595,7 +603,7 @@ class _VerifyFold:
         failures = self.failures
         summary = {"checked": checked, "failures": len(failures), "failure_rows": failures}
         lines = [f"checked={checked} failures={len(failures)}"] + [
-            f"FAILURE: {json.dumps(f, separators=(',', ':'))}" for f in failures
+            f"FAILURE: {_compact_json(f)}" for f in failures
         ]
         return summary, lines, EXIT_VIOLATION if failures else EXIT_OK
 

@@ -6,7 +6,6 @@ import csv
 import io
 import json
 import random
-from dataclasses import fields
 from fractions import Fraction
 
 import mpmath as mp
@@ -345,8 +344,8 @@ def full_attempt_row(
 
 
 def assert_rows_equal(got: BoundRow, want: BoundRow) -> None:
-    for f in fields(BoundRow):
-        assert getattr(got, f.name) == getattr(want, f.name), f.name
+    for name in BoundRow.__slots__:
+        assert getattr(got, name) == getattr(want, name), name
     assert list(got.verdicts) == list(BOUND_NAMES)
 
 

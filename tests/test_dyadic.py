@@ -79,6 +79,12 @@ class TestDyadicRational:
             d = rand_dyadic(rng)
             assert Fraction(d.decimal_str()) == d.to_fraction()
 
+    def test_numerator_denominator_are_the_fractions(self):
+        rng = random.Random(19)
+        for d in [DyadicRational(0), DyadicRational(-12, 3)] + [rand_dyadic(rng) for _ in range(300)]:
+            fr = d.to_fraction()
+            assert (d.numerator, d.denominator) == (fr.numerator, fr.denominator), d
+
     @pytest.mark.parametrize(
         "m,e",
         [(1, -20000), (-((3 << 20000) + 1), -20000), (7, 20000)],

@@ -1,10 +1,12 @@
-"""Start-up: each command loads only the modules its rows use, and the names
-callers wrap on ``log2lab.sweep`` are the ones the runs call, in this process
-and in forked workers alike."""
+"""Start-up and exit: each command loads only the modules its rows use, the
+names callers wrap on ``log2lab.sweep`` are the ones the runs call, in this
+process and in forked workers alike, and a command leaves through
+``cli.run``'s ``os._exit`` with nothing left for interpreter teardown."""
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -16,17 +18,24 @@ import log2lab
 
 SRC = Path(log2lab.__file__).resolve().parents[1]
 
-ENCLOSURE_STACK = ("fractions", "decimal", "log2lab.bounds", "log2lab.dyadic", "log2lab.enclosures")
+ENCLOSURE_STACK = ("log2lab.bounds", "log2lab.dyadic", "log2lab.enclosures")
+# loaded by no command: only DyadicRational.to_fraction loads fractions
+FRACTIONS = ("fractions", "decimal", "numbers")
 
 
-def run_fresh(code: str) -> str:
-    """stdout of ``code`` run in a fresh interpreter with this checkout's src."""
+def launch(code: str) -> subprocess.CompletedProcess:
+    """``code`` run in a fresh interpreter with this checkout's src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code)],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def run_fresh(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter, which must exit 0."""
+    done = launch(code)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -50,7 +59,23 @@ def modules_after(argv: list[str], tmp_path) -> set[str]:
 def test_verify_theorem_skips_enclosure_stack_and_multiprocessing(tmp_path):
     loaded = modules_after(["verify-theorem", "--range", "1..99", "--workers", "1"], tmp_path)
     assert {"log2lab.cli", "log2lab.sweep", "log2lab.exact"} <= loaded
-    for name in ("multiprocessing", *ENCLOSURE_STACK):
+    for name in ("multiprocessing", *ENCLOSURE_STACK, *FRACTIONS):
+        assert name not in loaded, name
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_csv_verify_theorem_without_failures_skips_json(workers, tmp_path):
+    loaded = modules_after(["verify-theorem", "--range", "1..99", "--workers", workers], tmp_path)
+    assert "json" not in loaded
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("command", ["sweep-bounds", "error-term"])
+def test_enclosure_commands_skip_fractions(command, workers, tmp_path):
+    # 1..300 passes the Stirling switch at --bits 64 (n >= 128)
+    loaded = modules_after([command, "--range", "1..300", "--workers", workers], tmp_path)
+    assert "log2lab.enclosures" in loaded
+    for name in FRACTIONS:
         assert name not in loaded, name
 
 
@@ -178,5 +203,47 @@ def test_package_exports_load_on_first_use():
         # a submodule is an attribute of the package, as when all were eager
         assert "log2lab.cli" not in sys.modules
         assert callable(log2lab.cli.main)
+        """
+    )
+
+
+def test_module_entry_leaves_through_run():
+    """``python -m log2lab.cli`` runs ``cli.run``: the process ends in
+    ``os._exit``, so an exit handler the launcher set never runs, and the
+    exit code is main's.  The ``log2lab`` script points at ``run`` too."""
+    done = launch(
+        """
+        import atexit, runpy, sys
+        atexit.register(print, "teardown ran")
+        sys.argv[1:] = ["g-value", "1"]
+        runpy.run_module("log2lab.cli", run_name="__main__")
+        """
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "G(1) = 0 (exact)\n", "")
+    pyproject = SRC.parent / "pyproject.toml"
+    if pyproject.exists():  # absent when the tests run against an installed package
+        assert 'log2lab = "log2lab.cli:run"' in pyproject.read_text()
+
+
+def test_no_exit_handlers(tmp_path):
+    """``os._exit`` skips ``atexit`` handlers, so nothing the commands load may
+    register one: checked in the sources, and over a run of every command."""
+    for path in (SRC / "log2lab").glob("*.py"):
+        assert not re.search(r"^\s*(import|from) atexit\b", path.read_text(), re.M), path.name
+    out = tmp_path / "rows.csv"
+    run_fresh(
+        f"""
+        import atexit, io, os, sys
+        from contextlib import redirect_stdout
+        os.cpu_count = lambda: 2
+        before = atexit._ncallbacks()
+        from log2lab.cli import main
+        with redirect_stdout(io.StringIO()):
+            for command in ("sweep-bounds", "error-term", "verify-theorem"):
+                argv = [command, "--range", "1..99", "--workers", "2", "--out", {str(out)!r}]
+                assert main(argv) == 0
+                assert main(argv + ["--format", "json"]) == 0
+            assert main(["g-value", "99"]) == 0
+        assert atexit._ncallbacks() == before, atexit._ncallbacks()
         """
     )

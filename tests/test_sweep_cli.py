@@ -84,11 +84,48 @@ def cli_env() -> dict[str, str]:
     return env
 
 
+def buffered_env() -> dict[str, str]:
+    """cli_env() with stdout block-buffered into a pipe, as by default, so that
+    a command's exit has buffered output to flush."""
+    env = cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
 def assert_group_gone(pgid: int) -> None:
     """No process is left in the process group of a finished subprocess,
     which leads its own session: it reaped every worker it forked."""
     with pytest.raises(ProcessLookupError):
         os.killpg(pgid, 0)
+
+
+# how a command is launched: as ``python -m log2lab.cli`` (through cli.run,
+# which leaves by os._exit), or main() in process, left the normal way
+MODULE = ["-m", "log2lab.cli"]
+IN_PROCESS = ["-c", "import sys; from log2lab.cli import main; sys.exit(main())"]
+
+CLOSED_BY_READER = "log2lab: output closed by its reader; the run stopped early\n"
+
+# a -c prelude that makes row 13 fail, in a forked worker too
+FAILING_AT_13 = """
+import os, sys
+import log2lab.sweep as sweep
+from log2lab.bounds import compare_bounds
+
+def failing_at_13(n, *args, **kwargs):
+    if n == 13:
+        raise RuntimeError("row failed at n=13")
+    return compare_bounds(n, *args, **kwargs)
+
+sweep.compare_bounds = failing_at_13
+os.cpu_count = lambda: 2
+"""
+
+
+def run_launched(launcher: list[str], argv: list[str]) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *launcher, *argv], capture_output=True, env=buffered_env(), timeout=120
+    )
 
 
 def run_to_files(runner, config, tmp_path, name):
@@ -212,12 +249,13 @@ class TestBoundsSweep:
         assert "Inconclusive" in (row["verdict_robbins"], row["verdict_ramanujan"])
 
     def test_exit_violation_on_paper_verdict(self, tmp_path, monkeypatch):
-        from log2lab.bounds import VerdictStatus, compare_bounds
+        from log2lab.bounds import Verdict, VerdictStatus, compare_bounds
 
         def sabotaged(n, p, **kwargs):
             row = compare_bounds(n, p, **kwargs)
-            paper = replace(row.verdicts["paper"], status=VerdictStatus.VIOLATED)
-            return replace(row, verdicts={**row.verdicts, "paper": paper})
+            paper = row.verdicts["paper"]
+            row.verdicts["paper"] = Verdict(VerdictStatus.VIOLATED, paper.certificate)
+            return row
 
         monkeypatch.setattr(sweep_mod, "compare_bounds", sabotaged)
         cfg = SweepConfig(n_lo=3, n_hi=3, precision_bits=53)
@@ -270,6 +308,39 @@ class TestBoundsSweep:
         assert [row["n"] for row in payload[:-1]] == ["1", "2", "3"]
         assert summary["checked"] == 3
         assert "interrupted: output file is truncated but valid" in report
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("where, k", [("flush", 1), ("flush", 3), ("write", 1), ("write", 3)])
+    def test_interrupted_row_write_leaves_valid_json(self, monkeypatch, workers, where, k):
+        """Ctrl-C while a row goes out, as when stdout's reader is slow: in
+        the flush after row k (the row is out), or in the write of row k
+        (the write is lost whole).  Either way the array closes cleanly."""
+
+        class Interrupted(io.StringIO):
+            rows = flushes = 0
+
+            def write(self, text):
+                if '"n":' in text:
+                    self.rows += 1
+                    if where == "write" and self.rows == k:
+                        raise KeyboardInterrupt
+                return super().write(text)
+
+            def flush(self):
+                self.flushes += 1  # the JSON writer flushes once per row
+                if where == "flush" and self.flushes == k:
+                    raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        out, report = Interrupted(), io.StringIO()
+        cfg = SweepConfig(n_lo=1, n_hi=12, precision_bits=53, output_format="json", workers=workers)
+        assert run_bounds_sweep(cfg, out, report) == EXIT_INCONCLUSIVE
+        payload = json.loads(out.getvalue())
+        written = k if where == "flush" else k - 1
+        assert [row["n"] for row in payload[:-1]] == [str(n) for n in range(1, written + 1)]
+        assert payload[-1]["summary"]["truncated"] is True
+        assert payload[-1]["summary"]["checked"] == k
+        assert "interrupted: output file is truncated but valid" in report.getvalue()
 
     def test_interrupt_leaves_parseable_csv(self, tmp_path, monkeypatch):
         real = sweep_mod._bounds_payload
@@ -541,14 +612,15 @@ class TestCliContract:
         assert summary["checked"] == 12 and summary["truncated"] is True
         assert outs[1] == outs[0]
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_closed_stdout_stops_quietly(self, workers):
-        # as `log2lab sweep-bounds ... | head -2`: the rows fill the pipe, so
-        # the command is still writing when its reader goes away
+    @staticmethod
+    def closed_after_two_lines(launcher: list[str], workers: int) -> tuple[int, str]:
+        """(exit code, stderr) of `log2lab sweep-bounds ... | head -2`: the
+        rows fill the pipe, so the command is still writing when its reader
+        goes away."""
         argv = ["sweep-bounds", "--range", "1..3000", "--bits", "64", "--workers", str(workers)]
         proc = subprocess.Popen(
-            [sys.executable, "-m", "log2lab.cli", *argv],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(),
+            [sys.executable, *launcher, *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=buffered_env(),
             start_new_session=True,
         )
         assert proc.stdout.readline().startswith(b"n,precision_bits,")
@@ -556,9 +628,15 @@ class TestCliContract:
         proc.stdout.close()
         err = proc.stderr.read().decode()
         proc.stderr.close()
-        assert proc.wait(timeout=120) == EXIT_INCONCLUSIVE
-        assert err == "log2lab: output closed by its reader; the run stopped early\n"
+        code = proc.wait(timeout=120)
         assert_group_gone(proc.pid)
+        return code, err
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_closed_stdout_stops_quietly(self, workers):
+        for launcher in (MODULE, IN_PROCESS):
+            code_err = self.closed_after_two_lines(launcher, workers)
+            assert code_err == (EXIT_INCONCLUSIVE, CLOSED_BY_READER), launcher
 
     def test_killed_worker_ends_the_run(self, tmp_path):
         # over 1..40 the 2-worker blocks hold 5 rows: [1, 5] and [11, 15] run
@@ -605,6 +683,67 @@ class TestCliContract:
         summary = payload[-1]["summary"]
         assert [row["n"] for row in payload[:-1]] == [str(n) for n in range(1, 16)]
         assert summary["checked"] == 15 and summary["truncated"] is True
+
+    @pytest.mark.parametrize(
+        "argv, code, out_made",
+        [
+            (["sweep-bounds", "--range", "1..40", "--format", "json", "--workers", "2"], EXIT_OK, True),
+            (["error-term", "--range", "1..40", "--format", "json"], EXIT_OK, True),
+            (["verify-theorem", "--range", "1..999", "--format", "json"], EXIT_OK, True),
+            (["verify-theorem", "--range", "1..999"], EXIT_OK, False),
+            (["g-value", "100"], EXIT_OK, False),
+            (["sweep-bounds", "--range", "5..1", "--format", "json"], EXIT_USAGE, False),
+        ],
+    )
+    def test_module_exit_matches_in_process_main(self, tmp_path, argv, code, out_made):
+        """``python -m log2lab.cli`` leaves by os._exit: every byte of stdout,
+        stderr and --out, and the exit code, are those of main() in process."""
+        results = {}
+        for name, launcher in (("module", MODULE), ("main", IN_PROCESS)):
+            out = tmp_path / f"{name}.out"
+            full = argv + ["--out", str(out)] if out_made or code == EXIT_USAGE else argv
+            done = run_launched(launcher, full)
+            assert done.returncode == code, done.stderr
+            assert out.exists() == out_made
+            if out_made and "json" in argv:
+                json.loads(out.read_text())
+            results[name] = done.stdout, done.stderr, out.read_bytes() if out_made else None
+        assert results["module"] == results["main"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_internal_error_exit_matches_in_process_main(self, tmp_path, workers):
+        # the same failing row under cli.run (the module's __main__ block) and
+        # under main(), traceback and truncated --out included
+        argv = ["sweep-bounds", "--range", "1..40", "--format", "json", "--workers", str(workers)]
+        launchers = {
+            "module": FAILING_AT_13 + "import runpy\nrunpy.run_module('log2lab.cli', run_name='__main__')\n",
+            "main": FAILING_AT_13 + "from log2lab.cli import main\nsys.exit(main())\n",
+        }
+        results = {}
+        for name, code in launchers.items():
+            out = tmp_path / f"{name}.json"
+            done = run_launched(["-c", code], argv + ["--out", str(out)])
+            assert done.returncode == EXIT_INTERNAL, done.stderr
+            assert done.stderr.startswith(b"log2lab: internal error: row failed at n=13\n")
+            payload = json.loads(out.read_text())
+            assert payload[-1]["summary"]["truncated"] is True
+            results[name] = done.stdout, done.stderr, out.read_bytes()
+        assert results["module"] == results["main"]
+
+    def test_failed_final_flush_is_a_closed_reader(self):
+        # g-value's line stays buffered until cli.run flushes it, into a pipe
+        # whose reader is already gone
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            done = subprocess.run(
+                [sys.executable, *MODULE, "g-value", "100"],
+                stdout=w, stderr=subprocess.PIPE, env=buffered_env(), timeout=120,
+            )
+        finally:
+            os.close(w)
+        assert done.returncode == EXIT_INCONCLUSIVE
+        assert done.stderr.decode() == CLOSED_BY_READER
 
     def test_precision_over_ceiling_rejected_before_output(self, tmp_path, capsys):
         # the row's finest part, the log table under G, needs 9 bits over --bits at n = 3
@@ -706,6 +845,16 @@ class TestCliContract:
         assert "linear n=18:" in err and "linear n=20:" in err
         assert "linear n=21:" not in err
         assert "n! = 2432902008176640000" in err  # 20! rendered exactly
+
+
+    def test_linear_display_past_int_str_digit_limit(self, capsys):
+        # row 1 escalates to p = 4800 here, so its decimals have more digits
+        # than Python converts to int by default
+        argv = ["sweep-bounds", "--range", "1..1", "--bits", "300", "--linear"]
+        assert main(argv + ["--ramanujan-b", "closed-form"]) == EXIT_INCONCLUSIVE
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1].startswith("1,4800,")
+        assert "linear n=1: n! = 1, paper_lb ~ 1, robbins ~ [0.92213701, 1.0022744]" in err
 
 
 class TestPoolSize:
