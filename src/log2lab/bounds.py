@@ -254,25 +254,23 @@ def error_term_e2(n: int, p: int) -> DyadicInterval:
 # ---------------------------------------------------------------------------
 
 
-def _n_plus_half_log2_n(n: int, p: int) -> DyadicInterval:
-    """(n + 1/2) log2 n from the row's one log2 n enclosure."""
+def _stirling_base(n: int, p: int, parts: int) -> DyadicInterval:
+    """(n + 1/2) log2 n - n log2 e + log2(2 pi) / 2 for a side of ``parts``
+    parts, with log2 n the row's one enclosure at ``log2_n_precision(n, p)``."""
+    e_part = log2_e_interval(_part_precision(p, parts, n)).scale_int(n)
     log_n = log2_int_enclosure(n, log2_n_precision(n, p))
-    return log_n.scale_dyadic(DyadicRational(2 * n + 1, -1))
+    power = log_n.scale_dyadic(DyadicRational(2 * n + 1, -1))
+    return _half_log2_2pi(_part_precision(p, parts)) + power - e_part
 
 
 def robbins_bounds_log2(n: int, p: int) -> tuple[DyadicInterval, DyadicInterval]:
     """Enclosures of log2 of both Robbins sides.
 
     lower = log2(sqrt(2 pi) n^(n+1/2) e^-n); upper = lower + log2(e)/(12 n).
-    log2 n is the row's one enclosure at ``log2_n_precision(n, p)``.
     """
     require_positive("n", n)
-    q_pi = _part_precision(p, 4)
-    q_e = _part_precision(p, 4, n)
     q_d = _part_precision(p, 4) + 2
-
-    e_part = log2_e_interval(q_e).scale_int(n)
-    lower = _half_log2_2pi(q_pi) + _n_plus_half_log2_n(n, p) - e_part
+    lower = _stirling_base(n, p, 4)
     upper = lower + log2_e_interval(q_d).div_by_posint(12 * n, q_d)
     return lower, upper
 
@@ -303,17 +301,13 @@ def ramanujan_bounds_log2(
     """
     require_positive("n", n)
     b_of = _b_routine(b_source)
-    q_pi = _part_precision(p, 5)
-    q_e = _part_precision(p, 5, n)
     q_poly = _part_precision(p, 5) + 2
     q_corr = _part_precision(p, 5)
 
-    e_part = log2_e_interval(q_e).scale_int(n)
     poly = _raw_to_interval(*_log2_1p_raw(120 * n * n + 30 * n + 1, 240 * n**3, q_poly))
-    poly_part = poly.div_by_posint(6, q_poly)
     # log2 sqrt(pi) + 3/6 and n log2 n + (3/6) log2 n: the 3 + 3 log2 n of the
     # sixth root, folded into the Robbins-shaped parts
-    base = _half_log2_2pi(q_pi) + _n_plus_half_log2_n(n, p) - e_part + poly_part
+    base = _stirling_base(n, p, 5) + poly.div_by_posint(6, q_poly)
 
     b = b_of(p)
     lower_corr = _ramanujan_correction(n, *A_CONST, q_corr)

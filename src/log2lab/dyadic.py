@@ -9,15 +9,17 @@ endpoints as canonical ``DyadicRational`` values (mantissa odd or zero).
 On one grid, add, subtract, negate, multiply, ``add_int``, ``scale_int``,
 ``scale_dyadic`` and ``pow_int`` are exact: each aligns its operands with one
 shift, does integer arithmetic on the mantissas, and builds one object.  So
-are the comparisons (``intersect``, ``contains_*``, ``intersects``,
-``strictly_below``), which work on aligned mantissas.  An interval only ever
+are the comparisons (``contains_*``, ``intersects``, ``strictly_below``,
+``width_within``), which work on aligned mantissas.  An interval only ever
 widens at the few places that genuinely need rounding: ``round_outward`` and
-``outward_mantissas`` onto a coarser grid, ``div_by_posint``,
-``mul_fraction``, ``reciprocal`` and ``nth_root`` onto a 2^-frac_bits grid,
-and ``dyadic_from_fraction``.  Those round outward by floor and ceiling
-integer division, never to nearest.  The master contract is containment:
-every operation on DyadicInterval returns an interval that contains the true
-real value whenever the inputs did.
+``outward_mantissas`` onto a coarser grid, and ``div_by_posint``,
+``reciprocal`` and ``nth_root`` onto a 2^-frac_bits grid.  Those round outward
+by floor and ceiling integer division, never to nearest.  The master contract
+is containment: every operation on DyadicInterval returns an interval that
+contains the true real value whenever the inputs did.
+
+A ``DyadicRational`` is only an endpoint value: it compares exactly, and it
+reads out as a sign, a numerator and denominator, or an exact decimal.
 
 Both classes are immutable by convention; they use ``__slots__`` rather than a
 frozen dataclass so that building one costs a few attribute stores.
@@ -34,7 +36,6 @@ __all__ = [
     "DyadicRational",
     "DyadicInterval",
     "integer_nth_root",
-    "dyadic_from_fraction",
 ]
 
 
@@ -101,39 +102,6 @@ class DyadicRational:
     def __reduce__(self):
         return DyadicRational, (self.mantissa, self.exponent)
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def from_int(v: int) -> "DyadicRational":
-        return DyadicRational(v, 0)
-
-    # -- exact arithmetic ----------------------------------------------------
-
-    def __neg__(self) -> "DyadicRational":
-        return DyadicRational(-self.mantissa, self.exponent)
-
-    def __add__(self, other: "DyadicRational") -> "DyadicRational":
-        e = min(self.exponent, other.exponent)
-        m = (self.mantissa << (self.exponent - e)) + (other.mantissa << (other.exponent - e))
-        return DyadicRational(m, e)
-
-    def __sub__(self, other: "DyadicRational") -> "DyadicRational":
-        return self + (-other)
-
-    def __mul__(self, other: "DyadicRational") -> "DyadicRational":
-        return DyadicRational(self.mantissa * other.mantissa, self.exponent + other.exponent)
-
-    def mul_int(self, k: int) -> "DyadicRational":
-        return DyadicRational(self.mantissa * k, self.exponent)
-
-    def pow_int(self, k: int) -> "DyadicRational":
-        if k < 0:
-            raise ValueError("only non-negative integer powers are exact")
-        return DyadicRational(self.mantissa ** k, self.exponent * k)
-
-    def half(self) -> "DyadicRational":
-        return DyadicRational(self.mantissa, self.exponent - 1)
-
     # -- exact comparison ----------------------------------------------------
 
     def _cmp(self, other: "DyadicRational") -> int:
@@ -170,22 +138,6 @@ class DyadicRational:
     def denominator(self) -> int:
         return 1 << -self.exponent if self.exponent < 0 else 1
 
-    # -- directed rounding to a fixed grid ------------------------------------
-
-    def round_down_bits(self, frac_bits: int) -> "DyadicRational":
-        """Largest multiple of 2^-frac_bits that is <= self."""
-        shift = -frac_bits - self.exponent
-        if shift <= 0:
-            return self
-        return DyadicRational(self.mantissa >> shift, -frac_bits)
-
-    def round_up_bits(self, frac_bits: int) -> "DyadicRational":
-        """Smallest multiple of 2^-frac_bits that is >= self."""
-        shift = -frac_bits - self.exponent
-        if shift <= 0:
-            return self
-        return DyadicRational(-((-self.mantissa) >> shift), -frac_bits)
-
     # -- conversions -----------------------------------------------------------
 
     def to_fraction(self) -> Fraction:
@@ -219,15 +171,6 @@ def _scaled_floor(num: int, den: int, shift: int) -> int:
     return num // (den << -shift)
 
 
-def dyadic_from_fraction(fr: Fraction, frac_bits: int, up: bool) -> DyadicRational:
-    """Round an exact rational onto the 2^-frac_bits grid in one direction;
-    a negative frac_bits is a grid coarser than the integers."""
-    num = fr.numerator
-    if up:
-        return DyadicRational(-_scaled_floor(-num, fr.denominator, frac_bits), -frac_bits)
-    return DyadicRational(_scaled_floor(num, fr.denominator, frac_bits), -frac_bits)
-
-
 def _interval(l: int, h: int, e: int) -> "DyadicInterval":
     """[l * 2^e, h * 2^e] for l <= h, unchecked: the one way every operation
     builds its result (and the pickled form)."""
@@ -236,13 +179,6 @@ def _interval(l: int, h: int, e: int) -> "DyadicInterval":
     iv._h = h
     iv._e = e
     return iv
-
-
-def _outward(l_num: int, h_num: int, den: int, e: int, frac_bits: int) -> "DyadicInterval":
-    """[l_num * 2^e / den rounded down, h_num * 2^e / den rounded up] on the
-    2^-frac_bits grid, for den > 0."""
-    s = e + frac_bits
-    return _interval(_scaled_floor(l_num, den, s), -_scaled_floor(-h_num, den, s), -frac_bits)
 
 
 class DyadicInterval:
@@ -272,10 +208,6 @@ class DyadicInterval:
         if lo > hi:
             raise ValueError(f"inverted interval: lo={lo} hi={hi} at 2^{exponent}")
         return _interval(lo, hi, exponent)
-
-    @staticmethod
-    def from_int(v: int) -> "DyadicInterval":
-        return _interval(v, v, 0)
 
     @staticmethod
     def zero() -> "DyadicInterval":
@@ -372,14 +304,9 @@ class DyadicInterval:
     def div_by_posint(self, k: int, frac_bits: int) -> "DyadicInterval":
         if k <= 0:
             raise ValueError(f"divisor must be positive, got {k}")
-        return _outward(self._l, self._h, k, self._e, frac_bits)
-
-    def mul_fraction(self, fr: Fraction, frac_bits: int) -> "DyadicInterval":
-        """Outward product with an exact positive rational scalar."""
-        if fr <= 0:
-            raise ValueError("mul_fraction requires a positive scalar")
-        num = fr.numerator
-        return _outward(self._l * num, self._h * num, fr.denominator, self._e, frac_bits)
+        # l 2^e / k rounded down and h 2^e / k rounded up, on the 2^-frac_bits grid
+        s = self._e + frac_bits
+        return _interval(_scaled_floor(self._l, k, s), -_scaled_floor(-self._h, k, s), -frac_bits)
 
     def reciprocal(self, frac_bits: int) -> "DyadicInterval":
         if self._l <= 0:
@@ -416,23 +343,9 @@ class DyadicInterval:
         return self._l >> shift, -((-self._h) >> shift)
 
     def round_outward(self, frac_bits: int) -> "DyadicInterval":
-        shift = -frac_bits - self._e
-        if shift <= 0:
-            return self
-        return _interval(self._l >> shift, -((-self._h) >> shift), -frac_bits)
-
-    def intersect(self, other: "DyadicInterval") -> "DyadicInterval":
-        l, h, ol, oh, e = self._aligned(other)
-        lo = l if l >= ol else ol
-        hi = h if h <= oh else oh
-        if lo > hi:
-            raise ValueError(f"inverted interval: {self!r} and {other!r} do not intersect")
-        return _interval(lo, hi, e)
+        return _interval(*self.outward_mantissas(frac_bits), -frac_bits)
 
     # -- queries -------------------------------------------------------------------
-
-    def width(self) -> DyadicRational:
-        return DyadicRational(self._h - self._l, self._e)
 
     def width_within(self, p: int) -> bool:
         """True iff width <= 2^-p (exact comparison)."""

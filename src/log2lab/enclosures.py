@@ -204,10 +204,11 @@ def _log2_1p_raw(num: int, den: int, p: int) -> tuple[int, int, int]:
     """
     s = p + _BRACKET_BITS
     lo, hi = _ln1p_core(num, den, s + 4)
-    e_lo, e_hi, t = _log2_e_scaled(s + 2)
+    # log2_e_interval(s + 2) lies on the 2^-(s+6) grid, so this read is exact
+    e_lo, e_hi = log2_e_interval(s + 2).outward_mantissas(s + 6)
     products = (e_lo * lo, e_lo * hi, e_hi * lo, e_hi * hi)
-    # from the 2^-(s+4+t) grid onto 2^-s: floor the least, ceil the greatest
-    shift = t + 4
+    # from the 2^-(2s+10) grid onto 2^-s: floor the least, ceil the greatest
+    shift = s + 10
     return (min(products) >> shift) - _PAD_ULPS, -(-max(products) >> shift) + _PAD_ULPS, s
 
 
@@ -224,14 +225,6 @@ def log2_1p(y: Fraction, p: int) -> DyadicInterval:
     if num == 0:
         return DyadicInterval.zero()
     return _raw_to_interval(*_log2_1p_raw(num, den, p))
-
-
-@lru_cache(maxsize=None)
-def _log2_e_scaled(p: int) -> tuple[int, int, int]:
-    """log2_e_interval(p) as integers (lo, hi) on a 2^-t grid, and t."""
-    e = log2_e_interval(p)
-    t = max(-e.lo.exponent, -e.hi.exponent)
-    return e.lo.mantissa << (e.lo.exponent + t), e.hi.mantissa << (e.hi.exponent + t), t
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ run here.  A block stops at its first error and returns it with the payloads
 before it, so every worker count keeps the same rows.
 
 CSV files carry rows only, with a frozen header; JSON files carry the same row
-objects in an array whose final element wraps the run summary.  Rows are
-flushed block by block, so an interrupted sweep leaves a valid truncated file
-behind.
+objects in an array whose final element wraps the run summary.  Each row is
+flushed as it is written, so an interrupted sweep leaves a valid truncated
+file behind whose summary counts the rows it holds.
 """
 
 from __future__ import annotations
@@ -375,12 +375,14 @@ def _run(
     ``workers.forked_map`` runs every k-th block here and deals the others to
     k - 1 children forked after the first block; without ``os.fork`` they all
     run here too.  ``fold(config, ns)`` builds the command's fold: ``add(payload,
-    write)`` takes the payloads in ascending n, each counted as checked
-    first, and passes the rows to write to ``write``; ``finish(checked)``
-    returns the summary, the report lines and the exit code.  A block's rows
-    are written before its error is raised, so any error (an interrupt, or
-    one ``cli.main`` maps to exit code 2, 3 or 4) leaves the same truncated
-    output with every worker count; an interrupt exits 2 here.  A worker that
+    write)`` takes the payloads in ascending n and passes the rows to write
+    to ``write``; ``finish(checked)`` returns the summary, the report lines
+    and the exit code.  A payload is checked once its ``add`` returns or the
+    writer has counted its row, so ``checked`` counts no row the output
+    lacks.  A block's rows are written before its error is raised, so any
+    error (an interrupt, or one ``cli.main`` maps to exit code 2, 3 or 4)
+    leaves the same truncated output with every worker count; an interrupt
+    exits 2 here.  A worker that
     dies is an internal error, and no child outlives the loop.
     """
     config.validate(term_sums)
@@ -405,8 +407,13 @@ def _run(
         try:
             for payloads, error in results:
                 for payload in payloads:
+                    rows = writer.count
+                    try:
+                        acc.add(payload, writer.write_row)
+                    except BaseException:
+                        checked += writer.count > rows  # its row is in the output
+                        raise
                     checked += 1
-                    acc.add(payload, writer.write_row)
                 if error is not None:
                     raise error
         except BaseException as exc:  # the output is finalized as truncated below

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from log2lab.dyadic import (
     DyadicInterval,
     DyadicRational,
-    dyadic_from_fraction,
     integer_nth_root,
 )
 
@@ -35,29 +34,10 @@ class TestDyadicRational:
         for _ in range(500):
             a, b = rand_dyadic(rng), rand_dyadic(rng)
             fa, fb = a.to_fraction(), b.to_fraction()
-            assert (a + b).to_fraction() == fa + fb
-            assert (a - b).to_fraction() == fa - fb
-            assert (a * b).to_fraction() == fa * fb
-            assert (-a).to_fraction() == -fa
             assert (a < b) == (fa < fb)
             assert (a <= b) == (fa <= fb)
-
-    def test_pow_and_scale(self):
-        d = DyadicRational(3, -1)  # 1.5
-        assert d.pow_int(4).to_fraction() == Fraction(81, 16)
-        assert d.mul_int(-6).to_fraction() == Fraction(-9)
-        assert d.half().to_fraction() == Fraction(3, 4)
-
-    def test_directed_rounding(self):
-        rng = random.Random(13)
-        for _ in range(500):
-            d = rand_dyadic(rng)
-            f = rng.randrange(0, 50)
-            down, up = d.round_down_bits(f), d.round_up_bits(f)
-            grid = Fraction(1, 1 << f)
-            assert down.to_fraction() <= d.to_fraction() <= up.to_fraction()
-            assert d.to_fraction() - down.to_fraction() < grid
-            assert up.to_fraction() - d.to_fraction() < grid
+            assert (a > b) == (fa > fb)
+            assert (a >= b) == (fa >= fb)
 
     @pytest.mark.parametrize(
         "m,e,text",
@@ -108,35 +88,6 @@ class TestIntegerNthRoot:
             assert got**k <= n < (got + 1) ** k
 
 
-class TestDyadicFromFraction:
-    def test_directed(self):
-        rng = random.Random(23)
-        for _ in range(500):
-            fr = Fraction(rng.randrange(-(10**9), 10**9), rng.randrange(1, 10**6))
-            f = rng.randrange(0, 60)
-            lo = dyadic_from_fraction(fr, f, up=False)
-            hi = dyadic_from_fraction(fr, f, up=True)
-            assert lo.to_fraction() <= fr <= hi.to_fraction()
-            assert hi.to_fraction() - lo.to_fraction() <= Fraction(1, 1 << f)
-
-    def test_coarse_grid(self):
-        # frac_bits < 0 rounds onto multiples of 2^-frac_bits
-        assert dyadic_from_fraction(Fraction(5, 3), -1, up=False) == DyadicRational(0)
-        assert dyadic_from_fraction(Fraction(5, 3), -1, up=True) == DyadicRational(2)
-        assert dyadic_from_fraction(Fraction(-5, 3), -2, up=False) == DyadicRational(-4)
-        assert dyadic_from_fraction(Fraction(12), -2, up=True) == DyadicRational(12)
-        assert DyadicInterval.zero().div_by_posint(1, -1) == DyadicInterval.zero()
-        rng = random.Random(29)
-        for _ in range(500):
-            fr = Fraction(rng.randrange(-(10**9), 10**9), rng.randrange(1, 10**6))
-            f = rng.randrange(-40, 0)
-            lo = dyadic_from_fraction(fr, f, up=False)
-            hi = dyadic_from_fraction(fr, f, up=True)
-            assert lo.to_fraction() <= fr <= hi.to_fraction()
-            assert hi.to_fraction() - lo.to_fraction() <= 1 << -f
-            assert lo.to_fraction() % (1 << -f) == 0 == hi.to_fraction() % (1 << -f)
-
-
 class TestDyadicInterval:
     def test_rejects_inverted(self):
         with pytest.raises(ValueError):
@@ -161,31 +112,27 @@ class TestDyadicInterval:
     def test_rounded_ops_containment(self):
         rng = random.Random(31)
         for _ in range(300):
-            lo = DyadicRational(rng.randrange(1, 1 << 30), rng.randrange(-20, 4))
-            hi = lo + DyadicRational(rng.randrange(0, 1 << 10), -22)
-            iv = DyadicInterval(lo, hi)
-            x = lo.to_fraction() + (hi.to_fraction() - lo.to_fraction()) / 7
+            lo = rng.randrange(1, 1 << 30) << (22 + rng.randrange(-20, 4))
+            iv = DyadicInterval.from_mantissas(lo, lo + rng.randrange(0, 1 << 10), -22)
+            x = iv.lo.to_fraction() + _width(iv) / 7
             f = rng.randrange(8, 70)
             assert iv.reciprocal(f).contains_fraction(1 / x)
             k = rng.randrange(1, 100)
             assert iv.div_by_posint(k, f).contains_fraction(x / k)
-            fr = Fraction(rng.randrange(1, 1000), rng.randrange(1, 1000))
-            assert iv.mul_fraction(fr, f).contains_fraction(x * fr)
 
     def test_nth_root_containment_and_width(self):
         rng = random.Random(37)
         for _ in range(200):
             k = rng.choice([2, 3, 4, 6])
-            lo = DyadicRational(rng.randrange(1, 1 << 24), rng.randrange(-10, 4))
-            hi = lo + DyadicRational(1, -20)
-            iv = DyadicInterval(lo, hi)
+            lo = rng.randrange(1, 1 << 24) << (20 + rng.randrange(-10, 4))
+            iv = DyadicInterval.from_mantissas(lo, lo + 1, -20)
             f = rng.randrange(10, 60)
             rt = iv.nth_root(k, f)
-            assert rt.lo.to_fraction() ** k <= lo.to_fraction()
-            assert rt.hi.to_fraction() ** k >= hi.to_fraction()
+            assert rt.lo.to_fraction() ** k <= iv.lo.to_fraction()
+            assert rt.hi.to_fraction() ** k >= iv.hi.to_fraction()
 
     def test_exact_power_roots_are_tight(self):
-        iv = DyadicInterval.from_int(16)
+        iv = DyadicInterval.from_mantissas(16, 16, 0)
         rt = iv.nth_root(4, 30)
         assert rt.lo == rt.hi == DyadicRational(2)
 
@@ -193,11 +140,10 @@ class TestDyadicInterval:
         iv = DyadicInterval(DyadicRational(1, -1), DyadicRational(3, -1))  # [0.5, 1.5]
         assert iv.contains_int(1)
         assert not iv.contains_int(2)
-        assert iv.width() == DyadicRational(1)
         assert iv.width_within(0)
         assert not iv.width_within(1)
-        assert iv.intersects(DyadicInterval.from_int(1))
-        assert DyadicInterval.from_int(0).strictly_below(iv)
+        assert iv.intersects(DyadicInterval.from_mantissas(1, 1, 0))
+        assert DyadicInterval.from_mantissas(0, 0, 0).strictly_below(iv)
         outer = iv.round_outward(0)
         assert outer.lo == DyadicRational(0) and outer.hi == DyadicRational(2)
         assert outer.contains_interval(iv)
@@ -222,6 +168,10 @@ def _intervals(draw, min_mantissa: int = -(1 << 64)):
 def _positive_intervals():
     positive = st.builds(DyadicRational, st.integers(1, 1 << 64), _EXPONENTS)
     return st.tuples(positive, positive).map(lambda ab: DyadicInterval(min(ab), max(ab)))
+
+
+def _width(iv: DyadicInterval) -> Fraction:
+    return iv.hi.to_fraction() - iv.lo.to_fraction()
 
 
 def _points(iv: DyadicInterval, t: Fraction) -> list[Fraction]:
@@ -268,19 +218,7 @@ class TestIntervalProperties:
         for x in _points(iv, t):
             assert out.contains_fraction(x)
         grid = Fraction(2) ** -frac_bits
-        assert out.width().to_fraction() < iv.width().to_fraction() + 2 * grid
-
-    @settings(deadline=None)
-    @given(_intervals(), _dyadics(), _dyadics())
-    def test_intersect(self, iv, w1, w2):
-        # other holds the midpoint of iv, so the two always overlap
-        mid = (iv.lo + iv.hi).half()
-        other = DyadicInterval(min(mid, w1), max(mid, w2))
-        out = iv.intersect(other)
-        assert iv.contains_interval(out) and other.contains_interval(out)
-        for x in (d.to_fraction() for d in (iv.lo, iv.hi, mid, other.lo, other.hi)):
-            if iv.contains_fraction(x) and other.contains_fraction(x):
-                assert out.contains_fraction(x)
+        assert _width(out) < _width(iv) + 2 * grid
 
     @settings(deadline=None)
     @given(_positive_intervals(), _FRACTIONS, _FRAC_BITS)
@@ -290,7 +228,7 @@ class TestIntervalProperties:
             assert out.contains_fraction(1 / x)
         grid = Fraction(2) ** -frac_bits
         exact = 1 / iv.lo.to_fraction() - 1 / iv.hi.to_fraction()
-        assert out.width().to_fraction() < exact + 2 * grid
+        assert _width(out) < exact + 2 * grid
 
     @settings(deadline=None)
     @given(_intervals(), _FRACTIONS, st.integers(1, 1 << 70), _FRAC_BITS)
@@ -299,21 +237,7 @@ class TestIntervalProperties:
         for x in _points(iv, t):
             assert out.contains_fraction(x / k)
         grid = Fraction(2) ** -frac_bits
-        assert out.width().to_fraction() < iv.width().to_fraction() / k + 2 * grid
-
-    @settings(deadline=None)
-    @given(
-        _intervals(),
-        _FRACTIONS,
-        st.fractions(Fraction(1, 1 << 40), 1 << 40, max_denominator=1 << 40),
-        _FRAC_BITS,
-    )
-    def test_mul_fraction(self, iv, t, fr, frac_bits):
-        out = iv.mul_fraction(fr, frac_bits)
-        for x in _points(iv, t):
-            assert out.contains_fraction(x * fr)
-        grid = Fraction(2) ** -frac_bits
-        assert out.width().to_fraction() < iv.width().to_fraction() * fr + 2 * grid
+        assert _width(out) < _width(iv) / k + 2 * grid
 
     @settings(deadline=None)
     @given(_intervals(min_mantissa=0), _FRACTIONS, st.integers(2, 6), st.integers(0, 200))
@@ -414,16 +338,9 @@ class TestOneGridIntervals:
         )
 
     @settings(deadline=None)
-    @given(
-        _grid_intervals(),
-        st.fractions(Fraction(1, 1 << 40), 1 << 40, max_denominator=1 << 40),
-        _FRAC_BITS,
-    )
-    def test_mul_fraction_and_reciprocal(self, iv, fr, frac_bits):
+    @given(_grid_intervals(), _FRAC_BITS)
+    def test_mul_fraction_and_reciprocal(self, iv, frac_bits):
         lo, hi = _ends(iv)
-        assert _ends(iv.mul_fraction(fr, frac_bits)) == (
-            _floor_on_grid(lo * fr, frac_bits), _ceil_on_grid(hi * fr, frac_bits)
-        )
         if lo > 0:
             assert _ends(iv.reciprocal(frac_bits)) == (
                 _floor_on_grid(1 / hi, frac_bits), _ceil_on_grid(1 / lo, frac_bits)
@@ -436,17 +353,11 @@ class TestOneGridIntervals:
         assert a.strictly_below(b) == (ah < bl)
         assert a.contains_interval(b) == (al <= bl and bh <= ah)
         assert a.intersects(b) == (al <= bh and bl <= ah)
-        if max(al, bl) <= min(ah, bh):
-            assert _ends(a.intersect(b)) == (max(al, bl), min(ah, bh))
-        else:
-            with pytest.raises(ValueError, match="inverted"):
-                a.intersect(b)
         for x in (bl, bh, (bl + bh) / 2):
             assert a.contains_fraction(x) == (al <= x <= ah)
         for v in (bl.__floor__(), bh.__ceil__(), al.__ceil__()):
             assert a.contains_int(v) == (al <= v <= ah)
         assert a.is_point() == (al == ah)
-        assert a.width().to_fraction() == ah - al
 
     @settings(deadline=None)
     @given(_grid_intervals(), st.integers(-400, 400))
@@ -484,8 +395,3 @@ class TestOneGridIntervals:
             DyadicInterval(DyadicRational(1, -3), DyadicRational(1, -4))
         with pytest.raises(ValueError, match="inverted"):
             DyadicInterval.from_mantissas(2, 1, -5)
-        with pytest.raises(ValueError, match="inverted"):
-            DyadicInterval.from_int(1).intersect(DyadicInterval.from_int(2))
-        # endpoints touching at one point intersect in that point
-        touching = DyadicInterval(DyadicRational(0), DyadicRational(1))
-        assert touching.intersect(DyadicInterval.from_int(1)) == DyadicInterval.from_int(1)

@@ -339,7 +339,7 @@ class TestBoundsSweep:
         written = k if where == "flush" else k - 1
         assert [row["n"] for row in payload[:-1]] == [str(n) for n in range(1, written + 1)]
         assert payload[-1]["summary"]["truncated"] is True
-        assert payload[-1]["summary"]["checked"] == k
+        assert payload[-1]["summary"]["checked"] == written
         assert "interrupted: output file is truncated but valid" in report.getvalue()
 
     def test_interrupt_leaves_parseable_csv(self, tmp_path, monkeypatch):
