@@ -33,7 +33,6 @@ _EXPORTS = {
         "DomainError",
         "IdentityViolationError",
         "ResourceLimitError",
-        "all_floor_sum",
         "binary_digit_sum",
         "ceil_log2",
         "even_count_oracle",

@@ -19,10 +19,11 @@ of two, and no finite precision is asked to separate equal numbers.
 
 A compared row takes G(n) from its definition, G(n) = n log2 n - log2 n! -
 sum_{m <= n} floor(log2(n/m)): the row's own enclosures of n log2 n and
-log2 n!, minus the floor sum counted exactly in O(log n) blocks.  Each row
-still checks that its e2 enclosure contains s2(n) - 1, which ties that floor
-count to the binary digit sum.  ``error_term_e2`` keeps the O(n) term sum of
-the fractional parts, so its e2 is the empirical side of the identity.
+log2 n!, minus the floor sum n - s2(n) that Legendre's formula gives.  Each
+row still checks that its e2 enclosure contains s2(n) - 1, which guards the
+interval arithmetic that assembles it.  ``error_term_e2`` keeps the O(n)
+term sum of the fractional parts, so its e2 is the empirical side of the
+identity.
 
 A compared row costs O(log n) work for every n, with one log2 n per attempt.
 log2 n! comes from the Stirling series (see :mod:`log2lab.enclosures`) once n
@@ -63,7 +64,6 @@ from .exact import (
     IdentityViolationError,
     _check_precision,
     _part_precision,
-    all_floor_sum,
     binary_digit_sum,
     last_attempt,
     log2_n_precision,
@@ -386,10 +386,12 @@ def compare_bounds(
     An attempt that will escalate stops at its first Inconclusive verdict: it
     compares log2 n! with the Ramanujan sides first, then Robbins.  Only the
     settled precision takes n log2 n for the counting bound.  G(n) is
-    n log2 n - log2 n! minus the exact floor count n - s2(n), from the row's
-    own log2 n!, so a row runs no term sum of G(n).  The counting-bound verdict
-    is Holds from the identity e2(n) = s2(n) - 1, checked against the row's e2
-    enclosure; c_log2 is that enclosure too, since log2 C(n) = e2(n).  A row is
+    n log2 n - log2 n! minus the floor sum n - s2(n) of Legendre's formula,
+    from the row's own log2 n!, so a row runs no term sum of G(n) and counts
+    no floors.  The counting-bound verdict is Holds from the identity
+    e2(n) = s2(n) - 1; the row's e2 enclosure must contain s2(n) - 1, a check
+    on the interval arithmetic that builds it, and c_log2 is that enclosure
+    too, since log2 C(n) = e2(n).  A row is
     never partially emitted: every field is filled at the precision the row
     finally settled on.
     """
@@ -414,13 +416,12 @@ def compare_bounds(
         if _settled(verdicts):
             break
 
+    s2 = binary_digit_sum(n)
     x = log2_int_enclosure(n, log2_n_precision(n, r)).scale_int(n)
-    # the floor sum, counted in blocks; all_floor_sum raises unless it is
-    # Legendre's n - s2(n)
-    g = (x - fact).add_int(-all_floor_sum(n))
+    # the floor sum is n - s2(n), by Legendre's formula
+    g = (x - fact).add_int(s2 - n)
     paper_lb = x.add_int(-(n - 1)) - g
     e2 = fact - paper_lb
-    s2 = binary_digit_sum(n)
     if not e2.contains_int(s2 - 1):
         raise IdentityViolationError(
             f"e2({n}) enclosure at p={q} misses s2(n) - 1 = {s2 - 1}, "

@@ -10,15 +10,18 @@ The floor sum over all j <= a has a closed form, Legendre's formula: the
 exponent of 2 in a! is sum_{alpha >= 1} floor(a / 2^alpha) = a - s2(a), and
 counting the pairs (j, alpha) with j * 2^alpha <= a the other way round gives
 sum_{j <= a} floor(log2(a/j)) = a - s2(a), where s2 is the binary digit sum.
+A compared row takes its floor count from that identity, so nothing here
+counts the sum over all j; the test suite does, as the identity's oracle.
 
-The floor sums count their terms in blocks: floor(log2(a/j)) = k exactly when
-a >> (k+1) < j <= a >> k, so a sum over j <= a takes O(log a) integer steps
-for every size of a.  The enumeration oracles visit every m, but they count
-over an interval: given the previous odd a_prev too, they count only the m
-that a adds over a_prev.  A caller that checks N odd a up to A adds up those
-interval counts, so it visits each m once: the whole check costs O(A) visits
-plus O(log A) block and alpha steps per a, O(A + N log A) in all, instead of
-the O(N * A) of counting every a from m = 1.
+The odd floor sum, which ``verify-theorem`` checks, counts its terms in
+blocks: floor(log2(a/j)) = k exactly when a >> (k+1) < j <= a >> k, so the
+sum takes O(log a) integer steps for every size of a.  The enumeration
+oracles visit every m, but they count over an interval: given the previous
+odd a_prev too, they count only the m that a adds over a_prev.  A caller
+that checks N odd a up to A adds up those interval counts, so it visits each
+m once: the whole check costs O(A) visits plus O(log A) block and alpha
+steps per a, O(A + N log A) in all, instead of the O(N * A) of counting
+every a from m = 1.
 
 The precision and work limits of the enclosures live here too, as the same
 kind of integer rule: what precision and how much term-sum work a row at
@@ -47,7 +50,6 @@ __all__ = [
     "odd_floor_sum",
     "even_count_oracle",
     "pair_enumeration_oracle",
-    "all_floor_sum",
 ]
 
 
@@ -96,36 +98,28 @@ def binary_digit_sum(a: int) -> int:
     return bin(a).count("1")
 
 
-def _floor_sum(a: int, odd_only: bool, expected: int, rule: str) -> int:
-    """Sum of floor(log2(a/j)) over j <= a (odd j only, if odd_only), checked
-    against the value ``rule`` gives.
-
-    The j with floor(log2(a/j)) = k are exactly a >> (k+1) < j <= a >> k, so
-    each k contributes k times the size of that block.
-    """
-    value = 0
-    for k in range(1, a.bit_length()):
-        hi, lo = a >> k, a >> (k + 1)
-        # (x + 1) // 2 odd j lie in 1..x
-        value += k * ((hi + 1) // 2 - (lo + 1) // 2 if odd_only else hi - lo)
-    if value != expected:
-        raise IdentityViolationError(
-            f"{'odd' if odd_only else 'all-index'} floor sum for a={a} is {value}, "
-            f"{rule} {expected}"
-        )
-    return value
-
-
 def odd_floor_sum(a: int) -> int:
     """Sum of floor(log2(a/j)) over odd j <= a, for odd a.
 
-    The counting identity pins this to (a - 1) / 2; a mismatch raises
+    The j with floor(log2(a/j)) = k are exactly a >> (k+1) < j <= a >> k, so
+    each k contributes k times the number of odd j in that block.  The
+    counting identity pins the sum to (a - 1) / 2; a mismatch raises
     IdentityViolationError rather than returning a bad count.
     """
     require_positive("a", a)
     if a % 2 == 0:
-        raise DomainError(f"a must be odd, got {a}; use all_floor_sum for general a")
-    return _floor_sum(a, True, (a - 1) // 2, "counting identity demands")
+        raise DomainError(f"a must be odd, got {a}")
+    value = 0
+    for k in range(1, a.bit_length()):
+        hi, lo = a >> k, a >> (k + 1)
+        # (x + 1) // 2 odd j lie in 1..x
+        value += k * ((hi + 1) // 2 - (lo + 1) // 2)
+    expected = (a - 1) // 2
+    if value != expected:
+        raise IdentityViolationError(
+            f"odd floor sum for a={a} is {value}, counting identity demands {expected}"
+        )
+    return value
 
 
 def _count_parity(lo: int, hi: int, parity: int) -> int:
@@ -172,19 +166,6 @@ def pair_enumeration_oracle(a: int, a_prev: int = 0) -> int:
     for alpha in range(1, a.bit_length()):
         count += _count_parity(a_prev >> alpha, a >> alpha, 1)
     return count
-
-
-def all_floor_sum(a: int) -> int:
-    """Sum of floor(log2(a/j)) over ALL j <= a, for any a >= 1.
-
-    Equals a - binary_digit_sum(a) by Legendre's formula (the module
-    docstring has the derivation); the test suite also checks it against the
-    direct sum for every a <= 300.  The value returned here is still the
-    floor sum (counted in blocks), with the closed form enforced as a hard
-    cross-check.
-    """
-    require_positive("a", a)
-    return _floor_sum(a, False, a - binary_digit_sum(a), "closed form gives")
 
 
 # ---------------------------------------------------------------------------

