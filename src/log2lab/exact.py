@@ -23,11 +23,11 @@ m once: the whole check costs O(A) visits plus O(log A) block and alpha
 steps per a, O(A + N log A) in all, instead of the O(N * A) of counting
 every a from m = 1.
 
-The precision and work limits of the enclosures live here too, as the same
-kind of integer rule: what precision and how much term-sum work a row at
-precision p asks for, and how far a compared row may escalate.  A
-configuration is checked against them before a run starts, without loading
-the enclosure code.
+The precision and work limits of a run live here too, as the same kind of
+integer rule: what precision and how much term-sum work a row at precision
+p asks for, how far a compared row may escalate, and how many m the
+enumeration oracles visit over a range.  A configuration is checked against
+them before a run starts, without loading the enclosure code.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ __all__ = [
     "WORK_CEILING",
     "attempt_precision",
     "attempt_work",
+    "oracle_work",
     "log2_n_precision",
     "sweep_row_precision",
     "last_attempt",
@@ -169,7 +170,7 @@ def pair_enumeration_oracle(a: int, a_prev: int = 0) -> int:
 
 
 # ---------------------------------------------------------------------------
-# precision and work limits of the enclosures
+# precision and work limits of a run
 # ---------------------------------------------------------------------------
 
 MIN_PRECISION = 4
@@ -242,6 +243,15 @@ def attempt_work(n_hi: int, p: int) -> int:
     ``enclosures._check_sum_work`` holds to ``WORK_CEILING``.  A compared row
     runs no term sum, so this bound does not apply to it."""
     return _sum_work(n_hi, _term_precision(n_hi, p))
+
+
+def oracle_work(n_hi: int) -> int:
+    """Values of m that ``verify-theorem``'s two enumeration oracles visit
+    over a range up to n_hi: fewer than n_hi each, since a run counts every m
+    once and its first odd a counts from m = 1.  The odd floor sums add only
+    O(log n_hi) steps per a, so this is the work that ``WORK_CEILING`` holds
+    a ``verify-theorem`` range to."""
+    return 2 * n_hi
 
 
 def _stirling_log2_n_precision(n: int, p: int) -> int:

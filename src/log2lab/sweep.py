@@ -36,6 +36,7 @@ from .exact import (
     binary_digit_sum,
     even_count_oracle,
     odd_floor_sum,
+    oracle_work,
     pair_enumeration_oracle,
     sweep_row_precision,
 )
@@ -110,34 +111,32 @@ class SweepConfig:
     workers: int = 1
     linear_display: bool = False  # report-only 2^x rendering, n <= 20
 
-    def validate(self, term_sums: bool = True) -> None:
-        """Raise UsageError for a configuration the run would fail on.
+    def validate(self, term_sums: bool = True, oracles: bool = False) -> None:
+        """Raise UsageError for a configuration the run would fail on, or
+        could not finish.
 
         ``term_sums`` is False for a command that runs no term sum of G(n):
         ``sweep-bounds``, whose finest part is a row's log2 n
-        (``sweep_row_precision``), and ``verify-theorem``.  Such a command
-        takes any range; the work ceiling applies to ``error-term`` only.
+        (``sweep_row_precision``), and ``verify-theorem``.  ``oracles`` is
+        True for ``verify-theorem``, which computes at no precision: its range
+        is held to the work ceiling by its enumeration (``oracle_work``)
+        instead of the precision rules.  The work ceiling holds
+        ``error-term`` by its term sums (``attempt_work``); ``sweep-bounds``
+        takes any range.
         """
         if self.n_lo < 1:
             raise UsageError(f"range start must be >= 1, got {self.n_lo}")
         if self.n_lo > self.n_hi:
             raise UsageError(f"empty range [{self.n_lo}, {self.n_hi}]")
-        if self.precision_bits < MIN_PRECISION:
-            raise UsageError(
-                f"precision must be >= {MIN_PRECISION} bits, got {self.precision_bits}"
-            )
-        rule = attempt_precision if term_sums else sweep_row_precision
-        need = rule(self.n_hi, self.precision_bits)
-        if need > MAX_PRECISION_BITS:
-            raise UsageError(
-                f"precision {self.precision_bits} needs {need} bits for n <= {self.n_hi}, "
-                f"above the ceiling of {MAX_PRECISION_BITS} bits"
-            )
-        if term_sums and attempt_work(self.n_hi, self.precision_bits) > WORK_CEILING:
-            raise UsageError(
-                f"range up to n = {self.n_hi} at precision {self.precision_bits} needs term sums "
-                f"above the work ceiling of {WORK_CEILING}"
-            )
+        if oracles:
+            if oracle_work(self.n_hi) > WORK_CEILING:
+                raise UsageError(
+                    f"range up to a = {self.n_hi} needs the oracles to visit "
+                    f"{oracle_work(self.n_hi)} values of m, above the work ceiling of "
+                    f"{WORK_CEILING}"
+                )
+        else:
+            self._validate_precision(term_sums)
         if self.max_escalations < 0:
             raise UsageError("max escalations must be >= 0")
         if self.output_format not in ("csv", "json"):
@@ -154,6 +153,24 @@ class SweepConfig:
             raise UsageError(f"unknown ramanujan-b source {self.ramanujan_b!r}")
         if self.workers < 1:
             raise UsageError("worker count must be >= 1")
+
+    def _validate_precision(self, term_sums: bool) -> None:
+        if self.precision_bits < MIN_PRECISION:
+            raise UsageError(
+                f"precision must be >= {MIN_PRECISION} bits, got {self.precision_bits}"
+            )
+        rule = attempt_precision if term_sums else sweep_row_precision
+        need = rule(self.n_hi, self.precision_bits)
+        if need > MAX_PRECISION_BITS:
+            raise UsageError(
+                f"precision {self.precision_bits} needs {need} bits for n <= {self.n_hi}, "
+                f"above the ceiling of {MAX_PRECISION_BITS} bits"
+            )
+        if term_sums and attempt_work(self.n_hi, self.precision_bits) > WORK_CEILING:
+            raise UsageError(
+                f"range up to n = {self.n_hi} at precision {self.precision_bits} needs term sums "
+                f"above the work ceiling of {WORK_CEILING}"
+            )
 
     def ns(self) -> range:
         """The n of the run, ascending; a range, so no run holds them all."""
@@ -365,9 +382,9 @@ def _run(
     fold: Callable[[SweepConfig, range], Any],
     out_stream: IO[str] | None,
     report_stream: IO[str] | None,
-    term_sums: bool = True,
 ) -> int:
-    """The run loop shared by the range commands; returns the exit code.
+    """The run loop shared by the range commands, for a validated
+    ``config``; returns the exit code.
 
     ``_block`` runs ``payload_fn(config, n)`` over contiguous blocks of the
     range, about four per worker and at most 64 items each.  With one worker
@@ -385,7 +402,6 @@ def _run(
     exits 2 here.  A worker that
     dies is an internal error, and no child outlives the loop.
     """
-    config.validate(term_sums)
     ns = config.ns()
     stream, close_me = _open_output(config, out_stream if out_stream is not None else sys.stdout)
     try:
@@ -621,9 +637,9 @@ def run_bounds_sweep(
     report_stream: IO[str] | None = None,
 ) -> int:
     """Emit one BoundRow per n in ascending order; returns the exit code."""
+    config.validate(term_sums=False)
     return _run(
-        config, BOUNDS_CSV_COLUMNS, _bounds_payload, _BoundsFold, out_stream, report_stream,
-        term_sums=False,
+        config, BOUNDS_CSV_COLUMNS, _bounds_payload, _BoundsFold, out_stream, report_stream
     )
 
 
@@ -633,6 +649,7 @@ def run_error_term(
     report_stream: IO[str] | None = None,
 ) -> int:
     """Emit the e2 table and check the digit-sum characterization per row."""
+    config.validate()
     return _run(
         config, ERROR_TERM_CSV_COLUMNS, _error_term_payload, _ErrorTermFold,
         out_stream, report_stream,
@@ -645,7 +662,8 @@ def run_verify_theorem(
     report_stream: IO[str] | None = None,
 ) -> int:
     """Three-way agreement check of the counting identity over odd a."""
+    config = replace(config, parity="odd")
+    config.validate(term_sums=False, oracles=True)
     return _run(
-        replace(config, parity="odd"), VERIFY_CSV_COLUMNS, _verify_payload, _VerifyFold,
-        out_stream, report_stream, term_sums=False,
+        config, VERIFY_CSV_COLUMNS, _verify_payload, _VerifyFold, out_stream, report_stream
     )

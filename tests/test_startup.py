@@ -1,7 +1,8 @@
 """Start-up and exit: each command loads only the modules its rows use, the
 names callers wrap on ``log2lab.sweep`` are the ones the runs call, in this
-process and in forked workers alike, and a command leaves through
-``cli.run``'s ``os._exit`` with nothing left for interpreter teardown."""
+process and in forked workers alike, every name the traced benchmark wraps
+is still where it looks it up, and a command leaves through ``cli.run``'s
+``os._exit`` with nothing left for interpreter teardown."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import pytest
 import log2lab
 
 SRC = Path(log2lab.__file__).resolve().parents[1]
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 ENCLOSURE_STACK = ("log2lab.bounds", "log2lab.dyadic", "log2lab.enclosures")
 # loaded by no command: only DyadicRational.to_fraction loads fractions
@@ -175,6 +177,20 @@ def test_wrappers_set_on_sweep_are_called_in_forked_workers(tmp_path):
         assert sorted(int(n) for f, n, _ in rows if f == name) == list(ns), name
         pids = {pid for f, _, pid in rows if f == name}
         assert parent in pids and len(pids) == 2, (name, pids)
+
+
+def test_traced_benchmark_finds_every_name_it_wraps():
+    """``perfbench/tracing.py`` replaces each function it times on the module
+    or class its callers read it from; a name deleted or moved in ``src/``
+    would stop the traced benchmark at ``install`` with an AttributeError."""
+    run_fresh(
+        f"""
+        import sys
+        sys.path.insert(0, {str(PERFBENCH)!r})
+        import tracing
+        tracing.install(tracing.Tracer())
+        """
+    )
 
 
 def test_package_exports_load_on_first_use():

@@ -20,10 +20,17 @@ from pathlib import Path
 import pytest
 
 import log2lab
+import log2lab.exact as exact_mod
 import log2lab.sweep as sweep_mod
 import log2lab.workers as workers_mod
 from log2lab.cli import main
-from log2lab.exact import MAX_PRECISION_BITS, WORK_CEILING, attempt_precision, attempt_work
+from log2lab.exact import (
+    MAX_PRECISION_BITS,
+    WORK_CEILING,
+    attempt_precision,
+    attempt_work,
+    oracle_work,
+)
 from log2lab.sweep import (
     BOUNDS_CSV_COLUMNS,
     ERROR_TERM_CSV_COLUMNS,
@@ -168,6 +175,23 @@ class TestConfigValidation:
             SweepConfig(n_lo=hi, n_hi=hi, precision_bits=p).validate()
         # a command without term sums takes the range
         SweepConfig(n_lo=hi, n_hi=hi, precision_bits=p).validate(term_sums=False)
+
+    def test_oracle_work_boundary(self):
+        # verify-theorem's oracles visit about 2 n_hi values of m, so the
+        # largest range end it takes is half the work ceiling
+        a = WORK_CEILING // 2
+        assert oracle_work(a) <= WORK_CEILING < oracle_work(a + 1)
+        SweepConfig(n_lo=a, n_hi=a).validate(term_sums=False, oracles=True)
+        with pytest.raises(UsageError, match="work ceiling"):
+            SweepConfig(n_lo=a + 1, n_hi=a + 1).validate(term_sums=False, oracles=True)
+        # sweep-bounds is not held to it
+        SweepConfig(n_lo=a + 1, n_hi=a + 1).validate(term_sums=False)
+
+    @pytest.mark.parametrize("p", [1, MAX_PRECISION_BITS + 1])
+    def test_verify_theorem_has_no_precision_rule(self, p):
+        with pytest.raises(UsageError, match="precision"):
+            SweepConfig(n_lo=1, n_hi=99, precision_bits=p).validate(term_sums=False)
+        SweepConfig(n_lo=1, n_hi=99, precision_bits=p).validate(term_sums=False, oracles=True)
 
     def test_parity_filter(self):
         cfg = SweepConfig(n_lo=1, n_hi=10, parity="odd")
@@ -421,6 +445,22 @@ class TestVerifyTheorem:
             "failure_rows": [],
             "truncated": False,
         }
+
+    @pytest.mark.parametrize("lo,hi", [(1, 999), (40, 999), (41, 41), (998, 1001)])
+    def test_oracle_work_bounds_the_enumeration(self, monkeypatch, lo, hi):
+        # the m the two oracles visit, against the rule validate holds to the
+        # work ceiling: 2 hi - 1 - s2(hi) of them for an odd hi, whatever lo is
+        visits = []
+        real = exact_mod._count_parity
+
+        def counted(m_lo, m_hi, parity):
+            visits.append(m_hi - m_lo)
+            return real(m_lo, m_hi, parity)
+
+        monkeypatch.setattr(exact_mod, "_count_parity", counted)
+        cfg = SweepConfig(n_lo=lo, n_hi=hi)
+        assert run_verify_theorem(cfg, io.StringIO(), io.StringIO()) == EXIT_OK
+        assert oracle_work(hi) - hi.bit_length() - 1 <= sum(visits) <= oracle_work(hi)
 
     def test_memory_does_not_grow_with_the_range(self):
         # the n of a run are never held all at once: 10001 odd a would take
@@ -792,6 +832,23 @@ class TestCliContract:
         assert code == EXIT_OK
         summary = json.loads(out.read_text())[-1]["summary"]
         assert summary["checked"] == 1 and summary["truncated"] is False
+
+    def test_verify_theorem_over_oracle_work_rejected_before_output(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the first odd a of the range would make the oracles enumerate every
+        # m up to 10^12; the range is rejected before --out is opened, and an
+        # oracle that ran would fail the test at once
+        def enumerated(*args):
+            raise AssertionError("an enumeration oracle ran")
+
+        monkeypatch.setattr(sweep_mod, "even_count_oracle", enumerated)
+        monkeypatch.setattr(sweep_mod, "pair_enumeration_oracle", enumerated)
+        out = tmp_path / "v.csv"
+        argv = ["verify-theorem", "--range", "1000000000001..1000000000001", "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert "above the work ceiling" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_largest_accepted_precision_runs(self, tmp_path, capsys):
         # every part of rows 1 and 2 is exact, so the run is quick, but each
