@@ -391,9 +391,8 @@ def compare_bounds(
     no floors.  The counting-bound verdict is Holds from the identity
     e2(n) = s2(n) - 1; the row's e2 enclosure must contain s2(n) - 1, a check
     on the interval arithmetic that builds it, and c_log2 is that enclosure
-    too, since log2 C(n) = e2(n).  A row is
-    never partially emitted: every field is filled at the precision the row
-    finally settled on.
+    too, since log2 C(n) = e2(n).  A row is never partially emitted: every
+    field is filled at the precision the row finally settled on.
     """
     require_positive("n", n)
     _check_precision(p)
