@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import random
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -412,6 +413,53 @@ class TestCountingIdentity:
         assert row.equality == (s2 == 1) == paper_equality_certificate(n)
         assert row.s2 == s2
         assert row.e2.contains_int(s2 - 1)
+
+    @staticmethod
+    def _shift_row_g(monkeypatch, shift, at=None):
+        # moves the row's G by `shift` integers (at n = `at` only, if given):
+        # G is the first add_int that compare_bounds calls itself, before its
+        # local g exists; the add_int of paper_lb is the second
+        real = DyadicInterval.add_int
+        row_code = bounds_mod.compare_bounds.__code__
+
+        def add_int(self, v):
+            out = real(self, v)
+            caller = sys._getframe(1)
+            if (
+                caller.f_code is row_code
+                and "g" not in caller.f_locals
+                and at in (None, caller.f_locals["n"])
+            ):
+                out = real(out, shift)
+            return out
+
+        monkeypatch.setattr(DyadicInterval, "add_int", add_int)
+
+    @pytest.mark.parametrize("shift", [1, -1])
+    def test_shifted_g_raises(self, monkeypatch, shift):
+        # a G off by one integer moves e2 off s2(n) - 1; with G too large, an
+        # interval comparison of paper_lb with log2 n! would still read Holds
+        self._shift_row_g(monkeypatch, shift)
+        for n in (1, 3, 6, 8):
+            with pytest.raises(IdentityViolationError, match=f"e2\\({n}\\)"):
+                compare_bounds(n, 64)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("shift", [1, -1])
+    def test_shifted_g_sweep_exits_internal(self, tmp_path, capsys, monkeypatch, shift, workers):
+        # G is shifted at n = 3 only, so rows 1 and 2 are written first;
+        # workers are forked with the patch in place
+        self._shift_row_g(monkeypatch, shift, at=3)
+        out = tmp_path / "rows.json"
+        argv = ["sweep-bounds", "--range", "1..4", "--format", "json", "--workers", str(workers)]
+        assert main(argv + ["--out", str(out)]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err.startswith("log2lab: internal error: e2(3) enclosure at p=64 misses")
+        payload = json.loads(out.read_text())
+        summary = payload[-1]["summary"]
+        assert summary["truncated"] is True
+        assert summary["checked"] == 2
+        assert [row["n"] for row in payload[:-1]] == ["1", "2"]
 
     def test_e2_miss_raises(self, monkeypatch):
         # e2 is s2(n) - 1 for any enclosures of n log2 n and log2 n!, so only
