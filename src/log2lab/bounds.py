@@ -21,9 +21,9 @@ A compared row takes G(n) from its definition, G(n) = n log2 n - log2 n! -
 sum_{m <= n} floor(log2(n/m)): the row's own enclosures of n log2 n and
 log2 n!, minus the floor sum n - s2(n) that Legendre's formula gives.  Each
 row still checks that its e2 enclosure contains s2(n) - 1, which guards the
-interval arithmetic that assembles it.  ``error_term_e2`` keeps the O(n)
-term sum of the fractional parts, so its e2 is the empirical side of the
-identity.
+interval arithmetic that assembles it.  ``error_term_e2`` takes G(n) from
+Legendre's factorization of n! instead, counting v_2(n!) itself, so its e2
+checks log2 n! against that factorization and the count against n - s2(n).
 
 A compared row costs O(log n) work for every n, with one log2 n per attempt.
 log2 n! comes from the Stirling series (see :mod:`log2lab.enclosures`) once n
@@ -235,9 +235,10 @@ def error_term_e2(n: int, p: int) -> DyadicInterval:
 
     This is the base-2 error term of the partial-log-sum formula.  By
     Legendre's formula, sum_{m <= n} floor(log2(n/m)) = n - s2(n), so e2(n) is
-    exactly the integer s2(n) - 1.  Here G(n) is the term-by-term sum of the
-    fractional parts, not the identity, so this enclosure is the empirical
-    side of that identity: log2 n!, n log2 n and G(n) are each enclosed at a
+    exactly the integer s2(n) - 1.  Here G(n) comes from Legendre's
+    factorization of n!, with v_2(n!) counted, not taken as n - s2(n), so
+    this enclosure checks log2 n! against that factorization and the count
+    against n - s2(n): log2 n!, n log2 n and G(n) are each enclosed at a
     third of the 2^-p budget.  n log2 n takes log2 n at
     ``log2_n_precision(n, p)``, the enclosure the Stirling log2 n! takes, so
     a row makes one log2 n.

@@ -35,17 +35,15 @@ call (none when log2 n is cached) for every n.  ``log2_int_enclosure`` keeps a
 few recent results, so the n-scaled parts of a compared row, which all take
 log2 n at one precision, share one call per attempt.
 
-The term sum G(n) reads log2 m from one table per table precision, kept for
-the process and extended in place when a larger n is asked for; only
-``error-term`` and ``g-value`` run it.  Only primes call the log core.  2 is a
-point, and a composite m is the exact integer sum of the brackets of its least
-prime factor (from a sieve) and of its cofactor, on one common scale, since
-log2 m = sum of e_i log2 p_i holds exactly.  An n-term sum therefore costs
-pi(n) core calls instead of n, once per process.  A composite's width adds up
-Omega(m) < bit_length(n) prime widths, so the table runs
-ceil(log2 bit_length(n)) + 1 guard bits finer than the term precision, and
-every entry stays within the width of one direct core bracket at that
-precision.
+G(n), the sum of the fractional parts {log2(n/m)} that only ``error-term``
+and ``g-value`` run, is taken in closed form: log2 m = sum of v_P(m) log2 P
+holds exactly, and by Legendre's formula the brackets of all m <= n add up to
+the sum over primes P <= n of v_P(n!) times P's bracket.  Only primes call
+the log core, once per process: their brackets come from a sieve and are kept
+in one cache per table precision, extended in place when a larger n asks, so
+a G(n) holds pi(n) brackets and costs O(pi(n)) steps.  An m's width adds up
+Omega(m) < bit_length(n) prime widths, so the brackets run
+ceil(log2 bit_length(n)) + 1 guard bits finer than the term precision.
 
 Every non-exact primitive enclosure at precision p is a bracket at most two
 ulps wide on the 2^-(p+4) grid, padded outward by two ulps.  The pad costs a
@@ -232,12 +230,6 @@ def log2_1p(y: Fraction, p: int) -> DyadicInterval:
 # ---------------------------------------------------------------------------
 
 
-def _frac_upper_clamp(a: int) -> DyadicRational:
-    # {log2(a/j)} <= 1 - 1/(2a ln 2) < 1 - 2^-(bitlen(a)+2) whenever nonzero
-    t = a.bit_length() + 2
-    return DyadicRational((1 << t) - 1, -t)
-
-
 def _check_sum_work(n: int, p: int) -> None:
     if _sum_work(n, p) > WORK_CEILING:
         raise ResourceLimitError(
@@ -245,99 +237,97 @@ def _check_sum_work(n: int, p: int) -> None:
         )
 
 
-def _least_prime_factors(n: int) -> list[int]:
-    """spf with spf[m] the least prime factor of m for 2 <= m <= n (and
-    spf[m] = m for m < 2), by a sieve over the primes up to sqrt(n)."""
-    spf = list(range(n + 1))
-    r = math.isqrt(n)
-    if r >= 2:
-        small = _least_prime_factors(r)
-        # descending, so that the least prime factor is written last
-        for f in range(r, 1, -1):
-            if small[f] == f:
-                spf[f * f :: f] = [f] * ((n - f * f) // f + 1)
-    return spf
+def _prime_sieve(n: int) -> bytearray:
+    """sieve[m] == 1 exactly when m is prime, for 0 <= m <= n (n >= 1)."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for f in range(2, math.isqrt(n) + 1):
+        if sieve[f]:
+            sieve[f * f :: f] = bytes((n - f * f) // f + 1)
+    return sieve
 
 
-# log2 m tables, one per table precision q_tab: log2 m lies in
-# [lo[m] * 2^-s, hi[m] * 2^-s] with s = q_tab + _BRACKET_BITS.
-# An extension builds longer lists and stores the pair in one assignment, so
-# an interrupted extension leaves the previous pair whole.
-_LOG2_TABLES: dict[int, tuple[list[int], list[int]]] = {}
+# log2 prime brackets, one cache per table precision q_tab: (limit, primes,
+# lo, hi), with primes every prime up to limit in ascending order and log2 of
+# primes[i] in [lo[i] * 2^-s, hi[i] * 2^-s], s = q_tab + _BRACKET_BITS.
+# An extension builds longer lists and stores the tuple in one assignment, so
+# an interrupted extension leaves the previous cache whole.
+_PRIME_LOG2: dict[int, tuple[int, list[int], list[int], list[int]]] = {}
 
 
-def _log2_table(n: int, q: int) -> tuple[list[int], list[int], int]:
-    """Scaled brackets (lo, hi, s) of log2 m for m = 1..n (the lists may run
-    past n) on one scale s, each no wider than one _log2_raw bracket at
-    precision q.
-
-    Only primes call the log core; 2 is a point, and a composite is the exact
-    sum of the brackets of its least prime factor and its cofactor.
-    """
-    q_tab = _table_precision(n, q)
-    _check_precision(q_tab)
+def _prime_log2(n: int, q_tab: int) -> tuple[list[int], list[int], list[int]]:
+    """(primes, lo, hi) for every prime up to n (the lists may run past n):
+    the _log2_raw bracket at precision q_tab, on the 2^-s grid, and for 2 the
+    exact point 2^s.  Only primes not yet cached call the log core."""
     s = q_tab + _BRACKET_BITS
-    lo, hi = _LOG2_TABLES.get(q_tab, ([0, 0], [0, 0]))
-    start = len(lo)
-    if start <= n:
-        spf = _least_prime_factors(n)
-        lo = lo + [0] * (n + 1 - start)
-        hi = hi + [0] * (n + 1 - start)
-        for m in range(start, n + 1):
-            f = spf[m]
-            if f < m:
-                c = m // f
-                lo[m] = lo[f] + lo[c]
-                hi[m] = hi[f] + hi[c]
-            elif m == 2:
-                lo[m] = hi[m] = 1 << s
-            else:
-                lo[m], hi[m], _ = _log2_raw(m, 1, q_tab)
-        _LOG2_TABLES[q_tab] = lo, hi
-    return lo, hi, s
-
-
-def _sum_table(n: int, p: int) -> tuple[list[int], list[int], int]:
-    """The log2 m table under an n-term sum held to 2^-p: terms below
-    2^-(p + ceil(log2 n) + 1) each, read one guard bit finer."""
-    _check_precision(p)
-    q_term = _part_precision(p, n)
-    _check_precision(q_term)
-    _check_sum_work(n, q_term)
-    return _log2_table(n, q_term + 1)
+    limit, primes, lo, hi = _PRIME_LOG2.get(q_tab, (1, [], [], []))
+    if limit < n:
+        sieve = _prime_sieve(n)
+        new = [m for m in range(limit + 1, n + 1) if sieve[m]]
+        lo, hi = lo[:], hi[:]
+        for m in new:
+            m_lo, m_hi, m_s = _log2_raw(m, 1, q_tab)  # 2: the point 1, m_s = 0
+            lo.append(m_lo << (s - m_s))
+            hi.append(m_hi << (s - m_s))
+        primes = primes + new
+        _PRIME_LOG2[q_tab] = n, primes, lo, hi
+    return primes, lo, hi
 
 
 def G_enclosure(n: int, p: int) -> DyadicInterval:
     """Enclosure of G(n) = sum over m <= n of {log2(n/m)}, width <= 2^-p.
 
-    Each term is held to width below 2^-(p + ceil(log2 n) + 1), which caps the
-    summed width at 2^-p.  Terms are differences of entries of the log2 m
-    table (one guard bit finer), with integer parts from the exact kernels
-    and dyadic-power terms contributing exactly zero.
+    Each term is held to width below 2^-(q + 1), q = p + 1 + ceil(log2 n),
+    which caps the summed width at 2^-p.  On the 2^-s grid of the prime
+    brackets [l_P, h_P] at ``_table_precision(n, q + 1)``, this is exactly
+    the term-by-term sum over m's bracket [l(m), h(m)] = sum of v_P(m) [l_P,
+    h_P]: term m is [l(n) - h(m) - k, h(n) - l(m) - k], k = floor(log2(n/m)),
+    and is skipped (exactly 0) for the v + 1 m = n / 2^j, v = v_2(n).  Over
+    every m the k add up to F = v_2(n!), the h(m) to H = sum over P <= n of
+    v_P(n!) h_P (Legendre: v_P(n!) = sum_i floor(n / P^i)) and the l(m) to L
+    likewise, and a skipped m's term would be [l(n) - h(n), h(n) - l(n)], so
+
+        lo = (n - v - 1) l(n) + (v + 1) h(n) - H - F 2^s,
+        hi = (n - v - 1) h(n) + (v + 1) l(n) - L - F 2^s.
+
+    F comes from the Legendre loop, not from n - s2(n), so ``error-term``
+    still checks that identity.  No term needs clamping into [0, 1): for an
+    m not skipped, n/m = 2^k r with 1 + 1/n <= r <= 2 - 1/n, so
+    1/n <= {log2(n/m)} <= 1 - 1/(2n), and a term's bracket, narrower than
+    2^-(q + 1) <= 1/(64n) (p >= 4), stays inside (0, 1 - 1/(4n)).
     """
     require_positive("n", n)
-    lo, hi, s = _sum_table(n, p)
-    ln_lo, ln_hi = lo[n], hi[n]
-
-    clamp = _frac_upper_clamp(n)
-    clamp_hi = clamp.mantissa << (s + clamp.exponent)
-
-    acc_lo = 0
-    acc_hi = 0
-    for m in range(1, n + 1):
-        q, r = divmod(n, m)
-        if r == 0 and q & (q - 1) == 0:
-            continue  # exact dyadic-power ratio: the term is exactly zero
-        k_shift = (q.bit_length() - 1) << s
-        t_lo = ln_lo - hi[m] - k_shift
-        t_hi = ln_hi - lo[m] - k_shift
-        if t_lo < 0:
-            t_lo = 0
-        if t_hi > clamp_hi:
-            t_hi = clamp_hi
-        acc_lo += t_lo
-        acc_hi += t_hi
-    return _raw_to_interval(acc_lo, acc_hi, s)
+    _check_precision(p)
+    q_term = _part_precision(p, n)
+    _check_precision(q_term)
+    _check_sum_work(n, q_term)
+    q_tab = _table_precision(n, q_term + 1)
+    _check_precision(q_tab)
+    s = q_tab + _BRACKET_BITS
+    sum_lo = sum_hi = ln_lo = ln_hi = twos = 0
+    for prime, lo, hi in zip(*_prime_log2(n, q_tab)):
+        if prime > n:
+            break
+        e = 0  # v_P(n!)
+        power = prime
+        while power <= n:
+            e += n // power
+            power *= prime
+        if prime == 2:
+            twos = e
+        sum_lo += e * lo
+        sum_hi += e * hi
+        rest = n
+        while rest % prime == 0:
+            rest //= prime
+            ln_lo += lo
+            ln_hi += hi
+    v = (n & -n).bit_length() - 1
+    return _raw_to_interval(
+        (n - v - 1) * ln_lo + (v + 1) * ln_hi - sum_hi - (twos << s),
+        (n - v - 1) * ln_hi + (v + 1) * ln_lo - sum_lo - (twos << s),
+        s,
+    )
 
 
 def log2_factorial_by_factorial(n: int, p: int) -> DyadicInterval:

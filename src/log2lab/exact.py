@@ -214,20 +214,20 @@ def _term_precision(n: int, p: int) -> int:
 
 
 def _table_precision(n: int, q: int) -> int:
-    """Precision of the log2 table for m <= n whose entries are each held to q
-    bits: a composite's bracket adds up Omega(m) < bit_length(n) prime widths."""
+    """Precision of the log2 prime brackets for m <= n each held to q bits:
+    m's bracket adds up Omega(m) < bit_length(n) prime widths."""
     return q + ceil_log2(n.bit_length()) + 1
 
 
 def _sum_work(n: int, p: int) -> int:
-    """Work of an n-term sum at per-term precision p."""
+    """Work of an n-term sum at per-term precision p (G(n) takes fewer steps)."""
     return n * (p + ceil_log2(n))
 
 
 def attempt_precision(n_hi: int, p: int) -> int:
     """Largest precision that computing an error-term row at precision p asks
-    for, over every n <= n_hi: the log2 m table under the term sum of G(n),
-    the finest part of that row.
+    for, over every n <= n_hi: the log2 prime brackets under the term sum of
+    G(n), the finest part of that row.
 
     It grows with n and is taken at n >= 2, which also covers the row at
     n = 1.  A compared row (``sweep-bounds``) runs no term sum;

@@ -15,8 +15,21 @@ import mpmath as mp
 import pytest
 
 from log2lab.dyadic import DyadicInterval, DyadicRational
-from log2lab.enclosures import G_enclosure, _sum_table, log2_int_enclosure
-from log2lab.exact import _ROW_PARTS, _part_precision, log2_n_precision, require_positive
+from log2lab.enclosures import (
+    _BRACKET_BITS,
+    G_enclosure,
+    _check_sum_work,
+    _log2_raw,
+    log2_int_enclosure,
+)
+from log2lab.exact import (
+    _ROW_PARTS,
+    _check_precision,
+    _part_precision,
+    _table_precision,
+    log2_n_precision,
+    require_positive,
+)
 
 ORACLE_PREC_BITS = 400
 
@@ -100,12 +113,100 @@ def log2_by_bit_extraction(num: int, den: int, p: int) -> DyadicInterval:
     return _scaled(lo, lo + 2, steps)
 
 
+def least_prime_factors(n: int) -> list[int]:
+    """spf with spf[m] the least prime factor of m for 2 <= m <= n (and
+    spf[m] = m for m < 2), by a sieve over the primes up to sqrt(n)."""
+    spf = list(range(n + 1))
+    r = math.isqrt(n)
+    if r >= 2:
+        small = least_prime_factors(r)
+        # descending, so that the least prime factor is written last
+        for f in range(r, 1, -1):
+            if small[f] == f:
+                spf[f * f :: f] = [f] * ((n - f * f) // f + 1)
+    return spf
+
+
+# the per-m log2 tables of the term-by-term oracle, one per table precision
+_LOG2_M_TABLES: dict[int, tuple[list[int], list[int]]] = {}
+
+
+def log2_m_table(n: int, q: int) -> tuple[list[int], list[int], int]:
+    """Scaled brackets (lo, hi, s) of log2 m for every m <= n (the lists may
+    run past n) at the table precision q_tab of an n-term sum whose terms
+    are held to q: a prime's _log2_raw bracket at q_tab, 2 the point 2^s, and
+    a composite the exact sum of its least prime factor's and its cofactor's
+    brackets."""
+    q_tab = _table_precision(n, q)
+    _check_precision(q_tab)
+    s = q_tab + _BRACKET_BITS
+    lo, hi = _LOG2_M_TABLES.get(q_tab, ([0, 0], [0, 0]))
+    start = len(lo)
+    if start <= n:
+        spf = least_prime_factors(n)
+        lo = lo + [0] * (n + 1 - start)
+        hi = hi + [0] * (n + 1 - start)
+        for m in range(start, n + 1):
+            f = spf[m]
+            if f < m:
+                lo[m] = lo[f] + lo[m // f]
+                hi[m] = hi[f] + hi[m // f]
+            elif m == 2:
+                lo[m] = hi[m] = 1 << s
+            else:
+                lo[m], hi[m], _ = _log2_raw(m, 1, q_tab)
+        _LOG2_M_TABLES[q_tab] = lo, hi
+    return lo, hi, s
+
+
+def sum_table(n: int, p: int) -> tuple[list[int], list[int], int]:
+    """The log2 m table under an n-term sum held to 2^-p, as G(n) takes its
+    prime brackets: terms below 2^-(p + ceil(log2 n) + 1) each, read one
+    guard bit finer."""
+    _check_precision(p)
+    q_term = _part_precision(p, n)
+    _check_precision(q_term)
+    _check_sum_work(n, q_term)
+    return log2_m_table(n, q_term + 1)
+
+
+def frac_upper_clamp(n: int, s: int) -> int:
+    """1 - 2^-(bit_length(n) + 2) on the 2^-s grid: above every nonzero
+    {log2(n/m)}, which is at most 1 - 1/(2n ln 2)."""
+    t = n.bit_length() + 2
+    return ((1 << t) - 1) << (s - t)
+
+
+def G_by_terms(n: int, p: int) -> tuple[DyadicInterval, int]:
+    """(enclosure of G(n), clamp events): the term-by-term sum over the log2 m
+    table, each term [log2 n - log2 m - k] clamped into [0, clamp], with
+    dyadic-power ratios skipped; the oracle for G_enclosure's closed form,
+    which needs no clamp.  The count is the number of term ends clamped."""
+    require_positive("n", n)
+    lo, hi, s = sum_table(n, p)
+    clamp_hi = frac_upper_clamp(n, s)
+    acc_lo = acc_hi = clamps = 0
+    for m in range(1, n + 1):
+        if is_pow_ratio(n, m):
+            continue
+        k_shift = ((n // m).bit_length() - 1) << s
+        t_lo = lo[n] - hi[m] - k_shift
+        t_hi = hi[n] - lo[m] - k_shift
+        if t_lo < 0:
+            t_lo, clamps = 0, clamps + 1
+        if t_hi > clamp_hi:
+            t_hi, clamps = clamp_hi, clamps + 1
+        acc_lo += t_lo
+        acc_hi += t_hi
+    return _scaled(acc_lo, acc_hi, s), clamps
+
+
 def log2_factorial_by_sum(n: int, p: int) -> DyadicInterval:
     """Enclosure of log2(n!) as the certified sum of log2(m) over m <= n,
-    from the log2 m table G(n) reads at precision p: the O(n) oracle for the
-    exact-factorial and Stirling-series enclosures."""
+    from the log2 m table of an n-term sum at precision p: the O(n) oracle
+    for the exact-factorial and Stirling-series enclosures."""
     require_positive("n", n)
-    lo, hi, s = _sum_table(n, p)
+    lo, hi, s = sum_table(n, p)
     return _scaled(sum(lo[: n + 1]), sum(hi[: n + 1]), s)
 
 
@@ -113,7 +214,7 @@ def log2_factorial_running(n_max: int, p: int):
     """Yield (n, enclosure of log2 n!) for n = 1..n_max by prefix sums over
     the table of an n_max-term sum, each of width <= 2^-p."""
     require_positive("n_max", n_max)
-    lo, hi, s = _sum_table(n_max, p)
+    lo, hi, s = sum_table(n_max, p)
     acc_lo = acc_hi = 0
     for m in range(1, n_max + 1):
         acc_lo += lo[m]

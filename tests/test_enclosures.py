@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -31,6 +32,8 @@ from log2lab.exact import MAX_PRECISION_BITS, DomainError, attempt_precision
 from log2lab.sweep import SweepConfig, run_bounds_sweep, run_error_term
 
 from conftest import (
+    G_by_terms,
+    frac_upper_clamp,
     g_oracle,
     interval_contains,
     log2_by_bit_extraction,
@@ -158,8 +161,7 @@ def direct_G_enclosure(n: int, p: int) -> DyadicInterval:
     call per m, each at the term precision plus one guard bit."""
     q_log = enclosures_mod._part_precision(p, n) + 1
     lo_n, hi_n, s = direct_log2_int(n, q_log)
-    clamp = enclosures_mod._frac_upper_clamp(n)
-    clamp_hi = clamp.mantissa << (s + clamp.exponent)
+    clamp_hi = frac_upper_clamp(n, s)
     acc_lo = acc_hi = 0
     for m in range(1, n + 1):
         q, r = divmod(n, m)
@@ -200,25 +202,40 @@ _TABLE_ARGS = (
 _TERM_PRECISIONS = st.sampled_from([16, 53, 128])
 
 
+def _bracket_by_factors(m: int, q_tab: int) -> tuple[int, int, int]:
+    """(lo, hi, s): sum over the primes P of m of v_P(m) times P's cached
+    log2 bracket at table precision q_tab."""
+    primes, p_lo, p_hi = enclosures_mod._prime_log2(m, q_tab)
+    lo = hi = 0
+    for prime, b_lo, b_hi in zip(primes, p_lo, p_hi):
+        rest = m
+        while rest % prime == 0:
+            rest //= prime
+            lo += b_lo
+            hi += b_hi
+    return lo, hi, q_tab + enclosures_mod._BRACKET_BITS
+
+
 class TestLog2Table:
-    """The log2 m table behind the term sums: log core calls for primes only,
-    exact sums of brackets for every other m, one table per precision."""
+    """The log2 prime brackets behind G(n): log core calls for primes only,
+    exact sums of prime brackets for every other m, one cache per table
+    precision."""
 
     @settings(deadline=None, max_examples=80)
     @given(_TABLE_ARGS, _TERM_PRECISIONS)
     def test_contains_log2_m_within_one_prime_width(self, m, q):
-        lo, hi, s = enclosures_mod._log2_table(m, q)
+        lo, hi, s = _bracket_by_factors(m, enclosures_mod._table_precision(m, q))
         if m & (m - 1) == 0:
-            assert lo[m] == hi[m] == (m.bit_length() - 1) << s
+            assert lo == hi == (m.bit_length() - 1) << s
             return
         # no wider than one _log2_raw bracket at q: 6 ulps of scale 2^-(q+4)
-        assert hi[m] - lo[m] <= 6 << (s - (q + 4))
-        iv = DyadicInterval(DyadicRational(lo[m], -s), DyadicRational(hi[m], -s))
+        assert hi - lo <= 6 << (s - (q + 4))
+        iv = DyadicInterval(DyadicRational(lo, -s), DyadicRational(hi, -s))
         with mp.workprec(500):
             assert interval_contains(iv, mp.log(m) / mp.log(2))
 
     def test_core_calls_only_for_primes(self, monkeypatch):
-        monkeypatch.setattr(enclosures_mod, "_LOG2_TABLES", {})
+        monkeypatch.setattr(enclosures_mod, "_PRIME_LOG2", {})
         calls = []
         real = enclosures_mod._log2_raw
 
@@ -233,32 +250,36 @@ class TestLog2Table:
         assert len(calls) <= pi_3500
         assert all(_is_prime(m) for m in calls)
         calls.clear()
-        monkeypatch.setattr(enclosures_mod, "_LOG2_TABLES", {})
-        log2_factorial_by_sum(3000, 64)
-        assert len(calls) <= sum(map(_is_prime, range(3001)))
+        G_enclosure(3500, 128)
+        G_enclosure(3000, 128)  # the same table precision
+        assert calls == []
 
-    def test_least_prime_factors(self):
-        spf = enclosures_mod._least_prime_factors(5000)
-        for m in range(2, 5001):
-            f = next(d for d in range(2, m + 1) if m % d == 0)
-            assert spf[m] == f, m
+    def test_prime_sieve(self):
+        for n in range(1, 40):
+            sieve = enclosures_mod._prime_sieve(n)
+            assert list(sieve) == [int(_is_prime(m)) for m in range(n + 1)], n
+        sieve = enclosures_mod._prime_sieve(5000)
+        for m in range(5001):
+            assert sieve[m] == _is_prime(m), m
 
     def test_one_bounded_table_per_precision_after_sweeps(self, monkeypatch):
-        monkeypatch.setattr(enclosures_mod, "_LOG2_TABLES", {})
+        monkeypatch.setattr(enclosures_mod, "_PRIME_LOG2", {})
         monkeypatch.setattr(enclosures_mod, "_STIRLING_COEFFS", ())
         for n_lo, n_hi in ((3004, 3043), (3044, 3123), (100_001, 100_002)):
             config = SweepConfig(n_lo=n_lo, n_hi=n_hi)
             assert run_bounds_sweep(config, io.StringIO(), io.StringIO()) == 0
         # a compared row runs no term sum: log2 n! comes from the exact
         # factorial or the Stirling series, and G(n) from it
-        assert enclosures_mod._LOG2_TABLES == {}
-        # error-term's term sum of G(n) reads the table at attempt_precision
+        assert enclosures_mod._PRIME_LOG2 == {}
+        # error-term's G(n) reads the prime brackets at attempt_precision
         config = SweepConfig(n_lo=1500, n_hi=1501)
         assert run_error_term(config, io.StringIO(), io.StringIO()) == 0
-        tables = enclosures_mod._LOG2_TABLES
+        tables = enclosures_mod._PRIME_LOG2
         assert set(tables) == {attempt_precision(n, 64) for n in (1500, 1501)}
-        for lo, hi in tables.values():
-            assert len(lo) == len(hi) <= 1501 + 1
+        pi_1501 = sum(map(_is_prime, range(1502)))
+        for limit, primes, lo, hi in tables.values():
+            assert limit <= 1501
+            assert len(primes) == len(lo) == len(hi) <= pi_1501
         # the Stirling coefficients that p = 64 rows use: a few
         assert 0 < len(enclosures_mod._STIRLING_COEFFS) <= 16
         caches = [
@@ -266,14 +287,13 @@ class TestLog2Table:
             for name, value in vars(enclosures_mod).items()
             if not name.startswith("__") and isinstance(value, (dict, list, set))
         ]
-        assert caches == ["_LOG2_TABLES"]
+        assert caches == ["_PRIME_LOG2"]
 
     def test_interrupted_extension_leaves_a_whole_table(self, monkeypatch):
-        monkeypatch.setattr(enclosures_mod, "_LOG2_TABLES", {})
-        table = enclosures_mod._log2_table
+        monkeypatch.setattr(enclosures_mod, "_PRIME_LOG2", {})
+        table = enclosures_mod._prime_log2
         q_tab = enclosures_mod._table_precision(2000, 53)
-        assert enclosures_mod._table_precision(500, 53) == q_tab
-        table(500, 53)
+        table(500, q_tab)
         real = enclosures_mod._log2_raw
         primes = []
 
@@ -285,15 +305,48 @@ class TestLog2Table:
 
         monkeypatch.setattr(enclosures_mod, "_log2_raw", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            table(2000, 53)
+            table(2000, q_tab)
         assert 500 < primes[-1] < 2000
-        lo, hi = enclosures_mod._LOG2_TABLES[q_tab]
-        assert len(lo) == len(hi) == 501
+        limit, cached, lo, hi = enclosures_mod._PRIME_LOG2[q_tab]
+        assert limit == 500
+        assert len(cached) == len(lo) == len(hi) == 95  # pi(500)
         monkeypatch.setattr(enclosures_mod, "_log2_raw", real)
-        extended = table(2000, 53)
-        assert len(extended[0]) == len(extended[1])
-        monkeypatch.setattr(enclosures_mod, "_LOG2_TABLES", {})
-        assert extended == table(2000, 53)  # a cold build
+        extended = table(2000, q_tab)
+        assert len(extended[0]) == len(extended[1]) == len(extended[2]) == 303
+        monkeypatch.setattr(enclosures_mod, "_PRIME_LOG2", {})
+        assert extended == table(2000, q_tab)  # a cold build
+
+    def test_cold_G_memory_is_below_40_bytes_per_m(self, monkeypatch):
+        # the closed form holds pi(n) brackets and an n-byte sieve, not a
+        # bracket for every m <= n
+        monkeypatch.setattr(enclosures_mod, "_PRIME_LOG2", {})
+        G_enclosure(200, 16)  # the constants the log core reads, once
+        monkeypatch.setattr(enclosures_mod, "_PRIME_LOG2", {})
+        tracemalloc.start()
+        try:
+            G_enclosure(20000, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 20000
+
+
+class TestGAgainstTermOracle:
+    """G's closed form against the term-by-term sum over the log2 m table,
+    ``G_by_terms``: the same integers, and not one term clamped."""
+
+    @pytest.mark.parametrize("p", [4, 16, 53, 128])
+    def test_equals_term_sum_for_every_n_to_1200(self, p):
+        for n in range(1, 1201):
+            by_terms, clamps = G_by_terms(n, p)
+            assert G_enclosure(n, p) == by_terms, n
+            assert clamps == 0, n
+
+    @pytest.mark.parametrize("n", [2047, 2048, 4097, 5000])
+    def test_equals_term_sum_at_p64(self, n):
+        by_terms, clamps = G_by_terms(n, 64)
+        assert G_enclosure(n, 64) == by_terms
+        assert clamps == 0
 
 
 class TestGAgainstDirectTermSum:
