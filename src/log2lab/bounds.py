@@ -68,6 +68,7 @@ from .exact import (
     last_attempt,
     log2_n_precision,
     require_positive,
+    sweep_row_precision,
 )
 
 __all__ = [
@@ -383,13 +384,15 @@ def compare_bounds(
 
     An attempt at precision q encloses every part at q + 4 (``_VERDICT_BITS``),
     so a verdict separates margins down to about 2^-(q+4), and takes log2 n
-    once, at ``log2_n_precision(n, q + 4)``, for all its n-scaled parts.
+    once, at ``log2_n_precision(n, q + 4)``, for all its n-scaled parts: that
+    is ``sweep_row_precision(n, q)``, the rule ``sweep-bounds`` validates a
+    range by and ``last_attempt`` stops at.
     An attempt that will escalate stops at its first Inconclusive verdict: it
     compares log2 n! with the Ramanujan sides first, then Robbins.  Only the
     settled precision takes n log2 n for the counting bound.  G(n) is
     n log2 n - log2 n! minus the floor sum n - s2(n) of Legendre's formula,
-    from the row's own log2 n!, so a row runs no term sum of G(n) and counts
-    no floors.  The counting-bound verdict is Holds from the identity
+    from the row's own log2 n!, so a row takes no prime brackets for G(n) and
+    counts no floors.  The counting-bound verdict is Holds from the identity
     e2(n) = s2(n) - 1; the row's e2 enclosure must contain s2(n) - 1, a check
     on the interval arithmetic that builds it, and c_log2 is that enclosure
     too, since log2 C(n) = e2(n).  A row is never partially emitted: every
@@ -417,7 +420,7 @@ def compare_bounds(
             break
 
     s2 = binary_digit_sum(n)
-    x = log2_int_enclosure(n, log2_n_precision(n, r)).scale_int(n)
+    x = log2_int_enclosure(n, sweep_row_precision(n, q)).scale_int(n)
     # the floor sum is n - s2(n), by Legendre's formula
     g = (x - fact).add_int(s2 - n)
     paper_lb = x.add_int(-(n - 1)) - g

@@ -69,6 +69,7 @@ from typing import TYPE_CHECKING
 
 from .dyadic import DyadicInterval, DyadicRational
 from .exact import (
+    MAX_PRECISION_BITS,
     WORK_CEILING,
     DomainError,
     ResourceLimitError,
@@ -76,9 +77,8 @@ from .exact import (
     _check_precision,
     _part_precision,
     _stirling_log2_n_precision,
-    _sum_work,
-    _table_precision,
     floor_log2_fraction,
+    g_cost,
     require_positive,
 )
 
@@ -230,13 +230,6 @@ def log2_1p(y: Fraction, p: int) -> DyadicInterval:
 # ---------------------------------------------------------------------------
 
 
-def _check_sum_work(n: int, p: int) -> None:
-    if _sum_work(n, p) > WORK_CEILING:
-        raise ResourceLimitError(
-            f"term sum of size n={n} at p={p} exceeds work ceiling {WORK_CEILING}"
-        )
-
-
 def _prime_sieve(n: int) -> bytearray:
     """sieve[m] == 1 exactly when m is prime, for 0 <= m <= n (n >= 1)."""
     sieve = bytearray([1]) * (n + 1)
@@ -279,7 +272,8 @@ def G_enclosure(n: int, p: int) -> DyadicInterval:
 
     Each term is held to width below 2^-(q + 1), q = p + 1 + ceil(log2 n),
     which caps the summed width at 2^-p.  On the 2^-s grid of the prime
-    brackets [l_P, h_P] at ``_table_precision(n, q + 1)``, this is exactly
+    brackets [l_P, h_P] at the precision q_tab of ``g_cost(n, p)``, which
+    also holds n and p to the work ceiling, this is exactly
     the term-by-term sum over m's bracket [l(m), h(m)] = sum of v_P(m) [l_P,
     h_P]: term m is [l(n) - h(m) - k, h(n) - l(m) - k], k = floor(log2(n/m)),
     and is skipped (exactly 0) for the v + 1 m = n / 2^j, v = v_2(n).  Over
@@ -298,11 +292,17 @@ def G_enclosure(n: int, p: int) -> DyadicInterval:
     """
     require_positive("n", n)
     _check_precision(p)
-    q_term = _part_precision(p, n)
-    _check_precision(q_term)
-    _check_sum_work(n, q_term)
-    q_tab = _table_precision(n, q_term + 1)
-    _check_precision(q_tab)
+    q_tab, work = g_cost(n, p)
+    if q_tab > MAX_PRECISION_BITS:
+        raise ResourceLimitError(
+            f"G({n}) at precision {p} needs {q_tab}-bit prime brackets, "
+            f"above the ceiling of {MAX_PRECISION_BITS} bits"
+        )
+    if work > WORK_CEILING:
+        raise ResourceLimitError(
+            f"G({n}) at precision {p} needs work of {work}, "
+            f"above the work ceiling of {WORK_CEILING}"
+        )
     s = q_tab + _BRACKET_BITS
     sum_lo = sum_hi = ln_lo = ln_hi = twos = 0
     for prime, lo, hi in zip(*_prime_log2(n, q_tab)):

@@ -24,10 +24,11 @@ steps per a, O(A + N log A) in all, instead of the O(N * A) of counting
 every a from m = 1.
 
 The precision and work limits of a run live here too, as the same kind of
-integer rule: what precision and how much term-sum work a row at precision
-p asks for, how far a compared row may escalate, and how many m the
-enumeration oracles visit over a range.  A configuration is checked against
-them before a run starts, without loading the enclosure code.
+integer rule, one per limit: the finest precision a compared row asks for
+and how far it may escalate, the bracket precision and work of G(n), and how
+many m the enumeration oracles visit over a range.  Each command checks its
+range against its rule before a run starts, without loading the enclosure
+code.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ __all__ = [
     "MIN_PRECISION",
     "MAX_PRECISION_BITS",
     "WORK_CEILING",
-    "attempt_precision",
-    "attempt_work",
+    "g_cost",
     "oracle_work",
     "log2_n_precision",
     "sweep_row_precision",
@@ -176,8 +176,8 @@ def pair_enumeration_oracle(a: int, a_prev: int = 0) -> int:
 MIN_PRECISION = 4
 MAX_PRECISION_BITS = 1 << 14
 WORK_CEILING = 1 << 32
-# a row encloses log2 n! and n log2 n (and, for error-term, G(n) by its term
-# sum) at a third of its budget each
+# a row encloses log2 n! and n log2 n (and, for error-term, G(n)) at a third
+# of its budget each
 _ROW_PARTS = 3
 # the Stirling-series log2 n! adds four parts: (n + 1/2) log2 n, n log2 e,
 # log2(2 pi) / 2 and log2 e times the series
@@ -208,41 +208,22 @@ def _part_precision(p: int, parts: int, scale: int = 1) -> int:
     return q
 
 
-def _term_precision(n: int, p: int) -> int:
-    """Per-term precision of an n-term sum held to one row part at p."""
-    return _part_precision(_part_precision(p, _ROW_PARTS), n)
+def g_cost(n: int, p: int) -> tuple[int, int]:
+    """(q_tab, work) of G(n) held to 2^-p, for n >= 1: the precision of its
+    log2 prime brackets, and the work that ``WORK_CEILING`` holds it to.
 
-
-def _table_precision(n: int, q: int) -> int:
-    """Precision of the log2 prime brackets for m <= n each held to q bits:
-    m's bracket adds up Omega(m) < bit_length(n) prime widths."""
-    return q + ceil_log2(n.bit_length()) + 1
-
-
-def _sum_work(n: int, p: int) -> int:
-    """Work of an n-term sum at per-term precision p (G(n) takes fewer steps)."""
-    return n * (p + ceil_log2(n))
-
-
-def attempt_precision(n_hi: int, p: int) -> int:
-    """Largest precision that computing an error-term row at precision p asks
-    for, over every n <= n_hi: the log2 prime brackets under the term sum of
-    G(n), the finest part of that row.
-
-    It grows with n and is taken at n >= 2, which also covers the row at
-    n = 1.  A compared row (``sweep-bounds``) runs no term sum;
-    ``sweep_row_precision`` is its rule.
+    Each of the n terms is held below 2^-(q_term + 1), q_term =
+    ``_part_precision(p, n)``, and an m's bracket adds up Omega(m) <
+    bit_length(n) prime brackets, so the brackets run ceil(log2
+    bit_length(n)) + 1 guard bits finer than q_term + 1.  G(n) costs a sieve
+    of n bytes, up to pi(n) cached brackets of q_tab bits and O(pi(n))
+    steps, and the work, n (q_term + ceil(log2 n)), is above each of them.
+    ``G_enclosure`` checks both numbers, and ``error-term`` checks them for
+    its largest G(n) before a run starts.
     """
-    n = max(n_hi, 2)
-    return _table_precision(n, _term_precision(n, p) + 1)
-
-
-def attempt_work(n_hi: int, p: int) -> int:
-    """Work of the largest term sum that an error-term row (or ``g-value``) at
-    precision p runs over every n <= n_hi: G(n_hi), by the rule that
-    ``enclosures._check_sum_work`` holds to ``WORK_CEILING``.  A compared row
-    runs no term sum, so this bound does not apply to it."""
-    return _sum_work(n_hi, _term_precision(n_hi, p))
+    q_term = _part_precision(p, n)
+    q_tab = q_term + 2 + ceil_log2(n.bit_length())
+    return q_tab, n * (q_term + ceil_log2(n))
 
 
 def oracle_work(n_hi: int) -> int:
@@ -275,7 +256,7 @@ def log2_n_precision(n: int, p: int) -> int:
 def sweep_row_precision(n: int, q: int) -> int:
     """Largest precision a compared (``sweep-bounds``) row asks for at
     precision q: its one log2 n, at ``log2_n_precision(n, q + _VERDICT_BITS)``.
-    It runs no term sum, so this is its only limit."""
+    It runs no G(n), so this is its only limit."""
     return log2_n_precision(n, q + _VERDICT_BITS)
 
 

@@ -27,14 +27,15 @@ from functools import partial
 from typing import IO, TYPE_CHECKING, Any, Callable
 
 from .exact import (
+    _ROW_PARTS,
     MAX_PRECISION_BITS,
     MIN_PRECISION,
     WORK_CEILING,
     IdentityViolationError,
-    attempt_precision,
-    attempt_work,
+    _part_precision,
     binary_digit_sum,
     even_count_oracle,
+    g_cost,
     odd_floor_sum,
     oracle_work,
     pair_enumeration_oracle,
@@ -111,32 +112,19 @@ class SweepConfig:
     workers: int = 1
     linear_display: bool = False  # report-only 2^x rendering, n <= 20
 
-    def validate(self, term_sums: bool = True, oracles: bool = False) -> None:
-        """Raise UsageError for a configuration the run would fail on, or
-        could not finish.
+    def validate(self) -> None:
+        """Raise UsageError for a field that every command would fail on.
 
-        ``term_sums`` is False for a command that runs no term sum of G(n):
-        ``sweep-bounds``, whose finest part is a row's log2 n
-        (``sweep_row_precision``), and ``verify-theorem``.  ``oracles`` is
-        True for ``verify-theorem``, which computes at no precision: its range
-        is held to the work ceiling by its enumeration (``oracle_work``)
-        instead of the precision rules.  The work ceiling holds
-        ``error-term`` by its term sums (``attempt_work``); ``sweep-bounds``
-        takes any range.
+        Each command then holds the range and ``precision_bits`` to its own
+        rule before it opens ``--out``: ``sweep-bounds`` by a row's finest
+        precision (``sweep_row_precision``), ``error-term`` by its largest
+        G(n) (``g_cost``), and ``verify-theorem``, which computes at no
+        precision, by its enumeration (``oracle_work``).
         """
         if self.n_lo < 1:
             raise UsageError(f"range start must be >= 1, got {self.n_lo}")
         if self.n_lo > self.n_hi:
             raise UsageError(f"empty range [{self.n_lo}, {self.n_hi}]")
-        if oracles:
-            if oracle_work(self.n_hi) > WORK_CEILING:
-                raise UsageError(
-                    f"range up to a = {self.n_hi} needs the oracles to visit "
-                    f"{oracle_work(self.n_hi)} values of m, above the work ceiling of "
-                    f"{WORK_CEILING}"
-                )
-        else:
-            self._validate_precision(term_sums)
         if self.max_escalations < 0:
             raise UsageError("max escalations must be >= 0")
         if self.output_format not in ("csv", "json"):
@@ -153,24 +141,6 @@ class SweepConfig:
             raise UsageError(f"unknown ramanujan-b source {self.ramanujan_b!r}")
         if self.workers < 1:
             raise UsageError("worker count must be >= 1")
-
-    def _validate_precision(self, term_sums: bool) -> None:
-        if self.precision_bits < MIN_PRECISION:
-            raise UsageError(
-                f"precision must be >= {MIN_PRECISION} bits, got {self.precision_bits}"
-            )
-        rule = attempt_precision if term_sums else sweep_row_precision
-        need = rule(self.n_hi, self.precision_bits)
-        if need > MAX_PRECISION_BITS:
-            raise UsageError(
-                f"precision {self.precision_bits} needs {need} bits for n <= {self.n_hi}, "
-                f"above the ceiling of {MAX_PRECISION_BITS} bits"
-            )
-        if term_sums and attempt_work(self.n_hi, self.precision_bits) > WORK_CEILING:
-            raise UsageError(
-                f"range up to n = {self.n_hi} at precision {self.precision_bits} needs term sums "
-                f"above the work ceiling of {WORK_CEILING}"
-            )
 
     def ns(self) -> range:
         """The n of the run, ascending; a range, so no run holds them all."""
@@ -631,13 +601,27 @@ class _VerifyFold:
         return summary, lines, EXIT_VIOLATION if failures else EXIT_OK
 
 
+def _check_bits(config: SweepConfig, need: int) -> None:
+    """Raise UsageError unless ``precision_bits`` is at least MIN_PRECISION
+    and a row's finest part, ``need`` bits, is within MAX_PRECISION_BITS."""
+    p = config.precision_bits
+    if p < MIN_PRECISION:
+        raise UsageError(f"precision must be >= {MIN_PRECISION} bits, got {p}")
+    if need > MAX_PRECISION_BITS:
+        raise UsageError(
+            f"precision {p} needs {need} bits for n <= {config.n_hi}, "
+            f"above the ceiling of {MAX_PRECISION_BITS} bits"
+        )
+
+
 def run_bounds_sweep(
     config: SweepConfig,
     out_stream: IO[str] | None = None,
     report_stream: IO[str] | None = None,
 ) -> int:
     """Emit one BoundRow per n in ascending order; returns the exit code."""
-    config.validate(term_sums=False)
+    config.validate()
+    _check_bits(config, sweep_row_precision(config.n_hi, config.precision_bits))
     return _run(
         config, BOUNDS_CSV_COLUMNS, _bounds_payload, _BoundsFold, out_stream, report_stream
     )
@@ -650,6 +634,16 @@ def run_error_term(
 ) -> int:
     """Emit the e2 table and check the digit-sum characterization per row."""
     config.validate()
+    p = config.precision_bits
+    # the largest G(n) of the range, at the precision error_term_e2 asks it
+    # for; taken at n >= 2, which also covers the row at n = 1
+    q_tab, work = g_cost(max(config.n_hi, 2), _part_precision(p, _ROW_PARTS))
+    _check_bits(config, q_tab)
+    if work > WORK_CEILING:
+        raise UsageError(
+            f"range up to n = {config.n_hi} at precision {p} needs G(n) work of {work}, "
+            f"above the work ceiling of {WORK_CEILING}"
+        )
     return _run(
         config, ERROR_TERM_CSV_COLUMNS, _error_term_payload, _ErrorTermFold,
         out_stream, report_stream,
@@ -663,7 +657,12 @@ def run_verify_theorem(
 ) -> int:
     """Three-way agreement check of the counting identity over odd a."""
     config = replace(config, parity="odd")
-    config.validate(term_sums=False, oracles=True)
+    config.validate()
+    if oracle_work(config.n_hi) > WORK_CEILING:
+        raise UsageError(
+            f"range up to a = {config.n_hi} needs the oracles to visit "
+            f"{oracle_work(config.n_hi)} values of m, above the work ceiling of {WORK_CEILING}"
+        )
     return _run(
         config, VERIFY_CSV_COLUMNS, _verify_payload, _VerifyFold, out_stream, report_stream
     )

@@ -14,11 +14,11 @@ import os
 import mpmath as mp
 import pytest
 
+import log2lab.sweep as sweep_mod
 from log2lab.dyadic import DyadicInterval, DyadicRational
 from log2lab.enclosures import (
     _BRACKET_BITS,
     G_enclosure,
-    _check_sum_work,
     _log2_raw,
     log2_int_enclosure,
 )
@@ -26,10 +26,11 @@ from log2lab.exact import (
     _ROW_PARTS,
     _check_precision,
     _part_precision,
-    _table_precision,
+    ceil_log2,
     log2_n_precision,
     require_positive,
 )
+from log2lab.sweep import SweepConfig, UsageError
 
 ORACLE_PREC_BITS = 400
 
@@ -131,13 +132,19 @@ def least_prime_factors(n: int) -> list[int]:
 _LOG2_M_TABLES: dict[int, tuple[list[int], list[int]]] = {}
 
 
+def table_precision(n: int, q: int) -> int:
+    """Precision of the log2 prime brackets for m <= n each held to q bits:
+    m's bracket adds up Omega(m) < bit_length(n) prime widths."""
+    return q + ceil_log2(n.bit_length()) + 1
+
+
 def log2_m_table(n: int, q: int) -> tuple[list[int], list[int], int]:
     """Scaled brackets (lo, hi, s) of log2 m for every m <= n (the lists may
     run past n) at the table precision q_tab of an n-term sum whose terms
     are held to q: a prime's _log2_raw bracket at q_tab, 2 the point 2^s, and
     a composite the exact sum of its least prime factor's and its cofactor's
     brackets."""
-    q_tab = _table_precision(n, q)
+    q_tab = table_precision(n, q)
     _check_precision(q_tab)
     s = q_tab + _BRACKET_BITS
     lo, hi = _LOG2_M_TABLES.get(q_tab, ([0, 0], [0, 0]))
@@ -164,10 +171,7 @@ def sum_table(n: int, p: int) -> tuple[list[int], list[int], int]:
     prime brackets: terms below 2^-(p + ceil(log2 n) + 1) each, read one
     guard bit finer."""
     _check_precision(p)
-    q_term = _part_precision(p, n)
-    _check_precision(q_term)
-    _check_sum_work(n, q_term)
-    return log2_m_table(n, q_term + 1)
+    return log2_m_table(n, _part_precision(p, n) + 1)
 
 
 def frac_upper_clamp(n: int, s: int) -> int:
@@ -241,6 +245,30 @@ def interval_contains(iv, value) -> bool:
         if isinstance(value, str):
             value = mp.mpf(value)
         return dyadic_to_mpf(iv.lo) <= value <= dyadic_to_mpf(iv.hi)
+
+
+# what a range command returns once its checks pass, with skip_rows in place
+ACCEPTED = "accepted"
+
+
+def skip_rows(monkeypatch) -> None:
+    """Stub out the run loop, so that a range command that passes its checks
+    returns ACCEPTED without opening --out or computing a row."""
+    monkeypatch.setattr(sweep_mod, "_run", lambda *args: ACCEPTED)
+
+
+def largest_accepted(runner, p: int) -> int:
+    """Largest n_hi below 2^32 whose range n_hi..n_hi ``runner`` accepts at
+    precision p, by bisection; needs skip_rows."""
+    lo, hi = 1, 1 << 32
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            runner(SweepConfig(n_lo=mid, n_hi=mid, precision_bits=p))
+            lo = mid
+        except UsageError:
+            hi = mid
+    return lo
 
 
 def g_oracle(n: int) -> mp.mpf:

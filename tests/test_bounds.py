@@ -38,8 +38,7 @@ from log2lab.exact import (
     _VERDICT_BITS,
     DomainError,
     IdentityViolationError,
-    attempt_precision,
-    attempt_work,
+    ResourceLimitError,
     binary_digit_sum,
     ceil_log2,
     last_attempt,
@@ -53,9 +52,17 @@ from log2lab.sweep import (
     EXIT_VIOLATION,
     SweepConfig,
     run_bounds_sweep,
+    run_error_term,
 )
 
-from conftest import g_oracle, interval_contains, paper_lower_bound_log2
+from conftest import (
+    ACCEPTED,
+    g_oracle,
+    interval_contains,
+    largest_accepted,
+    paper_lower_bound_log2,
+    skip_rows,
+)
 
 LOG2_3 = "1.58496250072115618145373894394781650876"
 B_CLOSED = "0.3549912666820893250086468803607338730667"
@@ -626,20 +633,47 @@ class TestEscalationCeiling:
         assert "Inconclusive" in {row["verdict_robbins"] for row in rows}
 
 
+class _Sentinel(Exception):
+    """Raised in place of the prime brackets: G(n) got past its limit checks."""
+
+
+def error_term_cost(monkeypatch, n: int, p: int) -> tuple[int, int]:
+    """(q_tab, work) that error-term's checks read for the range n..n at
+    precision p, taken from the run with its rows skipped."""
+    seen = []
+
+    def recorded(*args):
+        seen.append(exact_mod.g_cost(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(sweep_mod, "g_cost", recorded)
+    skip_rows(monkeypatch)
+    assert run_error_term(SweepConfig(n_lo=n, n_hi=n, precision_bits=p)) == ACCEPTED
+    (cost,) = seen
+    return cost
+
+
 class TestAttemptPrecision:
-    """attempt_precision and sweep_row_precision are the finest precisions an
-    error-term row and a compared row ask the enclosures for, which is what
-    lets validation reject a --bits before any output."""
+    """What a command checks before its output is what its rows ask for:
+    sweep_row_precision is the finest precision of a compared row, and
+    error-term's check (``g_cost`` of its largest G(n)) the finest precision
+    and the largest work of an error-term row."""
 
     def test_is_the_largest_precision_a_row_asks_for(self, monkeypatch):
         asked = []
         real = enclosures_mod._check_precision
+        real_brackets = enclosures_mod._prime_log2
 
         def recorded(p):
             asked.append(p)
             real(p)
 
+        def brackets(n, q_tab):
+            asked.append(q_tab)
+            return real_brackets(n, q_tab)
+
         monkeypatch.setattr(enclosures_mod, "_check_precision", recorded)
+        monkeypatch.setattr(enclosures_mod, "_prime_log2", brackets)
         for n in (1, 2, 3, 4, 5, 8, 17, 100, 255, 256, 257, 1000, 3004, 10**6 + 1):
             for p in (4, 16, 64, 100):
                 # their checks run on a miss
@@ -649,26 +683,50 @@ class TestAttemptPrecision:
                 compare_bounds(n, p, max_escalations=0, b_source="closed-form")
                 assert max(asked) == sweep_row_precision(n, p), (n, p)
                 if n > 1000:
-                    continue  # a term sum of G(n) that size is error-term's alone
+                    continue  # a G(n) that size is error-term's alone
+                q_tab, _ = error_term_cost(monkeypatch, n, p)
                 asked.clear()
                 error_term_e2(n, p)
                 if n == 1:  # taken at n = 2: the whole row at n = 1 is below it
-                    assert max(asked) < attempt_precision(n, p)
+                    assert max(asked) < q_tab
                 else:
-                    assert max(asked) == attempt_precision(n, p), (n, p)
+                    assert max(asked) == q_tab, (n, p)
 
     def test_work_is_the_largest_term_sum_a_row_runs(self, monkeypatch):
         asked = []
-        real = enclosures_mod._check_sum_work
+        real = enclosures_mod.g_cost
 
         def recorded(n, q):
-            asked.append(enclosures_mod._sum_work(n, q))
-            real(n, q)
+            cost = real(n, q)
+            asked.append(cost[1])
+            return cost
 
-        monkeypatch.setattr(enclosures_mod, "_check_sum_work", recorded)
+        monkeypatch.setattr(enclosures_mod, "g_cost", recorded)
         for n in (1, 2, 3, 17, 256, 1000):
             for p in (4, 64, 100):
+                _, work = error_term_cost(monkeypatch, n, p)
                 asked.clear()
                 compare_bounds(n, p, max_escalations=0)
                 error_term_e2(n, p)
-                assert max(asked) == attempt_work(n, p), (n, p)
+                if n == 1:  # taken at n = 2, like the precision
+                    assert max(asked) < work
+                else:
+                    assert max(asked) == work, (n, p)
+
+    @pytest.mark.parametrize("p", [4, 64, 1000])
+    def test_work_rule_at_its_boundary(self, monkeypatch, p):
+        # the largest range end error-term accepts is the largest n whose
+        # G(n) passes G's own limit checks
+        skip_rows(monkeypatch)
+        n = largest_accepted(run_error_term, p)
+        if p == 64:
+            assert n == 35_791_394
+
+        def no_brackets(*args):
+            raise _Sentinel
+
+        monkeypatch.setattr(enclosures_mod, "_prime_log2", no_brackets)
+        with pytest.raises(_Sentinel):
+            error_term_e2(n, p)
+        with pytest.raises(ResourceLimitError, match="work ceiling"):
+            error_term_e2(n + 1, p)

@@ -28,8 +28,16 @@ from log2lab.enclosures import (
     log2_pi_interval,
     pi_interval,
 )
-from log2lab.exact import MAX_PRECISION_BITS, DomainError, attempt_precision
-from log2lab.sweep import SweepConfig, run_bounds_sweep, run_error_term
+from log2lab.cli import main
+from log2lab.exact import (
+    _ROW_PARTS,
+    MAX_PRECISION_BITS,
+    WORK_CEILING,
+    DomainError,
+    _part_precision,
+    g_cost,
+)
+from log2lab.sweep import EXIT_USAGE, SweepConfig, run_bounds_sweep, run_error_term
 
 from conftest import (
     G_by_terms,
@@ -40,6 +48,7 @@ from conftest import (
     log2_factorial_by_sum,
     log2_factorial_running,
     power_of_two_ratio,
+    table_precision,
 )
 
 # independent-oracle values, frozen from high-precision reference runs
@@ -140,6 +149,52 @@ class TestGEnclosure:
         with pytest.raises(ResourceLimitError):
             G_enclosure(10**8, 64)  # rejected before any term is computed
 
+    def test_work_ceiling_boundary(self, monkeypatch):
+        # G(n) at p = 64 costs 117 n, so 36709122 is the largest n it takes
+        n = 36_709_122
+        assert g_cost(n, 64)[1] <= WORK_CEILING < g_cost(n + 1, 64)[1]
+
+        class PastTheChecks(Exception):
+            pass
+
+        def no_brackets(*args):
+            raise PastTheChecks
+
+        monkeypatch.setattr(enclosures_mod, "_prime_log2", no_brackets)
+        with pytest.raises(PastTheChecks):
+            G_enclosure(n, 64)
+        with pytest.raises(ResourceLimitError, match="work ceiling"):
+            G_enclosure(n + 1, 64)
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["g-value", "1", "--bits", "16384"],
+                "G(1) at precision 16384 needs 16387-bit prime brackets, "
+                "above the ceiling of 16384 bits",
+            ),
+            (
+                ["g-value", "40000000"],
+                "G(40000000) at precision 64 needs work of 4680000000, "
+                "above the work ceiling of 4294967296",
+            ),
+        ],
+        ids=["precision", "work"],
+    )
+    def test_limit_messages_name_n_and_the_requested_precision(
+        self, monkeypatch, capsys, argv, message
+    ):
+        # rejected before the sieve runs, in the terms the user typed
+        def no_sieve(n):
+            raise AssertionError("the prime sieve ran")
+
+        monkeypatch.setattr(enclosures_mod, "_prime_sieve", no_sieve)
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"log2lab: resource limit: {message}\n"
+
     def test_domain(self):
         with pytest.raises(DomainError):
             G_enclosure(0, 50)
@@ -224,7 +279,7 @@ class TestLog2Table:
     @settings(deadline=None, max_examples=80)
     @given(_TABLE_ARGS, _TERM_PRECISIONS)
     def test_contains_log2_m_within_one_prime_width(self, m, q):
-        lo, hi, s = _bracket_by_factors(m, enclosures_mod._table_precision(m, q))
+        lo, hi, s = _bracket_by_factors(m, table_precision(m, q))
         if m & (m - 1) == 0:
             assert lo == hi == (m.bit_length() - 1) << s
             return
@@ -271,11 +326,12 @@ class TestLog2Table:
         # a compared row runs no term sum: log2 n! comes from the exact
         # factorial or the Stirling series, and G(n) from it
         assert enclosures_mod._PRIME_LOG2 == {}
-        # error-term's G(n) reads the prime brackets at attempt_precision
+        # error-term's G(n) reads the prime brackets at the q_tab of g_cost
         config = SweepConfig(n_lo=1500, n_hi=1501)
         assert run_error_term(config, io.StringIO(), io.StringIO()) == 0
         tables = enclosures_mod._PRIME_LOG2
-        assert set(tables) == {attempt_precision(n, 64) for n in (1500, 1501)}
+        part = _part_precision(64, _ROW_PARTS)
+        assert set(tables) == {g_cost(n, part)[0] for n in (1500, 1501)}
         pi_1501 = sum(map(_is_prime, range(1502)))
         for limit, primes, lo, hi in tables.values():
             assert limit <= 1501
@@ -292,7 +348,7 @@ class TestLog2Table:
     def test_interrupted_extension_leaves_a_whole_table(self, monkeypatch):
         monkeypatch.setattr(enclosures_mod, "_PRIME_LOG2", {})
         table = enclosures_mod._prime_log2
-        q_tab = enclosures_mod._table_precision(2000, 53)
+        q_tab = table_precision(2000, 53)
         table(500, q_tab)
         real = enclosures_mod._log2_raw
         primes = []

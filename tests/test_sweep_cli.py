@@ -25,10 +25,11 @@ import log2lab.sweep as sweep_mod
 import log2lab.workers as workers_mod
 from log2lab.cli import main
 from log2lab.exact import (
+    _ROW_PARTS,
     MAX_PRECISION_BITS,
     WORK_CEILING,
-    attempt_precision,
-    attempt_work,
+    _part_precision,
+    g_cost,
     oracle_work,
 )
 from log2lab.sweep import (
@@ -45,6 +46,8 @@ from log2lab.sweep import (
     run_error_term,
     run_verify_theorem,
 )
+
+from conftest import ACCEPTED, largest_accepted, skip_rows
 
 DECIMAL_RE = re.compile(r"^-?\d+(\.\d+)?$")
 
@@ -159,39 +162,44 @@ class TestConfigValidation:
             {"n_lo": 1, "n_hi": 40_000_000},
         ],
     )
-    def test_rejects(self, kwargs):
+    def test_rejects(self, kwargs, monkeypatch):
+        skip_rows(monkeypatch)
         with pytest.raises(UsageError):
-            SweepConfig(**kwargs).validate()
+            run_error_term(SweepConfig(**kwargs))
 
     @pytest.mark.parametrize("p", [4, 64, 1000])
-    def test_work_ceiling_boundary(self, p):
-        # the largest n_hi whose term sums stay within the work ceiling
-        lo, hi = 1, 1 << 32
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if attempt_work(mid, p) <= WORK_CEILING else (lo, mid)
-        SweepConfig(n_lo=lo, n_hi=lo, precision_bits=p).validate()
+    def test_work_ceiling_boundary(self, p, monkeypatch):
+        # the largest n_hi whose G(n) stays within the work ceiling
+        skip_rows(monkeypatch)
+        lo = largest_accepted(run_error_term, p)
+        part = _part_precision(p, _ROW_PARTS)  # what error_term_e2 asks G for
+        assert g_cost(lo, part)[1] <= WORK_CEILING < g_cost(lo + 1, part)[1]
+        assert run_error_term(SweepConfig(n_lo=lo, n_hi=lo, precision_bits=p)) == ACCEPTED
         with pytest.raises(UsageError, match="work ceiling"):
-            SweepConfig(n_lo=hi, n_hi=hi, precision_bits=p).validate()
-        # a command without term sums takes the range
-        SweepConfig(n_lo=hi, n_hi=hi, precision_bits=p).validate(term_sums=False)
+            run_error_term(SweepConfig(n_lo=lo + 1, n_hi=lo + 1, precision_bits=p))
+        # a command without G(n) takes the range
+        config = SweepConfig(n_lo=lo + 1, n_hi=lo + 1, precision_bits=p)
+        assert run_bounds_sweep(config) == ACCEPTED
 
-    def test_oracle_work_boundary(self):
+    def test_oracle_work_boundary(self, monkeypatch):
         # verify-theorem's oracles visit about 2 n_hi values of m, so the
         # largest range end it takes is half the work ceiling
+        skip_rows(monkeypatch)
         a = WORK_CEILING // 2
         assert oracle_work(a) <= WORK_CEILING < oracle_work(a + 1)
-        SweepConfig(n_lo=a, n_hi=a).validate(term_sums=False, oracles=True)
+        assert run_verify_theorem(SweepConfig(n_lo=a, n_hi=a)) == ACCEPTED
         with pytest.raises(UsageError, match="work ceiling"):
-            SweepConfig(n_lo=a + 1, n_hi=a + 1).validate(term_sums=False, oracles=True)
+            run_verify_theorem(SweepConfig(n_lo=a + 1, n_hi=a + 1))
         # sweep-bounds is not held to it
-        SweepConfig(n_lo=a + 1, n_hi=a + 1).validate(term_sums=False)
+        assert run_bounds_sweep(SweepConfig(n_lo=a + 1, n_hi=a + 1)) == ACCEPTED
 
     @pytest.mark.parametrize("p", [1, MAX_PRECISION_BITS + 1])
-    def test_verify_theorem_has_no_precision_rule(self, p):
+    def test_verify_theorem_has_no_precision_rule(self, p, monkeypatch):
+        skip_rows(monkeypatch)
         with pytest.raises(UsageError, match="precision"):
-            SweepConfig(n_lo=1, n_hi=99, precision_bits=p).validate(term_sums=False)
-        SweepConfig(n_lo=1, n_hi=99, precision_bits=p).validate(term_sums=False, oracles=True)
+            run_bounds_sweep(SweepConfig(n_lo=1, n_hi=99, precision_bits=p))
+        config = SweepConfig(n_lo=1, n_hi=99, precision_bits=p)
+        assert run_verify_theorem(config) == ACCEPTED
 
     def test_parity_filter(self):
         cfg = SweepConfig(n_lo=1, n_hi=10, parity="odd")
@@ -786,9 +794,9 @@ class TestCliContract:
         assert done.stderr.decode() == CLOSED_BY_READER
 
     def test_precision_over_ceiling_rejected_before_output(self, tmp_path, capsys):
-        # the row's finest part, the log table under G, needs 9 bits over --bits at n = 3
+        # the row's finest part, the prime brackets under G, needs 9 bits over --bits at n = 3
         p_max = MAX_PRECISION_BITS - 9
-        assert attempt_precision(3, p_max) == MAX_PRECISION_BITS
+        assert g_cost(3, _part_precision(p_max, _ROW_PARTS))[0] == MAX_PRECISION_BITS
         out = tmp_path / "e2.json"
         argv = ["error-term", "--range", "1..3", "--format", "json", "--out", str(out)]
         assert main(argv + ["--bits", str(p_max + 1)]) == EXIT_USAGE
@@ -797,8 +805,8 @@ class TestCliContract:
 
     @pytest.mark.parametrize("command", ["error-term"])
     def test_range_over_work_ceiling_rejected_before_output(self, tmp_path, capsys, command):
-        # G(40000000) at a row's term precision is past the work ceiling
-        assert attempt_work(40_000_000, 64) > WORK_CEILING
+        # G(40000000) at a row's part precision is past the work ceiling
+        assert g_cost(40_000_000, _part_precision(64, _ROW_PARTS))[1] > WORK_CEILING
         out = tmp_path / "rows.json"
         argv = [command, "--range", "40000000..40000001", "--format", "json", "--out", str(out)]
         assert main(argv) == EXIT_USAGE
@@ -806,7 +814,7 @@ class TestCliContract:
         assert not out.exists()
 
     def test_sweep_bounds_has_no_work_ceiling(self, tmp_path, capsys):
-        # a compared row runs no term sum, so sweep-bounds takes a range that
+        # a compared row runs no G(n), so sweep-bounds takes a range that
         # error-term rejects before it opens --out
         argv = ["--range", "1000000000000..1000000000000", "--format", "json"]
         out = tmp_path / "rows.json"
@@ -824,10 +832,10 @@ class TestCliContract:
         assert 0 < hi - lo <= Fraction(1, 1 << int(row["precision_bits"]))
 
     def test_verify_theorem_has_no_work_ceiling(self, tmp_path):
-        # verify-theorem computes no term sums, so a range that the other
+        # verify-theorem computes no G(n), so a range that the other
         # commands reject at this precision still runs
         cfg = SweepConfig(n_lo=300_001, n_hi=300_001, precision_bits=16_000, output_format="json")
-        assert attempt_work(cfg.n_hi, cfg.precision_bits) > WORK_CEILING
+        assert g_cost(cfg.n_hi, _part_precision(cfg.precision_bits, _ROW_PARTS))[1] > WORK_CEILING
         code, out, _ = run_to_files(run_verify_theorem, cfg, tmp_path, "verify.json")
         assert code == EXIT_OK
         summary = json.loads(out.read_text())[-1]["summary"]
@@ -854,7 +862,7 @@ class TestCliContract:
         # every part of rows 1 and 2 is exact, so the run is quick, but each
         # still passes its precision through the ceiling check
         p_max = MAX_PRECISION_BITS - 8
-        assert attempt_precision(2, p_max) == MAX_PRECISION_BITS
+        assert g_cost(2, _part_precision(p_max, _ROW_PARTS))[0] == MAX_PRECISION_BITS
         out = tmp_path / "e2.json"
         argv = ["error-term", "--range", "1..2", "--format", "json", "--out", str(out)]
         assert main(argv + ["--bits", str(p_max + 1)]) == EXIT_USAGE
