@@ -98,10 +98,23 @@ class _Record:
 
     The records are immutable by convention; they use ``__slots__`` rather
     than a frozen dataclass, so that a row builds in a few attribute stores
-    and importing this module builds no dataclass.
+    and importing this module builds no dataclass.  One constructor serves
+    them all: it takes each field once, positionally in ``__slots__`` order
+    or by keyword, and raises TypeError otherwise.
     """
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        values = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+            raise TypeError(
+                f"{type(self).__name__} takes each of the fields {names} once, "
+                f"got {len(args)} positionally and {tuple(kwargs)} by keyword"
+            )
+        for name, value in values.items():
+            setattr(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -127,12 +140,6 @@ class Verdict(_Record):
     """
 
     __slots__ = ("status", "certificate")
-
-    def __init__(
-        self, status: VerdictStatus, certificate: tuple[DyadicInterval, DyadicInterval]
-    ) -> None:
-        self.status = status
-        self.certificate = certificate
 
 
 def _verdict(lhs: DyadicInterval, rhs: DyadicInterval) -> Verdict:
@@ -202,11 +209,6 @@ class BAgreementReport(_Record):
     """Printed-decimal b versus closed-form b at a given precision."""
 
     __slots__ = ("printed", "closed_form", "agree")
-
-    def __init__(self, printed: DyadicInterval, closed_form: DyadicInterval, agree: bool) -> None:
-        self.printed = printed
-        self.closed_form = closed_form
-        self.agree = agree
 
 
 def ramanujan_b_agreement(p: int = 64) -> BAgreementReport:
@@ -331,40 +333,6 @@ class BoundRow(_Record):
         "ramanujan_lo", "ramanujan_hi", "c_log2", "e2", "s2", "equality", "verdicts",
         "escalations",
     )
-
-    def __init__(
-        self,
-        n: int,
-        precision_bits: int,
-        log2_fact: DyadicInterval,
-        g: DyadicInterval,
-        paper_lb: DyadicInterval,
-        robbins_lo: DyadicInterval,
-        robbins_hi: DyadicInterval,
-        ramanujan_lo: DyadicInterval,
-        ramanujan_hi: DyadicInterval,
-        c_log2: DyadicInterval,
-        e2: DyadicInterval,
-        s2: int,
-        equality: bool,
-        verdicts: dict[str, Verdict],
-        escalations: int,
-    ) -> None:
-        self.n = n
-        self.precision_bits = precision_bits
-        self.log2_fact = log2_fact
-        self.g = g
-        self.paper_lb = paper_lb
-        self.robbins_lo = robbins_lo
-        self.robbins_hi = robbins_hi
-        self.ramanujan_lo = ramanujan_lo
-        self.ramanujan_hi = ramanujan_hi
-        self.c_log2 = c_log2
-        self.e2 = e2
-        self.s2 = s2
-        self.equality = equality
-        self.verdicts = verdicts
-        self.escalations = escalations
 
 
 def _settled(verdicts: dict[str, Verdict]) -> bool:

@@ -197,8 +197,14 @@ def _combine(v1: VerdictStatus, v2: VerdictStatus) -> str:
 
 
 def _bounds_payload(config: SweepConfig, n: int) -> dict:
-    """One row, fully serialized, with its Violated findings rendered; pure
-    in (config, n) so workers agree."""
+    """One row, fully serialized, with its Violated findings; pure in
+    (config, n) so workers agree.
+
+    Each distinct interval of the row is rendered once: ``c_log2`` is the
+    ``e2`` object, and a certificate holds two of the row's own column
+    intervals, so a finding's certificate is the four column strings, the
+    same ``str`` objects (a forked block pickles each once).
+    """
     row = compare_bounds(
         n,
         config.precision_bits,
@@ -206,15 +212,16 @@ def _bounds_payload(config: SweepConfig, n: int) -> dict:
         max_escalations=config.max_escalations,
     )
     f_emit = row.precision_bits + 3
+    rendered: dict[int, list[str]] = {}  # by id: the row keeps every interval alive
 
     def render(iv: DyadicInterval) -> list[str]:
-        return _decimals(iv.round_outward(f_emit))
+        if id(iv) not in rendered:
+            rendered[id(iv)] = _decimals(iv.round_outward(f_emit))
+        return rendered[id(iv)]
 
     fields: dict[str, str] = {"n": str(n), "precision_bits": str(row.precision_bits)}
-    e2 = render(row.e2)  # also c_log2's: compare_bounds sets c_log2 = e2
     for name in _ROW_INTERVALS:
-        iv_decimals = e2 if name in ("c_log2", "e2") else render(getattr(row, name))
-        fields[f"{name}_lo"], fields[f"{name}_hi"] = iv_decimals
+        fields[f"{name}_lo"], fields[f"{name}_hi"] = render(getattr(row, name))
     fields["s2"] = str(row.s2)
     fields["verdict_paper"] = row.verdicts["paper"].status.value
     fields["verdict_robbins"] = _combine(
@@ -245,6 +252,8 @@ def _bounds_payload(config: SweepConfig, n: int) -> dict:
 
 
 def _error_term_payload(config: SweepConfig, n: int) -> dict:
+    """The e2 row of n, which is the whole payload: the fold reads its
+    ``contains`` field."""
     p = config.precision_bits
     e2 = error_term_e2(n, p)
     s2m1 = binary_digit_sum(n) - 1
@@ -254,7 +263,7 @@ def _error_term_payload(config: SweepConfig, n: int) -> dict:
         and not e2.contains_int(s2m1 + 1)
     )
     lo, hi = _decimals(e2.round_outward(p + 3))
-    fields = {
+    return {
         "n": str(n),
         "precision_bits": str(p),
         "e2_lo": lo,
@@ -262,7 +271,6 @@ def _error_term_payload(config: SweepConfig, n: int) -> dict:
         "s2_minus_1": str(s2m1),
         "contains": "true" if contains else "false",
     }
-    return {"fields": fields, "meta": {"contains": contains}}
 
 
 def _verify_payload(config: SweepConfig, a: int) -> tuple[int, int | str, int, int]:
@@ -427,7 +435,11 @@ def _run(
 
 
 class _BoundsFold:
-    """Verdict counts, equality rows, the e2 argmax and the findings."""
+    """Verdict counts, equality rows, the e2 argmax and the findings.
+
+    A row's findings come in its payload, already rendered: a certificate is
+    the four strings of the row's own columns for its two intervals.
+    """
 
     def __init__(self, config: SweepConfig, ns: range):
         _load_bounds()
@@ -530,10 +542,9 @@ class _ErrorTermFold:
         self.all_contained = True
         self.max_row: dict | None = None
 
-    def add(self, payload: dict, write: Callable[[dict], None]) -> None:
-        fields = payload["fields"]
+    def add(self, fields: dict, write: Callable[[dict], None]) -> None:
         write(fields)
-        if not payload["meta"]["contains"]:
+        if fields["contains"] != "true":
             self.all_contained = False
         s2m1 = int(fields["s2_minus_1"])
         if self.max_row is None or s2m1 > self.max_row["s2_minus_1"]:

@@ -20,6 +20,7 @@ import log2lab.exact as exact_mod
 import log2lab.sweep as sweep_mod
 from log2lab.bounds import (
     BOUND_NAMES,
+    BAgreementReport,
     BoundRow,
     Verdict,
     VerdictStatus,
@@ -223,6 +224,54 @@ class TestRamanujan:
             assert ramanujan_b_printed(p).contains_fraction(
                 Fraction(35499112666, 10**11)
             )
+
+
+_QUARTER_IV = DyadicInterval.from_mantissas(1, 3, -2)  # [0.25, 0.75]
+
+# each record with one value per field, in __slots__ order
+RECORDS = [
+    (Verdict, {"status": VerdictStatus.HOLDS, "certificate": (_QUARTER_IV, _QUARTER_IV)}),
+    (BAgreementReport, {"printed": _QUARTER_IV, "closed_form": _QUARTER_IV, "agree": True}),
+    (BoundRow, {name: i for i, name in enumerate(BoundRow.__slots__)}),
+]
+RECORD_IDS = [cls.__name__ for cls, _ in RECORDS]
+
+
+class TestRecords:
+    """Verdict, BAgreementReport and BoundRow share one constructor, which
+    fills ``__slots__`` from positional arguments and keywords."""
+
+    @pytest.mark.parametrize("cls, fields", RECORDS, ids=RECORD_IDS)
+    def test_keywords_and_positions_build_the_same_record(self, cls, fields):
+        assert "__init__" not in vars(cls)
+        values = list(fields.values())
+        record = cls(**fields)
+        assert [getattr(record, name) for name in cls.__slots__] == values
+        assert cls(*values) == record
+        rest = {name: fields[name] for name in cls.__slots__[1:]}
+        assert cls(values[0], **rest) == record
+        assert hash(cls(*values)) == hash(record)
+
+    @pytest.mark.parametrize("cls, fields", RECORDS, ids=RECORD_IDS)
+    @pytest.mark.parametrize("fault", ["missing", "unknown", "repeated", "surplus"])
+    def test_bad_fields_raise_type_error(self, cls, fields, fault):
+        values = list(fields.values())
+        first = cls.__slots__[0]
+        args, kwargs = {
+            "missing": ((), {k: v for k, v in fields.items() if k != first}),
+            "unknown": ((), {**fields, "unknown_field": 0}),
+            "repeated": ((values[0],), fields),
+            "surplus": ((*values, 0), {}),
+        }[fault]
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+
+    def test_verdict_repr(self):
+        verdict = Verdict(VerdictStatus.HOLDS, (_QUARTER_IV, _QUARTER_IV))
+        assert repr(verdict) == (
+            "Verdict(status=<VerdictStatus.HOLDS: 'Holds'>, "
+            "certificate=([0.25, 0.75], [0.25, 0.75]))"
+        )
 
 
 class TestCompareBounds:

@@ -23,6 +23,7 @@ import log2lab
 import log2lab.exact as exact_mod
 import log2lab.sweep as sweep_mod
 import log2lab.workers as workers_mod
+from log2lab.bounds import BoundRow
 from log2lab.cli import main
 from log2lab.exact import (
     _ROW_PARTS,
@@ -295,6 +296,73 @@ class TestBoundsSweep:
         assert code == EXIT_VIOLATION
         assert "verdict_violated" in report and '"bound":"paper"' in report
 
+    @pytest.fixture
+    def payloads(self, monkeypatch):
+        """``_bounds_payload`` of a config and n, with the row it rendered."""
+        sweep_mod._load_bounds()
+        real = sweep_mod.compare_bounds
+        rows = []
+
+        def recording(*args, **kwargs):
+            rows.append(real(*args, **kwargs))
+            return rows[-1]
+
+        monkeypatch.setattr(sweep_mod, "compare_bounds", recording)
+
+        def payload_and_row(config, n):
+            return sweep_mod._bounds_payload(config, n), rows[-1]
+
+        return payload_and_row
+
+    @staticmethod
+    def certificate_columns(payload, row):
+        """Each Violated finding with the column strings of the row
+        intervals its verdict's certificate holds."""
+        fields = payload["fields"]
+        for finding in payload["meta"]["findings"]:
+            columns = []
+            for iv in row.verdicts[finding["bound"]].certificate:
+                name = next(name for name in BoundRow.__slots__ if getattr(row, name) is iv)
+                columns += [fields[f"{name}_lo"], fields[f"{name}_hi"]]
+            yield finding, columns
+
+    def test_each_interval_rendered_once(self, payloads, monkeypatch):
+        # 8 distinct intervals (c_log2 is e2) of two endpoints each, the
+        # findings' certificates included
+        from log2lab.dyadic import DyadicRational
+
+        calls = []
+        real = DyadicRational.decimal_str
+
+        def counting(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(DyadicRational, "decimal_str", counting)
+        cfg = SweepConfig(n_lo=3004, n_hi=3083, precision_bits=64)
+        findings = 0
+        for n in cfg.ns():
+            del calls[:]
+            payload, row = payloads(cfg, n)
+            assert len(calls) == 16, n
+            for finding, columns in self.certificate_columns(payload, row):
+                assert all(a is b for a, b in zip(finding["certificate"], columns, strict=True))
+                findings += 1
+        assert findings >= len(cfg.ns())  # the Ramanujan lower side, every row
+
+    @pytest.mark.parametrize("b_source", ["printed", "closed-form"])
+    @pytest.mark.parametrize("p", [4, 64])
+    def test_finding_certificates_are_their_rows_columns(self, payloads, p, b_source):
+        checked = 0
+        for n in [*range(1, 301), 3004, 4939, 6001]:
+            cfg = SweepConfig(n_lo=n, n_hi=n, precision_bits=p, ramanujan_b=b_source)
+            payload, row = payloads(cfg, n)
+            for finding, columns in self.certificate_columns(payload, row):
+                assert finding["precision_bits"] == row.precision_bits
+                assert finding["certificate"] == columns, (n, finding["bound"])
+                checked += 1
+        assert checked >= 300
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_interrupt_leaves_valid_truncated_json(self, tmp_path, monkeypatch, workers):
         # with 2 workers the blocks hold 2 rows, so n = 4 is in the second
@@ -412,17 +480,29 @@ class TestErrorTerm:
         real = sweep_mod._error_term_payload
 
         def sabotaged(config, n):
-            payload = real(config, n)
+            fields = real(config, n)
             if n == 5:
-                payload["fields"]["contains"] = "false"
-                payload["meta"]["contains"] = False
-            return payload
+                fields["contains"] = "false"
+            return fields
 
         monkeypatch.setattr(sweep_mod, "_error_term_payload", sabotaged)
         cfg = SweepConfig(n_lo=1, n_hi=8, precision_bits=53)
         code, _, report = run_to_files(run_error_term, cfg, tmp_path, "bad.csv")
         assert code == EXIT_VIOLATION
         assert "excluded neighbors: false" in report
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_odd_only_writes_the_odd_rows(self, tmp_path, capsys, monkeypatch, workers):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        full, odd = tmp_path / "full.csv", tmp_path / "odd.csv"
+        argv = ["error-term", "--range", "1..40", "--bits", "64", "--workers", str(workers)]
+        assert main(argv + ["--out", str(full)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(argv + ["--odd-only", "--out", str(odd)]) == EXIT_OK
+        assert "checked=20 of 20 rows" in capsys.readouterr().err
+        header, *rows = full.read_text().splitlines()
+        odd_rows = [row for row in rows if int(row.split(",")[0]) % 2]
+        assert odd.read_text().splitlines() == [header, *odd_rows]
 
 
 class TestVerifyTheorem:
