@@ -41,6 +41,7 @@ change), so a row builds no Fraction.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 
@@ -93,53 +94,20 @@ class VerdictStatus(Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-class _Record:
-    """A record of named fields, compared, hashed and shown field by field.
-
-    The records are immutable by convention; they use ``__slots__`` rather
-    than a frozen dataclass, so that a row builds in a few attribute stores
-    and importing this module builds no dataclass.  One constructor serves
-    them all: it takes each field once, positionally in ``__slots__`` order
-    or by keyword, and raises TypeError otherwise.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, *args, **kwargs) -> None:
-        names = self.__slots__
-        values = dict(zip(names, args), **kwargs)
-        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
-            raise TypeError(
-                f"{type(self).__name__} takes each of the fields {names} once, "
-                f"got {len(args)} positionally and {tuple(kwargs)} by keyword"
-            )
-        for name, value in values.items():
-            setattr(self, name, value)
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__name__}({fields})"
+# The records are named tuples rather than frozen dataclasses, so that a row
+# builds each in one tuple allocation and importing this module builds no
+# dataclass.  Like any tuple, they compare and show field by field, and hash
+# by field where every field is hashable.
 
 
-class Verdict(_Record):
+class Verdict(namedtuple("Verdict", ("status", "certificate"))):
     """Outcome of one interval comparison, with the certifying intervals.
 
     ``certificate`` is (lhs, rhs) for the claim lhs <= rhs; HOLDS and VIOLATED
     are only ever issued from strictly separated endpoints.
     """
 
-    __slots__ = ("status", "certificate")
+    __slots__ = ()
 
 
 def _verdict(lhs: DyadicInterval, rhs: DyadicInterval) -> Verdict:
@@ -205,10 +173,10 @@ def ramanujan_b_closed_form(p: int) -> DyadicInterval:
     return b
 
 
-class BAgreementReport(_Record):
+class BAgreementReport(namedtuple("BAgreementReport", ("printed", "closed_form", "agree"))):
     """Printed-decimal b versus closed-form b at a given precision."""
 
-    __slots__ = ("printed", "closed_form", "agree")
+    __slots__ = ()
 
 
 def ramanujan_b_agreement(p: int = 64) -> BAgreementReport:
@@ -325,14 +293,19 @@ def ramanujan_bounds_log2(
 # ---------------------------------------------------------------------------
 
 
-class BoundRow(_Record):
-    """Everything measured for one n, all in the log2 domain."""
-
-    __slots__ = (
-        "n", "precision_bits", "log2_fact", "g", "paper_lb", "robbins_lo", "robbins_hi",
-        "ramanujan_lo", "ramanujan_hi", "c_log2", "e2", "s2", "equality", "verdicts",
-        "escalations",
+class BoundRow(
+    namedtuple(
+        "BoundRow",
+        "n precision_bits log2_fact g paper_lb robbins_lo robbins_hi ramanujan_lo"
+        " ramanujan_hi c_log2 e2 s2 equality verdicts escalations",
     )
+):
+    """Everything measured for one n, all in the log2 domain.
+
+    Unhashable, unlike the other records: ``verdicts`` is a dict.
+    """
+
+    __slots__ = ()
 
 
 def _settled(verdicts: dict[str, Verdict]) -> bool:

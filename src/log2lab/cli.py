@@ -9,7 +9,9 @@ Exit codes are a contract shared by every subcommand:
       ``--max-escalations`` or at the last attempt under the precision
       ceiling (also used when a run is interrupted and the output file was
       finalized as truncated, and when the reader of stdout closes it before
-      the run ends, say ``| head``: one stderr line, no traceback);
+      the run ends, say ``| head``: one stderr line, no traceback, or no
+      stderr line at all when stderr is that same pipe, as with
+      ``2>&1 | head``);
 * 3 — usage or configuration error (no output file is created), or a
       precision or work ceiling hit mid-run (the output file is finalized as
       truncated but valid);
@@ -150,9 +152,17 @@ def _cmd_g_value(args: argparse.Namespace) -> int:
 
 def _closed_by_reader() -> int:
     """stdout's reader went away: stop as on an interrupt, and send what is
-    still buffered for stdout to the null device instead of failing again."""
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    sys.stderr.write("log2lab: output closed by its reader; the run stopped early\n")
+    still buffered for stdout to the null device instead of failing again.
+    When stderr shares that pipe, its line cannot be written either, and
+    stderr goes to the null device too."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    try:
+        sys.stderr.write("log2lab: output closed by its reader; the run stopped early\n")
+        sys.stderr.flush()
+    except BrokenPipeError:
+        os.dup2(devnull, sys.stderr.fileno())
+    os.close(devnull)
     return EXIT_INCONCLUSIVE
 
 

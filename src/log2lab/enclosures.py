@@ -27,7 +27,9 @@ the Stirling series above it (DLMF 5.11.1, with z = n, plus ln n):
 For real n > 0 the remainder R_K(n) has the sign of the first omitted term and
 is smaller in magnitude (DLMF 5.11(ii); Whittaker & Watson, section 12.33), so
 the series stops at the first term below one ulp of its scale and covers the
-remainder with one ulp on that term's side.  The Bernoulli numbers are exact,
+remainder with one ulp on that term's side.  ``_alternating_sum`` does that
+for any such series of exact terms; Machin's arctangents for pi are the other
+one it sums.  The Bernoulli numbers are exact,
 from the tangent numbers (Brent & Harvey, "Fast computation of Bernoulli,
 Tangent and Secant numbers", 2011), and are computed on first use.  In log2
 the only logs are log2 n, log2 e and log2 pi, so an enclosure costs one log core
@@ -57,12 +59,18 @@ Named constants are evaluated once per precision: ln 2 from the log series,
 and two classical series with explicit tail bounds:
 
 * pi    = 16 atan(1/5) - 4 atan(1/239) (Machin), alternating series whose
-  truncation error is bounded by the first omitted term;
-* e     = sum 1/i!, positive terms, tail after K bounded by 2/(K+1)!.
+  truncation error is bounded by the first omitted term, summed by
+  ``_alternating_sum`` like the Stirling series;
+* e     = sum 1/i!, positive terms, tail after K bounded by 2/(K+1)!, so it
+  keeps its own loop.
+
+The log series keeps its own loop too: its powers of t are rounded onto a grid
+as they go, so its terms are not the exact ratios ``_alternating_sum`` takes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -83,6 +91,7 @@ from .exact import (
 )
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
     from fractions import Fraction
 
 __all__ = [
@@ -379,43 +388,57 @@ def _stirling_coefficients(count: int) -> tuple[tuple[int, int], ...]:
     return _STIRLING_COEFFS
 
 
-def _stirling_series(n: int, w: int) -> tuple[int, int]:
-    """(lo, hi) with ln n! - ((n + 1/2) ln n - n + ln(2 pi) / 2), the sum of
-    B_2k / (2k (2k - 1) n^(2k - 1)) over every k >= 1, in [lo, hi] * 2^-w.
+def _alternating_sum(terms: Iterable[tuple[int, int]], w: int) -> tuple[int, int]:
+    """(lo, hi) with the sum of a series in [lo, hi] * 2^-w, for exact terms
+    (num, den), den > 0, whose remainder after each term has the sign of the
+    next term and is smaller than it: an alternating series of shrinking
+    terms, or the Stirling series.
 
-    Each term is rounded down into lo and up into hi.  The first term below
-    one ulp is the first omitted one: the remainder has its sign and is
-    smaller, so one ulp on that side covers it.  The width is at most one ulp
-    per kept term, plus one.
+    Each term num/den is floored into lo and ceiled into hi.  The first term
+    below one ulp is the first omitted one, and one ulp on its side covers the
+    remainder, so the width is at most one ulp per kept term, plus one.  A
+    finite ``terms`` that runs out first raises DomainError.
 
-    The terms shrink only up to k near pi n, where they are about e^(-2 pi n),
-    so the series needs w < 9n.  For the w that log2 n! at n >= 2p asks
-    (about n / 2), each of the first (w + 1) / 2 terms is at least 4 times
-    smaller than the one before, so at most that many are kept; a series
-    past w terms is refused.
+    ``e_interval`` keeps its own loop: its terms are all positive, and the tail
+    after K of them is bounded by 2/(K+1)!, not by the next term.
+    ``_ln1p_core`` keeps its own loop: its powers of t are rounded onto the
+    2^-w grid as they go, so its terms are not exact ratios.
     """
-    coeffs = _STIRLING_COEFFS
     lo = hi = 0
-    n_sq = n * n
-    n_pow = n  # n^(2k - 1)
-    k = 0
-    while True:
-        if k > w:
-            raise DomainError(f"the Stirling series at n={n} does not reach 2^-{w}")
-        if k == len(coeffs):
-            coeffs = _stirling_coefficients(k + 1)
-        num, den = coeffs[k]
-        d = den * n_pow
-        if abs(num) << w < d:
+    for num, den in terms:
+        if abs(num) << w < den:
             if num > 0:
                 hi += 1
             else:
                 lo -= 1
             return lo, hi
-        lo += (num << w) // d
-        hi += -((-num << w) // d)
-        n_pow *= n_sq
-        k += 1
+        lo += (num << w) // den
+        hi -= (-num << w) // den
+    raise DomainError(f"the series does not reach 2^-{w}")
+
+
+def _stirling_series(n: int, w: int) -> tuple[int, int]:
+    """(lo, hi) with ln n! - ((n + 1/2) ln n - n + ln(2 pi) / 2), the sum of
+    B_2k / (2k (2k - 1) n^(2k - 1)) over every k >= 1, in [lo, hi] * 2^-w,
+    by ``_alternating_sum``: the remainder has the sign of the first omitted
+    term and is smaller.
+
+    The terms shrink only up to k near pi n, where they are about e^(-2 pi n),
+    so the series needs w < 9n.  For the w that log2 n! at n >= 2p asks
+    (about n / 2), each of the first (w + 1) / 2 terms is at least 4 times
+    smaller than the one before, so at most that many are kept; a series
+    past w + 1 terms is refused.
+    """
+
+    def terms():
+        n_pow = n  # n^(2k - 1)
+        for k in range(w + 1):
+            num, den = _stirling_coefficients(k + 1)[k]  # grown on demand
+            yield num, den * n_pow
+            n_pow *= n * n
+        raise DomainError(f"the Stirling series at n={n} does not reach 2^-{w}")
+
+    return _alternating_sum(terms(), w)
 
 
 _HALF = DyadicRational(1, -1)
@@ -474,33 +497,21 @@ def ln2_interval(p: int) -> DyadicInterval:
 
 
 def _atan_inv_scaled(x: int, w: int) -> tuple[int, int]:
-    """Directed scaled bracket of atan(1/x) at scale 2^-w, x >= 2.
+    """Directed scaled bracket of atan(1/x) at scale 2^-w, x >= 2: the
+    alternating series sum_i (-1)^i / ((2i + 1) x^(2i + 1)), by
+    ``_alternating_sum``, whose truncation error the first omitted term covers.
 
-    Alternating series; the truncation error is covered by the first omitted
-    term, added on the matching side.
+    ``pi_interval`` sums at w >= 20, and 2^20 > 239, so the first term 1/x is
+    always kept.
     """
-    lo = 0
-    hi = 0
-    i = 0
-    powx = x  # x^(2i+1)
-    while True:
-        den = (2 * i + 1) * powx
-        num = 1 << w
-        if num // den == 0 and i > 0:
-            # remaining tail < 1 ulp; cover it on the side of its sign
-            if i % 2 == 0:
-                hi += 1
-            else:
-                lo -= 1
-            return lo, hi
-        if i % 2 == 0:
-            lo += num // den
-            hi += -((-num) // den)
-        else:
-            lo -= -((-num) // den)
-            hi -= num // den
-        powx *= x * x
-        i += 1
+
+    def terms():
+        power = x  # x^(2i + 1)
+        for i in itertools.count():
+            yield (-1) ** i, (2 * i + 1) * power
+            power *= x * x
+
+    return _alternating_sum(terms(), w)
 
 
 @lru_cache(maxsize=None)

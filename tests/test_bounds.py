@@ -228,27 +228,35 @@ class TestRamanujan:
 
 _QUARTER_IV = DyadicInterval.from_mantissas(1, 3, -2)  # [0.25, 0.75]
 
-# each record with one value per field, in __slots__ order
+# each record with one value per field, in _fields order
 RECORDS = [
     (Verdict, {"status": VerdictStatus.HOLDS, "certificate": (_QUARTER_IV, _QUARTER_IV)}),
     (BAgreementReport, {"printed": _QUARTER_IV, "closed_form": _QUARTER_IV, "agree": True}),
-    (BoundRow, {name: i for i, name in enumerate(BoundRow.__slots__)}),
+    (BoundRow, {name: i for i, name in enumerate(BoundRow._fields)}),
 ]
 RECORD_IDS = [cls.__name__ for cls, _ in RECORDS]
 
 
 class TestRecords:
-    """Verdict, BAgreementReport and BoundRow share one constructor, which
-    fills ``__slots__`` from positional arguments and keywords."""
+    """Verdict, BAgreementReport and BoundRow are named tuples: built from
+    positional arguments and keywords, compared and hashed by field, and
+    read-only."""
+
+    def test_field_lists(self):
+        assert Verdict._fields == ("status", "certificate")
+        assert BAgreementReport._fields == ("printed", "closed_form", "agree")
+        assert len(BoundRow._fields) == 15
+        for cls, _ in RECORDS:
+            assert cls.__slots__ == ()
 
     @pytest.mark.parametrize("cls, fields", RECORDS, ids=RECORD_IDS)
     def test_keywords_and_positions_build_the_same_record(self, cls, fields):
         assert "__init__" not in vars(cls)
         values = list(fields.values())
         record = cls(**fields)
-        assert [getattr(record, name) for name in cls.__slots__] == values
-        assert cls(*values) == record
-        rest = {name: fields[name] for name in cls.__slots__[1:]}
+        assert [getattr(record, name) for name in cls._fields] == values
+        assert cls(*values) == record == tuple(values)
+        rest = {name: fields[name] for name in cls._fields[1:]}
         assert cls(values[0], **rest) == record
         assert hash(cls(*values)) == hash(record)
 
@@ -256,7 +264,7 @@ class TestRecords:
     @pytest.mark.parametrize("fault", ["missing", "unknown", "repeated", "surplus"])
     def test_bad_fields_raise_type_error(self, cls, fields, fault):
         values = list(fields.values())
-        first = cls.__slots__[0]
+        first = cls._fields[0]
         args, kwargs = {
             "missing": ((), {k: v for k, v in fields.items() if k != first}),
             "unknown": ((), {**fields, "unknown_field": 0}),
@@ -265,6 +273,20 @@ class TestRecords:
         }[fault]
         with pytest.raises(TypeError):
             cls(*args, **kwargs)
+
+    @pytest.mark.parametrize("cls, fields", RECORDS, ids=RECORD_IDS)
+    def test_fields_are_read_only(self, cls, fields):
+        record = cls(**fields)
+        with pytest.raises(AttributeError):
+            setattr(record, cls._fields[0], None)
+
+    def test_hashes(self):
+        # a Verdict hashes as the tuple of its fields; a BoundRow holds its
+        # verdicts in a dict, so it has no hash
+        status, certificate = VerdictStatus.HOLDS, (_QUARTER_IV, _QUARTER_IV)
+        assert hash(Verdict(status, certificate)) == hash((status, certificate))
+        with pytest.raises(TypeError):
+            hash(compare_bounds(3, 64))
 
     def test_verdict_repr(self):
         verdict = Verdict(VerdictStatus.HOLDS, (_QUARTER_IV, _QUARTER_IV))
@@ -401,7 +423,7 @@ def full_attempt_row(
 
 
 def assert_rows_equal(got: BoundRow, want: BoundRow) -> None:
-    for name in BoundRow.__slots__:
+    for name in BoundRow._fields:
         assert getattr(got, name) == getattr(want, name), name
     assert list(got.verdicts) == list(BOUND_NAMES)
 

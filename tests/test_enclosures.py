@@ -41,6 +41,7 @@ from log2lab.sweep import EXIT_USAGE, SweepConfig, run_bounds_sweep, run_error_t
 
 from conftest import (
     G_by_terms,
+    dyadic_to_mpf,
     frac_upper_clamp,
     g_oracle,
     interval_contains,
@@ -559,8 +560,9 @@ class TestStirlingSeries:
                     )
                     assert lo <= exact * mp.mpf(2) ** w <= hi, (n, w)
         assert stop_signs == {True, False}
-        with pytest.raises(DomainError, match="does not reach"):
-            enclosures_mod._stirling_series(8, 200)  # its terms stop shrinking near 2^-72
+        # its terms stop shrinking near 2^-72; the refusal names n
+        with pytest.raises(DomainError, match=r"Stirling series at n=8 does not reach 2\^-200"):
+            enclosures_mod._stirling_series(8, 200)
 
     @settings(deadline=None, max_examples=60)
     @given(st.data(), _PRECISIONS)
@@ -689,6 +691,32 @@ class TestLn1pCoreBracket:
         self._assert_contains(num, den, s)
 
 
+class TestAlternatingSum:
+    """The one sum behind Machin's arctangents and the Stirling series."""
+
+    @pytest.mark.parametrize("w", [20, 64, 257, 1024, 4112])
+    @pytest.mark.parametrize("x", [2, 3, 5, 239])
+    def test_arctangent_contains_and_is_narrow(self, x, w):
+        lo, hi = enclosures_mod._atan_inv_scaled(x, w)
+        # the terms 1 / ((2i + 1) x^(2i + 1)) of at least one ulp are kept
+        kept = next(i for i in range(w + 1) if (2 * i + 1) * x ** (2 * i + 1) > 1 << w)
+        assert hi - lo <= kept + 1
+        with mp.workprec(w + 64):
+            assert lo <= mp.atan(mp.mpf(1) / x) * mp.mpf(2) ** w <= hi
+
+    def test_covers_the_remainder_on_the_side_of_the_first_omitted_term(self):
+        # 1 - 1/2 + 1/4 - 1/8 + ... = 2/3; at w = 3 the term 1/16 is omitted
+        halving = [((-1) ** i, 1 << i) for i in range(10)]
+        lo, hi = enclosures_mod._alternating_sum(halving, 3)
+        assert (lo, hi) == (5, 6) and lo <= 8 * Fraction(2, 3) <= hi
+        lo, hi = enclosures_mod._alternating_sum(halving[1:], 3)  # -1/2 + 1/4 - ...
+        assert (lo, hi) == (-3, -2) and lo <= -8 * Fraction(1, 3) <= hi
+
+    def test_terms_that_run_out_are_refused(self):
+        with pytest.raises(DomainError, match="does not reach"):
+            enclosures_mod._alternating_sum([(1, 2), (-1, 4)], 8)
+
+
 class TestConstants:
     def test_frozen_digit_strings(self):
         # 40-digit freezes resolve anything up to ~128 bits
@@ -709,11 +737,13 @@ class TestConstants:
         ],
     )
     def test_live_oracle_containment(self, fn, live):
-        for p in (16, 64, 256):
+        for p in (16, 64, 256, 1024, 4096):
             iv = fn(p)
             assert iv.width_within(p)
-            with mp.workprec(600):
-                assert interval_contains(iv, live())
+            # interval_contains rounds the endpoints to its own context, too
+            # coarse past p = 256, so they are read exactly here
+            with mp.workprec(p + 600):
+                assert dyadic_to_mpf(iv.lo) <= live() <= dyadic_to_mpf(iv.hi)
 
 
 class TestIntervalContracts:

@@ -15,7 +15,11 @@ count and the Violated certificates on stderr changed too; no verdict did.
 The two sweep-bounds JSON stdout hashes were re-taken a fourth time when
 every log2 came from the atanh series instead of bit extraction: only the
 summary's unrounded ``max_e2`` / ``max_c_log2`` changed there.
-Every error-term and verify-theorem hash was left as it was.  Any byte change
+Every error-term and verify-theorem hash was left as it was.  The
+``sweep-2048-json`` case (the Stirling series near 2^-2070, whose coefficients
+grow there, and Machin's pi and e near 2088 bits through the closed-form b
+check) was added with its hashes taken before Machin's arctangents and the
+Stirling series came to share one alternating sum.  Any byte change
 in a row, a summary, a finding or a report line fails here, with one worker
 and with two.
 """
@@ -50,6 +54,11 @@ GOLDEN = {
         ["sweep-bounds", "--range", "1..24", "--linear", "--format", "json"],
         "ddcd1a99db2be703797eaa7408b418b9e70775b40c28b2647e1f0662afef598a",
         "e211ff79d46e4e68aa4378c84dd6b87e719fc6fe204025e9262b12e3f1cf6bf9",
+    ),
+    "sweep-2048-json": (
+        ["sweep-bounds", "--range", "5000..5001", "--bits", "2048", "--format", "json"],
+        "b702a3dd664e8434a807a0f04657ffa88331526d1d919b55527e2559d73e6be0",
+        "965f0ce7c56bc9dcf8bafbbc0d29ad4bc00079dae94314214fe52728883487c8",
     ),
     "error-term": (
         ["error-term", "--range", "1..200", "--bits", "128"],

@@ -322,7 +322,7 @@ class TestBoundsSweep:
         for finding in payload["meta"]["findings"]:
             columns = []
             for iv in row.verdicts[finding["bound"]].certificate:
-                name = next(name for name in BoundRow.__slots__ if getattr(row, name) is iv)
+                name = next(name for name in BoundRow._fields if getattr(row, name) is iv)
                 columns += [fields[f"{name}_lo"], fields[f"{name}_hi"]]
             yield finding, columns
 
@@ -765,6 +765,70 @@ class TestCliContract:
         for launcher in (MODULE, IN_PROCESS):
             code_err = self.closed_after_two_lines(launcher, workers)
             assert code_err == (EXIT_INCONCLUSIVE, CLOSED_BY_READER), launcher
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep-bounds", "--range", "1..300"],
+            ["error-term", "--range", "1..1000"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_closed_shared_pipe_exits_2(self, argv, unbuffered):
+        """`log2lab ... 2>&1 | head -1`: stderr is the pipe whose reader has
+        gone, so the closed-reader line goes to the null device and the run
+        still exits 2.  Each output (150 kB and more) is over twice a pipe's
+        capacity, so the run is still writing when the reader goes."""
+        env = buffered_env()
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, *MODULE, *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env, start_new_session=True,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == EXIT_INCONCLUSIVE
+        assert_group_gone(proc.pid)
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_verify_theorem_shared_pipe_closed_first(self, unbuffered):
+        """`verify-theorem ... 2>&1 | true`: its whole output is a few bytes
+        written at the end, so a reader that closes after the first line
+        races the last write.  Here the reader is gone before the run starts,
+        and the run exits 2 all the same."""
+        env = buffered_env()
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.Popen(
+                [sys.executable, *MODULE, "verify-theorem", "--range", "1..99999", "--format", "json"],
+                stdout=w, stderr=w, env=env, start_new_session=True,
+            )
+        finally:
+            os.close(w)
+        assert proc.wait(timeout=120) == EXIT_INCONCLUSIVE
+        assert_group_gone(proc.pid)
+
+    def test_closed_shared_pipe_in_process(self, monkeypatch):
+        # main() itself returns 2 when stdout and stderr both lose their reader
+        r, w = os.pipe()
+        os.close(r)
+        out, err = open(w, "w"), open(os.dup(w), "w", buffering=1)  # stderr is line-buffered
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", err)
+        try:
+            code = main(["sweep-bounds", "--range", "1..3"])
+        finally:  # close both streams with whatever they still buffer
+            null = os.open(os.devnull, os.O_WRONLY)
+            for stream in (out, err):
+                os.dup2(null, stream.fileno())
+                stream.close()
+            os.close(null)
+        assert code == EXIT_INCONCLUSIVE
 
     def test_killed_worker_ends_the_run(self, tmp_path):
         # over 1..40 the 2-worker blocks hold 5 rows: [1, 5] and [11, 15] run
