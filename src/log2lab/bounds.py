@@ -60,6 +60,7 @@ from .enclosures import (
 )
 from .exact import (
     _ROW_PARTS,
+    _STIRLING_PARTS,
     _VERDICT_BITS,
     DomainError,
     IdentityViolationError,
@@ -69,7 +70,6 @@ from .exact import (
     last_attempt,
     log2_n_precision,
     require_positive,
-    sweep_row_precision,
 )
 
 __all__ = [
@@ -85,6 +85,9 @@ __all__ = [
     "ramanujan_b_printed",
     "ramanujan_b_closed_form",
     "ramanujan_b_agreement",
+    "AttemptPlan",
+    "attempt_plan",
+    "render_row",
 ]
 
 
@@ -110,14 +113,13 @@ class Verdict(namedtuple("Verdict", ("status", "certificate"))):
     __slots__ = ()
 
 
-def _verdict(lhs: DyadicInterval, rhs: DyadicInterval) -> Verdict:
+def _status(lhs: DyadicInterval, rhs: DyadicInterval) -> VerdictStatus:
+    """The status of the claim lhs <= rhs, from separated endpoints only."""
     if lhs.strictly_below(rhs):
-        status = VerdictStatus.HOLDS
-    elif rhs.strictly_below(lhs):
-        status = VerdictStatus.VIOLATED
-    else:
-        status = VerdictStatus.INCONCLUSIVE
-    return Verdict(status=status, certificate=(lhs, rhs))
+        return VerdictStatus.HOLDS
+    if rhs.strictly_below(lhs):
+        return VerdictStatus.VIOLATED
+    return VerdictStatus.INCONCLUSIVE
 
 
 BOUND_NAMES = (
@@ -196,6 +198,14 @@ def _b_routine(name: str):
     return _B_SOURCES[name]
 
 
+@lru_cache(maxsize=None)
+def _b_ends(name: str, p: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The endpoints of b from source ``name`` at precision p, each as its
+    (numerator, denominator)."""
+    b = _b_routine(name)(p)
+    return (b.lo.numerator, b.lo.denominator), (b.hi.numerator, b.hi.denominator)
+
+
 # ---------------------------------------------------------------------------
 # the counting bound and its error term
 # ---------------------------------------------------------------------------
@@ -226,13 +236,57 @@ def error_term_e2(n: int, p: int) -> DyadicInterval:
 # ---------------------------------------------------------------------------
 
 
-def _stirling_base(n: int, p: int, parts: int) -> DyadicInterval:
-    """(n + 1/2) log2 n - n log2 e + log2(2 pi) / 2 for a side of ``parts``
-    parts, with log2 n the row's one enclosure at ``log2_n_precision(n, p)``."""
-    e_part = log2_e_interval(_part_precision(p, parts, n)).scale_int(n)
-    log_n = log2_int_enclosure(n, log2_n_precision(n, p))
-    power = log_n.scale_dyadic(DyadicRational(2 * n + 1, -1))
-    return _half_log2_2pi(_part_precision(p, parts)) + power - e_part
+class AttemptPlan(
+    namedtuple(
+        "AttemptPlan",
+        "fact log_n robbins_half robbins_log2_e q_d ramanujan_half ramanujan_log2_e q_poly q_corr",
+    )
+):
+    """The precisions a compared row's parts take at one precision r.
+
+    ``fact`` is the precision of log2 n! and ``log_n`` that of the row's one
+    log2 n (``log2_n_precision``).  Each side's Stirling base takes
+    log2(2 pi) / 2 at ``*_half`` and log2 e, scaled by n, at ``*_log2_e``;
+    Robbins' log2(e) / (12 n) is taken at ``q_d``, and Ramanujan's
+    log2(1 + y) terms at ``q_poly`` and ``q_corr``.  The constants at these
+    precisions are kept by their own caches.
+    """
+
+    __slots__ = ()
+
+
+@lru_cache(maxsize=64)
+def attempt_plan(r: int, ceil_log2_n: int, ceil_log2_n1: int) -> AttemptPlan:
+    """The plan of the parts enclosed at precision r (an attempt at q takes
+    r = q + _VERDICT_BITS), for every n with ceil(log2 n) = ``ceil_log2_n``
+    and ceil(log2(n + 1)) = ``ceil_log2_n1``, that is (n - 1).bit_length()
+    and n.bit_length().
+
+    These are the numbers of the per-call rules, ``_part_precision`` and
+    ``log2_n_precision``, which take n: a part of ``parts`` scaled by m is
+    held to ``_part_precision(r, parts)`` + ceil(log2 m).
+    """
+    fact = _part_precision(r, _ROW_PARTS)
+    robbins, ramanujan = _part_precision(r, 4), _part_precision(r, 5)
+    return AttemptPlan(
+        fact=fact,
+        log_n=_part_precision(fact, _STIRLING_PARTS) + ceil_log2_n1,
+        robbins_half=robbins,
+        robbins_log2_e=robbins + ceil_log2_n,
+        q_d=robbins + 2,
+        ramanujan_half=ramanujan,
+        ramanujan_log2_e=ramanujan + ceil_log2_n,
+        q_poly=ramanujan + 2,
+        q_corr=ramanujan,
+    )
+
+
+def _stirling_base(n: int, log_n: int, half: int, log2_e: int) -> DyadicInterval:
+    """(n + 1/2) log2 n - n log2 e + log2(2 pi) / 2, with log2 n the row's one
+    enclosure at precision ``log_n``, log2(2 pi) / 2 at ``half`` and log2 e
+    at ``log2_e``."""
+    power = log2_int_enclosure(n, log_n).scale_dyadic(DyadicRational(2 * n + 1, -1))
+    return _half_log2_2pi(half) + power - log2_e_interval(log2_e).scale_int(n)
 
 
 def robbins_bounds_log2(n: int, p: int) -> tuple[DyadicInterval, DyadicInterval]:
@@ -241,9 +295,9 @@ def robbins_bounds_log2(n: int, p: int) -> tuple[DyadicInterval, DyadicInterval]
     lower = log2(sqrt(2 pi) n^(n+1/2) e^-n); upper = lower + log2(e)/(12 n).
     """
     require_positive("n", n)
-    q_d = _part_precision(p, 4) + 2
-    lower = _stirling_base(n, p, 4)
-    upper = lower + log2_e_interval(q_d).div_by_posint(12 * n, q_d)
+    plan = attempt_plan(p, (n - 1).bit_length(), n.bit_length())
+    lower = _stirling_base(n, plan.log_n, plan.robbins_half, plan.robbins_log2_e)
+    upper = lower + log2_e_interval(plan.q_d).div_by_posint(12 * n, plan.q_d)
     return lower, upper
 
 
@@ -272,19 +326,20 @@ def ramanujan_bounds_log2(
     n^-5 either way).
     """
     require_positive("n", n)
-    b_of = _b_routine(b_source)
-    q_poly = _part_precision(p, 5) + 2
-    q_corr = _part_precision(p, 5)
+    b_lo, b_hi = _b_ends(b_source, p)
+    plan = attempt_plan(p, (n - 1).bit_length(), n.bit_length())
+    q_poly, q_corr = plan.q_poly, plan.q_corr
 
     poly = _raw_to_interval(*_log2_1p_raw(120 * n * n + 30 * n + 1, 240 * n**3, q_poly))
     # log2 sqrt(pi) + 3/6 and n log2 n + (3/6) log2 n: the 3 + 3 log2 n of the
     # sixth root, folded into the Robbins-shaped parts
-    base = _stirling_base(n, p, 5) + poly.div_by_posint(6, q_poly)
+    base = _stirling_base(
+        n, plan.log_n, plan.ramanujan_half, plan.ramanujan_log2_e
+    ) + poly.div_by_posint(6, q_poly)
 
-    b = b_of(p)
     lower_corr = _ramanujan_correction(n, *A_CONST, q_corr)
-    upper_lo, _, s = _ramanujan_correction(n, b.lo.numerator, b.lo.denominator, q_corr)
-    _, upper_hi, _ = _ramanujan_correction(n, b.hi.numerator, b.hi.denominator, q_corr)
+    upper_lo, _, s = _ramanujan_correction(n, *b_lo, q_corr)
+    _, upper_hi, _ = _ramanujan_correction(n, *b_hi, q_corr)
     return base + _raw_to_interval(*lower_corr), base + _raw_to_interval(upper_lo, upper_hi, s)
 
 
@@ -308,10 +363,6 @@ class BoundRow(
     __slots__ = ()
 
 
-def _settled(verdicts: dict[str, Verdict]) -> bool:
-    return all(v.status is not VerdictStatus.INCONCLUSIVE for v in verdicts.values())
-
-
 def compare_bounds(
     n: int,
     p: int,
@@ -327,7 +378,8 @@ def compare_bounds(
     so a verdict separates margins down to about 2^-(q+4), and takes log2 n
     once, at ``log2_n_precision(n, q + 4)``, for all its n-scaled parts: that
     is ``sweep_row_precision(n, q)``, the rule ``sweep-bounds`` validates a
-    range by and ``last_attempt`` stops at.
+    range by and ``last_attempt`` stops at.  The attempt's precisions and
+    constants come from its cached ``attempt_plan``.
     An attempt that will escalate stops at its first Inconclusive verdict: it
     compares log2 n! with the Ramanujan sides first, then Robbins.  Only the
     settled precision takes n log2 n for the counting bound.  G(n) is
@@ -346,22 +398,19 @@ def compare_bounds(
     for attempt in range(last + 1):
         q = p << attempt
         r = q + _VERDICT_BITS
-        fact = log2_factorial_enclosure(n, _part_precision(r, _ROW_PARTS))
+        plan = attempt_plan(r, (n - 1).bit_length(), n.bit_length())
+        fact = log2_factorial_enclosure(n, plan.fact)
         ram_lo, ram_hi = ramanujan_bounds_log2(n, r, b_source)
-        verdicts = {
-            "ramanujan_lower": _verdict(ram_lo, fact),
-            "ramanujan_upper": _verdict(fact, ram_hi),
-        }
-        if attempt < last and not _settled(verdicts):
+        ramanujan = _status(ram_lo, fact), _status(fact, ram_hi)
+        if attempt < last and VerdictStatus.INCONCLUSIVE in ramanujan:
             continue
         robbins_lo, robbins_hi = robbins_bounds_log2(n, r)
-        verdicts["robbins_lower"] = _verdict(robbins_lo, fact)
-        verdicts["robbins_upper"] = _verdict(fact, robbins_hi)
-        if _settled(verdicts):
+        robbins = _status(robbins_lo, fact), _status(fact, robbins_hi)
+        if VerdictStatus.INCONCLUSIVE not in robbins + ramanujan:
             break
 
     s2 = binary_digit_sum(n)
-    x = log2_int_enclosure(n, sweep_row_precision(n, q)).scale_int(n)
+    x = log2_int_enclosure(n, plan.log_n).scale_int(n)
     # the floor sum is n - s2(n), by Legendre's formula
     g = (x - fact).add_int(s2 - n)
     paper_lb = x.add_int(-(n - 1)) - g
@@ -373,22 +422,69 @@ def compare_bounds(
         )
     # no finite precision separates equal quantities at n = 2^t; the identity
     # is the evidence for Holds, strict exactly when s2(n) > 1
-    verdicts["paper"] = Verdict(status=VerdictStatus.HOLDS, certificate=(paper_lb, fact))
-
+    verdicts = {
+        "paper": Verdict(VerdictStatus.HOLDS, (paper_lb, fact)),
+        "robbins_lower": Verdict(robbins[0], (robbins_lo, fact)),
+        "robbins_upper": Verdict(robbins[1], (fact, robbins_hi)),
+        "ramanujan_lower": Verdict(ramanujan[0], (ram_lo, fact)),
+        "ramanujan_upper": Verdict(ramanujan[1], (fact, ram_hi)),
+    }
     return BoundRow(
-        n=n,
-        precision_bits=q,
-        log2_fact=fact,
-        g=g,
-        paper_lb=paper_lb,
-        robbins_lo=robbins_lo,
-        robbins_hi=robbins_hi,
-        ramanujan_lo=ram_lo,
-        ramanujan_hi=ram_hi,
-        c_log2=e2,
-        e2=e2,
-        s2=s2,
-        equality=s2 == 1,
-        verdicts={name: verdicts[name] for name in BOUND_NAMES},
-        escalations=attempt,
+        n, q, fact, g, paper_lb, robbins_lo, robbins_hi, ram_lo, ram_hi,
+        e2, e2, s2, s2 == 1, verdicts, attempt,
     )
+
+
+# ---------------------------------------------------------------------------
+# the emitted form of a row
+# ---------------------------------------------------------------------------
+
+_HOLDS, _VIOLATED, _INCONCLUSIVE = (s.value for s in VerdictStatus)
+
+
+def _combine(a: str, b: str) -> str:
+    """The verdict column of a bound's two sides, from their status values."""
+    if _VIOLATED in (a, b):
+        return _VIOLATED
+    return _HOLDS if a == b == _HOLDS else _INCONCLUSIVE
+
+
+def render_row(row: BoundRow) -> tuple:
+    """A compared row as ``sweep-bounds`` emits and counts it: (columns,
+    statuses, escalations, e2, findings).
+
+    ``columns`` are the row's column strings in ``BOUNDS_CSV_COLUMNS`` order:
+    each interval rounded outward onto the 2^-(precision_bits + 3) grid and
+    rendered once, ``c_log2`` being the ``e2`` object.  ``statuses`` are the
+    five status values in ``BOUND_NAMES`` order.  ``findings`` hold a
+    (bound, certificate) pair per Violated verdict: a certificate holds two
+    of the row's own column intervals, so it is their four column strings,
+    the same ``str`` objects (a forked block pickles each once).
+    """
+    f = row.precision_bits + 3
+    rendered: dict[int, tuple[str, str]] = {}  # by id: the row keeps every interval alive
+    columns = [str(row.n), str(row.precision_bits)]
+    for iv in row[2:11]:  # the intervals, log2_fact to e2, in column order
+        ends = rendered.get(id(iv))
+        if ends is None:
+            out = iv.round_outward(f)
+            ends = rendered[id(iv)] = out.lo.decimal_str(), out.hi.decimal_str()
+        columns += ends
+    # _value_ is the enum member's value, read without the ``value`` property
+    statuses = tuple([v.status._value_ for v in row.verdicts.values()])
+    paper, robbins_lo, robbins_hi, ramanujan_lo, ramanujan_hi = statuses
+    columns += (
+        str(row.s2),
+        paper,
+        _combine(robbins_lo, robbins_hi),
+        _combine(ramanujan_lo, ramanujan_hi),
+        "true" if row.equality else "false",
+    )
+    findings = ()
+    if _VIOLATED in statuses:
+        findings = tuple([
+            (name, rendered[id(lhs)] + rendered[id(rhs)])
+            for name, (status, (lhs, rhs)) in row.verdicts.items()
+            if status is VerdictStatus.VIOLATED
+        ])
+    return columns, statuses, row.escalations, row.e2, findings

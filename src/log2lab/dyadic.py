@@ -27,6 +27,7 @@ frozen dataclass so that building one costs a few attribute stores.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -73,6 +74,12 @@ def _digits(v: int) -> str:
     half = v.bit_length() * 3 // 20  # about half of the v.bit_length() * log10(2) digits
     hi, lo = divmod(v, 10 ** half)
     return _digits(hi) + _digits(lo).zfill(half)
+
+
+@lru_cache(maxsize=64)
+def _pow5(f: int) -> int:
+    """5^f, kept for the few grids a run renders on."""
+    return 5**f
 
 
 class DyadicRational:
@@ -148,17 +155,18 @@ class DyadicRational:
         return Fraction(self.mantissa, 1 << (-self.exponent))
 
     def decimal_str(self) -> str:
-        """Exact decimal rendering (dyadics always terminate in base 10)."""
+        """Exact decimal rendering (dyadics always terminate in base 10).
+
+        m 2^-f is m 5^f / 10^f, so the digits are those of |m| 5^f with the
+        point f places from the right; m is odd, so the last one is not 0.
+        """
         m, e = self.mantissa, self.exponent
         sign = "-" if m < 0 else ""
-        am = -m if m < 0 else m
         if e >= 0:
-            return sign + _digits(am << e)
-        f = -e
-        int_part = am >> f
-        rem = am - (int_part << f)
-        digits = _digits(rem * 5 ** f).zfill(f).rstrip("0")
-        return f"{sign}{_digits(int_part)}.{digits}"
+            return sign + _digits(abs(m) << e)
+        v = abs(m) * _pow5(-e)
+        digits = (str(v) if v < _STR_CHUNK else _digits(v)).zfill(1 - e)
+        return f"{sign}{digits[:e]}.{digits[e:]}"
 
     def __repr__(self) -> str:
         return f"DyadicRational({self.decimal_str()})"
@@ -343,7 +351,11 @@ class DyadicInterval:
         return self._l >> shift, -((-self._h) >> shift)
 
     def round_outward(self, frac_bits: int) -> "DyadicInterval":
-        return _interval(*self.outward_mantissas(frac_bits), -frac_bits)
+        """``outward_mantissas`` as an interval on the 2^-frac_bits grid."""
+        shift = -frac_bits - self._e
+        if shift <= 0:
+            return _interval(self._l << -shift, self._h << -shift, -frac_bits)
+        return _interval(self._l >> shift, -((-self._h) >> shift), -frac_bits)
 
     # -- queries -------------------------------------------------------------------
 

@@ -84,7 +84,6 @@ from .exact import (
     _STIRLING_PARTS,
     _check_precision,
     _part_precision,
-    _stirling_log2_n_precision,
     floor_log2_fraction,
     g_cost,
     require_positive,
@@ -211,12 +210,21 @@ def _log2_1p_raw(num: int, den: int, p: int) -> tuple[int, int, int]:
     """
     s = p + _BRACKET_BITS
     lo, hi = _ln1p_core(num, den, s + 4)
-    # log2_e_interval(s + 2) lies on the 2^-(s+6) grid, so this read is exact
-    e_lo, e_hi = log2_e_interval(s + 2).outward_mantissas(s + 6)
-    products = (e_lo * lo, e_lo * hi, e_hi * lo, e_hi * hi)
+    e_lo, e_hi = _log2_e_mantissas(s)
+    # log2 e > 0, so the least product takes e_hi only for lo < 0 and the
+    # greatest takes e_lo only for hi < 0
+    least = (e_lo if lo >= 0 else e_hi) * lo
+    greatest = (e_hi if hi >= 0 else e_lo) * hi
     # from the 2^-(2s+10) grid onto 2^-s: floor the least, ceil the greatest
     shift = s + 10
-    return (min(products) >> shift) - _PAD_ULPS, -(-max(products) >> shift) + _PAD_ULPS, s
+    return (least >> shift) - _PAD_ULPS, -(-greatest >> shift) + _PAD_ULPS, s
+
+
+@lru_cache(maxsize=None)
+def _log2_e_mantissas(s: int) -> tuple[int, int]:
+    """log2 e held to 2^-(s+2), as mantissas on the 2^-(s+6) grid: its
+    enclosure lies on that grid, so the read is exact."""
+    return log2_e_interval(s + 2).outward_mantissas(s + 6)
 
 
 def log2_1p(y: Fraction, p: int) -> DyadicInterval:
@@ -431,9 +439,12 @@ def _stirling_series(n: int, w: int) -> tuple[int, int]:
     """
 
     def terms():
+        coeffs = _STIRLING_COEFFS
         n_pow = n  # n^(2k - 1)
         for k in range(w + 1):
-            num, den = _stirling_coefficients(k + 1)[k]  # grown on demand
+            if k == len(coeffs):
+                coeffs = _stirling_coefficients(k + 1)  # grown on demand
+            num, den = coeffs[k]
             yield num, den * n_pow
             n_pow *= n * n
         raise DomainError(f"the Stirling series at n={n} does not reach 2^-{w}")
@@ -444,6 +455,7 @@ def _stirling_series(n: int, w: int) -> tuple[int, int]:
 _HALF = DyadicRational(1, -1)
 
 
+@lru_cache(maxsize=None)
 def _half_log2_2pi(p: int) -> DyadicInterval:
     """log2(2 pi) / 2, width <= 2^-(p+1)."""
     return log2_pi_interval(p).add_int(1).scale_dyadic(_HALF)
@@ -466,17 +478,33 @@ def log2_factorial_enclosure(n: int, p: int) -> DyadicInterval:
     _check_precision(p)
     if n < _stirling_switch(p):
         return log2_factorial_by_factorial(n, p)
-    log_n = log2_int_enclosure(n, _stirling_log2_n_precision(n, p))
-    log_e = log2_e_interval(_part_precision(p, _STIRLING_PARTS, n))
-    w = p + 5 + p.bit_length() + 2
+    part, log_n, log2_e, w = stirling_plan(p, (n - 1).bit_length(), n.bit_length())
     series = _raw_to_interval(*_stirling_series(n, w), w)
     s = p + _BRACKET_BITS
     lo, hi = (
-        log_n.scale_dyadic(DyadicRational(2 * n + 1, -1))
-        + _half_log2_2pi(_part_precision(p, _STIRLING_PARTS))
-        + log_e * series.add_int(-n)
+        log2_int_enclosure(n, log_n).scale_dyadic(DyadicRational(2 * n + 1, -1))
+        + _half_log2_2pi(part)
+        + log2_e_interval(log2_e) * series.add_int(-n)
     ).outward_mantissas(s)
     return _raw_to_interval(lo - _PAD_ULPS, hi + _PAD_ULPS, s)
+
+
+@lru_cache(maxsize=64)
+def stirling_plan(p: int, ceil_log2_n: int, ceil_log2_n1: int) -> tuple[int, int, int, int]:
+    """(part, log_n, log2_e, w): the precisions a Stirling-series log2 n! at
+    precision p takes, for every n with ceil(log2 n) = ``ceil_log2_n`` and
+    ceil(log2(n + 1)) = ``ceil_log2_n1``, that is (n - 1).bit_length() and
+    n.bit_length().
+
+    Each of the four parts is held to ``part``, ``_part_precision(p,
+    _STIRLING_PARTS)``, which is the precision of log2(2 pi) / 2; a part
+    scaled by m takes ceil(log2 m) more bits, so log2 n (scaled by n + 1/2)
+    is taken at ``log_n``, as ``_stirling_log2_n_precision`` says, and log2 e
+    (scaled by n) at ``log2_e``.  The series keeps one ulp per term of 2^-w,
+    w = p + 5 + bit_length(p) + 2.
+    """
+    part = _part_precision(p, _STIRLING_PARTS)
+    return part, part + ceil_log2_n1, part + ceil_log2_n, p + 5 + p.bit_length() + 2
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import IO, TYPE_CHECKING, Any, Callable
+from typing import IO, TYPE_CHECKING, Any, Callable, Iterable
 
 from .exact import (
     _ROW_PARTS,
@@ -73,7 +73,7 @@ EXIT_INTERNAL = 4
 # folds of the commands that use them call it once per run, before the first
 # block, so every forked worker starts with them bound.
 _WRAPPABLE = ("compare_bounds", "error_term_e2", "ramanujan_b_agreement")
-_BOUNDS_NAMES = (*_WRAPPABLE, "BOUND_NAMES", "VerdictStatus")
+_BOUNDS_NAMES = (*_WRAPPABLE, "BOUND_NAMES", "VerdictStatus", "render_row")
 
 
 def _load_bounds() -> None:
@@ -188,67 +188,17 @@ def _decimals(iv: DyadicInterval) -> list[str]:
     return [iv.lo.decimal_str(), iv.hi.decimal_str()]
 
 
-def _combine(v1: VerdictStatus, v2: VerdictStatus) -> str:
-    if VerdictStatus.VIOLATED in (v1, v2):
-        return VerdictStatus.VIOLATED.value
-    if v1 is VerdictStatus.HOLDS and v2 is VerdictStatus.HOLDS:
-        return VerdictStatus.HOLDS.value
-    return VerdictStatus.INCONCLUSIVE.value
-
-
-def _bounds_payload(config: SweepConfig, n: int) -> dict:
-    """One row, fully serialized, with its Violated findings; pure in
-    (config, n) so workers agree.
-
-    Each distinct interval of the row is rendered once: ``c_log2`` is the
-    ``e2`` object, and a certificate holds two of the row's own column
-    intervals, so a finding's certificate is the four column strings, the
-    same ``str`` objects (a forked block pickles each once).
-    """
-    row = compare_bounds(
-        n,
-        config.precision_bits,
-        b_source=config.ramanujan_b,
-        max_escalations=config.max_escalations,
+def _bounds_payload(config: SweepConfig, n: int) -> tuple:
+    """One row, fully rendered, with its Violated findings (``render_row``);
+    pure in (config, n) so workers agree."""
+    return render_row(
+        compare_bounds(
+            n,
+            config.precision_bits,
+            b_source=config.ramanujan_b,
+            max_escalations=config.max_escalations,
+        )
     )
-    f_emit = row.precision_bits + 3
-    rendered: dict[int, list[str]] = {}  # by id: the row keeps every interval alive
-
-    def render(iv: DyadicInterval) -> list[str]:
-        if id(iv) not in rendered:
-            rendered[id(iv)] = _decimals(iv.round_outward(f_emit))
-        return rendered[id(iv)]
-
-    fields: dict[str, str] = {"n": str(n), "precision_bits": str(row.precision_bits)}
-    for name in _ROW_INTERVALS:
-        fields[f"{name}_lo"], fields[f"{name}_hi"] = render(getattr(row, name))
-    fields["s2"] = str(row.s2)
-    fields["verdict_paper"] = row.verdicts["paper"].status.value
-    fields["verdict_robbins"] = _combine(
-        row.verdicts["robbins_lower"].status, row.verdicts["robbins_upper"].status
-    )
-    fields["verdict_ramanujan"] = _combine(
-        row.verdicts["ramanujan_lower"].status, row.verdicts["ramanujan_upper"].status
-    )
-    fields["equality_flag"] = "true" if row.equality else "false"
-    findings = [
-        {
-            "type": "verdict_violated",
-            "bound": name,
-            "n": n,
-            "precision_bits": row.precision_bits,
-            "certificate": render(v.certificate[0]) + render(v.certificate[1]),
-        }
-        for name, v in row.verdicts.items()
-        if v.status is VerdictStatus.VIOLATED
-    ]
-    meta = {
-        "statuses": {name: v.status.value for name, v in row.verdicts.items()},
-        "escalations": row.escalations,
-        "e2": row.e2,
-        "findings": findings,
-    }
-    return {"fields": fields, "meta": meta}
 
 
 def _error_term_payload(config: SweepConfig, n: int) -> dict:
@@ -329,11 +279,13 @@ class _Writer:
         else:
             stream.write("[\n")
 
-    def write_row(self, fields: dict[str, str]) -> None:
+    def write_row(self, values: Iterable[str]) -> None:
+        """Write one row, its values in column order."""
         if self.fmt == "csv":
-            self.stream.write(",".join(fields[c] for c in self.columns) + "\n")
+            self.stream.write(",".join(values) + "\n")
         else:
-            self.stream.write((",\n" if self.count else "") + _compact_json(fields))
+            row = dict(zip(self.columns, values))
+            self.stream.write((",\n" if self.count else "") + _compact_json(row))
         self.count += 1
         self.stream.flush()
 
@@ -437,56 +389,77 @@ def _run(
 class _BoundsFold:
     """Verdict counts, equality rows, the e2 argmax and the findings.
 
-    A row's findings come in its payload, already rendered: a certificate is
-    the four strings of the row's own columns for its two intervals.
+    A row's findings come in its payload, already rendered; the report's
+    FINDING lines are written from those strings, so a CSV run never loads
+    ``json``.
     """
 
     def __init__(self, config: SweepConfig, ns: range):
         _load_bounds()
         self.config = config
         self.ns = ns
-        self.counts = {name: {s.value: 0 for s in VerdictStatus} for name in BOUND_NAMES}
+        self.rows_by_statuses: dict[tuple[str, ...], int] = {}
         self.equality_ns: list[int] = []
-        self.findings: list[dict] = []
+        # (n, precision_bits, bound, certificate), as their column strings
+        self.findings: list[tuple] = []
         self.linear_lines: list[str] = []
         self.escalated_rows = 0
         # argmax of e2: a strictly larger lower endpoint wins, ties keep the
         # smallest n; log2 C(n) is e2(n) bit for bit, so it shares the argmax
-        self.max_n: int | None = None
-        self.max_e2: DyadicInterval | None = None
+        self.max_n: str | None = None
+        self.max_lo = self.max_e2 = None
         agreement = ramanujan_b_agreement(config.precision_bits)
+        self.b_disagreement = None
         if not agreement.agree:
-            self.findings.append(
-                {
-                    "type": "ramanujan_b_disagreement",
-                    "printed": _decimals(agreement.printed),
-                    "closed_form": _decimals(agreement.closed_form),
-                }
-            )
+            self.b_disagreement = (_decimals(agreement.printed), _decimals(agreement.closed_form))
 
-    def add(self, payload: dict, write: Callable[[dict], None]) -> None:
-        fields = payload["fields"]
-        write(fields)
-        meta = payload["meta"]
-        n = int(fields["n"])
-        for name, status in meta["statuses"].items():
-            self.counts[name][status] += 1
-        self.findings.extend(meta["findings"])
-        if meta["escalations"]:
+    def add(self, payload: tuple, write: Callable[[list[str]], None]) -> None:
+        columns, statuses, escalations, e2, findings = payload
+        write(columns)
+        n = columns[0]
+        self.rows_by_statuses[statuses] = self.rows_by_statuses.get(statuses, 0) + 1
+        for bound, certificate in findings:
+            self.findings.append((n, columns[1], bound, certificate))
+        if escalations:
             self.escalated_rows += 1
-        if fields["equality_flag"] == "true":
-            self.equality_ns.append(n)
-        if self.max_e2 is None or meta["e2"].lo > self.max_e2.lo:
-            self.max_n, self.max_e2 = n, meta["e2"]
-        if self.config.linear_display and n <= 20:
-            self.linear_lines.append(_linear_line(n, fields))
+        if columns[-1] == "true":
+            self.equality_ns.append(int(n))
+        lo = e2.lo
+        if self.max_lo is None or lo > self.max_lo:
+            self.max_n, self.max_lo, self.max_e2 = n, lo, e2
+        if self.config.linear_display and int(n) <= 20:
+            self.linear_lines.append(_linear_line(int(n), columns))
 
     def finish(self, checked: int) -> tuple[dict, list[str], int]:
-        config, ns, counts, max_n = self.config, self.ns, self.counts, self.max_n
-        max_row = None
+        config, ns = self.config, self.ns
+        counts = {name: {s.value: 0 for s in VerdictStatus} for name in BOUND_NAMES}
+        for statuses, rows in self.rows_by_statuses.items():
+            for name, status in zip(BOUND_NAMES, statuses):
+                counts[name][status] += rows
+        max_n = max_row = None
         if self.max_e2 is not None:
+            max_n = int(self.max_n)
             lo, hi = _decimals(self.max_e2)
             max_row = {"n": max_n, "lo": lo, "hi": hi}
+        findings, finding_lines = [], []
+        if self.b_disagreement:
+            printed, closed = self.b_disagreement
+            findings.append(
+                {"type": "ramanujan_b_disagreement", "printed": printed, "closed_form": closed}
+            )
+            finding_lines.append(
+                '{"type":"ramanujan_b_disagreement","printed":["%s","%s"],'
+                '"closed_form":["%s","%s"]}' % (*printed, *closed)
+            )
+        for n, q, bound, certificate in self.findings:
+            findings.append({
+                "type": "verdict_violated", "bound": bound, "n": int(n),
+                "precision_bits": int(q), "certificate": list(certificate),
+            })
+            finding_lines.append(
+                '{"type":"verdict_violated","bound":"%s","n":%s,"precision_bits":%s,'
+                '"certificate":["%s","%s","%s","%s"]}' % (bound, n, q, *certificate)
+            )
         summary = {
             "checked": checked,
             "requested": len(ns),
@@ -497,7 +470,7 @@ class _BoundsFold:
             "escalated_rows": self.escalated_rows,
             "max_e2": max_row,
             "max_c_log2": max_row,
-            "findings": self.findings,
+            "findings": findings,
         }
         lines = [
             f"checked={checked} of {len(ns)} rows at p={config.precision_bits} "
@@ -507,8 +480,7 @@ class _BoundsFold:
             f"max c_log2 at n={max_n}" if max_row else "max c_log2: none",
         ]
         lines.extend(self.linear_lines)
-        for finding in self.findings:
-            lines.append("FINDING: " + _compact_json(finding))
+        lines.extend("FINDING: " + line for line in finding_lines)
         if counts["paper"][VerdictStatus.VIOLATED.value]:
             return summary, lines, EXIT_VIOLATION
         if any(c[VerdictStatus.INCONCLUSIVE.value] for c in counts.values()):
@@ -516,9 +488,11 @@ class _BoundsFold:
         return summary, lines, EXIT_OK
 
 
-def _linear_line(n: int, fields: dict[str, str]) -> str:
+def _linear_line(n: int, columns: list[str]) -> str:
     """Report-only linear rendering for small n; approximate by construction."""
     import math
+
+    fields = dict(zip(BOUNDS_CSV_COLUMNS, columns))
 
     def mid_pow2(name: str) -> float:
         # float() of an exact decimal is its correctly rounded double
@@ -542,8 +516,8 @@ class _ErrorTermFold:
         self.all_contained = True
         self.max_row: dict | None = None
 
-    def add(self, fields: dict, write: Callable[[dict], None]) -> None:
-        write(fields)
+    def add(self, fields: dict, write: Callable[[Iterable[str]], None]) -> None:
+        write(fields.values())
         if fields["contains"] != "true":
             self.all_contained = False
         s2m1 = int(fields["s2_minus_1"])
@@ -583,7 +557,7 @@ class _VerifyFold:
         self.even = self.pair = 0
         self.failures: list[dict] = []
 
-    def add(self, payload: tuple, write: Callable[[dict], None]) -> None:
+    def add(self, payload: tuple, write: Callable[[list[str]], None]) -> None:
         a, formula, even, pair = payload
         self.even += even
         self.pair += pair
@@ -601,7 +575,7 @@ class _VerifyFold:
                 "pair_count": self.pair,
             }
         self.failures.append(failure)
-        write({c: str(failure.get(c, "")) for c in VERIFY_CSV_COLUMNS})
+        write([str(failure.get(c, "")) for c in VERIFY_CSV_COLUMNS])
 
     def finish(self, checked: int) -> tuple[dict, list[str], int]:
         failures = self.failures

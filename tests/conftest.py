@@ -238,13 +238,20 @@ def dyadic_to_mpf(d) -> mp.mpf:
 def interval_contains(iv, value) -> bool:
     """Containment check against an mpmath reference value.
 
-    ``value`` may be a digit string; it is parsed inside the wide context so
-    frozen constants keep their full accuracy.
+    The endpoints are read exactly: the context holds every bit of their
+    mantissas, and mpmath keeps any exponent exactly, so an interval of any
+    precision is compared as it is.  A comparison of two mpf values is
+    exact in every context, so ``value`` keeps the precision it was computed
+    at.  ``value`` may also be a digit string; it is parsed inside a context
+    of at least ``ORACLE_PREC_BITS + 64`` bits, so frozen constants keep
+    their full accuracy.
     """
-    with mp.workprec(ORACLE_PREC_BITS + 64):
+    lo, hi = iv.lo, iv.hi
+    bits = max(lo.mantissa.bit_length(), hi.mantissa.bit_length(), ORACLE_PREC_BITS + 64)
+    with mp.workprec(bits):
         if isinstance(value, str):
             value = mp.mpf(value)
-        return dyadic_to_mpf(iv.lo) <= value <= dyadic_to_mpf(iv.hi)
+        return dyadic_to_mpf(lo) <= value <= dyadic_to_mpf(hi)
 
 
 # what a range command returns once its checks pass, with skip_rows in place

@@ -20,6 +20,7 @@ import log2lab.exact as exact_mod
 import log2lab.sweep as sweep_mod
 from log2lab.bounds import (
     BOUND_NAMES,
+    AttemptPlan,
     BAgreementReport,
     BoundRow,
     Verdict,
@@ -36,7 +37,11 @@ from log2lab.cli import main
 from log2lab.dyadic import DyadicInterval, DyadicRational
 from log2lab.enclosures import G_enclosure, log2_factorial_enclosure, log2_int_enclosure
 from log2lab.exact import (
+    _ROW_PARTS,
+    _STIRLING_PARTS,
     _VERDICT_BITS,
+    _part_precision,
+    _stirling_log2_n_precision,
     DomainError,
     IdentityViolationError,
     ResourceLimitError,
@@ -374,6 +379,17 @@ class TestCompareBounds:
             assert row.equality == (binary_digit_sum(n) == 1)
 
 
+def verdict(lhs, rhs) -> Verdict:
+    """The verdict on lhs <= rhs, issued only from separated endpoints."""
+    if lhs.strictly_below(rhs):
+        status = VerdictStatus.HOLDS
+    elif rhs.strictly_below(lhs):
+        status = VerdictStatus.VIOLATED
+    else:
+        status = VerdictStatus.INCONCLUSIVE
+    return Verdict(status=status, certificate=(lhs, rhs))
+
+
 def full_attempt_row(
     n: int, p: int, b_source: str = "printed", max_escalations: int = 4
 ) -> BoundRow:
@@ -410,10 +426,10 @@ def full_attempt_row(
             equality=paper_equality_certificate(n),
             verdicts={
                 "paper": Verdict(status=VerdictStatus.HOLDS, certificate=(paper_lb, fact)),
-                "robbins_lower": bounds_mod._verdict(robbins_lo, fact),
-                "robbins_upper": bounds_mod._verdict(fact, robbins_hi),
-                "ramanujan_lower": bounds_mod._verdict(ram_lo, fact),
-                "ramanujan_upper": bounds_mod._verdict(fact, ram_hi),
+                "robbins_lower": verdict(robbins_lo, fact),
+                "robbins_upper": verdict(fact, robbins_hi),
+                "ramanujan_lower": verdict(ram_lo, fact),
+                "ramanujan_upper": verdict(fact, ram_hi),
             },
             escalations=attempt,
         )
@@ -646,6 +662,61 @@ class TestOneLogPerAttempt:
         row = compare_bounds(3004, 64, max_escalations=0)
         q = log2_n_precision(3004, row.precision_bits + _VERDICT_BITS)
         assert asked and set(asked) == {(3004, q)}
+
+
+def near_powers_of_two() -> st.SearchStrategy[int]:
+    """2^k - 1, 2^k and 2^k + 1 for 2^k + 1 <= 10^12, where ceil(log2 n) and
+    ceil(log2(n + 1)) part."""
+    return st.builds(lambda k, d: (1 << k) + d, st.integers(1, 39), st.sampled_from([-1, 0, 1]))
+
+
+def assert_plan_is_the_per_call_rules(n: int, p: int, max_escalations: int) -> None:
+    """Every attempt's cached plans give the numbers the per-call rules give
+    for n, which stay the oracle."""
+    for attempt in range(last_attempt(n, p, max_escalations) + 1):
+        q = p << attempt
+        r = q + _VERDICT_BITS
+        plan = bounds_mod.attempt_plan(r, ceil_log2(n), ceil_log2(n + 1))
+        fact = _part_precision(r, _ROW_PARTS)
+        assert plan == AttemptPlan(
+            fact=fact,
+            log_n=log2_n_precision(n, r),
+            robbins_half=_part_precision(r, 4),
+            robbins_log2_e=_part_precision(r, 4, n),
+            q_d=_part_precision(r, 4) + 2,
+            ramanujan_half=_part_precision(r, 5),
+            ramanujan_log2_e=_part_precision(r, 5, n),
+            q_poly=_part_precision(r, 5) + 2,
+            q_corr=_part_precision(r, 5),
+        ), (n, p, attempt)
+        assert plan.log_n == sweep_row_precision(n, q)
+        # the Stirling-series log2 n! the attempt takes at plan.fact
+        assert enclosures_mod.stirling_plan(fact, ceil_log2(n), ceil_log2(n + 1)) == (
+            _part_precision(fact, _STIRLING_PARTS),
+            _stirling_log2_n_precision(n, fact),
+            _part_precision(fact, _STIRLING_PARTS, n),
+            fact + 5 + fact.bit_length() + 2,
+        ), (n, p, attempt)
+        assert _stirling_log2_n_precision(n, fact) == plan.log_n
+
+
+class TestAttemptPlan:
+    """The cached plans of an attempt hold the per-call rules' numbers."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.one_of(near_powers_of_two(), st.integers(1, 10**12)),
+        st.sampled_from([4, 64, 128, 4096]),
+        st.integers(0, 6),
+    )
+    def test_plan_is_the_per_call_rules(self, n, p, max_escalations):
+        assert_plan_is_the_per_call_rules(n, p, max_escalations)
+
+    def test_every_power_of_two_boundary(self):
+        for k in range(1, 40):
+            for n in ((1 << k) - 1, 1 << k, (1 << k) + 1):
+                for p in (4, 64, 128, 4096):
+                    assert_plan_is_the_per_call_rules(n, p, 4)
 
 
 class TestEscalationCeiling:

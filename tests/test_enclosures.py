@@ -41,7 +41,6 @@ from log2lab.sweep import EXIT_USAGE, SweepConfig, run_bounds_sweep, run_error_t
 
 from conftest import (
     G_by_terms,
-    dyadic_to_mpf,
     frac_upper_clamp,
     g_oracle,
     interval_contains,
@@ -740,10 +739,21 @@ class TestConstants:
         for p in (16, 64, 256, 1024, 4096):
             iv = fn(p)
             assert iv.width_within(p)
-            # interval_contains rounds the endpoints to its own context, too
-            # coarse past p = 256, so they are read exactly here
             with mp.workprec(p + 600):
-                assert dyadic_to_mpf(iv.lo) <= live() <= dyadic_to_mpf(iv.hi)
+                value = live()
+            assert interval_contains(iv, value), p
+
+    def test_containment_reads_fine_endpoints_exactly(self):
+        # [v - 2^-1010, v + 2^-1010] around v = 1 + 2^-999: rounded to the
+        # 464 bits of the oracle context, both ends would read 1, above and
+        # below v
+        v = (1 << 1010) + (1 << 11)
+        iv = DyadicInterval.from_mantissas(v - 1, v + 1, -1010)
+        with mp.workprec(1100):
+            value = 1 + mp.mpf(2) ** -999
+            outside = value + mp.mpf(2) ** -1009
+        assert interval_contains(iv, value)
+        assert not interval_contains(iv, outside)
 
 
 class TestIntervalContracts:

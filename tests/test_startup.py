@@ -6,6 +6,7 @@ is still where it looks it up, and a command leaves through ``cli.run``'s
 
 from __future__ import annotations
 
+import io
 import os
 import re
 import subprocess
@@ -69,6 +70,49 @@ def test_verify_theorem_skips_enclosure_stack_and_multiprocessing(tmp_path):
 def test_csv_verify_theorem_without_failures_skips_json(workers, tmp_path):
     loaded = modules_after(["verify-theorem", "--range", "1..99", "--workers", workers], tmp_path)
     assert "json" not in loaded
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_csv_sweep_bounds_skips_json(workers, tmp_path):
+    # every row of 1..300 has a Violated finding, and --bits 64 the printed
+    # and closed-form b disagree: the FINDING lines are written without json
+    loaded = modules_after(["sweep-bounds", "--range", "1..300", "--workers", workers], tmp_path)
+    assert "log2lab.bounds" in loaded
+    assert "json" not in loaded
+
+
+def test_json_sweep_bounds_loads_json(tmp_path):
+    argv = ["sweep-bounds", "--range", "1..300", "--format", "json", "--workers", "1"]
+    assert "json" in modules_after(argv, tmp_path)
+
+
+@pytest.mark.parametrize("b_source", ["printed", "closed-form"])
+@pytest.mark.parametrize("p", [4, 64])
+def test_finding_lines_are_the_summary_findings_as_json(p, b_source):
+    """The FINDING lines a CSV run writes without json are, byte for byte,
+    json's compact form of the JSON summary's findings."""
+    import json
+
+    from log2lab import SweepConfig, run_bounds_sweep
+
+    reports = {}
+    out = io.StringIO()
+    for fmt in ("csv", "json"):
+        config = SweepConfig(
+            n_lo=1, n_hi=600, precision_bits=p, ramanujan_b=b_source, output_format=fmt
+        )
+        reports[fmt] = io.StringIO()
+        run_bounds_sweep(config, out if fmt == "json" else io.StringIO(), reports[fmt])
+    assert reports["csv"].getvalue() == reports["json"].getvalue()
+    lines = [
+        line.removeprefix("FINDING: ")
+        for line in reports["csv"].getvalue().splitlines()
+        if line.startswith("FINDING: ")
+    ]
+    findings = json.loads(out.getvalue())[-1]["summary"]["findings"]
+    assert len(lines) >= 600  # the Ramanujan lower side, every row
+    assert [json.loads(line) for line in lines] == findings
+    assert lines == [json.dumps(f, separators=(",", ":")) for f in findings]
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -182,13 +226,26 @@ def test_wrappers_set_on_sweep_are_called_in_forked_workers(tmp_path):
 def test_traced_benchmark_finds_every_name_it_wraps():
     """``perfbench/tracing.py`` replaces each function it times on the module
     or class its callers read it from; a name deleted or moved in ``src/``
-    would stop the traced benchmark at ``install`` with an AttributeError."""
+    would stop the traced benchmark at ``install`` with an AttributeError.
+    A sweep row must still call the wrapped names the benchmark's per-row
+    metrics are taken from, or those metrics go unmeasured."""
     run_fresh(
         f"""
         import sys
         sys.path.insert(0, {str(PERFBENCH)!r})
         import tracing
-        tracing.install(tracing.Tracer())
+        tracer = tracing.Tracer()
+        tracing.install(tracer)
+        result = tracing.run_traced(tracer, "sweep", (3004, 3007), 64)
+        assert result["exit"] == 0, result["exit"]
+        rows = {{}}
+        for name, _, _, _, ident, _ in result["spans"]:
+            rows.setdefault(name, set()).add(ident)
+        for name in (
+            "bounds.compare_bounds", "bounds.robbins", "bounds.ramanujan",
+            "enclosures.log2_factorial", "dyadic.round_outward", "dyadic.decimal_str",
+        ):
+            assert rows.get(name, set()) >= {{3004, 3005, 3006, 3007}}, (name, rows.get(name))
         """
     )
 

@@ -316,15 +316,16 @@ class TestBoundsSweep:
 
     @staticmethod
     def certificate_columns(payload, row):
-        """Each Violated finding with the column strings of the row
-        intervals its verdict's certificate holds."""
-        fields = payload["fields"]
-        for finding in payload["meta"]["findings"]:
+        """Each Violated finding, (bound, certificate), with the column
+        strings of the row intervals its verdict's certificate holds."""
+        values, _, _, _, findings = payload
+        fields = dict(zip(BOUNDS_CSV_COLUMNS, values, strict=True))
+        for bound, certificate in findings:
             columns = []
-            for iv in row.verdicts[finding["bound"]].certificate:
+            for iv in row.verdicts[bound].certificate:
                 name = next(name for name in BoundRow._fields if getattr(row, name) is iv)
                 columns += [fields[f"{name}_lo"], fields[f"{name}_hi"]]
-            yield finding, columns
+            yield (bound, certificate), columns
 
     def test_each_interval_rendered_once(self, payloads, monkeypatch):
         # 8 distinct intervals (c_log2 is e2) of two endpoints each, the
@@ -345,8 +346,8 @@ class TestBoundsSweep:
             del calls[:]
             payload, row = payloads(cfg, n)
             assert len(calls) == 16, n
-            for finding, columns in self.certificate_columns(payload, row):
-                assert all(a is b for a, b in zip(finding["certificate"], columns, strict=True))
+            for (_, certificate), columns in self.certificate_columns(payload, row):
+                assert all(a is b for a, b in zip(certificate, columns, strict=True))
                 findings += 1
         assert findings >= len(cfg.ns())  # the Ramanujan lower side, every row
 
@@ -357,9 +358,9 @@ class TestBoundsSweep:
         for n in [*range(1, 301), 3004, 4939, 6001]:
             cfg = SweepConfig(n_lo=n, n_hi=n, precision_bits=p, ramanujan_b=b_source)
             payload, row = payloads(cfg, n)
-            for finding, columns in self.certificate_columns(payload, row):
-                assert finding["precision_bits"] == row.precision_bits
-                assert finding["certificate"] == columns, (n, finding["bound"])
+            assert payload[0][1] == str(row.precision_bits)
+            for (bound, certificate), columns in self.certificate_columns(payload, row):
+                assert list(certificate) == columns, (n, bound)
                 checked += 1
         assert checked >= 300
 
