@@ -333,9 +333,8 @@ def ramanujan_bounds_log2(
     poly = _raw_to_interval(*_log2_1p_raw(120 * n * n + 30 * n + 1, 240 * n**3, q_poly))
     # log2 sqrt(pi) + 3/6 and n log2 n + (3/6) log2 n: the 3 + 3 log2 n of the
     # sixth root, folded into the Robbins-shaped parts
-    base = _stirling_base(
-        n, plan.log_n, plan.ramanujan_half, plan.ramanujan_log2_e
-    ) + poly.div_by_posint(6, q_poly)
+    base = _stirling_base(n, plan.log_n, plan.ramanujan_half, plan.ramanujan_log2_e)
+    base += poly.div_by_posint(6, q_poly)
 
     lower_corr = _ramanujan_correction(n, *A_CONST, q_corr)
     upper_lo, _, s = _ramanujan_correction(n, *b_lo, q_corr)
@@ -430,8 +429,21 @@ def compare_bounds(
         "ramanujan_upper": Verdict(ramanujan[1], (fact, ram_hi)),
     }
     return BoundRow(
-        n, q, fact, g, paper_lb, robbins_lo, robbins_hi, ram_lo, ram_hi,
-        e2, e2, s2, s2 == 1, verdicts, attempt,
+        n=n,
+        precision_bits=q,
+        log2_fact=fact,
+        g=g,
+        paper_lb=paper_lb,
+        robbins_lo=robbins_lo,
+        robbins_hi=robbins_hi,
+        ramanujan_lo=ram_lo,
+        ramanujan_hi=ram_hi,
+        c_log2=e2,
+        e2=e2,
+        s2=s2,
+        equality=s2 == 1,
+        verdicts=verdicts,
+        escalations=attempt,
     )
 
 
@@ -439,7 +451,9 @@ def compare_bounds(
 # the emitted form of a row
 # ---------------------------------------------------------------------------
 
-_HOLDS, _VIOLATED, _INCONCLUSIVE = (s.value for s in VerdictStatus)
+_HOLDS = VerdictStatus.HOLDS.value
+_VIOLATED = VerdictStatus.VIOLATED.value
+_INCONCLUSIVE = VerdictStatus.INCONCLUSIVE.value
 
 
 def _combine(a: str, b: str) -> str:
