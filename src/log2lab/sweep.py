@@ -24,7 +24,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import IO, TYPE_CHECKING, Any, Callable, Iterable
+from typing import IO, TYPE_CHECKING, Any, Callable
 
 from .exact import (
     _ROW_PARTS,
@@ -279,7 +279,7 @@ class _Writer:
         else:
             stream.write("[\n")
 
-    def write_row(self, values: Iterable[str]) -> None:
+    def write_row(self, values: list[str]) -> None:
         """Write one row, its values in column order."""
         if self.fmt == "csv":
             self.stream.write(",".join(values) + "\n")
@@ -516,8 +516,8 @@ class _ErrorTermFold:
         self.all_contained = True
         self.max_row: dict | None = None
 
-    def add(self, fields: dict, write: Callable[[Iterable[str]], None]) -> None:
-        write(fields.values())
+    def add(self, fields: dict, write: Callable[[list[str]], None]) -> None:
+        write([fields[c] for c in ERROR_TERM_CSV_COLUMNS])
         if fields["contains"] != "true":
             self.all_contained = False
         s2m1 = int(fields["s2_minus_1"])
