@@ -29,11 +29,11 @@ A compared row costs O(log n) work for every n, with one log2 n per attempt.
 log2 n! comes from the Stirling series (see :mod:`log2lab.enclosures`) once n
 passes a switch near 2p.  Every n-scaled part of the row, (n + 1/2) log2 n in
 log2 n!, Robbins and Ramanujan, and n log2 n, takes log2 n at one precision,
-``log2_n_precision(n, q)``, so that one log core call, kept by
-``log2_int_enclosure``, serves the attempt.  The other logs are near 1 and
-come from the bracket behind ``log2_1p``, the log series without the
-reduction to [1, 2): log2(8n^3 + 4n^2 + n + 1/30) = 3 + 3 log2 n +
-log2(1 + y) with y about 1/(2n), and each Ramanujan correction
+the ``log_n`` of the attempt's ``exact.attempt_plan``, so that one log core
+call, kept by ``log2_int_enclosure``, serves the attempt.  The other logs
+are near 1 and come from the bracket behind ``log2_1p``, the log series
+without the reduction to [1, 2): log2(8n^3 + 4n^2 + n + 1/30) = 3 +
+3 log2 n + log2(1 + y) with y about 1/(2n), and each Ramanujan correction
 log2(1 - 11 / (11520 (n + s)^4)).  Each y goes to the series as an unreduced
 integer ratio (the series floors quotients of it, which reduction does not
 change), so a row builds no Fraction.
@@ -45,12 +45,12 @@ from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 
-from .dyadic import DyadicInterval, DyadicRational
+from .dyadic import DyadicInterval
 from .enclosures import (
     G_enclosure,
-    _half_log2_2pi,
     _log2_1p_raw,
     _raw_to_interval,
+    _stirling_head,
     e_interval,
     log2_e_interval,
     log2_factorial_enclosure,
@@ -59,16 +59,13 @@ from .enclosures import (
     pi_interval,
 )
 from .exact import (
-    _ROW_PARTS,
-    _STIRLING_PARTS,
     _VERDICT_BITS,
     DomainError,
     IdentityViolationError,
     _check_precision,
-    _part_precision,
+    attempt_plan,
     binary_digit_sum,
     last_attempt,
-    log2_n_precision,
     require_positive,
 )
 
@@ -85,8 +82,6 @@ __all__ = [
     "ramanujan_b_printed",
     "ramanujan_b_closed_form",
     "ramanujan_b_agreement",
-    "AttemptPlan",
-    "attempt_plan",
     "render_row",
 ]
 
@@ -220,15 +215,15 @@ def error_term_e2(n: int, p: int) -> DyadicInterval:
     factorization of n!, with v_2(n!) counted, not taken as n - s2(n), so
     this enclosure checks log2 n! against that factorization and the count
     against n - s2(n): log2 n!, n log2 n and G(n) are each enclosed at a
-    third of the 2^-p budget.  n log2 n takes log2 n at
-    ``log2_n_precision(n, p)``, the enclosure the Stirling log2 n! takes, so
-    a row makes one log2 n.
+    third of the 2^-p budget, the ``fact`` of ``attempt_plan(p, ...)``.
+    n log2 n takes log2 n at its ``log_n``, the enclosure the Stirling
+    log2 n! takes, so a row makes one log2 n.
     """
     require_positive("n", n)
-    part = _part_precision(p, _ROW_PARTS)
-    fact = log2_factorial_enclosure(n, part)
-    x = log2_int_enclosure(n, log2_n_precision(n, p)).scale_int(n)
-    return fact - (x.add_int(-(n - 1)) - G_enclosure(n, part))
+    plan = attempt_plan(p, (n - 1).bit_length(), n.bit_length())
+    fact = log2_factorial_enclosure(n, plan.fact)
+    x = log2_int_enclosure(n, plan.log_n).scale_int(n)
+    return fact - (x.add_int(-(n - 1)) - G_enclosure(n, plan.fact))
 
 
 # ---------------------------------------------------------------------------
@@ -236,57 +231,12 @@ def error_term_e2(n: int, p: int) -> DyadicInterval:
 # ---------------------------------------------------------------------------
 
 
-class AttemptPlan(
-    namedtuple(
-        "AttemptPlan",
-        "fact log_n robbins_half robbins_log2_e q_d ramanujan_half ramanujan_log2_e q_poly q_corr",
-    )
-):
-    """The precisions a compared row's parts take at one precision r.
-
-    ``fact`` is the precision of log2 n! and ``log_n`` that of the row's one
-    log2 n (``log2_n_precision``).  Each side's Stirling base takes
-    log2(2 pi) / 2 at ``*_half`` and log2 e, scaled by n, at ``*_log2_e``;
-    Robbins' log2(e) / (12 n) is taken at ``q_d``, and Ramanujan's
-    log2(1 + y) terms at ``q_poly`` and ``q_corr``.  The constants at these
-    precisions are kept by their own caches.
-    """
-
-    __slots__ = ()
-
-
-@lru_cache(maxsize=64)
-def attempt_plan(r: int, ceil_log2_n: int, ceil_log2_n1: int) -> AttemptPlan:
-    """The plan of the parts enclosed at precision r (an attempt at q takes
-    r = q + _VERDICT_BITS), for every n with ceil(log2 n) = ``ceil_log2_n``
-    and ceil(log2(n + 1)) = ``ceil_log2_n1``, that is (n - 1).bit_length()
-    and n.bit_length().
-
-    These are the numbers of the per-call rules, ``_part_precision`` and
-    ``log2_n_precision``, which take n: a part of ``parts`` scaled by m is
-    held to ``_part_precision(r, parts)`` + ceil(log2 m).
-    """
-    fact = _part_precision(r, _ROW_PARTS)
-    robbins, ramanujan = _part_precision(r, 4), _part_precision(r, 5)
-    return AttemptPlan(
-        fact=fact,
-        log_n=_part_precision(fact, _STIRLING_PARTS) + ceil_log2_n1,
-        robbins_half=robbins,
-        robbins_log2_e=robbins + ceil_log2_n,
-        q_d=robbins + 2,
-        ramanujan_half=ramanujan,
-        ramanujan_log2_e=ramanujan + ceil_log2_n,
-        q_poly=ramanujan + 2,
-        q_corr=ramanujan,
-    )
-
-
 def _stirling_base(n: int, log_n: int, half: int, log2_e: int) -> DyadicInterval:
     """(n + 1/2) log2 n - n log2 e + log2(2 pi) / 2, with log2 n the row's one
     enclosure at precision ``log_n``, log2(2 pi) / 2 at ``half`` and log2 e
     at ``log2_e``."""
-    power = log2_int_enclosure(n, log_n).scale_dyadic(DyadicRational(2 * n + 1, -1))
-    return _half_log2_2pi(half) + power - log2_e_interval(log2_e).scale_int(n)
+    head = _stirling_head(n, log2_int_enclosure(n, log_n), half)
+    return head - log2_e_interval(log2_e).scale_int(n)
 
 
 def robbins_bounds_log2(n: int, p: int) -> tuple[DyadicInterval, DyadicInterval]:
@@ -316,14 +266,14 @@ def ramanujan_bounds_log2(
 
     The sixth-root argument 8n^3 + 4n^2 + n + 1/30 is 8n^3 (1 + y) with the
     exact rational y = (120n^2 + 30n + 1) / (240n^3), so its log2 is
-    3 + 3 log2 n + log2(1 + y); log2 n is the row's one enclosure at
-    ``log2_n_precision(n, p)``.  A correction rises with its shift, so the
-    upper side takes the lower end of its correction at b's lower endpoint
-    and the upper end at b's upper one.  The lower side meets the
-    2^-p width contract outright; the upper side additionally inherits the
-    width of the b enclosure itself (irreducible for the 11-digit printed
-    decimal at small n, vanishing with the closed form, and decaying like
-    n^-5 either way).
+    3 + 3 log2 n + log2(1 + y); log2 n is the row's one enclosure, at the
+    ``log_n`` of ``attempt_plan(p, ...)``.  A correction rises with its
+    shift, so the upper side takes the lower end of its correction at b's
+    lower endpoint and the upper end at b's upper one.  The lower side meets
+    the 2^-p width contract outright; the upper side additionally inherits
+    the width of the b enclosure itself (irreducible for the 11-digit
+    printed decimal at small n, vanishing with the closed form, and decaying
+    like n^-5 either way).
     """
     require_positive("n", n)
     b_lo, b_hi = _b_ends(b_source, p)
@@ -373,12 +323,12 @@ def compare_bounds(
     never past an attempt whose log2 n would pass the precision ceiling
     (``last_attempt``); a row unsettled at its last attempt reads Inconclusive.
 
-    An attempt at precision q encloses every part at q + 4 (``_VERDICT_BITS``),
-    so a verdict separates margins down to about 2^-(q+4), and takes log2 n
-    once, at ``log2_n_precision(n, q + 4)``, for all its n-scaled parts: that
-    is ``sweep_row_precision(n, q)``, the rule ``sweep-bounds`` validates a
-    range by and ``last_attempt`` stops at.  The attempt's precisions and
-    constants come from its cached ``attempt_plan``.
+    An attempt at precision q encloses every part at r = q + 4
+    (``_VERDICT_BITS``), so a verdict separates margins down to about
+    2^-(q+4), at the precisions of its cached ``attempt_plan(r, ...)``.  It
+    takes log2 n once, at the plan's ``log_n``, for all its n-scaled parts:
+    that is the finest precision of the attempt, which ``sweep-bounds``
+    validates a range by and ``last_attempt`` stops at.
     An attempt that will escalate stops at its first Inconclusive verdict: it
     compares log2 n! with the Ramanujan sides first, then Robbins.  Only the
     settled precision takes n log2 n for the counting bound.  G(n) is

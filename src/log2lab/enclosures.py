@@ -81,12 +81,11 @@ from .exact import (
     WORK_CEILING,
     DomainError,
     ResourceLimitError,
-    _STIRLING_PARTS,
     _check_precision,
-    _part_precision,
     floor_log2_fraction,
     g_cost,
     require_positive,
+    stirling_plan,
 )
 
 if TYPE_CHECKING:
@@ -461,22 +460,11 @@ def _half_log2_2pi(p: int) -> DyadicInterval:
     return log2_pi_interval(p).add_int(1).scale_dyadic(_HALF)
 
 
-@lru_cache(maxsize=64)
-def stirling_plan(p: int, ceil_log2_n: int, ceil_log2_n1: int) -> tuple[int, int, int, int]:
-    """(part, log_n, log2_e, w): the precisions a Stirling-series log2 n! at
-    precision p takes, for every n with ceil(log2 n) = ``ceil_log2_n`` and
-    ceil(log2(n + 1)) = ``ceil_log2_n1``, that is (n - 1).bit_length() and
-    n.bit_length().
-
-    Each of the four parts is held to ``part``, ``_part_precision(p,
-    _STIRLING_PARTS)``, which is the precision of log2(2 pi) / 2; a part
-    scaled by m takes ceil(log2 m) more bits, so log2 n (scaled by n + 1/2)
-    is taken at ``log_n``, as ``_stirling_log2_n_precision`` says, and log2 e
-    (scaled by n) at ``log2_e``.  The series keeps one ulp per term of 2^-w,
-    w = p + 5 + bit_length(p) + 2.
-    """
-    part = _part_precision(p, _STIRLING_PARTS)
-    return part, part + ceil_log2_n1, part + ceil_log2_n, p + 5 + p.bit_length() + 2
+def _stirling_head(n: int, log_n: DyadicInterval, half: int) -> DyadicInterval:
+    """(n + 1/2) log2 n + log2(2 pi) / 2, from an enclosure ``log_n`` of
+    log2 n, with log2(2 pi) / 2 at precision ``half``: the head that log2 n!
+    and the Robbins and Ramanujan sides share."""
+    return log_n.scale_dyadic(DyadicRational(2 * n + 1, -1)) + _half_log2_2pi(half)
 
 
 def log2_factorial_enclosure(n: int, p: int) -> DyadicInterval:
@@ -500,8 +488,7 @@ def log2_factorial_enclosure(n: int, p: int) -> DyadicInterval:
     series = _raw_to_interval(*_stirling_series(n, w), w)
     s = p + _BRACKET_BITS
     lo, hi = (
-        log2_int_enclosure(n, log_n).scale_dyadic(DyadicRational(2 * n + 1, -1))
-        + _half_log2_2pi(part)
+        _stirling_head(n, log2_int_enclosure(n, log_n), part)
         + log2_e_interval(log2_e) * series.add_int(-n)
     ).outward_mantissas(s)
     return _raw_to_interval(lo - _PAD_ULPS, hi + _PAD_ULPS, s)

@@ -24,14 +24,18 @@ steps per a, O(A + N log A) in all, instead of the O(N * A) of counting
 every a from m = 1.
 
 The precision and work limits of a run live here too, as the same kind of
-integer rule, one per limit: the finest precision a compared row asks for
-and how far it may escalate, the bracket precision and work of G(n), and how
-many m the enumeration oracles visit over a range.  Each command checks its
-range against its rule before a run starts, without loading the enclosure
-code.
+integer rule: the precision of every part of a compared row (``attempt_plan``,
+which reads the Stirling-series log2 n!'s own ``stirling_plan``) and how far
+the row may escalate (``last_attempt``), the bracket precision and work of
+G(n), and how many m the enumeration oracles visit over a range.  Every
+caller reads its numbers from these, and each command checks its range
+against them before a run starts, without loading the enclosure code.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
+from functools import lru_cache
 
 __all__ = [
     "DomainError",
@@ -42,8 +46,9 @@ __all__ = [
     "WORK_CEILING",
     "g_cost",
     "oracle_work",
-    "log2_n_precision",
-    "sweep_row_precision",
+    "AttemptPlan",
+    "attempt_plan",
+    "stirling_plan",
     "last_attempt",
     "floor_log2_fraction",
     "ceil_log2",
@@ -199,13 +204,10 @@ def _check_precision(p: int) -> None:
         )
 
 
-def _part_precision(p: int, parts: int, scale: int = 1) -> int:
-    """Per-part precision so that `parts` terms, each scaled by at most
-    `scale`, sum to well under 2^-p."""
-    q = p + 1 + ceil_log2(parts)
-    if scale > 1:
-        q += ceil_log2(scale)
-    return q
+def _part_precision(p: int, parts: int) -> int:
+    """Per-part precision so that ``parts`` terms sum to well under 2^-p; a
+    part scaled by m takes ceil(log2 m) more bits."""
+    return p + 1 + ceil_log2(parts)
 
 
 def g_cost(n: int, p: int) -> tuple[int, int]:
@@ -235,38 +237,79 @@ def oracle_work(n_hi: int) -> int:
     return 2 * n_hi
 
 
-def _stirling_log2_n_precision(n: int, p: int) -> int:
-    """Precision of log2 n in a Stirling-series log2 n! held to 2^-p, where
-    it is scaled by n + 1/2."""
-    return _part_precision(p, _STIRLING_PARTS, n + 1)
+@lru_cache(maxsize=64)
+def stirling_plan(p: int, ceil_log2_n: int, ceil_log2_n1: int) -> tuple[int, int, int, int]:
+    """(part, log_n, log2_e, w): the precisions a Stirling-series log2 n! at
+    precision p takes, for every n with ceil(log2 n) = ``ceil_log2_n`` and
+    ceil(log2(n + 1)) = ``ceil_log2_n1``, that is (n - 1).bit_length() and
+    n.bit_length().
 
-
-def log2_n_precision(n: int, p: int) -> int:
-    """Precision of the log2 n enclosure that the parts of a compared row
-    enclosed at precision p take: the Robbins and Ramanujan sides, log2 n! at
-    the row's part precision, and n log2 n.
-
-    It is what the Stirling-series log2 n! needs for its (n + 1/2) log2 n;
-    the other n-scaled parts need less and take the same enclosure, so an
-    attempt makes one log core call for it.
+    Each of the four parts is held to ``part``, the precision of
+    log2(2 pi) / 2; log2 n, scaled by n + 1/2, takes ceil(log2(n + 1)) more
+    bits, and log2 e, scaled by n, ceil(log2 n) more.  The series keeps one
+    ulp per term of 2^-w.
     """
-    return _stirling_log2_n_precision(n, _part_precision(p, _ROW_PARTS))
+    part = _part_precision(p, _STIRLING_PARTS)
+    return part, part + ceil_log2_n1, part + ceil_log2_n, p + 5 + p.bit_length() + 2
 
 
-def sweep_row_precision(n: int, q: int) -> int:
-    """Largest precision a compared (``sweep-bounds``) row asks for at
-    precision q: its one log2 n, at ``log2_n_precision(n, q + _VERDICT_BITS)``.
-    It runs no G(n), so this is its only limit."""
-    return log2_n_precision(n, q + _VERDICT_BITS)
+class AttemptPlan(
+    namedtuple(
+        "AttemptPlan",
+        "fact log_n robbins_half robbins_log2_e q_d ramanujan_half ramanujan_log2_e q_poly q_corr",
+    )
+):
+    """The precisions a compared row's parts take at one precision r.
+
+    ``fact`` is the precision of log2 n! (and of G(n) in ``error_term_e2``),
+    and ``log_n`` that of the row's one log2 n, the ``log_n`` of the
+    Stirling-series log2 n! at ``fact``: the other n-scaled parts need less
+    and take the same enclosure.  Each side's Stirling base takes
+    log2(2 pi) / 2 at ``*_half`` and log2 e, scaled by n, at ``*_log2_e``;
+    Robbins' log2(e) / (12 n) is taken at ``q_d``, and Ramanujan's
+    log2(1 + y) terms at ``q_poly`` and ``q_corr``.
+    """
+
+    __slots__ = ()
+
+
+@lru_cache(maxsize=64)
+def attempt_plan(r: int, ceil_log2_n: int, ceil_log2_n1: int) -> AttemptPlan:
+    """The plan of a compared row's parts enclosed at precision r (an
+    attempt at q takes r = q + _VERDICT_BITS), for every n with the bit
+    lengths of ``stirling_plan``.  Robbins' parts take a quarter of the
+    budget each and Ramanujan's a fifth; a part scaled by n takes
+    ceil(log2 n) more bits."""
+    fact = _part_precision(r, _ROW_PARTS)
+    robbins, ramanujan = _part_precision(r, 4), _part_precision(r, 5)
+    return AttemptPlan(
+        fact=fact,
+        log_n=stirling_plan(fact, ceil_log2_n, ceil_log2_n1)[1],
+        robbins_half=robbins,
+        robbins_log2_e=robbins + ceil_log2_n,
+        q_d=robbins + 2,
+        ramanujan_half=ramanujan,
+        ramanujan_log2_e=ramanujan + ceil_log2_n,
+        q_poly=ramanujan + 2,
+        q_corr=ramanujan,
+    )
 
 
 def last_attempt(n: int, p: int, max_escalations: int) -> int:
     """Index of the last attempt of a compared row that starts at precision p
     and doubles it: at most ``max_escalations`` doublings, and none whose
-    finest part would pass ``MAX_PRECISION_BITS``.  A row still unsettled
-    there reads Inconclusive, as it does after ``max_escalations``."""
-    # p << k passes the ceiling for every k >= its bit length
-    last = min(max(max_escalations, 0), MAX_PRECISION_BITS.bit_length())
-    while last and sweep_row_precision(n, p << last) > MAX_PRECISION_BITS:
+    log2 n, its finest part, would pass ``MAX_PRECISION_BITS``.  A row still
+    unsettled there reads Inconclusive, as it does after ``max_escalations``.
+    The ceiling is read on every call and keys the cache, so a changed
+    ceiling takes effect at once."""
+    return _last_attempt(p, max_escalations, n.bit_length(), MAX_PRECISION_BITS)
+
+
+@lru_cache(maxsize=64)
+def _last_attempt(p: int, max_escalations: int, bits: int, ceiling: int) -> int:
+    # p << k passes the ceiling for every k >= its bit length; log_n reads
+    # only n.bit_length(), so the plan of any n of that bit length serves
+    last = min(max(max_escalations, 0), ceiling.bit_length())
+    while last and attempt_plan((p << last) + _VERDICT_BITS, bits, bits).log_n > ceiling:
         last -= 1
     return last

@@ -20,6 +20,7 @@ file behind whose summary counts the rows it holds.
 
 from __future__ import annotations
 
+import itertools
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -27,22 +28,23 @@ from functools import partial
 from typing import IO, TYPE_CHECKING, Any, Callable
 
 from .exact import (
-    _ROW_PARTS,
+    _VERDICT_BITS,
     MAX_PRECISION_BITS,
     MIN_PRECISION,
     WORK_CEILING,
     IdentityViolationError,
-    _part_precision,
+    attempt_plan,
     binary_digit_sum,
     even_count_oracle,
     g_cost,
     odd_floor_sum,
     oracle_work,
     pair_enumeration_oracle,
-    sweep_row_precision,
 )
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator
+
     from .bounds import VerdictStatus
     from .dyadic import DyadicInterval
 
@@ -117,9 +119,10 @@ class SweepConfig:
 
         Each command then holds the range and ``precision_bits`` to its own
         rule before it opens ``--out``: ``sweep-bounds`` by a row's finest
-        precision (``sweep_row_precision``), ``error-term`` by its largest
-        G(n) (``g_cost``), and ``verify-theorem``, which computes at no
-        precision, by its enumeration (``oracle_work``).
+        precision (the ``log_n`` of its first attempt's ``attempt_plan``),
+        ``error-term`` by its largest G(n) (``g_cost``), and
+        ``verify-theorem``, which computes at no precision, by its
+        enumeration (``oracle_work``).
         """
         if self.n_lo < 1:
             raise UsageError(f"range start must be >= 1, got {self.n_lo}")
@@ -324,7 +327,8 @@ def _run(
     run here too.  ``fold(config, ns)`` builds the command's fold: ``add(payload,
     write)`` takes the payloads in ascending n and passes the rows to write
     to ``write``; ``finish(checked)`` returns the summary, the report lines
-    and the exit code.  A payload is checked once its ``add`` returns or the
+    (an iterable, so that each line is formed only as it is written) and the
+    exit code.  A payload is checked once its ``add`` returns or the
     writer has counted its row, so ``checked`` counts no row the output
     lacks.  A block's rows are written before its error is raised, so any
     error (an interrupt, or one ``cli.main`` maps to exit code 2, 3 or 4)
@@ -375,7 +379,7 @@ def _run(
         if close_me:
             stream.close()
     if isinstance(stopped, KeyboardInterrupt):
-        lines.append("interrupted: output file is truncated but valid")
+        lines = itertools.chain(lines, ["interrupted: output file is truncated but valid"])
         code = EXIT_INCONCLUSIVE
     elif stopped is not None:
         raise stopped
@@ -390,8 +394,9 @@ class _BoundsFold:
     """Verdict counts, equality rows, the e2 argmax and the findings.
 
     A row's findings come in its payload, already rendered; the report's
-    FINDING lines are written from those strings, so a CSV run never loads
-    ``json``.
+    FINDING lines are formed from those strings one at a time, as they are
+    written, so a CSV run never loads ``json``.  Only a JSON run builds the
+    summary's ``findings``.
     """
 
     def __init__(self, config: SweepConfig, ns: range):
@@ -430,7 +435,7 @@ class _BoundsFold:
         if self.config.linear_display and int(n) <= 20:
             self.linear_lines.append(_linear_line(int(n), columns))
 
-    def finish(self, checked: int) -> tuple[dict, list[str], int]:
+    def finish(self, checked: int) -> tuple[dict, Iterable[str], int]:
         config, ns = self.config, self.ns
         counts = {name: {s.value: 0 for s in VerdictStatus} for name in BOUND_NAMES}
         for statuses, rows in self.rows_by_statuses.items():
@@ -441,25 +446,6 @@ class _BoundsFold:
             max_n = int(self.max_n)
             lo, hi = _decimals(self.max_e2)
             max_row = {"n": max_n, "lo": lo, "hi": hi}
-        findings, finding_lines = [], []
-        if self.b_disagreement:
-            printed, closed = self.b_disagreement
-            findings.append(
-                {"type": "ramanujan_b_disagreement", "printed": printed, "closed_form": closed}
-            )
-            finding_lines.append(
-                '{"type":"ramanujan_b_disagreement","printed":["%s","%s"],'
-                '"closed_form":["%s","%s"]}' % (*printed, *closed)
-            )
-        for n, q, bound, certificate in self.findings:
-            findings.append({
-                "type": "verdict_violated", "bound": bound, "n": int(n),
-                "precision_bits": int(q), "certificate": list(certificate),
-            })
-            finding_lines.append(
-                '{"type":"verdict_violated","bound":"%s","n":%s,"precision_bits":%s,'
-                '"certificate":["%s","%s","%s","%s"]}' % (bound, n, q, *certificate)
-            )
         summary = {
             "checked": checked,
             "requested": len(ns),
@@ -470,22 +456,51 @@ class _BoundsFold:
             "escalated_rows": self.escalated_rows,
             "max_e2": max_row,
             "max_c_log2": max_row,
-            "findings": findings,
         }
-        lines = [
+        if config.output_format == "json":
+            summary["findings"] = self._finding_dicts()
+        head = [
             f"checked={checked} of {len(ns)} rows at p={config.precision_bits} "
             f"(escalated: {self.escalated_rows})",
             f"equality rows (s2=1): {self.equality_ns}",
             f"max e2 at n={max_n}" if max_row else "max e2: none",
             f"max c_log2 at n={max_n}" if max_row else "max c_log2: none",
         ]
-        lines.extend(self.linear_lines)
-        lines.extend("FINDING: " + line for line in finding_lines)
+        lines = itertools.chain(head, self.linear_lines, self._finding_lines())
         if counts["paper"][VerdictStatus.VIOLATED.value]:
             return summary, lines, EXIT_VIOLATION
         if any(c[VerdictStatus.INCONCLUSIVE.value] for c in counts.values()):
             return summary, lines, EXIT_INCONCLUSIVE
         return summary, lines, EXIT_OK
+
+    def _finding_dicts(self) -> list[dict]:
+        """The JSON summary's findings, in the order of the FINDING lines."""
+        findings = []
+        if self.b_disagreement:
+            printed, closed = self.b_disagreement
+            findings.append(
+                {"type": "ramanujan_b_disagreement", "printed": printed, "closed_form": closed}
+            )
+        return findings + [
+            {"type": "verdict_violated", "bound": bound, "n": int(n),
+             "precision_bits": int(q), "certificate": list(certificate)}
+            for n, q, bound, certificate in self.findings
+        ]
+
+    def _finding_lines(self) -> Iterator[str]:
+        """The FINDING lines, by hand: each is json's compact form of its
+        summary entry."""
+        if self.b_disagreement:
+            printed, closed = self.b_disagreement
+            yield (
+                'FINDING: {"type":"ramanujan_b_disagreement","printed":["%s","%s"],'
+                '"closed_form":["%s","%s"]}' % (*printed, *closed)
+            )
+        for n, q, bound, certificate in self.findings:
+            yield (
+                'FINDING: {"type":"verdict_violated","bound":"%s","n":%s,"precision_bits":%s,'
+                '"certificate":["%s","%s","%s","%s"]}' % (bound, n, q, *certificate)
+            )
 
 
 def _linear_line(n: int, columns: list[str]) -> str:
@@ -529,7 +544,7 @@ class _ErrorTermFold:
                 "e2_hi": fields["e2_hi"],
             }
 
-    def finish(self, checked: int) -> tuple[dict, list[str], int]:
+    def finish(self, checked: int) -> tuple[dict, Iterable[str], int]:
         p, max_row, all_contained = self.p, self.max_row, self.all_contained
         summary = {
             "checked": checked,
@@ -577,12 +592,13 @@ class _VerifyFold:
         self.failures.append(failure)
         write([str(failure.get(c, "")) for c in VERIFY_CSV_COLUMNS])
 
-    def finish(self, checked: int) -> tuple[dict, list[str], int]:
+    def finish(self, checked: int) -> tuple[dict, Iterable[str], int]:
         failures = self.failures
         summary = {"checked": checked, "failures": len(failures), "failure_rows": failures}
-        lines = [f"checked={checked} failures={len(failures)}"] + [
-            f"FAILURE: {_compact_json(f)}" for f in failures
-        ]
+        lines = itertools.chain(
+            [f"checked={checked} failures={len(failures)}"],
+            (f"FAILURE: {_compact_json(f)}" for f in failures),  # each formed as it is written
+        )
         return summary, lines, EXIT_VIOLATION if failures else EXIT_OK
 
 
@@ -606,7 +622,9 @@ def run_bounds_sweep(
 ) -> int:
     """Emit one BoundRow per n in ascending order; returns the exit code."""
     config.validate()
-    _check_bits(config, sweep_row_precision(config.n_hi, config.precision_bits))
+    n = config.n_hi  # log_n grows with n
+    plan = attempt_plan(config.precision_bits + _VERDICT_BITS, (n - 1).bit_length(), n.bit_length())
+    _check_bits(config, plan.log_n)
     return _run(
         config, BOUNDS_CSV_COLUMNS, _bounds_payload, _BoundsFold, out_stream, report_stream
     )
@@ -622,7 +640,8 @@ def run_error_term(
     p = config.precision_bits
     # the largest G(n) of the range, at the precision error_term_e2 asks it
     # for; taken at n >= 2, which also covers the row at n = 1
-    q_tab, work = g_cost(max(config.n_hi, 2), _part_precision(p, _ROW_PARTS))
+    n = max(config.n_hi, 2)
+    q_tab, work = g_cost(n, attempt_plan(p, (n - 1).bit_length(), n.bit_length()).fact)
     _check_bits(config, q_tab)
     if work > WORK_CEILING:
         raise UsageError(

@@ -24,10 +24,10 @@ from log2lab.enclosures import (
 )
 from log2lab.exact import (
     _ROW_PARTS,
+    _STIRLING_PARTS,
+    _VERDICT_BITS,
     _check_precision,
-    _part_precision,
     ceil_log2,
-    log2_n_precision,
     require_positive,
 )
 from log2lab.sweep import SweepConfig, UsageError
@@ -66,13 +66,46 @@ def power_of_two_ratio(a: int, j: int) -> int | None:
     return q.bit_length() - 1
 
 
+# The per-call precision rules of a compared row, which take n itself: the
+# oracle of exact.attempt_plan and exact.stirling_plan, which take n's bit
+# lengths and are cached.
+
+
+def part_precision(p: int, parts: int, scale: int = 1) -> int:
+    """Per-part precision so that ``parts`` terms, each scaled by at most
+    ``scale``, sum to well under 2^-p."""
+    q = p + 1 + ceil_log2(parts)
+    if scale > 1:
+        q += ceil_log2(scale)
+    return q
+
+
+def stirling_log2_n_precision(n: int, p: int) -> int:
+    """Precision of log2 n in a Stirling-series log2 n! held to 2^-p, where
+    it is scaled by n + 1/2."""
+    return part_precision(p, _STIRLING_PARTS, n + 1)
+
+
+def log2_n_precision(n: int, p: int) -> int:
+    """Precision of the one log2 n that the parts of a compared row enclosed
+    at precision p take: what the Stirling-series log2 n! at the row's part
+    precision needs for its (n + 1/2) log2 n."""
+    return stirling_log2_n_precision(n, part_precision(p, _ROW_PARTS))
+
+
+def sweep_row_precision(n: int, q: int) -> int:
+    """Largest precision a compared row asks for at precision q: its one
+    log2 n, with its parts enclosed at q + _VERDICT_BITS."""
+    return log2_n_precision(n, q + _VERDICT_BITS)
+
+
 def paper_lower_bound_log2(n: int, p: int):
     """Enclosure of log2 of the counting bound, n log2 n - (n - 1 + G(n)), from
     n log2 n and the term sum G(n) each enclosed at a third of the 2^-p
     budget, as error-term encloses them: the oracle for a compared row's
     paper_lb, which takes G(n) from the exact floor count instead."""
     x = log2_int_enclosure(n, log2_n_precision(n, p)).scale_int(n)
-    return x.add_int(-(n - 1)) - G_enclosure(n, _part_precision(p, _ROW_PARTS))
+    return x.add_int(-(n - 1)) - G_enclosure(n, part_precision(p, _ROW_PARTS))
 
 
 def log2_by_bit_extraction(num: int, den: int, p: int) -> DyadicInterval:
@@ -171,7 +204,7 @@ def sum_table(n: int, p: int) -> tuple[list[int], list[int], int]:
     prime brackets: terms below 2^-(p + ceil(log2 n) + 1) each, read one
     guard bit finer."""
     _check_precision(p)
-    return log2_m_table(n, _part_precision(p, n) + 1)
+    return log2_m_table(n, part_precision(p, n) + 1)
 
 
 def frac_upper_clamp(n: int, s: int) -> int:

@@ -20,7 +20,6 @@ import log2lab.exact as exact_mod
 import log2lab.sweep as sweep_mod
 from log2lab.bounds import (
     BOUND_NAMES,
-    AttemptPlan,
     BAgreementReport,
     BoundRow,
     Verdict,
@@ -40,16 +39,15 @@ from log2lab.exact import (
     _ROW_PARTS,
     _STIRLING_PARTS,
     _VERDICT_BITS,
-    _part_precision,
-    _stirling_log2_n_precision,
+    AttemptPlan,
     DomainError,
     IdentityViolationError,
     ResourceLimitError,
+    attempt_plan,
     binary_digit_sum,
     ceil_log2,
     last_attempt,
-    log2_n_precision,
-    sweep_row_precision,
+    stirling_plan,
 )
 from log2lab.sweep import (
     EXIT_INCONCLUSIVE,
@@ -66,8 +64,12 @@ from conftest import (
     g_oracle,
     interval_contains,
     largest_accepted,
+    log2_n_precision,
     paper_lower_bound_log2,
+    part_precision,
     skip_rows,
+    stirling_log2_n_precision,
+    sweep_row_precision,
 )
 
 LOG2_3 = "1.58496250072115618145373894394781650876"
@@ -328,7 +330,7 @@ class TestCompareBounds:
         for n in (3, 7, 100, 255, 3004):
             row = compare_bounds(n, 64)
             p = row.precision_bits
-            x = log2_int_enclosure(n, log2_n_precision(n, p + _VERDICT_BITS)).scale_int(n)
+            x = log2_int_enclosure(n, finest_precision(n, p)).scale_int(n)
             c = (row.log2_fact - x).add_int(n - 1) + row.g
             e2 = row.log2_fact - (x.add_int(-(n - 1)) - row.g)
             assert c == row.c_log2
@@ -402,7 +404,7 @@ def full_attempt_row(
     for attempt in range(last_attempt(n, p, max_escalations) + 1):
         q = p << attempt
         r = q + _VERDICT_BITS
-        part = enclosures_mod._part_precision(r, bounds_mod._ROW_PARTS)
+        part = part_precision(r, _ROW_PARTS)
         fact = log2_factorial_enclosure(n, part)
         x = log2_int_enclosure(n, log2_n_precision(n, r)).scale_int(n)
         g = (x - fact).add_int(-(n - binary_digit_sum(n)))
@@ -491,7 +493,7 @@ class TestCountingIdentity:
         # the precision the row settled on
         row = compare_bounds(n, p)
         q = row.precision_bits
-        part = enclosures_mod._part_precision(q, bounds_mod._ROW_PARTS)
+        part = part_precision(q, _ROW_PARTS)
         assert row.g.intersects(G_enclosure(n, part))
         assert row.paper_lb.intersects(paper_lower_bound_log2(n, q))
         for iv in (row.g, row.paper_lb, row.e2):
@@ -660,7 +662,7 @@ class TestOneLogPerAttempt:
 
         monkeypatch.setattr(bounds_mod, "log2_int_enclosure", recorded)
         row = compare_bounds(3004, 64, max_escalations=0)
-        q = log2_n_precision(3004, row.precision_bits + _VERDICT_BITS)
+        q = finest_precision(3004, row.precision_bits)
         assert asked and set(asked) == {(3004, q)}
 
 
@@ -670,38 +672,54 @@ def near_powers_of_two() -> st.SearchStrategy[int]:
     return st.builds(lambda k, d: (1 << k) + d, st.integers(1, 39), st.sampled_from([-1, 0, 1]))
 
 
+def finest_precision(n: int, q: int) -> int:
+    """The finest precision of a compared row's attempt at q: the ``log_n``
+    of its plan."""
+    return attempt_plan(q + _VERDICT_BITS, ceil_log2(n), ceil_log2(n + 1)).log_n
+
+
 def assert_plan_is_the_per_call_rules(n: int, p: int, max_escalations: int) -> None:
-    """Every attempt's cached plans give the numbers the per-call rules give
-    for n, which stay the oracle."""
+    """Every attempt's cached plans give the numbers the per-call rules of
+    conftest give for n."""
     for attempt in range(last_attempt(n, p, max_escalations) + 1):
         q = p << attempt
         r = q + _VERDICT_BITS
-        plan = bounds_mod.attempt_plan(r, ceil_log2(n), ceil_log2(n + 1))
-        fact = _part_precision(r, _ROW_PARTS)
+        plan = attempt_plan(r, ceil_log2(n), ceil_log2(n + 1))
+        fact = part_precision(r, _ROW_PARTS)
         assert plan == AttemptPlan(
             fact=fact,
             log_n=log2_n_precision(n, r),
-            robbins_half=_part_precision(r, 4),
-            robbins_log2_e=_part_precision(r, 4, n),
-            q_d=_part_precision(r, 4) + 2,
-            ramanujan_half=_part_precision(r, 5),
-            ramanujan_log2_e=_part_precision(r, 5, n),
-            q_poly=_part_precision(r, 5) + 2,
-            q_corr=_part_precision(r, 5),
+            robbins_half=part_precision(r, 4),
+            robbins_log2_e=part_precision(r, 4, n),
+            q_d=part_precision(r, 4) + 2,
+            ramanujan_half=part_precision(r, 5),
+            ramanujan_log2_e=part_precision(r, 5, n),
+            q_poly=part_precision(r, 5) + 2,
+            q_corr=part_precision(r, 5),
         ), (n, p, attempt)
-        assert plan.log_n == sweep_row_precision(n, q)
-        # the Stirling-series log2 n! the attempt takes at plan.fact
-        assert enclosures_mod.stirling_plan(fact, ceil_log2(n), ceil_log2(n + 1)) == (
-            _part_precision(fact, _STIRLING_PARTS),
-            _stirling_log2_n_precision(n, fact),
-            _part_precision(fact, _STIRLING_PARTS, n),
+        assert plan.log_n == sweep_row_precision(n, q) == finest_precision(n, q)
+        # the Stirling-series log2 n! the attempt takes at plan.fact, whose
+        # log_n the attempt's plan reads
+        assert stirling_plan(fact, ceil_log2(n), ceil_log2(n + 1)) == (
+            part_precision(fact, _STIRLING_PARTS),
+            stirling_log2_n_precision(n, fact),
+            part_precision(fact, _STIRLING_PARTS, n),
             fact + 5 + fact.bit_length() + 2,
         ), (n, p, attempt)
-        assert _stirling_log2_n_precision(n, fact) == plan.log_n
+
+
+def last_attempt_by_doubling(n: int, p: int, max_escalations: int, ceiling: int) -> int:
+    """The last attempt of a compared row, uncached: double from p while
+    escalations remain and the next attempt's log2 n fits under ``ceiling``."""
+    attempt = 0
+    while attempt < max_escalations and sweep_row_precision(n, p << (attempt + 1)) <= ceiling:
+        attempt += 1
+    return attempt
 
 
 class TestAttemptPlan:
-    """The cached plans of an attempt hold the per-call rules' numbers."""
+    """The cached plans of an attempt hold the per-call rules' numbers, and
+    the cached last attempt is the doubling loop's."""
 
     @settings(deadline=None, max_examples=300)
     @given(
@@ -718,6 +736,25 @@ class TestAttemptPlan:
                 for p in (4, 64, 128, 4096):
                     assert_plan_is_the_per_call_rules(n, p, 4)
 
+    def test_cached_last_attempt_is_the_doubling_loop(self, monkeypatch):
+        # the cache is keyed by the ceiling too: after the ceiling moves and
+        # moves back within one process, each call still sees the ceiling of
+        # its time
+        ns = [1, 2, 3, 3000, 3001, 4095, 4096, 4097, 10**6 + 1, 10**12]
+        ps = [4, 16, 64, 128, 4096]
+        ceilings = [
+            exact_mod.MAX_PRECISION_BITS, 100, sweep_row_precision(3000, 32), 1 << 12,
+            sweep_row_precision(3000, 32) - 1, exact_mod.MAX_PRECISION_BITS, 100,
+        ]
+        for ceiling in ceilings:
+            monkeypatch.setattr(exact_mod, "MAX_PRECISION_BITS", ceiling)
+            for n in ns:
+                for p in ps:
+                    for max_escalations in (-1, 0, 1, 4, 9, 10**9):
+                        got = last_attempt(n, p, max_escalations)
+                        want = last_attempt_by_doubling(n, p, max_escalations, ceiling)
+                        assert got == want, (n, p, max_escalations, ceiling)
+
 
 class TestEscalationCeiling:
     """A row never escalates past the precision ceiling: its last attempt is
@@ -728,16 +765,16 @@ class TestEscalationCeiling:
         assert last_attempt(3000, 64, 4) == 4
         assert last_attempt(3000, 64, -1) == 0
         # 64 << 7 = 8192 fits under 16384 bits, 64 << 8 does not
-        assert sweep_row_precision(3000, 64 << 7) <= exact_mod.MAX_PRECISION_BITS
-        assert sweep_row_precision(3000, 64 << 8) > exact_mod.MAX_PRECISION_BITS
+        assert finest_precision(3000, 64 << 7) <= exact_mod.MAX_PRECISION_BITS
+        assert finest_precision(3000, 64 << 8) > exact_mod.MAX_PRECISION_BITS
         assert last_attempt(3000, 64, 10**9) == 7
-        monkeypatch.setattr(exact_mod, "MAX_PRECISION_BITS", sweep_row_precision(3000, 32))
+        monkeypatch.setattr(exact_mod, "MAX_PRECISION_BITS", finest_precision(3000, 32))
         assert last_attempt(3000, 16, 4) == 1
         assert last_attempt(3001, 16, 4) == 1
         assert last_attempt(4097, 16, 4) == 0
 
     def test_unsettled_row_at_the_ceiling_is_inconclusive(self, monkeypatch):
-        monkeypatch.setattr(exact_mod, "MAX_PRECISION_BITS", sweep_row_precision(3000, 16))
+        monkeypatch.setattr(exact_mod, "MAX_PRECISION_BITS", finest_precision(3000, 16))
         row = compare_bounds(3000, 16)
         assert row.precision_bits == 16 and row.escalations == 0
         assert row.verdicts["robbins_upper"].status is VerdictStatus.INCONCLUSIVE
@@ -747,7 +784,7 @@ class TestEscalationCeiling:
     def test_sweep_at_the_ceiling_completes(self, tmp_path, capsys, monkeypatch, fmt):
         # without the ceiling these rows escalate from p = 16; with it they
         # stop there, every one is written and the run exits 2
-        ceiling = sweep_row_precision(3007, 16)
+        ceiling = finest_precision(3007, 16)
         monkeypatch.setattr(exact_mod, "MAX_PRECISION_BITS", ceiling)
         monkeypatch.setattr(sweep_mod, "MAX_PRECISION_BITS", ceiling)
         assert compare_bounds(3000, 16, max_escalations=0).verdicts[
@@ -797,7 +834,8 @@ def error_term_cost(monkeypatch, n: int, p: int) -> tuple[int, int]:
 
 class TestAttemptPrecision:
     """What a command checks before its output is what its rows ask for:
-    sweep_row_precision is the finest precision of a compared row, and
+    the ``log_n`` of its first attempt's plan is the finest precision of a
+    compared row, and
     error-term's check (``g_cost`` of its largest G(n)) the finest precision
     and the largest work of an error-term row."""
 
@@ -823,7 +861,7 @@ class TestAttemptPrecision:
                 enclosures_mod.log2_int_enclosure.cache_clear()
                 asked.clear()
                 compare_bounds(n, p, max_escalations=0, b_source="closed-form")
-                assert max(asked) == sweep_row_precision(n, p), (n, p)
+                assert max(asked) == finest_precision(n, p), (n, p)
                 if n > 1000:
                     continue  # a G(n) that size is error-term's alone
                 q_tab, _ = error_term_cost(monkeypatch, n, p)

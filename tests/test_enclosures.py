@@ -214,7 +214,7 @@ def direct_log2_int(m: int, q: int) -> tuple[int, int, int]:
 def direct_G_enclosure(n: int, p: int) -> DyadicInterval:
     """G(n) as the term sum computed before the log table: one certified core
     call per m, each at the term precision plus one guard bit."""
-    q_log = enclosures_mod._part_precision(p, n) + 1
+    q_log = _part_precision(p, n) + 1
     lo_n, hi_n, s = direct_log2_int(n, q_log)
     clamp_hi = frac_upper_clamp(n, s)
     acc_lo = acc_hi = 0

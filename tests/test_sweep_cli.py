@@ -258,6 +258,30 @@ class TestBoundsSweep:
             for f in summary["findings"]
         )
 
+    def test_csv_finish_does_not_grow_with_the_findings(self):
+        # a CSV run never writes the JSON summary, so its finish builds no
+        # findings dicts, and each FINDING line is formed as it is written;
+        # the Ramanujan lower side is Violated on every row, so a run that
+        # held them all would peak at about 1 KB a row here
+        def finish_peak(n_hi: int) -> tuple[int, dict, int]:
+            config = SweepConfig(n_lo=1, n_hi=n_hi, precision_bits=64)
+            fold = sweep_mod._BoundsFold(config, config.ns())
+            for n in config.ns():
+                fold.add(sweep_mod._bounds_payload(config, n), lambda values: None)
+            tracemalloc.start()
+            try:
+                summary, lines, _ = fold.finish(n_hi)
+                findings = sum(line.startswith("FINDING: ") for line in lines)
+                return tracemalloc.get_traced_memory()[1], summary, findings
+            finally:
+                tracemalloc.stop()
+
+        small, summary, findings = finish_peak(200)
+        assert "findings" not in summary and findings > 200
+        large, _, findings = finish_peak(2000)
+        assert findings > 2000
+        assert large < small + 16 * 1024, (small, large)
+
     def test_byte_identical_across_worker_counts(self, tmp_path):
         cfg1 = SweepConfig(n_lo=1, n_hi=60, precision_bits=64, workers=1)
         cfg2 = SweepConfig(n_lo=1, n_hi=60, precision_bits=64, workers=2)
