@@ -82,7 +82,6 @@ __all__ = [
     "ramanujan_b_printed",
     "ramanujan_b_closed_form",
     "ramanujan_b_agreement",
-    "render_row",
 ]
 
 
@@ -395,60 +394,3 @@ def compare_bounds(
         verdicts=verdicts,
         escalations=attempt,
     )
-
-
-# ---------------------------------------------------------------------------
-# the emitted form of a row
-# ---------------------------------------------------------------------------
-
-_HOLDS = VerdictStatus.HOLDS.value
-_VIOLATED = VerdictStatus.VIOLATED.value
-_INCONCLUSIVE = VerdictStatus.INCONCLUSIVE.value
-
-
-def _combine(a: str, b: str) -> str:
-    """The verdict column of a bound's two sides, from their status values."""
-    if _VIOLATED in (a, b):
-        return _VIOLATED
-    return _HOLDS if a == b == _HOLDS else _INCONCLUSIVE
-
-
-def render_row(row: BoundRow) -> tuple:
-    """A compared row as ``sweep-bounds`` emits and counts it: (columns,
-    statuses, escalations, e2, findings).
-
-    ``columns`` are the row's column strings in ``BOUNDS_CSV_COLUMNS`` order:
-    each interval rounded outward onto the 2^-(precision_bits + 3) grid and
-    rendered once, ``c_log2`` being the ``e2`` object.  ``statuses`` are the
-    five status values in ``BOUND_NAMES`` order.  ``findings`` hold a
-    (bound, certificate) pair per Violated verdict: a certificate holds two
-    of the row's own column intervals, so it is their four column strings,
-    the same ``str`` objects (a forked block pickles each once).
-    """
-    f = row.precision_bits + 3
-    rendered: dict[int, tuple[str, str]] = {}  # by id: the row keeps every interval alive
-    columns = [str(row.n), str(row.precision_bits)]
-    for iv in row[2:11]:  # the intervals, log2_fact to e2, in column order
-        ends = rendered.get(id(iv))
-        if ends is None:
-            out = iv.round_outward(f)
-            ends = rendered[id(iv)] = out.lo.decimal_str(), out.hi.decimal_str()
-        columns += ends
-    # _value_ is the enum member's value, read without the ``value`` property
-    statuses = tuple([v.status._value_ for v in row.verdicts.values()])
-    paper, robbins_lo, robbins_hi, ramanujan_lo, ramanujan_hi = statuses
-    columns += (
-        str(row.s2),
-        paper,
-        _combine(robbins_lo, robbins_hi),
-        _combine(ramanujan_lo, ramanujan_hi),
-        "true" if row.equality else "false",
-    )
-    findings = ()
-    if _VIOLATED in statuses:
-        findings = tuple([
-            (name, rendered[id(lhs)] + rendered[id(rhs)])
-            for name, (status, (lhs, rhs)) in row.verdicts.items()
-            if status is VerdictStatus.VIOLATED
-        ])
-    return columns, statuses, row.escalations, row.e2, findings

@@ -12,15 +12,23 @@ after the first block (no ``multiprocessing``); without ``os.fork`` they all
 run here.  A block stops at its first error and returns it with the payloads
 before it, so every worker count keeps the same rows.
 
+This module owns what a range command emits; ``bounds`` computes a compared
+row and its verdicts, and ``_bounds_payload`` renders it here: the columns
+named by ``_ROW_INTERVALS``, every interval rounded outward onto the
+2^-(q + 3) grid of its row's precision q by ``_decimals``, and the verdict
+columns and findings from the statuses in ``BOUND_NAMES`` order.
+
 CSV files carry rows only, with a frozen header; JSON files carry the same row
 objects in an array whose final element wraps the run summary.  Each row is
 flushed as it is written, so an interrupted sweep leaves a valid truncated
-file behind whose summary counts the rows it holds.
+file behind whose summary counts the rows it holds.  ``--out`` is opened only
+once the run's fold is built, so a fold that fails leaves no file.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -75,7 +83,7 @@ EXIT_INTERNAL = 4
 # folds of the commands that use them call it once per run, before the first
 # block, so every forked worker starts with them bound.
 _WRAPPABLE = ("compare_bounds", "error_term_e2", "ramanujan_b_agreement")
-_BOUNDS_NAMES = (*_WRAPPABLE, "BOUND_NAMES", "VerdictStatus", "render_row")
+_BOUNDS_NAMES = (*_WRAPPABLE, "BOUND_NAMES", "VerdictStatus")
 
 
 def _load_bounds() -> None:
@@ -157,6 +165,7 @@ _ROW_INTERVALS = (
     "log2_fact", "g", "paper_lb", "robbins_lo", "robbins_hi",
     "ramanujan_lo", "ramanujan_hi", "c_log2", "e2",
 )
+_row_intervals = operator.attrgetter(*_ROW_INTERVALS)
 
 BOUNDS_CSV_COLUMNS = [
     "n",
@@ -187,21 +196,65 @@ VERIFY_CSV_COLUMNS = [
 ]
 
 
-def _decimals(iv: DyadicInterval) -> list[str]:
-    return [iv.lo.decimal_str(), iv.hi.decimal_str()]
+def _decimals(iv: DyadicInterval, q: int | None = None) -> tuple[str, str]:
+    """The two end strings of ``iv``; given a row's precision q, of ``iv``
+    rounded outward onto the 2^-(q + 3) grid that rows are emitted on."""
+    if q is not None:
+        iv = iv.round_outward(q + 3)
+    return iv.lo.decimal_str(), iv.hi.decimal_str()
+
+
+def _combine(a: VerdictStatus, b: VerdictStatus) -> str:
+    """The verdict column of a bound's two sides."""
+    # _value_ is the enum member's value, read without the ``value`` property
+    if VerdictStatus.VIOLATED in (a, b):
+        return VerdictStatus.VIOLATED._value_
+    return (a if a is b else VerdictStatus.INCONCLUSIVE)._value_
 
 
 def _bounds_payload(config: SweepConfig, n: int) -> tuple:
-    """One row, fully rendered, with its Violated findings (``render_row``);
-    pure in (config, n) so workers agree."""
-    return render_row(
-        compare_bounds(
-            n,
-            config.precision_bits,
-            b_source=config.ramanujan_b,
-            max_escalations=config.max_escalations,
-        )
+    """The compared row of n as ``sweep-bounds`` emits and counts it, pure in
+    (config, n) so that workers agree: (columns, statuses, escalations, e2,
+    findings).
+
+    ``columns`` are the row's column strings in ``BOUNDS_CSV_COLUMNS`` order,
+    each interval rendered once (``c_log2`` is the ``e2`` object).
+    ``statuses`` are the five status values in ``BOUND_NAMES`` order.
+    ``findings`` hold a (bound, certificate) pair per Violated verdict: a
+    certificate holds two of the row's own column intervals, so it is their
+    four column strings, the same ``str`` objects (a forked block pickles
+    each once).
+    """
+    row = compare_bounds(
+        n,
+        config.precision_bits,
+        b_source=config.ramanujan_b,
+        max_escalations=config.max_escalations,
     )
+    q = row.precision_bits
+    rendered: dict[int, tuple[str, str]] = {}  # by id: the row keeps every interval alive
+    columns = [str(n), str(q)]
+    for iv in _row_intervals(row):
+        ends = rendered.get(id(iv))
+        if ends is None:
+            ends = rendered[id(iv)] = _decimals(iv, q)
+        columns += ends
+    verdicts = [row.verdicts[name] for name in BOUND_NAMES]
+    paper, robbins_lo, robbins_hi, ramanujan_lo, ramanujan_hi = [v.status for v in verdicts]
+    columns += (
+        str(row.s2),
+        paper._value_,
+        _combine(robbins_lo, robbins_hi),
+        _combine(ramanujan_lo, ramanujan_hi),
+        "true" if row.equality else "false",
+    )
+    findings = tuple([
+        (name, rendered[id(lhs)] + rendered[id(rhs)])
+        for name, (status, (lhs, rhs)) in zip(BOUND_NAMES, verdicts)
+        if status is VerdictStatus.VIOLATED
+    ])
+    statuses = tuple([v.status._value_ for v in verdicts])
+    return columns, statuses, row.escalations, row.e2, findings
 
 
 def _error_term_payload(config: SweepConfig, n: int) -> dict:
@@ -215,7 +268,7 @@ def _error_term_payload(config: SweepConfig, n: int) -> dict:
         and not e2.contains_int(s2m1 - 1)
         and not e2.contains_int(s2m1 + 1)
     )
-    lo, hi = _decimals(e2.round_outward(p + 3))
+    lo, hi = _decimals(e2, p)
     return {
         "n": str(n),
         "precision_bits": str(p),
@@ -324,7 +377,10 @@ def _run(
     they all run in this process.  With k = min(--workers, items, CPUs) > 1,
     ``workers.forked_map`` runs every k-th block here and deals the others to
     k - 1 children forked after the first block; without ``os.fork`` they all
-    run here too.  ``fold(config, ns)`` builds the command's fold: ``add(payload,
+    run here too.  ``fold(config, ns)`` builds the command's fold, before
+    ``--out`` is opened, so that an error or an interrupt while it is built
+    (``sweep-bounds`` loads the enclosure code and checks b there) leaves no
+    output file; stdout gets its header first.  ``add(payload,
     write)`` takes the payloads in ascending n and passes the rows to write
     to ``write``; ``finish(checked)`` returns the summary, the report lines
     (an iterable, so that each line is formed only as it is written) and the
@@ -337,10 +393,12 @@ def _run(
     dies is an internal error, and no child outlives the loop.
     """
     ns = config.ns()
+    acc = fold(config, ns) if config.output_path is not None else None
     stream, close_me = _open_output(config, out_stream if out_stream is not None else sys.stdout)
     try:
         writer = _Writer(stream, config.output_format, columns)
-        acc = fold(config, ns)
+        if acc is None:
+            acc = fold(config, ns)
         workers = max(1, min(config.workers, len(ns), os.cpu_count() or 1))
         size = min(64, -(-len(ns) // (4 * workers))) or 1  # or 1: an empty range
         blocks = (ns[i : i + size] for i in range(0, len(ns), size))
@@ -393,10 +451,11 @@ def _run(
 class _BoundsFold:
     """Verdict counts, equality rows, the e2 argmax and the findings.
 
-    A row's findings come in its payload, already rendered; the report's
-    FINDING lines are formed from those strings one at a time, as they are
-    written, so a CSV run never loads ``json``.  Only a JSON run builds the
-    summary's ``findings``.
+    A row's findings come in its payload, already rendered.  Each finding
+    has one encoder, ``_findings``, which builds its json text by hand: the
+    report's FINDING lines are formed from it one at a time, as they are
+    written, so a CSV run never loads ``json``, and only a JSON run builds
+    the summary's ``findings``, by parsing those same texts.
     """
 
     def __init__(self, config: SweepConfig, ns: range):
@@ -458,7 +517,9 @@ class _BoundsFold:
             "max_c_log2": max_row,
         }
         if config.output_format == "json":
-            summary["findings"] = self._finding_dicts()
+            import json
+
+            summary["findings"] = [json.loads(finding) for finding in self._findings()]
         head = [
             f"checked={checked} of {len(ns)} rows at p={config.precision_bits} "
             f"(escalated: {self.escalated_rows})",
@@ -466,39 +527,26 @@ class _BoundsFold:
             f"max e2 at n={max_n}" if max_row else "max e2: none",
             f"max c_log2 at n={max_n}" if max_row else "max c_log2: none",
         ]
-        lines = itertools.chain(head, self.linear_lines, self._finding_lines())
+        findings = ("FINDING: " + finding for finding in self._findings())
+        lines = itertools.chain(head, self.linear_lines, findings)
         if counts["paper"][VerdictStatus.VIOLATED.value]:
             return summary, lines, EXIT_VIOLATION
         if any(c[VerdictStatus.INCONCLUSIVE.value] for c in counts.values()):
             return summary, lines, EXIT_INCONCLUSIVE
         return summary, lines, EXIT_OK
 
-    def _finding_dicts(self) -> list[dict]:
-        """The JSON summary's findings, in the order of the FINDING lines."""
-        findings = []
-        if self.b_disagreement:
-            printed, closed = self.b_disagreement
-            findings.append(
-                {"type": "ramanujan_b_disagreement", "printed": printed, "closed_form": closed}
-            )
-        return findings + [
-            {"type": "verdict_violated", "bound": bound, "n": int(n),
-             "precision_bits": int(q), "certificate": list(certificate)}
-            for n, q, bound, certificate in self.findings
-        ]
-
-    def _finding_lines(self) -> Iterator[str]:
-        """The FINDING lines, by hand: each is json's compact form of its
-        summary entry."""
+    def _findings(self) -> Iterator[str]:
+        """Each finding in json's compact form, built by hand from its
+        strings, which json never has to escape."""
         if self.b_disagreement:
             printed, closed = self.b_disagreement
             yield (
-                'FINDING: {"type":"ramanujan_b_disagreement","printed":["%s","%s"],'
+                '{"type":"ramanujan_b_disagreement","printed":["%s","%s"],'
                 '"closed_form":["%s","%s"]}' % (*printed, *closed)
             )
         for n, q, bound, certificate in self.findings:
             yield (
-                'FINDING: {"type":"verdict_violated","bound":"%s","n":%s,"precision_bits":%s,'
+                '{"type":"verdict_violated","bound":"%s","n":%s,"precision_bits":%s,'
                 '"certificate":["%s","%s","%s","%s"]}' % (bound, n, q, *certificate)
             )
 

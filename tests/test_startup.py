@@ -90,7 +90,8 @@ def test_json_sweep_bounds_loads_json(tmp_path):
 @pytest.mark.parametrize("p", [4, 64])
 def test_finding_lines_are_the_summary_findings_as_json(p, b_source):
     """The FINDING lines a CSV run writes without json are, byte for byte,
-    json's compact form of the JSON summary's findings."""
+    json's compact form of the JSON summary's findings, which a JSON run
+    parses from the same hand-built texts."""
     import json
 
     from log2lab import SweepConfig, run_bounds_sweep

@@ -375,6 +375,46 @@ class TestBoundsSweep:
                 findings += 1
         assert findings >= len(cfg.ns())  # the Ramanujan lower side, every row
 
+    @pytest.mark.parametrize("p", [4, 64])
+    def test_columns_field_by_field(self, payloads, p):
+        """Each *_lo/*_hi pair is its BoundRow interval rounded outward onto
+        the 2^-(precision_bits + 3) grid, and each verdict column combines
+        the statuses of the bounds it names, over rows that escalate (from
+        n = 100000) and rows left Inconclusive (2048 at --bits 4, capped)."""
+        from log2lab.bounds import BOUND_NAMES, VerdictStatus
+
+        def combined(statuses):
+            if VerdictStatus.VIOLATED in statuses:
+                return VerdictStatus.VIOLATED.value
+            if all(s is VerdictStatus.HOLDS for s in statuses):
+                return VerdictStatus.HOLDS.value
+            return VerdictStatus.INCONCLUSIVE.value
+
+        escalated, verdicts = 0, set()
+        for n, cap in [*((n, 4) for n in range(1, 65)), (2048, 0), (100000, 4), (100001, 4)]:
+            cfg = SweepConfig(n_lo=n, n_hi=n, precision_bits=p, max_escalations=cap)
+            (columns, statuses, escalations, _, _), row = payloads(cfg, n)
+            fields = dict(zip(BOUNDS_CSV_COLUMNS, columns, strict=True))
+            assert fields["n"] == str(n)
+            assert fields["precision_bits"] == str(row.precision_bits)
+            for name in sweep_mod._ROW_INTERVALS:
+                iv = getattr(row, name).round_outward(row.precision_bits + 3)
+                expected = iv.lo.decimal_str(), iv.hi.decimal_str()
+                assert (fields[f"{name}_lo"], fields[f"{name}_hi"]) == expected, (n, name)
+            assert fields["s2"] == str(row.s2)
+            assert fields["equality_flag"] == ("true" if row.equality else "false")
+            assert statuses == tuple(row.verdicts[b].status.value for b in BOUND_NAMES)
+            for bound in ("paper", "robbins", "ramanujan"):
+                sides = [row.verdicts[b].status for b in BOUND_NAMES if b.split("_")[0] == bound]
+                assert fields[f"verdict_{bound}"] == combined(sides), (n, bound)
+                verdicts.add(fields[f"verdict_{bound}"])
+            assert escalations == row.escalations
+            escalated += escalations > 0
+        assert escalated >= 2
+        assert verdicts >= {"Holds", "Violated"}
+        if p == 4:
+            assert "Inconclusive" in verdicts
+
     @pytest.mark.parametrize("b_source", ["printed", "closed-form"])
     @pytest.mark.parametrize("p", [4, 64])
     def test_finding_certificates_are_their_rows_columns(self, payloads, p, b_source):
@@ -691,6 +731,26 @@ class TestCliContract:
         out = tmp_path / "missing" / "rows.csv"
         assert main(["sweep-bounds", "--range", "1..3", "--out", str(out)]) == EXIT_USAGE
         assert "log2lab: error: cannot open --out" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_failed_fold_creates_no_output_file(self, tmp_path, capsys, monkeypatch, error, fmt):
+        # sweep-bounds checks b while it builds its fold, which takes 1.4 s
+        # at the largest --bits: a failure there must leave no --out at all,
+        # not a lone CSV header or an unclosed JSON array
+        def failing(p):
+            raise error("b check failed")
+
+        monkeypatch.setattr(sweep_mod, "ramanujan_b_agreement", failing)
+        out = tmp_path / f"rows.{fmt}"
+        argv = ["sweep-bounds", "--range", "1..3", "--format", fmt, "--out", str(out)]
+        if error is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert main(argv) == EXIT_INTERNAL
+            assert capsys.readouterr().err.startswith("log2lab: internal error: b check failed\n")
         assert not out.exists()
 
     def test_sweep_bounds_end_to_end(self, tmp_path, capsys):
