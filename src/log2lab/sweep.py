@@ -21,8 +21,9 @@ columns and findings from the statuses in ``BOUND_NAMES`` order.
 CSV files carry rows only, with a frozen header; JSON files carry the same row
 objects in an array whose final element wraps the run summary.  Each row is
 flushed as it is written, so an interrupted sweep leaves a valid truncated
-file behind whose summary counts the rows it holds.  ``--out`` is opened only
-once the run's fold is built, so a fold that fails leaves no file.
+file behind whose summary counts the rows it holds.  The output is opened only
+once the run's fold is built, so a fold that fails leaves no file and writes
+nothing to stdout.
 """
 
 from __future__ import annotations
@@ -377,10 +378,10 @@ def _run(
     they all run in this process.  With k = min(--workers, items, CPUs) > 1,
     ``workers.forked_map`` runs every k-th block here and deals the others to
     k - 1 children forked after the first block; without ``os.fork`` they all
-    run here too.  ``fold(config, ns)`` builds the command's fold, before
-    ``--out`` is opened, so that an error or an interrupt while it is built
-    (``sweep-bounds`` loads the enclosure code and checks b there) leaves no
-    output file; stdout gets its header first.  ``add(payload,
+    run here too.  ``fold(config, ns)`` builds the command's fold before
+    the output is opened or written, so that an error or an interrupt while
+    it is built (``sweep-bounds`` loads the enclosure code and checks b
+    there) leaves no ``--out`` file and writes nothing to stdout.  ``add(payload,
     write)`` takes the payloads in ascending n and passes the rows to write
     to ``write``; ``finish(checked)`` returns the summary, the report lines
     (an iterable, so that each line is formed only as it is written) and the
@@ -393,12 +394,10 @@ def _run(
     dies is an internal error, and no child outlives the loop.
     """
     ns = config.ns()
-    acc = fold(config, ns) if config.output_path is not None else None
+    acc = fold(config, ns)
     stream, close_me = _open_output(config, out_stream if out_stream is not None else sys.stdout)
     try:
         writer = _Writer(stream, config.output_format, columns)
-        if acc is None:
-            acc = fold(config, ns)
         workers = max(1, min(config.workers, len(ns), os.cpu_count() or 1))
         size = min(64, -(-len(ns) // (4 * workers))) or 1  # or 1: an empty range
         blocks = (ns[i : i + size] for i in range(0, len(ns), size))

@@ -733,24 +733,32 @@ class TestCliContract:
         assert "log2lab: error: cannot open --out" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-    def test_failed_fold_creates_no_output_file(self, tmp_path, capsys, monkeypatch, error, fmt):
+    def test_failed_fold_creates_no_output_file(
+        self, tmp_path, capsys, monkeypatch, error, fmt, to_file
+    ):
         # sweep-bounds checks b while it builds its fold, which takes 1.4 s
         # at the largest --bits: a failure there must leave no --out at all,
-        # not a lone CSV header or an unclosed JSON array
+        # not a lone CSV header or an unclosed JSON array, and without --out
+        # it must write nothing to stdout
         def failing(p):
             raise error("b check failed")
 
         monkeypatch.setattr(sweep_mod, "ramanujan_b_agreement", failing)
         out = tmp_path / f"rows.{fmt}"
-        argv = ["sweep-bounds", "--range", "1..3", "--format", fmt, "--out", str(out)]
+        argv = ["sweep-bounds", "--range", "1..3", "--format", fmt]
+        argv += ["--out", str(out)] if to_file else []
         if error is KeyboardInterrupt:
             with pytest.raises(KeyboardInterrupt):
                 main(argv)
         else:
             assert main(argv) == EXIT_INTERNAL
-            assert capsys.readouterr().err.startswith("log2lab: internal error: b check failed\n")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if error is RuntimeError:
+            assert captured.err.startswith("log2lab: internal error: b check failed\n")
         assert not out.exists()
 
     def test_sweep_bounds_end_to_end(self, tmp_path, capsys):
