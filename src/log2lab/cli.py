@@ -79,13 +79,28 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise UsageError(f"range bound too long: {exc}") from None
 
 
+def _add_range_parser(sub, name: str, help: str, run_command) -> argparse.ArgumentParser:
+    sp = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+    sp.set_defaults(run_command=run_command)
+    sp.add_argument("--range", required=True, metavar="LO..HI")
+    return sp
+
+
+def _add_precision_flags(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--bits", type=int, metavar="BITS", dest="precision_bits")
+    sp.add_argument("--odd-only", action="store_const", const="odd", dest="parity")
+
+
 def _add_output_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--out", metavar="PATH", default=None)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--format", choices=("csv", "json"), dest="output_format")
+    sp.add_argument("--out", metavar="PATH", dest="output_path")
+    sp.add_argument("--workers", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``log2lab`` parser.  A range command's dests are ``SweepConfig``
+    fields and an option left out sets none, so each default is stated once,
+    in ``SweepConfig``; ``g-value``, no range command, keeps its own."""
     parser = _Parser(
         prog="log2lab",
         description=(
@@ -95,38 +110,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    sp = sub.add_parser(
+    sp = _add_range_parser(
+        sub,
         "verify-theorem",
-        help="three-way agreement of the odd floor sum with both counting oracles",
+        "three-way agreement of the odd floor sum with both counting oracles",
+        run_verify_theorem,
     )
-    sp.add_argument("--range", required=True, metavar="LO..HI")
     _add_output_flags(sp)
 
-    sp = sub.add_parser(
-        "sweep-bounds",
-        help="per-n bound comparisons with certified verdicts",
+    sp = _add_range_parser(
+        sub, "sweep-bounds", "per-n bound comparisons with certified verdicts", run_bounds_sweep
     )
-    sp.add_argument("--range", required=True, metavar="LO..HI")
-    sp.add_argument("--bits", type=int, default=64)
-    sp.add_argument("--odd-only", action="store_true")
-    sp.add_argument("--max-escalations", type=int, default=4)
-    sp.add_argument(
-        "--ramanujan-b", choices=("printed", "closed-form"), default="printed"
-    )
+    _add_precision_flags(sp)
+    sp.add_argument("--max-escalations", type=int)
+    sp.add_argument("--ramanujan-b", choices=("printed", "closed-form"))
     sp.add_argument(
         "--linear",
         action="store_true",
+        dest="linear_display",
         help="also report approximate linear-domain values for n <= 20",
     )
     _add_output_flags(sp)
 
-    sp = sub.add_parser(
+    sp = _add_range_parser(
+        sub,
         "error-term",
-        help="e2(n) enclosures against the digit-sum characterization",
+        "e2(n) enclosures against the digit-sum characterization",
+        run_error_term,
     )
-    sp.add_argument("--range", required=True, metavar="LO..HI")
-    sp.add_argument("--bits", type=int, default=64)
-    sp.add_argument("--odd-only", action="store_true")
+    _add_precision_flags(sp)
     _add_output_flags(sp)
 
     sp = sub.add_parser("g-value", help="print one certified G(n) enclosure")
@@ -173,26 +185,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "g-value":
             return _cmd_g_value(args)
 
-        lo, hi = _parse_range(args.range)
-        config = SweepConfig(
-            n_lo=lo,
-            n_hi=hi,
-            precision_bits=getattr(args, "bits", 64),
-            max_escalations=getattr(args, "max_escalations", 4),
-            output_format=args.format,
-            output_path=args.out,
-            parity="odd" if getattr(args, "odd_only", False) else "all",
-            ramanujan_b=getattr(args, "ramanujan_b", "printed"),
-            workers=args.workers,
-            linear_display=getattr(args, "linear", False),
-        )
-        if args.command == "verify-theorem":
-            return run_verify_theorem(config)
-        if args.command == "sweep-bounds":
-            return run_bounds_sweep(config)
-        if args.command == "error-term":
-            return run_error_term(config)
-        raise UsageError(f"unknown command {args.command!r}")
+        fields = vars(args)  # a range command's options, by SweepConfig field
+        del fields["command"]
+        run_command = fields.pop("run_command")
+        lo, hi = _parse_range(fields.pop("range"))
+        return run_command(SweepConfig(n_lo=lo, n_hi=hi, **fields))
     except (UsageError, DomainError) as exc:
         sys.stderr.write(f"log2lab: error: {exc}\n")
         return EXIT_USAGE

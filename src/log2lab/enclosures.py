@@ -259,27 +259,43 @@ def _prime_sieve(n: int) -> bytearray:
 # log2 prime brackets, one cache per table precision q_tab: (limit, primes,
 # lo, hi), with primes every prime up to limit in ascending order and log2 of
 # primes[i] in [lo[i] * 2^-s, hi[i] * 2^-s], s = q_tab + _BRACKET_BITS.
-# An extension builds longer lists and stores the tuple in one assignment, so
-# an interrupted extension leaves the previous cache whole.
+# An extension appends to the lists in place and then stores the new limit;
+# an interrupted one truncates them back, so the previous cache stays whole.
 _PRIME_LOG2: dict[int, tuple[int, list[int], list[int], list[int]]] = {}
 
 
 def _prime_log2(n: int, q_tab: int) -> tuple[list[int], list[int], list[int]]:
     """(primes, lo, hi) for every prime up to n (the lists may run past n):
     the _log2_raw bracket at precision q_tab, on the 2^-s grid, and for 2 the
-    exact point 2^s.  Only primes not yet cached call the log core."""
+    exact point 2^s.  Only primes not yet cached call the log core.
+
+    A table that already holds the primes up to sqrt(n) sieves only the new
+    segment (limit, n] with them, so consecutive n cost O(n - limit) each;
+    a shorter one falls back to the full sieve of 0..n."""
     s = q_tab + _BRACKET_BITS
     limit, primes, lo, hi = _PRIME_LOG2.get(q_tab, (1, [], [], []))
     if limit < n:
-        sieve = _prime_sieve(n)
-        new = [m for m in range(limit + 1, n + 1) if sieve[m]]
-        lo, hi = lo[:], hi[:]
-        for m in new:
-            m_lo, m_hi, m_s = _log2_raw(m, 1, q_tab)  # 2: the point 1, m_s = 0
-            lo.append(m_lo << (s - m_s))
-            hi.append(m_hi << (s - m_s))
-        primes = primes + new
-        _PRIME_LOG2[q_tab] = n, primes, lo, hi
+        root = math.isqrt(n)
+        if limit < root:
+            flags = _prime_sieve(n)[limit + 1 :]
+        else:
+            flags = bytearray([1]) * (n - limit)  # flags[i] is m = limit + 1 + i
+            for f in itertools.takewhile(lambda f: f <= root, primes):
+                first = max(f * f, (limit // f + 1) * f) - limit - 1
+                flags[first::f] = bytes(len(range(first, n - limit, f)))
+        new = list(itertools.compress(range(limit + 1, n + 1), flags))
+        size = len(primes)
+        try:
+            for m in new:
+                m_lo, m_hi, m_s = _log2_raw(m, 1, q_tab)  # 2: the point 1, m_s = 0
+                lo.append(m_lo << (s - m_s))
+                hi.append(m_hi << (s - m_s))
+            primes += new
+            _PRIME_LOG2[q_tab] = n, primes, lo, hi
+        except BaseException:  # an interrupt too: back to the whole previous table
+            del primes[size:], lo[size:], hi[size:]
+            _PRIME_LOG2[q_tab] = limit, primes, lo, hi
+            raise
     return primes, lo, hi
 
 

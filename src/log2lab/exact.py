@@ -16,12 +16,12 @@ counts the sum over all j; the test suite does, as the identity's oracle.
 The odd floor sum, which ``verify-theorem`` checks, counts its terms in
 blocks: floor(log2(a/j)) = k exactly when a >> (k+1) < j <= a >> k, so the
 sum takes O(log a) integer steps for every size of a.  The enumeration
-oracles visit every m, but they count over an interval: given the previous
-odd a_prev too, they count only the m that a adds over a_prev.  A caller
-that checks N odd a up to A adds up those interval counts, so it visits each
-m once: the whole check costs O(A) visits plus O(log A) block and alpha
-steps per a, O(A + N log A) in all, instead of the O(N * A) of counting
-every a from m = 1.
+oracles visit every m, but both count over an interval (a_prev, a], where
+a_prev = 0 counts from the start: a caller that checks N odd a up to A and
+adds up the counts over (a - 2, a] visits each m once, and the pair oracle
+stops at its first empty alpha, two alphas per a on average.  The whole check
+costs O(A) visits plus O(log A) block steps per a, instead of the O(N * A)
+of counting every a from the start.
 
 The precision and work limits of a run live here too, as the same kind of
 integer rule: the precision of every part of a compared row (``attempt_plan``,
@@ -137,40 +137,42 @@ def _count_parity(lo: int, hi: int, parity: int) -> int:
     return count
 
 
-def _check_interval(a_prev: int, a: int, least: int) -> None:
-    if not least <= a_prev <= a:
-        raise DomainError(f"a_prev must lie in [{least}, a={a}], got {a_prev}")
+def _check_interval(a_prev: int, a: int) -> None:
+    if not 0 <= a_prev <= a:
+        raise DomainError(f"a_prev must lie in [0, a={a}], got {a_prev}")
 
 
-def even_count_oracle(a: int, a_prev: int = 1) -> int:
-    """Count of even m with a_prev <= m < a, for odd a, by direct enumeration.
+def even_count_oracle(a: int, a_prev: int = 0) -> int:
+    """Count of even m with a_prev < m <= a, for odd a, by direct enumeration.
 
     No closed formula on purpose: this is the independent side of the
-    three-way agreement check.  Called with a alone it counts from m = 1, which
-    is (a - 1) / 2; the counts over [a0, a1) and [a1, a2) add up to the count
-    over [a0, a2).
+    three-way agreement check.  Called with a alone it counts from the start,
+    which is (a - 1) / 2; the counts over (a0, a1] and (a1, a2] add up to the
+    count over (a0, a2].
     """
     require_positive("a", a)
     if a % 2 == 0:
         raise DomainError(f"a must be odd, got {a}")
-    _check_interval(a_prev, a, 1)
-    return _count_parity(a_prev - 1, a - 1, 0)
+    _check_interval(a_prev, a)
+    return _count_parity(a_prev, a, 0)
 
 
 def pair_enumeration_oracle(a: int, a_prev: int = 0) -> int:
     """Count pairs (m odd, alpha >= 1) with a_prev < m * 2^alpha <= a, by double
     loop.
 
-    The outer loop runs over alpha; the inner enumeration walks every
-    candidate m in (a_prev / 2^alpha, a / 2^alpha] and keeps the odd ones.
-    Called with a alone it counts every pair up to a, which is a // 2; the
-    counts over (a0, a1] and (a1, a2] add up to the count over (a0, a2].
+    The outer loop runs over alpha until a_prev >> alpha = a >> alpha, where
+    the interval of candidate m, (a_prev / 2^alpha, a / 2^alpha], turns empty
+    for good; the inner enumeration walks it and keeps the odd m.  Called
+    with a alone it counts every pair up to a, which is a // 2; the counts
+    over (a0, a1] and (a1, a2] add up to the count over (a0, a2].
     """
     require_positive("a", a)
-    _check_interval(a_prev, a, 0)
-    count = 0
-    for alpha in range(1, a.bit_length()):
+    _check_interval(a_prev, a)
+    count, alpha = 0, 1
+    while a_prev >> alpha < a >> alpha:
         count += _count_parity(a_prev >> alpha, a >> alpha, 1)
+        alpha += 1
     return count
 
 
@@ -230,8 +232,8 @@ def g_cost(n: int, p: int) -> tuple[int, int]:
 
 def oracle_work(n_hi: int) -> int:
     """Values of m that ``verify-theorem``'s two enumeration oracles visit
-    over a range up to n_hi: fewer than n_hi each, since a run counts every m
-    once and its first odd a counts from m = 1.  The odd floor sums add only
+    over a range up to n_hi: at most n_hi each, since a run counts every m
+    once, from the start at its first odd a.  The odd floor sums add only
     O(log n_hi) steps per a, so this is the work that ``WORK_CEILING`` holds
     a ``verify-theorem`` range to."""
     return 2 * n_hi

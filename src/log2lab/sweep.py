@@ -112,6 +112,8 @@ class UsageError(ValueError):
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """A range command's settings; each default here is its CLI option's."""
+
     n_lo: int
     n_hi: int
     precision_bits: int = 64
@@ -284,19 +286,18 @@ def _verify_payload(config: SweepConfig, a: int) -> tuple[int, int | str, int, i
     """(a, floor sum, even count, pair count) of one odd a; the floor sum is
     the error message instead when the counting identity fails.
 
-    The two oracle counts cover only the m that a adds over the previous odd
-    a of the range, or every m up to a for the range's first odd a (the only
-    one with a - 2 below the range start).  The fold adds them up, so every m
-    is enumerated once per run; the counts are returned also when the floor
-    sum fails, so that the totals stay right for every later a.
+    Both oracles count over (a_prev, a]: a_prev is the previous odd a, a - 2,
+    or 0 (from the start) for the range's first odd a, the only one with
+    a - 2 below the range start.  The fold adds the counts up, so every m is
+    enumerated once per run; the counts are returned also when the floor sum
+    fails, so that the totals stay right for every later a.
     """
     try:
         formula: int | str = odd_floor_sum(a)
     except IdentityViolationError as exc:
         formula = str(exc)
-    if a - 2 < config.n_lo:
-        return a, formula, even_count_oracle(a), pair_enumeration_oracle(a)
-    return a, formula, even_count_oracle(a, a - 2), pair_enumeration_oracle(a, a - 2)
+    a_prev = 0 if a - 2 < config.n_lo else a - 2
+    return a, formula, even_count_oracle(a, a_prev), pair_enumeration_oracle(a, a_prev)
 
 
 def _block(fn: Callable[[int], Any], items: range) -> tuple[list, BaseException | None]:

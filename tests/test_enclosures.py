@@ -372,6 +372,38 @@ class TestLog2Table:
         monkeypatch.setattr(enclosures_mod, "_PRIME_LOG2", {})
         assert extended == table(2000, q_tab)  # a cold build
 
+    def test_consecutive_rows_sieve_once_per_table(self, monkeypatch):
+        # an error-term run over 1..2000 extends each table by one n a row:
+        # only a table's first extension, shorter than sqrt(n), runs the full
+        # sieve, and every later one sieves its new segment
+        monkeypatch.setattr(enclosures_mod, "_PRIME_LOG2", {})
+        sieved = []
+        real = enclosures_mod._prime_sieve
+
+        def counted(n):
+            sieved.append(n)
+            return real(n)
+
+        monkeypatch.setattr(enclosures_mod, "_prime_sieve", counted)
+        config = SweepConfig(n_lo=1, n_hi=2000, precision_bits=128)
+        assert run_error_term(config, io.StringIO(), io.StringIO()) == 0
+        assert 0 < len(sieved) <= len(enclosures_mod._PRIME_LOG2) <= 16
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.lists(st.integers(1, 3000), min_size=1, max_size=6))
+    def test_extension_by_segments_equals_a_cold_build(self, steps):
+        q_tab = 24
+        enclosures_mod._PRIME_LOG2.pop(q_tab, None)
+        n = 1
+        for step in steps:
+            n += step
+            extended = enclosures_mod._prime_log2(n, q_tab)
+        assert enclosures_mod._PRIME_LOG2[q_tab][0] == n
+        assert extended[0] == [m for m in range(n + 1) if _is_prime(m)]
+        enclosures_mod._PRIME_LOG2.pop(q_tab)
+        assert extended == enclosures_mod._prime_log2(n, q_tab)  # a cold build
+        enclosures_mod._PRIME_LOG2.pop(q_tab)
+
     def test_cold_G_memory_is_below_40_bytes_per_m(self, monkeypatch):
         # the closed form holds pi(n) brackets and an n-byte sieve, not a
         # bracket for every m <= n

@@ -6,9 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import log2lab.exact as exact_mod
 from log2lab.exact import (
     DomainError,
     binary_digit_sum,
@@ -155,16 +156,41 @@ def _pairs_from_zero(a: int) -> int:
     )
 
 
+def _even_by_enumeration(a: int, a_prev: int) -> int:
+    return sum(1 for m in range(a_prev + 1, a + 1) if m % 2 == 0)
+
+
+def _pairs_by_double_loop(a: int, a_prev: int) -> int:
+    # every (odd m, alpha >= 1) with m * 2^alpha <= a, kept when above a_prev
+    return sum(
+        1
+        for alpha in range(1, a.bit_length())
+        for m in range(1, (a >> alpha) + 1, 2)
+        if a_prev < m << alpha <= a
+    )
+
+
+# (a, a_prev) with 0 <= a_prev <= a: anywhere below a, or within 3 of it, where
+# the pair oracle's interval (a_prev >> alpha, a >> alpha] is empty from an
+# early alpha on
+_INTERVALS = st.integers(0, 4000).flatmap(
+    lambda a: st.tuples(
+        st.just(a), st.one_of(st.integers(0, a), st.integers(max(a - 3, 0), a))
+    )
+)
+
+
 _ORACLES = [
-    (even_count_oracle, _even_from_zero, 1),
+    (even_count_oracle, _even_from_zero, 0),
     (pair_enumeration_oracle, _pairs_from_zero, 0),
 ]
 _ODD = st.integers(0, 1500).map(lambda k: 2 * k + 1)
 
 
 class TestIntervalOracles:
-    """Each oracle counts over an interval of a; counts over adjacent
-    intervals add up, and a alone counts from zero."""
+    """Each oracle counts over an interval (a_prev, a], a_prev = 0 for the
+    start, and equals a brute loop over it for every a_prev, even ones too;
+    counts over adjacent intervals add up."""
 
     @settings(deadline=None)
     @given(st.lists(_ODD, min_size=3, max_size=3))
@@ -184,6 +210,35 @@ class TestIntervalOracles:
     def test_rejects_interval_outside_zero_to_a(self, oracle, a_prev):
         with pytest.raises(DomainError):
             oracle(7, a_prev)
+
+    @settings(deadline=None)
+    @given(_INTERVALS)
+    @example((11, 9)).via("empty from alpha = 2 on")
+    @example((15, 14)).via("empty from alpha = 1 on")
+    @example((7, 7)).via("empty interval")
+    def test_equal_brute_loops(self, interval):
+        a, a_prev = interval
+        if a >= 1:
+            assert pair_enumeration_oracle(a, a_prev) == _pairs_by_double_loop(a, a_prev)
+        if a % 2 == 1:
+            assert even_count_oracle(a, a_prev) == _even_by_enumeration(a, a_prev)
+
+    def test_pair_oracle_visits_only_nonempty_intervals(self, monkeypatch):
+        # a verify-theorem run asks for (a - 2, a] at each odd a: about two
+        # alphas each, not the bit length of a
+        visits = []
+        real = exact_mod._count_parity
+
+        def counted(lo, hi, parity):
+            visits.append((lo, hi))
+            return real(lo, hi, parity)
+
+        monkeypatch.setattr(exact_mod, "_count_parity", counted)
+        odd = range(3, 20001, 2)
+        for a in odd:
+            pair_enumeration_oracle(a, a - 2)
+        assert all(lo < hi for lo, hi in visits)
+        assert len(visits) < 2 * len(odd) + 16
 
 
 class TestAllFloorSum:

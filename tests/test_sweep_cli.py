@@ -24,7 +24,7 @@ import log2lab.exact as exact_mod
 import log2lab.sweep as sweep_mod
 import log2lab.workers as workers_mod
 from log2lab.bounds import BoundRow
-from log2lab.cli import main
+from log2lab.cli import build_parser, main
 from log2lab.exact import (
     _ROW_PARTS,
     MAX_PRECISION_BITS,
@@ -710,6 +710,64 @@ class TestCliContract:
         assert exc.value.code == EXIT_USAGE
         capsys.readouterr()
 
+    def test_left_out_options_take_sweep_config_defaults(self, capsys):
+        # each range command states no default of its own: an option left out
+        # leaves its SweepConfig field at the dataclass default
+        parser = build_parser()
+        for command in ("verify-theorem", "sweep-bounds", "error-term"):
+            fields = vars(parser.parse_args([command, "--range", "1..3"]))
+            assert set(fields) == {"command", "range", "run_command"}, command
+        defaults = SweepConfig(n_lo=1, n_hi=3)
+        for command in ("sweep-bounds", "error-term"):
+            assert main([command, "--range", "1..3"]) == EXIT_OK
+            header, *rows = capsys.readouterr().out.splitlines()
+            assert header.split(",")[:2] == ["n", "precision_bits"]
+            assert {row.split(",")[1] for row in rows} == {str(defaults.precision_bits)}
+        assert defaults.precision_bits == 64
+        assert main(["verify-theorem", "--range", "1..99"]) == EXIT_OK
+        assert capsys.readouterr().out == "a,expected,floor_formula,even_count,pair_count\n"
+
+    def test_every_range_option_sets_its_sweep_config_field(self):
+        argv = [
+            "sweep-bounds", "--range", "2..9", "--bits", "80", "--odd-only",
+            "--max-escalations", "2", "--ramanujan-b", "closed-form", "--linear",
+            "--format", "json", "--out", "rows.json", "--workers", "2",
+        ]
+        fields = vars(build_parser().parse_args(argv))
+        assert fields.pop("command") == "sweep-bounds"
+        assert fields.pop("run_command") is run_bounds_sweep
+        assert fields.pop("range") == "2..9"
+        assert SweepConfig(n_lo=2, n_hi=9, **fields) == SweepConfig(
+            n_lo=2,
+            n_hi=9,
+            precision_bits=80,
+            max_escalations=2,
+            output_format="json",
+            output_path="rows.json",
+            parity="odd",
+            ramanujan_b="closed-form",
+            workers=2,
+            linear_display=True,
+        )
+
+    @pytest.mark.parametrize(
+        "command,names",
+        [
+            (None, ["verify-theorem", "sweep-bounds", "error-term", "g-value"]),
+            ("verify-theorem", ["--range LO..HI", "--format {csv,json}", "--out PATH"]),
+            ("sweep-bounds", ["--bits BITS", "--format {csv,json}", "--out PATH"]),
+            ("error-term", ["--bits BITS", "--format {csv,json}", "--out PATH"]),
+            ("g-value", ["--bits BITS"]),
+        ],
+    )
+    def test_help_exits_0_and_names_the_metavars(self, capsys, command, names):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"] if command else ["--help"])
+        assert exc.value.code == 0
+        usage = " ".join(capsys.readouterr().out.split())  # one line, whatever the width
+        for name in names:
+            assert name in usage, name
+
     @pytest.mark.parametrize(
         "bounds",
         ["1.." + "9" * 5000, "1..99999999999999999999"],
@@ -933,7 +991,7 @@ class TestCliContract:
             import os, signal, sys
             import log2lab.sweep as sweep
             from log2lab.bounds import compare_bounds
-            from log2lab.cli import main
+            from log2lab.cli import build_parser, main
 
             parent = os.getpid()
 
