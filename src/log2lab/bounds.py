@@ -188,7 +188,7 @@ _B_SOURCES = {"printed": ramanujan_b_printed, "closed-form": ramanujan_b_closed_
 def _b_routine(name: str):
     """The b routine for a source name; DomainError for an unknown name."""
     if name not in _B_SOURCES:
-        raise DomainError(f"unknown b source {name!r}; use 'printed' or 'closed-form'")
+        raise DomainError(f"unknown b source {name!r}; use {' or '.join(map(repr, _B_SOURCES))}")
     return _B_SOURCES[name]
 
 

@@ -88,11 +88,13 @@ def _add_range_parser(sub, name: str, help: str, run_command) -> argparse.Argume
 
 def _add_precision_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--bits", type=int, metavar="BITS", dest="precision_bits")
-    sp.add_argument("--odd-only", action="store_const", const="odd", dest="parity")
+    sp.add_argument(
+        "--odd-only", action="store_const", const=SweepConfig.PARITIES[-1], dest="parity"
+    )
 
 
 def _add_output_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--format", choices=("csv", "json"), dest="output_format")
+    sp.add_argument("--format", choices=SweepConfig.OUTPUT_FORMATS, dest="output_format")
     sp.add_argument("--out", metavar="PATH", dest="output_path")
     sp.add_argument("--workers", type=int)
 
@@ -123,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_precision_flags(sp)
     sp.add_argument("--max-escalations", type=int)
-    sp.add_argument("--ramanujan-b", choices=("printed", "closed-form"))
+    sp.add_argument("--ramanujan-b", choices=SweepConfig.RAMANUJAN_B)
     sp.add_argument(
         "--linear",
         action="store_true",

@@ -41,9 +41,11 @@ G(n), the sum of the fractional parts {log2(n/m)} that only ``error-term``
 and ``g-value`` run, is taken in closed form: log2 m = sum of v_P(m) log2 P
 holds exactly, and by Legendre's formula the brackets of all m <= n add up to
 the sum over primes P <= n of v_P(n!) times P's bracket.  Only primes call
-the log core, once per process: their brackets come from a sieve and are kept
-in one cache per table precision, extended in place when a larger n asks, so
-a G(n) holds pi(n) brackets and costs O(pi(n)) steps.  An m's width adds up
+the log core, once per process: their brackets are kept in one cache per
+table precision, which a larger n extends in place by a segmented sieve (Bays
+& Hudson, BIT 17, 1977): the table first reaches sqrt(n), then sieves the rest
+with its own primes in pieces of at most 2^20 numbers.  So a G(n) holds pi(n)
+brackets and one piece, and costs O(pi(n)) steps.  An m's width adds up
 Omega(m) < bit_length(n) prime widths, so the brackets run
 ceil(log2 bit_length(n)) + 1 guard bits finer than the term precision.
 
@@ -89,7 +91,7 @@ from .exact import (
 )
 
 if TYPE_CHECKING:
-    from collections.abc import Iterable
+    from collections.abc import Iterable, Iterator
     from fractions import Fraction
 
 __all__ = [
@@ -246,22 +248,24 @@ def log2_1p(y: Fraction, p: int) -> DyadicInterval:
 # ---------------------------------------------------------------------------
 
 
-def _prime_sieve(n: int) -> bytearray:
-    """sieve[m] == 1 exactly when m is prime, for 0 <= m <= n (n >= 1)."""
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for f in range(2, math.isqrt(n) + 1):
-        if sieve[f]:
-            sieve[f * f :: f] = bytes((n - f * f) // f + 1)
-    return sieve
-
-
 # log2 prime brackets, one cache per table precision q_tab: (limit, primes,
 # lo, hi), with primes every prime up to limit in ascending order and log2 of
 # primes[i] in [lo[i] * 2^-s, hi[i] * 2^-s], s = q_tab + _BRACKET_BITS.
-# An extension appends to the lists in place and then stores the new limit;
-# an interrupted one truncates them back, so the previous cache stays whole.
+# Each piece of an extension appends to the lists in place, then stores its
+# end as limit; an interrupted one truncates them back, so the cache stays whole.
 _PRIME_LOG2: dict[int, tuple[int, list[int], list[int], list[int]]] = {}
+
+# the most numbers one piece of a sieve covers: its flags take that many bytes
+_SIEVE_PIECE = 1 << 20
+
+
+def _sieve_segment(limit: int, end: int, primes: list[int]) -> Iterator[int]:
+    """The primes in (limit, end], sieved by ``primes``, which must reach sqrt(end)."""
+    flags = bytearray([1]) * (end - limit)  # flags[i] is m = limit + 1 + i
+    for f in itertools.takewhile(lambda f: f * f <= end, primes):
+        first = max(f * f, (limit // f + 1) * f) - limit - 1
+        flags[first::f] = bytes(len(range(first, end - limit, f)))
+    return itertools.compress(range(limit + 1, end + 1), flags)
 
 
 def _prime_log2(n: int, q_tab: int) -> tuple[list[int], list[int], list[int]]:
@@ -269,32 +273,27 @@ def _prime_log2(n: int, q_tab: int) -> tuple[list[int], list[int], list[int]]:
     the _log2_raw bracket at precision q_tab, on the 2^-s grid, and for 2 the
     exact point 2^s.  Only primes not yet cached call the log core.
 
-    A table that already holds the primes up to sqrt(n) sieves only the new
-    segment (limit, n] with them, so consecutive n cost O(n - limit) each;
-    a shorter one falls back to the full sieve of 0..n."""
+    A table shorter than sqrt(n) first extends itself to sqrt(n) by this same
+    call, about log log n deep, then sieves the rest with its own primes in
+    pieces of at most _SIEVE_PIECE numbers, so consecutive n cost O(n - limit)."""
+    limit, primes, lo, hi = _PRIME_LOG2.setdefault(q_tab, (1, [], [], []))
+    root = math.isqrt(n)
+    if limit < root:
+        _prime_log2(root, q_tab)  # the sieving primes first
     s = q_tab + _BRACKET_BITS
-    limit, primes, lo, hi = _PRIME_LOG2.get(q_tab, (1, [], [], []))
-    if limit < n:
-        root = math.isqrt(n)
-        if limit < root:
-            flags = _prime_sieve(n)[limit + 1 :]
-        else:
-            flags = bytearray([1]) * (n - limit)  # flags[i] is m = limit + 1 + i
-            for f in itertools.takewhile(lambda f: f <= root, primes):
-                first = max(f * f, (limit // f + 1) * f) - limit - 1
-                flags[first::f] = bytes(len(range(first, n - limit, f)))
-        new = list(itertools.compress(range(limit + 1, n + 1), flags))
+    for start in range(max(limit, root), n, _SIEVE_PIECE):
+        end = min(n, start + _SIEVE_PIECE)
         size = len(primes)
         try:
-            for m in new:
+            for m in _sieve_segment(start, end, primes):
                 m_lo, m_hi, m_s = _log2_raw(m, 1, q_tab)  # 2: the point 1, m_s = 0
                 lo.append(m_lo << (s - m_s))
                 hi.append(m_hi << (s - m_s))
-            primes += new
-            _PRIME_LOG2[q_tab] = n, primes, lo, hi
-        except BaseException:  # an interrupt too: back to the whole previous table
+                primes.append(m)
+            _PRIME_LOG2[q_tab] = end, primes, lo, hi
+        except BaseException:  # an interrupt too: back to the table before this piece
             del primes[size:], lo[size:], hi[size:]
-            _PRIME_LOG2[q_tab] = limit, primes, lo, hi
+            _PRIME_LOG2[q_tab] = start, primes, lo, hi
             raise
     return primes, lo, hi
 

@@ -112,7 +112,12 @@ class UsageError(ValueError):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """A range command's settings; each default here is its CLI option's."""
+    """A range command's settings; each default here is its CLI option's,
+    and each tuple below the values that ``validate`` and the parser accept."""
+
+    OUTPUT_FORMATS = ("csv", "json")
+    PARITIES = ("all", "odd")  # --odd-only sets the last
+    RAMANUJAN_B = ("printed", "closed-form")
 
     n_lo: int
     n_hi: int
@@ -120,8 +125,8 @@ class SweepConfig:
     max_escalations: int = 4
     output_format: str = "csv"
     output_path: str | None = None
-    parity: str = "all"  # "all" | "odd"
-    ramanujan_b: str = "printed"  # "printed" | "closed-form"
+    parity: str = "all"
+    ramanujan_b: str = "printed"
     workers: int = 1
     linear_display: bool = False  # report-only 2^x rendering, n <= 20
 
@@ -141,9 +146,9 @@ class SweepConfig:
             raise UsageError(f"empty range [{self.n_lo}, {self.n_hi}]")
         if self.max_escalations < 0:
             raise UsageError("max escalations must be >= 0")
-        if self.output_format not in ("csv", "json"):
+        if self.output_format not in self.OUTPUT_FORMATS:
             raise UsageError(f"unknown output format {self.output_format!r}")
-        if self.parity not in ("all", "odd"):
+        if self.parity not in self.PARITIES:
             raise UsageError(f"unknown parity filter {self.parity!r}")
         try:
             len(self.ns())
@@ -151,7 +156,7 @@ class SweepConfig:
             raise UsageError(
                 f"range [{self.n_lo}, {self.n_hi}] holds more than {sys.maxsize} numbers"
             ) from None
-        if self.ramanujan_b not in ("printed", "closed-form"):
+        if self.ramanujan_b not in self.RAMANUJAN_B:
             raise UsageError(f"unknown ramanujan-b source {self.ramanujan_b!r}")
         if self.workers < 1:
             raise UsageError("worker count must be >= 1")
@@ -260,9 +265,9 @@ def _bounds_payload(config: SweepConfig, n: int) -> tuple:
     return columns, statuses, row.escalations, row.e2, findings
 
 
-def _error_term_payload(config: SweepConfig, n: int) -> dict:
-    """The e2 row of n, which is the whole payload: the fold reads its
-    ``contains`` field."""
+def _error_term_payload(config: SweepConfig, n: int) -> tuple[list[str], int, bool]:
+    """The e2 row of n: (columns, s2(n) - 1, contains), the columns in
+    ``ERROR_TERM_CSV_COLUMNS`` order and the two values the fold checks."""
     p = config.precision_bits
     e2 = error_term_e2(n, p)
     s2m1 = binary_digit_sum(n) - 1
@@ -271,15 +276,8 @@ def _error_term_payload(config: SweepConfig, n: int) -> dict:
         and not e2.contains_int(s2m1 - 1)
         and not e2.contains_int(s2m1 + 1)
     )
-    lo, hi = _decimals(e2, p)
-    return {
-        "n": str(n),
-        "precision_bits": str(p),
-        "e2_lo": lo,
-        "e2_hi": hi,
-        "s2_minus_1": str(s2m1),
-        "contains": "true" if contains else "false",
-    }
+    columns = [str(n), str(p), *_decimals(e2, p), str(s2m1), "true" if contains else "false"]
+    return columns, s2m1, contains
 
 
 def _verify_payload(config: SweepConfig, a: int) -> tuple[int, int | str, int, int]:
@@ -363,6 +361,14 @@ def _open_output(config: SweepConfig, default_stream: IO[str]):
         raise UsageError(f"cannot open --out {config.output_path!r}: {exc.strerror}") from exc
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one (so ``taskset`` and cpusets count), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run(
     config: SweepConfig,
     columns: list[str],
@@ -377,29 +383,29 @@ def _run(
     ``_block`` runs ``payload_fn(config, n)`` over contiguous blocks of the
     range, about four per worker and at most 64 items each.  With one worker
     they all run in this process.  With k = min(--workers, items, CPUs) > 1,
-    ``workers.forked_map`` runs every k-th block here and deals the others to
-    k - 1 children forked after the first block; without ``os.fork`` they all
-    run here too.  ``fold(config, ns)`` builds the command's fold before
-    the output is opened or written, so that an error or an interrupt while
-    it is built (``sweep-bounds`` loads the enclosure code and checks b
-    there) leaves no ``--out`` file and writes nothing to stdout.  ``add(payload,
-    write)`` takes the payloads in ascending n and passes the rows to write
-    to ``write``; ``finish(checked)`` returns the summary, the report lines
-    (an iterable, so that each line is formed only as it is written) and the
-    exit code.  A payload is checked once its ``add`` returns or the
-    writer has counted its row, so ``checked`` counts no row the output
-    lacks.  A block's rows are written before its error is raised, so any
-    error (an interrupt, or one ``cli.main`` maps to exit code 2, 3 or 4)
-    leaves the same truncated output with every worker count; an interrupt
-    exits 2 here.  A worker that
-    dies is an internal error, and no child outlives the loop.
+    the CPUs being ``_usable_cpus()``, ``workers.forked_map`` runs every k-th
+    block here and deals the others to k - 1 children forked after the first
+    block; without ``os.fork`` they all run here too.  ``fold(config, ns)``
+    builds the command's fold before the output is opened or written, so that
+    an error or an interrupt while it is built (``sweep-bounds`` loads the
+    enclosure code and checks b there) leaves no ``--out`` file and writes
+    nothing to stdout.  ``add(payload, write)`` takes the payloads in
+    ascending n and passes the rows to write to ``write``; ``finish(checked)``
+    returns the summary, the report lines (an iterable, so that each line is
+    formed only as it is written) and the exit code.  A payload is checked
+    once its ``add`` returns or the writer has counted its row, so ``checked``
+    counts no row the output lacks.  A block's rows are written before its
+    error is raised, so any error (an interrupt, or one ``cli.main`` maps to
+    exit code 2, 3 or 4) leaves the same truncated output with every worker
+    count; an interrupt exits 2 here.  A worker that dies is an internal
+    error, and no child outlives the loop.
     """
     ns = config.ns()
     acc = fold(config, ns)
     stream, close_me = _open_output(config, out_stream if out_stream is not None else sys.stdout)
     try:
         writer = _Writer(stream, config.output_format, columns)
-        workers = max(1, min(config.workers, len(ns), os.cpu_count() or 1))
+        workers = max(1, min(config.workers, len(ns), _usable_cpus()))
         size = min(64, -(-len(ns) // (4 * workers))) or 1  # or 1: an empty range
         blocks = (ns[i : i + size] for i in range(0, len(ns), size))
         block = partial(_block, partial(payload_fn, config))
@@ -579,18 +585,14 @@ class _ErrorTermFold:
         self.all_contained = True
         self.max_row: dict | None = None
 
-    def add(self, fields: dict, write: Callable[[list[str]], None]) -> None:
-        write([fields[c] for c in ERROR_TERM_CSV_COLUMNS])
-        if fields["contains"] != "true":
+    def add(self, payload: tuple, write: Callable[[list[str]], None]) -> None:
+        columns, s2m1, contains = payload
+        write(columns)
+        if not contains:
             self.all_contained = False
-        s2m1 = int(fields["s2_minus_1"])
         if self.max_row is None or s2m1 > self.max_row["s2_minus_1"]:
-            self.max_row = {
-                "n": int(fields["n"]),
-                "s2_minus_1": s2m1,
-                "e2_lo": fields["e2_lo"],
-                "e2_hi": fields["e2_hi"],
-            }
+            n, _, e2_lo, e2_hi = columns[:4]
+            self.max_row = {"n": int(n), "s2_minus_1": s2m1, "e2_lo": e2_lo, "e2_hi": e2_hi}
 
     def finish(self, checked: int) -> tuple[dict, Iterable[str], int]:
         p, max_row, all_contained = self.p, self.max_row, self.all_contained

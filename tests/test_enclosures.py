@@ -7,10 +7,11 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import log2lab.enclosures as enclosures_mod
@@ -185,11 +186,11 @@ class TestGEnclosure:
     def test_limit_messages_name_n_and_the_requested_precision(
         self, monkeypatch, capsys, argv, message
     ):
-        # rejected before the sieve runs, in the terms the user typed
-        def no_sieve(n):
-            raise AssertionError("the prime sieve ran")
+        # rejected before a prime table is built, in the terms the user typed
+        def no_table(n, q_tab):
+            raise AssertionError("a prime table was built")
 
-        monkeypatch.setattr(enclosures_mod, "_prime_sieve", no_sieve)
+        monkeypatch.setattr(enclosures_mod, "_prime_log2", no_table)
         assert main(argv) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -271,6 +272,14 @@ def _bracket_by_factors(m: int, q_tab: int) -> tuple[int, int, int]:
     return lo, hi, q_tab + enclosures_mod._BRACKET_BITS
 
 
+@lru_cache(maxsize=None)
+def _cold_table(n: int, q_tab: int) -> tuple[list[int], list[int], list[int]]:
+    """The prime table up to n built from empty, in pieces of the default size."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enclosures_mod, "_PRIME_LOG2", {})
+        return enclosures_mod._prime_log2(n, q_tab)
+
+
 class TestLog2Table:
     """The log2 prime brackets behind G(n): log core calls for primes only,
     exact sums of prime brackets for every other m, one cache per table
@@ -309,13 +318,12 @@ class TestLog2Table:
         G_enclosure(3000, 128)  # the same table precision
         assert calls == []
 
-    def test_prime_sieve(self):
-        for n in range(1, 40):
-            sieve = enclosures_mod._prime_sieve(n)
-            assert list(sieve) == [int(_is_prime(m)) for m in range(n + 1)], n
-        sieve = enclosures_mod._prime_sieve(5000)
-        for m in range(5001):
-            assert sieve[m] == _is_prime(m), m
+    def test_prime_sieve(self, monkeypatch):
+        # a cold table's primes are exactly the primes up to its n
+        for n in [*range(1, 40), 5000]:
+            monkeypatch.setattr(enclosures_mod, "_PRIME_LOG2", {})
+            primes = enclosures_mod._prime_log2(n, 16)[0]
+            assert primes == [m for m in range(n + 1) if _is_prime(m)], n
 
     def test_one_bounded_table_per_precision_after_sweeps(self, monkeypatch):
         monkeypatch.setattr(enclosures_mod, "_PRIME_LOG2", {})
@@ -373,21 +381,23 @@ class TestLog2Table:
         assert extended == table(2000, q_tab)  # a cold build
 
     def test_consecutive_rows_sieve_once_per_table(self, monkeypatch):
-        # an error-term run over 1..2000 extends each table by one n a row:
-        # only a table's first extension, shorter than sqrt(n), runs the full
-        # sieve, and every later one sieves its new segment
+        # an error-term run over 1..2000 extends each table by one n a row,
+        # and every extension sieves only its new segment: over the run, a
+        # table holding the primes up to its limit has sieved limit - 1 numbers
         monkeypatch.setattr(enclosures_mod, "_PRIME_LOG2", {})
         sieved = []
-        real = enclosures_mod._prime_sieve
+        real = enclosures_mod._sieve_segment
 
-        def counted(n):
-            sieved.append(n)
-            return real(n)
+        def counted(start, end, primes):
+            sieved.append(end - start)
+            return real(start, end, primes)
 
-        monkeypatch.setattr(enclosures_mod, "_prime_sieve", counted)
+        monkeypatch.setattr(enclosures_mod, "_sieve_segment", counted)
         config = SweepConfig(n_lo=1, n_hi=2000, precision_bits=128)
         assert run_error_term(config, io.StringIO(), io.StringIO()) == 0
-        assert 0 < len(sieved) <= len(enclosures_mod._PRIME_LOG2) <= 16
+        tables = enclosures_mod._PRIME_LOG2
+        assert 0 < len(tables) <= 16
+        assert sum(sieved) == sum(limit - 1 for limit, *_ in tables.values())
 
     @settings(deadline=None, max_examples=40)
     @given(st.lists(st.integers(1, 3000), min_size=1, max_size=6))
@@ -404,8 +414,56 @@ class TestLog2Table:
         assert extended == enclosures_mod._prime_log2(n, q_tab)  # a cold build
         enclosures_mod._PRIME_LOG2.pop(q_tab)
 
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.sampled_from([1, 7, 64]),
+        st.lists(st.tuples(st.integers(1, 60), st.integers(-1, 1)), min_size=1, max_size=6),
+    )
+    def test_extensions_in_small_pieces_equal_a_cold_build(self, piece, steps):
+        # every n lies on a piece boundary or one off it, from any table
+        ns = [max(1, k * piece + d) for k, d in steps]
+        q_tab = 24
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(enclosures_mod, "_PRIME_LOG2", {})
+            mp.setattr(enclosures_mod, "_SIEVE_PIECE", piece)
+            for n in ns:
+                extended = enclosures_mod._prime_log2(n, q_tab)
+            limit = enclosures_mod._PRIME_LOG2[q_tab][0]
+        assert limit == max(ns)
+        assert extended[0] == [m for m in range(limit + 1) if _is_prime(m)]
+        assert extended == _cold_table(limit, q_tab)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.sampled_from([1, 7, 64]), st.integers(1, 300), st.integers(0, 10**6))
+    def test_interrupt_in_a_later_piece_leaves_a_whole_table(self, piece, n0, pick):
+        q_tab = 24
+        n1 = n0 + 40 * piece
+        later = [m for m in range(n0 + piece + 1, n1 + 1) if _is_prime(m)]
+        assume(later)
+        stop = later[pick % len(later)]  # a prime past the first piece
+        real = enclosures_mod._log2_raw
+
+        def interrupted(num, den, p):
+            if num == stop:
+                raise KeyboardInterrupt
+            return real(num, den, p)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(enclosures_mod, "_PRIME_LOG2", {})
+            mp.setattr(enclosures_mod, "_SIEVE_PIECE", piece)
+            enclosures_mod._prime_log2(n0, q_tab)
+            mp.setattr(enclosures_mod, "_log2_raw", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                enclosures_mod._prime_log2(n1, q_tab)
+            limit, primes, lo, hi = enclosures_mod._PRIME_LOG2[q_tab]
+            # the pieces before stop's are kept, and not one prime of its own
+            assert n0 < limit < stop <= limit + piece
+            assert (primes, lo, hi) == _cold_table(limit, q_tab)
+            mp.setattr(enclosures_mod, "_log2_raw", real)
+            assert enclosures_mod._prime_log2(n1, q_tab) == _cold_table(n1, q_tab)
+
     def test_cold_G_memory_is_below_40_bytes_per_m(self, monkeypatch):
-        # the closed form holds pi(n) brackets and an n-byte sieve, not a
+        # the closed form holds pi(n) brackets and one sieve piece, not a
         # bracket for every m <= n
         monkeypatch.setattr(enclosures_mod, "_PRIME_LOG2", {})
         G_enclosure(200, 16)  # the constants the log core reads, once

@@ -50,7 +50,7 @@ def modules_after(argv: list[str], tmp_path) -> set[str]:
     stdout = run_fresh(
         f"""
         import os, sys
-        os.cpu_count = lambda: 2
+        os.sched_getaffinity = lambda pid: {{0, 1}}
         from log2lab.cli import main
         assert main({argv + ["--out", str(out)]!r}) == 0
         print("\\n".join(sorted(sys.modules)))
@@ -146,6 +146,32 @@ def test_one_worker_skips_pickle(command, tmp_path):
     assert "pickle" not in loaded and "log2lab.workers" not in loaded
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+@pytest.mark.parametrize("command", ["sweep-bounds", "verify-theorem"])
+def test_one_cpu_affinity_forks_no_worker(command, tmp_path):
+    """Pinned to one CPU, as by ``taskset -c 0``, a ``--workers 2`` run forks
+    no child, however many CPUs the machine has."""
+    out = tmp_path / "rows.csv"
+    stdout = run_fresh(
+        f"""
+        import os, sys
+        os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+
+        def no_fork():
+            raise AssertionError("a worker was forked")
+
+        os.fork = no_fork
+        from log2lab.cli import main
+        argv = [{command!r}, "--range", "1..99", "--workers", "2", "--out", {str(out)!r}]
+        assert main(argv) == 0
+        print("\\n".join(sorted(sys.modules)))
+        """
+    )
+    loaded = set(stdout.split())
+    assert "log2lab.sweep" in loaded
+    assert "log2lab.workers" not in loaded and "pickle" not in loaded
+
+
 def test_wrappers_set_on_sweep_before_a_run_are_called():
     """The tracing contract: a wrapper set on ``log2lab.sweep`` before any run
     is what the run calls, once per row, and loading the bounds names on first
@@ -196,7 +222,7 @@ def test_wrappers_set_on_sweep_are_called_in_forked_workers(tmp_path):
         import log2lab.sweep as sweep
         from log2lab import SweepConfig, run_bounds_sweep, run_verify_theorem
 
-        os.cpu_count = lambda: 2
+        os.sched_getaffinity = lambda pid: {{0, 1}}
 
         def recording(name):
             real = getattr(sweep, name)
@@ -309,7 +335,7 @@ def test_no_exit_handlers(tmp_path):
         f"""
         import atexit, io, os, sys
         from contextlib import redirect_stdout
-        os.cpu_count = lambda: 2
+        os.sched_getaffinity = lambda pid: {{0, 1}}
         before = atexit._ncallbacks()
         from log2lab.cli import main
         with redirect_stdout(io.StringIO()):

@@ -12,7 +12,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import log2lab
+import log2lab.bounds as bounds_mod
 import log2lab.exact as exact_mod
 import log2lab.sweep as sweep_mod
 import log2lab.workers as workers_mod
@@ -129,8 +130,13 @@ def failing_at_13(n, *args, **kwargs):
     return compare_bounds(n, *args, **kwargs)
 
 sweep.compare_bounds = failing_at_13
-os.cpu_count = lambda: 2
+os.sched_getaffinity = lambda pid: {0, 1}
 """
+
+
+def set_cpus(monkeypatch, count: int) -> None:
+    """Let this process run on ``count`` CPUs, as its affinity mask reads."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 def run_launched(launcher: list[str], argv: list[str]) -> subprocess.CompletedProcess:
@@ -201,6 +207,24 @@ class TestConfigValidation:
             run_bounds_sweep(SweepConfig(n_lo=1, n_hi=99, precision_bits=p))
         config = SweepConfig(n_lo=1, n_hi=99, precision_bits=p)
         assert run_verify_theorem(config) == ACCEPTED
+
+    def test_accepted_values_are_stated_once(self):
+        # the parser's choices and --odd-only's parity are SweepConfig's
+        # class tuples, which validate reads too and which are no fields
+        tuples = {"OUTPUT_FORMATS", "PARITIES", "RAMANUJAN_B"}
+        assert not tuples & {f.name for f in fields(SweepConfig)}
+        parser = build_parser()
+        for fmt in SweepConfig.OUTPUT_FORMATS:
+            for b in SweepConfig.RAMANUJAN_B:
+                argv = ["sweep-bounds", "--range", "1..3", "--odd-only", "--format", fmt]
+                args = vars(parser.parse_args(argv + ["--ramanujan-b", b]))
+                assert (args["output_format"], args["ramanujan_b"]) == (fmt, b)
+                assert args["parity"] == SweepConfig.PARITIES[-1] == "odd"
+                SweepConfig(n_lo=1, n_hi=3, output_format=fmt, ramanujan_b=b).validate()
+        for parity in SweepConfig.PARITIES:
+            SweepConfig(n_lo=1, n_hi=3, parity=parity).validate()
+        # the b names bounds reads its routines by
+        assert tuple(bounds_mod._B_SOURCES) == SweepConfig.RAMANUJAN_B
 
     def test_parity_filter(self):
         cfg = SweepConfig(n_lo=1, n_hi=10, parity="odd")
@@ -440,7 +464,7 @@ class TestBoundsSweep:
             return real(config, n)
 
         monkeypatch.setattr(sweep_mod, "_bounds_payload", interrupting)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        set_cpus(monkeypatch, 2)
         outs = {}
         for w in sorted({1, workers}):
             cfg = SweepConfig(n_lo=1, n_hi=10, precision_bits=53, output_format="json", workers=w)
@@ -496,7 +520,7 @@ class TestBoundsSweep:
                 if where == "flush" and self.flushes == k:
                     raise KeyboardInterrupt
 
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        set_cpus(monkeypatch, 2)
         out, report = Interrupted(), io.StringIO()
         cfg = SweepConfig(n_lo=1, n_hi=12, precision_bits=53, output_format="json", workers=workers)
         assert run_bounds_sweep(cfg, out, report) == EXIT_INCONCLUSIVE
@@ -541,14 +565,25 @@ class TestErrorTerm:
             assert lo <= int(row["s2_minus_1"]) <= hi
         assert "excluded neighbors: true" in report
 
+    def test_payload_is_the_row_and_the_two_values_checked(self):
+        # (columns, s2(n) - 1, contains): the fold reads the int and the bool
+        # as they are, and writes the columns
+        sweep_mod._load_bounds()  # as the fold does before a run
+        config = SweepConfig(n_lo=1, n_hi=40, precision_bits=96)
+        for n in (1, 7, 8, 40):
+            columns, s2m1, contains = sweep_mod._error_term_payload(config, n)
+            assert len(columns) == len(ERROR_TERM_CSV_COLUMNS)
+            assert all(isinstance(c, str) for c in columns)
+            assert columns[:2] == [str(n), "96"]
+            assert s2m1 == bin(n).count("1") - 1 and columns[4] == str(s2m1)
+            assert contains is True and columns[5] == "true"
+
     def test_containment_failure_exits_one(self, tmp_path, monkeypatch):
         real = sweep_mod._error_term_payload
 
         def sabotaged(config, n):
-            fields = real(config, n)
-            if n == 5:
-                fields["contains"] = "false"
-            return fields
+            columns, s2m1, contains = real(config, n)
+            return columns, s2m1, contains and n != 5
 
         monkeypatch.setattr(sweep_mod, "_error_term_payload", sabotaged)
         cfg = SweepConfig(n_lo=1, n_hi=8, precision_bits=53)
@@ -558,7 +593,7 @@ class TestErrorTerm:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_odd_only_writes_the_odd_rows(self, tmp_path, capsys, monkeypatch, workers):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        set_cpus(monkeypatch, 2)
         full, odd = tmp_path / "full.csv", tmp_path / "odd.csv"
         argv = ["error-term", "--range", "1..40", "--bits", "64", "--workers", str(workers)]
         assert main(argv + ["--out", str(full)]) == EXIT_OK
@@ -635,7 +670,7 @@ class TestVerifyTheorem:
         # fails itself and every later a; the range starts at 41, and with 2
         # workers the block holding a = 201 starts mid-range at a = 179
         monkeypatch.setattr(sweep_mod, "pair_enumeration_oracle", _pair_oracle_miscounting_at_201)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        set_cpus(monkeypatch, 2)
         runs = [
             run_to_files(
                 run_verify_theorem,
@@ -1001,7 +1036,7 @@ class TestCliContract:
                 return compare_bounds(n, *args, **kwargs)
 
             sweep.compare_bounds = dying_in_a_child
-            os.cpu_count = lambda: 2
+            os.sched_getaffinity = lambda pid: {{0, 1}}
             sys.exit(main({argv + ["--out", str(out)]!r}))
             """
         proc = subprocess.Popen(
@@ -1231,7 +1266,7 @@ class TestPoolSize:
             return (block(items) for items in blocks)
 
         monkeypatch.setattr(workers_mod, "forked_map", recording)
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        set_cpus(monkeypatch, 64)
         return started
 
     def test_one_row_starts_no_pool(self, started, capsys):
@@ -1248,7 +1283,19 @@ class TestPoolSize:
 
     @pytest.mark.parametrize(("cpus", "expected"), [(2, [2]), (1, []), (None, [])])
     def test_pool_size_is_capped_by_cpus(self, started, tmp_path, monkeypatch, cpus, expected):
+        # a platform with no affinity mask counts os.cpu_count(), which may be None
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cfg = SweepConfig(n_lo=1, n_hi=99, workers=64)
+        code, _, report = run_to_files(run_verify_theorem, cfg, tmp_path, "v.csv")
+        assert code == EXIT_OK and "failures=0" in report
+        assert started == expected
+
+    @pytest.mark.parametrize(("cpus", "expected"), [(2, [2]), (1, [])])
+    def test_pool_size_is_capped_by_affinity(self, started, tmp_path, monkeypatch, cpus, expected):
+        # taskset or a cpuset leaves this process fewer CPUs than the machine has
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        set_cpus(monkeypatch, cpus)
         cfg = SweepConfig(n_lo=1, n_hi=99, workers=64)
         code, _, report = run_to_files(run_verify_theorem, cfg, tmp_path, "v.csv")
         assert code == EXIT_OK and "failures=0" in report
@@ -1260,7 +1307,7 @@ class TestForkedWorkers:
     turn; the bytes never depend on k."""
 
     def test_outputs_agree_over_worker_counts(self, capsys, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        set_cpus(monkeypatch, 4)
         commands = [
             ["sweep-bounds", "--range", "1..300", "--format", "json"],
             ["verify-theorem", "--range", "1..2001"],
@@ -1274,7 +1321,7 @@ class TestForkedWorkers:
             assert runs[1:] == [runs[0]] * 3, argv
 
     def test_without_fork_blocks_run_in_process(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        set_cpus(monkeypatch, 2)
         cfg = SweepConfig(n_lo=1, n_hi=60, precision_bits=64, output_format="json")
         _, out1, rep1 = run_to_files(run_bounds_sweep, cfg, tmp_path, "w1.json")
         monkeypatch.delattr(os, "fork")
