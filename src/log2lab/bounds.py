@@ -332,7 +332,7 @@ def compare_bounds(
     compares log2 n! with the Ramanujan sides first, then Robbins.  Only the
     settled precision takes n log2 n for the counting bound.  G(n) is
     n log2 n - log2 n! minus the floor sum n - s2(n) of Legendre's formula,
-    from the row's own log2 n!, so a row takes no prime brackets for G(n) and
+    from the row's own log2 n!, so a row brackets no factorial for G(n) and
     counts no floors.  The counting-bound verdict is Holds from the identity
     e2(n) = s2(n) - 1; the row's e2 enclosure must contain s2(n) - 1, a check
     on the interval arithmetic that builds it, and c_log2 is that enclosure

@@ -22,7 +22,9 @@ Exit codes are a contract shared by every subcommand:
       say; the message names its pid and how it ended).
       ``log2lab: internal error: ...`` and the traceback (with a forked
       worker's own traceback as its cause) go to stderr, and the output file
-      is finalized as truncated but valid.
+      is finalized as truncated but valid.  An error from the operating
+      system, such as ``--out`` or stdout on a full disk, is one stderr line,
+      ``log2lab: system error: ...``, with no traceback.
 
 ``python -m log2lab.cli`` and the ``log2lab`` script enter through ``run``:
 it calls ``main``, flushes stdout and stderr, and leaves through ``os._exit``
@@ -164,20 +166,42 @@ def _cmd_g_value(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _to_devnull(stream) -> None:
+    """Point ``stream``'s file descriptor at the null device, so that what it
+    still buffers, and anything written to it later, goes nowhere."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
 def _closed_by_reader() -> int:
     """stdout's reader went away: stop as on an interrupt, and send what is
     still buffered for stdout to the null device instead of failing again.
     When stderr shares that pipe, its line cannot be written either, and
     stderr goes to the null device too."""
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, sys.stdout.fileno())
+    _to_devnull(sys.stdout)
     try:
         sys.stderr.write("log2lab: output closed by its reader; the run stopped early\n")
         sys.stderr.flush()
     except BrokenPipeError:
-        os.dup2(devnull, sys.stderr.fileno())
-    os.close(devnull)
+        _to_devnull(sys.stderr)
     return EXIT_INCONCLUSIVE
+
+
+def _system_error(exc: OSError) -> int:
+    """An operating-system error, such as an output that cannot be written:
+    one stderr line.  A standard stream that cannot be written goes to the
+    null device, so that no later flush fails again."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        _to_devnull(sys.stdout)
+    try:
+        sys.stderr.write(f"log2lab: system error: {exc}\n")
+        sys.stderr.flush()
+    except OSError:
+        _to_devnull(sys.stderr)
+    return EXIT_INTERNAL
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -200,6 +224,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except BrokenPipeError:
         return _closed_by_reader()
+    except OSError as exc:
+        return _system_error(exc)
     except Exception as exc:
         import traceback  # only on this path; a top-level import would slow start-up
 
@@ -215,6 +241,8 @@ def run() -> NoReturn:
         sys.stdout.flush()
     except BrokenPipeError:
         code = _closed_by_reader()
+    except OSError as exc:
+        code = _system_error(exc)
     sys.stderr.flush()
     os._exit(code)
 

@@ -38,16 +38,13 @@ few recent results, so the n-scaled parts of a compared row, which all take
 log2 n at one precision, share one call per attempt.
 
 G(n), the sum of the fractional parts {log2(n/m)} that only ``error-term``
-and ``g-value`` run, is taken in closed form: log2 m = sum of v_P(m) log2 P
-holds exactly, and by Legendre's formula the brackets of all m <= n add up to
-the sum over primes P <= n of v_P(n!) times P's bracket.  Only primes call
-the log core, once per process: their brackets are kept in one cache per
-table precision, which a larger n extends in place by a segmented sieve (Bays
-& Hudson, BIT 17, 1977): the table first reaches sqrt(n), then sieves the rest
-with its own primes in pieces of at most 2^20 numbers.  So a G(n) holds pi(n)
-brackets and one piece, and costs O(pi(n)) steps.  An m's width adds up
-Omega(m) < bit_length(n) prime widths, so the brackets run
-ceil(log2 bit_length(n)) + 1 guard bits finer than the term precision.
+and ``g-value`` run, is log2(n^n / n!) - v_2(n!), with n! and n^n held as
+certified integer brackets [lo, hi] 2^ex of w-bit mantissas, each product
+truncated outward.  n! is a cached bracket of A! for A = n - (n mod 256), by
+Legendre's prime powers, times the exact (A + 1)...n.  The primes are
+streamed by a segmented sieve (Bays & Hudson, BIT 17, 1977) in pieces of at
+most 2^20 numbers, so a G(n) keeps no prime and costs one log core call and
+O(pi(n)) w-bit products.
 
 Every non-exact primitive enclosure at precision p is a bracket at most two
 ulps wide on the 2^-(p+4) grid, padded outward by two ulps.  The pad costs a
@@ -248,85 +245,105 @@ def log2_1p(y: Fraction, p: int) -> DyadicInterval:
 # ---------------------------------------------------------------------------
 
 
-# log2 prime brackets, one cache per table precision q_tab: (limit, primes,
-# lo, hi), with primes every prime up to limit in ascending order and log2 of
-# primes[i] in [lo[i] * 2^-s, hi[i] * 2^-s], s = q_tab + _BRACKET_BITS.
-# Each piece of an extension appends to the lists in place, then stores its
-# end as limit; an interrupted one truncates them back, so the cache stays whole.
-_PRIME_LOG2: dict[int, tuple[int, list[int], list[int], list[int]]] = {}
-
 # the most numbers one piece of a sieve covers: its flags take that many bytes
 _SIEVE_PIECE = 1 << 20
+_CHUNK = 64  # primes multiplied exactly before a product is truncated
 
 
-def _sieve_segment(limit: int, end: int, primes: list[int]) -> Iterator[int]:
-    """The primes in (limit, end], sieved by ``primes``, which must reach sqrt(end)."""
-    flags = bytearray([1]) * (end - limit)  # flags[i] is m = limit + 1 + i
-    for f in itertools.takewhile(lambda f: f * f <= end, primes):
-        first = max(f * f, (limit // f + 1) * f) - limit - 1
-        flags[first::f] = bytes(len(range(first, end - limit, f)))
-    return itertools.compress(range(limit + 1, end + 1), flags)
+def _prime_stream(limit: int, end: int, primes: list[int]) -> Iterator[int]:
+    """The primes in (limit, end], limit >= 1, ascending, sieved by ``primes``
+    (which must reach sqrt(end)) in pieces of at most _SIEVE_PIECE numbers."""
+    for start in range(limit, end, _SIEVE_PIECE):
+        stop = min(end, start + _SIEVE_PIECE)
+        flags = bytearray([1]) * (stop - start)  # flags[i] is m = start + 1 + i
+        for f in itertools.takewhile(lambda f: f * f <= stop, primes):
+            first = max(f * f, (start // f + 1) * f) - start - 1
+            flags[first::f] = bytes(len(range(first, stop - start, f)))
+        yield from itertools.compress(range(start + 1, stop + 1), flags)
 
 
-def _prime_log2(n: int, q_tab: int) -> tuple[list[int], list[int], list[int]]:
-    """(primes, lo, hi) for every prime up to n (the lists may run past n):
-    the _log2_raw bracket at precision q_tab, on the 2^-s grid, and for 2 the
-    exact point 2^s.  Only primes not yet cached call the log core.
+def _primes_to(m: int) -> list[int]:
+    """Every prime up to m, ascending."""
+    return list(_prime_stream(1, m, _primes_to(math.isqrt(m)) if m > 3 else []))
 
-    A table shorter than sqrt(n) first extends itself to sqrt(n) by this same
-    call, about log log n deep, then sieves the rest with its own primes in
-    pieces of at most _SIEVE_PIECE numbers, so consecutive n cost O(n - limit)."""
-    limit, primes, lo, hi = _PRIME_LOG2.setdefault(q_tab, (1, [], [], []))
-    root = math.isqrt(n)
-    if limit < root:
-        _prime_log2(root, q_tab)  # the sieving primes first
-    s = q_tab + _BRACKET_BITS
-    for start in range(max(limit, root), n, _SIEVE_PIECE):
-        end = min(n, start + _SIEVE_PIECE)
-        size = len(primes)
-        try:
-            for m in _sieve_segment(start, end, primes):
-                m_lo, m_hi, m_s = _log2_raw(m, 1, q_tab)  # 2: the point 1, m_s = 0
-                lo.append(m_lo << (s - m_s))
-                hi.append(m_hi << (s - m_s))
-                primes.append(m)
-            _PRIME_LOG2[q_tab] = end, primes, lo, hi
-        except BaseException:  # an interrupt too: back to the table before this piece
-            del primes[size:], lo[size:], hi[size:]
-            _PRIME_LOG2[q_tab] = start, primes, lo, hi
-            raise
-    return primes, lo, hi
+
+def _legendre(n: int, prime: int) -> int:
+    """v_P(n!) = n // P + v_P((n // P)!) (Legendre's formula)."""
+    return n // prime + _legendre(n // prime, prime) if n else 0
+
+
+def _product(x: tuple[int, int, int], y: tuple[int, int, int], w: int) -> tuple[int, int, int]:
+    """x y for brackets (lo, hi, ex) = [lo, hi] 2^ex, cut to w bits: lo down, hi up."""
+    lo, hi = x[0] * y[0], x[1] * y[1]
+    cut = max(lo.bit_length() - w, 0)
+    return lo >> cut, -(-hi >> cut), x[2] + y[2] + cut
+
+
+def _power(x: tuple[int, int, int], v: int, w: int) -> tuple[int, int, int]:
+    """x^v for v >= 1, by squaring from the top bit of v."""
+    r = x
+    for bit in bin(v)[3:]:
+        r = _product(r, r, w)
+        if bit == "1":
+            r = _product(r, x, w)
+    return r
+
+
+@lru_cache(maxsize=4)
+def _anchor_bracket(a: int, w: int) -> tuple[int, int, int]:
+    """The bracket of a!, by Legendre's formula in a fixed order: v_2(a!)
+    into the exponent, each odd prime P up to sqrt(a) raised to v_P(a!),
+    then the primes above it, where v_P(a!) = a // P, grouped by that
+    quotient, multiplied _CHUNK at a time and raised to it."""
+    root = math.isqrt(a)
+    small = _primes_to(root)
+    acc = (1, 1, _legendre(a, 2))
+    for prime in small[1:]:
+        acc = _product(acc, _power((prime, prime, 0), _legendre(a, prime), w), w)
+    for v, group in itertools.groupby(_prime_stream(root, a, small), lambda P: a // P):
+        product = (1, 1, 0)
+        for chunk in iter(lambda: math.prod(itertools.islice(group, _CHUNK)), 1):
+            product = _product(product, (chunk, chunk, 0), w)
+        acc = _product(acc, _power(product, v, w), w)
+    return acc
+
+
+def _factorial_bracket(n: int, q: int) -> tuple[int, int, int, int]:
+    """(lo, hi, ex, w) with n! in [lo, hi] * 2^ex and log2(hi / lo) <=
+    2^-(q+2): the bracket of the anchor a = n - (n mod 256), a!, times the
+    exact (a + 1)...n, at w = q + bit_length(n) + 8 bits.
+
+    A truncation moves log2 of an end by under 2^-(w-2), and a power v
+    multiplies what its base carries by v and adds under 2v truncations: in
+    all, under 8n + 1 (the small primes' v_P(a!) add up to under 2.25n for
+    every n the work ceiling admits, the groups' v to under n/2), so
+    log2(hi / lo) < 2 (8n + 1) 2^-(w-2) <= 2^-(q+2).
+    """
+    w = q + n.bit_length() + 8
+    a = n - n % 256
+    tail = math.prod(range(a + 1, n + 1))
+    return (*_product(_anchor_bracket(a, w), (tail, tail, 0), w), w)
 
 
 def G_enclosure(n: int, p: int) -> DyadicInterval:
     """Enclosure of G(n) = sum over m <= n of {log2(n/m)}, width <= 2^-p.
 
-    Each term is held to width below 2^-(q + 1), q = p + 1 + ceil(log2 n),
-    which caps the summed width at 2^-p.  On the 2^-s grid of the prime
-    brackets [l_P, h_P] at the precision q_tab of ``g_cost(n, p)``, which
-    also holds n and p to the work ceiling, this is exactly
-    the term-by-term sum over m's bracket [l(m), h(m)] = sum of v_P(m) [l_P,
-    h_P]: term m is [l(n) - h(m) - k, h(n) - l(m) - k], k = floor(log2(n/m)),
-    and is skipped (exactly 0) for the v + 1 m = n / 2^j, v = v_2(n).  Over
-    every m the k add up to F = v_2(n!), the h(m) to H = sum over P <= n of
-    v_P(n!) h_P (Legendre: v_P(n!) = sum_i floor(n / P^i)) and the l(m) to L
-    likewise, and a skipped m's term would be [l(n) - h(n), h(n) - l(n)], so
-
-        lo = (n - v - 1) l(n) + (v + 1) h(n) - H - F 2^s,
-        hi = (n - v - 1) h(n) + (v + 1) l(n) - L - F 2^s.
-
-    F comes from the Legendre loop, not from n - s2(n), so ``error-term``
-    still checks that identity.  No term needs clamping into [0, 1): for an
-    m not skipped, n/m = 2^k r with 1 + 1/n <= r <= 2 - 1/n, so
-    1/n <= {log2(n/m)} <= 1 - 1/(2n), and a term's bracket, narrower than
-    2^-(q + 1) <= 1/(64n) (p >= 4), stays inside (0, 1 - 1/(4n)).
+    The floors of log2(n/m) add up to F = v_2(n!) (see :mod:`log2lab.exact`),
+    so G(n) = log2(n^n / n!) - F.  n! is in [lo, hi] 2^ex by
+    ``_factorial_bracket`` at the q of ``g_cost(n, p)``, which also holds n
+    and p to the work ceiling, and n^n in [t_lo, t_hi] 2^t_ex at the same w
+    (a power n: under 2n truncations an end).  log2(t_lo / hi) is a padded
+    bracket at q, and log2(t_hi / lo) exceeds it by log2(1 + x) < 3x/2, x =
+    t_hi hi / (t_lo lo) - 1 < 2^-(q+2), so G is under 2^-q <= 2^-(p+3)
+    wide.  F is Legendre's count, not n - s2(n), so ``error-term`` still
+    checks that identity.
     """
     require_positive("n", n)
     _check_precision(p)
-    q_tab, work = g_cost(n, p)
-    if q_tab > MAX_PRECISION_BITS:
+    q, work = g_cost(n, p)
+    if q > MAX_PRECISION_BITS:
         raise ResourceLimitError(
-            f"G({n}) at precision {p} needs {q_tab}-bit prime brackets, "
+            f"G({n}) at precision {p} needs {q}-bit prime brackets, "
             f"above the ceiling of {MAX_PRECISION_BITS} bits"
         )
     if work > WORK_CEILING:
@@ -334,31 +351,12 @@ def G_enclosure(n: int, p: int) -> DyadicInterval:
             f"G({n}) at precision {p} needs work of {work}, "
             f"above the work ceiling of {WORK_CEILING}"
         )
-    s = q_tab + _BRACKET_BITS
-    sum_lo = sum_hi = ln_lo = ln_hi = twos = 0
-    for prime, lo, hi in zip(*_prime_log2(n, q_tab)):
-        if prime > n:
-            break
-        e = 0  # v_P(n!)
-        power = prime
-        while power <= n:
-            e += n // power
-            power *= prime
-        if prime == 2:
-            twos = e
-        sum_lo += e * lo
-        sum_hi += e * hi
-        rest = n
-        while rest % prime == 0:
-            rest //= prime
-            ln_lo += lo
-            ln_hi += hi
-    v = (n & -n).bit_length() - 1
-    return _raw_to_interval(
-        (n - v - 1) * ln_lo + (v + 1) * ln_hi - sum_hi - (twos << s),
-        (n - v - 1) * ln_hi + (v + 1) * ln_lo - sum_lo - (twos << s),
-        s,
-    )
+    lo, hi, ex, w = _factorial_bracket(n, q)
+    t_lo, t_hi, t_ex = _power((n, n, 0), n, w)
+    s = q + _BRACKET_BITS
+    low = _raw_to_interval(*_log2_raw(t_lo, hi, q))
+    above = -((-3 * (t_hi * hi - t_lo * lo) << s) // (2 * t_lo * lo))  # 3x/2 2^s, ceiled
+    return (low + DyadicInterval.from_mantissas(0, above, -s)).add_int(t_ex - ex - _legendre(n, 2))
 
 
 def log2_factorial_by_factorial(n: int, p: int) -> DyadicInterval:

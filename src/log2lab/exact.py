@@ -26,7 +26,7 @@ of counting every a from the start.
 The precision and work limits of a run live here too, as the same kind of
 integer rule: the precision of every part of a compared row (``attempt_plan``,
 which reads the Stirling-series log2 n!'s own ``stirling_plan``) and how far
-the row may escalate (``last_attempt``), the bracket precision and work of
+the row may escalate (``last_attempt``), the log precision and work of
 G(n), and how many m the enumeration oracles visit over a range.  Every
 caller reads its numbers from these, and each command checks its range
 against them before a run starts, without loading the enclosure code.
@@ -213,21 +213,21 @@ def _part_precision(p: int, parts: int) -> int:
 
 
 def g_cost(n: int, p: int) -> tuple[int, int]:
-    """(q_tab, work) of G(n) held to 2^-p, for n >= 1: the precision of its
-    log2 prime brackets, and the work that ``WORK_CEILING`` holds it to.
+    """(q, work) of G(n) held to 2^-p, for n >= 1: the precision of the logs
+    G(n) takes, and the work that ``WORK_CEILING`` holds it to.
 
-    Each of the n terms is held below 2^-(q_term + 1), q_term =
-    ``_part_precision(p, n)``, and an m's bracket adds up Omega(m) <
-    bit_length(n) prime brackets, so the brackets run ceil(log2
-    bit_length(n)) + 1 guard bits finer than q_term + 1.  G(n) costs a sieve
-    of n bytes, up to pi(n) cached brackets of q_tab bits and O(pi(n))
-    steps, and the work, n (q_term + ceil(log2 n)), is above each of them.
-    ``G_enclosure`` checks both numbers, and ``error-term`` checks them for
-    its largest G(n) before a run starts.
+    G(n) = log2(n^n / n!) - v_2(n!) takes one log, of a bracket of n^n / n!,
+    at q = q_term + 2 + ceil(log2 bit_length(n)), q_term =
+    ``_part_precision(p, n)``, and is under 2^-q <= 2^-(p+3) wide.  G(n)
+    sieves n numbers, in pieces of at most 2^20, and multiplies each prime
+    up to n into a bracket of q + bit_length(n) + 8 bits: the work,
+    n (q_term + ceil(log2 n)), bounds both.  ``G_enclosure`` checks both
+    numbers, and ``error-term`` checks them for its largest G(n) before a
+    run starts.
     """
     q_term = _part_precision(p, n)
-    q_tab = q_term + 2 + ceil_log2(n.bit_length())
-    return q_tab, n * (q_term + ceil_log2(n))
+    q = q_term + 2 + ceil_log2(n.bit_length())
+    return q, n * (q_term + ceil_log2(n))
 
 
 def oracle_work(n_hi: int) -> int:

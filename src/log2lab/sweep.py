@@ -28,6 +28,7 @@ nothing to stdout.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import operator
 import os
@@ -369,6 +370,29 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+@contextlib.contextmanager
+def _termination_as_interrupt():
+    """Within it, SIGTERM and SIGHUP raise KeyboardInterrupt as SIGINT does:
+    each where it exists, is at its default (so ``nohup`` keeps SIGHUP
+    ignored) and may be set, which only the main thread may do.  Forked
+    children inherit the handlers, as they do SIGINT's."""
+    import signal  # here, so that start-up does not pay for it
+
+    trapped = {}
+    for name in ("SIGTERM", "SIGHUP"):
+        signum = getattr(signal, name, None)
+        if signum is not None and signal.getsignal(signum) is signal.SIG_DFL:
+            try:
+                trapped[signum] = signal.signal(signum, signal.default_int_handler)
+            except ValueError:  # not the main thread
+                break
+    try:
+        yield
+    finally:
+        for signum, handler in trapped.items():
+            signal.signal(signum, handler)
+
+
 def _run(
     config: SweepConfig,
     columns: list[str],
@@ -397,7 +421,8 @@ def _run(
     counts no row the output lacks.  A block's rows are written before its
     error is raised, so any error (an interrupt, or one ``cli.main`` maps to
     exit code 2, 3 or 4) leaves the same truncated output with every worker
-    count; an interrupt exits 2 here.  A worker that dies is an internal
+    count; an interrupt exits 2 here, and while the blocks run SIGTERM and
+    SIGHUP interrupt as SIGINT does.  A worker that dies is an internal
     error, and no child outlives the loop.
     """
     ns = config.ns()
@@ -419,17 +444,18 @@ def _run(
         checked = 0
         stopped: BaseException | None = None
         try:
-            for payloads, error in results:
-                for payload in payloads:
-                    rows = writer.count
-                    try:
-                        acc.add(payload, writer.write_row)
-                    except BaseException:
-                        checked += writer.count > rows  # its row is in the output
-                        raise
-                    checked += 1
-                if error is not None:
-                    raise error
+            with _termination_as_interrupt():
+                for payloads, error in results:
+                    for payload in payloads:
+                        rows = writer.count
+                        try:
+                            acc.add(payload, writer.write_row)
+                        except BaseException:
+                            checked += writer.count > rows  # its row is in the output
+                            raise
+                        checked += 1
+                    if error is not None:
+                        raise error
         except BaseException as exc:  # the output is finalized as truncated below
             stopped = exc
         finally:
@@ -691,8 +717,8 @@ def run_error_term(
     # the largest G(n) of the range, at the precision error_term_e2 asks it
     # for; taken at n >= 2, which also covers the row at n = 1
     n = max(config.n_hi, 2)
-    q_tab, work = g_cost(n, attempt_plan(p, (n - 1).bit_length(), n.bit_length()).fact)
-    _check_bits(config, q_tab)
+    q, work = g_cost(n, attempt_plan(p, (n - 1).bit_length(), n.bit_length()).fact)
+    _check_bits(config, q)
     if work > WORK_CEILING:
         raise UsageError(
             f"range up to n = {config.n_hi} at precision {p} needs G(n) work of {work}, "

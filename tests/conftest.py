@@ -200,9 +200,8 @@ def log2_m_table(n: int, q: int) -> tuple[list[int], list[int], int]:
 
 
 def sum_table(n: int, p: int) -> tuple[list[int], list[int], int]:
-    """The log2 m table under an n-term sum held to 2^-p, as G(n) takes its
-    prime brackets: terms below 2^-(p + ceil(log2 n) + 1) each, read one
-    guard bit finer."""
+    """The log2 m table under an n-term sum held to 2^-p: terms below
+    2^-(p + ceil(log2 n) + 1) each, read one guard bit finer."""
     _check_precision(p)
     return log2_m_table(n, part_precision(p, n) + 1)
 
@@ -217,8 +216,8 @@ def frac_upper_clamp(n: int, s: int) -> int:
 def G_by_terms(n: int, p: int) -> tuple[DyadicInterval, int]:
     """(enclosure of G(n), clamp events): the term-by-term sum over the log2 m
     table, each term [log2 n - log2 m - k] clamped into [0, clamp], with
-    dyadic-power ratios skipped; the oracle for G_enclosure's closed form,
-    which needs no clamp.  The count is the number of term ends clamped."""
+    dyadic-power ratios skipped; the term-sum oracle for G_enclosure, which
+    clamps no term.  The count is the number of term ends clamped."""
     require_positive("n", n)
     lo, hi, s = sum_table(n, p)
     clamp_hi = frac_upper_clamp(n, s)

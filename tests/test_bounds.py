@@ -126,6 +126,31 @@ class TestErrorTermAndC:
             assert not iv.contains_int(target + 1), n
 
 
+    @pytest.mark.parametrize("p", [16, 64])
+    def test_rows_are_the_same_in_any_order(self, p):
+        # a row is a pure function of (n, p): forward, backward, and in random
+        # blocks taken in random order, with the caches cleared before each;
+        # 1000..1299 crosses the anchors 1024 and 1280
+        ns = range(1000, 1300)
+
+        def rows(blocks):
+            out = {}
+            for block in blocks:
+                enclosures_mod._anchor_bracket.cache_clear()
+                enclosures_mod.log2_int_enclosure.cache_clear()
+                out.update((n, error_term_e2(n, p)) for n in block)
+            return out
+
+        forward = rows([ns])
+        assert rows([reversed(ns)]) == forward
+        rng = random.Random(31)
+        for _ in range(3):
+            cuts = [0, *sorted(rng.sample(range(1, len(ns)), 5)), len(ns)]
+            blocks = [ns[a:b] for a, b in zip(cuts, cuts[1:])]
+            rng.shuffle(blocks)
+            assert rows(blocks) == forward
+
+
 def paper_equality_certificate(n: int) -> bool:
     """Exact integer oracle: the counting bound is attained at n = 2^t.
 
@@ -638,7 +663,7 @@ class TestOneLogPerAttempt:
     @pytest.mark.parametrize("n,p", [(1003, 128), (2000, 64), (5, 4)])
     def test_error_term_row_takes_one_log2_n(self, monkeypatch, n, p):
         # n log2 n takes the enclosure the Stirling (or factorial) log2 n!
-        # takes; the table and the constants are built on the first call
+        # takes; the constants are built on the first call
         error_term_e2(n, p)
         enclosures_mod.log2_int_enclosure.cache_clear()
         calls = []
@@ -813,7 +838,7 @@ class TestEscalationCeiling:
 
 
 class _Sentinel(Exception):
-    """Raised in place of the prime brackets: G(n) got past its limit checks."""
+    """Raised in place of the bracket of n!: G(n) got past its limit checks."""
 
 
 def error_term_cost(monkeypatch, n: int, p: int) -> tuple[int, int]:
@@ -842,18 +867,18 @@ class TestAttemptPrecision:
     def test_is_the_largest_precision_a_row_asks_for(self, monkeypatch):
         asked = []
         real = enclosures_mod._check_precision
-        real_brackets = enclosures_mod._prime_log2
+        real_bracket = enclosures_mod._factorial_bracket
 
         def recorded(p):
             asked.append(p)
             real(p)
 
-        def brackets(n, q_tab):
-            asked.append(q_tab)
-            return real_brackets(n, q_tab)
+        def bracket(n, q):
+            asked.append(q)
+            return real_bracket(n, q)
 
         monkeypatch.setattr(enclosures_mod, "_check_precision", recorded)
-        monkeypatch.setattr(enclosures_mod, "_prime_log2", brackets)
+        monkeypatch.setattr(enclosures_mod, "_factorial_bracket", bracket)
         for n in (1, 2, 3, 4, 5, 8, 17, 100, 255, 256, 257, 1000, 3004, 10**6 + 1):
             for p in (4, 16, 64, 100):
                 # their checks run on a miss
@@ -902,10 +927,10 @@ class TestAttemptPrecision:
         if p == 64:
             assert n == 35_791_394
 
-        def no_brackets(*args):
+        def no_bracket(*args):
             raise _Sentinel
 
-        monkeypatch.setattr(enclosures_mod, "_prime_log2", no_brackets)
+        monkeypatch.setattr(enclosures_mod, "_factorial_bracket", no_bracket)
         with pytest.raises(_Sentinel):
             error_term_e2(n, p)
         with pytest.raises(ResourceLimitError, match="work ceiling"):

@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import random
 import tracemalloc
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath as mp
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import log2lab.enclosures as enclosures_mod
@@ -36,6 +36,7 @@ from log2lab.exact import (
     WORK_CEILING,
     DomainError,
     _part_precision,
+    attempt_plan,
     g_cost,
 )
 from log2lab.sweep import EXIT_USAGE, SweepConfig, run_bounds_sweep, run_error_term
@@ -49,7 +50,6 @@ from conftest import (
     log2_factorial_by_sum,
     log2_factorial_running,
     power_of_two_ratio,
-    table_precision,
 )
 
 # independent-oracle values, frozen from high-precision reference runs
@@ -158,10 +158,10 @@ class TestGEnclosure:
         class PastTheChecks(Exception):
             pass
 
-        def no_brackets(*args):
+        def no_bracket(*args):
             raise PastTheChecks
 
-        monkeypatch.setattr(enclosures_mod, "_prime_log2", no_brackets)
+        monkeypatch.setattr(enclosures_mod, "_factorial_bracket", no_bracket)
         with pytest.raises(PastTheChecks):
             G_enclosure(n, 64)
         with pytest.raises(ResourceLimitError, match="work ceiling"):
@@ -186,11 +186,11 @@ class TestGEnclosure:
     def test_limit_messages_name_n_and_the_requested_precision(
         self, monkeypatch, capsys, argv, message
     ):
-        # rejected before a prime table is built, in the terms the user typed
-        def no_table(n, q_tab):
-            raise AssertionError("a prime table was built")
+        # rejected before n! is bracketed, in the terms the user typed
+        def no_bracket(n, q):
+            raise AssertionError("n! was bracketed")
 
-        monkeypatch.setattr(enclosures_mod, "_prime_log2", no_table)
+        monkeypatch.setattr(enclosures_mod, "_factorial_bracket", no_bracket)
         assert main(argv) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -234,185 +234,105 @@ def _is_prime(m: int) -> bool:
     return m > 1 and all(m % d for d in range(2, math.isqrt(m) + 1))
 
 
-_TABLE_LIMIT = 1 << 13
-_PRIMES = [m for m in range(2, _TABLE_LIMIT + 1) if _is_prime(m)]
-
-
-def _product_within_limit(factors: list[int]) -> int:
-    m = 1
-    for f in factors:
-        if m * f > _TABLE_LIMIT:
-            break
-        m *= f
-    return m
-
-
-# primes, powers of two, and products of many small primes (large Omega)
-_TABLE_ARGS = (
-    st.sampled_from(_PRIMES)
-    | st.integers(0, 13).map(lambda k: 1 << k)
-    | st.lists(st.sampled_from((2, 3, 5, 7)), min_size=4, max_size=13).map(
-        _product_within_limit
-    )
-)
 _TERM_PRECISIONS = st.sampled_from([16, 53, 128])
 
 
-def _bracket_by_factors(m: int, q_tab: int) -> tuple[int, int, int]:
-    """(lo, hi, s): sum over the primes P of m of v_P(m) times P's cached
-    log2 bracket at table precision q_tab."""
-    primes, p_lo, p_hi = enclosures_mod._prime_log2(m, q_tab)
-    lo = hi = 0
-    for prime, b_lo, b_hi in zip(primes, p_lo, p_hi):
-        rest = m
-        while rest % prime == 0:
-            rest //= prime
-            lo += b_lo
-            hi += b_hi
-    return lo, hi, q_tab + enclosures_mod._BRACKET_BITS
-
-
-@lru_cache(maxsize=None)
-def _cold_table(n: int, q_tab: int) -> tuple[list[int], list[int], list[int]]:
-    """The prime table up to n built from empty, in pieces of the default size."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(enclosures_mod, "_PRIME_LOG2", {})
-        return enclosures_mod._prime_log2(n, q_tab)
+def _primes_in(limit: int, end: int) -> list[int]:
+    """The primes in (limit, end], streamed in pieces of the current size."""
+    sieving = enclosures_mod._primes_to(math.isqrt(end))
+    return list(enclosures_mod._prime_stream(limit, end, sieving))
 
 
 class TestLog2Table:
-    """The log2 prime brackets behind G(n): log core calls for primes only,
-    exact sums of prime brackets for every other m, one cache per table
-    precision."""
+    """What G(n) is built from: the primes, streamed by a segmented sieve
+    and kept nowhere, and the certified bracket of n!, whose anchors are the
+    only cache."""
 
-    @settings(deadline=None, max_examples=80)
-    @given(_TABLE_ARGS, _TERM_PRECISIONS)
-    def test_contains_log2_m_within_one_prime_width(self, m, q):
-        lo, hi, s = _bracket_by_factors(m, table_precision(m, q))
-        if m & (m - 1) == 0:
-            assert lo == hi == (m.bit_length() - 1) << s
-            return
-        # no wider than one _log2_raw bracket at q: 6 ulps of scale 2^-(q+4)
-        assert hi - lo <= 6 << (s - (q + 4))
-        iv = DyadicInterval(DyadicRational(lo, -s), DyadicRational(hi, -s))
-        with mp.workprec(500):
-            assert interval_contains(iv, mp.log(m) / mp.log(2))
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.integers(1, 10**4)
+        | st.builds(lambda k, d: (1 << k) + d, st.integers(1, 16), st.sampled_from([-1, 1])),
+        st.sampled_from([4, 16, 53, 70, 128, 1024]),
+    )
+    @example(1, 4)
+    @example(256, 64)
+    @example(257, 64)
+    @example(65537, 128)
+    def test_bracket_holds_the_factorial(self, n, q):
+        lo, hi, ex, _ = enclosures_mod._factorial_bracket(n, q)
+        fact = math.factorial(n)
+        assert ex >= 0 and lo << ex <= fact <= hi << ex
+        # log2(hi / lo) <= 2^-(q+2): hi / lo - 1 <= 2^-(q+3) is enough
+        assert (hi - lo) << (q + 3) <= lo
 
-    def test_core_calls_only_for_primes(self, monkeypatch):
-        monkeypatch.setattr(enclosures_mod, "_PRIME_LOG2", {})
+    def test_bracket_is_exact_while_it_fits(self):
+        for n in (1, 2, 3, 20):
+            lo, hi, ex, _ = enclosures_mod._factorial_bracket(n, 64)
+            assert lo == hi and lo << ex == math.factorial(n)
+
+    def test_G_takes_one_log_core_call(self, monkeypatch):
+        # log2 of the low end of the bracket of n^n / n!, at g_cost's q
+        G_enclosure(3500, 128)  # the constants the log core reads, once
         calls = []
         real = enclosures_mod._log2_raw
 
-        def counted(num, den, p):
-            calls.append(num)
-            return real(num, den, p)
+        def counted(num, den, q):
+            calls.append((num, den, q))
+            return real(num, den, q)
 
         monkeypatch.setattr(enclosures_mod, "_log2_raw", counted)
-        G_enclosure(3500, 128)  # from a cold cache
-        pi_3500 = sum(map(_is_prime, range(3501)))
-        assert pi_3500 == 489
-        assert len(calls) <= pi_3500
-        assert all(_is_prime(m) for m in calls)
-        calls.clear()
         G_enclosure(3500, 128)
-        G_enclosure(3000, 128)  # the same table precision
-        assert calls == []
+        q = g_cost(3500, 128)[0]
+        _, hi, _, w = enclosures_mod._factorial_bracket(3500, q)
+        t_lo = enclosures_mod._power((3500, 3500, 0), 3500, w)[0]
+        assert calls == [(t_lo, hi, q)]
 
-    def test_prime_sieve(self, monkeypatch):
-        # a cold table's primes are exactly the primes up to its n
+    def test_prime_sieve(self):
         for n in [*range(1, 40), 5000]:
-            monkeypatch.setattr(enclosures_mod, "_PRIME_LOG2", {})
-            primes = enclosures_mod._prime_log2(n, 16)[0]
-            assert primes == [m for m in range(n + 1) if _is_prime(m)], n
+            assert enclosures_mod._primes_to(n) == [m for m in range(n + 1) if _is_prime(m)], n
+            a = max(1, n // 3)
+            assert _primes_in(a, n) == [m for m in range(a + 1, n + 1) if _is_prime(m)], n
 
-    def test_one_bounded_table_per_precision_after_sweeps(self, monkeypatch):
-        monkeypatch.setattr(enclosures_mod, "_PRIME_LOG2", {})
+    def test_no_module_level_tables_after_runs(self, monkeypatch):
         monkeypatch.setattr(enclosures_mod, "_STIRLING_COEFFS", ())
+        enclosures_mod._anchor_bracket.cache_clear()
         for n_lo, n_hi in ((3004, 3043), (3044, 3123), (100_001, 100_002)):
             config = SweepConfig(n_lo=n_lo, n_hi=n_hi)
             assert run_bounds_sweep(config, io.StringIO(), io.StringIO()) == 0
-        # a compared row runs no term sum: log2 n! comes from the exact
+        # a compared row brackets no factorial: log2 n! comes from the exact
         # factorial or the Stirling series, and G(n) from it
-        assert enclosures_mod._PRIME_LOG2 == {}
-        # error-term's G(n) reads the prime brackets at the q_tab of g_cost
+        assert enclosures_mod._anchor_bracket.cache_info().currsize == 0
         config = SweepConfig(n_lo=1500, n_hi=1501)
         assert run_error_term(config, io.StringIO(), io.StringIO()) == 0
-        tables = enclosures_mod._PRIME_LOG2
-        part = _part_precision(64, _ROW_PARTS)
-        assert set(tables) == {g_cost(n, part)[0] for n in (1500, 1501)}
-        pi_1501 = sum(map(_is_prime, range(1502)))
-        for limit, primes, lo, hi in tables.values():
-            assert limit <= 1501
-            assert len(primes) == len(lo) == len(hi) <= pi_1501
+        assert enclosures_mod._anchor_bracket.cache_info().currsize == 1  # 1280!
         # the Stirling coefficients that p = 64 rows use: a few
         assert 0 < len(enclosures_mod._STIRLING_COEFFS) <= 16
-        caches = [
+        tables = [
             name
             for name, value in vars(enclosures_mod).items()
             if not name.startswith("__") and isinstance(value, (dict, list, set))
         ]
-        assert caches == ["_PRIME_LOG2"]
+        assert tables == []
 
-    def test_interrupted_extension_leaves_a_whole_table(self, monkeypatch):
-        monkeypatch.setattr(enclosures_mod, "_PRIME_LOG2", {})
-        table = enclosures_mod._prime_log2
-        q_tab = table_precision(2000, 53)
-        table(500, q_tab)
-        real = enclosures_mod._log2_raw
-        primes = []
-
-        def interrupted(num, den, p):
-            primes.append(num)
-            if len(primes) == 20:  # a prime in the middle of 501..2000
-                raise KeyboardInterrupt
-            return real(num, den, p)
-
-        monkeypatch.setattr(enclosures_mod, "_log2_raw", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            table(2000, q_tab)
-        assert 500 < primes[-1] < 2000
-        limit, cached, lo, hi = enclosures_mod._PRIME_LOG2[q_tab]
-        assert limit == 500
-        assert len(cached) == len(lo) == len(hi) == 95  # pi(500)
-        monkeypatch.setattr(enclosures_mod, "_log2_raw", real)
-        extended = table(2000, q_tab)
-        assert len(extended[0]) == len(extended[1]) == len(extended[2]) == 303
-        monkeypatch.setattr(enclosures_mod, "_PRIME_LOG2", {})
-        assert extended == table(2000, q_tab)  # a cold build
-
-    def test_consecutive_rows_sieve_once_per_table(self, monkeypatch):
-        # an error-term run over 1..2000 extends each table by one n a row,
-        # and every extension sieves only its new segment: over the run, a
-        # table holding the primes up to its limit has sieved limit - 1 numbers
-        monkeypatch.setattr(enclosures_mod, "_PRIME_LOG2", {})
-        sieved = []
-        real = enclosures_mod._sieve_segment
-
-        def counted(start, end, primes):
-            sieved.append(end - start)
-            return real(start, end, primes)
-
-        monkeypatch.setattr(enclosures_mod, "_sieve_segment", counted)
+    def test_consecutive_rows_build_each_anchor_once(self):
+        # an error-term run over 1..2000 builds the bracket of each anchor
+        # a = n - (n mod 256) once for each w its rows take
+        enclosures_mod._anchor_bracket.cache_clear()
         config = SweepConfig(n_lo=1, n_hi=2000, precision_bits=128)
         assert run_error_term(config, io.StringIO(), io.StringIO()) == 0
-        tables = enclosures_mod._PRIME_LOG2
-        assert 0 < len(tables) <= 16
-        assert sum(sieved) == sum(limit - 1 for limit, *_ in tables.values())
+        anchors = set()
+        for n in range(1, 2001):
+            q = g_cost(n, attempt_plan(128, (n - 1).bit_length(), n.bit_length()).fact)[0]
+            anchors.add((n - n % 256, q + n.bit_length() + 8))
+        assert enclosures_mod._anchor_bracket.cache_info().misses == len(anchors) < 32
 
     @settings(deadline=None, max_examples=40)
     @given(st.lists(st.integers(1, 3000), min_size=1, max_size=6))
     def test_extension_by_segments_equals_a_cold_build(self, steps):
-        q_tab = 24
-        enclosures_mod._PRIME_LOG2.pop(q_tab, None)
-        n = 1
-        for step in steps:
-            n += step
-            extended = enclosures_mod._prime_log2(n, q_tab)
-        assert enclosures_mod._PRIME_LOG2[q_tab][0] == n
-        assert extended[0] == [m for m in range(n + 1) if _is_prime(m)]
-        enclosures_mod._PRIME_LOG2.pop(q_tab)
-        assert extended == enclosures_mod._prime_log2(n, q_tab)  # a cold build
-        enclosures_mod._PRIME_LOG2.pop(q_tab)
+        # consecutive windows of the stream add up to one sieve from the start
+        ends = list(itertools.accumulate(steps, initial=1))
+        streamed = [m for a, b in zip(ends, ends[1:]) for m in _primes_in(a, b)]
+        assert streamed == enclosures_mod._primes_to(ends[-1])
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -420,54 +340,20 @@ class TestLog2Table:
         st.lists(st.tuples(st.integers(1, 60), st.integers(-1, 1)), min_size=1, max_size=6),
     )
     def test_extensions_in_small_pieces_equal_a_cold_build(self, piece, steps):
-        # every n lies on a piece boundary or one off it, from any table
-        ns = [max(1, k * piece + d) for k, d in steps]
-        q_tab = 24
+        # every window ends on a piece boundary or one off it
+        ns = sorted({1, *(max(1, k * piece + d) for k, d in steps)})
+        cold = enclosures_mod._primes_to(ns[-1])
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(enclosures_mod, "_PRIME_LOG2", {})
             mp.setattr(enclosures_mod, "_SIEVE_PIECE", piece)
-            for n in ns:
-                extended = enclosures_mod._prime_log2(n, q_tab)
-            limit = enclosures_mod._PRIME_LOG2[q_tab][0]
-        assert limit == max(ns)
-        assert extended[0] == [m for m in range(limit + 1) if _is_prime(m)]
-        assert extended == _cold_table(limit, q_tab)
+            streamed = [m for a, b in zip(ns, ns[1:]) for m in _primes_in(a, b)]
+            assert enclosures_mod._primes_to(ns[-1]) == cold
+        assert streamed == cold
 
-    @settings(deadline=None, max_examples=40)
-    @given(st.sampled_from([1, 7, 64]), st.integers(1, 300), st.integers(0, 10**6))
-    def test_interrupt_in_a_later_piece_leaves_a_whole_table(self, piece, n0, pick):
-        q_tab = 24
-        n1 = n0 + 40 * piece
-        later = [m for m in range(n0 + piece + 1, n1 + 1) if _is_prime(m)]
-        assume(later)
-        stop = later[pick % len(later)]  # a prime past the first piece
-        real = enclosures_mod._log2_raw
-
-        def interrupted(num, den, p):
-            if num == stop:
-                raise KeyboardInterrupt
-            return real(num, den, p)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(enclosures_mod, "_PRIME_LOG2", {})
-            mp.setattr(enclosures_mod, "_SIEVE_PIECE", piece)
-            enclosures_mod._prime_log2(n0, q_tab)
-            mp.setattr(enclosures_mod, "_log2_raw", interrupted)
-            with pytest.raises(KeyboardInterrupt):
-                enclosures_mod._prime_log2(n1, q_tab)
-            limit, primes, lo, hi = enclosures_mod._PRIME_LOG2[q_tab]
-            # the pieces before stop's are kept, and not one prime of its own
-            assert n0 < limit < stop <= limit + piece
-            assert (primes, lo, hi) == _cold_table(limit, q_tab)
-            mp.setattr(enclosures_mod, "_log2_raw", real)
-            assert enclosures_mod._prime_log2(n1, q_tab) == _cold_table(n1, q_tab)
-
-    def test_cold_G_memory_is_below_40_bytes_per_m(self, monkeypatch):
-        # the closed form holds pi(n) brackets and one sieve piece, not a
-        # bracket for every m <= n
-        monkeypatch.setattr(enclosures_mod, "_PRIME_LOG2", {})
+    def test_cold_G_memory_is_below_40_bytes_per_m(self):
+        # G(n) holds one sieve piece and a few w-bit brackets, not a value
+        # for every m <= n
         G_enclosure(200, 16)  # the constants the log core reads, once
-        monkeypatch.setattr(enclosures_mod, "_PRIME_LOG2", {})
+        enclosures_mod._anchor_bracket.cache_clear()
         tracemalloc.start()
         try:
             G_enclosure(20000, 16)
@@ -479,20 +365,26 @@ class TestLog2Table:
 
 class TestGAgainstTermOracle:
     """G's closed form against the term-by-term sum over the log2 m table,
-    ``G_by_terms``: the same integers, and not one term clamped."""
+    ``G_by_terms``, which clamps no term: both enclose G(n), so they meet,
+    and G is within 2^-p and nests when p doubles."""
 
     @pytest.mark.parametrize("p", [4, 16, 53, 128])
     def test_equals_term_sum_for_every_n_to_1200(self, p):
         for n in range(1, 1201):
-            by_terms, clamps = G_by_terms(n, p)
-            assert G_enclosure(n, p) == by_terms, n
-            assert clamps == 0, n
+            self._check(n, p)
 
     @pytest.mark.parametrize("n", [2047, 2048, 4097, 5000])
     def test_equals_term_sum_at_p64(self, n):
-        by_terms, clamps = G_by_terms(n, 64)
-        assert G_enclosure(n, 64) == by_terms
-        assert clamps == 0
+        self._check(n, 64)
+
+    @staticmethod
+    def _check(n, p):
+        by_terms, clamps = G_by_terms(n, p)
+        iv = G_enclosure(n, p)
+        assert iv.intersects(by_terms), n
+        assert iv.width_within(p), n
+        assert iv.contains_interval(G_enclosure(n, 2 * p)), n
+        assert clamps == 0, n
 
 
 class TestGAgainstDirectTermSum:

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
 import os
 import re
+import select
 import signal
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 from dataclasses import fields, replace
 from decimal import Decimal
@@ -1062,6 +1065,78 @@ class TestCliContract:
         assert [row["n"] for row in payload[:-1]] == [str(n) for n in range(1, 16)]
         assert summary["checked"] == 15 and summary["truncated"] is True
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", ["SIGTERM", "SIGHUP"])
+    def test_termination_signal_ends_the_run_as_an_interrupt(self, tmp_path, name, workers):
+        """``timeout -s TERM``, a closed terminal: the run stops as on SIGINT,
+        with the interrupted line, exit 2 and a JSON file that loads.  Every
+        process holding the write end of a pipe passed to the command, its
+        forked worker included, has exited once it has."""
+        signum = getattr(signal, name, None)
+        if signum is None:
+            pytest.skip(f"no {name} here")
+        out = tmp_path / "rows.json"
+        argv = [
+            "sweep-bounds", "--range", "100000..400000", "--format", "json",
+            "--workers", str(workers), "--out", str(out),
+        ]
+        launcher = ["-c", "import os; os.sched_getaffinity = lambda pid: {0, 1}; "
+                    "from log2lab.cli import run; run()"]
+        r, w = os.pipe()
+        try:
+            proc = subprocess.Popen(
+                [sys.executable, *launcher, *argv], stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, env=cli_env(), start_new_session=True, pass_fds=(w,),
+            )
+        finally:
+            os.close(w)
+        try:
+            # rows past the first 64-row block, which a 2-worker run writes
+            # before its child is forked
+            deadline = time.monotonic() + 60
+            while not out.exists() or out.read_bytes().count(b"\n") < 100:
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            proc.send_signal(signum)
+            _, err = proc.communicate(timeout=60)
+            assert select.select([r], [], [], 10)[0] and os.read(r, 1) == b""
+        finally:
+            os.close(r)
+            if proc.poll() is None:  # the run ignored the signal: stop it and its workers
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+        assert proc.returncode == EXIT_INCONCLUSIVE, err
+        assert err.decode().endswith("interrupted: output file is truncated but valid\n")
+        assert_group_gone(proc.pid)
+        payload = json.loads(out.read_text())
+        summary = payload[-1]["summary"]
+        assert summary["truncated"] is True
+        assert summary["checked"] == len(payload) - 1 >= 99
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+    @pytest.mark.parametrize(
+        "argv, to_stdout",
+        [
+            (["sweep-bounds", "--range", "1..3", "--out", "/dev/full"], False),
+            (["error-term", "--range", "1..3", "--format", "json", "--out", "/dev/full"], False),
+            (["sweep-bounds", "--range", "1..3", "--workers", "2"], True),
+            (["g-value", "3"], True),
+        ],
+        ids=["out-csv", "out-json", "stdout-sweep", "stdout-g-value"],
+    )
+    def test_unwritable_output_is_one_line(self, argv, to_stdout):
+        # a write that fails for want of space: exit 4 with the OS error on
+        # one stderr line, and no traceback
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, *MODULE, *argv], stdout=full if to_stdout else subprocess.PIPE,
+                stderr=subprocess.PIPE, env=buffered_env(), timeout=120,
+            )
+        assert done.returncode == EXIT_INTERNAL
+        assert done.stderr.decode() == (
+            f"log2lab: system error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        )
+
     @pytest.mark.parametrize(
         "argv, code, out_made",
         [
@@ -1124,7 +1199,7 @@ class TestCliContract:
         assert done.stderr.decode() == CLOSED_BY_READER
 
     def test_precision_over_ceiling_rejected_before_output(self, tmp_path, capsys):
-        # the row's finest part, the prime brackets under G, needs 9 bits over --bits at n = 3
+        # the row's finest part, the log under G, needs 9 bits over --bits at n = 3
         p_max = MAX_PRECISION_BITS - 9
         assert g_cost(3, _part_precision(p_max, _ROW_PARTS))[0] == MAX_PRECISION_BITS
         out = tmp_path / "e2.json"
