@@ -30,10 +30,13 @@ log2 n! comes from the Stirling series (see :mod:`log2lab.enclosures`) once n
 passes a switch near 2p.  Every n-scaled part of the row, (n + 1/2) log2 n in
 log2 n!, Robbins and Ramanujan, and n log2 n, takes log2 n at one precision,
 the ``log_n`` of the attempt's ``exact.attempt_plan``, so that one log core
-call, kept by ``log2_int_enclosure``, serves the attempt.  The other logs
-are near 1 and come from the bracket behind ``log2_1p``, the log series
-without the reduction to [1, 2): log2(8n^3 + 4n^2 + n + 1/30) = 3 +
-3 log2 n + log2(1 + y) with y about 1/(2n), and each Ramanujan correction
+call, kept by ``log2_int_enclosure``, serves the attempt.  The four
+Robbins and Ramanujan sides of an attempt share one Stirling base,
+(n + 1/2) log2 n - n log2 e + log2(2 pi) / 2, and each adds its
+corrections to it, all at the plan's ``part``.  Those logs are near 1 and
+come from the bracket behind ``log2_1p``, the log series without the
+reduction to [1, 2): log2(8n^3 + 4n^2 + n + 1/30) = 3 + 3 log2 n +
+log2(1 + y) with y about 1/(2n), and each Ramanujan correction
 log2(1 - 11 / (11520 (n + s)^4)).  Each y goes to the series as an unreduced
 integer ratio (the series floors quotients of it, which reduction does not
 change), so a row builds no Fraction.
@@ -230,24 +233,27 @@ def error_term_e2(n: int, p: int) -> DyadicInterval:
 # ---------------------------------------------------------------------------
 
 
-def _stirling_base(n: int, log_n: int, half: int, log2_e: int) -> DyadicInterval:
-    """(n + 1/2) log2 n - n log2 e + log2(2 pi) / 2, with log2 n the row's one
-    enclosure at precision ``log_n``, log2(2 pi) / 2 at ``half`` and log2 e
-    at ``log2_e``."""
-    head = _stirling_head(n, log2_int_enclosure(n, log_n), half)
-    return head - log2_e_interval(log2_e).scale_int(n)
+@lru_cache(maxsize=1)
+def _stirling_base(n: int, p: int) -> DyadicInterval:
+    """(n + 1/2) log2 n - n log2 e + log2(2 pi) / 2 at the precisions of
+    ``attempt_plan(p, ...)``, to which both Robbins sides and both Ramanujan
+    sides add their corrections.  The last base is kept, so the sides of an
+    attempt share one."""
+    plan = attempt_plan(p, (n - 1).bit_length(), n.bit_length())
+    head = _stirling_head(n, log2_int_enclosure(n, plan.log_n), plan.fact + 1)
+    return head - log2_e_interval(plan.log2_e).scale_int(n)
 
 
 def robbins_bounds_log2(n: int, p: int) -> tuple[DyadicInterval, DyadicInterval]:
     """Enclosures of log2 of both Robbins sides.
 
-    lower = log2(sqrt(2 pi) n^(n+1/2) e^-n); upper = lower + log2(e)/(12 n).
+    lower = log2(sqrt(2 pi) n^(n+1/2) e^-n), the Stirling base; upper =
+    lower + log2(e)/(12 n).
     """
     require_positive("n", n)
-    plan = attempt_plan(p, (n - 1).bit_length(), n.bit_length())
-    lower = _stirling_base(n, plan.log_n, plan.robbins_half, plan.robbins_log2_e)
-    upper = lower + log2_e_interval(plan.q_d).div_by_posint(12 * n, plan.q_d)
-    return lower, upper
+    part = attempt_plan(p, (n - 1).bit_length(), n.bit_length()).part
+    lower = _stirling_base(n, p)
+    return lower, lower + log2_e_interval(part).div_by_posint(12 * n, part)
 
 
 def _ramanujan_correction(n: int, a: int, c: int, q: int) -> tuple[int, int, int]:
@@ -265,10 +271,11 @@ def ramanujan_bounds_log2(
 
     The sixth-root argument 8n^3 + 4n^2 + n + 1/30 is 8n^3 (1 + y) with the
     exact rational y = (120n^2 + 30n + 1) / (240n^3), so its log2 is
-    3 + 3 log2 n + log2(1 + y); log2 n is the row's one enclosure, at the
-    ``log_n`` of ``attempt_plan(p, ...)``.  A correction rises with its
-    shift, so the upper side takes the lower end of its correction at b's
-    lower endpoint and the upper end at b's upper one.  The lower side meets
+    3 + 3 log2 n + log2(1 + y), and a side is the Stirling base plus
+    log2(1 + y) / 6 and its correction, each log2(1 + y) at the ``part`` of
+    ``attempt_plan(p, ...)``.  A correction rises with its shift, so the
+    upper side takes the lower end of its correction at b's lower endpoint
+    and the upper end at b's upper one.  The lower side meets
     the 2^-p width contract outright; the upper side additionally inherits
     the width of the b enclosure itself (irreducible for the 11-digit
     printed decimal at small n, vanishing with the closed form, and decaying
@@ -276,18 +283,16 @@ def ramanujan_bounds_log2(
     """
     require_positive("n", n)
     b_lo, b_hi = _b_ends(b_source, p)
-    plan = attempt_plan(p, (n - 1).bit_length(), n.bit_length())
-    q_poly, q_corr = plan.q_poly, plan.q_corr
+    part = attempt_plan(p, (n - 1).bit_length(), n.bit_length()).part
 
-    poly = _raw_to_interval(*_log2_1p_raw(120 * n * n + 30 * n + 1, 240 * n**3, q_poly))
+    poly = _raw_to_interval(*_log2_1p_raw(120 * n * n + 30 * n + 1, 240 * n**3, part))
     # log2 sqrt(pi) + 3/6 and n log2 n + (3/6) log2 n: the 3 + 3 log2 n of the
-    # sixth root, folded into the Robbins-shaped parts
-    base = _stirling_base(n, plan.log_n, plan.ramanujan_half, plan.ramanujan_log2_e)
-    base += poly.div_by_posint(6, q_poly)
+    # sixth root, folded into the Stirling base
+    base = _stirling_base(n, p) + poly.div_by_posint(6, part)
 
-    lower_corr = _ramanujan_correction(n, *A_CONST, q_corr)
-    upper_lo, _, s = _ramanujan_correction(n, *b_lo, q_corr)
-    _, upper_hi, _ = _ramanujan_correction(n, *b_hi, q_corr)
+    lower_corr = _ramanujan_correction(n, *A_CONST, part)
+    upper_lo, _, s = _ramanujan_correction(n, *b_lo, part)
+    _, upper_hi, _ = _ramanujan_correction(n, *b_hi, part)
     return base + _raw_to_interval(*lower_corr), base + _raw_to_interval(upper_lo, upper_hi, s)
 
 
@@ -327,7 +332,8 @@ def compare_bounds(
     2^-(q+4), at the precisions of its cached ``attempt_plan(r, ...)``.  It
     takes log2 n once, at the plan's ``log_n``, for all its n-scaled parts:
     that is the finest precision of the attempt, which ``sweep-bounds``
-    validates a range by and ``last_attempt`` stops at.
+    validates a range by and ``last_attempt`` stops at.  Its four Robbins
+    and Ramanujan sides add their corrections to one Stirling base.
     An attempt that will escalate stops at its first Inconclusive verdict: it
     compares log2 n! with the Ramanujan sides first, then Robbins.  Only the
     settled precision takes n log2 n for the counting bound.  G(n) is

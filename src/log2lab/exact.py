@@ -255,21 +255,18 @@ def stirling_plan(p: int, ceil_log2_n: int, ceil_log2_n1: int) -> tuple[int, int
     return part, part + ceil_log2_n1, part + ceil_log2_n, p + 5 + p.bit_length() + 2
 
 
-class AttemptPlan(
-    namedtuple(
-        "AttemptPlan",
-        "fact log_n robbins_half robbins_log2_e q_d ramanujan_half ramanujan_log2_e q_poly q_corr",
-    )
-):
+class AttemptPlan(namedtuple("AttemptPlan", "fact part log_n log2_e")):
     """The precisions a compared row's parts take at one precision r.
 
-    ``fact`` is the precision of log2 n! (and of G(n) in ``error_term_e2``),
-    and ``log_n`` that of the row's one log2 n, the ``log_n`` of the
-    Stirling-series log2 n! at ``fact``: the other n-scaled parts need less
-    and take the same enclosure.  Each side's Stirling base takes
-    log2(2 pi) / 2 at ``*_half`` and log2 e, scaled by n, at ``*_log2_e``;
-    Robbins' log2(e) / (12 n) is taken at ``q_d``, and Ramanujan's
-    log2(1 + y) terms at ``q_poly`` and ``q_corr``.
+    ``fact`` is the precision of log2 n! (and of G(n) in ``error_term_e2``);
+    ``part``, ``log_n`` and ``log2_e`` are the ``stirling_plan`` of a
+    Stirling-series log2 n! at ``fact``.  The attempt takes log2 n at
+    ``log_n`` once, for every n-scaled part; the Stirling base that the
+    Robbins and Ramanujan sides share takes log2 e, scaled by n, at
+    ``log2_e`` and log2(2 pi) / 2 at ``fact + 1``, and every correction a
+    side adds to it is taken at ``part``.  log2(2 pi) / 2 is not taken at
+    ``part``: its log2 pi is taken 3 bits finer than asked, and at n <= 3,
+    ``part + 3`` passes ``log_n``, the finest precision a row may ask for.
     """
 
     __slots__ = ()
@@ -279,22 +276,10 @@ class AttemptPlan(
 def attempt_plan(r: int, ceil_log2_n: int, ceil_log2_n1: int) -> AttemptPlan:
     """The plan of a compared row's parts enclosed at precision r (an
     attempt at q takes r = q + _VERDICT_BITS), for every n with the bit
-    lengths of ``stirling_plan``.  Robbins' parts take a quarter of the
-    budget each and Ramanujan's a fifth; a part scaled by n takes
-    ceil(log2 n) more bits."""
+    lengths of ``stirling_plan``: log2 n!, n log2 n and, in ``error-term``,
+    G(n) take a third of the budget each."""
     fact = _part_precision(r, _ROW_PARTS)
-    robbins, ramanujan = _part_precision(r, 4), _part_precision(r, 5)
-    return AttemptPlan(
-        fact=fact,
-        log_n=stirling_plan(fact, ceil_log2_n, ceil_log2_n1)[1],
-        robbins_half=robbins,
-        robbins_log2_e=robbins + ceil_log2_n,
-        q_d=robbins + 2,
-        ramanujan_half=ramanujan,
-        ramanujan_log2_e=ramanujan + ceil_log2_n,
-        q_poly=ramanujan + 2,
-        q_corr=ramanujan,
-    )
+    return AttemptPlan(fact, *stirling_plan(fact, ceil_log2_n, ceil_log2_n1)[:3])
 
 
 def last_attempt(n: int, p: int, max_escalations: int) -> int:

@@ -148,9 +148,13 @@ def test_criterion_5_verdict_columns_pinned(full_sweep):
 # SHA-256 of the whole CSV of criterion 5's sweep (the same bytes as the stdout
 # of `log2lab sweep-bounds --range 1..5000 --bits 64`) and of its report (the
 # command's stderr, whose findings render the Violated certificates in the
-# worker that computed the row): every emitted byte is pinned
-FULL_SWEEP_SHA256 = "596b2d67565ce33300e484e2ff62aa8b85f15a6ddc07ec4678365465917d8259"
-FULL_SWEEP_REPORT_SHA256 = "8f998b635cbe302afea99df6706039428c689ed402cd45706ab0e0be2b4b1791"
+# worker that computed the row): every emitted byte is pinned.  Both were
+# re-taken when the Robbins and Ramanujan sides came to share one Stirling
+# base per attempt: 184 side intervals narrowed inside the old ones, n = 4939
+# settles at p = 64 instead of escalating to p = 128, and 35 Violated
+# certificates and the escalation count on stderr changed with them
+FULL_SWEEP_SHA256 = "65f1a873ad1dec5bfe866b73c9edbc27f337a96ca06e629eb4bd20078f803586"
+FULL_SWEEP_REPORT_SHA256 = "ea130f1e696f2da75bdbe0e193165714430b7cdc8648bd3b727aa97cab608a46"
 
 
 def test_criterion_5_every_byte_pinned(full_sweep):

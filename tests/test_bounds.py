@@ -691,6 +691,40 @@ class TestOneLogPerAttempt:
         assert asked and set(asked) == {(3004, q)}
 
 
+class TestOneBasePerAttempt:
+    """Both Robbins sides and both Ramanujan sides add their corrections to
+    one Stirling base per attempt, so an attempt forms the Stirling head
+    once for the sides and once more for log2 n! where that is the Stirling
+    series (n >= 2 fact)."""
+
+    @pytest.mark.parametrize(
+        "n,p,max_escalations",
+        # Stirling log2 n!; log2 n! from n!; escalating Stirling rows; a row
+        # whose escalations cross the Stirling switch
+        [(3004, 64, 0), (100, 64, 0), (1, 64, 0), (10**5 + 1, 64, 4), (3001, 4, 6), (100, 4, 4)],
+    )
+    def test_stirling_heads_per_attempt(self, monkeypatch, n, p, max_escalations):
+        heads = []
+        real = enclosures_mod._stirling_head
+
+        def counted(m, log_n, half):
+            heads.append(m)
+            return real(m, log_n, half)
+
+        monkeypatch.setattr(enclosures_mod, "_stirling_head", counted)
+        monkeypatch.setattr(bounds_mod, "_stirling_head", counted)
+        bounds_mod._stirling_base.cache_clear()
+        row = compare_bounds(n, p, max_escalations=max_escalations)
+        if max_escalations:
+            assert row.escalations > 0
+        want = 0
+        for attempt in range(row.escalations + 1):
+            r = (p << attempt) + _VERDICT_BITS
+            fact = attempt_plan(r, ceil_log2(n), ceil_log2(n + 1)).fact
+            want += 1 + (n >= 2 * fact)
+        assert heads == [n] * want
+
+
 def near_powers_of_two() -> st.SearchStrategy[int]:
     """2^k - 1, 2^k and 2^k + 1 for 2^k + 1 <= 10^12, where ceil(log2 n) and
     ceil(log2(n + 1)) part."""
@@ -713,15 +747,16 @@ def assert_plan_is_the_per_call_rules(n: int, p: int, max_escalations: int) -> N
         fact = part_precision(r, _ROW_PARTS)
         assert plan == AttemptPlan(
             fact=fact,
+            part=part_precision(fact, _STIRLING_PARTS),
             log_n=log2_n_precision(n, r),
-            robbins_half=part_precision(r, 4),
-            robbins_log2_e=part_precision(r, 4, n),
-            q_d=part_precision(r, 4) + 2,
-            ramanujan_half=part_precision(r, 5),
-            ramanujan_log2_e=part_precision(r, 5, n),
-            q_poly=part_precision(r, 5) + 2,
-            q_corr=part_precision(r, 5),
+            log2_e=part_precision(fact, _STIRLING_PARTS, n),
         ), (n, p, attempt)
+        # no side term is coarser than under the per-side budgets it
+        # replaced, a quarter of 2^-r per Robbins part and a fifth per
+        # Ramanujan part, with log2(1 + y) and log2(e) / (12 n) two bits finer
+        assert plan.fact + 1 >= part_precision(r, 5)
+        assert plan.log2_e >= part_precision(r, 5, n)
+        assert plan.part >= part_precision(r, 5) + 2
         assert plan.log_n == sweep_row_precision(n, q) == finest_precision(n, q)
         # the Stirling-series log2 n! the attempt takes at plan.fact, whose
         # log_n the attempt's plan reads
@@ -779,6 +814,54 @@ class TestAttemptPlan:
                         got = last_attempt(n, p, max_escalations)
                         want = last_attempt_by_doubling(n, p, max_escalations, ceiling)
                         assert got == want, (n, p, max_escalations, ceiling)
+
+
+def sides_by_mpmath(n: int, b: mp.mpf) -> tuple[mp.mpf, mp.mpf, mp.mpf, mp.mpf]:
+    """log2 of the Robbins lower and upper sides and the Ramanujan lower and
+    upper sides at n, the upper one with shift b, straight from their
+    definitions."""
+    log2 = mp.log(2)
+    robbins_lo = mp.log(mp.sqrt(2 * mp.pi) * n ** (n + mp.mpf(1) / 2) * mp.exp(-n)) / log2
+    robbins_hi = robbins_lo + 1 / (12 * n * log2)
+    head = mp.log(mp.sqrt(mp.pi) * (n / mp.e) ** n) / log2
+    poly = mp.log(8 * mp.mpf(n) ** 3 + 4 * n**2 + n + mp.mpf(1) / 30) / (6 * log2)
+
+    def corr(s):
+        return mp.log(1 - mp.mpf(11) / (11520 * (n + s) ** 4)) / log2
+
+    return robbins_lo, robbins_hi, head + poly + corr(mp.mpf(39) / 54), head + poly + corr(b)
+
+
+class TestSideEnclosures:
+    """Each of the four Robbins and Ramanujan sides nests when the precision
+    doubles, is within 2^-p with the closed-form b, and contains its value
+    from mpmath."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.one_of(near_powers_of_two(), st.integers(1, 10**4), st.integers(1, 10**12)),
+        st.sampled_from([4, 64, 128]),
+        st.sampled_from(["printed", "closed-form"]),
+    )
+    def test_nest_width_and_containment(self, n, p, b_source):
+        sides = [*robbins_bounds_log2(n, p), *ramanujan_bounds_log2(n, p, b_source)]
+        finer = [*robbins_bounds_log2(n, 2 * p), *ramanujan_bounds_log2(n, 2 * p, b_source)]
+        for name, iv, fine in zip(BOUND_NAMES[1:], sides, finer):
+            assert iv.contains_interval(fine), (name, n, p)
+            if b_source == "closed-form":
+                assert iv.width_within(p), (name, n, p)
+        if n > 10**4:
+            return
+        with mp.workprec(600):
+            if b_source == "closed-form":
+                ratio = 30 * mp.e**6 / (391 * mp.pi**3)
+                bs = [(mp.mpf(11) / (11520 * (1 - mp.root(ratio, 6)))) ** (mp.mpf(1) / 4) - 1]
+            else:  # both ends of the printed decimal's interval for b
+                bs = [mp.mpf(35499112666) / 10**11, mp.mpf(35499112667) / 10**11]
+            for b in bs:
+                values = sides_by_mpmath(n, b)
+                for name, iv, value in zip(BOUND_NAMES[1:], sides, values):
+                    assert interval_contains(iv, value), (name, n, p, b_source)
 
 
 class TestEscalationCeiling:

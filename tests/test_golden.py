@@ -15,6 +15,14 @@ count and the Violated certificates on stderr changed too; no verdict did.
 The two sweep-bounds JSON stdout hashes were re-taken a fourth time when
 every log2 came from the atanh series instead of bit extraction: only the
 summary's unrounded ``max_e2`` / ``max_c_log2`` changed there.
+The three sweep-bounds stdout hashes were re-taken a fifth time when the
+Robbins and Ramanujan sides came to share one Stirling base per attempt,
+each of their parts taken no coarser than before.  Only the Robbins and
+Ramanujan columns could change then, with the Violated certificates on
+stderr and the settled precision of a row that stops escalating.  One
+interval of each window narrowed, inside the old one (``ramanujan_hi`` at
+n = 2996 in 2990..3010, ``robbins_hi`` at n = 5 in 1..24); no certificate
+or precision changed in these windows, so their stderr hashes stand.
 Every error-term and verify-theorem hash was left as it was.  The
 ``sweep-2048-json`` case (the Stirling series near 2^-2070, whose coefficients
 grow there, and Machin's pi and e near 2088 bits through the closed-form b
@@ -42,17 +50,17 @@ SRC = Path(log2lab.__file__).resolve().parents[1]
 GOLDEN = {
     "sweep-csv": (
         ["sweep-bounds", "--range", "2990..3010", "--bits", "64"],
-        "3b3a938010ae054cf2caf36af5e0273d71041114aa75aa154f6af85bda0a294e",
+        "7c5c4b6439774ccbdf7ecffd0021af3aee3d8d1cccfadd0b8ac4e11e049882c7",
         "80de4b8236271a2f7ce64dcbae510b56b26e4ebc28a1fb1f28732b2be2c034b9",
     ),
     "sweep-json": (
         ["sweep-bounds", "--range", "2990..3010", "--bits", "64", "--format", "json"],
-        "35e747751936afa78fd80e8d30755833017b433110f519b3d8ffaca94449aed9",
+        "e3236942f479f17c66f3ebc019dd5c9f59b7ee1dd217ac4de9beda177aaa8294",
         "80de4b8236271a2f7ce64dcbae510b56b26e4ebc28a1fb1f28732b2be2c034b9",
     ),
     "sweep-linear-json": (
         ["sweep-bounds", "--range", "1..24", "--linear", "--format", "json"],
-        "ddcd1a99db2be703797eaa7408b418b9e70775b40c28b2647e1f0662afef598a",
+        "2c567dff1befaed28097971d3e7d2ae3b26b601a8c7fc31ffa2aee5767de355a",
         "e211ff79d46e4e68aa4378c84dd6b87e719fc6fe204025e9262b12e3f1cf6bf9",
     ),
     "sweep-2048-json": (

@@ -46,6 +46,7 @@ from log2lab.sweep import (
     EXIT_USAGE,
     EXIT_VIOLATION,
     SweepConfig,
+    VERIFY_CSV_COLUMNS,
     UsageError,
     run_bounds_sweep,
     run_error_term,
@@ -112,6 +113,38 @@ def assert_group_gone(pgid: int) -> None:
     which leads its own session: it reaped every worker it forked."""
     with pytest.raises(ProcessLookupError):
         os.killpg(pgid, 0)
+
+
+# a covering set of how a run is stopped: every pair of signal, command,
+# format and worker count occurs; the SIGTERM and SIGHUP runs of a JSON
+# sweep-bounds keep their ids
+SIGNAL_CASES = [
+    pytest.param(name, "sweep-bounds", "json", workers, id=f"{name}-{workers}")
+    for name in ("SIGHUP", "SIGTERM")
+    for workers in (1, 2)
+] + [
+    pytest.param(name, command, fmt, workers, id=f"{name}-{command}-{fmt}-{workers}")
+    for name, command, fmt, workers in [
+        ("SIGINT", "sweep-bounds", "csv", 1),
+        ("SIGINT", "error-term", "json", 2),
+        ("SIGINT", "verify-theorem", "csv", 2),
+        ("SIGTERM", "error-term", "csv", 1),
+        ("SIGTERM", "verify-theorem", "json", 1),
+        ("SIGHUP", "error-term", "csv", 2),
+        ("SIGHUP", "verify-theorem", "json", 1),
+    ]
+]
+# ranges that run for minutes, within each command's checks
+SIGNAL_RANGES = {
+    "sweep-bounds": "100000..400000",
+    "error-term": "1..1000000",
+    "verify-theorem": "1..2000000001",
+}
+SIGNAL_COLUMNS = {
+    "sweep-bounds": BOUNDS_CSV_COLUMNS,
+    "error-term": ERROR_TERM_CSV_COLUMNS,
+    "verify-theorem": VERIFY_CSV_COLUMNS,
+}
 
 
 # how a command is launched: as ``python -m log2lab.cli`` (through cli.run,
@@ -1065,19 +1098,21 @@ class TestCliContract:
         assert [row["n"] for row in payload[:-1]] == [str(n) for n in range(1, 16)]
         assert summary["checked"] == 15 and summary["truncated"] is True
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("name", ["SIGTERM", "SIGHUP"])
-    def test_termination_signal_ends_the_run_as_an_interrupt(self, tmp_path, name, workers):
-        """``timeout -s TERM``, a closed terminal: the run stops as on SIGINT,
-        with the interrupted line, exit 2 and a JSON file that loads.  Every
-        process holding the write end of a pipe passed to the command, its
-        forked worker included, has exited once it has."""
+    @pytest.mark.parametrize("name, command, fmt, workers", SIGNAL_CASES)
+    def test_termination_signal_ends_the_run_as_an_interrupt(
+        self, tmp_path, name, command, fmt, workers
+    ):
+        """``timeout -s TERM``, a closed terminal, Ctrl-C: the run stops with
+        the interrupted line, exit 2 and a file that parses (a JSON array
+        with its summary, or a CSV header and whole rows).  Every process
+        holding the write end of a pipe passed to the command, its forked
+        worker included, has exited once it has."""
         signum = getattr(signal, name, None)
         if signum is None:
             pytest.skip(f"no {name} here")
-        out = tmp_path / "rows.json"
+        out = tmp_path / f"rows.{fmt}"
         argv = [
-            "sweep-bounds", "--range", "100000..400000", "--format", "json",
+            command, "--range", SIGNAL_RANGES[command], "--format", fmt,
             "--workers", str(workers), "--out", str(out),
         ]
         launcher = ["-c", "import os; os.sched_getaffinity = lambda pid: {0, 1}; "
@@ -1092,11 +1127,16 @@ class TestCliContract:
             os.close(w)
         try:
             # rows past the first 64-row block, which a 2-worker run writes
-            # before its child is forked
+            # before its child is forked; verify-theorem writes a row only
+            # for a failure, so it is given time past its first block once
+            # its output is open
             deadline = time.monotonic() + 60
-            while not out.exists() or out.read_bytes().count(b"\n") < 100:
+            lines = 0 if command == "verify-theorem" else 100
+            while not out.exists() or out.read_bytes().count(b"\n") < lines:
                 assert proc.poll() is None and time.monotonic() < deadline
                 time.sleep(0.01)
+            if not lines:
+                time.sleep(0.3)
             proc.send_signal(signum)
             _, err = proc.communicate(timeout=60)
             assert select.select([r], [], [], 10)[0] and os.read(r, 1) == b""
@@ -1108,10 +1148,21 @@ class TestCliContract:
         assert proc.returncode == EXIT_INCONCLUSIVE, err
         assert err.decode().endswith("interrupted: output file is truncated but valid\n")
         assert_group_gone(proc.pid)
-        payload = json.loads(out.read_text())
-        summary = payload[-1]["summary"]
-        assert summary["truncated"] is True
-        assert summary["checked"] == len(payload) - 1 >= 99
+        text = out.read_text()
+        if fmt == "json":
+            *rows, last = json.loads(text)
+            summary = last["summary"]
+            assert summary["truncated"] is True
+            if command == "verify-theorem":
+                assert summary["failures"] == len(rows) == 0 < summary["checked"]
+            else:
+                assert summary["checked"] == len(rows) >= 99
+        else:
+            header, *rows = text.split("\n")
+            assert header.split(",") == SIGNAL_COLUMNS[command]
+            assert rows.pop() == ""  # the file ends with a whole line
+            assert all(len(row.split(",")) == len(SIGNAL_COLUMNS[command]) for row in rows)
+            assert len(rows) >= (0 if command == "verify-theorem" else 99)
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
     @pytest.mark.parametrize(
