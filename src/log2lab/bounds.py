@@ -33,7 +33,7 @@ the ``log_n`` of the attempt's ``exact.attempt_plan``, so that one log core
 call, kept by ``log2_int_enclosure``, serves the attempt.  The four
 Robbins and Ramanujan sides of an attempt share one Stirling base,
 (n + 1/2) log2 n - n log2 e + log2(2 pi) / 2, and each adds its
-corrections to it, all at the plan's ``part``.  Those logs are near 1 and
+corrections to it, all at ``log_n``.  Those logs are near 1 and
 come from the bracket behind ``log2_1p``, the log series without the
 reduction to [1, 2): log2(8n^3 + 4n^2 + n + 1/30) = 3 + 3 log2 n +
 log2(1 + y) with y about 1/(2n), and each Ramanujan correction
@@ -217,12 +217,12 @@ def error_term_e2(n: int, p: int) -> DyadicInterval:
     factorization of n!, with v_2(n!) counted, not taken as n - s2(n), so
     this enclosure checks log2 n! against that factorization and the count
     against n - s2(n): log2 n!, n log2 n and G(n) are each enclosed at a
-    third of the 2^-p budget, the ``fact`` of ``attempt_plan(p, ...)``.
+    third of the 2^-p budget, the ``fact`` of ``attempt_plan(p, bits)``.
     n log2 n takes log2 n at its ``log_n``, the enclosure the Stirling
     log2 n! takes, so a row makes one log2 n.
     """
     require_positive("n", n)
-    plan = attempt_plan(p, (n - 1).bit_length(), n.bit_length())
+    plan = attempt_plan(p, n.bit_length())
     fact = log2_factorial_enclosure(n, plan.fact)
     x = log2_int_enclosure(n, plan.log_n).scale_int(n)
     return fact - (x.add_int(-(n - 1)) - G_enclosure(n, plan.fact))
@@ -236,12 +236,12 @@ def error_term_e2(n: int, p: int) -> DyadicInterval:
 @lru_cache(maxsize=1)
 def _stirling_base(n: int, p: int) -> DyadicInterval:
     """(n + 1/2) log2 n - n log2 e + log2(2 pi) / 2 at the precisions of
-    ``attempt_plan(p, ...)``, to which both Robbins sides and both Ramanujan
+    ``attempt_plan(p, bits)``, to which both Robbins sides and both Ramanujan
     sides add their corrections.  The last base is kept, so the sides of an
     attempt share one."""
-    plan = attempt_plan(p, (n - 1).bit_length(), n.bit_length())
+    plan = attempt_plan(p, n.bit_length())
     head = _stirling_head(n, log2_int_enclosure(n, plan.log_n), plan.fact + 1)
-    return head - log2_e_interval(plan.log2_e).scale_int(n)
+    return head - log2_e_interval(plan.log_n).scale_int(n)
 
 
 def robbins_bounds_log2(n: int, p: int) -> tuple[DyadicInterval, DyadicInterval]:
@@ -251,9 +251,9 @@ def robbins_bounds_log2(n: int, p: int) -> tuple[DyadicInterval, DyadicInterval]
     lower + log2(e)/(12 n).
     """
     require_positive("n", n)
-    part = attempt_plan(p, (n - 1).bit_length(), n.bit_length()).part
+    q = attempt_plan(p, n.bit_length()).log_n
     lower = _stirling_base(n, p)
-    return lower, lower + log2_e_interval(part).div_by_posint(12 * n, part)
+    return lower, lower + log2_e_interval(q).div_by_posint(12 * n, q)
 
 
 def _ramanujan_correction(n: int, a: int, c: int, q: int) -> tuple[int, int, int]:
@@ -272,8 +272,8 @@ def ramanujan_bounds_log2(
     The sixth-root argument 8n^3 + 4n^2 + n + 1/30 is 8n^3 (1 + y) with the
     exact rational y = (120n^2 + 30n + 1) / (240n^3), so its log2 is
     3 + 3 log2 n + log2(1 + y), and a side is the Stirling base plus
-    log2(1 + y) / 6 and its correction, each log2(1 + y) at the ``part`` of
-    ``attempt_plan(p, ...)``.  A correction rises with its shift, so the
+    log2(1 + y) / 6 and its correction, each log2(1 + y) at the ``log_n`` of
+    ``attempt_plan(p, bits)``.  A correction rises with its shift, so the
     upper side takes the lower end of its correction at b's lower endpoint
     and the upper end at b's upper one.  The lower side meets
     the 2^-p width contract outright; the upper side additionally inherits
@@ -283,16 +283,16 @@ def ramanujan_bounds_log2(
     """
     require_positive("n", n)
     b_lo, b_hi = _b_ends(b_source, p)
-    part = attempt_plan(p, (n - 1).bit_length(), n.bit_length()).part
+    q = attempt_plan(p, n.bit_length()).log_n
 
-    poly = _raw_to_interval(*_log2_1p_raw(120 * n * n + 30 * n + 1, 240 * n**3, part))
+    poly = _raw_to_interval(*_log2_1p_raw(120 * n * n + 30 * n + 1, 240 * n**3, q))
     # log2 sqrt(pi) + 3/6 and n log2 n + (3/6) log2 n: the 3 + 3 log2 n of the
     # sixth root, folded into the Stirling base
-    base = _stirling_base(n, p) + poly.div_by_posint(6, part)
+    base = _stirling_base(n, p) + poly.div_by_posint(6, q)
 
-    lower_corr = _ramanujan_correction(n, *A_CONST, part)
-    upper_lo, _, s = _ramanujan_correction(n, *b_lo, part)
-    _, upper_hi, _ = _ramanujan_correction(n, *b_hi, part)
+    lower_corr = _ramanujan_correction(n, *A_CONST, q)
+    upper_lo, _, s = _ramanujan_correction(n, *b_lo, q)
+    _, upper_hi, _ = _ramanujan_correction(n, *b_hi, q)
     return base + _raw_to_interval(*lower_corr), base + _raw_to_interval(upper_lo, upper_hi, s)
 
 
@@ -329,11 +329,12 @@ def compare_bounds(
 
     An attempt at precision q encloses every part at r = q + 4
     (``_VERDICT_BITS``), so a verdict separates margins down to about
-    2^-(q+4), at the precisions of its cached ``attempt_plan(r, ...)``.  It
-    takes log2 n once, at the plan's ``log_n``, for all its n-scaled parts:
-    that is the finest precision of the attempt, which ``sweep-bounds``
-    validates a range by and ``last_attempt`` stops at.  Its four Robbins
-    and Ramanujan sides add their corrections to one Stirling base.
+    2^-(q+4), at the precisions of its cached ``attempt_plan(r, bits)``.  It
+    takes log2 n once, at the plan's ``log_n``, for all its n-scaled parts,
+    and its four Robbins and Ramanujan sides add their corrections to one
+    Stirling base at ``log_n`` too: that is the finest precision of the
+    attempt, which ``sweep-bounds`` validates a range by and
+    ``last_attempt`` stops at.
     An attempt that will escalate stops at its first Inconclusive verdict: it
     compares log2 n! with the Ramanujan sides first, then Robbins.  Only the
     settled precision takes n log2 n for the counting bound.  G(n) is
@@ -352,7 +353,7 @@ def compare_bounds(
     for attempt in range(last + 1):
         q = p << attempt
         r = q + _VERDICT_BITS
-        plan = attempt_plan(r, (n - 1).bit_length(), n.bit_length())
+        plan = attempt_plan(r, n.bit_length())
         fact = log2_factorial_enclosure(n, plan.fact)
         ram_lo, ram_hi = ramanujan_bounds_log2(n, r, b_source)
         ramanujan = _status(ram_lo, fact), _status(fact, ram_hi)

@@ -488,7 +488,8 @@ def log2_factorial_enclosure(n: int, p: int) -> DyadicInterval:
 
         (n + 1/2) log2 n - n log2 e + log2(2 pi) / 2 + log2 e * (series),
 
-    four parts held to 2^-(p+3) each.  The sum is rounded outward onto the
+    four parts held to 2^-(p+3) each, with log2 n and log2 e at the
+    ``log_n`` of ``stirling_plan``.  The sum is rounded outward onto the
     2^-(p+4) grid and padded by two ulps there, so it nests like a core
     bracket.  The series keeps one ulp per term of 2^-(p + 5 + bit_length(p)
     + 2): it keeps at most about w/2 terms, which stay within 2^-(p+5).
@@ -497,12 +498,12 @@ def log2_factorial_enclosure(n: int, p: int) -> DyadicInterval:
     _check_precision(p)
     if n < _stirling_switch(p):
         return log2_factorial_by_factorial(n, p)
-    part, log_n, log2_e, w = stirling_plan(p, (n - 1).bit_length(), n.bit_length())
+    part, log_n, w = stirling_plan(p, n.bit_length())
     series = _raw_to_interval(*_stirling_series(n, w), w)
     s = p + _BRACKET_BITS
     lo, hi = (
         _stirling_head(n, log2_int_enclosure(n, log_n), part)
-        + log2_e_interval(log2_e) * series.add_int(-n)
+        + log2_e_interval(log_n) * series.add_int(-n)
     ).outward_mantissas(s)
     return _raw_to_interval(lo - _PAD_ULPS, hi + _PAD_ULPS, s)
 

@@ -240,46 +240,42 @@ def oracle_work(n_hi: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def stirling_plan(p: int, ceil_log2_n: int, ceil_log2_n1: int) -> tuple[int, int, int, int]:
-    """(part, log_n, log2_e, w): the precisions a Stirling-series log2 n! at
-    precision p takes, for every n with ceil(log2 n) = ``ceil_log2_n`` and
-    ceil(log2(n + 1)) = ``ceil_log2_n1``, that is (n - 1).bit_length() and
-    n.bit_length().
+def stirling_plan(p: int, bits: int) -> tuple[int, int, int]:
+    """(part, log_n, w): the precisions a Stirling-series log2 n! at
+    precision p takes, for every n of bit length ``bits``.
 
     Each of the four parts is held to ``part``, the precision of
-    log2(2 pi) / 2; log2 n, scaled by n + 1/2, takes ceil(log2(n + 1)) more
-    bits, and log2 e, scaled by n, ceil(log2 n) more.  The series keeps one
-    ulp per term of 2^-w.
+    log2(2 pi) / 2; log2 n, scaled by n + 1/2, and log2 e, scaled by n,
+    take ``bits`` more, as both scales are below 2^bits.  The series keeps
+    one ulp per term of 2^-w.
     """
     part = _part_precision(p, _STIRLING_PARTS)
-    return part, part + ceil_log2_n1, part + ceil_log2_n, p + 5 + p.bit_length() + 2
+    return part, part + bits, p + 5 + p.bit_length() + 2
 
 
-class AttemptPlan(namedtuple("AttemptPlan", "fact part log_n log2_e")):
+class AttemptPlan(namedtuple("AttemptPlan", "fact log_n")):
     """The precisions a compared row's parts take at one precision r.
 
-    ``fact`` is the precision of log2 n! (and of G(n) in ``error_term_e2``);
-    ``part``, ``log_n`` and ``log2_e`` are the ``stirling_plan`` of a
-    Stirling-series log2 n! at ``fact``.  The attempt takes log2 n at
-    ``log_n`` once, for every n-scaled part; the Stirling base that the
-    Robbins and Ramanujan sides share takes log2 e, scaled by n, at
-    ``log2_e`` and log2(2 pi) / 2 at ``fact + 1``, and every correction a
-    side adds to it is taken at ``part``.  log2(2 pi) / 2 is not taken at
-    ``part``: its log2 pi is taken 3 bits finer than asked, and at n <= 3,
-    ``part + 3`` passes ``log_n``, the finest precision a row may ask for.
+    ``fact`` is the precision of log2 n! (and of G(n) in ``error_term_e2``),
+    and ``log_n`` that of the ``stirling_plan`` of log2 n! at ``fact``: the
+    finest precision a row may ask for.  The Robbins and Ramanujan sides
+    take every part at ``log_n`` (log2 n once, for every n-scaled part, and
+    log2 e, log2(1 + y) and the corrections) but log2(2 pi) / 2, at
+    ``fact + 1``: its log2 pi is taken 3 bits finer than asked, so at
+    ``log_n`` it would pass ``log_n``.
     """
 
     __slots__ = ()
 
 
 @lru_cache(maxsize=64)
-def attempt_plan(r: int, ceil_log2_n: int, ceil_log2_n1: int) -> AttemptPlan:
+def attempt_plan(r: int, bits: int) -> AttemptPlan:
     """The plan of a compared row's parts enclosed at precision r (an
-    attempt at q takes r = q + _VERDICT_BITS), for every n with the bit
-    lengths of ``stirling_plan``: log2 n!, n log2 n and, in ``error-term``,
-    G(n) take a third of the budget each."""
+    attempt at q takes r = q + _VERDICT_BITS), for every n of bit length
+    ``bits``: log2 n!, n log2 n and, in ``error-term``, G(n) take a third of
+    the budget each."""
     fact = _part_precision(r, _ROW_PARTS)
-    return AttemptPlan(fact, *stirling_plan(fact, ceil_log2_n, ceil_log2_n1)[:3])
+    return AttemptPlan(fact, stirling_plan(fact, bits)[1])
 
 
 def last_attempt(n: int, p: int, max_escalations: int) -> int:
@@ -294,9 +290,8 @@ def last_attempt(n: int, p: int, max_escalations: int) -> int:
 
 @lru_cache(maxsize=64)
 def _last_attempt(p: int, max_escalations: int, bits: int, ceiling: int) -> int:
-    # p << k passes the ceiling for every k >= its bit length; log_n reads
-    # only n.bit_length(), so the plan of any n of that bit length serves
+    # p << k passes the ceiling for every k >= its bit length
     last = min(max(max_escalations, 0), ceiling.bit_length())
-    while last and attempt_plan((p << last) + _VERDICT_BITS, bits, bits).log_n > ceiling:
+    while last and attempt_plan((p << last) + _VERDICT_BITS, bits).log_n > ceiling:
         last -= 1
     return last

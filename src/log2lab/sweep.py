@@ -187,6 +187,10 @@ BOUNDS_CSV_COLUMNS = [
     "equality_flag",
 ]
 
+# the indices of the e2_lo and s2 columns, which the fold reads
+_E2 = BOUNDS_CSV_COLUMNS.index("e2_lo")
+_S2 = BOUNDS_CSV_COLUMNS.index("s2")
+
 ERROR_TERM_CSV_COLUMNS = [
     "n",
     "precision_bits",
@@ -223,7 +227,7 @@ def _combine(a: VerdictStatus, b: VerdictStatus) -> str:
 
 def _bounds_payload(config: SweepConfig, n: int) -> tuple:
     """The compared row of n as ``sweep-bounds`` emits and counts it, pure in
-    (config, n) so that workers agree: (columns, statuses, escalations, e2,
+    (config, n) so that workers agree: (columns, statuses, escalations,
     findings).
 
     ``columns`` are the row's column strings in ``BOUNDS_CSV_COLUMNS`` order,
@@ -263,7 +267,7 @@ def _bounds_payload(config: SweepConfig, n: int) -> tuple:
         if status is VerdictStatus.VIOLATED
     ])
     statuses = tuple([v.status._value_ for v in verdicts])
-    return columns, statuses, row.escalations, row.e2, findings
+    return columns, statuses, row.escalations, findings
 
 
 def _error_term_payload(config: SweepConfig, n: int) -> tuple[list[str], int, bool]:
@@ -481,7 +485,7 @@ def _run(
 
 
 class _BoundsFold:
-    """Verdict counts, equality rows, the e2 argmax and the findings.
+    """Verdict counts, equality rows, the max-e2 row and the findings.
 
     A row's findings come in its payload, already rendered.  Each finding
     has one encoder, ``_findings``, which builds its json text by hand: the
@@ -500,17 +504,17 @@ class _BoundsFold:
         self.findings: list[tuple] = []
         self.linear_lines: list[str] = []
         self.escalated_rows = 0
-        # argmax of e2: a strictly larger lower endpoint wins, ties keep the
-        # smallest n; log2 C(n) is e2(n) bit for bit, so it shares the argmax
-        self.max_n: str | None = None
-        self.max_lo = self.max_e2 = None
+        # the first n with the largest e2(n) = s2(n) - 1, and its e2 columns;
+        # log2 C(n) is e2(n) bit for bit, so it shares the row
+        self.max_s2 = 0
+        self.max_row: dict | None = None
         agreement = ramanujan_b_agreement(config.precision_bits)
         self.b_disagreement = None
         if not agreement.agree:
             self.b_disagreement = (_decimals(agreement.printed), _decimals(agreement.closed_form))
 
     def add(self, payload: tuple, write: Callable[[list[str]], None]) -> None:
-        columns, statuses, escalations, e2, findings = payload
+        columns, statuses, escalations, findings = payload
         write(columns)
         n = columns[0]
         self.rows_by_statuses[statuses] = self.rows_by_statuses.get(statuses, 0) + 1
@@ -520,9 +524,10 @@ class _BoundsFold:
             self.escalated_rows += 1
         if columns[-1] == "true":
             self.equality_ns.append(int(n))
-        lo = e2.lo
-        if self.max_lo is None or lo > self.max_lo:
-            self.max_n, self.max_lo, self.max_e2 = n, lo, e2
+        s2 = int(columns[_S2])
+        if s2 > self.max_s2:
+            self.max_s2 = s2
+            self.max_row = {"n": int(n), "lo": columns[_E2], "hi": columns[_E2 + 1]}
         if self.config.linear_display and int(n) <= 20:
             self.linear_lines.append(_linear_line(int(n), columns))
 
@@ -532,11 +537,7 @@ class _BoundsFold:
         for statuses, rows in self.rows_by_statuses.items():
             for name, status in zip(BOUND_NAMES, statuses):
                 counts[name][status] += rows
-        max_n = max_row = None
-        if self.max_e2 is not None:
-            max_n = int(self.max_n)
-            lo, hi = _decimals(self.max_e2)
-            max_row = {"n": max_n, "lo": lo, "hi": hi}
+        max_row = self.max_row
         summary = {
             "checked": checked,
             "requested": len(ns),
@@ -556,8 +557,8 @@ class _BoundsFold:
             f"checked={checked} of {len(ns)} rows at p={config.precision_bits} "
             f"(escalated: {self.escalated_rows})",
             f"equality rows (s2=1): {self.equality_ns}",
-            f"max e2 at n={max_n}" if max_row else "max e2: none",
-            f"max c_log2 at n={max_n}" if max_row else "max c_log2: none",
+            f"max e2 at n={max_row['n']}" if max_row else "max e2: none",
+            f"max c_log2 at n={max_row['n']}" if max_row else "max c_log2: none",
         ]
         findings = ("FINDING: " + finding for finding in self._findings())
         lines = itertools.chain(head, self.linear_lines, findings)
@@ -699,8 +700,7 @@ def run_bounds_sweep(
     """Emit one BoundRow per n in ascending order; returns the exit code."""
     config.validate()
     n = config.n_hi  # log_n grows with n
-    plan = attempt_plan(config.precision_bits + _VERDICT_BITS, (n - 1).bit_length(), n.bit_length())
-    _check_bits(config, plan.log_n)
+    _check_bits(config, attempt_plan(config.precision_bits + _VERDICT_BITS, n.bit_length()).log_n)
     return _run(
         config, BOUNDS_CSV_COLUMNS, _bounds_payload, _BoundsFold, out_stream, report_stream
     )
@@ -717,7 +717,7 @@ def run_error_term(
     # the largest G(n) of the range, at the precision error_term_e2 asks it
     # for; taken at n >= 2, which also covers the row at n = 1
     n = max(config.n_hi, 2)
-    q, work = g_cost(n, attempt_plan(p, (n - 1).bit_length(), n.bit_length()).fact)
+    q, work = g_cost(n, attempt_plan(p, n.bit_length()).fact)
     _check_bits(config, q)
     if work > WORK_CEILING:
         raise UsageError(

@@ -81,8 +81,8 @@ def part_precision(p: int, parts: int, scale: int = 1) -> int:
 
 
 def stirling_log2_n_precision(n: int, p: int) -> int:
-    """Precision of log2 n in a Stirling-series log2 n! held to 2^-p, where
-    it is scaled by n + 1/2."""
+    """Precision of log2 n and of log2 e in a Stirling-series log2 n! held
+    to 2^-p, where they are scaled by n + 1/2 and by n, both below n + 1."""
     return part_precision(p, _STIRLING_PARTS, n + 1)
 
 
@@ -91,6 +91,16 @@ def log2_n_precision(n: int, p: int) -> int:
     at precision p take: what the Stirling-series log2 n! at the row's part
     precision needs for its (n + 1/2) log2 n."""
     return stirling_log2_n_precision(n, part_precision(p, _ROW_PARTS))
+
+
+def four_field_side_precisions(n: int, p: int) -> tuple[int, int]:
+    """(part, log2_e): the precisions at which the four-field plan, which
+    the two-field (fact, log_n) plan replaced, took a side's parts at p.
+    Every log2(1 + y), log2 e / (12 n) and Ramanujan correction was taken at
+    ``part``, the Stirling parts' precision at the row's part precision,
+    and log2 e, scaled by n, at ``log2_e``."""
+    fact = part_precision(p, _ROW_PARTS)
+    return part_precision(fact, _STIRLING_PARTS), part_precision(fact, _STIRLING_PARTS, n)
 
 
 def sweep_row_precision(n: int, q: int) -> int:

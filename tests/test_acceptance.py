@@ -152,9 +152,13 @@ def test_criterion_5_verdict_columns_pinned(full_sweep):
 # re-taken when the Robbins and Ramanujan sides came to share one Stirling
 # base per attempt: 184 side intervals narrowed inside the old ones, n = 4939
 # settles at p = 64 instead of escalating to p = 128, and 35 Violated
-# certificates and the escalation count on stderr changed with them
-FULL_SWEEP_SHA256 = "65f1a873ad1dec5bfe866b73c9edbc27f337a96ca06e629eb4bd20078f803586"
-FULL_SWEEP_REPORT_SHA256 = "ea130f1e696f2da75bdbe0e193165714430b7cdc8648bd3b727aa97cab608a46"
+# certificates and the escalation count on stderr changed with them.  They
+# were re-taken again when every side part but log2(2 pi) / 2 came to be
+# taken at the attempt's log2 n precision: 153 side intervals on 149 rows
+# narrowed inside the old ones, and 65 Violated certificates changed with
+# them; no precision, escalation count or verdict changed
+FULL_SWEEP_SHA256 = "d707902d7a762d4ecbac95f8708901415059ecaeb5bddb5565ad55fb5fa9d250"
+FULL_SWEEP_REPORT_SHA256 = "14ed3f959bfb6d1dac4cc3cb5739dec7e3faad86b0a98b6f847c489e548da7ae"
 
 
 def test_criterion_5_every_byte_pinned(full_sweep):

@@ -61,6 +61,7 @@ from log2lab.sweep import (
 
 from conftest import (
     ACCEPTED,
+    four_field_side_precisions,
     g_oracle,
     interval_contains,
     largest_accepted,
@@ -720,9 +721,58 @@ class TestOneBasePerAttempt:
         want = 0
         for attempt in range(row.escalations + 1):
             r = (p << attempt) + _VERDICT_BITS
-            fact = attempt_plan(r, ceil_log2(n), ceil_log2(n + 1)).fact
+            fact = attempt_plan(r, n.bit_length()).fact
             want += 1 + (n >= 2 * fact)
         assert heads == [n] * want
+
+
+class TestSidePrecisions:
+    """Within an attempt, the Robbins and Ramanujan sides take every part at
+    the plan's ``log_n``, the finest precision of the attempt, except
+    log2(2 pi) / 2, which the shared Stirling base takes at ``fact + 1``."""
+
+    @pytest.mark.parametrize(
+        # a Stirling-series row; a small row (log2 n! from n!); an
+        # escalating row
+        "n,p,max_escalations", [(3004, 64, 0), (5, 64, 0), (10**5 + 1, 64, 4)]
+    )
+    @pytest.mark.parametrize("b_source", ["printed", "closed-form"])
+    def test_every_side_part_at_log_n(self, monkeypatch, n, p, max_escalations, b_source):
+        log1p, log2_e, half = [], [], []
+        real_log1p, real_log2_e = bounds_mod._log2_1p_raw, bounds_mod.log2_e_interval
+        real_head = bounds_mod._stirling_head
+
+        def recorded_log1p(num, den, q):
+            log1p.append(q)
+            return real_log1p(num, den, q)
+
+        def recorded_log2_e(q):
+            log2_e.append(q)
+            return real_log2_e(q)
+
+        def recorded_head(m, log_n, q):
+            half.append(q)
+            return real_head(m, log_n, q)
+
+        monkeypatch.setattr(bounds_mod, "_log2_1p_raw", recorded_log1p)
+        monkeypatch.setattr(bounds_mod, "log2_e_interval", recorded_log2_e)
+        monkeypatch.setattr(bounds_mod, "_stirling_head", recorded_head)
+        row = compare_bounds(n, p, b_source=b_source, max_escalations=max_escalations)
+        if max_escalations:
+            assert row.escalations > 0
+        for attempt in range(row.escalations + 1):
+            r = (p << attempt) + _VERDICT_BITS
+            plan = attempt_plan(r, n.bit_length())
+            for asked in (log1p, log2_e, half):
+                asked.clear()
+            bounds_mod._stirling_base.cache_clear()
+            robbins_bounds_log2(n, r)
+            ramanujan_bounds_log2(n, r, b_source)
+            # log2(1 + y) and three corrections; n log2 e in the base and
+            # log2 e / (12 n); one base for the four sides
+            assert log1p == [plan.log_n] * 4, (n, attempt)
+            assert log2_e == [plan.log_n] * 2, (n, attempt)
+            assert half == [plan.fact + 1], (n, attempt)
 
 
 def near_powers_of_two() -> st.SearchStrategy[int]:
@@ -734,36 +784,29 @@ def near_powers_of_two() -> st.SearchStrategy[int]:
 def finest_precision(n: int, q: int) -> int:
     """The finest precision of a compared row's attempt at q: the ``log_n``
     of its plan."""
-    return attempt_plan(q + _VERDICT_BITS, ceil_log2(n), ceil_log2(n + 1)).log_n
+    return attempt_plan(q + _VERDICT_BITS, n.bit_length()).log_n
 
 
 def assert_plan_is_the_per_call_rules(n: int, p: int, max_escalations: int) -> None:
     """Every attempt's cached plans give the numbers the per-call rules of
-    conftest give for n."""
+    conftest give for n, and no part a side takes is coarser than under the
+    four-field plan the two-field one replaced."""
+    bits = n.bit_length()
     for attempt in range(last_attempt(n, p, max_escalations) + 1):
         q = p << attempt
         r = q + _VERDICT_BITS
-        plan = attempt_plan(r, ceil_log2(n), ceil_log2(n + 1))
+        plan = attempt_plan(r, bits)
         fact = part_precision(r, _ROW_PARTS)
-        assert plan == AttemptPlan(
-            fact=fact,
-            part=part_precision(fact, _STIRLING_PARTS),
-            log_n=log2_n_precision(n, r),
-            log2_e=part_precision(fact, _STIRLING_PARTS, n),
-        ), (n, p, attempt)
-        # no side term is coarser than under the per-side budgets it
-        # replaced, a quarter of 2^-r per Robbins part and a fifth per
-        # Ramanujan part, with log2(1 + y) and log2(e) / (12 n) two bits finer
-        assert plan.fact + 1 >= part_precision(r, 5)
-        assert plan.log2_e >= part_precision(r, 5, n)
-        assert plan.part >= part_precision(r, 5) + 2
+        assert plan == AttemptPlan(fact=fact, log_n=log2_n_precision(n, r)), (n, p, attempt)
         assert plan.log_n == sweep_row_precision(n, q) == finest_precision(n, q)
+        # every side part but log2(2 pi) / 2, which stays at fact + 1, is
+        # taken at log_n: none coarser than the four-field part and log2_e
+        assert plan.log_n >= max(four_field_side_precisions(n, r)), (n, p, attempt)
         # the Stirling-series log2 n! the attempt takes at plan.fact, whose
         # log_n the attempt's plan reads
-        assert stirling_plan(fact, ceil_log2(n), ceil_log2(n + 1)) == (
+        assert stirling_plan(fact, bits) == (
             part_precision(fact, _STIRLING_PARTS),
             stirling_log2_n_precision(n, fact),
-            part_precision(fact, _STIRLING_PARTS, n),
             fact + 5 + fact.bit_length() + 2,
         ), (n, p, attempt)
 

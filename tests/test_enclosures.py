@@ -322,7 +322,7 @@ class TestLog2Table:
         assert run_error_term(config, io.StringIO(), io.StringIO()) == 0
         anchors = set()
         for n in range(1, 2001):
-            q = g_cost(n, attempt_plan(128, (n - 1).bit_length(), n.bit_length()).fact)[0]
+            q = g_cost(n, attempt_plan(128, n.bit_length()).fact)[0]
             anchors.add((n - n % 256, q + n.bit_length() + 8))
         assert enclosures_mod._anchor_bracket.cache_info().misses == len(anchors) < 32
 

@@ -23,6 +23,15 @@ stderr and the settled precision of a row that stops escalating.  One
 interval of each window narrowed, inside the old one (``ramanujan_hi`` at
 n = 2996 in 2990..3010, ``robbins_hi`` at n = 5 in 1..24); no certificate
 or precision changed in these windows, so their stderr hashes stand.
+The three sweep-bounds JSON stdout hashes and the ``sweep-linear-json``
+stderr hash were re-taken a sixth time when the summary's max-e2 row became
+the first n with the largest s2(n) - 1, shown with its own ``e2_lo`` /
+``e2_hi`` columns (the row that ``error-term`` names), where it had been the
+n with the largest unrounded lower endpoint and that unrounded interval:
+the summary's ``max_e2`` / ``max_c_log2`` changed in all three, and in
+1..24 the row moved from n = 23 to n = 15, on stderr too.  The side parts
+came to be taken at the attempt's log2 n precision in the same change, and
+no row of these windows changed with it.
 Every error-term and verify-theorem hash was left as it was.  The
 ``sweep-2048-json`` case (the Stirling series near 2^-2070, whose coefficients
 grow there, and Machin's pi and e near 2088 bits through the closed-form b
@@ -55,17 +64,17 @@ GOLDEN = {
     ),
     "sweep-json": (
         ["sweep-bounds", "--range", "2990..3010", "--bits", "64", "--format", "json"],
-        "e3236942f479f17c66f3ebc019dd5c9f59b7ee1dd217ac4de9beda177aaa8294",
+        "4dbefc54b788bc255f477578cc56cdf998a4798f1c06962aaefe65ab3fbbd421",
         "80de4b8236271a2f7ce64dcbae510b56b26e4ebc28a1fb1f28732b2be2c034b9",
     ),
     "sweep-linear-json": (
         ["sweep-bounds", "--range", "1..24", "--linear", "--format", "json"],
-        "2c567dff1befaed28097971d3e7d2ae3b26b601a8c7fc31ffa2aee5767de355a",
-        "e211ff79d46e4e68aa4378c84dd6b87e719fc6fe204025e9262b12e3f1cf6bf9",
+        "e780e5379190234e16b146123b840993683b7347adbbbb3236996c12ec7bb70f",
+        "21740161aab2e565bab29b30a050df64aecbd051bcd56fc47eec6ba7daebfd95",
     ),
     "sweep-2048-json": (
         ["sweep-bounds", "--range", "5000..5001", "--bits", "2048", "--format", "json"],
-        "b702a3dd664e8434a807a0f04657ffa88331526d1d919b55527e2559d73e6be0",
+        "479e0ca33b3fad678aaa23736f90b3c3be244b9efba17d0acec77f0fd541dbe5",
         "965f0ce7c56bc9dcf8bafbbc0d29ad4bc00079dae94314214fe52728883487c8",
     ),
     "error-term": (

@@ -299,6 +299,31 @@ class TestBoundsSweep:
         assert "max e2 at n=15" in report
         assert "ramanujan_b_disagreement" in report
 
+    @pytest.mark.parametrize("span,first", [("881..960", 895), ("1..24", 15)])
+    def test_max_e2_row_is_the_first_with_the_largest_digit_sum(
+        self, tmp_path, capsys, span, first
+    ):
+        """sweep-bounds, as CSV and JSON with 1 and 2 workers, names the
+        max-e2 row that error-term names: the first n with the largest
+        e2(n) = s2(n) - 1, though a later n ties it (959 and 23), and the
+        JSON summary shows that row's own e2 columns."""
+        argv = ["--range", span, "--bits", "64"]
+        assert main(["error-term", *argv]) == EXIT_OK
+        assert f"max e2 at n={first} (s2-1 = " in capsys.readouterr().err
+        for workers in (1, 2):
+            for fmt in ("csv", "json"):
+                out = tmp_path / f"rows_w{workers}.{fmt}"
+                extra = ["--format", fmt, "--workers", str(workers), "--out", str(out)]
+                assert main(["sweep-bounds", *argv, *extra]) == EXIT_OK
+                lines = capsys.readouterr().err.splitlines()
+                assert lines[2:4] == [f"max e2 at n={first}", f"max c_log2 at n={first}"]
+                if fmt == "json":
+                    payload = json.loads(out.read_text())
+                    (row,) = [row for row in payload[:-1] if row["n"] == str(first)]
+                    summary = payload[-1]["summary"]
+                    want = {"n": first, "lo": row["e2_lo"], "hi": row["e2_hi"]}
+                    assert summary["max_e2"] == summary["max_c_log2"] == want
+
     def test_json_rows_and_trailing_summary(self, tmp_path):
         cfg = SweepConfig(n_lo=1, n_hi=8, precision_bits=53, output_format="json")
         code, out, _ = run_to_files(run_bounds_sweep, cfg, tmp_path, "rows.json")
@@ -402,7 +427,7 @@ class TestBoundsSweep:
     def certificate_columns(payload, row):
         """Each Violated finding, (bound, certificate), with the column
         strings of the row intervals its verdict's certificate holds."""
-        values, _, _, _, findings = payload
+        values, _, _, findings = payload
         fields = dict(zip(BOUNDS_CSV_COLUMNS, values, strict=True))
         for bound, certificate in findings:
             columns = []
@@ -453,7 +478,7 @@ class TestBoundsSweep:
         escalated, verdicts = 0, set()
         for n, cap in [*((n, 4) for n in range(1, 65)), (2048, 0), (100000, 4), (100001, 4)]:
             cfg = SweepConfig(n_lo=n, n_hi=n, precision_bits=p, max_escalations=cap)
-            (columns, statuses, escalations, _, _), row = payloads(cfg, n)
+            (columns, statuses, escalations, _), row = payloads(cfg, n)
             fields = dict(zip(BOUNDS_CSV_COLUMNS, columns, strict=True))
             assert fields["n"] == str(n)
             assert fields["precision_bits"] == str(row.precision_bits)
