@@ -31,9 +31,9 @@ passes a switch near 2p.  Every n-scaled part of the row, (n + 1/2) log2 n in
 log2 n!, Robbins and Ramanujan, and n log2 n, takes log2 n at one precision,
 the ``log_n`` of the attempt's ``exact.attempt_plan``, so that one log core
 call, kept by ``log2_int_enclosure``, serves the attempt.  The four
-Robbins and Ramanujan sides of an attempt share one Stirling base,
-(n + 1/2) log2 n - n log2 e + log2(2 pi) / 2, and each adds its
-corrections to it, all at ``log_n``.  Those logs are near 1 and
+Robbins and Ramanujan sides add their corrections, all at ``log_n``, to the
+Stirling base (n + 1/2) log2 n - n log2 e + log2(2 pi) / 2 that the
+attempt's log2 n! takes.  Those logs are near 1 and
 come from the bracket behind ``log2_1p``, the log series without the
 reduction to [1, 2): log2(8n^3 + 4n^2 + n + 1/30) = 3 + 3 log2 n +
 log2(1 + y) with y about 1/(2n), and each Ramanujan correction
@@ -53,7 +53,7 @@ from .enclosures import (
     G_enclosure,
     _log2_1p_raw,
     _raw_to_interval,
-    _stirling_head,
+    _stirling_base,
     e_interval,
     log2_e_interval,
     log2_factorial_enclosure,
@@ -233,26 +233,15 @@ def error_term_e2(n: int, p: int) -> DyadicInterval:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1)
-def _stirling_base(n: int, p: int) -> DyadicInterval:
-    """(n + 1/2) log2 n - n log2 e + log2(2 pi) / 2 at the precisions of
-    ``attempt_plan(p, bits)``, to which both Robbins sides and both Ramanujan
-    sides add their corrections.  The last base is kept, so the sides of an
-    attempt share one."""
-    plan = attempt_plan(p, n.bit_length())
-    head = _stirling_head(n, log2_int_enclosure(n, plan.log_n), plan.fact + 1)
-    return head - log2_e_interval(plan.log_n).scale_int(n)
-
-
 def robbins_bounds_log2(n: int, p: int) -> tuple[DyadicInterval, DyadicInterval]:
     """Enclosures of log2 of both Robbins sides.
 
-    lower = log2(sqrt(2 pi) n^(n+1/2) e^-n), the Stirling base; upper =
-    lower + log2(e)/(12 n).
+    lower = log2(sqrt(2 pi) n^(n+1/2) e^-n), the Stirling base at the
+    ``fact`` of ``attempt_plan(p, bits)``; upper = lower + log2(e)/(12 n).
     """
     require_positive("n", n)
-    q = attempt_plan(p, n.bit_length()).log_n
-    lower = _stirling_base(n, p)
+    fact, q = attempt_plan(p, n.bit_length())
+    lower = _stirling_base(n, fact)
     return lower, lower + log2_e_interval(q).div_by_posint(12 * n, q)
 
 
@@ -283,12 +272,12 @@ def ramanujan_bounds_log2(
     """
     require_positive("n", n)
     b_lo, b_hi = _b_ends(b_source, p)
-    q = attempt_plan(p, n.bit_length()).log_n
+    fact, q = attempt_plan(p, n.bit_length())
 
     poly = _raw_to_interval(*_log2_1p_raw(120 * n * n + 30 * n + 1, 240 * n**3, q))
     # log2 sqrt(pi) + 3/6 and n log2 n + (3/6) log2 n: the 3 + 3 log2 n of the
     # sixth root, folded into the Stirling base
-    base = _stirling_base(n, p) + poly.div_by_posint(6, q)
+    base = _stirling_base(n, fact) + poly.div_by_posint(6, q)
 
     lower_corr = _ramanujan_correction(n, *A_CONST, q)
     upper_lo, _, s = _ramanujan_correction(n, *b_lo, q)
@@ -330,11 +319,10 @@ def compare_bounds(
     An attempt at precision q encloses every part at r = q + 4
     (``_VERDICT_BITS``), so a verdict separates margins down to about
     2^-(q+4), at the precisions of its cached ``attempt_plan(r, bits)``.  It
-    takes log2 n once, at the plan's ``log_n``, for all its n-scaled parts,
-    and its four Robbins and Ramanujan sides add their corrections to one
-    Stirling base at ``log_n`` too: that is the finest precision of the
+    takes log2 n once, at the plan's ``log_n``, the finest precision of the
     attempt, which ``sweep-bounds`` validates a range by and
-    ``last_attempt`` stops at.
+    ``last_attempt`` stops at; its four sides add their corrections to the
+    Stirling base of its log2 n!, so the attempt forms one base.
     An attempt that will escalate stops at its first Inconclusive verdict: it
     compares log2 n! with the Ramanujan sides first, then Robbins.  Only the
     settled precision takes n log2 n for the counting bound.  G(n) is

@@ -35,7 +35,8 @@ Tangent and Secant numbers", 2011), and are computed on first use.  In log2
 the only logs are log2 n, log2 e and log2 pi, so an enclosure costs one log core
 call (none when log2 n is cached) for every n.  ``log2_int_enclosure`` keeps a
 few recent results, so the n-scaled parts of a compared row, which all take
-log2 n at one precision, share one call per attempt.
+log2 n at one precision, share one call per attempt; ``_stirling_base`` keeps
+the last base, so a compared row's sides add to the one its log2 n! took.
 
 G(n), the sum of the fractional parts {log2(n/m)} that only ``error-term``
 and ``g-value`` run, is log2(n^n / n!) - v_2(n!), with n! and n^n held as
@@ -467,24 +468,25 @@ def _stirling_series(n: int, w: int) -> tuple[int, int]:
 _HALF = DyadicRational(1, -1)
 
 
-@lru_cache(maxsize=None)
-def _half_log2_2pi(p: int) -> DyadicInterval:
-    """log2(2 pi) / 2, width <= 2^-(p+1)."""
-    return log2_pi_interval(p).add_int(1).scale_dyadic(_HALF)
-
-
-def _stirling_head(n: int, log_n: DyadicInterval, half: int) -> DyadicInterval:
-    """(n + 1/2) log2 n + log2(2 pi) / 2, from an enclosure ``log_n`` of
-    log2 n, with log2(2 pi) / 2 at precision ``half``: the head that log2 n!
-    and the Robbins and Ramanujan sides share."""
-    return log_n.scale_dyadic(DyadicRational(2 * n + 1, -1)) + _half_log2_2pi(half)
+@lru_cache(maxsize=1)
+def _stirling_base(n: int, p: int) -> DyadicInterval:
+    """(n + 1/2) log2 n - n log2 e + log2(2 pi) / 2 at the precisions of
+    ``stirling_plan(p, bits)``: the base of the Stirling log2 n! at p, and
+    of the Robbins and Ramanujan sides of an attempt whose log2 n! is at p.
+    The last base is kept, so an attempt forms one."""
+    half, log_n, _ = stirling_plan(p, n.bit_length())
+    return (
+        log2_int_enclosure(n, log_n).scale_dyadic(DyadicRational(2 * n + 1, -1))
+        + log2_pi_interval(half).add_int(1).scale_dyadic(_HALF)
+        - log2_e_interval(log_n).scale_int(n)
+    )
 
 
 def log2_factorial_enclosure(n: int, p: int) -> DyadicInterval:
     """Enclosure of log2(n!), width <= 2^-p.
 
     From the exact factorial for n below ``_stirling_switch(p)``, and from the
-    Stirling series above it:
+    Stirling series above it, ``_stirling_base`` plus log2 e times a series:
 
         (n + 1/2) log2 n - n log2 e + log2(2 pi) / 2 + log2 e * (series),
 
@@ -498,13 +500,10 @@ def log2_factorial_enclosure(n: int, p: int) -> DyadicInterval:
     _check_precision(p)
     if n < _stirling_switch(p):
         return log2_factorial_by_factorial(n, p)
-    part, log_n, w = stirling_plan(p, n.bit_length())
+    _, log_n, w = stirling_plan(p, n.bit_length())
     series = _raw_to_interval(*_stirling_series(n, w), w)
     s = p + _BRACKET_BITS
-    lo, hi = (
-        _stirling_head(n, log2_int_enclosure(n, log_n), part)
-        + log2_e_interval(log_n) * series.add_int(-n)
-    ).outward_mantissas(s)
+    lo, hi = (_stirling_base(n, p) + log2_e_interval(log_n) * series).outward_mantissas(s)
     return _raw_to_interval(lo - _PAD_ULPS, hi + _PAD_ULPS, s)
 
 

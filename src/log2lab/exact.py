@@ -241,16 +241,17 @@ def oracle_work(n_hi: int) -> int:
 
 @lru_cache(maxsize=64)
 def stirling_plan(p: int, bits: int) -> tuple[int, int, int]:
-    """(part, log_n, w): the precisions a Stirling-series log2 n! at
-    precision p takes, for every n of bit length ``bits``.
+    """(half, log_n, w): the precisions a Stirling-series log2 n! at
+    precision p, and its Stirling base, take for every n of bit length ``bits``.
 
-    Each of the four parts is held to ``part``, the precision of
-    log2(2 pi) / 2; log2 n, scaled by n + 1/2, and log2 e, scaled by n,
-    take ``bits`` more, as both scales are below 2^bits.  The series keeps
-    one ulp per term of 2^-w.
+    Each of the four parts is held to part = p + 3; log2 n, scaled by n + 1/2,
+    and log2 e, scaled by n, take ``bits`` more, as both scales are below
+    2^bits.  log2(2 pi) / 2 is taken at half = min(part, log_n - 3), ``part``
+    for n >= 4: its log2 pi is taken 3 bits finer, so never past ``log_n``.
+    The series keeps one ulp per term of 2^-w.
     """
     part = _part_precision(p, _STIRLING_PARTS)
-    return part, part + bits, p + 5 + p.bit_length() + 2
+    return min(part, part + bits - 3), part + bits, p + 5 + p.bit_length() + 2
 
 
 class AttemptPlan(namedtuple("AttemptPlan", "fact log_n")):
@@ -259,10 +260,7 @@ class AttemptPlan(namedtuple("AttemptPlan", "fact log_n")):
     ``fact`` is the precision of log2 n! (and of G(n) in ``error_term_e2``),
     and ``log_n`` that of the ``stirling_plan`` of log2 n! at ``fact``: the
     finest precision a row may ask for.  The Robbins and Ramanujan sides
-    take every part at ``log_n`` (log2 n once, for every n-scaled part, and
-    log2 e, log2(1 + y) and the corrections) but log2(2 pi) / 2, at
-    ``fact + 1``: its log2 pi is taken 3 bits finer than asked, so at
-    ``log_n`` it would pass ``log_n``.
+    add their corrections, at ``log_n``, to the Stirling base at ``fact``.
     """
 
     __slots__ = ()

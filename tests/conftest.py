@@ -86,6 +86,13 @@ def stirling_log2_n_precision(n: int, p: int) -> int:
     return part_precision(p, _STIRLING_PARTS, n + 1)
 
 
+def half_log2_2pi_precision(n: int, p: int) -> int:
+    """Precision of log2(2 pi) / 2 in the Stirling base of a log2 n! held to
+    2^-p: the Stirling parts' precision, or less where its log2 pi, taken 3
+    bits finer, would pass the precision of log2 n (n <= 3)."""
+    return min(part_precision(p, _STIRLING_PARTS), stirling_log2_n_precision(n, p) - 3)
+
+
 def log2_n_precision(n: int, p: int) -> int:
     """Precision of the one log2 n that the parts of a compared row enclosed
     at precision p take: what the Stirling-series log2 n! at the row's part

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import log2lab.bounds as bounds_mod
@@ -34,7 +34,13 @@ from log2lab.bounds import (
 )
 from log2lab.cli import main
 from log2lab.dyadic import DyadicInterval, DyadicRational
-from log2lab.enclosures import G_enclosure, log2_factorial_enclosure, log2_int_enclosure
+from log2lab.enclosures import (
+    G_enclosure,
+    log2_e_interval,
+    log2_factorial_enclosure,
+    log2_int_enclosure,
+    log2_pi_interval,
+)
 from log2lab.exact import (
     _ROW_PARTS,
     _STIRLING_PARTS,
@@ -63,6 +69,7 @@ from conftest import (
     ACCEPTED,
     four_field_side_precisions,
     g_oracle,
+    half_log2_2pi_precision,
     interval_contains,
     largest_accepted,
     log2_n_precision,
@@ -98,6 +105,56 @@ class TestPaperLowerBound:
             assert iv.width_within(64)
             val = n * mp.log(n) / mp.log(2) - (n - 1 + g_oracle(n))
             assert interval_contains(iv, val)
+
+
+def g_formula_ends(n: int, q: int = 128) -> tuple[DyadicInterval, DyadicInterval]:
+    """Enclosures of the two ends of the paper's formula for G(n), n(log2 e
+    - 1) + s2(n) - log2(2 pi n) / 2 - eps_n with eps_n between log2 e /
+    (12n + 1) and log2 e / (12n): Robbins' r_n in G(n) = n log2 n -
+    log2 n! - n + s2(n)."""
+    log2_e = log2_e_interval(q)
+    half_log2_2pi_n = (log2_pi_interval(q) + log2_int_enclosure(n, q)).add_int(1).scale_dyadic(
+        DyadicRational(1, -1)
+    )
+    head = (log2_e.scale_int(n) - half_log2_2pi_n).add_int(binary_digit_sum(n) - n)
+    return head - log2_e.div_by_posint(12 * n, q), head - log2_e.div_by_posint(12 * n + 1, q)
+
+
+class TestPaperFormulaForG:
+    """G(n) lies strictly inside the bracket of the paper's formula, both as
+    G_enclosure takes it (the factorization of n!) and as a compared row
+    takes it (the identity, from the row's own log2 n!)."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.one_of(
+            st.integers(1, 10**6),
+            st.builds(lambda k, d: (1 << k) + d, st.integers(1, 20), st.sampled_from([-1, 0, 1])),
+        )
+    )
+    @example(1)
+    @example(2)
+    @example(3)
+    @example(10)
+    @example(10**3)
+    @example(4095)
+    @example(10**5)
+    @example(10**6)
+    def test_g_strictly_inside_the_formula(self, n):
+        low, high = g_formula_ends(n)
+        for g in (G_enclosure(n, 64), compare_bounds(n, 64).g):
+            assert low.strictly_below(g) and g.strictly_below(high), n
+
+    def test_g3_as_the_readme_gives_it(self):
+        # G(3) = 1.169925 in (1.16978, 1.17086)
+        def between(iv, lo, hi):
+            ends = (Fraction(e.numerator, e.denominator) for e in (iv.lo, iv.hi))
+            return all(Fraction(lo) < e < Fraction(hi) for e in ends)
+
+        low, high = g_formula_ends(3)
+        assert between(low, "1.169780", "1.169781")
+        assert between(G_enclosure(3, 64), "1.1699250", "1.1699251")
+        assert between(high, "1.170864", "1.170865")
 
 
 class TestErrorTermAndC:
@@ -686,17 +743,20 @@ class TestOneLogPerAttempt:
             asked.append((m, q))
             return real(m, q)
 
+        # the Stirling base of log2 n! and the sides, and n log2 n
+        monkeypatch.setattr(enclosures_mod, "log2_int_enclosure", recorded)
         monkeypatch.setattr(bounds_mod, "log2_int_enclosure", recorded)
+        enclosures_mod._stirling_base.cache_clear()
         row = compare_bounds(3004, 64, max_escalations=0)
         q = finest_precision(3004, row.precision_bits)
-        assert asked and set(asked) == {(3004, q)}
+        assert asked == [(3004, q)] * 2
 
 
 class TestOneBasePerAttempt:
-    """Both Robbins sides and both Ramanujan sides add their corrections to
-    one Stirling base per attempt, so an attempt forms the Stirling head
-    once for the sides and once more for log2 n! where that is the Stirling
-    series (n >= 2 fact)."""
+    """log2 n! and both Robbins and both Ramanujan sides of an attempt take
+    one Stirling base, (n + 1/2) log2 n - n log2 e + log2(2 pi) / 2, so an
+    attempt forms (n + 1/2) log2 n once, whether its log2 n! comes from the
+    Stirling series (n >= 2 fact) or from n!."""
 
     @pytest.mark.parametrize(
         "n,p,max_escalations",
@@ -705,42 +765,41 @@ class TestOneBasePerAttempt:
         [(3004, 64, 0), (100, 64, 0), (1, 64, 0), (10**5 + 1, 64, 4), (3001, 4, 6), (100, 4, 4)],
     )
     def test_stirling_heads_per_attempt(self, monkeypatch, n, p, max_escalations):
-        heads = []
-        real = enclosures_mod._stirling_head
+        bases = []
+        real = DyadicInterval.scale_dyadic
+        half_odd = DyadicRational(2 * n + 1, -1)
 
-        def counted(m, log_n, half):
-            heads.append(m)
-            return real(m, log_n, half)
+        def counted(self, d):
+            if d == half_odd:
+                bases.append(n)
+            return real(self, d)
 
-        monkeypatch.setattr(enclosures_mod, "_stirling_head", counted)
-        monkeypatch.setattr(bounds_mod, "_stirling_head", counted)
-        bounds_mod._stirling_base.cache_clear()
+        monkeypatch.setattr(DyadicInterval, "scale_dyadic", counted)
+        enclosures_mod._stirling_base.cache_clear()
         row = compare_bounds(n, p, max_escalations=max_escalations)
         if max_escalations:
             assert row.escalations > 0
-        want = 0
-        for attempt in range(row.escalations + 1):
-            r = (p << attempt) + _VERDICT_BITS
-            fact = attempt_plan(r, n.bit_length()).fact
-            want += 1 + (n >= 2 * fact)
-        assert heads == [n] * want
+        assert bases == [n] * (row.escalations + 1)
 
 
 class TestSidePrecisions:
-    """Within an attempt, the Robbins and Ramanujan sides take every part at
-    the plan's ``log_n``, the finest precision of the attempt, except
-    log2(2 pi) / 2, which the shared Stirling base takes at ``fact + 1``."""
+    """Within an attempt, the Robbins and Ramanujan sides take the Stirling
+    base of the attempt's log2 n!, at the precisions of
+    ``stirling_plan(plan.fact, bits)``, and every correction at the plan's
+    ``log_n``, the finest precision of the attempt."""
 
     @pytest.mark.parametrize(
-        # a Stirling-series row; a small row (log2 n! from n!); an
+        # a Stirling-series row; a small row (log2 n! from n!); rows of bit
+        # length 1 and 2, whose log2(2 pi) / 2 is held below ``part``; an
         # escalating row
-        "n,p,max_escalations", [(3004, 64, 0), (5, 64, 0), (10**5 + 1, 64, 4)]
+        "n,p,max_escalations",
+        [(3004, 64, 0), (5, 64, 0), (1, 64, 0), (3, 64, 0), (10**5 + 1, 64, 4)],
     )
     @pytest.mark.parametrize("b_source", ["printed", "closed-form"])
     def test_every_side_part_at_log_n(self, monkeypatch, n, p, max_escalations, b_source):
         log1p, log2_e, half = [], [], []
         real_log1p, real_log2_e = bounds_mod._log2_1p_raw, bounds_mod.log2_e_interval
-        real_head = bounds_mod._stirling_head
+        real_log2_pi = enclosures_mod.log2_pi_interval
 
         def recorded_log1p(num, den, q):
             log1p.append(q)
@@ -750,29 +809,31 @@ class TestSidePrecisions:
             log2_e.append(q)
             return real_log2_e(q)
 
-        def recorded_head(m, log_n, q):
+        def recorded_log2_pi(q):
             half.append(q)
-            return real_head(m, log_n, q)
+            return real_log2_pi(q)
 
         monkeypatch.setattr(bounds_mod, "_log2_1p_raw", recorded_log1p)
         monkeypatch.setattr(bounds_mod, "log2_e_interval", recorded_log2_e)
-        monkeypatch.setattr(bounds_mod, "_stirling_head", recorded_head)
+        monkeypatch.setattr(enclosures_mod, "log2_e_interval", recorded_log2_e)
+        monkeypatch.setattr(enclosures_mod, "log2_pi_interval", recorded_log2_pi)
         row = compare_bounds(n, p, b_source=b_source, max_escalations=max_escalations)
         if max_escalations:
             assert row.escalations > 0
+        bits = n.bit_length()
         for attempt in range(row.escalations + 1):
             r = (p << attempt) + _VERDICT_BITS
-            plan = attempt_plan(r, n.bit_length())
+            plan = attempt_plan(r, bits)
             for asked in (log1p, log2_e, half):
                 asked.clear()
-            bounds_mod._stirling_base.cache_clear()
+            enclosures_mod._stirling_base.cache_clear()
             robbins_bounds_log2(n, r)
             ramanujan_bounds_log2(n, r, b_source)
             # log2(1 + y) and three corrections; n log2 e in the base and
             # log2 e / (12 n); one base for the four sides
             assert log1p == [plan.log_n] * 4, (n, attempt)
             assert log2_e == [plan.log_n] * 2, (n, attempt)
-            assert half == [plan.fact + 1], (n, attempt)
+            assert half == [stirling_plan(plan.fact, bits)[0]], (n, attempt)
 
 
 def near_powers_of_two() -> st.SearchStrategy[int]:
@@ -799,16 +860,20 @@ def assert_plan_is_the_per_call_rules(n: int, p: int, max_escalations: int) -> N
         fact = part_precision(r, _ROW_PARTS)
         assert plan == AttemptPlan(fact=fact, log_n=log2_n_precision(n, r)), (n, p, attempt)
         assert plan.log_n == sweep_row_precision(n, q) == finest_precision(n, q)
-        # every side part but log2(2 pi) / 2, which stays at fact + 1, is
-        # taken at log_n: none coarser than the four-field part and log2_e
-        assert plan.log_n >= max(four_field_side_precisions(n, r)), (n, p, attempt)
         # the Stirling-series log2 n! the attempt takes at plan.fact, whose
-        # log_n the attempt's plan reads
+        # log_n the attempt's plan reads, and whose base the sides take
+        half = half_log2_2pi_precision(n, fact)
         assert stirling_plan(fact, bits) == (
-            part_precision(fact, _STIRLING_PARTS),
+            half,
             stirling_log2_n_precision(n, fact),
             fact + 5 + fact.bit_length() + 2,
         ), (n, p, attempt)
+        # every side part but log2(2 pi) / 2 is taken at log_n: none coarser
+        # than the four-field part and log2_e; log2(2 pi) / 2 is no coarser
+        # than the fact + 1 the sides took it at before they shared the base
+        # of log2 n!
+        assert plan.log_n >= max(four_field_side_precisions(n, r)), (n, p, attempt)
+        assert half >= fact + 1, (n, p, attempt)
 
 
 def last_attempt_by_doubling(n: int, p: int, max_escalations: int, ceiling: int) -> int:
@@ -832,6 +897,16 @@ class TestAttemptPlan:
     )
     def test_plan_is_the_per_call_rules(self, n, p, max_escalations):
         assert_plan_is_the_per_call_rules(n, p, max_escalations)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(4, 16384), st.integers(1, 64))
+    def test_half_log2_2pi_stays_within_log_n(self, p, bits):
+        # log2 pi, 3 bits finer than log2(2 pi) / 2, never passes log_n, and
+        # from bit length 3 on log2(2 pi) / 2 is a Stirling part like the rest
+        half, log_n, _ = stirling_plan(p, bits)
+        assert half + 3 <= log_n
+        if bits >= 3:
+            assert half == part_precision(p, _STIRLING_PARTS)
 
     def test_every_power_of_two_boundary(self):
         for k in range(1, 40):

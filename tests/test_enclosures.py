@@ -572,6 +572,7 @@ class TestStirlingSeries:
         for n in (10**6 + 1, 10**12 + 1, 10**40 + 1):
             log2_factorial_enclosure(n, 64)  # the constants, on first use
             enclosures_mod.log2_int_enclosure.cache_clear()
+            enclosures_mod._stirling_base.cache_clear()
             monkeypatch.setattr(enclosures_mod, "_log2_raw", counted)
             calls.clear()
             iv = log2_factorial_enclosure(n, 64)

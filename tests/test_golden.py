@@ -31,7 +31,9 @@ n with the largest unrounded lower endpoint and that unrounded interval:
 the summary's ``max_e2`` / ``max_c_log2`` changed in all three, and in
 1..24 the row moved from n = 23 to n = 15, on stderr too.  The side parts
 came to be taken at the attempt's log2 n precision in the same change, and
-no row of these windows changed with it.
+no row of these windows changed with it.  No hash moved when the sides came
+to add their corrections to the Stirling base of the attempt's log2 n!, its
+log2(2 pi) / 2 up to 2 bits finer: no byte of these windows changed.
 Every error-term and verify-theorem hash was left as it was.  The
 ``sweep-2048-json`` case (the Stirling series near 2^-2070, whose coefficients
 grow there, and Machin's pi and e near 2088 bits through the closed-form b
