@@ -75,10 +75,9 @@ import math
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
+from . import exact
 from .dyadic import DyadicInterval, DyadicRational
 from .exact import (
-    MAX_PRECISION_BITS,
-    WORK_CEILING,
     DomainError,
     ResourceLimitError,
     _check_precision,
@@ -342,15 +341,15 @@ def G_enclosure(n: int, p: int) -> DyadicInterval:
     require_positive("n", n)
     _check_precision(p)
     q, work = g_cost(n, p)
-    if q > MAX_PRECISION_BITS:
+    if q > exact.MAX_PRECISION_BITS:
         raise ResourceLimitError(
             f"G({n}) at precision {p} needs {q}-bit prime brackets, "
-            f"above the ceiling of {MAX_PRECISION_BITS} bits"
+            f"above the ceiling of {exact.MAX_PRECISION_BITS} bits"
         )
-    if work > WORK_CEILING:
+    if work > exact.WORK_CEILING:
         raise ResourceLimitError(
             f"G({n}) at precision {p} needs work of {work}, "
-            f"above the work ceiling of {WORK_CEILING}"
+            f"above the work ceiling of {exact.WORK_CEILING}"
         )
     lo, hi, ex, w = _factorial_bracket(n, q)
     t_lo, t_hi, t_ex = _power((n, n, 0), n, w)

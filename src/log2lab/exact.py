@@ -25,11 +25,12 @@ of counting every a from the start.
 
 The precision and work limits of a run live here too, as the same kind of
 integer rule: the precision of every part of a compared row (``attempt_plan``,
-which reads the Stirling-series log2 n!'s own ``stirling_plan``) and how far
-the row may escalate (``last_attempt``), the log precision and work of
-G(n), and how many m the enumeration oracles visit over a range.  Every
-caller reads its numbers from these, and each command checks its range
-against them before a run starts, without loading the enclosure code.
+which reads the Stirling-series log2 n!'s own ``stirling_plan``), its last
+attempt (``last_attempt``, in closed form), the log precision and work of
+G(n), and how many m the enumeration oracles visit over a range.  Callers
+read these numbers, and the ceilings here as each check runs, so a limit
+moves by one assignment; each command checks its range before a run starts,
+without loading the enclosure code.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
     "AttemptPlan",
     "attempt_plan",
     "stirling_plan",
+    "finest_precision",
     "last_attempt",
     "floor_log2_fraction",
     "ceil_log2",
@@ -276,20 +278,20 @@ def attempt_plan(r: int, bits: int) -> AttemptPlan:
     return AttemptPlan(fact, stirling_plan(fact, bits)[1])
 
 
+def finest_precision(n: int, q: int) -> int:
+    """The ``log_n`` of a compared row's attempt at q: its finest part."""
+    return attempt_plan(q + _VERDICT_BITS, n.bit_length()).log_n
+
+
 def last_attempt(n: int, p: int, max_escalations: int) -> int:
     """Index of the last attempt of a compared row that starts at precision p
     and doubles it: at most ``max_escalations`` doublings, and none whose
     log2 n, its finest part, would pass ``MAX_PRECISION_BITS``.  A row still
     unsettled there reads Inconclusive, as it does after ``max_escalations``.
-    The ceiling is read on every call and keys the cache, so a changed
-    ceiling takes effect at once."""
-    return _last_attempt(p, max_escalations, n.bit_length(), MAX_PRECISION_BITS)
-
-
-@lru_cache(maxsize=64)
-def _last_attempt(p: int, max_escalations: int, bits: int, ceiling: int) -> int:
-    # p << k passes the ceiling for every k >= its bit length
-    last = min(max(max_escalations, 0), ceiling.bit_length())
-    while last and attempt_plan((p << last) + _VERDICT_BITS, bits).log_n > ceiling:
-        last -= 1
-    return last
+    The plans are affine in q, so attempt k's finest part is (p << k) +
+    ``finest_precision(n, 0)``; the ceiling is read on every call."""
+    room = MAX_PRECISION_BITS - finest_precision(n, 0)
+    if max_escalations <= 0 or room < p:
+        return 0
+    # p << k <= room exactly for k below the bit length of room // p
+    return min(max_escalations, (room // p).bit_length() - 1)

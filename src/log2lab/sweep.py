@@ -37,15 +37,13 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import IO, TYPE_CHECKING, Any, Callable
 
+from . import exact
 from .exact import (
-    _VERDICT_BITS,
-    MAX_PRECISION_BITS,
-    MIN_PRECISION,
-    WORK_CEILING,
     IdentityViolationError,
     attempt_plan,
     binary_digit_sum,
     even_count_oracle,
+    finest_precision,
     g_cost,
     odd_floor_sum,
     oracle_work,
@@ -136,7 +134,7 @@ class SweepConfig:
 
         Each command then holds the range and ``precision_bits`` to its own
         rule before it opens ``--out``: ``sweep-bounds`` by a row's finest
-        precision (the ``log_n`` of its first attempt's ``attempt_plan``),
+        precision (``finest_precision`` of its first attempt, at n_hi),
         ``error-term`` by its largest G(n) (``g_cost``), and
         ``verify-theorem``, which computes at no precision, by its
         enumeration (``oracle_work``).
@@ -683,12 +681,12 @@ def _check_bits(config: SweepConfig, need: int) -> None:
     """Raise UsageError unless ``precision_bits`` is at least MIN_PRECISION
     and a row's finest part, ``need`` bits, is within MAX_PRECISION_BITS."""
     p = config.precision_bits
-    if p < MIN_PRECISION:
-        raise UsageError(f"precision must be >= {MIN_PRECISION} bits, got {p}")
-    if need > MAX_PRECISION_BITS:
+    if p < exact.MIN_PRECISION:
+        raise UsageError(f"precision must be >= {exact.MIN_PRECISION} bits, got {p}")
+    if need > exact.MAX_PRECISION_BITS:
         raise UsageError(
             f"precision {p} needs {need} bits for n <= {config.n_hi}, "
-            f"above the ceiling of {MAX_PRECISION_BITS} bits"
+            f"above the ceiling of {exact.MAX_PRECISION_BITS} bits"
         )
 
 
@@ -699,8 +697,7 @@ def run_bounds_sweep(
 ) -> int:
     """Emit one BoundRow per n in ascending order; returns the exit code."""
     config.validate()
-    n = config.n_hi  # log_n grows with n
-    _check_bits(config, attempt_plan(config.precision_bits + _VERDICT_BITS, n.bit_length()).log_n)
+    _check_bits(config, finest_precision(config.n_hi, config.precision_bits))
     return _run(
         config, BOUNDS_CSV_COLUMNS, _bounds_payload, _BoundsFold, out_stream, report_stream
     )
@@ -719,10 +716,10 @@ def run_error_term(
     n = max(config.n_hi, 2)
     q, work = g_cost(n, attempt_plan(p, n.bit_length()).fact)
     _check_bits(config, q)
-    if work > WORK_CEILING:
+    if work > exact.WORK_CEILING:
         raise UsageError(
             f"range up to n = {config.n_hi} at precision {p} needs G(n) work of {work}, "
-            f"above the work ceiling of {WORK_CEILING}"
+            f"above the work ceiling of {exact.WORK_CEILING}"
         )
     return _run(
         config, ERROR_TERM_CSV_COLUMNS, _error_term_payload, _ErrorTermFold,
@@ -738,10 +735,11 @@ def run_verify_theorem(
     """Three-way agreement check of the counting identity over odd a."""
     config = replace(config, parity="odd")
     config.validate()
-    if oracle_work(config.n_hi) > WORK_CEILING:
+    work = oracle_work(config.n_hi)
+    if work > exact.WORK_CEILING:
         raise UsageError(
             f"range up to a = {config.n_hi} needs the oracles to visit "
-            f"{oracle_work(config.n_hi)} values of m, above the work ceiling of {WORK_CEILING}"
+            f"{work} values of m, above the work ceiling of {exact.WORK_CEILING}"
         )
     return _run(
         config, VERIFY_CSV_COLUMNS, _verify_payload, _VerifyFold, out_stream, report_stream

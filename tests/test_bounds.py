@@ -52,6 +52,7 @@ from log2lab.exact import (
     attempt_plan,
     binary_digit_sum,
     ceil_log2,
+    finest_precision,
     last_attempt,
     stirling_plan,
 )
@@ -842,12 +843,6 @@ def near_powers_of_two() -> st.SearchStrategy[int]:
     return st.builds(lambda k, d: (1 << k) + d, st.integers(1, 39), st.sampled_from([-1, 0, 1]))
 
 
-def finest_precision(n: int, q: int) -> int:
-    """The finest precision of a compared row's attempt at q: the ``log_n``
-    of its plan."""
-    return attempt_plan(q + _VERDICT_BITS, n.bit_length()).log_n
-
-
 def assert_plan_is_the_per_call_rules(n: int, p: int, max_escalations: int) -> None:
     """Every attempt's cached plans give the numbers the per-call rules of
     conftest give for n, and no part a side takes is coarser than under the
@@ -877,8 +872,9 @@ def assert_plan_is_the_per_call_rules(n: int, p: int, max_escalations: int) -> N
 
 
 def last_attempt_by_doubling(n: int, p: int, max_escalations: int, ceiling: int) -> int:
-    """The last attempt of a compared row, uncached: double from p while
-    escalations remain and the next attempt's log2 n fits under ``ceiling``."""
+    """The last attempt of a compared row, the oracle of ``last_attempt``'s
+    closed form: double from p while escalations remain and the next
+    attempt's log2 n fits under ``ceiling``."""
     attempt = 0
     while attempt < max_escalations and sweep_row_precision(n, p << (attempt + 1)) <= ceiling:
         attempt += 1
@@ -887,7 +883,7 @@ def last_attempt_by_doubling(n: int, p: int, max_escalations: int, ceiling: int)
 
 class TestAttemptPlan:
     """The cached plans of an attempt hold the per-call rules' numbers, and
-    the cached last attempt is the doubling loop's."""
+    the closed-form last attempt is the doubling loop's."""
 
     @settings(deadline=None, max_examples=300)
     @given(
@@ -914,12 +910,15 @@ class TestAttemptPlan:
                 for p in (4, 64, 128, 4096):
                     assert_plan_is_the_per_call_rules(n, p, 4)
 
-    def test_cached_last_attempt_is_the_doubling_loop(self, monkeypatch):
-        # the cache is keyed by the ceiling too: after the ceiling moves and
-        # moves back within one process, each call still sees the ceiling of
-        # its time
-        ns = [1, 2, 3, 3000, 3001, 4095, 4096, 4097, 10**6 + 1, 10**12]
-        ps = [4, 16, 64, 128, 4096]
+    def test_last_attempt_is_the_doubling_loop(self, monkeypatch):
+        # the ceiling is read on every call: after it moves and moves back
+        # within one process, each call sees the ceiling of its time; p runs
+        # over both sides of where one more doubling fits under the room
+        # left above an attempt at p = 0, and n over every bit length up to
+        # 10^20
+        ns = [1, 2, 3, 3000, 3001, 4095, 4096, 4097, 10**6 + 1, 10**12, 10**20 - 1]
+        ns += [(1 << k) + d for k in range(1, 67) for d in (-1, 1) if (1 << k) + d < 10**20]
+        caps = (-1, 0, 1, 4, 9, 10**9, 10**21, 10**30)
         ceilings = [
             exact_mod.MAX_PRECISION_BITS, 100, sweep_row_precision(3000, 32), 1 << 12,
             sweep_row_precision(3000, 32) - 1, exact_mod.MAX_PRECISION_BITS, 100,
@@ -927,8 +926,12 @@ class TestAttemptPlan:
         for ceiling in ceilings:
             monkeypatch.setattr(exact_mod, "MAX_PRECISION_BITS", ceiling)
             for n in ns:
+                room = ceiling - sweep_row_precision(n, 0)
+                ps = [4, 16, 64, 128, 4096, room - 1, room, room // 2, room // 2 + 1]
                 for p in ps:
-                    for max_escalations in (-1, 0, 1, 4, 9, 10**9):
+                    if p < exact_mod.MIN_PRECISION:
+                        continue
+                    for max_escalations in caps:
                         got = last_attempt(n, p, max_escalations)
                         want = last_attempt_by_doubling(n, p, max_escalations, ceiling)
                         assert got == want, (n, p, max_escalations, ceiling)
@@ -1012,7 +1015,6 @@ class TestEscalationCeiling:
         # stop there, every one is written and the run exits 2
         ceiling = finest_precision(3007, 16)
         monkeypatch.setattr(exact_mod, "MAX_PRECISION_BITS", ceiling)
-        monkeypatch.setattr(sweep_mod, "MAX_PRECISION_BITS", ceiling)
         assert compare_bounds(3000, 16, max_escalations=0).verdicts[
             "robbins_upper"
         ].status is VerdictStatus.INCONCLUSIVE

@@ -12,6 +12,7 @@ import select
 import signal
 import subprocess
 import sys
+import tempfile
 import textwrap
 import time
 import tracemalloc
@@ -21,6 +22,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import log2lab
 import log2lab.bounds as bounds_mod
@@ -29,12 +32,16 @@ import log2lab.sweep as sweep_mod
 import log2lab.workers as workers_mod
 from log2lab.bounds import BoundRow
 from log2lab.cli import build_parser, main
+from log2lab.enclosures import G_enclosure
 from log2lab.exact import (
     _ROW_PARTS,
     MAX_PRECISION_BITS,
     WORK_CEILING,
+    DomainError,
+    ResourceLimitError,
     _part_precision,
     g_cost,
+    last_attempt,
     oracle_work,
 )
 from log2lab.sweep import (
@@ -53,7 +60,7 @@ from log2lab.sweep import (
     run_verify_theorem,
 )
 
-from conftest import ACCEPTED, largest_accepted, skip_rows
+from conftest import ACCEPTED, largest_accepted, skip_rows, sweep_row_precision
 
 DECIMAL_RE = re.compile(r"^-?\d+(\.\d+)?$")
 
@@ -189,6 +196,55 @@ def run_to_files(runner, config, tmp_path, name):
     return code, out, report.getvalue()
 
 
+RANGE_RUNNERS = {"sweep-bounds": run_bounds_sweep, "error-term": run_error_term}
+
+
+def admitted_by_the_per_call_rules(command: str, n_hi: int, p: int) -> bool:
+    """Whether ``command`` takes a range up to n_hi at --bits p: sweep-bounds
+    while its rows' finest part fits under the ceiling, error-term while its
+    largest G(n), at a row's part precision, fits under both ceilings."""
+    if p < exact_mod.MIN_PRECISION:
+        return False
+    if command == "sweep-bounds":
+        return sweep_row_precision(n_hi, p) <= exact_mod.MAX_PRECISION_BITS
+    q, work = g_cost(max(n_hi, 2), _part_precision(p, _ROW_PARTS))
+    return q <= exact_mod.MAX_PRECISION_BITS and work <= exact_mod.WORK_CEILING
+
+
+def admission_edge(command: str, n_hi: int) -> int:
+    """The largest --bits the per-call rules let ``command`` take up to n_hi,
+    as the finest precision each asks for is --bits plus a constant."""
+    if command == "sweep-bounds":
+        return MAX_PRECISION_BITS - sweep_row_precision(n_hi, 0)
+    return MAX_PRECISION_BITS - g_cost(max(n_hi, 2), _part_precision(0, _ROW_PARTS))[0]
+
+
+@st.composite
+def admission_cases(draw) -> tuple[str, int, int, int]:
+    """(command, n_lo, n_hi, --bits): bits from 1 to 20000 and on either side
+    of the command's precision edge at n_hi, n_hi up to 10^20, near a power
+    of two and near error-term's work edge at --bits 64, and at most 3 rows."""
+    command = draw(st.sampled_from(sorted(RANGE_RUNNERS)))
+    n_hi = draw(
+        st.one_of(
+            st.integers(1, 10**20),
+            st.integers(1, 10**4),
+            st.integers(35_791_390, 35_791_399),
+            st.builds(lambda k, d: (1 << k) + d, st.integers(1, 66), st.sampled_from([-1, 0, 1])),
+        )
+    )
+    edge = admission_edge(command, n_hi)
+    p = draw(
+        st.one_of(
+            st.integers(4, 20000),
+            st.integers(1, 5),
+            st.integers(4, 256),
+            st.integers(edge - 2, edge + 2),
+        )
+    )
+    return command, max(1, n_hi - draw(st.integers(0, 2))), n_hi, p
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -235,6 +291,83 @@ class TestConfigValidation:
             run_verify_theorem(SweepConfig(n_lo=a + 1, n_hi=a + 1))
         # sweep-bounds is not held to it
         assert run_bounds_sweep(SweepConfig(n_lo=a + 1, n_hi=a + 1)) == ACCEPTED
+
+    def test_every_check_reads_the_precision_ceiling_from_exact(self, tmp_path, monkeypatch):
+        # with only exact's ceiling moved, sweep-bounds and error-term take
+        # --bits up to their new edge and reject one more, before --out is
+        # opened; a row stops escalating under it and G(n) follows it too
+        ceiling = 1000
+        monkeypatch.setattr(exact_mod, "MAX_PRECISION_BITS", ceiling)
+        n = 3000
+        p_sweep = ceiling - sweep_row_precision(n, 0)
+        assert sweep_row_precision(n, p_sweep) == ceiling
+        p_e2 = ceiling - g_cost(n, _part_precision(0, _ROW_PARTS))[0]
+        assert g_cost(n, _part_precision(p_e2, _ROW_PARTS))[0] == ceiling
+        for command, p in (("sweep-bounds", p_sweep), ("error-term", p_e2)):
+            config = SweepConfig(n_lo=n, n_hi=n, precision_bits=p + 1, output_format="json")
+            out = tmp_path / f"{command}.json"
+            with pytest.raises(UsageError, match=f"above the ceiling of {ceiling} bits"):
+                RANGE_RUNNERS[command](replace(config, output_path=str(out)))
+            assert not out.exists()
+            config = replace(config, precision_bits=p)
+            code, out, _ = run_to_files(RANGE_RUNNERS[command], config, tmp_path, out.name)
+            assert code != EXIT_USAGE
+            (row,) = json.loads(out.read_text())[:-1]
+            if command == "sweep-bounds":
+                assert row["precision_bits"] == str(p)
+        # the last attempt's finest part is the last one under the ceiling
+        assert last_attempt(n, p_sweep, 10**9) == 0
+        assert last_attempt(n, p_sweep // 2, 10**9) == 1
+        assert last_attempt(n, p_sweep // 2 + 1, 10**9) == 0
+        part = _part_precision(p_e2, _ROW_PARTS)
+        G_enclosure(n, part)
+        with pytest.raises(ResourceLimitError, match=f"above the ceiling of {ceiling} bits"):
+            G_enclosure(n, part + 1)
+
+    def test_work_ceiling_and_precision_floor_are_read_from_exact(self, monkeypatch):
+        skip_rows(monkeypatch)
+        monkeypatch.setattr(exact_mod, "WORK_CEILING", 1000)
+        monkeypatch.setattr(exact_mod, "MIN_PRECISION", 8)
+        assert run_verify_theorem(SweepConfig(n_lo=499, n_hi=500)) == ACCEPTED
+        with pytest.raises(UsageError, match="above the work ceiling of 1000$"):
+            run_verify_theorem(SweepConfig(n_lo=501, n_hi=501))
+        lo = largest_accepted(run_error_term, 64)
+        part = _part_precision(64, _ROW_PARTS)
+        assert g_cost(lo, part)[1] <= 1000 < g_cost(lo + 1, part)[1]
+        with pytest.raises(ResourceLimitError, match="above the work ceiling of 1000$"):
+            G_enclosure(lo + 1, part)
+        for runner in RANGE_RUNNERS.values():
+            assert runner(SweepConfig(n_lo=1, n_hi=3, precision_bits=8)) == ACCEPTED
+            with pytest.raises(UsageError, match="precision must be >= 8 bits"):
+                runner(SweepConfig(n_lo=1, n_hi=3, precision_bits=7))
+        with pytest.raises(DomainError, match="precision must be >= 8 bits"):
+            G_enclosure(3, 7)
+
+    @settings(deadline=None, max_examples=200)
+    @given(admission_cases())
+    def test_admission_is_the_per_call_rules(self, case):
+        # a range is rejected exactly when the per-call rules say --bits is
+        # below the floor or too fine for n_hi; a cheap admitted range writes
+        # every row, and any other case stops once its checks are done, so
+        # that a range admitted by mistake fails at once instead of running
+        command, n_lo, n_hi, p = case
+        runner = RANGE_RUNNERS[command]
+        config = SweepConfig(n_lo=n_lo, n_hi=n_hi, precision_bits=p)
+        admitted = admitted_by_the_per_call_rules(command, n_hi, p)
+        if admitted and p <= 256 and (command == "sweep-bounds" or n_hi <= 10**4):
+            with tempfile.TemporaryDirectory() as tmp:
+                out = Path(tmp) / "rows.csv"
+                config = replace(config, output_path=str(out))
+                assert runner(config, report_stream=io.StringIO()) != EXIT_USAGE
+                assert len(out.read_text().splitlines()) == 1 + n_hi - n_lo + 1  # header, rows
+            return
+        with pytest.MonkeyPatch.context() as patch:
+            skip_rows(patch)
+            if admitted:
+                assert runner(config) == ACCEPTED
+            else:
+                with pytest.raises(UsageError):
+                    runner(config)
 
     @pytest.mark.parametrize("p", [1, MAX_PRECISION_BITS + 1])
     def test_verify_theorem_has_no_precision_rule(self, p, monkeypatch):
