@@ -333,11 +333,12 @@ class DyadicInterval:
         s = self._e + k * frac_bits
 
         def root(m: int, up: bool) -> int:
+            # r = floor((m * 2^s)^(1/k)) exactly, also for s < 0, since
+            # floor(floor(x)^(1/k)) = floor(x^(1/k)); so r + 1 is the ceiling
+            # unless r^k = m * 2^s, compared exactly
             r = integer_nth_root(m << s if s >= 0 else m >> (-s), k)
-            if up:
-                # step up until r^k >= m * 2^s, compared exactly
-                while r ** k < (m << s) if s >= 0 else (r ** k) << (-s) < m:
-                    r += 1
+            if up and (r ** k < (m << s) if s >= 0 else (r ** k) << (-s) < m):
+                r += 1
             return r
 
         return _interval(root(self._l, False), root(self._h, True), -frac_bits)

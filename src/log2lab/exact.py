@@ -103,7 +103,7 @@ def binary_digit_sum(a: int) -> int:
     """Sum of base-2 digits of a (a >= 0)."""
     if a < 0:
         raise DomainError(f"a must be non-negative, got {a}")
-    return bin(a).count("1")
+    return a.bit_count()
 
 
 def odd_floor_sum(a: int) -> int:

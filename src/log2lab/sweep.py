@@ -51,7 +51,7 @@ from .exact import (
 )
 
 if TYPE_CHECKING:
-    from collections.abc import Iterable, Iterator
+    from collections.abc import Iterable
 
     from .bounds import VerdictStatus
     from .dyadic import DyadicInterval
@@ -485,11 +485,12 @@ def _run(
 class _BoundsFold:
     """Verdict counts, equality rows, the max-e2 row and the findings.
 
-    A row's findings come in its payload, already rendered.  Each finding
-    has one encoder, ``_findings``, which builds its json text by hand: the
-    report's FINDING lines are formed from it one at a time, as they are
+    Each finding is kept as its text in json's compact form, built by hand
+    once, as it arrives, from strings that json never has to escape: the
+    b disagreement's interval ends, and a row's own column strings.  The
+    report's FINDING lines prefix those texts one at a time, as they are
     written, so a CSV run never loads ``json``, and only a JSON run builds
-    the summary's ``findings``, by parsing those same texts.
+    the summary's ``findings``, by parsing the same texts.
     """
 
     def __init__(self, config: SweepConfig, ns: range):
@@ -498,8 +499,7 @@ class _BoundsFold:
         self.ns = ns
         self.rows_by_statuses: dict[tuple[str, ...], int] = {}
         self.equality_ns: list[int] = []
-        # (n, precision_bits, bound, certificate), as their column strings
-        self.findings: list[tuple] = []
+        self.findings: list[str] = []
         self.linear_lines: list[str] = []
         self.escalated_rows = 0
         # the first n with the largest e2(n) = s2(n) - 1, and its e2 columns;
@@ -507,9 +507,12 @@ class _BoundsFold:
         self.max_s2 = 0
         self.max_row: dict | None = None
         agreement = ramanujan_b_agreement(config.precision_bits)
-        self.b_disagreement = None
         if not agreement.agree:
-            self.b_disagreement = (_decimals(agreement.printed), _decimals(agreement.closed_form))
+            self.findings.append(
+                '{"type":"ramanujan_b_disagreement","printed":["%s","%s"],'
+                '"closed_form":["%s","%s"]}'
+                % (*_decimals(agreement.printed), *_decimals(agreement.closed_form))
+            )
 
     def add(self, payload: tuple, write: Callable[[list[str]], None]) -> None:
         columns, statuses, escalations, findings = payload
@@ -517,7 +520,10 @@ class _BoundsFold:
         n = columns[0]
         self.rows_by_statuses[statuses] = self.rows_by_statuses.get(statuses, 0) + 1
         for bound, certificate in findings:
-            self.findings.append((n, columns[1], bound, certificate))
+            self.findings.append(
+                '{"type":"verdict_violated","bound":"%s","n":%s,"precision_bits":%s,'
+                '"certificate":["%s","%s","%s","%s"]}' % (bound, n, columns[1], *certificate)
+            )
         if escalations:
             self.escalated_rows += 1
         if columns[-1] == "true":
@@ -550,7 +556,7 @@ class _BoundsFold:
         if config.output_format == "json":
             import json
 
-            summary["findings"] = [json.loads(finding) for finding in self._findings()]
+            summary["findings"] = [json.loads(finding) for finding in self.findings]
         head = [
             f"checked={checked} of {len(ns)} rows at p={config.precision_bits} "
             f"(escalated: {self.escalated_rows})",
@@ -558,28 +564,13 @@ class _BoundsFold:
             f"max e2 at n={max_row['n']}" if max_row else "max e2: none",
             f"max c_log2 at n={max_row['n']}" if max_row else "max c_log2: none",
         ]
-        findings = ("FINDING: " + finding for finding in self._findings())
+        findings = ("FINDING: " + finding for finding in self.findings)
         lines = itertools.chain(head, self.linear_lines, findings)
         if counts["paper"][VerdictStatus.VIOLATED.value]:
             return summary, lines, EXIT_VIOLATION
         if any(c[VerdictStatus.INCONCLUSIVE.value] for c in counts.values()):
             return summary, lines, EXIT_INCONCLUSIVE
         return summary, lines, EXIT_OK
-
-    def _findings(self) -> Iterator[str]:
-        """Each finding in json's compact form, built by hand from its
-        strings, which json never has to escape."""
-        if self.b_disagreement:
-            printed, closed = self.b_disagreement
-            yield (
-                '{"type":"ramanujan_b_disagreement","printed":["%s","%s"],'
-                '"closed_form":["%s","%s"]}' % (*printed, *closed)
-            )
-        for n, q, bound, certificate in self.findings:
-            yield (
-                '{"type":"verdict_violated","bound":"%s","n":%s,"precision_bits":%s,'
-                '"certificate":["%s","%s","%s","%s"]}' % (bound, n, q, *certificate)
-            )
 
 
 def _linear_line(n: int, columns: list[str]) -> str:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import errno
 import io
 import json
 import os
+import pickle
 import re
 import select
 import signal
@@ -243,6 +245,42 @@ def admission_cases(draw) -> tuple[str, int, int, int]:
         )
     )
     return command, max(1, n_hi - draw(st.integers(0, 2))), n_hi, p
+
+
+RUN_COLUMNS = {
+    "verify-theorem": VERIFY_CSV_COLUMNS,
+    "sweep-bounds": BOUNDS_CSV_COLUMNS,
+    "error-term": ERROR_TERM_CSV_COLUMNS,
+}
+
+
+@st.composite
+def run_contract_cases(draw) -> tuple[list[str], str, SweepConfig]:
+    """(argv without --out, the --out kind, the config argv asks for): one
+    range command over at most 4 numbers, with its format, parity, b source,
+    --bits, --max-escalations and --workers drawn, the last two up to 10^30.
+    n stays where a run is cheap: verify-theorem counts from zero up to a,
+    and error-term brackets n!, so both keep n small."""
+    command = draw(st.sampled_from(sorted(RUN_COLUMNS)))
+    n_max = {"verify-theorem": 3000, "error-term": 10**4, "sweep-bounds": 10**20}[command]
+    n_lo = draw(st.one_of(st.integers(1, 3000), st.integers(1, n_max)))
+    n_hi = n_lo + draw(st.integers(0, 3))
+    fmt = draw(st.sampled_from(SweepConfig.OUTPUT_FORMATS))
+    workers = draw(st.one_of(st.integers(1, 3), st.integers(1, 10**30)))
+    options = {"output_format": fmt, "workers": workers}
+    argv = [command, "--range", f"{n_lo}..{n_hi}", "--format", fmt, "--workers", str(workers)]
+    if command != "verify-theorem":
+        bits = draw(st.one_of(st.integers(1, 6), st.integers(4, 256)))
+        parity = draw(st.sampled_from(SweepConfig.PARITIES))
+        options.update(precision_bits=bits, parity=parity)
+        argv += ["--bits", str(bits), *(["--odd-only"] if parity == "odd" else [])]
+    if command == "sweep-bounds":
+        b_source = draw(st.sampled_from(SweepConfig.RAMANUJAN_B))
+        escalations = draw(st.one_of(st.integers(0, 4), st.integers(0, 10**30)))
+        options.update(ramanujan_b=b_source, max_escalations=escalations)
+        argv += ["--ramanujan-b", b_source, "--max-escalations", str(escalations)]
+    out_kind = draw(st.sampled_from(["fresh", "directory", "missing-directory"]))
+    return argv, out_kind, SweepConfig(n_lo=n_lo, n_hi=n_hi, **options)
 
 
 class TestConfigValidation:
@@ -499,6 +537,31 @@ class TestBoundsSweep:
         large, _, findings = finish_peak(2000)
         assert findings > 2000
         assert large < small + 16 * 1024, (small, large)
+
+    @pytest.mark.parametrize("start,most", [(3004, 600), (10**5, 850)])
+    def test_fold_keeps_each_finding_as_its_text(self, start, most):
+        # every row holds a Ramanujan-lower finding, and the fold keeps each
+        # until the run ends: as its json text that is about 460 bytes from
+        # 3004 and 720 from 10^5 (rows escalated to p = 128), where a record
+        # of its column strings held about 800 and 1070.  Each payload reaches
+        # the fold as from a forked worker, unpickled and dropped after add,
+        # so that the rows are computed (and the caches warmed) untraced
+        config = SweepConfig(n_lo=start, n_hi=start + 1999, precision_bits=64)
+        fold = sweep_mod._BoundsFold(config, config.ns())
+        blobs = [pickle.dumps(sweep_mod._bounds_payload(config, n)) for n in config.ns()]
+        kept = len(fold.findings)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for blob in blobs:
+                fold.add(pickle.loads(blob), lambda values: None)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        added = len(fold.findings) - kept
+        assert added == 2000
+        assert retained <= most * added, retained / added
+        assert all(isinstance(finding, str) for finding in fold.findings)
 
     def test_byte_identical_across_worker_counts(self, tmp_path):
         cfg1 = SweepConfig(n_lo=1, n_hi=60, precision_bits=64, workers=1)
@@ -1019,6 +1082,48 @@ class TestCliContract:
         assert main(["sweep-bounds", "--range", "1..3", "--out", str(out)]) == EXIT_USAGE
         assert "log2lab: error: cannot open --out" in capsys.readouterr().err
         assert not out.exists()
+
+    @settings(deadline=None, max_examples=300)
+    @given(run_contract_cases())
+    def test_run_contract(self, case):
+        # a run through main never exits 1 (no bound of the paper is Violated,
+        # and every identity holds), and 4 never, as no OS error is provoked;
+        # a rejected run is one stderr line and leaves no --out; an accepted
+        # one writes a file that parses and holds every row it counts
+        argv, out_kind, config = case
+        with tempfile.TemporaryDirectory() as tmp:
+            out = {
+                "fresh": Path(tmp) / "rows.out",
+                "directory": Path(tmp),
+                "missing-directory": Path(tmp) / "missing" / "rows.out",
+            }[out_kind]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([*argv, "--out", str(out)])
+            assert stdout.getvalue() == ""
+            report = stderr.getvalue().splitlines()
+            assert code in (EXIT_OK, EXIT_INCONCLUSIVE, EXIT_USAGE), (code, report)
+            if code == EXIT_USAGE or out_kind != "fresh":
+                assert code == EXIT_USAGE
+                assert len(report) == 1 and report[0].startswith("log2lab: error: "), report
+                assert os.listdir(tmp) == []
+                return
+            verify = argv[0] == "verify-theorem"
+            requested = len(replace(config, parity="odd").ns() if verify else config.ns())
+            columns = RUN_COLUMNS[argv[0]]
+            if config.output_format == "json":
+                *rows, last = json.loads(out.read_text())
+                summary = last["summary"]
+                assert summary["truncated"] is False
+                checked = summary["checked"]
+                assert all(list(row) == columns for row in rows)
+            else:
+                with open(out, newline="") as fh:
+                    header, *rows = list(csv.reader(fh))
+                assert header == columns
+                checked = int(re.match(r"checked=(\d+) ", report[0]).group(1))
+            assert checked == requested
+            assert len(rows) == (0 if verify else checked)  # verify-theorem writes failures
 
     @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
