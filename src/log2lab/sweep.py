@@ -7,8 +7,9 @@ exact decimal rendering of a dyadic endpoint (never a rounded double).  The
 three range commands share one run loop: the range is split into contiguous
 blocks, a per-item payload function runs over each block, and a fold consumes
 the payloads in order and decides which rows are written.  With k workers the
-blocks are dealt round-robin to this process and k - 1 children forked from it
-after the first block (no ``multiprocessing``); without ``os.fork`` they all
+first block runs here, and the others are dealt round-robin to this process
+and k - 1 children forked from it (no ``multiprocessing``) when they would
+take longer than a fork costs; otherwise, and without ``os.fork``, they all
 run here.  A block stops at its first error and returns it with the payloads
 before it, so every worker count keeps the same rows.
 
@@ -33,6 +34,7 @@ import itertools
 import operator
 import os
 import sys
+import time
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import IO, TYPE_CHECKING, Any, Callable
@@ -51,7 +53,7 @@ from .exact import (
 )
 
 if TYPE_CHECKING:
-    from collections.abc import Iterable
+    from collections.abc import Iterable, Iterator
 
     from .bounds import VerdictStatus
     from .dyadic import DyadicInterval
@@ -313,10 +315,56 @@ def _block(fn: Callable[[int], Any], items: range) -> tuple[list, BaseException 
     return payloads, None
 
 
+# What forking k - 1 children costs a run, in seconds of in-process block
+# time: they fork only when the blocks left are estimated to take longer than
+# this here.  Measured on a 2-CPU x86-64 host (Python 3.11.7) over 30
+# interleaved pairs of forked and in-process `sweep-bounds --workers 2`
+# commands from n = 3404: at --bits 64 the fork lost 3.0 ms (median) at 80
+# rows, the blocks left estimated at 15 ms, broke even at 160 rows (28 ms)
+# and won 9.3 ms at 280 (50 ms); at --bits 1024 it lost 6.2 ms at 10 rows
+# (22 ms) and won 4.4 ms at 20 (48 ms).
+_FORK_COST_S = 0.03
+
+
+def _fan_out(
+    block: Callable[[range], tuple], blocks: Iterator[range], workers: int, count: int
+) -> Iterator[tuple]:
+    """``map(block, blocks)`` over ``count`` items, with ``workers - 1``
+    children forked after block 0 when the blocks left are worth a fork.
+
+    Block 0 runs here, its first item alone, since that one carries the
+    run's one-time costs (a sweep's constants and caches, verify-theorem's
+    count from 0 up to the range start), so its other items time a row; a
+    block 0 of one item times itself.  The blocks left, estimated at that
+    time per item, are forked out by ``workers.forked_map`` when the estimate
+    exceeds ``_FORK_COST_S``, and run here otherwise; only then is
+    ``log2lab.workers`` compiled and ``pickle`` imported.
+    """
+    items = next(blocks)
+    start = time.perf_counter()
+    head = block(items[:1])
+    split = time.perf_counter()
+    yield head
+    tail = block(items[1:])
+    per_item = (time.perf_counter() - split) / (len(items) - 1) if len(items) > 1 else split - start
+    yield tail
+    if per_item * (count - len(items)) > _FORK_COST_S:
+        from .workers import forked_map
+
+        yield from forked_map(block, blocks, workers)
+    else:
+        yield from map(block, blocks)
+
+
 def _compact_json(obj: Any) -> str:
     import json  # here, so that a CSV run with nothing to report never loads it
 
     return json.dumps(obj, separators=(",", ":"))
+
+
+class _JSONTexts(list):
+    """A JSON array kept as the compact JSON text of each element, which the
+    writer splices into the summary one at a time, with nothing parsed."""
 
 
 class _Writer:
@@ -349,9 +397,21 @@ class _Writer:
         self.stream.flush()
 
     def finish(self, summary: dict) -> None:
+        """Close a JSON array with the summary, byte for byte as json would
+        write ``{"summary": summary}`` in its compact form."""
         if self.fmt == "json":
-            sep = ",\n" if self.count else ""
-            self.stream.write(sep + _compact_json({"summary": summary}) + "\n]\n")
+            write = self.stream.write
+            write((",\n" if self.count else "") + '{"summary":{')
+            for i, (key, value) in enumerate(summary.items()):
+                write(("," if i else "") + _compact_json(key) + ":")
+                if isinstance(value, _JSONTexts):
+                    write("[")
+                    for j, text in enumerate(value):
+                        write("," + text if j else text)
+                    write("]")
+                else:
+                    write(_compact_json(value))
+            write("}}\n]\n")
             self.stream.flush()
 
 
@@ -409,9 +469,12 @@ def _run(
     ``_block`` runs ``payload_fn(config, n)`` over contiguous blocks of the
     range, about four per worker and at most 64 items each.  With one worker
     they all run in this process.  With k = min(--workers, items, CPUs) > 1,
-    the CPUs being ``_usable_cpus()``, ``workers.forked_map`` runs every k-th
-    block here and deals the others to k - 1 children forked after the first
-    block; without ``os.fork`` they all run here too.  ``fold(config, ns)``
+    the CPUs being ``_usable_cpus()``, ``_fan_out`` runs the first block here
+    and, when the blocks left are estimated from it to take longer than
+    ``_FORK_COST_S``, ``workers.forked_map`` runs every k-th block here and
+    deals the others to k - 1 children forked after the first block; when
+    they are not, and without ``os.fork``, they all run here.  So
+    ``--workers`` is an upper bound.  ``fold(config, ns)``
     builds the command's fold before the output is opened or written, so that
     an error or an interrupt while it is built (``sweep-bounds`` loads the
     enclosure code and checks b there) leaves no ``--out`` file and writes
@@ -436,13 +499,8 @@ def _run(
         size = min(64, -(-len(ns) // (4 * workers))) or 1  # or 1: an empty range
         blocks = (ns[i : i + size] for i in range(0, len(ns), size))
         block = partial(_block, partial(payload_fn, config))
-        forked = workers > 1 and hasattr(os, "fork")
-        if forked:
-            from .workers import forked_map  # only here, so a 1-worker run never compiles it
-
-            results = forked_map(block, blocks, workers)
-        else:
-            results = map(block, blocks)
+        may_fork = workers > 1 and hasattr(os, "fork")
+        results = _fan_out(block, blocks, workers, len(ns)) if may_fork else map(block, blocks)
         checked = 0
         stopped: BaseException | None = None
         try:
@@ -461,8 +519,8 @@ def _run(
         except BaseException as exc:  # the output is finalized as truncated below
             stopped = exc
         finally:
-            if forked:
-                results.close()  # kills and reaps the children
+            if may_fork:
+                results.close()  # kills and reaps any children
 
         summary, lines, code = acc.finish(checked)
         summary["truncated"] = stopped is not None
@@ -489,8 +547,8 @@ class _BoundsFold:
     once, as it arrives, from strings that json never has to escape: the
     b disagreement's interval ends, and a row's own column strings.  The
     report's FINDING lines prefix those texts one at a time, as they are
-    written, so a CSV run never loads ``json``, and only a JSON run builds
-    the summary's ``findings``, by parsing the same texts.
+    written, so a CSV run never loads ``json``, and a JSON run's summary
+    splices the same texts, unparsed, into its ``findings``.
     """
 
     def __init__(self, config: SweepConfig, ns: range):
@@ -499,7 +557,7 @@ class _BoundsFold:
         self.ns = ns
         self.rows_by_statuses: dict[tuple[str, ...], int] = {}
         self.equality_ns: list[int] = []
-        self.findings: list[str] = []
+        self.findings = _JSONTexts()
         self.linear_lines: list[str] = []
         self.escalated_rows = 0
         # the first n with the largest e2(n) = s2(n) - 1, and its e2 columns;
@@ -554,9 +612,7 @@ class _BoundsFold:
             "max_c_log2": max_row,
         }
         if config.output_format == "json":
-            import json
-
-            summary["findings"] = [json.loads(finding) for finding in self.findings]
+            summary["findings"] = self.findings
         head = [
             f"checked={checked} of {len(ns)} rows at p={config.precision_bits} "
             f"(escalated: {self.escalated_rows})",

@@ -5,7 +5,9 @@ forked from it, with the results in order.  A child sends each result down
 its own pipe as one length-prefixed pickle, so nothing but ``os.fork``, a pipe
 and ``pickle`` is needed: no ``multiprocessing``, no pool start-up, and the
 children start with every module and cache the parent has loaded.  The range
-commands import this module only when a run uses more than one worker.
+commands import this module only when a run forks, which ``sweep._run``
+decides once its first block has run: with more than one worker, and only
+when the blocks left would take longer here than a fork costs.
 """
 
 from __future__ import annotations
@@ -30,18 +32,18 @@ class _WorkerTraceback(Exception):
 def forked_map(
     block: Callable[[range], tuple], blocks: Iterator[range], workers: int
 ) -> Iterator[tuple]:
-    """``map(block, blocks)`` over this process and ``workers - 1`` forked
-    children, in order.
+    """``map(block, blocks)`` over this process and ``workers - 1`` children
+    forked on the first ``next``, in order.
 
-    Block i runs here when i % workers == 0 and in child i % workers
-    otherwise.  Block 0 runs before any fork, so every child starts with the
-    caches it filled.  A child sends each block's result down its own pipe as
-    one length-prefixed pickle, and a block is read only when it is next in
-    order.  A pipe that ends before its block means that child died: the run
-    then fails, naming it.  However the generator ends or is closed, every
-    child is killed and reaped first.
+    Counting the caller's first block, run before this is called, as block
+    0, block i runs here when i % workers == 0 and in child i % workers
+    otherwise, so every child starts with the caches the caller filled.  A
+    child sends each block's result down its own pipe as one length-prefixed
+    pickle, and a block is read only when it is next in order.  A pipe that
+    ends before its block means that child died: the run then fails, naming
+    it.  However the generator ends or is closed, every child is killed and
+    reaped first.
     """
-    yield block(next(blocks))
     children: dict[int, tuple[int, IO[bytes]]] = {}  # child index -> (pid, pipe)
     try:
         for j in range(1, workers):

@@ -34,6 +34,15 @@ from log2lab.sweep import SweepConfig, UsageError
 
 ORACLE_PREC_BITS = 400
 
+# a -c prelude under which a run with more than one worker forks its children
+# however little its blocks left would cost, so that a short range in a fresh
+# interpreter runs the forked path (the ``always_fork`` fixture in process)
+ALWAYS_FORK = "import log2lab.sweep; log2lab.sweep._FORK_COST_S = 0"
+# ``python -m log2lab.cli`` under that prelude
+FORKING_MODULE = [
+    "-c", f"{ALWAYS_FORK}; import runpy; runpy.run_module('log2lab.cli', run_name='__main__')"
+]
+
 
 def floor_log2_doubling(a: int, j: int) -> int:
     """Reference floor(log2(a/j)): largest k with j * 2^k <= a."""
@@ -342,6 +351,13 @@ def g_oracle(n: int) -> mp.mpf:
 def _oracle_precision():
     with mp.workprec(ORACLE_PREC_BITS):
         yield
+
+
+@pytest.fixture
+def always_fork(monkeypatch):
+    """A run with more than one worker forks its children however little its
+    blocks left would cost, so that a short range runs the forked path."""
+    monkeypatch.setattr(sweep_mod, "_FORK_COST_S", 0)
 
 
 @pytest.fixture(autouse=True)

@@ -624,6 +624,7 @@ class TestCountingIdentity:
             with pytest.raises(IdentityViolationError, match=f"e2\\({n}\\)"):
                 compare_bounds(n, 64)
 
+    @pytest.mark.usefixtures("always_fork")
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("shift", [1, -1])
     def test_shifted_g_sweep_exits_internal(self, tmp_path, capsys, monkeypatch, shift, workers):
@@ -650,6 +651,7 @@ class TestCountingIdentity:
             with pytest.raises(IdentityViolationError, match=f"e2\\({n}\\)"):
                 compare_bounds(n, 64)
 
+    @pytest.mark.usefixtures("always_fork")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_e2_miss_sweep_exits_internal(self, tmp_path, capsys, monkeypatch, workers):
         # of rows 1..4 only row 3 checks s2(n) - 1 = 1, so the miss is at
@@ -670,6 +672,7 @@ class TestCountingIdentity:
         assert summary["checked"] == 2
         assert [row["n"] for row in payload[:-1]] == ["1", "2"]
 
+    @pytest.mark.usefixtures("always_fork")
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("shift", [1, -1])
     def test_shifted_term_sum_fails_error_term(self, tmp_path, capsys, monkeypatch, shift, workers):
@@ -1009,6 +1012,7 @@ class TestEscalationCeiling:
         assert row.verdicts["robbins_upper"].status is VerdictStatus.INCONCLUSIVE
         assert row.e2.contains_int(binary_digit_sum(3000) - 1)
 
+    @pytest.mark.usefixtures("always_fork")
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_sweep_at_the_ceiling_completes(self, tmp_path, capsys, monkeypatch, fmt):
         # without the ceiling these rows escalate from p = 16; with it they

@@ -54,6 +54,7 @@ from pathlib import Path
 import pytest
 
 import log2lab
+from conftest import FORKING_MODULE
 
 SRC = Path(log2lab.__file__).resolve().parents[1]
 
@@ -100,7 +101,8 @@ def sha256(data: bytes) -> str:
 @pytest.mark.parametrize("name", list(GOLDEN))
 def test_golden_bytes(name, workers, tmp_path):
     argv, out_sha, err_sha = GOLDEN[name]
-    cmd = [sys.executable, "-m", "log2lab.cli", *argv, "--workers", str(workers)]
+    launcher = FORKING_MODULE if workers > 1 else ["-m", "log2lab.cli"]
+    cmd = [sys.executable, *launcher, *argv, "--workers", str(workers)]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     out = tmp_path / "rows"

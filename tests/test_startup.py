@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import log2lab
+from conftest import ALWAYS_FORK
 
 SRC = Path(log2lab.__file__).resolve().parents[1]
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -45,12 +46,14 @@ def run_fresh(code: str) -> str:
 
 def modules_after(argv: list[str], tmp_path) -> set[str]:
     """sys.modules after ``log2lab.cli.main(argv)`` in a fresh interpreter
-    that reports 2 CPUs, so that ``--workers 2`` forks a child."""
+    that reports 2 CPUs and forks whatever the blocks left cost, so that
+    ``--workers 2`` forks a child."""
     out = tmp_path / "rows.csv"
     stdout = run_fresh(
         f"""
         import os, sys
         os.sched_getaffinity = lambda pid: {{0, 1}}
+        {ALWAYS_FORK}
         from log2lab.cli import main
         assert main({argv + ["--out", str(out)]!r}) == 0
         print("\\n".join(sorted(sys.modules)))
@@ -172,6 +175,54 @@ def test_one_cpu_affinity_forks_no_worker(command, tmp_path):
     assert "log2lab.workers" not in loaded and "pickle" not in loaded
 
 
+@pytest.mark.parametrize(
+    ("span", "bits", "forks"),
+    [
+        # the sweep-w2 benchmark's window shape: about 10 ms of rows on a
+        # 2-core Xeon, under the fork's cost
+        ("3404..3483", "64", 0),
+        ("1..5000", "64", 1),
+        # 12 rows as costly as about 1000 at --bits 64
+        ("3000..3011", "2048", 1),
+    ],
+)
+def test_workers_fork_only_when_the_blocks_left_pay_for_it(span, bits, forks, tmp_path):
+    """With 2 CPUs, ``--workers 2`` forks its child only when the blocks left
+    after the first would take longer here than ``sweep._FORK_COST_S``; a run
+    that does not fork neither compiles ``log2lab.workers`` nor imports
+    ``pickle``.  stdout, stderr, exit code and --out bytes are those of
+    ``--workers 1`` either way."""
+    stdout = run_fresh(
+        f"""
+        import contextlib, io, os, sys
+        os.sched_getaffinity = lambda pid: {{0, 1}}
+        forks = 0
+        real_fork = os.fork
+
+        def counting_fork():
+            global forks
+            pid = real_fork()
+            forks += pid != 0
+            return pid
+
+        os.fork = counting_fork
+        from log2lab.cli import main
+        runs = []
+        for workers in ("1", "2"):
+            out, stdout, stderr = {str(tmp_path)!r} + "/rows_w" + workers, io.StringIO(), io.StringIO()
+            argv = ["sweep-bounds", "--range", {span!r}, "--bits", {bits!r}, "--workers", workers]
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv + ["--out", out])
+            runs.append((code, stdout.getvalue(), stderr.getvalue(), open(out).read()))
+            if workers == "1":
+                assert forks == 0
+        assert runs[1] == runs[0]
+        print(forks, "log2lab.workers" in sys.modules, "pickle" in sys.modules)
+        """
+    )
+    assert stdout.split() == [str(forks), str(forks > 0), str(forks > 0)]
+
+
 def test_wrappers_set_on_sweep_before_a_run_are_called():
     """The tracing contract: a wrapper set on ``log2lab.sweep`` before any run
     is what the run calls, once per row, and loading the bounds names on first
@@ -223,6 +274,7 @@ def test_wrappers_set_on_sweep_are_called_in_forked_workers(tmp_path):
         from log2lab import SweepConfig, run_bounds_sweep, run_verify_theorem
 
         os.sched_getaffinity = lambda pid: {{0, 1}}
+        {ALWAYS_FORK}
 
         def recording(name):
             real = getattr(sweep, name)
@@ -336,6 +388,7 @@ def test_no_exit_handlers(tmp_path):
         import atexit, io, os, sys
         from contextlib import redirect_stdout
         os.sched_getaffinity = lambda pid: {{0, 1}}
+        {ALWAYS_FORK}
         before = atexit._ncallbacks()
         from log2lab.cli import main
         with redirect_stdout(io.StringIO()):

@@ -21,6 +21,7 @@ import tracemalloc
 from dataclasses import fields, replace
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -62,7 +63,14 @@ from log2lab.sweep import (
     run_verify_theorem,
 )
 
-from conftest import ACCEPTED, largest_accepted, skip_rows, sweep_row_precision
+from conftest import (
+    ACCEPTED,
+    ALWAYS_FORK,
+    FORKING_MODULE,
+    largest_accepted,
+    skip_rows,
+    sweep_row_precision,
+)
 
 DECIMAL_RE = re.compile(r"^-?\d+(\.\d+)?$")
 
@@ -160,10 +168,14 @@ SIGNAL_COLUMNS = {
 # which leaves by os._exit), or main() in process, left the normal way
 MODULE = ["-m", "log2lab.cli"]
 IN_PROCESS = ["-c", "import sys; from log2lab.cli import main; sys.exit(main())"]
+# main() in process, with a run of more than one worker forking however
+# short its range, as FORKING_MODULE forks
+FORKING_IN_PROCESS = ["-c", f"{ALWAYS_FORK}; {IN_PROCESS[1]}"]
 
 CLOSED_BY_READER = "log2lab: output closed by its reader; the run stopped early\n"
 
-# a -c prelude that makes row 13 fail, in a forked worker too
+# a -c prelude that makes row 13 fail, in a forked worker too, which a
+# 2-worker run forks however short its range
 FAILING_AT_13 = """
 import os, sys
 import log2lab.sweep as sweep
@@ -176,6 +188,7 @@ def failing_at_13(n, *args, **kwargs):
 
 sweep.compare_bounds = failing_at_13
 os.sched_getaffinity = lambda pid: {0, 1}
+sweep._FORK_COST_S = 0  # fork whatever the blocks left cost
 """
 
 
@@ -470,6 +483,7 @@ class TestBoundsSweep:
         assert "max e2 at n=15" in report
         assert "ramanujan_b_disagreement" in report
 
+    @pytest.mark.usefixtures("always_fork")
     @pytest.mark.parametrize("span,first", [("881..960", 895), ("1..24", 15)])
     def test_max_e2_row_is_the_first_with_the_largest_digit_sum(
         self, tmp_path, capsys, span, first
@@ -563,6 +577,7 @@ class TestBoundsSweep:
         assert retained <= most * added, retained / added
         assert all(isinstance(finding, str) for finding in fold.findings)
 
+    @pytest.mark.usefixtures("always_fork")
     def test_byte_identical_across_worker_counts(self, tmp_path):
         cfg1 = SweepConfig(n_lo=1, n_hi=60, precision_bits=64, workers=1)
         cfg2 = SweepConfig(n_lo=1, n_hi=60, precision_bits=64, workers=2)
@@ -709,6 +724,7 @@ class TestBoundsSweep:
                 checked += 1
         assert checked >= 300
 
+    @pytest.mark.usefixtures("always_fork")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_interrupt_leaves_valid_truncated_json(self, tmp_path, monkeypatch, workers):
         # with 2 workers the blocks hold 2 rows, so n = 4 is in the second
@@ -755,6 +771,7 @@ class TestBoundsSweep:
         assert summary["checked"] == 3
         assert "interrupted: output file is truncated but valid" in report
 
+    @pytest.mark.usefixtures("always_fork")
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("where, k", [("flush", 1), ("flush", 3), ("write", 1), ("write", 3)])
     def test_interrupted_row_write_leaves_valid_json(self, monkeypatch, workers, where, k):
@@ -848,6 +865,7 @@ class TestErrorTerm:
         assert code == EXIT_VIOLATION
         assert "excluded neighbors: false" in report
 
+    @pytest.mark.usefixtures("always_fork")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_odd_only_writes_the_odd_rows(self, tmp_path, capsys, monkeypatch, workers):
         set_cpus(monkeypatch, 2)
@@ -921,6 +939,7 @@ class TestVerifyTheorem:
         assert code == EXIT_OK
         assert peak < 64 * 1024
 
+    @pytest.mark.usefixtures("always_fork")
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_miscount_fails_every_later_a(self, tmp_path, monkeypatch, fmt):
         # the oracles' totals are added up in the fold, so one miscounted a
@@ -959,6 +978,7 @@ class TestVerifyTheorem:
             assert other_code == code and other_report == report
             assert other_out.read_bytes() == out.read_bytes()
 
+    @pytest.mark.usefixtures("always_fork")
     def test_workers_agree(self, tmp_path):
         cfg1 = SweepConfig(n_lo=1, n_hi=401, workers=1, output_format="json")
         cfg2 = SweepConfig(n_lo=1, n_hi=401, workers=2, output_format="json")
@@ -1099,7 +1119,9 @@ class TestCliContract:
             }[out_kind]
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main([*argv, "--out", str(out)])
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(sweep_mod, "_FORK_COST_S", 0)  # a short range forks too
+                    code = main([*argv, "--out", str(out)])
             assert stdout.getvalue() == ""
             report = stderr.getvalue().splitlines()
             assert code in (EXIT_OK, EXIT_INCONCLUSIVE, EXIT_USAGE), (code, report)
@@ -1168,6 +1190,7 @@ class TestCliContract:
         assert main(["error-term", "--range", "1..12", "--bits", "64"]) == EXIT_OK
         capsys.readouterr()
 
+    @pytest.mark.usefixtures("always_fork")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_resource_limit_mid_run_leaves_valid_truncated_json(
         self, tmp_path, capsys, monkeypatch, workers
@@ -1185,6 +1208,7 @@ class TestCliContract:
         assert [row["n"] for row in payload[:-1]] == ["1"]
         assert summary["checked"] == 1
 
+    @pytest.mark.usefixtures("always_fork")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_any_error_mid_run_leaves_valid_truncated_json(
         self, tmp_path, capsys, monkeypatch, workers
@@ -1208,6 +1232,7 @@ class TestCliContract:
         assert [row["n"] for row in payload[:-1]] == ["1"]
         assert outs[workers].read_bytes() == outs[1].read_bytes()
 
+    @pytest.mark.usefixtures("always_fork")
     def test_error_inside_a_block_keeps_the_rows_before_it(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(sweep_mod, "compare_bounds", _compare_bounds_failing_at_13)
         argv = ["sweep-bounds", "--range", "1..40", "--format", "json"]
@@ -1336,6 +1361,7 @@ class TestCliContract:
 
             sweep.compare_bounds = dying_in_a_child
             os.sched_getaffinity = lambda pid: {{0, 1}}
+            {ALWAYS_FORK}
             sys.exit(main({argv + ["--out", str(out)]!r}))
             """
         proc = subprocess.Popen(
@@ -1382,9 +1408,13 @@ class TestCliContract:
                     "from log2lab.cli import run; run()"]
         r, w = os.pipe()
         try:
+            # SIGINT at its default before exec, as in a foreground shell, so
+            # that the run takes it as an interrupt even when this process
+            # ignores it (a background job, nohup)
             proc = subprocess.Popen(
                 [sys.executable, *launcher, *argv], stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE, env=cli_env(), start_new_session=True, pass_fds=(w,),
+                preexec_fn=partial(signal.signal, signal.SIGINT, signal.SIG_DFL),
             )
         finally:
             os.close(w)
@@ -1443,7 +1473,7 @@ class TestCliContract:
         # one stderr line, and no traceback
         with open("/dev/full", "w") as full:
             done = subprocess.run(
-                [sys.executable, *MODULE, *argv], stdout=full if to_stdout else subprocess.PIPE,
+                [sys.executable, *FORKING_MODULE, *argv], stdout=full if to_stdout else subprocess.PIPE,
                 stderr=subprocess.PIPE, env=buffered_env(), timeout=120,
             )
         assert done.returncode == EXIT_INTERNAL
@@ -1466,7 +1496,7 @@ class TestCliContract:
         """``python -m log2lab.cli`` leaves by os._exit: every byte of stdout,
         stderr and --out, and the exit code, are those of main() in process."""
         results = {}
-        for name, launcher in (("module", MODULE), ("main", IN_PROCESS)):
+        for name, launcher in (("module", FORKING_MODULE), ("main", FORKING_IN_PROCESS)):
             out = tmp_path / f"{name}.out"
             full = argv + ["--out", str(out)] if out_made or code == EXIT_USAGE else argv
             done = run_launched(launcher, full)
@@ -1646,7 +1676,7 @@ class TestPoolSize:
     a single one."""
 
     @pytest.fixture
-    def started(self, monkeypatch):
+    def started(self, monkeypatch, always_fork):
         started: list[int] = []
 
         def recording(block, blocks, workers):
@@ -1695,6 +1725,7 @@ class TestForkedWorkers:
     """k workers are this process and k - 1 forked children, dealt blocks in
     turn; the bytes never depend on k."""
 
+    @pytest.mark.usefixtures("always_fork")
     def test_outputs_agree_over_worker_counts(self, capsys, monkeypatch):
         set_cpus(monkeypatch, 4)
         commands = [
